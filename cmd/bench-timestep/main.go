@@ -18,6 +18,7 @@ import (
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
 	"channeldns/internal/perf"
+	"channeldns/internal/run"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
 )
@@ -88,10 +89,6 @@ func runReport(path, tracePath, workload string, nx, ny, nz, steps int, overlap 
 		trc = trace.New(0)
 		cfg.Trace = trc
 	}
-	sched, err := core.WorkloadSchedule(cfg)
-	if err != nil {
-		return err
-	}
 	var allocsPerStep float64
 	var runErr error
 	mpi.Run(1, func(c *mpi.Comm) {
@@ -101,16 +98,16 @@ func runReport(path, tracePath, workload string, nx, ny, nz, steps int, overlap 
 			return
 		}
 		wl.InitDefault(0.3, 1)
-		wl.Advance(2) // warm the operator cache and workspace arena
-		reg.Reset()   // drop warmup samples
+		core.Advance(wl, 2) // warm the operator cache and workspace arena
+		reg.Reset()         // drop warmup samples
 		before := perf.ReadAllocs()
-		wl.Advance(steps)
+		core.Advance(wl, steps)
 		allocsPerStep = float64(perf.ReadAllocs().Sub(before).Mallocs) / float64(steps)
 	})
 	if runErr != nil {
 		return runErr
 	}
-	rep := telemetry.NewReport("table9", reg, map[string]string{
+	rep := run.Report("table9", cfg, map[string]string{
 		"workload": workload,
 		"nx":       fmt.Sprint(nx), "ny": fmt.Sprint(ny), "nz": fmt.Sprint(nz),
 		"re_tau": "180", "dt": "1e-3", "steps": fmt.Sprint(steps),
@@ -118,10 +115,6 @@ func runReport(path, tracePath, workload string, nx, ny, nz, steps int, overlap 
 		"overlap": fmt.Sprint(overlap),
 	})
 	rep.AllocsPerStep = allocsPerStep
-	rep.Schedule = sched
-	if trc != nil {
-		rep.Trace = trace.Summarize(trc)
-	}
 	if err := rep.WriteFile(path); err != nil {
 		return err
 	}
@@ -235,7 +228,7 @@ func liveStep(pa, pb, threads int) time.Duration {
 		c.Barrier()
 		t0 := time.Now()
 		const n = 3
-		s.Advance(n)
+		core.Advance(s, n)
 		c.Barrier()
 		if c.Rank() == 0 {
 			per = time.Since(t0) / n

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -30,10 +29,10 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"channeldns/internal/ckpt"
 	"channeldns/internal/core"
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
+	"channeldns/internal/run"
 	"channeldns/internal/stats"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
@@ -61,8 +60,6 @@ func main() {
 		ckptEvr = flag.Int("ckpt-every", 0, "checkpoint into -ckpt-dir every N steps (0 = final checkpoint only)")
 		ckptKp  = flag.Int("ckpt-keep", 3, "rolling retention: keep the newest K checkpoints (0 = keep all)")
 		resume  = flag.Bool("resume", false, "auto-resume from the newest valid checkpoint in -ckpt-dir, falling back past corrupt ones")
-		oldCkpt = flag.String("checkpoint", "", "removed: use -ckpt-dir (checkpoints are sharded directories and resume on any rank count)")
-		oldRest = flag.String("restore", "", "removed: use -ckpt-dir with -resume")
 		form    = flag.String("form", "divergence", "nonlinear form: divergence | convective | skew")
 		budget  = flag.Bool("budget", false, "print the TKE budget at the end")
 		spectra = flag.Bool("spectra", false, "print 1-D energy spectra at selected heights")
@@ -83,22 +80,18 @@ func main() {
 	)
 	flag.Parse()
 
-	// The PR-5 aliases had their one release of support; the flags stay
-	// registered only to fail with a pointer at the replacements.
-	if *oldCkpt != "" {
-		log.Fatal("dns: -checkpoint was removed; use -ckpt-dir (sharded checkpoint directories, any rank count)")
+	nlForm, err := core.ParseForm(*form)
+	if err != nil {
+		log.Fatalf("dns: %v", err)
 	}
-	if *oldRest != "" {
-		log.Fatal("dns: -restore was removed; use -ckpt-dir with -resume")
-	}
-
 	cfg := core.Config{
 		Workload: *wlName,
 		Nx:       *nx, Ny: *ny, Nz: *nz,
 		ReTau: *retau, Dt: *dt, Forcing: 1,
 		Ly: *lyF, Prandtl: *prandtl,
 		PA: *pa, PB: *pb, Pool: par.NewPool(*threads),
-		Overlap: *overlap, PipelineChunks: *chunks,
+		Nonlinear: nlForm,
+		Overlap:   *overlap, PipelineChunks: *chunks,
 	}
 	var reg *telemetry.Registry
 	if *listen != "" || *repPath != "" || *trcPath != "" || *hbEvery > 0 {
@@ -129,18 +122,7 @@ func main() {
 			config["rank"] = fmt.Sprint(*rankF)
 			config["world"] = fmt.Sprint(*worldF)
 		}
-		rep := telemetry.NewReport("dns", reg, config)
-		if trc != nil {
-			rep.Trace = trace.Summarize(trc)
-		}
-		if *form == "divergence" {
-			// The schedule describes the default divergence-form pipeline;
-			// the other forms move different forward-path traffic. Every
-			// registered workload emits its own block.
-			if sched, err := core.WorkloadSchedule(cfg); err == nil {
-				rep.Schedule = sched
-			}
-		}
+		rep := run.Report("dns", cfg, config)
 		rep.Wire = wireSum.Load()
 		return rep
 	}
@@ -163,12 +145,6 @@ func main() {
 		}
 		fmt.Printf("telemetry endpoint: http://%s/telemetry (world dashboard under /metrics + /status, trace under /trace, pprof under /debug/pprof/)\n", addr)
 	}
-	nlForm, err := core.ParseForm(*form)
-	if err != nil {
-		log.Fatalf("dns: %v", err)
-	}
-	cfg.Nonlinear = nlForm
-
 	isTCP := false
 	switch *transportF {
 	case "chan":
@@ -217,11 +193,16 @@ func main() {
 				trc.SetClockSync(cs.OffsetNs, cs.ErrorNs)
 			}
 		}
-		wl, err := core.NewWorkload(c, cfg)
-		if err != nil {
+		// Failures below are collective (every rank sees the same error);
+		// rank 0 records it for the exit path.
+		fail := func(err error) {
 			if c.Rank() == 0 {
 				finalErr = err
 			}
+		}
+		wl, err := core.NewWorkload(c, cfg)
+		if err != nil {
+			fail(err)
 			return
 		}
 		// Channel-based workloads expose the underlying channel solver; the
@@ -231,77 +212,55 @@ func main() {
 		if cs, ok := wl.(core.ChannelFlow); ok {
 			s = cs.ChannelSolver()
 		}
-		var store *ckpt.Store
-		if *ckptDir != "" {
-			store = wl.NewCheckpointStore(*ckptDir, *ckptKp)
-		}
-		resumed := false
-		if store != nil && *resume {
-			switch name, err := wl.ResumeLatest(store); {
-			case err == nil:
-				resumed = true
-				if c.Rank() == 0 {
-					fmt.Printf("resumed from %s (step %d, t=%.6g, dt=%.6g)\n",
-						name, wl.CurrentStep(), wl.CurrentTime(), wl.CurrentDt())
-				}
-			case errors.Is(err, ckpt.ErrNoCheckpoint):
-				if c.Rank() == 0 {
-					fmt.Printf("no checkpoint in %s; starting fresh\n", *ckptDir)
-				}
-			default:
-				if c.Rank() == 0 {
-					finalErr = fmt.Errorf("resume: %w", err)
-				}
-				return
-			}
-		}
-		if !resumed {
-			wl.InitDefault(*amp, *seed)
-		}
-		lastCkpt := -1
-		writeCkpt := func() bool {
-			if wl.CurrentStep() == lastCkpt {
-				return true
-			}
-			name, err := wl.WriteCheckpoint(store)
-			if err != nil {
-				if c.Rank() == 0 {
-					finalErr = fmt.Errorf("checkpoint: %w", err)
-				}
-				return false
-			}
-			lastCkpt = wl.CurrentStep()
-			if c.Rank() == 0 {
-				fmt.Printf("checkpoint %s written (step %d)\n", name, wl.CurrentStep())
-			}
-			return true
-		}
-
 		acc := &stats.Accumulator{}
-		report := func() {
-			// StatusLine is a collective: every rank must call it.
-			line := wl.StatusLine()
-			if c.Rank() == 0 {
-				fmt.Println(line)
-			}
-		}
-		report()
-		for i := 1; i <= *steps; i++ {
-			wl.AdvanceAdaptive(1, 0.8, 5)
-			if *hbEvery > 0 && i%*hbEvery == 0 {
-				heartbeat()
-			}
-			if store != nil && *ckptEvr > 0 && i%*ckptEvr == 0 && !writeCkpt() {
-				return
-			}
-			if *every > 0 && i%*every == 0 {
+		d := &run.Driver{
+			WL: wl, TargetCFL: 0.8, CkptEvery: *ckptEvr, StatusEvery: *every,
+			Checkpointed: func(name string) {
+				if c.Rank() == 0 {
+					fmt.Printf("checkpoint %s written (step %d)\n", name, wl.CurrentStep())
+				}
+			},
+			Status: func(line string) {
 				if s != nil {
 					acc.Add(stats.Snapshot(s))
 				}
-				report()
+				if c.Rank() == 0 {
+					fmt.Println(line)
+				}
+			},
+		}
+		if *ckptDir != "" {
+			d.Store = wl.NewCheckpointStore(*ckptDir, *ckptKp)
+		}
+		if *hbEvery > 0 {
+			d.AfterStep = func() {
+				if wl.CurrentStep()%*hbEvery == 0 {
+					heartbeat()
+				}
 			}
 		}
-		if store != nil && !writeCkpt() {
+		name, err := d.Start(*resume, *amp, *seed)
+		if err != nil {
+			fail(err)
+			return
+		}
+		if c.Rank() == 0 {
+			switch {
+			case name != "":
+				fmt.Printf("resumed from %s (step %d, t=%.6g, dt=%.6g)\n",
+					name, wl.CurrentStep(), wl.CurrentTime(), wl.CurrentDt())
+			case *resume && d.Store != nil:
+				fmt.Printf("no checkpoint in %s; starting fresh\n", *ckptDir)
+			}
+		}
+		// StatusLine is a collective: every rank must call it.
+		if line := wl.StatusLine(); c.Rank() == 0 {
+			fmt.Println(line)
+		}
+		// -steps counts from wherever the run starts: a resumed run takes
+		// that many more steps.
+		if _, err := d.RunTo(wl.CurrentStep() + *steps); err != nil {
+			fail(err)
 			return
 		}
 		var bud stats.Budget

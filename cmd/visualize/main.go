@@ -41,7 +41,7 @@ func main() {
 		s.SetLaminar()
 		s.Perturb(0.3, 3, 3, 7)
 		fmt.Printf("spinning up %d steps...\n", *steps)
-		s.AdvanceAdaptive(*steps, 0.8, 5)
+		core.AdvanceAdaptive(s, *steps, 0.8, 5)
 		fmt.Printf("t = %.3f, E = %.4f, u_tau = %.3f\n", s.Time, s.TotalEnergy(), s.FrictionVelocity())
 
 		// Figure 7: streamwise velocity on a mid-height plane.

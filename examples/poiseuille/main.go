@@ -43,7 +43,7 @@ func main() {
 		fmt.Println("laminar channel startup vs analytic solution:")
 		fmt.Printf("%-8s %-12s %-12s %-10s\n", "t", "U(0) dns", "U(0) exact", "max error")
 		for block := 0; block < 6; block++ {
-			s.Advance(40)
+			core.Advance(s, 40)
 			u := s.MeanProfile()
 			maxErr := 0.0
 			for i, y := range s.CollocationPoints() {
@@ -61,7 +61,7 @@ func main() {
 		// longer matters here, so take much larger (still stable, viscous-
 		// implicit) steps.
 		s.Cfg.Dt = 0.05
-		s.Advance(1700)
+		core.Advance(s, 1700)
 		u := s.MeanProfile()
 		maxErr := 0.0
 		for i, y := range s.CollocationPoints() {

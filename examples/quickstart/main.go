@@ -49,7 +49,7 @@ func main() {
 		// Advance 50 steps (each is three IMEX Runge-Kutta substeps with
 		// the full dealiased nonlinear transform pipeline).
 		for block := 0; block < 5; block++ {
-			wl.Advance(10)
+			core.Advance(wl, 10)
 			fmt.Printf("t=%5.3f  energy=%8.3f  u_tau=%.3f\n",
 				solver.Time, solver.TotalEnergy(), solver.FrictionVelocity())
 		}

@@ -48,7 +48,7 @@ func main() {
 		for i := 1; i <= *steps; i++ {
 			// Adaptive stepping keeps the convective CFL bound near 0.9
 			// through the violent transient-growth phase of transition.
-			s.AdvanceAdaptive(1, 0.9, 5)
+			core.AdvanceAdaptive(s, 1, 0.9, 5)
 			if i%20 == 0 {
 				acc.Add(stats.Snapshot(s))
 				if i%100 == 0 {

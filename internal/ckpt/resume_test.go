@@ -106,7 +106,7 @@ func TestResumeBitIdenticalAcrossRankCounts(t *testing.T) {
 			return
 		}
 		initState(s)
-		s.Advance(6)
+		core.Advance(s, 6)
 		ref.collect(s)
 	})
 	if t.Failed() {
@@ -121,7 +121,7 @@ func TestResumeBitIdenticalAcrossRankCounts(t *testing.T) {
 			return
 		}
 		initState(s)
-		s.Advance(3)
+		core.Advance(s, 3)
 		if _, err := s.WriteCheckpoint(s.NewCheckpointStore(dir, 0)); err != nil {
 			t.Errorf("rank %d: write: %v", c.Rank(), err)
 		}
@@ -151,7 +151,7 @@ func TestResumeBitIdenticalAcrossRankCounts(t *testing.T) {
 			if s.Step != 3 {
 				t.Errorf("P=%d: resumed at step %d, want 3", p, s.Step)
 			}
-			s.Advance(3)
+			core.Advance(s, 3)
 			got.collect(s)
 		})
 		if t.Failed() {
@@ -177,12 +177,12 @@ func TestResumeFallbackAfterCorruption(t *testing.T) {
 		}
 		initState(s)
 		store := s.NewCheckpointStore(dir, 0)
-		s.Advance(2)
+		core.Advance(s, 2)
 		if _, err := s.WriteCheckpoint(store); err != nil {
 			t.Errorf("rank %d: write@2: %v", c.Rank(), err)
 			return
 		}
-		s.Advance(2)
+		core.Advance(s, 2)
 		name, err := s.WriteCheckpoint(store)
 		if err != nil {
 			t.Errorf("rank %d: write@4: %v", c.Rank(), err)
@@ -191,7 +191,7 @@ func TestResumeFallbackAfterCorruption(t *testing.T) {
 		if c.Rank() == 0 {
 			newest = name
 		}
-		s.Advance(2)
+		core.Advance(s, 2)
 		ref.collect(s)
 	})
 	if t.Failed() {
@@ -219,7 +219,7 @@ func TestResumeFallbackAfterCorruption(t *testing.T) {
 		if name != "step-0000000002" {
 			t.Errorf("resumed from %q, want fallback to step-0000000002", name)
 		}
-		s.Advance(4)
+		core.Advance(s, 4)
 		got.collect(s)
 	})
 	if t.Failed() {
@@ -241,7 +241,7 @@ func TestResumeRestoresAdaptiveDt(t *testing.T) {
 			return
 		}
 		initState(s)
-		s.AdvanceAdaptive(4, 0.5, 1)
+		core.AdvanceAdaptive(s, 4, 0.5, 1)
 		wantDt = s.Cfg.Dt
 		if _, err := s.WriteCheckpoint(s.NewCheckpointStore(dir, 0)); err != nil {
 			t.Errorf("write: %v", err)

@@ -29,7 +29,7 @@ func TestTCPTrajectoryBitIdenticalToChan(t *testing.T) {
 				return
 			}
 			initState(s)
-			s.Advance(steps)
+			core.Advance(s, steps)
 			sn.collect(s)
 		})
 		return sn
@@ -58,7 +58,7 @@ func TestTCPElasticRestart(t *testing.T) {
 			return
 		}
 		initState(s)
-		s.Advance(6)
+		core.Advance(s, 6)
 		ref.collect(s)
 	})
 	if t.Failed() {
@@ -73,7 +73,7 @@ func TestTCPElasticRestart(t *testing.T) {
 			return
 		}
 		initState(s)
-		s.Advance(3)
+		core.Advance(s, 3)
 		if _, err := s.WriteCheckpoint(s.NewCheckpointStore(dir, 0)); err != nil {
 			t.Errorf("rank %d: write: %v", c.Rank(), err)
 		}
@@ -97,7 +97,7 @@ func TestTCPElasticRestart(t *testing.T) {
 		if name != "step-0000000003" {
 			t.Errorf("resumed from %q, want step-0000000003", name)
 		}
-		s.Advance(3)
+		core.Advance(s, 3)
 		got.collect(s)
 	})
 	if t.Failed() {

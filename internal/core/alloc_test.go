@@ -25,7 +25,7 @@ func TestStepOnceSteadyStateAllocs(t *testing.T) {
 	s.SetLaminar()
 	s.Perturb(0.2, 2, 2, 13)
 	// Warm up: builds transpose plans, Galerkin caches, operator cache.
-	s.Advance(2)
+	Advance(s, 2)
 	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
 	if allocs > stepAllocBudget {
 		t.Errorf("steady-state StepOnce: %v allocs per step, budget %d",
@@ -43,7 +43,7 @@ func TestStepOnceSteadyStateAllocsSkew(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.SetLaminar()
 	s.Perturb(0.2, 2, 2, 13)
-	s.Advance(2)
+	Advance(s, 2)
 	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
 	if allocs > stepAllocBudget {
 		t.Errorf("steady-state skew StepOnce: %v allocs per step, budget %d",
@@ -63,7 +63,7 @@ func TestStepOnceSteadyStateAllocsTelemetry(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.SetLaminar()
 	s.Perturb(0.2, 2, 2, 13)
-	s.Advance(2)
+	Advance(s, 2)
 	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
 	if allocs > stepAllocBudget {
 		t.Errorf("steady-state instrumented StepOnce: %v allocs per step, budget %d",

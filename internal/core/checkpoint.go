@@ -1,12 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 
 	"channeldns/internal/ckpt"
+	"channeldns/internal/mpi"
+	"channeldns/internal/telemetry"
 )
 
 // Checkpointing: the spectral state (spline coefficients of v-hat and
@@ -88,65 +88,47 @@ func (s *Solver) applyRestored(st *ckpt.State) {
 	s.physMaxCurrent = false
 }
 
+// checkpointable is what the shared checkpoint methods need from a solver.
+type checkpointable interface {
+	World() *mpi.Comm
+	Telemetry() *telemetry.Collector
+	CheckpointState() *ckpt.State
+	applyRestored(st *ckpt.State)
+}
+
+// checkpointing implements the checkpoint methods of Workload once. Every
+// solver embeds it with self pointing at the outermost workload: Go
+// embedding has no virtual dispatch, so the scalar solver re-points the
+// embedded channel solver's self at itself and its CheckpointState (flow +
+// scalar) is the one that gets written and restored.
+type checkpointing struct{ self checkpointable }
+
 // NewCheckpointStore builds this rank's handle on a checkpoint directory,
 // wired to the solver's telemetry collector so checkpoint I/O shows up as
 // the checkpoint_io phase. keep is the rolling retention count (<= 0
 // keeps everything). Every rank must use the same directory.
-func (s *Solver) NewCheckpointStore(dir string, keep int) *ckpt.Store {
-	return ckpt.NewStore(dir, ckpt.WithRetention(keep), ckpt.WithTelemetry(s.tel))
+func (c checkpointing) NewCheckpointStore(dir string, keep int) *ckpt.Store {
+	return ckpt.NewStore(dir, ckpt.WithRetention(keep), ckpt.WithTelemetry(c.self.Telemetry()))
 }
 
 // WriteCheckpoint collectively publishes one checkpoint of the current
 // state to the store. Every rank must call it at the same step. Returns
 // the checkpoint name.
-func (s *Solver) WriteCheckpoint(store *ckpt.Store, opts ...ckpt.WriteOption) (string, error) {
-	return store.Write(s.D.Cart.Comm, s.CheckpointState(), opts...)
-}
-
-// RestoreCheckpoint collectively restores the named checkpoint, re-sharding
-// as needed: the checkpoint may have been written on any rank count.
-func (s *Solver) RestoreCheckpoint(store *ckpt.Store, name string) error {
-	st := s.CheckpointState()
-	if err := store.Restore(s.D.Cart.Comm, name, st); err != nil {
-		return err
-	}
-	s.applyRestored(st)
-	return nil
+func (c checkpointing) WriteCheckpoint(store *ckpt.Store, opts ...ckpt.WriteOption) (string, error) {
+	return store.Write(c.self.World(), c.self.CheckpointState(), opts...)
 }
 
 // ResumeLatest collectively restores the newest valid checkpoint in the
-// store, falling back past corrupt ones. Returns the name restored from,
-// or ckpt.ErrNoCheckpoint when the store holds nothing usable.
-func (s *Solver) ResumeLatest(store *ckpt.Store) (string, error) {
-	st := s.CheckpointState()
-	name, err := store.Resume(s.D.Cart.Comm, st)
+// store, re-sharding as needed (the checkpoint may have been written on
+// any rank count) and falling back past corrupt ones. Returns the name
+// restored from, or ckpt.ErrNoCheckpoint when the store holds nothing
+// usable.
+func (c checkpointing) ResumeLatest(store *ckpt.Store) (string, error) {
+	st := c.self.CheckpointState()
+	name, err := store.Resume(c.self.World(), st)
 	if err != nil {
 		return "", err
 	}
-	s.applyRestored(st)
+	c.self.applyRestored(st)
 	return name, nil
-}
-
-// SaveCheckpoint writes this rank's state as one self-describing shard in
-// the internal/ckpt binary format (each rank writes its own stream;
-// callers typically open one file per rank). Kept for single-stream
-// callers; production runs should use WriteCheckpoint, which adds atomic
-// publication, manifests and retention.
-func (s *Solver) SaveCheckpoint(w io.Writer) error {
-	_, _, err := ckpt.EncodeShard(w, s.CheckpointState())
-	return err
-}
-
-// LoadCheckpoint restores this rank's state from a stream written by
-// SaveCheckpoint with a matching configuration and decomposition. The
-// decoded values are copied into the solver's existing buffers (the
-// buffers' identity is preserved). For restoring onto a different rank
-// count, use RestoreCheckpoint.
-func (s *Solver) LoadCheckpoint(r io.Reader) error {
-	st := s.CheckpointState()
-	if err := ckpt.DecodeShard(r, st); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	s.applyRestored(st)
-	return nil
 }

@@ -2,10 +2,28 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"channeldns/internal/ckpt"
 	"channeldns/internal/mpi"
 )
+
+// saveShard and loadShard round-trip one rank's state through a single
+// ckpt shard stream: the in-memory form of a one-rank checkpoint.
+func saveShard(s checkpointable, w io.Writer) error {
+	_, _, err := ckpt.EncodeShard(w, s.CheckpointState())
+	return err
+}
+
+func loadShard(s checkpointable, r io.Reader) error {
+	st := s.CheckpointState()
+	if err := ckpt.DecodeShard(r, st); err != nil {
+		return err
+	}
+	s.applyRestored(st)
+	return nil
+}
 
 // TestLoadCheckpointPreservesBufferIdentity: restoring must copy decoded
 // values INTO the solver's existing workspace-arena-backed buffers, not
@@ -18,14 +36,14 @@ func TestLoadCheckpointPreservesBufferIdentity(t *testing.T) {
 	s.SetLaminar()
 	s.Perturb(0.3, 2, 2, 5)
 	var buf bytes.Buffer
-	if err := s.SaveCheckpoint(&buf); err != nil {
+	if err := saveShard(s, &buf); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := serialSolver(t, cfg)
 	before := [][]complex128{s2.cv[0], s2.cw[0], s2.hgPrev[0], s2.hvPrev[0]}
 	meanBefore := s2.meanU
-	if err := s2.LoadCheckpoint(&buf); err != nil {
+	if err := loadShard(s2, &buf); err != nil {
 		t.Fatal(err)
 	}
 	after := [][]complex128{s2.cv[0], s2.cw[0], s2.hgPrev[0], s2.hvPrev[0]}
@@ -61,7 +79,7 @@ func TestRestoredSolverStaysWithinAllocBudget(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.2, 2, 2, 13)
-		s.Advance(2)
+		Advance(s, 2)
 		store := s.NewCheckpointStore(dir, 0)
 		if _, err := s.WriteCheckpoint(store); err != nil {
 			t.Errorf("write: %v", err)
@@ -78,7 +96,7 @@ func TestRestoredSolverStaysWithinAllocBudget(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	s2.Advance(2) // warm up plans and operator caches post-restore
+	Advance(s2, 2) // warm up plans and operator caches post-restore
 	allocs := testing.AllocsPerRun(5, func() { s2.StepOnce() })
 	if allocs > stepAllocBudget {
 		t.Errorf("restored solver StepOnce: %v allocs per step, budget %d", allocs, stepAllocBudget)

@@ -68,7 +68,7 @@ func TestSkewFormEnergyConservation(t *testing.T) {
 		s := serialSolver(t, cfg)
 		s.Perturb(0.2, 2, 2, 11)
 		e0 := s.TotalEnergy()
-		s.Advance(20)
+		Advance(s, 20)
 		return math.Abs(s.TotalEnergy()-e0) / e0
 	}
 	dDiv := run(FormDivergence)
@@ -96,7 +96,7 @@ func TestConvectiveFormSerialMatchesParallel(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 77)
-		s.Advance(steps)
+		Advance(s, steps)
 		for w := 0; w < s.nw; w++ {
 			ikx, ikz := s.modeOf(w)
 			ref[[2]int{ikx, ikz}] = append([]complex128(nil), s.cv[w]...)
@@ -113,7 +113,7 @@ func TestConvectiveFormSerialMatchesParallel(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 77)
-		s.Advance(steps)
+		Advance(s, steps)
 		for w := 0; w < s.nw; w++ {
 			ikx, ikz := s.modeOf(w)
 			want := ref[[2]int{ikx, ikz}]
@@ -146,7 +146,7 @@ func TestSkewFormSurvivesMarginalResolution(t *testing.T) {
 		s.Perturb(0.8, 3, 3, 2024)
 		e0 := s.TotalEnergy()
 		for b := 0; b < 6; b++ {
-			s.AdvanceAdaptive(50, 0.8, 5)
+			AdvanceAdaptive(s, 50, 0.8, 5)
 			e := s.TotalEnergy()
 			if math.IsNaN(e) || e > 3*e0 {
 				t.Fatalf("skew form blew up at t=%g: E=%g", s.Time, e)
@@ -163,7 +163,7 @@ func TestGeneralSolverAblationMatches(t *testing.T) {
 		s := serialSolver(t, cfg)
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 5)
-		s.Advance(5)
+		Advance(s, 5)
 		out := make([][]complex128, s.nw)
 		for w := range out {
 			out[w] = append([]complex128(nil), s.cv[w]...)

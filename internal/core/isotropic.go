@@ -38,6 +38,8 @@ import (
 // the three spectral velocity components per locally owned (kx, kz) mode
 // column, plus the previous-substep nonlinear terms.
 type IsoSolver struct {
+	checkpointing
+
 	Cfg Config
 	G   field.Grid
 	D   *pencil.Decomp
@@ -121,6 +123,7 @@ func NewIsotropic(world *mpi.Comm, cfg Config) (*IsoSolver, error) {
 		G:   g,
 		nu:  1 / cfg.ReTau,
 	}
+	s.checkpointing.self = s
 
 	if cfg.Trace != nil && cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
@@ -250,6 +253,7 @@ func (s *IsoSolver) WorkloadName() string { return WorkloadIsotropic }
 func (s *IsoSolver) CurrentStep() int     { return s.Step }
 func (s *IsoSolver) CurrentTime() float64 { return s.Time }
 func (s *IsoSolver) CurrentDt() float64   { return s.Cfg.Dt }
+func (s *IsoSolver) SetDt(dt float64)     { s.Cfg.Dt = dt }
 
 // VelCoef returns one component's spectral column for a locally owned
 // (ikx, ikz) mode (nil if not owned). The slice aliases solver state.
@@ -543,43 +547,6 @@ func (s *IsoSolver) StepOnce() {
 	s.tel.AddFlops(s.stepFlops)
 }
 
-// Advance runs n full time steps.
-func (s *IsoSolver) Advance(n int) {
-	for i := 0; i < n; i++ {
-		s.StepOnce()
-	}
-}
-
-// AdvanceAdaptive runs n steps with the same deterministic collective dt
-// adjustment the channel solver uses. Returns the final dt.
-func (s *IsoSolver) AdvanceAdaptive(n int, targetCFL float64, checkEvery int) float64 {
-	if targetCFL <= 0 {
-		panic("core: targetCFL must be positive")
-	}
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	for i := 0; i < n; i++ {
-		if i%checkEvery == 0 {
-			cfl := s.CFLEstimate()
-			if cfl > 0 {
-				scale := targetCFL / cfl
-				if scale < 0.9 || scale > 1.5 {
-					if scale > 2 {
-						scale = 2
-					}
-					if scale < 0.3 {
-						scale = 0.3
-					}
-					s.Cfg.Dt *= scale
-				}
-			}
-		}
-		s.StepOnce()
-	}
-	return s.Cfg.Dt
-}
-
 // CFLEstimate returns a bound on the convective CFL number at the current
 // dt: exact physical maxima when a nonlinear pass has run, else the
 // triangle-inequality bound from spectral amplitudes. Collective.
@@ -689,35 +656,4 @@ func (s *IsoSolver) applyRestored(st *ckpt.State) {
 	s.Time, s.Step = st.Time, int(st.Step)
 	s.Cfg.Dt = st.Dt
 	s.physMaxCurrent = false
-}
-
-// NewCheckpointStore builds this rank's handle on a checkpoint directory.
-func (s *IsoSolver) NewCheckpointStore(dir string, keep int) *ckpt.Store {
-	return ckpt.NewStore(dir, ckpt.WithRetention(keep), ckpt.WithTelemetry(s.tel))
-}
-
-// WriteCheckpoint collectively publishes one checkpoint of the state.
-func (s *IsoSolver) WriteCheckpoint(store *ckpt.Store, opts ...ckpt.WriteOption) (string, error) {
-	return store.Write(s.D.Cart.Comm, s.CheckpointState(), opts...)
-}
-
-// RestoreCheckpoint collectively restores the named checkpoint.
-func (s *IsoSolver) RestoreCheckpoint(store *ckpt.Store, name string) error {
-	st := s.CheckpointState()
-	if err := store.Restore(s.D.Cart.Comm, name, st); err != nil {
-		return err
-	}
-	s.applyRestored(st)
-	return nil
-}
-
-// ResumeLatest collectively restores the newest valid checkpoint.
-func (s *IsoSolver) ResumeLatest(store *ckpt.Store) (string, error) {
-	st := s.CheckpointState()
-	name, err := store.Resume(s.D.Cart.Comm, st)
-	if err != nil {
-		return "", err
-	}
-	s.applyRestored(st)
-	return name, nil
 }

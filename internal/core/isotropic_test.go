@@ -69,7 +69,7 @@ func TestIsotropicViscousDecayExact(t *testing.T) {
 				init[f][w] = append([]complex128(nil), field[w]...)
 			}
 		}
-		s.Advance(steps)
+		Advance(s, steps)
 		nu := s.Nu()
 		dt := cfg.Dt
 		for w := 0; w < s.nw; w++ {
@@ -122,7 +122,7 @@ func TestIsotropicCheckpointRoundTrip(t *testing.T) {
 			return
 		}
 		s.InitDefault(0.3, 1)
-		s.Advance(2)
+		Advance(s, 2)
 		store := s.NewCheckpointStore(dir, 2)
 		if _, err := s.WriteCheckpoint(store); err != nil {
 			t.Errorf("write: %v", err)
@@ -147,8 +147,8 @@ func TestIsotropicCheckpointRoundTrip(t *testing.T) {
 		// Both solvers advance from the same state: trajectories must agree
 		// exactly, which only happens if every field (including the
 		// previous-substep nonlinear terms) survived the round trip.
-		s.Advance(2)
-		r.Advance(2)
+		Advance(s, 2)
+		Advance(r, 2)
 		for f, pair := range [][2][][]complex128{{s.cu, r.cu}, {s.cv, r.cv}, {s.cw, r.cw}} {
 			for w := range pair[0] {
 				for j := range pair[0][w] {

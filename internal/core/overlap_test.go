@@ -53,7 +53,7 @@ func TestOverlapBitIdenticalToSerial(t *testing.T) {
 					}
 					s.SetLaminar()
 					s.Perturb(0.3, 2, 2, 42)
-					s.Advance(steps)
+					Advance(s, steps)
 					mu.Lock()
 					defer mu.Unlock()
 					for wi := 0; wi < s.nw; wi++ {
@@ -116,7 +116,7 @@ func TestStepOnceSteadyStateAllocsOverlap(t *testing.T) {
 		s.SetLaminar()
 		s.Perturb(0.2, 2, 2, 13)
 		// Warm up: transpose plans, streams, chunk tables, operator cache.
-		s.Advance(2)
+		Advance(s, 2)
 		w.Barrier()
 		var m0, m1 runtime.MemStats
 		if w.Rank() == 0 {
@@ -124,7 +124,7 @@ func TestStepOnceSteadyStateAllocsOverlap(t *testing.T) {
 			runtime.ReadMemStats(&m0)
 		}
 		w.Barrier()
-		s.Advance(steps)
+		Advance(s, steps)
 		w.Barrier()
 		if w.Rank() == 0 {
 			runtime.ReadMemStats(&m1)

@@ -75,23 +75,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		s, _ := New(c, cfg)
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 5)
-		s.Advance(3)
+		Advance(s, 3)
 		var buf bytes.Buffer
-		if err := s.SaveCheckpoint(&buf); err != nil {
+		if err := saveShard(s, &buf); err != nil {
 			t.Fatal(err)
 		}
 		saved := buf.Bytes()
 
 		s2, _ := New(c, cfg)
-		if err := s2.LoadCheckpoint(bytes.NewReader(saved)); err != nil {
+		if err := loadShard(s2, bytes.NewReader(saved)); err != nil {
 			t.Fatal(err)
 		}
 		if s2.Time != s.Time || s2.Step != s.Step {
 			t.Fatalf("time/step mismatch: %g/%d vs %g/%d", s2.Time, s2.Step, s.Time, s.Step)
 		}
 		// Both must evolve identically afterwards.
-		s.Advance(2)
-		s2.Advance(2)
+		Advance(s, 2)
+		Advance(s2, 2)
 		for w := 0; w < s.nw; w++ {
 			for i := range s.cv[w] {
 				if cmplx.Abs(s.cv[w][i]-s2.cv[w][i]) > 1e-14 {
@@ -106,11 +106,11 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s, _ := New(c, Config{Nx: 8, Ny: 16, Nz: 8, ReTau: 180, Dt: 1e-3, Forcing: 1})
 		var buf bytes.Buffer
-		if err := s.SaveCheckpoint(&buf); err != nil {
+		if err := saveShard(s, &buf); err != nil {
 			t.Fatal(err)
 		}
 		s2, _ := New(c, Config{Nx: 16, Ny: 16, Nz: 8, ReTau: 180, Dt: 1e-3, Forcing: 1})
-		if err := s2.LoadCheckpoint(&buf); err == nil {
+		if err := loadShard(s2, &buf); err == nil {
 			t.Error("expected grid mismatch error")
 		}
 	})

@@ -86,7 +86,7 @@ func TestChannelBitIdenticalThroughRegistry(t *testing.T) {
 		}
 		direct.SetLaminar()
 		direct.Perturb(0.3, 2, 2, 7)
-		direct.Advance(3)
+		Advance(direct, 3)
 
 		wl, err := NewWorkload(c, cfg) // empty Workload selects "channel"
 		if err != nil {
@@ -104,7 +104,7 @@ func TestChannelBitIdenticalThroughRegistry(t *testing.T) {
 		}
 		reg := cf.ChannelSolver()
 		wl.InitDefault(0.3, 7)
-		wl.Advance(3)
+		Advance(wl, 3)
 
 		for f, pair := range [][2][][]complex128{{direct.cv, reg.cv}, {direct.cw, reg.cw}} {
 			for w := range pair[0] {
@@ -153,13 +153,13 @@ func TestWorkloadSchedulesConsistent(t *testing.T) {
 					return
 				}
 				wl.InitDefault(0.3, 1)
-				wl.Advance(1) // warm operator caches and wire arenas
+				Advance(wl, 1) // warm operator caches and wire arenas
 				c.Barrier()
 				if c.Rank() == 0 {
 					reg.Reset()
 				}
 				c.Barrier()
-				wl.Advance(2)
+				Advance(wl, 2)
 			})
 			rep := telemetry.NewReport("test", reg, map[string]string{
 				"workload": name,

@@ -27,7 +27,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"channeldns/internal/ckpt"
@@ -37,8 +36,9 @@ import (
 
 // ScalarSolver embeds the full channel solver and carries the scalar state
 // alongside it. Go embedding has no virtual dispatch, so every method whose
-// behavior must include the scalar (the step loop and the checkpoint
-// adapters) is overridden explicitly here.
+// behavior must include the scalar (StepOnce, InitDefault, StatusLine,
+// CheckpointState) is overridden explicitly here; the shared checkpoint
+// methods reach the overrides through checkpointing.self.
 type ScalarSolver struct {
 	*Solver
 	kappa float64
@@ -82,6 +82,7 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		Solver: inner,
 		kappa:  inner.nu / cfg.Prandtl,
 	}
+	inner.checkpointing.self = t
 	ny := cfg.Ny
 	t.cth = allocCoef(inner.nw, ny)
 	t.hthPrev = allocCoef(inner.nw, ny)
@@ -439,45 +440,6 @@ func (t *ScalarSolver) StepOnce() {
 	s.tel.AddFlops(s.stepFlops)
 }
 
-// Advance runs n full time steps (flow + scalar).
-func (t *ScalarSolver) Advance(n int) {
-	for i := 0; i < n; i++ {
-		t.StepOnce()
-	}
-}
-
-// AdvanceAdaptive runs n steps with the channel solver's deterministic dt
-// adjustment (the scalar adds no stricter explicit stability bound for
-// Prandtl >= 1; the diffusive term is implicit either way). Returns the
-// final dt.
-func (t *ScalarSolver) AdvanceAdaptive(n int, targetCFL float64, checkEvery int) float64 {
-	if targetCFL <= 0 {
-		panic("core: targetCFL must be positive")
-	}
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	for i := 0; i < n; i++ {
-		if i%checkEvery == 0 {
-			cfl := t.CFLEstimate()
-			if cfl > 0 {
-				scale := targetCFL / cfl
-				if scale < 0.9 || scale > 1.5 {
-					if scale > 2 {
-						scale = 2
-					}
-					if scale < 0.3 {
-						scale = 0.3
-					}
-					t.Cfg.Dt *= scale
-				}
-			}
-		}
-		t.StepOnce()
-	}
-	return t.Cfg.Dt
-}
-
 // ScalarVariance integrates the scalar fluctuation variance over y (times
 // 1/2), by the same quadrature TotalEnergy uses. Collective.
 func (t *ScalarSolver) ScalarVariance() float64 {
@@ -552,47 +514,4 @@ func (t *ScalarSolver) CheckpointState() *ckpt.State {
 		st.ExtraMean = [][]float64{t.meanTh, t.meanHthPrev}
 	}
 	return st
-}
-
-// WriteCheckpoint collectively publishes one checkpoint of flow + scalar.
-func (t *ScalarSolver) WriteCheckpoint(store *ckpt.Store, opts ...ckpt.WriteOption) (string, error) {
-	return store.Write(t.D.Cart.Comm, t.CheckpointState(), opts...)
-}
-
-// RestoreCheckpoint collectively restores the named checkpoint.
-func (t *ScalarSolver) RestoreCheckpoint(store *ckpt.Store, name string) error {
-	st := t.CheckpointState()
-	if err := store.Restore(t.D.Cart.Comm, name, st); err != nil {
-		return err
-	}
-	t.applyRestored(st)
-	return nil
-}
-
-// ResumeLatest collectively restores the newest valid checkpoint.
-func (t *ScalarSolver) ResumeLatest(store *ckpt.Store) (string, error) {
-	st := t.CheckpointState()
-	name, err := store.Resume(t.D.Cart.Comm, st)
-	if err != nil {
-		return "", err
-	}
-	t.applyRestored(st)
-	return name, nil
-}
-
-// SaveCheckpoint writes this rank's flow + scalar state as one shard.
-func (t *ScalarSolver) SaveCheckpoint(w io.Writer) error {
-	_, _, err := ckpt.EncodeShard(w, t.CheckpointState())
-	return err
-}
-
-// LoadCheckpoint restores this rank's flow + scalar state from a stream
-// written by SaveCheckpoint with a matching configuration.
-func (t *ScalarSolver) LoadCheckpoint(r io.Reader) error {
-	st := t.CheckpointState()
-	if err := ckpt.DecodeShard(r, st); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	t.applyRestored(st)
-	return nil
 }

@@ -28,7 +28,7 @@ func TestScalarConductionEquilibrium(t *testing.T) {
 		}
 		s.SetLaminar() // mean flow only; u theta is x-independent, so it cannot stir
 		s.SetConduction()
-		s.Advance(5)
+		Advance(s, 5)
 		if v := s.ScalarVariance(); v > 1e-24 {
 			t.Errorf("scalar variance %g grew from an unperturbed field", v)
 		}
@@ -65,7 +65,7 @@ func TestScalarVarianceDecays(t *testing.T) {
 			t.Errorf("initial variance %g, want positive", v0)
 			return
 		}
-		s.Advance(10)
+		Advance(s, 10)
 		if v := s.ScalarVariance(); v >= v0 || v <= 0 || math.IsNaN(v) {
 			t.Errorf("variance after 10 steps %g, want in (0, %g)", v, v0)
 		}
@@ -87,7 +87,7 @@ func TestScalarCheckpointRoundTrip(t *testing.T) {
 			return
 		}
 		s.InitDefault(0.3, 1)
-		s.Advance(2)
+		Advance(s, 2)
 		store := s.NewCheckpointStore(dir, 2)
 		if _, err := s.WriteCheckpoint(store); err != nil {
 			t.Errorf("write: %v", err)
@@ -111,8 +111,8 @@ func TestScalarCheckpointRoundTrip(t *testing.T) {
 		}
 		// Exact trajectory continuation proves both the velocity state and
 		// the scalar extension survived.
-		s.Advance(2)
-		r.Advance(2)
+		Advance(s, 2)
+		Advance(r, 2)
 		for w := 0; w < s.nw; w++ {
 			for iy := range s.cth[w] {
 				if s.cth[w][iy] != r.cth[w][iy] {

@@ -18,6 +18,8 @@ import (
 // locally owned Fourier mode (y-pencil configuration), plus the mean-flow
 // profiles on the rank that owns the (0,0) mode.
 type Solver struct {
+	checkpointing
+
 	Cfg  Config
 	G    field.Grid
 	D    *pencil.Decomp
@@ -102,6 +104,7 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 		nu:  1 / cfg.ReTau,
 		B:   bspline.NewFromBreakpoints(cfg.Degree, bspline.ChannelBreakpoints(cfg.Ny-cfg.Degree, cfg.Stretch)),
 	}
+	s.checkpointing.self = s
 	if s.B.NumBasis() != cfg.Ny {
 		panic("core: basis size mismatch")
 	}

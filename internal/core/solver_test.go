@@ -40,7 +40,7 @@ func evalC(s *Solver, c []complex128, y float64) complex128 {
 func TestPoiseuilleSteadyState(t *testing.T) {
 	cfg := Config{Nx: 8, Ny: 16, Nz: 8, ReTau: 1, Dt: 0.02, Forcing: 1}
 	s := serialSolver(t, cfg)
-	s.Advance(600) // t = 12, slowest decay rate nu*(pi/2)^2 => e^-29
+	Advance(s, 600) // t = 12, slowest decay rate nu*(pi/2)^2 => e^-29
 	for i, y := range s.CollocationPoints() {
 		want := (1 - y*y) / 2
 		got := s.MeanProfile()[i]
@@ -52,7 +52,7 @@ func TestPoiseuilleSteadyState(t *testing.T) {
 	s2 := serialSolver(t, cfg)
 	s2.SetLaminar()
 	before := s2.MeanProfile()
-	s2.Advance(5)
+	Advance(s2, 5)
 	after := s2.MeanProfile()
 	for i := range before {
 		if math.Abs(after[i]-before[i]) > 1e-10 {
@@ -75,7 +75,7 @@ func TestStokesDecayOmega(t *testing.T) {
 	y0 := 0.0
 	a0 := evalC(s, s.OmegaCoef(ikx, ikz), y0)
 	steps := 400
-	s.Advance(steps)
+	Advance(s, steps)
 	a1 := evalC(s, s.OmegaCoef(ikx, ikz), y0)
 	T := float64(steps) * cfg.Dt
 	k2 := s.G.K2(ikx, ikz)
@@ -97,7 +97,7 @@ func TestVModeSelfConvergence(t *testing.T) {
 			q := 1 - y*y
 			return complex(q*q, 0.3*q*q*y)
 		})
-		s.Advance(steps)
+		Advance(s, steps)
 		return evalC(s, s.VCoef(1, 1), 0.25)
 	}
 	T := 0.2
@@ -152,7 +152,7 @@ func TestBoundaryConditionsAfterSteps(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.SetLaminar()
 	s.Perturb(0.5, 2, 2, 7)
-	s.Advance(10)
+	Advance(s, 10)
 	if r := s.BCResidual(); r > 1e-9 {
 		t.Errorf("BC residual %g after 10 steps", r)
 	}
@@ -169,7 +169,7 @@ func TestEnergyDecaysWithoutForcing(t *testing.T) {
 	s.Perturb(0.3, 2, 2, 3)
 	prev := s.TotalEnergy()
 	for i := 0; i < 5; i++ {
-		s.Advance(10)
+		Advance(s, 10)
 		e := s.TotalEnergy()
 		if e >= prev {
 			t.Errorf("energy did not decay: %g -> %g at block %d", prev, e, i)
@@ -186,7 +186,7 @@ func TestNonlinearEnergyConservation(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.Perturb(0.2, 2, 2, 11)
 	e0 := s.TotalEnergy()
-	s.Advance(20)
+	Advance(s, 20)
 	e1 := s.TotalEnergy()
 	drift := math.Abs(e1-e0) / e0
 	if drift > 2e-3 {
@@ -201,7 +201,7 @@ func TestHermitianSymmetryPreserved(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.SetLaminar()
 	s.Perturb(0.4, 2, 4, 5)
-	s.Advance(8)
+	Advance(s, 8)
 	for kz := 1; kz < cfg.Nz/2; kz++ {
 		kzc := s.G.ConjIndexZ(kz)
 		a := s.VCoef(0, kz)
@@ -244,7 +244,7 @@ func TestSerialMatchesParallel(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 99)
-		s.Advance(steps)
+		Advance(s, steps)
 		for _, m := range collect(s) {
 			ref[[2]int{m.ikx, m.ikz}] = m
 		}
@@ -261,7 +261,7 @@ func TestSerialMatchesParallel(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 99)
-		s.Advance(steps)
+		Advance(s, steps)
 		for _, m := range collect(s) {
 			want, ok := ref[[2]int{m.ikx, m.ikz}]
 			if !ok {
@@ -289,7 +289,7 @@ func TestMeanMomentumBalance(t *testing.T) {
 	cfg := Config{Nx: 8, Ny: 16, Nz: 8, ReTau: 180, Dt: 1e-3, Forcing: 1}
 	s := serialSolver(t, cfg)
 	ub0 := s.BulkVelocity()
-	s.Advance(50)
+	Advance(s, 50)
 	ub1 := s.BulkVelocity()
 	if ub1 <= ub0 {
 		t.Errorf("bulk velocity did not grow under forcing: %g -> %g", ub0, ub1)

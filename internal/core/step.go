@@ -40,49 +40,6 @@ func (s *Solver) StepOnce() {
 	s.tel.AddFlops(s.stepFlops)
 }
 
-// Advance runs n full time steps.
-func (s *Solver) Advance(n int) {
-	for i := 0; i < n; i++ {
-		s.StepOnce()
-	}
-}
-
-// AdvanceAdaptive runs n full time steps, re-estimating the convective CFL
-// bound every checkEvery steps and rescaling the time step to keep it near
-// targetCFL. This is how production channel DNS survives transition, where
-// fluctuation amplitudes grow by large factors before saturating. The
-// adjustment is collective and deterministic across ranks; changing dt
-// rebuilds the per-wavenumber operator cache. Returns the final dt.
-func (s *Solver) AdvanceAdaptive(n int, targetCFL float64, checkEvery int) float64 {
-	if targetCFL <= 0 {
-		panic("core: targetCFL must be positive")
-	}
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	for i := 0; i < n; i++ {
-		if i%checkEvery == 0 {
-			cfl := s.CFLEstimate()
-			if cfl > 0 {
-				scale := targetCFL / cfl
-				// Damp the adjustment and only act outside a dead band so
-				// the operator cache is not rebuilt every check.
-				if scale < 0.9 || scale > 1.5 {
-					if scale > 2 {
-						scale = 2
-					}
-					if scale < 0.3 {
-						scale = 0.3
-					}
-					s.Cfg.Dt *= scale
-				}
-			}
-		}
-		s.StepOnce()
-	}
-	return s.Cfg.Dt
-}
-
 func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx, mHz []float64) {
 	sp := s.tel.Begin(telemetry.PhaseViscousSolve)
 	ny := s.Cfg.Ny

@@ -48,7 +48,7 @@ func TestSpanwiseReflectionSymmetry(t *testing.T) {
 	s.SetModeOmega(0, 2, func(y float64) complex128 { return complex(0, 0) })
 	s.SetModeOmega(0, s.G.ConjIndexZ(2), func(y float64) complex128 { return complex(0, 0) })
 
-	s.Advance(6)
+	Advance(s, 6)
 
 	for ikx := 0; ikx < s.G.NKx(); ikx++ {
 		for kz := 1; kz < s.G.Nz/2; kz++ {
@@ -83,14 +83,14 @@ func TestCheckpointMultiRank(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 13)
-		s.Advance(2)
+		Advance(s, 2)
 		var buf bytes.Buffer
-		if err := s.SaveCheckpoint(&buf); err != nil {
+		if err := saveShard(s, &buf); err != nil {
 			t.Error(err)
 			return
 		}
 		saved[c.Rank()] = append([]byte(nil), buf.Bytes()...)
-		s.Advance(3)
+		Advance(s, 3)
 		for w := 0; w < s.nw; w++ {
 			ikx, ikz := s.modeOf(w)
 			after[fmt.Sprintf("%d,%d", ikx, ikz)] = append([]complex128(nil), s.cv[w]...)
@@ -102,11 +102,11 @@ func TestCheckpointMultiRank(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := s.LoadCheckpoint(bytes.NewReader(saved[c.Rank()])); err != nil {
+		if err := loadShard(s, bytes.NewReader(saved[c.Rank()])); err != nil {
 			t.Error(err)
 			return
 		}
-		s.Advance(3)
+		Advance(s, 3)
 		for w := 0; w < s.nw; w++ {
 			ikx, ikz := s.modeOf(w)
 			want := after[fmt.Sprintf("%d,%d", ikx, ikz)]

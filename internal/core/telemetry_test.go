@@ -30,9 +30,9 @@ func TestTelemetryPhaseCoverage(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 1)
-		s.Advance(2) // warm caches so compile/plan time is not in the sample
+		Advance(s, 2) // warm caches so compile/plan time is not in the sample
 		reg.Reset()
-		s.Advance(3)
+		Advance(s, 3)
 	})
 	snap := reg.Snapshot()
 	if snap.Steps != 3 {
@@ -89,13 +89,13 @@ func TestTelemetryPhaseCoverageOverlap(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 1)
-		s.Advance(2) // warm caches, plans, streams and wire arenas
+		Advance(s, 2) // warm caches, plans, streams and wire arenas
 		c.Barrier()
 		if c.Rank() == 0 {
 			reg.Reset()
 		}
 		c.Barrier()
-		s.Advance(3)
+		Advance(s, 3)
 	})
 	snap := reg.Snapshot()
 	// Steps sums across the 4 rank collectors: 3 recorded steps per rank.

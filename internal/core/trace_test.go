@@ -23,7 +23,7 @@ func TestStepOnceSteadyStateAllocsTrace(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.SetLaminar()
 	s.Perturb(0.2, 2, 2, 13)
-	s.Advance(2)
+	Advance(s, 2)
 	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
 	if allocs > stepAllocBudget {
 		t.Errorf("steady-state traced StepOnce: %v allocs per step, budget %d",
@@ -44,7 +44,7 @@ func TestTraceImpliesTelemetry(t *testing.T) {
 	cfg := Config{Nx: 8, Ny: 16, Nz: 8, ReTau: 180, Dt: 1e-3, Forcing: 1, Trace: trc}
 	s := serialSolver(t, cfg)
 	s.SetLaminar()
-	s.Advance(1)
+	Advance(s, 1)
 	evs := trc.Rank(0).Events()
 	var phases, steps int
 	for _, ev := range evs {
@@ -80,7 +80,7 @@ func TestMultiRankTraceMatchesTelemetry(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 7)
-		s.Advance(steps)
+		Advance(s, steps)
 	})
 
 	// One complete track per rank: every rank recorded every step marker

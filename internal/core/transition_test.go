@@ -39,7 +39,7 @@ func TestSmallPerturbationGrowthBounded(t *testing.T) {
 		s.Perturb(1e-6, 2, 2, 3)
 		_, ef0 := fluctuationEnergy(s)
 		e0 := s.TotalEnergy()
-		s.Advance(100)
+		Advance(s, 100)
 		e1 := s.TotalEnergy()
 		_, ef1 := fluctuationEnergy(s)
 		// Total energy: conserved up to the forcing/dissipation imbalance,
@@ -82,7 +82,7 @@ func TestTransitionEnergyBudget(t *testing.T) {
 		for b := 0; b < 6; b++ {
 			tPrev := s.Time
 			ePrev := s.TotalEnergy()
-			s.AdvanceAdaptive(50, 0.8, 5)
+			AdvanceAdaptive(s, 50, 0.8, 5)
 			e := s.TotalEnergy()
 			if math.IsNaN(e) || math.IsInf(e, 0) {
 				t.Fatalf("energy blew up at t=%g", s.Time)

@@ -35,26 +35,72 @@ type Workload interface {
 	CurrentStep() int
 	CurrentTime() float64
 	CurrentDt() float64
+	// SetDt changes the time step; operator caches keyed on dt rebuild on
+	// the next step.
+	SetDt(dt float64)
 	// InitDefault seeds the workload's canonical initial condition: the
 	// base state plus a deterministic divergence-free perturbation of
 	// amplitude amp derived from seed.
 	InitDefault(amp float64, seed int64)
-	// StepOnce advances one full RK3 step; Advance takes n of them.
+	// StepOnce advances one full RK3 step (Advance and AdvanceAdaptive
+	// take n of them).
 	StepOnce()
-	Advance(n int)
-	// AdvanceAdaptive advances n steps, rescaling dt toward targetCFL
-	// every checkEvery steps; it returns the final dt.
-	AdvanceAdaptive(n int, targetCFL float64, checkEvery int) float64
 	// CFLEstimate returns the current CFL number at the current dt.
 	CFLEstimate() float64
 	// StatusLine returns a one-line progress summary. Collective; the
 	// returned string is meaningful on every rank.
 	StatusLine() string
-	// Checkpointing. The store is workload-agnostic; states carry the
+	// Checkpointing, implemented once for every solver (see
+	// checkpoint.go). The store is workload-agnostic; states carry the
 	// workload name so cross-workload resumes fail with both names.
 	NewCheckpointStore(dir string, keep int) *ckpt.Store
 	WriteCheckpoint(store *ckpt.Store, opts ...ckpt.WriteOption) (string, error)
 	ResumeLatest(store *ckpt.Store) (string, error)
+}
+
+// Advance runs n full time steps at the current dt.
+func Advance(wl Workload, n int) {
+	for i := 0; i < n; i++ {
+		wl.StepOnce()
+	}
+}
+
+// AdvanceAdaptive runs n full time steps, re-estimating the convective CFL
+// bound whenever the absolute step count is a multiple of checkEvery and
+// rescaling the time step to keep it near targetCFL. This is how production
+// DNS survives transition, where fluctuation amplitudes grow by large
+// factors before saturating. Keying the check on the step count (not on
+// this call's loop index) makes the trajectory independent of how a caller
+// chunks its steps: 3+7 steps equal 10. The adjustment is collective and
+// deterministic across ranks; changing dt rebuilds the operator caches.
+// Returns the final dt.
+func AdvanceAdaptive(wl Workload, n int, targetCFL float64, checkEvery int) float64 {
+	if targetCFL <= 0 {
+		panic("core: targetCFL must be positive")
+	}
+	if checkEvery < 1 {
+		checkEvery = 1
+	}
+	for i := 0; i < n; i++ {
+		if wl.CurrentStep()%checkEvery == 0 {
+			if cfl := wl.CFLEstimate(); cfl > 0 {
+				scale := targetCFL / cfl
+				// Damp the adjustment and only act outside a dead band so
+				// the operator caches are not rebuilt every check.
+				if scale < 0.9 || scale > 1.5 {
+					if scale > 2 {
+						scale = 2
+					}
+					if scale < 0.3 {
+						scale = 0.3
+					}
+					wl.SetDt(wl.CurrentDt() * scale)
+				}
+			}
+		}
+		wl.StepOnce()
+	}
+	return wl.CurrentDt()
 }
 
 // ChannelFlow is implemented by workloads whose state is (or embeds) the
@@ -171,6 +217,10 @@ func (s *Solver) CurrentTime() float64 { return s.Time }
 
 // CurrentDt returns the current time step (tracks adaptive stepping).
 func (s *Solver) CurrentDt() float64 { return s.Cfg.Dt }
+
+// SetDt changes the time step; the per-wavenumber operator cache rebuilds
+// lazily on the next step.
+func (s *Solver) SetDt(dt float64) { s.Cfg.Dt = dt }
 
 // ChannelSolver exposes the solver to channel-specific diagnostics.
 func (s *Solver) ChannelSolver() *Solver { return s }

@@ -154,7 +154,7 @@ func TestGalerkinMatchesCollocationWhenResolved(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 9)
-		s.Advance(steps)
+		core.Advance(s, steps)
 		// Evaluate v-hat(1,1) at y = 0.3.
 		coef := s.VCoef(1, 1)
 		re := make([]float64, len(coef))

@@ -174,7 +174,7 @@ func Alltoall[T any](c *Comm, data []T, blockLen int) []T {
 // Into forms of the alltoallv family so preplanned callers can surface the
 // plan inconsistency with context.
 type CountMismatchError struct {
-	Op   string // collective name, e.g. "AlltoallvOverlap"
+	Op   string // collective name, e.g. "Alltoallv"
 	Rank int    // receiving rank (within the communicator)
 	Src  int    // sending rank (within the communicator)
 	Want int    // recvCounts[Src] on the receiver
@@ -198,65 +198,6 @@ func recvTotal(p int, recvCounts, recvDispls []int) int {
 	return total
 }
 
-// AlltoallvOverlap is Alltoallv built on nonblocking operations: all sends
-// are posted up front and receives complete in arrival order, the
-// communication/computation-overlap pattern real transpose implementations
-// use. Results are identical to Alltoallv.
-func AlltoallvOverlap[T any](c *Comm, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) []T {
-	out, err := AlltoallvOverlapInto(c, nil, data, sendCounts, sendDispls, recvCounts, recvDispls)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// AlltoallvOverlapInto is AlltoallvOverlap with a caller-provided receive
-// buffer, the form the preplanned pencil transposes use so that the
-// steady state performs no allocations beyond the per-message payload
-// copies the eager-send runtime requires. A nil (or too-short) out buffer
-// is replaced by a fresh allocation. A *CountMismatchError is returned when
-// a peer's payload contradicts recvCounts — inconsistent tables across
-// ranks — leaving out partially written.
-func AlltoallvOverlapInto[T any](c *Comm, out, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) ([]T, error) {
-	p := c.size()
-	total := recvTotal(p, recvCounts, recvDispls)
-	if len(out) < total {
-		out = make([]T, total)
-	}
-	copy(out[recvDispls[c.rank]:recvDispls[c.rank]+recvCounts[c.rank]],
-		data[sendDispls[c.rank]:sendDispls[c.rank]+sendCounts[c.rank]])
-	// Post every receive first (reserved collective tag, in-package), then
-	// fire all sends.
-	reqs := make([]*Request, 0, p-1)
-	srcs := make([]int, 0, p-1)
-	for s := 1; s < p; s++ {
-		src := (c.rank - s + p) % p
-		reqs = append(reqs, c.myBox().postRecv(c.group[src], c.id, tagAlltoall))
-		srcs = append(srcs, src)
-	}
-	for s := 1; s < p; s++ {
-		dst := (c.rank + s) % p
-		blk := append([]T(nil), data[sendDispls[dst]:sendDispls[dst]+sendCounts[dst]]...)
-		c.send(dst, tagAlltoall, blk)
-	}
-	for i, r := range reqs {
-		var t0 time.Time
-		if c.trc != nil {
-			t0 = time.Now()
-		}
-		in := WaitT[T](r)
-		src := srcs[i]
-		if len(in) != recvCounts[src] {
-			return out, &CountMismatchError{Op: "AlltoallvOverlap", Rank: c.rank, Src: src, Want: recvCounts[src], Got: len(in)}
-		}
-		if c.trc != nil {
-			c.trc.Peer(src, int64(len(in))*sizeofT[T](), t0, time.Now())
-		}
-		copy(out[recvDispls[src]:], in)
-	}
-	return out, nil
-}
-
 // Alltoallv performs the complete exchange with per-peer counts and
 // displacements, the general form used by the pencil transposes where pencil
 // widths differ by one when the grid does not divide evenly. The result
@@ -274,12 +215,16 @@ func Alltoallv[T any](c *Comm, data []T, sendCounts, sendDispls, recvCounts, rec
 	return out
 }
 
-// AlltoallvInto is Alltoallv with a caller-provided receive buffer (see
-// AlltoallvOverlapInto, including the *CountMismatchError contract). The
-// send buffer is free for reuse as soon as the call returns on this rank:
-// each per-peer block is copied into the message before it is posted, which
-// is exactly what lets the pencil transpose plans keep the paper's 1x
-// communication-buffer discipline.
+// AlltoallvInto is Alltoallv with a caller-provided receive buffer, the
+// form the preplanned pencil transposes use so that the steady state
+// performs no allocations beyond the per-message payload copies the
+// eager-send runtime requires. A nil (or too-short) out buffer is replaced
+// by a fresh allocation. A *CountMismatchError is returned when a peer's
+// payload contradicts recvCounts — inconsistent tables across ranks —
+// leaving out partially written. The send buffer is free for reuse as soon
+// as the call returns on this rank: each per-peer block is copied into the
+// message before it is posted, which is exactly what lets the pencil
+// transpose plans keep the paper's 1x communication-buffer discipline.
 func AlltoallvInto[T any](c *Comm, out, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) ([]T, error) {
 	p := c.size()
 	total := recvTotal(p, recvCounts, recvDispls)

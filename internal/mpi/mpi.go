@@ -57,7 +57,7 @@ type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	msgs    []message
-	pending []pendingRecv // posted nonblocking receives, FIFO
+	pending []pendingRecv // posted stream receives, FIFO
 }
 
 func newMailbox() *mailbox {
@@ -68,8 +68,8 @@ func newMailbox() *mailbox {
 
 func (mb *mailbox) put(m message) {
 	mb.mu.Lock()
-	// A posted nonblocking receive matching this message takes priority,
-	// in post order, preserving non-overtaking for Irecv traffic.
+	// A posted stream receive matching this message takes priority, in
+	// post order, preserving non-overtaking for stream traffic.
 	for i, p := range mb.pending {
 		if p.commID == m.commID &&
 			(p.src == AnySource || p.src == m.src) &&
@@ -77,13 +77,9 @@ func (mb *mailbox) put(m message) {
 			mb.pending = append(mb.pending[:i], mb.pending[i+1:]...)
 			mb.mu.Unlock()
 			p.req.payload = m.payload
-			if p.notify != nil {
-				// Stream receive: deliver the posted index on the (buffered,
-				// never-blocking) completion channel instead of closing done.
-				p.notify <- p.idx
-			} else {
-				close(p.req.done)
-			}
+			// Deliver the posted index on the stream's (buffered,
+			// never-blocking) completion channel.
+			p.notify <- p.idx
 			return
 		}
 	}

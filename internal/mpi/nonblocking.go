@@ -1,37 +1,18 @@
 package mpi
 
-// Nonblocking point-to-point operations. Sends are eager in this runtime,
-// so Isend completes immediately; Irecv posts a receive that is matched in
-// MPI order — against queued messages first, then against arrivals, with
-// posted receives served FIFO per (source, tag, communicator) so that the
-// non-overtaking guarantee extends to nonblocking traffic. The overlapped
-// transpose variant in package pencil is built on these.
+// Posted receives. A Stream posts every receive of an exchange up front;
+// each is matched in MPI order — against queued messages first, then
+// against arrivals, with posted receives served FIFO per (source, tag,
+// communicator) so the non-overtaking guarantee extends to stream traffic.
 
-// Request represents a pending nonblocking operation. Wait blocks until it
-// completes and returns the received payload (nil for sends).
+// Request is the payload slot of one posted stream receive.
 type Request struct {
-	done    chan struct{}
 	payload any
 }
 
-// Wait blocks until the operation completes.
-func (r *Request) Wait() {
-	<-r.done
-}
-
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// pendingRecv is a posted receive awaiting a matching message. A non-nil
-// notify marks a stream receive: delivery sends idx on notify (buffered by
-// the owning Stream, so the send never blocks) instead of closing req.done.
+// pendingRecv is a posted receive awaiting a matching message. Delivery
+// stores the payload in req and sends idx on notify (buffered by the owning
+// Stream, so the send never blocks).
 type pendingRecv struct {
 	src    int // world rank or AnySource
 	commID int64
@@ -41,31 +22,11 @@ type pendingRecv struct {
 	idx    int
 }
 
-// postRecv matches an already-queued message or registers the receive for
-// fulfillment by a future put. FIFO per matching class.
-func (mb *mailbox) postRecv(src int, commID int64, tag int) *Request {
-	req := &Request{done: make(chan struct{})}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for i, m := range mb.msgs {
-		if m.commID == commID &&
-			(src == AnySource || m.src == src) &&
-			(tag == AnyTag || m.tag == tag) {
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-			req.payload = m.payload
-			close(req.done)
-			return req
-		}
-	}
-	mb.pending = append(mb.pending, pendingRecv{src: src, commID: commID, tag: tag, req: req})
-	return req
-}
-
 // postRecvNotify posts a stream receive on a caller-owned request: a queued
 // matching message completes it immediately, otherwise a future put does.
-// Either way the completion is announced by sending idx on notify rather
-// than by closing req.done, so the request (and its payload slot) can be
-// reused across exchanges without re-making channels.
+// Either way the completion is announced by sending idx on notify, so the
+// request (and its payload slot) can be reused across exchanges without
+// re-making channels.
 func (mb *mailbox) postRecvNotify(src int, commID int64, tag int, req *Request, notify chan<- int, idx int) {
 	mb.mu.Lock()
 	for i, m := range mb.msgs {
@@ -81,45 +42,6 @@ func (mb *mailbox) postRecvNotify(src int, commID int64, tag int, req *Request, 
 	}
 	mb.pending = append(mb.pending, pendingRecv{src: src, commID: commID, tag: tag, req: req, notify: notify, idx: idx})
 	mb.mu.Unlock()
-}
-
-// Isend delivers data (copied) to dst and returns an already-completed
-// request, matching the runtime's eager-send semantics.
-func Isend[T any](c *Comm, dst, tag int, data []T) *Request {
-	Send(c, dst, tag, data)
-	r := &Request{done: make(chan struct{})}
-	close(r.done)
-	return r
-}
-
-// Irecv posts a nonblocking receive. The payload is available from WaitT
-// after Wait returns.
-func Irecv[T any](c *Comm, src, tag int) *Request {
-	if tag < 0 && tag != AnyTag {
-		panic("mpi: user tags must be >= 0")
-	}
-	worldSrc := AnySource
-	if src != AnySource {
-		c.checkRank(src)
-		worldSrc = c.group[src]
-	}
-	return c.myBox().postRecv(worldSrc, c.id, tag)
-}
-
-// WaitT waits for a receive request and returns its typed payload.
-func WaitT[T any](r *Request) []T {
-	r.Wait()
-	if r.payload == nil {
-		return nil
-	}
-	return r.payload.([]T)
-}
-
-// WaitAll waits for every request.
-func WaitAll(rs ...*Request) {
-	for _, r := range rs {
-		r.Wait()
-	}
 }
 
 func (c *Comm) checkRank(r int) {

@@ -68,6 +68,85 @@ func TestStreamArrivalOrder(t *testing.T) {
 	})
 }
 
+// TestStreamPostMatching pins the posted-receive table the stream is built
+// on: a receive posted before its message exists is completed by the
+// arrival, receives posted for one source complete in post order whatever
+// order the completions are read in, a receive posted against an already
+// queued message completes at post, and a posted stream receive does not
+// disturb a blocking receive on a user tag.
+func TestStreamPostMatching(t *testing.T) {
+	t.Run("posted before send", func(t *testing.T) {
+		Run(2, func(c *Comm) {
+			if c.Rank() == 1 {
+				s := NewStream(c, 1)
+				s.Post(0) // posted before the message exists
+				c.Barrier()
+				if _, src, payload := s.Next(); src != 0 || payload.([]int)[0] != 42 {
+					t.Errorf("got %v from %d", payload, src)
+				}
+			} else {
+				c.Barrier()
+				StreamSend(c, 1, []int{42})
+			}
+		})
+	})
+	t.Run("per-source FIFO", func(t *testing.T) {
+		Run(2, func(c *Comm) {
+			if c.Rank() == 1 {
+				s := NewStream(c, 2)
+				first, second := s.Post(0), s.Post(0)
+				c.Barrier()
+				got := map[int]int{}
+				for i := 0; i < 2; i++ {
+					idx, _, payload := s.Next()
+					got[idx] = payload.([]int)[0]
+				}
+				if got[first] != 1 || got[second] != 2 {
+					t.Errorf("post-order matching broken: %v", got)
+				}
+			} else {
+				c.Barrier()
+				StreamSend(c, 1, []int{1})
+				StreamSend(c, 1, []int{2})
+			}
+		})
+	})
+	t.Run("matches a queued message", func(t *testing.T) {
+		Run(2, func(c *Comm) {
+			if c.Rank() == 0 {
+				StreamSend(c, 1, []int{5})
+				c.Barrier()
+			} else {
+				c.Barrier() // message already queued
+				s := NewStream(c, 1)
+				s.Post(0)
+				if len(s.notify) != 1 {
+					t.Error("Post against a queued message must complete at post")
+				}
+				if _, _, payload := s.Next(); payload.([]int)[0] != 5 {
+					t.Errorf("got %v", payload)
+				}
+			}
+		})
+	})
+	t.Run("blocking after posted", func(t *testing.T) {
+		Run(2, func(c *Comm) {
+			if c.Rank() == 0 {
+				Send(c, 1, 1, []int{10})
+				StreamSend(c, 1, []int{20})
+			} else {
+				s := NewStream(c, 1)
+				s.Post(0)
+				a := Recv[int](c, 0, 1) // blocking recv on a user tag
+				_, _, b := s.Next()
+				if a[0] != 10 || b.([]int)[0] != 20 {
+					t.Errorf("mixed recv broken: %v %v", a, b)
+				}
+			}
+		})
+	})
+}
+
 // TestStreamResetUndrained: Reset with receives in flight is a programming
 // error and must panic rather than corrupt the next exchange.
 func TestStreamResetUndrained(t *testing.T) {
@@ -89,51 +168,37 @@ func TestStreamResetUndrained(t *testing.T) {
 }
 
 // TestAlltoallvCountMismatch: inconsistent count tables across ranks must
-// surface as a *CountMismatchError from the Into forms — not a panic — for
-// both the pairwise and the overlapped exchange.
+// surface as a *CountMismatchError from AlltoallvInto — not a panic.
 func TestAlltoallvCountMismatch(t *testing.T) {
-	for _, overlap := range []bool{false, true} {
-		name := "pairwise"
-		if overlap {
-			name = "overlap"
+	Run(2, func(c *Comm) {
+		// Both ranks send 1 element to rank 0 and 2 to rank 1.
+		sendCounts := []int{1, 2}
+		sendDispls := []int{0, 1}
+		var recvCounts, recvDispls []int
+		if c.Rank() == 0 {
+			// Correct would be {1, 1}; rank 0 instead claims 5 from
+			// rank 1, which sends only 1.
+			recvCounts = []int{1, 5}
+			recvDispls = []int{0, 1}
+		} else {
+			recvCounts = []int{2, 2}
+			recvDispls = []int{0, 2}
 		}
-		t.Run(name, func(t *testing.T) {
-			Run(2, func(c *Comm) {
-				// Both ranks send 1 element to rank 0 and 2 to rank 1.
-				sendCounts := []int{1, 2}
-				sendDispls := []int{0, 1}
-				var recvCounts, recvDispls []int
-				if c.Rank() == 0 {
-					// Correct would be {1, 1}; rank 0 instead claims 5 from
-					// rank 1, which sends only 1.
-					recvCounts = []int{1, 5}
-					recvDispls = []int{0, 1}
-				} else {
-					recvCounts = []int{2, 2}
-					recvDispls = []int{0, 2}
-				}
-				data := []float64{10, 20, 30}
-				out := make([]float64, 6)
-				var err error
-				if overlap {
-					_, err = AlltoallvOverlapInto(c, out, data, sendCounts, sendDispls, recvCounts, recvDispls)
-				} else {
-					_, err = AlltoallvInto(c, out, data, sendCounts, sendDispls, recvCounts, recvDispls)
-				}
-				if c.Rank() == 0 {
-					var cm *CountMismatchError
-					if !errors.As(err, &cm) {
-						t.Fatalf("rank 0: err = %v, want *CountMismatchError", err)
-					}
-					if cm.Src != 1 || cm.Want != 5 || cm.Got != 1 || cm.Rank != 0 {
-						t.Errorf("rank 0: mismatch fields %+v", cm)
-					}
-				} else if err != nil {
-					t.Errorf("rank 1: unexpected error %v", err)
-				}
-			})
-		})
-	}
+		data := []float64{10, 20, 30}
+		out := make([]float64, 6)
+		_, err := AlltoallvInto(c, out, data, sendCounts, sendDispls, recvCounts, recvDispls)
+		if c.Rank() == 0 {
+			var cm *CountMismatchError
+			if !errors.As(err, &cm) {
+				t.Fatalf("rank 0: err = %v, want *CountMismatchError", err)
+			}
+			if cm.Src != 1 || cm.Want != 5 || cm.Got != 1 || cm.Rank != 0 {
+				t.Errorf("rank 0: mismatch fields %+v", cm)
+			}
+		} else if err != nil {
+			t.Errorf("rank 1: unexpected error %v", err)
+		}
+	})
 }
 
 // TestAlltoallvWrapperPanics: the non-Into convenience wrappers keep the

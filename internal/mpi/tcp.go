@@ -37,8 +37,8 @@ import (
 // writer goroutine drains an unbounded queue so Deliver keeps the eager,
 // never-blocking semantics the exchange patterns assume; a per-peer
 // reader goroutine decodes frames straight into the local mailbox, where
-// the ordinary matching machinery (blocking receives, the nonblocking
-// request table, Stream notifications) takes over. One connection per
+// the ordinary matching machinery (blocking receives, the posted-receive
+// table, Stream notifications) takes over. One connection per
 // peer plus in-order framing is what preserves MPI's non-overtaking
 // guarantee across the wire.
 

@@ -111,20 +111,25 @@ func TestRunTCPPointToPoint(t *testing.T) {
 }
 
 // TestRunTCPNonOvertaking: two messages with the same (src, tag) must
-// arrive in send order through the wire, and a posted Irecv pair must
-// complete in post order.
+// arrive in send order through the wire, and a posted stream-receive pair
+// must complete in post order.
 func TestRunTCPNonOvertaking(t *testing.T) {
 	RunTCP(2, func(c *Comm) {
 		if c.Rank() == 1 {
-			for i := 0; i < 32; i++ {
+			StreamSend(c, 0, []int{0})
+			StreamSend(c, 0, []int{1})
+			for i := 2; i < 32; i++ {
 				Send(c, 0, 5, []int{i})
 			}
 			return
 		}
-		r1 := Irecv[int](c, 1, 5)
-		r2 := Irecv[int](c, 1, 5)
-		if a, b := WaitT[int](r1)[0], WaitT[int](r2)[0]; a != 0 || b != 1 {
-			t.Errorf("posted receives completed as %d,%d", a, b)
+		s := NewStream(c, 2)
+		s.Post(1)
+		s.Post(1)
+		for i := 0; i < 2; i++ {
+			if idx, _, payload := s.Next(); payload.([]int)[0] != idx {
+				t.Errorf("posted receive %d completed with message %v", idx, payload)
+			}
 		}
 		for i := 2; i < 32; i++ {
 			if got := Recv[int](c, 1, 5)[0]; got != i {

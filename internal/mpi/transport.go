@@ -1,7 +1,7 @@
 package mpi
 
 // Transport is the rank-to-rank delivery layer behind a Comm. Everything
-// above it — tag matching, non-overtaking order, the nonblocking request
+// above it — tag matching, non-overtaking order, the posted-receive
 // table that Stream posts into, the collectives, the cartesian topology
 // helpers — lives in the shared mailbox machinery and is transport-
 // agnostic; a Transport's only job is to route an already-boxed message

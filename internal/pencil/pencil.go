@@ -103,15 +103,14 @@ type Decomp struct {
 	Pool   *par.Pool
 
 	// Overlap enables communication/compute pipelining for the global
-	// transposes. Plain Run calls switch from the pairwise blocking
-	// schedule to the nonblocking arrival-order exchange; the pipelined
-	// entry points (RunPipelined and the *Pipelined methods) additionally
-	// chunk each transpose along the line axis the exchange does not
-	// redistribute, unpack every peer message the moment it arrives, and
-	// hand completed line ranges to the caller's consume hook so FFT work
-	// proceeds while later chunks are still on the wire. Results are
-	// bit-identical either way; wins appear once a communicator spans
-	// 4+ ranks and wire time is worth hiding.
+	// transposes. Plain Run calls always use the pairwise blocking
+	// exchange; the pipelined entry points (RunPipelined and the
+	// *Pipelined methods) chunk each transpose along the line axis the
+	// exchange does not redistribute, unpack every peer message the
+	// moment it arrives, and hand completed line ranges to the caller's
+	// consume hook so FFT work proceeds while later chunks are still on
+	// the wire. Results are bit-identical either way; wins appear once a
+	// communicator spans 4+ ranks and wire time is worth hiding.
 	Overlap bool
 
 	// PipelineChunks is the pipeline depth of the chunked transposes:

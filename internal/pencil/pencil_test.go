@@ -247,34 +247,3 @@ func TestChunkCoversAll(t *testing.T) {
 		}
 	}
 }
-
-// TestOverlapTransposeEquivalent: the nonblocking overlapped exchange must
-// produce exactly the same transposes as the pairwise blocking schedule.
-func TestOverlapTransposeEquivalent(t *testing.T) {
-	mpi.Run(6, func(c *mpi.Comm) {
-		d := New(c, 3, 2, 7, 10, 9, par.NewPool(2))
-		d.Overlap = true
-		const nf = 2
-		src := make([][]complex128, nf)
-		for f := range src {
-			src[f] = yPencilOf(d, f)
-		}
-		zp := d.YtoZ(nil, src)
-		for f := 0; f < nf; f++ {
-			checkZPencil(t, d, f, zp[f])
-		}
-		xp := d.ZtoX(nil, zp, d.NZ)
-		for f := 0; f < nf; f++ {
-			checkXPencil(t, d, f, xp[f], d.NZ)
-		}
-		back := d.ZtoY(nil, d.XtoZ(nil, xp, d.NZ))
-		for f := 0; f < nf; f++ {
-			want := yPencilOf(d, f)
-			for i := range want {
-				if back[f][i] != want[i] {
-					t.Fatalf("overlap roundtrip f=%d i=%d", f, i)
-				}
-			}
-		}
-	})
-}

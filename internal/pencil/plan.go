@@ -372,10 +372,10 @@ func (p *TransposePlan) checkBuffers(dst, src [][]complex128) [][]complex128 {
 }
 
 // Run executes the planned transpose: pack into the persistent send
-// buffer, exchange into the persistent receive buffer on the configured
-// schedule, unpack into dst. A nil dst allocates fresh per-field slices;
-// passing a reused dst makes the call allocation-free at steady state
-// (aside from the per-message payload copies inside the in-process MPI).
+// buffer, exchange into the persistent receive buffer, unpack into dst. A
+// nil dst allocates fresh per-field slices; passing a reused dst makes the
+// call allocation-free at steady state (aside from the per-message payload
+// copies inside the in-process MPI).
 func (p *TransposePlan) Run(dst, src [][]complex128) [][]complex128 {
 	dst = p.checkBuffers(dst, src)
 	d := p.d
@@ -387,13 +387,7 @@ func (p *TransposePlan) Run(dst, src [][]complex128) [][]complex128 {
 	if d.Trace != nil {
 		xt0 = time.Now()
 	}
-	var err error
-	if d.Overlap {
-		_, err = mpi.AlltoallvOverlapInto(p.comm, p.rbuf, p.sbuf, p.sendCounts, p.sendDispls, p.recvCounts, p.recvDispls)
-	} else {
-		_, err = mpi.AlltoallvInto(p.comm, p.rbuf, p.sbuf, p.sendCounts, p.sendDispls, p.recvCounts, p.recvDispls)
-	}
-	if err != nil {
+	if _, err := mpi.AlltoallvInto(p.comm, p.rbuf, p.sbuf, p.sendCounts, p.sendDispls, p.recvCounts, p.recvDispls); err != nil {
 		panic(fmt.Sprintf("pencil: %v exchange: %v", p.dir, err))
 	}
 	if d.Trace != nil {

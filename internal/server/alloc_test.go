@@ -32,7 +32,7 @@ func benchSolver(tb testing.TB) (core.Workload, *telemetry.Registry, func()) {
 		}
 		wl.InitDefault(0.2, 13)
 		// Warm up: transpose plans, Galerkin caches, operator cache.
-		wl.Advance(2)
+		core.Advance(wl, 2)
 	})
 	if wl == nil {
 		tb.Fatal("workload construction failed")

@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"channeldns/internal/ckpt"
 	"channeldns/internal/core"
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
+	"channeldns/internal/run"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
 )
@@ -112,20 +112,7 @@ func (j *Job) LiveReport() *telemetry.Report {
 	if lr == nil {
 		return nil
 	}
-	return j.buildReport(lr)
-}
-
-func (j *Job) buildReport(lr *liveRun) *telemetry.Report {
-	rep := telemetry.NewReport("serve", lr.reg, j.Spec.ConfigMap())
-	if lr.trc != nil {
-		rep.Trace = trace.Summarize(lr.trc)
-	}
-	if form, err := core.ParseForm(j.Spec.Form); err == nil && form == core.FormDivergence {
-		if sched, err := core.WorkloadSchedule(j.Spec.Config(nil, nil, nil)); err == nil {
-			rep.Schedule = sched
-		}
-	}
-	return rep
+	return run.Report("serve", j.Spec.Config(nil, lr.reg, lr.trc), j.Spec.ConfigMap())
 }
 
 // LiveTrace returns the run attempt's flight recorder (nil when tracing
@@ -503,18 +490,17 @@ func (m *Manager) runJob(job *Job) {
 	}
 }
 
-// runRanks is the per-rank body of one run attempt. Everything here is
-// lockstep: the stop flag is read by rank 0 and broadcast, so all ranks
-// agree on every branch; status lines and checkpoints are collectives
-// driven by deterministic step counts. Rank 0 alone touches the job
-// record, the store and the hub.
+// runRanks is the per-rank body of one run attempt: build the workload and
+// hand it to the shared run driver. The hooks below are everything the
+// service adds to a run — job-record updates, hub publishing, plane
+// rendering, pacing, and the stop flag the driver reads on rank 0 and
+// broadcasts. Rank 0 alone touches the job record, the store and the hub.
 func (m *Manager) runRanks(c *mpi.Comm, job *Job, pool *par.Pool, reg *telemetry.Registry, trc *trace.Trace, res *runResult) {
 	sp := job.Spec
 	root := c.Rank() == 0
-	cfg := sp.Config(pool, reg, trc)
-	wl, err := core.NewWorkload(c, cfg)
+	wl, err := core.NewWorkload(c, sp.Config(pool, reg, trc))
 	if err != nil {
-		// Construction is deterministic in cfg: every rank fails alike.
+		// Construction is deterministic in the config: every rank fails alike.
 		if root {
 			res.err = err
 		}
@@ -526,122 +512,92 @@ func (m *Manager) runRanks(c *mpi.Comm, job *Job, pool *par.Pool, reg *telemetry
 			solver = cf.ChannelSolver()
 		}
 	}
-	store := wl.NewCheckpointStore(m.store.CkptDir(job.ID), sp.CkptKeep)
+	// position records where the run stands in the job status.
+	position := func(s *Status) {
+		s.Step = wl.CurrentStep()
+		s.Time = wl.CurrentTime()
+		s.Dt = wl.CurrentDt()
+	}
+	prevSnap := reg.Snapshot()
+	d := &run.Driver{
+		WL:          wl,
+		Store:       wl.NewCheckpointStore(m.store.CkptDir(job.ID), sp.CkptKeep),
+		TargetCFL:   sp.TargetCFL,
+		CkptEvery:   sp.CkptEvery,
+		StatusEvery: sp.StatusEvery,
+		Checkpointed: func(name string) {
+			if !root {
+				return
+			}
+			m.persist(job.ID, job.update(func(s *Status) {
+				s.Checkpoint = name
+				position(s)
+			}))
+		},
+		Status: func(line string) {
+			if !root {
+				return
+			}
+			st := job.update(func(s *Status) {
+				position(s)
+				s.Line = line
+			})
+			// Watchers hear of the step before its bookkeeping (status file,
+			// telemetry delta, plane) is done: a client that reacts to step n
+			// with a pause or cancel then lands ahead of the driver's next
+			// stop poll and the run parks at n, not one step later by a
+			// coin-flip of scheduling.
+			job.Hub.Publish(EventStatus, st)
+			m.persist(job.ID, st)
+			cur := reg.Snapshot()
+			if delta := telemetry.DeltaSnapshot(&prevSnap, &cur); !delta.Empty() {
+				job.Hub.Publish(EventTelemetry, delta)
+			}
+			prevSnap = cur
+		},
+		AfterStep: func() {
+			if n := wl.CurrentStep(); solver != nil && sp.PlaneEvery > 0 && n%sp.PlaneEvery == 0 {
+				png, frame := renderPlane(solver, n)
+				job.plane.Store(&planeData{png: png, frame: frame})
+				job.Hub.Publish(EventPlane, frame)
+			}
+			if sp.StepDelayMs > 0 {
+				time.Sleep(time.Duration(sp.StepDelayMs) * time.Millisecond)
+			}
+		},
+		ShouldStop: func() run.Stop {
+			kind := job.stop.Load()
+			res.stopped = kind
+			switch kind {
+			case stopNone:
+				return run.Continue
+			case stopCrash:
+				return run.Abort
+			}
+			return run.Park
+		},
+	}
 
 	// A fresh job has no checkpoint and seeds the canonical initial
 	// condition; a recovered or resumed one continues from its latest
-	// manifest (falling back past corrupt checkpoints inside Resume).
-	switch name, rerr := wl.ResumeLatest(store); {
-	case rerr == nil:
-		if root {
-			st := job.update(func(s *Status) {
-				s.Resumes++
-				s.Checkpoint = name
-				s.Step = wl.CurrentStep()
-				s.Time = wl.CurrentTime()
-				s.Dt = wl.CurrentDt()
-			})
-			m.persist(job.ID, st)
-			job.Hub.Publish(EventStatus, st)
-			m.opts.Logf("%s: resumed from %s (step %d, t=%.6g)",
-				RunID(job.ID), name, wl.CurrentStep(), wl.CurrentTime())
-		}
-	case errors.Is(rerr, ckpt.ErrNoCheckpoint):
-		wl.InitDefault(sp.Perturb, sp.Seed)
-	default:
-		if root {
-			res.err = fmt.Errorf("resume: %w", rerr)
-		}
-		return
-	}
-
-	prevSnap := reg.Snapshot()
-	writeCkpt := func() bool {
-		name, cerr := wl.WriteCheckpoint(store)
-		if cerr != nil {
-			if root {
-				res.err = fmt.Errorf("checkpoint: %w", cerr)
-			}
-			return false
-		}
-		if root {
-			st := job.update(func(s *Status) {
-				s.Checkpoint = name
-				s.Step = wl.CurrentStep()
-				s.Time = wl.CurrentTime()
-				s.Dt = wl.CurrentDt()
-			})
-			m.persist(job.ID, st)
-		}
-		return true
-	}
-	statusTick := func() {
-		line := wl.StatusLine() // collective: all ranks call
-		if !root {
-			return
-		}
+	// manifest toward the same absolute target.
+	name, err := d.Start(true, sp.Perturb, sp.Seed)
+	if err == nil && name != "" && root {
 		st := job.update(func(s *Status) {
-			s.Step = wl.CurrentStep()
-			s.Time = wl.CurrentTime()
-			s.Dt = wl.CurrentDt()
-			s.Line = line
+			s.Resumes++
+			s.Checkpoint = name
+			position(s)
 		})
 		m.persist(job.ID, st)
 		job.Hub.Publish(EventStatus, st)
-		cur := reg.Snapshot()
-		if d := telemetry.DeltaSnapshot(&prevSnap, &cur); !d.Empty() {
-			job.Hub.Publish(EventTelemetry, d)
-		}
-		prevSnap = cur
+		m.opts.Logf("%s: resumed from %s (step %d, t=%.6g)",
+			RunID(job.ID), name, wl.CurrentStep(), wl.CurrentTime())
 	}
-
-	lastCkpt := -1
-	stopped := stopNone // per-rank copy of the broadcast stop decision
-	for wl.CurrentStep() < sp.Steps {
-		flag := stopNone
-		if root {
-			flag = job.stop.Load()
-		}
-		flag = int32(mpi.Bcast(c, 0, []int{int(flag)})[0])
-		if flag != stopNone {
-			stopped = flag
-			if root {
-				res.stopped = flag
-			}
-			if flag == stopCrash {
-				return // abort without any checkpoint or status write
-			}
-			break
-		}
-		if sp.TargetCFL > 0 {
-			wl.AdvanceAdaptive(1, sp.TargetCFL, 5)
-		} else {
-			wl.StepOnce()
-		}
-		n := wl.CurrentStep()
-		final := n >= sp.Steps
-		if (sp.CkptEvery > 0 && n%sp.CkptEvery == 0 && n != lastCkpt) || (final && n != lastCkpt) {
-			if !writeCkpt() {
-				return
-			}
-			lastCkpt = n
-		}
-		if n%sp.StatusEvery == 0 || final {
-			statusTick()
-		}
-		if solver != nil && sp.PlaneEvery > 0 && n%sp.PlaneEvery == 0 {
-			png, frame := renderPlane(solver, n)
-			job.plane.Store(&planeData{png: png, frame: frame})
-			job.Hub.Publish(EventPlane, frame)
-		}
-		if sp.StepDelayMs > 0 {
-			time.Sleep(time.Duration(sp.StepDelayMs) * time.Millisecond)
-		}
+	if err == nil {
+		_, err = d.RunTo(sp.Steps)
 	}
-	// A cancel, pause or drain parks the run resumably: checkpoint before
-	// stopping (the step loop's broadcast means every rank agrees).
-	if stopped != stopNone && wl.CurrentStep() != lastCkpt {
-		writeCkpt()
+	if err != nil && root {
+		res.err = err
 	}
 }
 

@@ -60,7 +60,7 @@ func TestBudgetProductionSign(t *testing.T) {
 		s, _ := core.New(c, cfg)
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 41)
-		s.Advance(60) // let the shear tilt the fluctuations
+		core.Advance(s, 60) // let the shear tilt the fluctuations
 		b := TKEBudget(s)
 		tot := 0.0
 		for i := 1; i < len(b.Y); i++ {
@@ -87,7 +87,7 @@ func TestBudgetDistributedMatchesSerial(t *testing.T) {
 		s, _ := core.New(c, cfg)
 		s.SetLaminar()
 		s.Perturb(0.4, 2, 2, 8)
-		s.Advance(2)
+		core.Advance(s, 2)
 		ref = TKEBudget(s)
 	})
 	pcfg := cfg
@@ -96,7 +96,7 @@ func TestBudgetDistributedMatchesSerial(t *testing.T) {
 		s, _ := core.New(c, pcfg)
 		s.SetLaminar()
 		s.Perturb(0.4, 2, 2, 8)
-		s.Advance(2)
+		core.Advance(s, 2)
 		b := TKEBudget(s)
 		for i := range ref.Y {
 			if math.Abs(b.Production[i]-ref.Production[i]) > 1e-10 ||

@@ -20,7 +20,7 @@ func TestParsevalSpectraMatchVariances(t *testing.T) {
 		}
 		s.SetLaminar()
 		s.Perturb(0.5, 3, 3, 21)
-		s.Advance(2)
+		core.Advance(s, 2)
 		p := Snapshot(s)
 		yIdx := []int{4, 12, 19}
 		spx := SpectraX(s, yIdx)

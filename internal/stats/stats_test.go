@@ -44,7 +44,7 @@ func TestSnapshotMatchesAcrossRanks(t *testing.T) {
 		s, _ := core.New(c, cfg)
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 17)
-		s.Advance(3)
+		core.Advance(s, 3)
 		ref = Snapshot(s)
 	})
 	pcfg := cfg
@@ -53,7 +53,7 @@ func TestSnapshotMatchesAcrossRanks(t *testing.T) {
 		s, _ := core.New(c, pcfg)
 		s.SetLaminar()
 		s.Perturb(0.3, 2, 2, 17)
-		s.Advance(3)
+		core.Advance(s, 3)
 		p := Snapshot(s)
 		for i := range ref.Y {
 			if math.Abs(p.UU[i]-ref.UU[i]) > 1e-10 ||

@@ -8,11 +8,8 @@
 # monotonicity plus flow referential integrity), and carry cross-rank
 # flow arrows.
 set -eu
-
-GO=${GO:-go}
-dir=.obs-smoke
-rm -rf "$dir"
-mkdir -p "$dir"
+. scripts/lib.sh
+smoke_init obs-smoke
 $GO build -o "$dir/dns" ./cmd/dns
 $GO build -o "$dir/dnsrun" ./cmd/dnsrun
 $GO build -o "$dir/trace-merge" ./cmd/trace-merge
@@ -25,48 +22,21 @@ $GO build -o "$dir/trace-merge" ./cmd/trace-merge
 pid=$!
 
 # Rank 0 prints its live endpoint once it is listening.
-addr=''
-i=0
-while [ -z "$addr" ]; do
+endpoint_announced() {
     addr=$(sed -n 's|^\[rank 0\] telemetry endpoint: http://\([^/]*\)/.*|\1|p' "$dir/run.out")
-    if [ -z "$addr" ]; then
-        if ! kill -0 "$pid" 2> /dev/null; then
-            echo "obs-smoke: dnsrun exited before announcing its endpoint" >&2
-            cat "$dir/run.out" >&2
-            exit 1
-        fi
-        i=$((i + 1))
-        if [ "$i" -gt 300 ]; then
-            echo "obs-smoke: no telemetry endpoint after 30s" >&2
-            kill "$pid" 2> /dev/null || true
-            cat "$dir/run.out" >&2
-            exit 1
-        fi
-        sleep 0.1
-    fi
-done
+    [ -n "$addr" ]
+}
+wait_for "telemetry endpoint" 300 "$dir/run.out" endpoint_announced
 
 # Scrape the world dashboard mid-run: the first heartbeat gather lands
 # after a couple of steps, so retry until per-rank step counters appear.
 # Match an actual series sample ("{rank=...}"), not the # HELP line the
 # endpoint serves before any heartbeat has been heard.
-i=0
-until curl -sf "http://$addr/metrics" > "$dir/metrics.out" 2> /dev/null \
-    && grep -q 'channeldns_rank_steps_total{' "$dir/metrics.out"; do
-    if ! kill -0 "$pid" 2> /dev/null; then
-        echo "obs-smoke: run ended before /metrics showed rank step counters" >&2
-        cat "$dir/run.out" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 300 ]; then
-        echo "obs-smoke: /metrics never showed rank step counters" >&2
-        kill "$pid" 2> /dev/null || true
-        cat "$dir/metrics.out" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+rank_steps_scraped() {
+    curl -sf "http://$addr/metrics" > "$dir/metrics.out" 2> /dev/null \
+        && grep -q 'channeldns_rank_steps_total{' "$dir/metrics.out"
+}
+wait_for "rank step counters on /metrics" 300 "$dir/run.out" rank_steps_scraped
 grep -q 'channeldns_world_size 4' "$dir/metrics.out"
 grep -q 'channeldns_rank_wire_frames_out_total' "$dir/metrics.out"
 

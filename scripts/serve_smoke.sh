@@ -8,11 +8,8 @@
 # stored BENCH reports must pass bench-validate, the stream watchers must
 # have seen live status events, and a final SIGTERM must drain cleanly.
 set -eu
-
-GO=${GO:-go}
-dir=.serve-smoke
-rm -rf "$dir"
-mkdir -p "$dir"
+. scripts/lib.sh
+smoke_init serve-smoke
 $GO build -o "$dir/dnsserve" ./cmd/dnsserve
 
 data="$dir/runs"
@@ -22,20 +19,7 @@ start_server() {
     "$dir/dnsserve" -listen localhost:0 -data "$data" -addr-file "$dir/addr" \
         > "$dir/server$1.log" 2>&1 &
     pid=$!
-    i=0
-    until [ -s "$dir/addr" ]; do
-        if ! kill -0 "$pid" 2> /dev/null; then
-            echo "serve-smoke: server $1 died on startup" >&2
-            cat "$dir/server$1.log" >&2
-            exit 1
-        fi
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "serve-smoke: server $1 never wrote its address" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
+    wait_for "server $1 address" 100 "$dir/server$1.log" test -s "$dir/addr"
     addr=$(cat "$dir/addr")
 }
 
@@ -44,27 +28,16 @@ job_id() {
     sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' "$1" | head -n 1
 }
 
-# wait_done ID: poll one job's status until it reports done.
-wait_done() {
-    i=0
-    while true; do
-        curl -s "http://$addr/v1/jobs/$1" > "$dir/status.json"
-        if grep -q '"state": *"done"' "$dir/status.json"; then
-            return 0
-        fi
-        if grep -q '"state": *"failed"\|"state": *"cancelled"' "$dir/status.json"; then
-            echo "serve-smoke: job $1 went terminal without finishing:" >&2
-            cat "$dir/status.json" >&2
-            exit 1
-        fi
-        i=$((i + 1))
-        if [ "$i" -gt 600 ]; then
-            echo "serve-smoke: job $1 did not finish in 60s:" >&2
-            cat "$dir/status.json" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
+# job_done ID: fetch one job's status; succeeds once it reports done, and
+# fails the drill if the job went terminal any other way.
+job_done() {
+    curl -s "http://$addr/v1/jobs/$1" > "$dir/status.json"
+    if grep -q '"state": *"failed"\|"state": *"cancelled"' "$dir/status.json"; then
+        echo "serve-smoke: job $1 went terminal without finishing:" >&2
+        cat "$dir/status.json" >&2
+        exit 1
+    fi
+    grep -q '"state": *"done"' "$dir/status.json"
 }
 
 start_server 1
@@ -89,22 +62,9 @@ fi
 curl -s -N "http://$addr/v1/jobs/$chan/stream" > "$dir/watch1.out" 2> /dev/null &
 curl -s -N "http://$addr/v1/jobs/$chan/stream" > "$dir/watch2.out" 2> /dev/null &
 
-# A checkpoint is published by its MANIFEST.json rename; the first one
-# means the channel job is resumable. Then pull the plug, hard.
-i=0
-until ls "$data/$chan"/ckpt/step-*/MANIFEST.json > /dev/null 2>&1; do
-    if ! kill -0 "$pid" 2> /dev/null; then
-        echo "serve-smoke: server died before the first checkpoint" >&2
-        cat "$dir/server1.log" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "serve-smoke: no checkpoint after 60s" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+# The first published checkpoint means the channel job is resumable. Then
+# pull the plug, hard.
+wait_for "the first checkpoint" 600 "$dir/server1.log" have_manifest "$data/$chan/ckpt"
 kill -9 "$pid" 2> /dev/null || true
 wait "$pid" 2> /dev/null || true
 
@@ -114,8 +74,8 @@ grep -q "^event: status" "$dir/watch2.out"
 # Restart on the same store: recovery must re-enqueue the interrupted
 # channel job (status.json still claims running/queued) and finish it.
 start_server 2
-wait_done "$chan"
-wait_done "$iso"
+wait_for "job $chan done" 600 "$dir/status.json" job_done "$chan"
+wait_for "job $iso done" 600 "$dir/status.json" job_done "$iso"
 
 # The recovered job really did resume from its checkpoint rather than
 # restart from scratch.

@@ -6,11 +6,8 @@
 # checkpoint (the elastic P=4 -> P=2 re-shard) and its telemetry report —
 # merged across processes over the wire — must pass bench-validate.
 set -eu
-
-GO=${GO:-go}
-dir=.tcp-smoke
-rm -rf "$dir"
-mkdir -p "$dir"
+. scripts/lib.sh
+smoke_init tcp-smoke
 $GO build -o "$dir/dns" ./cmd/dns
 $GO build -o "$dir/dnsrun" ./cmd/dnsrun
 
@@ -20,24 +17,7 @@ $GO build -o "$dir/dnsrun" ./cmd/dnsrun
     > "$dir/run.out" 2>&1 &
 pid=$!
 
-# A checkpoint is published by its MANIFEST.json rename, so the first
-# manifest means a complete, resumable snapshot is on disk.
-i=0
-until ls "$dir"/run.ckpt/step-*/MANIFEST.json > /dev/null 2>&1; do
-    if ! kill -0 "$pid" 2> /dev/null; then
-        echo "tcp-smoke: dnsrun exited before its first checkpoint" >&2
-        cat "$dir/run.out" >&2
-        exit 1
-    fi
-    i=$((i + 1))
-    if [ "$i" -gt 600 ]; then
-        echo "tcp-smoke: no checkpoint after 60s" >&2
-        kill "$pid" 2> /dev/null || true
-        cat "$dir/run.out" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_for "the first checkpoint" 600 "$dir/run.out" have_manifest "$dir/run.ckpt"
 
 kill "$pid" 2> /dev/null || true
 wait "$pid" 2> /dev/null || true
