@@ -1,7 +1,7 @@
 # Developer entry points. `make ci` is what a pipeline should run: static
 # checks, a full build, the whole test suite, and the race detector over
-# the concurrency-bearing packages (worker pool, in-process MPI runtime,
-# pencil transposes).
+# the concurrency-bearing packages (shared FFT plans, worker pool,
+# in-process MPI runtime, pencil transposes).
 
 GO ?= go
 
@@ -19,13 +19,14 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar' channeldns/internal/core
+	$(GO) test -race -short channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
+	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank' channeldns/internal/core
 
 # Paper-table benchmarks with allocation reporting; see README
 # "Performance notes" for how to read the allocs/op columns.
 bench:
 	$(GO) test -run xxx -bench 'Table|Figure|Ablation' -benchmem -benchtime 200ms .
+	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 
 bench-alloc:
 	$(GO) test -run xxx -bench 'Table5|Table6|Table9' -benchmem -benchtime 200ms .

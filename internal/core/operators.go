@@ -37,19 +37,39 @@ type wnOps struct {
 	minv     [3][2][2]float64
 }
 
+// opRow is one interior collocation row evaluated once at construction: the
+// value (d0) and second-derivative (d2) entries of the deg+1 splines that
+// are nonzero at the row's Greville point, the first of them at column
+// start. Every implicit operator of every wavenumber is a combination of
+// these same rows.
+type opRow struct {
+	start  int
+	d0, d2 []float64
+}
+
+// collocationRows evaluates the interior rows (1..ny-2; the wall rows are
+// value rows and come from s.wall).
+func (s *Solver) collocationRows() []opRow {
+	rows := make([]opRow, s.Cfg.Ny)
+	for i := 1; i < s.Cfg.Ny-1; i++ {
+		start, ders := s.B.RowAt(s.grev[i], 2)
+		rows[i] = opRow{start: start, d0: ders[0], d2: ders[2]}
+	}
+	return rows
+}
+
 // fillOperator writes the rows of an implicit operator through set: interior
 // rows combine the value/second-derivative collocation rows as
 // a0*B0 - a2*B2, and the first and last rows are the wall value rows.
 func (s *Solver) fillOperator(set func(i, j int, v float64), a0, a2 float64) {
 	ny := s.Cfg.Ny
-	deg := s.B.Degree()
 	for i := 1; i < ny-1; i++ {
-		start, ders := s.B.RowAt(s.grev[i], 2)
-		for j := 0; j <= deg; j++ {
-			set(i, start+j, a0*ders[0][j]-a2*ders[2][j])
+		row := &s.opRows[i]
+		for j, d0 := range row.d0 {
+			set(i, row.start+j, a0*d0-a2*row.d2[j])
 		}
 	}
-	for j := 0; j <= deg; j++ {
+	for j := 0; j <= s.B.Degree(); j++ {
 		set(0, s.wall.LowerValStart+j, s.wall.LowerVal[j])
 		set(ny-1, s.wall.UpperValStart+j, s.wall.UpperVal[j])
 	}

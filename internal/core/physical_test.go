@@ -78,16 +78,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Advance(s, 3)
 		var buf bytes.Buffer
 		if err := saveShard(s, &buf); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		saved := buf.Bytes()
 
 		s2, _ := New(c, cfg)
 		if err := loadShard(s2, bytes.NewReader(saved)); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		if s2.Time != s.Time || s2.Step != s.Step {
-			t.Fatalf("time/step mismatch: %g/%d vs %g/%d", s2.Time, s2.Step, s.Time, s.Step)
+			t.Errorf("time/step mismatch: %g/%d vs %g/%d", s2.Time, s2.Step, s.Time, s.Step)
+			return
 		}
 		// Both must evolve identically afterwards.
 		Advance(s, 2)
@@ -95,7 +98,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		for w := 0; w < s.nw; w++ {
 			for i := range s.cv[w] {
 				if cmplx.Abs(s.cv[w][i]-s2.cv[w][i]) > 1e-14 {
-					t.Fatalf("state diverged after restart at mode %d coef %d", w, i)
+					t.Errorf("state diverged after restart at mode %d coef %d", w, i)
+					return
 				}
 			}
 		}
@@ -107,7 +111,8 @@ func TestCheckpointRejectsMismatch(t *testing.T) {
 		s, _ := New(c, Config{Nx: 8, Ny: 16, Nz: 8, ReTau: 180, Dt: 1e-3, Forcing: 1})
 		var buf bytes.Buffer
 		if err := saveShard(s, &buf); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return
 		}
 		s2, _ := New(c, Config{Nx: 16, Ny: 16, Nz: 8, ReTau: 180, Dt: 1e-3, Forcing: 1})
 		if err := loadShard(s2, &buf); err == nil {

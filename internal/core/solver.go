@@ -32,6 +32,7 @@ type Solver struct {
 	b0, b1, b2 *banded.Real
 	b0fac      *banded.Compact
 	wall       bspline.WallRows
+	opRows     []opRow // interior collocation rows, see fillOperator
 
 	// Local wavenumber window (y-pencil): one-sided kx and wrapped kz.
 	kxlo, kxhi, kzlo, kzhi int
@@ -113,6 +114,7 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	s.b1 = s.B.CollocationMatrix(s.grev, 1)
 	s.b2 = s.B.CollocationMatrix(s.grev, 2)
 	s.wall = s.B.WallRows()
+	s.opRows = s.collocationRows()
 	s.b0fac = compactFromRows(s.B, s.grev, func(i int, row0, row1, row2 []float64) []float64 {
 		return row0
 	})

@@ -12,13 +12,11 @@ import (
 func serialSolver(t *testing.T, cfg Config) *Solver {
 	t.Helper()
 	var s *Solver
-	mpi.Run(1, func(c *mpi.Comm) {
-		var err error
-		s, err = New(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	var err error
+	mpi.Run(1, func(c *mpi.Comm) { s, err = New(c, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 

@@ -1,6 +1,9 @@
 package fft
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // bluestein implements the chirp-z transform, turning a DFT of arbitrary
 // length n into a cyclic convolution of length m >= 2n-1 where m is a power
@@ -15,6 +18,7 @@ type bluestein struct {
 	// bF is the forward transform of the padded conjugate chirp, one per
 	// transform direction.
 	bF, bI []complex128
+	work   sync.Pool // *[]complex128 of length 2m: the two convolution arrays
 }
 
 func newBluestein(n int) *bluestein {
@@ -23,6 +27,10 @@ func newBluestein(n int) *bluestein {
 		m *= 2
 	}
 	b := &bluestein{n: n, m: m, sub: NewPlan(m)}
+	b.work.New = func() any {
+		buf := make([]complex128, 2*m)
+		return &buf
+	}
 	b.chirp = make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// Angle computed modulo 2n to avoid precision loss for large k^2.
@@ -57,19 +65,24 @@ func (b *bluestein) kernel(sign int) []complex128 {
 
 func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
 
-func (b *bluestein) transform(dst, src []complex128, sign int) {
-	a := make([]complex128, b.m)
+// transform runs the chirp-z transform of direction dir on two pooled work
+// arrays of length m.
+func (b *bluestein) transform(dst, src []complex128, dir int) {
+	work := b.work.Get().(*[]complex128)
+	a, fa := (*work)[:b.m], (*work)[b.m:]
 	for k := 0; k < b.n; k++ {
 		c := b.chirp[k]
-		if sign < 0 {
+		if dir == inverse {
 			c = conj(c)
 		}
 		a[k] = src[k] * c
 	}
-	fa := make([]complex128, b.m)
+	for k := b.n; k < b.m; k++ {
+		a[k] = 0
+	}
 	b.sub.Forward(fa, a)
 	kern := b.bF
-	if sign < 0 {
+	if dir == inverse {
 		kern = b.bI
 	}
 	for i := range fa {
@@ -79,9 +92,10 @@ func (b *bluestein) transform(dst, src []complex128, sign int) {
 	inv := 1 / float64(b.m)
 	for k := 0; k < b.n; k++ {
 		c := b.chirp[k]
-		if sign < 0 {
+		if dir == inverse {
 			c = conj(c)
 		}
 		dst[k] = a[k] * c * complex(inv, 0)
 	}
+	b.work.Put(work)
 }

@@ -8,11 +8,15 @@ package fft
 // wrapper keeps the data in cache across the two operations, which is the
 // optimization the paper attributes to its threaded FFT blocks.
 
+// bands returns how a wrap-ordered spectrum of logical length n is carried:
+// pos modes k = 0..pos-1 at the front and neg modes k = -neg..-1 at the back.
+// For even n the Nyquist slot n/2 lies between them and is not carried,
+// matching the solver convention; for odd n every slot is a resolved mode.
+func bands(n int) (pos, neg int) { return (n + 1) / 2, (n - 1) / 2 }
+
 // PadComplex embeds a wrap-ordered complex spectrum of logical length n into
-// a wrap-ordered spectrum of length m >= n, zeroing the new high modes.
-// Modes k = 0..n/2-1 and k = -(n/2-1)..-1 are copied; the Nyquist slot of the
-// source (index n/2, for even n) is dropped, matching the solver convention
-// that the Nyquist mode is not carried.
+// a wrap-ordered spectrum of length m >= n, zeroing the new high modes. The
+// Nyquist slot of an even-length source (index n/2) is dropped.
 func PadComplex(dst, src []complex128, n, m int) {
 	if m < n {
 		panic("fft: PadComplex target smaller than source")
@@ -20,21 +24,17 @@ func PadComplex(dst, src []complex128, n, m int) {
 	if len(dst) < m || len(src) < n {
 		panic("fft: PadComplex slice lengths")
 	}
-	half := n / 2
-	copy(dst[:half], src[:half])
-	for i := half; i < m-(n-half)+1; i++ {
+	pos, neg := bands(n)
+	copy(dst[:pos], src[:pos])
+	for i := pos; i < m-neg; i++ {
 		dst[i] = 0
 	}
-	// Negative wavenumbers: src indices half+1..n-1 map to dst m-n+half+1..m-1.
-	neg := n - half - 1 // count of negative modes
-	for j := 0; j < neg; j++ {
-		dst[m-neg+j] = src[n-neg+j]
-	}
+	copy(dst[m-neg:m], src[n-neg:n])
 }
 
 // TruncateComplex extracts the resolved modes of a wrap-ordered spectrum of
 // length m back into a spectrum of logical length n <= m, scaling by s and
-// zeroing the Nyquist slot of the destination.
+// zeroing the Nyquist slot of an even-length destination.
 func TruncateComplex(dst, src []complex128, n, m int, s float64) {
 	if m < n {
 		panic("fft: TruncateComplex source smaller than target")
@@ -42,27 +42,44 @@ func TruncateComplex(dst, src []complex128, n, m int, s float64) {
 	if len(dst) < n || len(src) < m {
 		panic("fft: TruncateComplex slice lengths")
 	}
-	cs := complex(s, 0)
-	half := n / 2
-	for k := 0; k < half; k++ {
-		dst[k] = src[k] * cs
+	pos, neg := bands(n)
+	for k := 0; k < pos; k++ {
+		dst[k] = scale(src[k], s)
 	}
-	neg := n - half - 1
 	if n%2 == 0 {
-		dst[half] = 0 // Nyquist not carried
+		dst[pos] = 0 // Nyquist not carried
 	}
 	for j := 0; j < neg; j++ {
-		dst[n-neg+j] = src[m-neg+j] * cs
+		dst[n-neg+j] = scale(src[m-neg+j], s)
 	}
 }
+
+// scale returns c*(s,0) in its scalar form.
+func scale(c complex128, s float64) complex128 { return complex(real(c)*s, imag(c)*s) }
 
 // PaddedComplex fuses 3/2-rule padding with complex transforms in one
 // direction (the z transforms of the DNS). The spectral side carries n
 // wrap-ordered modes (Nyquist zero); the physical side has m points.
+//
+// Where the m-point plan allows it the pad and the truncation are part of
+// the transform rather than passes around it. The inverse loads the
+// spectrum straight through a padded digit-reversal table in which the
+// zeroed band is a marker, so the innermost radix-2 butterflies with a known
+// zero input reduce to copies (w*0 = 0, a+0 = a). The forward stops before
+// the outermost radix-3 stage and evaluates only the outputs truncation
+// keeps — for m = 3n/2 none of the middle third — scaled as they are stored.
+// Both produce the values of pad-then-transform and transform-then-truncate
+// exactly; other plans run those two steps through scratch.
 type PaddedComplex struct {
 	n, m int
 	plan *Plan
 	buf  []complex128
+	// load[i] is the spectrum index position i of the innermost stage reads,
+	// or -1 inside the zeroed band; nil when the innermost radix is not 2.
+	load []int32
+	// keepLast says the forward may skip the last stage's unkept outputs: the
+	// outermost radix is 3 and both carried bands fit inside one third.
+	keepLast bool
 }
 
 // NewPaddedComplex builds the fused transform for n spectral modes on an
@@ -71,7 +88,26 @@ func NewPaddedComplex(n, m int) *PaddedComplex {
 	if m < n {
 		panic("fft: padded transform needs m >= n")
 	}
-	return &PaddedComplex{n: n, m: m, plan: NewPlan(m), buf: make([]complex128, m)}
+	p := &PaddedComplex{n: n, m: m, plan: NewPlan(m), buf: make([]complex128, m)}
+	pos, neg := bands(n)
+	if inv := p.plan.stages[inverse]; len(inv) > 0 && inv[0].r == 2 {
+		p.load = make([]int32, m)
+		for i, j := range p.plan.perm {
+			switch {
+			case int(j) < pos:
+				p.load[i] = j
+			case int(j) >= m-neg:
+				p.load[i] = j - int32(m-n)
+			default:
+				p.load[i] = -1
+			}
+		}
+	}
+	if fwd := p.plan.stages[forward]; len(fwd) > 0 {
+		last := fwd[len(fwd)-1]
+		p.keepLast = last.r == 3 && pos <= last.m && neg <= last.m
+	}
+	return p
 }
 
 // SpectralLen returns n, the number of spectral modes carried.
@@ -93,8 +129,40 @@ func (p *PaddedComplex) InversePadded(phys, spec []complex128) {
 // InversePaddedScratch is InversePadded with caller-provided scratch of
 // length PhysicalLen(), safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) InversePaddedScratch(phys, spec, scratch []complex128) {
-	PadComplex(scratch, spec, p.n, p.m)
-	p.plan.Inverse(phys, scratch)
+	if p.load == nil {
+		PadComplex(scratch, spec, p.n, p.m)
+		p.plan.Inverse(phys, scratch)
+		return
+	}
+	if len(phys) < p.m || len(spec) < p.n {
+		panic("fft: padded inverse slice lengths")
+	}
+	phys = phys[:p.m]
+	first2Padded(phys, spec[:p.n], p.load)
+	combine(phys, p.plan.stages[inverse][1:])
+}
+
+// first2Padded is first2 reading through a padded load table: a butterfly
+// with a zero input is a copy (a+0 = a-0 = a; 0+b = b, 0-b = -b).
+func first2Padded(dst, spec []complex128, load []int32) {
+	dst = dst[:len(load)]
+	for i := 1; i < len(load); i += 2 {
+		ja, jb := load[i-1], load[i]
+		switch {
+		case ja >= 0 && jb >= 0:
+			a, b := spec[ja], spec[jb]
+			dst[i-1] = a + b
+			dst[i] = a - b
+		case ja >= 0:
+			a := spec[ja]
+			dst[i-1], dst[i] = a, a
+		case jb >= 0:
+			b := spec[jb]
+			dst[i-1], dst[i] = b, -b
+		default:
+			dst[i-1], dst[i] = 0, 0
+		}
+	}
 }
 
 // ForwardTruncated transforms phys (length m) forward and stores the n
@@ -108,14 +176,55 @@ func (p *PaddedComplex) ForwardTruncated(spec, phys []complex128) {
 // ForwardTruncatedScratch is ForwardTruncated with caller-provided scratch
 // of length PhysicalLen(), safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) ForwardTruncatedScratch(spec, phys, scratch []complex128) {
-	p.plan.Forward(scratch, phys)
-	TruncateComplex(spec, scratch, p.n, p.m, 1/float64(p.m))
+	s := 1 / float64(p.m)
+	if !p.keepLast {
+		p.plan.Forward(scratch, phys)
+		TruncateComplex(spec, scratch, p.n, p.m, s)
+		return
+	}
+	if len(phys) < p.m || len(spec) < p.n || len(scratch) < p.m {
+		panic("fft: truncated forward slice lengths")
+	}
+	scratch, spec = scratch[:p.m], spec[:p.n]
+	rest := p.plan.load(scratch, phys[:p.m], p.plan.stages[forward])
+	combine(scratch, rest[:len(rest)-1])
+	last3Truncated(spec, scratch, &rest[len(rest)-1], s)
+}
+
+// last3Truncated is the outermost radix-3 stage of a truncated forward
+// transform. Of its outputs x0[k], x1[k], x2[k] it forms only those the
+// length-len(spec) spectrum carries — the leading modes from x0, the
+// trailing ones from x2, nothing from x1 — and stores them scaled by s.
+func last3Truncated(spec, x []complex128, st *stage, s float64) {
+	m := st.m
+	pos, neg := bands(len(spec))
+	w1, w2 := st.w[1], st.w[2]
+	t1, t2 := st.tw[:m], st.tw[m:][:m]
+	x0, x1, x2 := x[:m], x[m:][:m], x[2*m:][:m]
+	shift := len(spec) - m // x2[k] lands on spec[shift+k]
+	for k, u := range t1 {
+		a := x0[k]
+		b := u * x1[k]
+		c := t2[k] * x2[k]
+		if k < pos {
+			spec[k] = scale(a+b+c, s)
+		}
+		if k >= m-neg {
+			spec[shift+k] = scale(a+w2*b+w1*c, s)
+		}
+	}
+	if len(spec)%2 == 0 {
+		spec[pos] = 0 // Nyquist not carried
+	}
 }
 
 // PaddedReal fuses 3/2-rule padding with real transforms in one direction
 // (the x transforms of the DNS). The spectral side carries nk one-sided
 // modes k = 0..nk-1 with the Nyquist mode dropped, as in the paper's
-// customized kernel; the physical side has m real points.
+// customized kernel; the physical side has m real points. For even m the
+// pad and the truncation happen inside the real plan's tangling passes
+// (inverseModes reads no mode past nk, forwardModes forms none); odd m pads
+// and truncates a full half-complex image in scratch.
 type PaddedReal struct {
 	nk, m int
 	plan  *RealPlan
@@ -154,13 +263,20 @@ func (p *PaddedReal) InversePadded(phys []float64, spec []complex128) {
 // length ScratchLen(), safe for concurrent use with distinct scratch and
 // free of allocations.
 func (p *PaddedReal) InversePaddedScratch(phys []float64, spec, scratch []complex128) {
-	nc := p.m/2 + 1
-	half, rest := scratch[:nc], scratch[nc:]
-	copy(half[:p.nk], spec[:p.nk])
-	for i := p.nk; i < nc; i++ {
-		half[i] = 0
+	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
+		panic("fft: padded real inverse slice lengths")
 	}
-	p.plan.InverseScratch(phys, half, rest)
+	if p.plan.half != nil {
+		p.plan.inverseModes(phys, spec, p.nk, scratch)
+		return
+	}
+	nc := p.m/2 + 1
+	image, rest := scratch[:nc], scratch[nc:]
+	copy(image[:p.nk], spec[:p.nk])
+	for i := p.nk; i < nc; i++ {
+		image[i] = 0
+	}
+	p.plan.InverseScratch(phys, image, rest)
 }
 
 // ForwardTruncated transforms phys forward and keeps the nk resolved
@@ -174,11 +290,18 @@ func (p *PaddedReal) ForwardTruncated(spec []complex128, phys []float64) {
 // of length ScratchLen(), safe for concurrent use with distinct scratch and
 // free of allocations.
 func (p *PaddedReal) ForwardTruncatedScratch(spec []complex128, phys []float64, scratch []complex128) {
+	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
+		panic("fft: padded real forward slice lengths")
+	}
+	s := 1 / float64(p.m)
+	if p.plan.half != nil {
+		p.plan.forwardModes(spec, phys, scratch, p.nk, s)
+		return
+	}
 	nc := p.m/2 + 1
-	half, rest := scratch[:nc], scratch[nc:]
-	p.plan.ForwardScratch(half, phys, rest)
-	s := complex(1/float64(p.m), 0)
+	image, rest := scratch[:nc], scratch[nc:]
+	p.plan.ForwardScratch(image, phys, rest)
 	for k := 0; k < p.nk; k++ {
-		spec[k] = half[k] * s
+		spec[k] = scale(image[k], s)
 	}
 }

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -350,5 +351,128 @@ func BenchmarkRealForward1536(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Forward(y, x)
+	}
+}
+
+// BenchmarkLines times the per-line entry points the solver's line loops
+// call, at the line lengths of the benchmark workloads (16/24/32/48-mode
+// grids padded by 3/2 to 24/36/48/72 points), over a batch of 512 lines a
+// pass so the operands stream as they do in a pencil. ns/line is the figure
+// to set against benchmark/'s fft.* rows, which time one cache-hot line.
+func BenchmarkLines(b *testing.B) {
+	const lines = 512
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range []int{24, 36, 48, 72} {
+		n, nk := 2*m/3, m/3
+		plan, padZ, padX := NewPlan(m), NewPaddedComplex(n, m), NewPaddedReal(nk, m)
+		cphys, cout := randComplex(rng, m*lines), make([]complex128, m*lines)
+		zspec, xspec := randComplex(rng, n*lines), randComplex(rng, nk*lines)
+		xphys := make([]float64, m*lines)
+		for i := range xphys {
+			xphys[i] = rng.NormFloat64()
+		}
+		zscr, xscr := make([]complex128, padZ.ScratchLen()), make([]complex128, padX.ScratchLen())
+		for _, bc := range []struct {
+			name string
+			line func(l int)
+		}{
+			{"forward", func(l int) { plan.Forward(cout[l*m:(l+1)*m], cphys[l*m:(l+1)*m]) }},
+			{"padded-complex-inv", func(l int) { padZ.InversePaddedScratch(cout[l*m:(l+1)*m], zspec[l*n:(l+1)*n], zscr) }},
+			{"padded-complex-fwd", func(l int) { padZ.ForwardTruncatedScratch(zspec[l*n:(l+1)*n], cphys[l*m:(l+1)*m], zscr) }},
+			{"padded-real-inv", func(l int) { padX.InversePaddedScratch(xphys[l*m:(l+1)*m], xspec[l*nk:(l+1)*nk], xscr) }},
+			{"padded-real-fwd", func(l int) { padX.ForwardTruncatedScratch(xspec[l*nk:(l+1)*nk], xphys[l*m:(l+1)*m], xscr) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", bc.name, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for l := 0; l < lines; l++ {
+						bc.line(l)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+			})
+		}
+	}
+}
+
+// TestPaddedComplexOddLength: for odd n every slot of the wrap-ordered
+// spectrum is a resolved mode — index n/2 is +n/2, not a Nyquist slot — so
+// padding must carry it and truncation must write it.
+func TestPaddedComplexOddLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, nm := range [][2]int{{5, 5}, {5, 8}, {9, 16}, {15, 24}, {7, 12}, {3, 9}} {
+		n, m := nm[0], nm[1]
+		spec := randComplex(rng, n)
+		padded := make([]complex128, m)
+		PadComplex(padded, spec, n, m)
+		back := randComplex(rng, n) // stale contents must all be overwritten
+		TruncateComplex(back, padded, n, m, 1)
+		for k := range spec {
+			if back[k] != spec[k] {
+				t.Errorf("n=%d m=%d: pad/truncate lost mode slot %d: %v != %v", n, m, k, back[k], spec[k])
+			}
+		}
+		pc := NewPaddedComplex(n, m)
+		phys := make([]complex128, m)
+		pc.InversePadded(phys, spec)
+		if e := maxErrC(phys, naiveDFT(padded, -1)); e > 1e-10 {
+			t.Errorf("n=%d m=%d: padded inverse differs from the DFT of the padded spectrum by %g", n, m, e)
+		}
+		back = randComplex(rng, n)
+		pc.ForwardTruncated(back, phys)
+		if e := maxErrC(back, spec); e > 1e-12 {
+			t.Errorf("n=%d m=%d: odd-length round trip error %g", n, m, e)
+		}
+	}
+}
+
+// TestTransformsDoNotAllocate pins the doc comments' promise: no transform
+// entry point allocates per call — not the aliased dst == src call (pooled
+// copy) and not a Bluestein length (pooled convolution arrays) either.
+func TestTransformsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	check := func(name string, f func()) {
+		t.Helper()
+		if a := testing.AllocsPerRun(50, f); a != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, a)
+		}
+	}
+	for _, m := range []int{24, 36, 48, 72, 14, 49} { // the last two are Bluestein lengths
+		p := NewPlan(m)
+		src, dst := randComplex(rng, m), make([]complex128, m)
+		check(fmt.Sprintf("Forward/%d", m), func() { p.Forward(dst, src) })
+		check(fmt.Sprintf("Inverse in place/%d", m), func() { p.Inverse(dst, dst) })
+	}
+	for _, m := range []int{24, 36, 48, 72} {
+		n, nk := 2*m/3, m/3
+		pz, px := NewPaddedComplex(n, m), NewPaddedReal(nk, m)
+		zspec, zphys, zscr := randComplex(rng, n), make([]complex128, m), make([]complex128, pz.ScratchLen())
+		xspec, xphys, xscr := randComplex(rng, nk), make([]float64, m), make([]complex128, px.ScratchLen())
+		check(fmt.Sprintf("PaddedComplex.InversePaddedScratch/%d", m), func() { pz.InversePaddedScratch(zphys, zspec, zscr) })
+		check(fmt.Sprintf("PaddedComplex.ForwardTruncatedScratch/%d", m), func() { pz.ForwardTruncatedScratch(zspec, zphys, zscr) })
+		check(fmt.Sprintf("PaddedReal.InversePaddedScratch/%d", m), func() { px.InversePaddedScratch(xphys, xspec, xscr) })
+		check(fmt.Sprintf("PaddedReal.ForwardTruncatedScratch/%d", m), func() { px.ForwardTruncatedScratch(xspec, xphys, xscr) })
+		rp := NewRealPlan(m)
+		rspec, rscr := make([]complex128, rp.NumModes()), make([]complex128, rp.ScratchLen())
+		check(fmt.Sprintf("RealPlan.ForwardScratch/%d", m), func() { rp.ForwardScratch(rspec, xphys, rscr) })
+		check(fmt.Sprintf("RealPlan.InverseScratch/%d", m), func() { rp.InverseScratch(xphys, rspec, rscr) })
+	}
+}
+
+// TestPaddedRealOddGrid covers the grids the half-length trick cannot serve:
+// an odd m pads and truncates a full half-complex image in scratch.
+func TestPaddedRealOddGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, c := range [][2]int{{3, 9}, {4, 15}, {2, 7}} {
+		nk, m := c[0], c[1]
+		pr := NewPaddedReal(nk, m)
+		spec := randComplex(rng, nk)
+		spec[0] = complex(real(spec[0]), 0)
+		phys := make([]float64, m)
+		pr.InversePadded(phys, spec)
+		back := make([]complex128, nk)
+		pr.ForwardTruncated(back, phys)
+		if e := maxErrC(back, spec); e > 1e-10 {
+			t.Errorf("nk=%d m=%d: padded real round trip error %g", nk, m, e)
+		}
 	}
 }

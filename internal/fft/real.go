@@ -1,9 +1,6 @@
 package fft
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RealPlan transforms real sequences of length N to half-complex spectra of
 // NumModes() = N/2+1 coefficients and back. Even lengths use the standard
@@ -30,17 +27,7 @@ func NewRealPlan(n int) *RealPlan {
 	p := &RealPlan{n: n, nc: n/2 + 1}
 	if n%2 == 0 && n > 1 {
 		p.half = NewPlan(n / 2)
-		p.w = make([]complex128, n/2+1)
-		tw := NewPlan(n) // borrow its twiddle table
-		if tw.blue == nil {
-			for k := 0; k <= n/2; k++ {
-				p.w[k] = tw.twF[k]
-			}
-		} else {
-			for k := 0; k <= n/2; k++ {
-				p.w[k] = expTw(-1, k, n)
-			}
-		}
+		p.w = twiddles(n, n/2+1)
 	} else {
 		p.full = NewPlan(n)
 	}
@@ -92,21 +79,47 @@ func (p *RealPlan) ForwardScratch(dst []complex128, src []float64, scratch []com
 		copy(dst, out[:p.nc])
 		return
 	}
+	p.forwardModes(dst, src, scratch, p.nc, 1)
+}
+
+// forwardModes is the even-length forward transform restricted to the first
+// nk <= NumModes() modes, each scaled by s: one half-length complex transform
+// of the points taken in pairs, then the untangling pass
+//
+//	E[k] = (Z[k]+conj(Z[h-k]))/2, O[k] = (Z[k]-conj(Z[h-k]))/(2i),
+//	X[k] = E[k] + w^k O[k]
+//
+// for k = 0..h with Z periodic (Z[h] = Z[0]); the two ends are peeled so the
+// loop carries no index wrap.
+func (p *RealPlan) forwardModes(dst []complex128, src []float64, scratch []complex128, nk int, s float64) {
 	h := p.n / 2
-	z, zt := scratch[:h], scratch[h:2*h]
-	for j := 0; j < h; j++ {
+	z, zt := scratch[:h], scratch[h:][:h]
+	src = src[:2*h]
+	for j := range z {
 		z[j] = complex(src[2*j], src[2*j+1])
 	}
 	p.half.Forward(zt, z)
-	// Unpack: E[k] = (Z[k]+conj(Z[h-k]))/2, O[k] = (Z[k]-conj(Z[h-k]))/(2i),
-	// X[k] = E[k] + w^k O[k] for k = 0..h (Z periodic with Z[h] = Z[0]).
-	for k := 0; k <= h; k++ {
-		zk := zt[k%h]
-		zr := conj(zt[(h-k)%h])
-		e := (zk + zr) * complex(0.5, 0)
-		o := (zk - zr) * complex(0, -0.5)
-		dst[k] = e + p.w[k]*o
+	dst = dst[:nk]
+	w := p.w[:nk]
+	dst[0] = untangle(zt[0], conj(zt[0]), w[0], s)
+	last := nk
+	if nk > h {
+		dst[h] = untangle(zt[0], conj(zt[0]), w[h], s)
+		last = h
 	}
+	for k := 1; k < last; k++ {
+		dst[k] = untangle(zt[k], conj(zt[h-k]), w[k], s)
+	}
+}
+
+// untangle returns s*(E + w*O) for E = (zk+zr)/2 and O = (zk-zr)/(2i). The
+// products by (0.5,0), (0,-0.5) and (s,0) are written in their scalar forms
+// (a halving, a swap with a sign, a scaling), which equal the complex
+// products exactly.
+func untangle(zk, zr, w complex128, s float64) complex128 {
+	e, d := half(zk+zr), half(zk-zr)
+	o := complex(imag(d), -real(d))
+	return scale(e+w*o, s)
 }
 
 // Inverse computes the unnormalized inverse of a half-complex spectrum,
@@ -141,37 +154,61 @@ func (p *RealPlan) InverseScratch(dst []float64, src, scratch []complex128) {
 		}
 		return
 	}
+	p.inverseModes(dst, src, p.nc, scratch)
+}
+
+// inverseModes is the even-length inverse transform of a spectrum whose
+// modes k >= nk are zero and are not read (nk <= NumModes()): the tangling
+// pass Z[k] = E[k] + i*O[k] with E[k] = (X[k]+conj(X[h-k]))/2 and
+// O[k] = w^-k (X[k]-conj(X[h-k]))/2, one half-length complex transform, and
+// the points written out in pairs. Where one of X[k], X[h-k] is a known
+// zero, E and the half difference are the same number up to sign and are
+// formed once.
+func (p *RealPlan) inverseModes(dst []float64, src []complex128, nk int, scratch []complex128) {
 	h := p.n / 2
-	z, zt := scratch[:h], scratch[h:2*h]
-	x0 := complex(real(src[0]), 0)
-	xh := complex(real(src[h]), 0)
-	for k := 0; k < h; k++ {
-		var xk, xrk complex128
-		switch k {
-		case 0:
-			xk, xrk = x0, xh
-		default:
-			xk, xrk = src[k], conj(src[h-k])
-		}
-		e := (xk + xrk) * complex(0.5, 0)
-		wo := (xk - xrk) * complex(0.5, 0)
-		// O[k] = w^-k * wo; w^-k = conj(w^k).
-		o := conj(p.w[k]) * wo
-		z[k] = e + complex(0, 1)*o
+	z, zt := scratch[:h], scratch[h:][:h]
+	src = src[:nk]
+	w := p.w[:h]
+	var xh complex128
+	if h < nk {
+		xh = complex(real(src[h]), 0)
+	}
+	z[0] = tangle(complex(real(src[0]), 0), xh, w[0])
+	// X[k] is carried for k < nk, X[h-k] for k > h-nk.
+	onlyK, both := min(nk, h-nk+1), min(nk, h)
+	for k := 1; k < onlyK; k++ {
+		e := half(src[k])
+		z[k] = tangleHalves(e, e, w[k])
+	}
+	for k := max(1, onlyK); k <= h-nk; k++ {
+		z[k] = 0
+	}
+	for k := max(1, h-nk+1); k < both; k++ {
+		z[k] = tangle(src[k], conj(src[h-k]), w[k])
+	}
+	for k := max(1, h-nk+1, both); k < h; k++ {
+		e := half(conj(src[h-k]))
+		z[k] = tangleHalves(e, -e, w[k])
 	}
 	p.half.Inverse(zt, z)
-	for j := 0; j < h; j++ {
-		dst[2*j] = 2 * real(zt[j])
-		dst[2*j+1] = 2 * imag(zt[j])
+	dst = dst[:2*h]
+	for j, v := range zt {
+		dst[2*j] = 2 * real(v)
+		dst[2*j+1] = 2 * imag(v)
 	}
 }
 
-// expTw returns exp(sign * 2*pi*i * k / n).
-func expTw(sign, k, n int) complex128 {
-	theta := 2 * math.Pi * float64(k) / float64(n)
-	if sign < 0 {
-		theta = -theta
-	}
-	s, c := math.Sincos(theta)
-	return complex(c, s)
+// half returns c*(0.5,0) in its scalar form.
+func half(c complex128) complex128 { return complex(real(c)*0.5, imag(c)*0.5) }
+
+// tangle returns E + i*O for E = (xk+xr)/2 and O = conj(w)*(xk-xr)/2.
+func tangle(xk, xr, w complex128) complex128 {
+	return tangleHalves(half(xk+xr), half(xk-xr), w)
+}
+
+// tangleHalves returns e + i*(conj(w)*d); the product by (0,1) is a swap
+// and a sign.
+func tangleHalves(e, d, w complex128) complex128 {
+	o := conj(w) * d
+	return complex(real(e)-imag(o), imag(e)+real(o))
 }
