@@ -1,0 +1,130 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"channeldns/internal/ckpt"
+	"channeldns/internal/mpi"
+	"channeldns/internal/par"
+)
+
+// bitExact reports whether this build runs the pinned IEEE operation
+// sequence to the bit: true on amd64, where the Go compiler never fuses a
+// multiply with an add. Other architectures (arm64, ppc64le, s390x) may
+// contract a*b+c into one fused multiply-add, which rounds once instead of
+// twice, so there the pins hold to 1e-12 relative and digests are skipped.
+const bitExact = runtime.GOARCH == "amd64"
+
+// pinnedEqual compares a diagnostic with its pinned value. Multi-rank
+// diagnostics are reduced with mpi.Allreduce, which sums contributions in
+// arrival order, so only serial values can be held to the bit.
+func pinnedEqual(got, want float64, serial bool) bool {
+	if bitExact && serial {
+		return got == want
+	}
+	return math.Abs(got-want) <= 1e-12*math.Abs(want)
+}
+
+// stateDigest hashes the bits of every value a checkpoint of this rank would
+// carry: the spectral state plus the previous-substep nonlinear terms, which
+// are the excursion's output before any implicit solve has smoothed it.
+func stateDigest(st *ckpt.State) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, field := range append([][][]complex128{st.CV, st.CW, st.HgPrev, st.HvPrev}, st.Extra...) {
+		for _, col := range field {
+			for _, c := range col {
+				put(real(c))
+				put(imag(c))
+			}
+		}
+	}
+	for _, prof := range append([][]float64{st.MeanU, st.MeanW, st.MeanHxPrev, st.MeanHzPrev}, st.ExtraMean...) {
+		for _, v := range prof {
+			put(v)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestTrajectoryPinned pins the energy after three steps of every workload
+// and every nonlinear form, serial and on 2x2 ranks, to values recorded
+// before the dealiased excursion was folded into parfft.Excursion. The
+// other trajectory tests compare two runs of the same build; this one
+// compares the build with its ancestors (benchmark/golden.json does the same
+// for the divergence form only). The energy is dominated by the mean flow, so
+// rank 0's state digest is pinned beside it (a digest has no tolerance, so
+// only where bitExact).
+func TestTrajectoryPinned(t *testing.T) {
+	cases := []struct {
+		name     string
+		workload string
+		form     Form
+		pa, pb   int
+		energy   float64
+		variance float64 // scalar only
+		state    uint64
+	}{
+		{"channel-divergence-serial", WorkloadChannel, FormDivergence, 1, 1, 0x1.0e1a4b87e4304p+12, 0, 0x26299e68186d3416},
+		{"channel-divergence-2x2", WorkloadChannel, FormDivergence, 2, 2, 0x1.0e1a4b87e4304p+12, 0, 0x2494e211978ddc8c},
+		{"channel-convective-serial", WorkloadChannel, FormConvective, 1, 1, 0x1.0e1a4b85b61dep+12, 0, 0xc16bd27d52c70fa1},
+		{"channel-convective-2x2", WorkloadChannel, FormConvective, 2, 2, 0x1.0e1a4b85b61dfp+12, 0, 0x4e7f54248dd4b359},
+		{"channel-skew-serial", WorkloadChannel, FormSkewSymmetric, 1, 1, 0x1.0e1a4b86cf3acp+12, 0, 0x26c7e27b8ed5c9a},
+		{"channel-skew-2x2", WorkloadChannel, FormSkewSymmetric, 2, 2, 0x1.0e1a4b86cf3aep+12, 0, 0x36bb1b8f4d5726dc},
+		{"isotropic-serial", WorkloadIsotropic, FormDivergence, 1, 1, 0x1.68ea48467633fp+03, 0, 0x436115dc2d9047eb},
+		{"isotropic-2x2", WorkloadIsotropic, FormDivergence, 2, 2, 0x1.68ea48467633dp+03, 0, 0x83fa5579c4572f43},
+		{"scalar-serial", WorkloadScalar, FormDivergence, 1, 1, 0x1.0e1a4b87e4304p+12, 0x1.26fa60c15868dp+00, 0xf46d310bccc5b927},
+		{"scalar-2x2", WorkloadScalar, FormDivergence, 2, 2, 0x1.0e1a4b87e4304p+12, 0x1.26fa60c15868fp+00, 0x6ce4920a3c1ea4c},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workload: tc.workload, Nonlinear: tc.form,
+				Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
+				PA: tc.pa, PB: tc.pb}
+			if tc.workload == WorkloadIsotropic {
+				cfg.Ny, cfg.Forcing = 16, 0
+			}
+			np := tc.pa * tc.pb
+			if np > 1 {
+				cfg.Pool = par.NewPool(2)
+			}
+			var energy, variance float64
+			var state uint64
+			mpi.Run(np, func(c *mpi.Comm) {
+				wl, err := NewWorkload(c, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				wl.InitDefault(0.3, 7)
+				Advance(wl, 3)
+				e := wl.(interface{ TotalEnergy() float64 }).TotalEnergy()
+				v := 0.0
+				if sc, ok := wl.(*ScalarSolver); ok {
+					v = sc.ScalarVariance()
+				}
+				if c.Rank() == 0 {
+					energy, variance = e, v
+					state = stateDigest(wl.(checkpointable).CheckpointState())
+				}
+			})
+			if !pinnedEqual(energy, tc.energy, np == 1) {
+				t.Errorf("energy %x, pinned %x", energy, tc.energy)
+			}
+			if !pinnedEqual(variance, tc.variance, np == 1) {
+				t.Errorf("scalar variance %x, pinned %x", variance, tc.variance)
+			}
+			if bitExact && state != tc.state {
+				t.Errorf("state digest %#x, pinned %#x", state, tc.state)
+			}
+		})
+	}
+}

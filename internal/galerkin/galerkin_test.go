@@ -1,8 +1,11 @@
 package galerkin
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 
 	"channeldns/internal/core"
@@ -232,6 +235,65 @@ func TestGalerkinSurvivesMarginalResolution(t *testing.T) {
 		e := s.TotalEnergy()
 		if math.IsNaN(e) || e > 3*e0 {
 			t.Fatalf("Galerkin blew up at t=%g: E=%g", s.Time, e)
+		}
+	}
+}
+
+// TestTrajectoryPinned pins the energy after three steps, serial and on 2x2
+// ranks, to values recorded before the product pipeline moved onto
+// parfft.Excursion; the other tests here compare runs of one build with
+// each other. Exact on amd64, where Go never fuses a multiply with an add;
+// architectures that contract a*b+c into one rounding get 1e-12 relative on
+// the energy only, as does the 2x2 energy everywhere (mpi.Allreduce sums in
+// arrival order).
+func TestTrajectoryPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		pa, pb int
+		energy float64
+		state  uint64 // FNV-1a over the bits of rank 0's state, amd64 only
+	}{
+		{"serial", 1, 1, 0x1.0e1a4b8ed8207p+12, 0xb8c4566bce28036b},
+		{"2x2", 2, 2, 0x1.0e1a4b8ed828ap+12, 0xa3574702158dc0b1},
+	} {
+		cfg := Config{Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
+			PA: tc.pa, PB: tc.pb}
+		if tc.pa*tc.pb > 1 {
+			cfg.Pool = par.NewPool(2)
+		}
+		var got float64
+		var state uint64
+		mpi.Run(tc.pa*tc.pb, func(c *mpi.Comm) {
+			s, err := New(c, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			s.SetLaminar()
+			s.Perturb(0.3, 2, 2, 7)
+			s.Advance(3)
+			if e := s.TotalEnergy(); c.Rank() == 0 {
+				got = e
+				h := fnv.New64a()
+				for _, field := range [][][]complex128{s.cv, s.cw, s.fhgPrev, s.fhvPrev} {
+					for _, col := range field {
+						for _, v := range col {
+							var b [16]byte
+							binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(v)))
+							binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
+							h.Write(b[:])
+						}
+					}
+				}
+				state = h.Sum64()
+			}
+		})
+		ok := math.Abs(got-tc.energy) <= 1e-12*math.Abs(tc.energy)
+		if runtime.GOARCH == "amd64" {
+			ok = ok && state == tc.state && (tc.pa*tc.pb > 1 || got == tc.energy)
+		}
+		if !ok {
+			t.Errorf("%s: energy %x state %#x, pinned %x %#x", tc.name, got, state, tc.energy, tc.state)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -158,6 +160,35 @@ func TestWriteHumanReadable(t *testing.T) {
 	for _, want := range []string{"schedule \"timestep\"", DirYtoZ, "viscous_solve", "totals:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestBuilderDigestsPinned pins the exact op lists of the three timestep
+// builders (recorded before their out-and-back sequences were folded onto
+// Schedule.excursion): any change to an op's fields, order or flop
+// arithmetic moves the digest.
+func TestBuilderDigestsPinned(t *testing.T) {
+	p := TimestepParams{Nx: 16, Ny: 17, Nz: 16, PA: 2, PB: 2, Products: 6, PackPasses: 4}
+	po := p
+	po.ChunksA, po.ChunksB = 2, 2
+	cases := []struct {
+		name string
+		s    *Schedule
+		want string
+	}{
+		{"timestep", Timestep(p), "9c83bd5c93fe28a9979dfcbea53255333fac2cab16b51efbb907686c0909a1bf"},
+		{"timestep-overlapped", Timestep(po), "41b653b40f303717611e97d3899bd56726612d5aa8a53ec290d71ea19315fa35"},
+		{"isotropic", IsotropicTimestep(p), "5504c41bb0aa9bfb51bb46ffa7c59b0fdd10dc3bf97753745610438aac912c30"},
+		{"scalar", ScalarTimestep(p), "ddbc1847eadf19e5dbab61f766766b7dabf9146dd4254d5c144ae19bbec91fc7"},
+	}
+	for _, tc := range cases {
+		b, err := json.Marshal(tc.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+			t.Errorf("%s: digest %s, pinned %s", tc.name, got, tc.want)
 		}
 	}
 }
