@@ -20,7 +20,7 @@ test:
 
 race:
 	$(GO) test -race -short channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank' channeldns/internal/core
+	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
 
 # Paper-table benchmarks with allocation reporting; see README
 # "Performance notes" for how to read the allocs/op columns.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"channeldns/internal/mpi"
 	"channeldns/internal/telemetry"
 )
 
@@ -15,39 +16,51 @@ import (
 // regressed.
 const stepAllocBudget = 64
 
-// TestStepOnceSteadyStateAllocs: after warm-up, one full RK3 step on a
-// small grid must allocate at most stepAllocBudget heap objects. The seed
-// allocated every scratch field, pencil buffer, and FFT temporary per
-// substep (hundreds of thousands of objects per step at this size).
-func TestStepOnceSteadyStateAllocs(t *testing.T) {
-	cfg := Config{Nx: 16, Ny: 24, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1}
-	s := serialSolver(t, cfg)
-	s.SetLaminar()
-	s.Perturb(0.2, 2, 2, 13)
-	// Warm up: builds transpose plans, Galerkin caches, operator cache.
-	Advance(s, 2)
-	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
+// warmStepAllocs builds cfg's workload serially at 16x24x16, seeds its
+// default initial condition, warms it up (transpose plans, operator caches,
+// lazily built buffers), holds one warm step to stepAllocBudget and returns
+// the workload.
+func warmStepAllocs(t *testing.T, cfg Config) Workload {
+	t.Helper()
+	cfg.Nx, cfg.Ny, cfg.Nz, cfg.ReTau, cfg.Dt = 16, 24, 16, 180, 1e-3
+	if cfg.Workload != WorkloadIsotropic {
+		cfg.Forcing = 1
+	}
+	var wl Workload
+	var err error
+	mpi.Run(1, func(c *mpi.Comm) { wl, err = NewWorkload(c, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl.InitDefault(0.2, 13)
+	Advance(wl, 2)
+	allocs := testing.AllocsPerRun(5, wl.StepOnce)
 	if allocs > stepAllocBudget {
-		t.Errorf("steady-state StepOnce: %v allocs per step, budget %d",
-			allocs, stepAllocBudget)
+		t.Errorf("steady-state StepOnce: %v allocs per step, budget %d", allocs, stepAllocBudget)
 	}
 	t.Logf("steady-state StepOnce: %v allocs per step (budget %d)", allocs, stepAllocBudget)
+	return wl
 }
 
-// TestStepOnceSteadyStateAllocsSkew: the skew-symmetric form runs both
-// nonlinear pipelines plus the lazily built alternate buffer set; after
-// warm-up it must stay within the same budget.
-func TestStepOnceSteadyStateAllocsSkew(t *testing.T) {
-	cfg := Config{Nx: 16, Ny: 24, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
-		Nonlinear: FormSkewSymmetric}
-	s := serialSolver(t, cfg)
-	s.SetLaminar()
-	s.Perturb(0.2, 2, 2, 13)
-	Advance(s, 2)
-	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
-	if allocs > stepAllocBudget {
-		t.Errorf("steady-state skew StepOnce: %v allocs per step, budget %d",
-			allocs, stepAllocBudget)
+// TestStepOnceSteadyStateAllocs: after warm-up, one full RK3 step on a
+// small grid must allocate at most stepAllocBudget heap objects, whatever
+// the workload and the nonlinear form — they all run the one prebound
+// excursion. (The seed allocated every scratch field, pencil buffer and FFT
+// temporary per substep: hundreds of thousands of objects per step at this
+// size.) The skew form runs both passes plus the lazily built alternate
+// buffer set; the scalar adds a third pass.
+func TestStepOnceSteadyStateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"divergence", Config{}},
+		{"convective", Config{Nonlinear: FormConvective}},
+		{"skew", Config{Nonlinear: FormSkewSymmetric}},
+		{"isotropic", Config{Workload: WorkloadIsotropic}},
+		{"scalar", Config{Workload: WorkloadScalar}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { warmStepAllocs(t, tc.cfg) })
 	}
 }
 
@@ -57,21 +70,8 @@ func TestStepOnceSteadyStateAllocsSkew(t *testing.T) {
 // same budget. Spans are value-typed and counters are preallocated
 // atomics, so instrumentation itself contributes zero heap objects.
 func TestStepOnceSteadyStateAllocsTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	cfg := Config{Nx: 16, Ny: 24, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
-		Telemetry: reg}
-	s := serialSolver(t, cfg)
-	s.SetLaminar()
-	s.Perturb(0.2, 2, 2, 13)
-	Advance(s, 2)
-	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
-	if allocs > stepAllocBudget {
-		t.Errorf("steady-state instrumented StepOnce: %v allocs per step, budget %d",
-			allocs, stepAllocBudget)
-	}
-	t.Logf("steady-state instrumented StepOnce: %v allocs per step (budget %d)",
-		allocs, stepAllocBudget)
-	if got := s.Telemetry().PhaseCalls(telemetry.PhaseNonlinear); got == 0 {
+	wl := warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry()})
+	if got := wl.(*Solver).Telemetry().PhaseCalls(telemetry.PhaseNonlinear); got == 0 {
 		t.Error("telemetry attached but no nonlinear spans recorded")
 	}
 }

@@ -2,9 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
+	"channeldns/internal/parfft"
 	"channeldns/internal/telemetry"
 )
 
@@ -66,13 +65,13 @@ func (f Form) String() string {
 }
 
 // velocityAndGradValues evaluates {u, v, w, du/dy, dv/dy, dw/dy} at the
-// collocation points for every locally owned mode, y-pencil layout. The
-// returned fields are the arena's velocity buffers.
-func (s *Solver) velocityAndGradValues() [][]complex128 {
+// collocation points for every locally owned mode, y-pencil layout, into
+// the six input fields of the convective pass.
+func (s *Solver) velocityAndGradValues() {
 	sp := s.tel.Begin(telemetry.PhasePressure)
 	ny := s.Cfg.Ny
 	ws := s.ws
-	out := ws.velY[:6]
+	out := s.exc.In(convectiveForm.In)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]
 		vy := wk.ln[0]
@@ -125,135 +124,21 @@ func (s *Solver) velocityAndGradValues() [][]complex128 {
 		}
 	})
 	sp.End()
-	return out
 }
 
-// convectiveH computes H_i = -u_j du_i/dx_j as collocation values per local
-// mode, returning three y-pencil fields {H_x, H_y, H_z}.
-func (s *Solver) convectiveH() [][]complex128 {
-	d := s.D
-	g := s.G
-	ws := s.ws
-	nz, mz := g.Nz, g.MZ()
-	nkx, mx := g.NKx(), g.MX()
+// convectiveForm is the excursion pass of the convective form: u, v, w and
+// their y derivatives go out, the z and x derivatives of u, v, w are formed
+// on the way, and H_i = -u_j du_i/dx_j for i = x, y, z comes back.
+var convectiveForm = parfft.Spec{In: 6, Grad: 3, Out: 3, Harvest: true, Kernel: convectiveH}
 
-	// Six fields to z-pencils: u, v, w and their y derivatives.
-	vel := s.velocityAndGradValues()
-	zp := d.YtoZ(ws.zpVel[:6], vel)
-
-	kxloc := s.kxhi - s.kxlo
-	yl, yh := d.YRange()
-	nyLoc := yh - yl
-	linesZ := kxloc * nyLoc
-
-	// Pad + inverse in z for all six, plus the three z derivatives of
-	// u, v, w built by multiplying the spectral lines by i*kz.
-	zphys := ws.zphys[:9]
-	sp := s.tel.Begin(telemetry.PhaseFFTInverse)
-	s.pool().ForBlocksIndexed(linesZ, func(blk, lo, hi int) {
-		wk := &ws.workers[blk]
-		scratch := wk.zscr
-		dline := wk.zline
-		for f := 0; f < 6; f++ {
-			src, dst := zp[f], zphys[f]
-			for l := lo; l < hi; l++ {
-				line := src[l*nz : (l+1)*nz]
-				s.padZ.InversePaddedScratch(dst[l*mz:(l+1)*mz], line, scratch)
-				if f < 3 {
-					// z derivative of u, v, w -> slots 6, 7, 8.
-					for j := 0; j < nz; j++ {
-						dline[j] = ws.kzMul[j] * line[j]
-					}
-					s.padZ.InversePaddedScratch(zphys[6+f][l*mz:(l+1)*mz], dline, scratch)
-				}
-			}
-		}
-	})
-	sp.End()
-
-	// Nine fields to x-pencils.
-	xp := d.ZtoX(ws.xp[:9], zphys, mz)
-
-	// One threaded block: inverse x transforms (twelve per line, three of
-	// them the i*kx derivatives of u, v, w), the convective products, and
-	// the forward transform of H_x, H_y, H_z.
-	zxl, zxh := d.ZRangeX(mz)
-	nzLoc := zxh - zxl
-	linesX := nyLoc * nzLoc
-	hX := ws.prodX[:3]
-	yl0, _ := d.YRange()
-	zeroF(ws.locMaxU)
-	zeroF(ws.locMaxV)
-	zeroF(ws.locMaxW)
-	var maxMu sync.Mutex
-	sp = s.tel.Begin(telemetry.PhaseNonlinear)
-	s.pool().ForBlocksIndexed(linesX, func(blk, lo, hi int) {
-		wk := &ws.workers[blk]
-		phys := &wk.phys // u v w uy vy wy uz vz wz ux vx wx
-		hp := wk.prod
-		scratch := wk.xscr
-		dline := wk.xline
-		blkU, blkV, blkW := wk.rl[0], wk.rl[1], wk.rl[2]
-		zeroF(blkU)
-		zeroF(blkV)
-		zeroF(blkW)
-		for l := lo; l < hi; l++ {
-			for f := 0; f < 9; f++ {
-				s.padX.InversePaddedScratch(phys[f], xp[f][l*nkx:(l+1)*nkx], scratch)
-			}
-			for f := 0; f < 3; f++ { // x derivatives of u, v, w
-				line := xp[f][l*nkx : (l+1)*nkx]
-				for k := 0; k < nkx; k++ {
-					dline[k] = complex(0, s.G.Kx(k)) * line[k]
-				}
-				s.padX.InversePaddedScratch(phys[9+f], dline, scratch)
-			}
-			yg := yl0 + l/nzLoc
-			for i := 0; i < mx; i++ {
-				blkU[yg] = math.Max(blkU[yg], math.Abs(phys[0][i]))
-				blkV[yg] = math.Max(blkV[yg], math.Abs(phys[1][i]))
-				blkW[yg] = math.Max(blkW[yg], math.Abs(phys[2][i]))
-			}
-			// H_i = -(u*d_i/dx + v*d_i/dy + w*d_i/dz).
-			for c := 0; c < 3; c++ {
-				dx, dy, dz := phys[9+c], phys[3+c], phys[6+c]
-				for i := 0; i < mx; i++ {
-					hp[i] = -(phys[0][i]*dx[i] + phys[1][i]*dy[i] + phys[2][i]*dz[i])
-				}
-				s.padX.ForwardTruncatedScratch(hX[c][l*nkx:(l+1)*nkx], hp, scratch)
-			}
-		}
-		maxMu.Lock()
-		for y := range ws.locMaxU {
-			ws.locMaxU[y] = math.Max(ws.locMaxU[y], blkU[y])
-			ws.locMaxV[y] = math.Max(ws.locMaxV[y], blkV[y])
-			ws.locMaxW[y] = math.Max(ws.locMaxW[y], blkW[y])
-		}
-		maxMu.Unlock()
-	})
-	sp.End()
-	s.physMaxMu.Lock()
-	copy(s.physMaxU, ws.locMaxU)
-	copy(s.physMaxV, ws.locMaxV)
-	copy(s.physMaxW, ws.locMaxW)
-	s.physMaxCurrent = true
-	s.physMaxMu.Unlock()
-
-	// Reverse path for the three H fields.
-	zp2 := d.XtoZ(ws.zpProd[:3], hX, mz)
-	zspec := ws.zspec[:3]
-	sp = s.tel.Begin(telemetry.PhaseFFTForward)
-	s.pool().ForBlocksIndexed(linesZ, func(blk, lo, hi int) {
-		scratch := ws.workers[blk].zscr
-		for f := 0; f < 3; f++ {
-			src, dst := zp2[f], zspec[f]
-			for l := lo; l < hi; l++ {
-				s.padZ.ForwardTruncatedScratch(dst[l*nz:(l+1)*nz], src[l*mz:(l+1)*mz], scratch)
-			}
-		}
-	})
-	sp.End()
-	return d.ZtoY(ws.prodsY[:3], zspec)
+// convectiveH forms H_c on one physical x line. phys is the excursion's
+// layout: u v w, uy vy wy, uz vz wz, ux vx wx.
+func convectiveH(out []float64, c int, phys [][]float64) {
+	u, v, w := phys[0], phys[1], phys[2]
+	dx, dy, dz := phys[9+c], phys[3+c], phys[6+c]
+	for i := range out {
+		out[i] = -(u[i]*dx[i] + v[i]*dy[i] + w[i]*dz[i])
+	}
 }
 
 // convectiveTerms assembles h_g and h_v from convective-form H values:
@@ -266,7 +151,8 @@ func (s *Solver) convectiveH() [][]complex128 {
 func (s *Solver) convectiveTerms(hg, hv [][]complex128, meanHx, meanHz []float64) {
 	ny := s.Cfg.Ny
 	ws := s.ws
-	h := s.convectiveH()
+	s.velocityAndGradValues()
+	h := s.dealiased(&convectiveForm)
 	sp := s.tel.Begin(telemetry.PhaseNonlinear)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]

@@ -144,9 +144,9 @@ func (s *Solver) CFLEstimate() float64 {
 	if current {
 		// Exact physical maxima harvested during the last nonlinear
 		// evaluation: each rank holds its own y range, merged by max.
-		maxU = mpi.Allreduce(s.World(), mpi.OpMax, s.physMaxU)
-		maxV = mpi.Allreduce(s.World(), mpi.OpMax, s.physMaxV)
-		maxW = mpi.Allreduce(s.World(), mpi.OpMax, s.physMaxW)
+		maxU = mpi.Allreduce(s.World(), mpi.OpMax, s.physMax[0])
+		maxV = mpi.Allreduce(s.World(), mpi.OpMax, s.physMax[1])
+		maxW = mpi.Allreduce(s.World(), mpi.OpMax, s.physMax[2])
 	}
 	s.physMaxMu.Unlock()
 	if !current {

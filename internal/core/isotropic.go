@@ -29,6 +29,7 @@ import (
 	"channeldns/internal/field"
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
+	"channeldns/internal/parfft"
 	"channeldns/internal/pencil"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
@@ -57,11 +58,14 @@ type IsoSolver struct {
 	ky     []float64
 	kyKeep []bool
 
-	padZ  *fft.PaddedComplex
-	padX  *fft.PaddedReal
+	// The y transform bracketing the excursion (which carries the y-physical
+	// lines through the padded z/x transforms and back), the current-substep
+	// nonlinear terms swapped with hPrev, and one y line of scratch per
+	// worker.
 	planY *fft.Plan
-
-	ws *isoWS
+	exc   *parfft.Excursion
+	hCur  [3][][]complex128
+	yline [][]complex128
 
 	// Physical |u_i| maxima harvested during the last nonlinear pass.
 	physMaxMu      sync.Mutex
@@ -74,30 +78,6 @@ type IsoSolver struct {
 
 	Time float64
 	Step int
-}
-
-type isoWorker struct {
-	phys  [3][]float64
-	prod  []float64
-	xscr  []complex128
-	zscr  []complex128
-	yline []complex128
-}
-
-type isoWS struct {
-	velY   [][]complex128 // 3 fields, nw*ny
-	zpVel  [][]complex128 // 3 fields, linesZ*nz
-	zphys  [][]complex128 // 3 fields, linesZ*mz
-	xp     [][]complex128 // 3 fields, linesX*nkx
-	prodX  [][]complex128 // nProducts, linesX*nkx
-	zpProd [][]complex128 // nProducts, linesZ*mz
-	zspec  [][]complex128 // nProducts, linesZ*nz
-	prodsY [][]complex128 // nProducts, nw*ny
-
-	// Current-substep nonlinear terms, swapped with IsoSolver.hPrev.
-	hCur [3][][]complex128
-
-	workers []isoWorker
 }
 
 // NewIsotropic constructs the isotropic workload collectively. Every rank
@@ -167,10 +147,16 @@ func NewIsotropic(world *mpi.Comm, cfg Config) (*IsoSolver, error) {
 		s.kyKeep[j] = 3*a <= ny
 	}
 
-	s.padZ = fft.NewPaddedComplex(g.Nz, g.MZ())
-	s.padX = fft.NewPaddedReal(g.NKx(), g.MX())
 	s.planY = fft.NewPlan(ny)
-	s.ws = s.newIsoWorkspace()
+	s.exc = parfft.NewExcursion(s.D, fft.NewPaddedComplex(g.Nz, g.MZ()), fft.NewPaddedReal(g.NKx(), g.MX()),
+		nil, nil, s.tel, &parfft.SixProducts)
+	for c := range s.hCur {
+		s.hCur[c] = allocCoef(s.nw, ny)
+	}
+	s.yline = make([][]complex128, s.pool().Workers())
+	for i := range s.yline {
+		s.yline[i] = make([]complex128, ny)
+	}
 	return s, nil
 }
 
@@ -181,46 +167,6 @@ func (s *IsoSolver) kyIndex(j int) int {
 		return j
 	}
 	return j - s.Cfg.Ny
-}
-
-func (s *IsoSolver) newIsoWorkspace() *isoWS {
-	ny := s.Cfg.Ny
-	g := s.G
-	nz, mz := g.Nz, g.MZ()
-	nkx, mx := g.NKx(), g.MX()
-
-	kxloc := s.kxhi - s.kxlo
-	yl, yh := s.D.YRange()
-	nyLoc := yh - yl
-	linesZ := kxloc * nyLoc
-	zxl, zxh := s.D.ZRangeX(mz)
-	linesX := nyLoc * (zxh - zxl)
-
-	ws := &isoWS{
-		velY:   allocFieldsC(3, s.nw*ny),
-		zpVel:  allocFieldsC(3, linesZ*nz),
-		zphys:  allocFieldsC(3, linesZ*mz),
-		xp:     allocFieldsC(3, linesX*nkx),
-		prodX:  allocFieldsC(nProducts, linesX*nkx),
-		zpProd: allocFieldsC(nProducts, linesZ*mz),
-		zspec:  allocFieldsC(nProducts, linesZ*nz),
-		prodsY: allocFieldsC(nProducts, s.nw*ny),
-	}
-	for c := range ws.hCur {
-		ws.hCur[c] = allocCoef(s.nw, ny)
-	}
-	ws.workers = make([]isoWorker, s.pool().Workers())
-	for i := range ws.workers {
-		w := &ws.workers[i]
-		for j := range w.phys {
-			w.phys[j] = make([]float64, mx)
-		}
-		w.prod = make([]float64, mx)
-		w.xscr = make([]complex128, s.padX.ScratchLen())
-		w.zscr = make([]complex128, s.padZ.ScratchLen())
-		w.yline = make([]complex128, ny)
-	}
-	return ws
 }
 
 func (s *IsoSolver) pool() *par.Pool { return s.Cfg.Pool }
@@ -325,17 +271,14 @@ func isoPhase(seed int64, ikx, kyIdx, kzIdx, comp int) complex128 {
 	return complex(cs, sn)
 }
 
-// isoNonlinear fills ws.prodsY with the fully spectral dealiased product
-// fields uu, uv, uw, vv, vw, ww of the current state.
-func (s *IsoSolver) isoNonlinear() {
-	d := s.D
-	ws := s.ws
+// isoNonlinear returns the fully spectral dealiased product fields uu, uv,
+// uw, vv, vw, ww of the current state, in the excursion's output buffers.
+func (s *IsoSolver) isoNonlinear() [][]complex128 {
 	g := s.G
 	ny := s.Cfg.Ny
-	nz, mz := g.Nz, g.MZ()
-	nkx, mx := g.NKx(), g.MX()
 
 	// Inverse y FFT: spectral columns -> y-physical lines, per component.
+	vel := s.exc.In(3)
 	sp := s.tel.Begin(telemetry.PhaseFFTInverse)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
@@ -344,108 +287,40 @@ func (s *IsoSolver) isoNonlinear() {
 				continue // stays zero
 			}
 			base := w * ny
-			s.planY.Inverse(ws.velY[0][base:base+ny], s.cu[w])
-			s.planY.Inverse(ws.velY[1][base:base+ny], s.cv[w])
-			s.planY.Inverse(ws.velY[2][base:base+ny], s.cw[w])
+			s.planY.Inverse(vel[0][base:base+ny], s.cu[w])
+			s.planY.Inverse(vel[1][base:base+ny], s.cv[w])
+			s.planY.Inverse(vel[2][base:base+ny], s.cw[w])
 		}
 	})
 	sp.End()
 
-	// y-pencils -> z-pencils, padded inverse z transform.
-	d.YtoZ(ws.zpVel, ws.velY)
-	yl, yh := d.YRange()
-	nyLoc := yh - yl
-	linesZ := (s.kxhi - s.kxlo) * nyLoc
-	sp = s.tel.Begin(telemetry.PhaseFFTInverse)
-	s.pool().ForBlocksIndexed(linesZ, func(blk, lo, hi int) {
-		scratch := ws.workers[blk].zscr
-		for f := 0; f < 3; f++ {
-			src, dst := ws.zpVel[f], ws.zphys[f]
-			for l := lo; l < hi; l++ {
-				s.padZ.InversePaddedScratch(dst[l*mz:(l+1)*mz], src[l*nz:(l+1)*nz], scratch)
-			}
+	// Out to the padded physical grid, six products, and back.
+	prods := s.exc.Run(&parfft.SixProducts)
+	var m [3]float64
+	for c, perY := range s.exc.MaxAbs() {
+		for _, v := range perY {
+			m[c] = math.Max(m[c], v)
 		}
-	})
-	sp.End()
-
-	// z-pencils -> x-pencils, the fused x excursion: inverse transform,
-	// pointwise products, forward truncated transform.
-	d.ZtoX(ws.xp, ws.zphys, mz)
-	zxl, zxh := d.ZRangeX(mz)
-	linesX := nyLoc * (zxh - zxl)
-	var maxMu sync.Mutex
-	var gMax [3]float64
-	sp = s.tel.Begin(telemetry.PhaseNonlinear)
-	s.pool().ForBlocksIndexed(linesX, func(blk, lo, hi int) {
-		w := &ws.workers[blk]
-		pu, pv, pw := w.phys[0], w.phys[1], w.phys[2]
-		pp := w.prod
-		scratch := w.xscr
-		var bMax [3]float64
-		for l := lo; l < hi; l++ {
-			s.padX.InversePaddedScratch(pu, ws.xp[0][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pv, ws.xp[1][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pw, ws.xp[2][l*nkx:(l+1)*nkx], scratch)
-			for i := 0; i < mx; i++ {
-				bMax[0] = math.Max(bMax[0], math.Abs(pu[i]))
-				bMax[1] = math.Max(bMax[1], math.Abs(pv[i]))
-				bMax[2] = math.Max(bMax[2], math.Abs(pw[i]))
-			}
-			forward := func(f int, a, b []float64) {
-				for i := 0; i < mx; i++ {
-					pp[i] = a[i] * b[i]
-				}
-				s.padX.ForwardTruncatedScratch(ws.prodX[f][l*nkx:(l+1)*nkx], pp, scratch)
-			}
-			forward(pUU, pu, pu)
-			forward(pUV, pu, pv)
-			forward(pUW, pu, pw)
-			forward(pVV, pv, pv)
-			forward(pVW, pv, pw)
-			forward(pWW, pw, pw)
-		}
-		maxMu.Lock()
-		for c := 0; c < 3; c++ {
-			gMax[c] = math.Max(gMax[c], bMax[c])
-		}
-		maxMu.Unlock()
-	})
-	sp.End()
+	}
 	s.physMaxMu.Lock()
-	s.physMax = gMax
+	s.physMax = m
 	s.physMaxCurrent = true
 	s.physMaxMu.Unlock()
-
-	// Reverse path: x-pencils -> z-pencils, truncated forward z transform,
-	// back to y-pencils.
-	d.XtoZ(ws.zpProd, ws.prodX, mz)
-	sp = s.tel.Begin(telemetry.PhaseFFTForward)
-	s.pool().ForBlocksIndexed(linesZ, func(blk, lo, hi int) {
-		scratch := ws.workers[blk].zscr
-		for f := 0; f < nProducts; f++ {
-			src, dst := ws.zpProd[f], ws.zspec[f]
-			for l := lo; l < hi; l++ {
-				s.padZ.ForwardTruncatedScratch(dst[l*nz:(l+1)*nz], src[l*mz:(l+1)*mz], scratch)
-			}
-		}
-	})
-	sp.End()
-	d.ZtoY(ws.prodsY, ws.zspec)
 
 	// Forward y FFT with the 2/3-rule truncation, folding in the 1/Ny
 	// normalization of the round trip.
 	inv := 1 / float64(ny)
 	sp = s.tel.Begin(telemetry.PhaseFFTForward)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
-		yline := ws.workers[blk].yline
+		yline := s.yline[blk]
 		for w := wlo; w < whi; w++ {
 			_, ikz := s.modeOf(w)
 			if g.IsNyquistZ(ikz) {
 				continue
 			}
 			base := w * ny
-			for f := 0; f < nProducts; f++ {
-				line := ws.prodsY[f][base : base+ny]
+			for _, field := range prods {
+				line := field[base : base+ny]
 				copy(yline, line)
 				s.planY.Forward(line, yline)
 				for j := 0; j < ny; j++ {
@@ -459,6 +334,7 @@ func (s *IsoSolver) isoNonlinear() {
 		}
 	})
 	sp.End()
+	return prods
 }
 
 // isoAdvance assembles the divergence-form nonlinear term from the product
@@ -468,9 +344,9 @@ func (s *IsoSolver) isoNonlinear() {
 //	u_new = (u*(1 - alpha*dt*nu*k2) + dt*(gamma*N + zeta*N_prev)) / (1 + beta*dt*nu*k2).
 //
 // The k = 0 mode (no mean flow) and all dealiased slots stay pinned at zero.
-func (s *IsoSolver) isoAdvance(sub int, dt float64) {
+// prods is isoNonlinear's result, nil with DisableNonlinear.
+func (s *IsoSolver) isoAdvance(sub int, dt float64, prods [][]complex128) {
 	sp := s.tel.Begin(telemetry.PhaseViscousSolve)
-	ws := s.ws
 	g := s.G
 	ny := s.Cfg.Ny
 	ga := complex(rkGamma[sub], 0)
@@ -478,7 +354,6 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64) {
 	al := rkAlpha[sub] * dt * s.nu
 	be := rkBeta[sub] * dt * s.nu
 	cdt := complex(dt, 0)
-	nl := !s.Cfg.DisableNonlinear
 	iC := complex(0, 1)
 
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
@@ -490,7 +365,7 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64) {
 			kx, kz := g.Kx(ikx), g.Kz(ikz)
 			base := w * ny
 			cuw, cvw, cww := s.cu[w], s.cv[w], s.cw[w]
-			hu, hv, hw := ws.hCur[0][w], ws.hCur[1][w], ws.hCur[2][w]
+			hu, hv, hw := s.hCur[0][w], s.hCur[1][w], s.hCur[2][w]
 			pu, pv, pw := s.hPrev[0][w], s.hPrev[1][w], s.hPrev[2][w]
 			for j := 0; j < ny; j++ {
 				if !s.kyKeep[j] {
@@ -502,12 +377,12 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64) {
 					continue // zero mode pinned
 				}
 				var nu, nv, nw complex128
-				if nl {
+				if prods != nil {
 					ckx, cky, ckz := complex(kx, 0), complex(kyv, 0), complex(kz, 0)
 					// N_i = -i k_j (u_j u_i)-hat from the six products.
-					nu = -iC * (ckx*ws.prodsY[pUU][base+j] + cky*ws.prodsY[pUV][base+j] + ckz*ws.prodsY[pUW][base+j])
-					nv = -iC * (ckx*ws.prodsY[pUV][base+j] + cky*ws.prodsY[pVV][base+j] + ckz*ws.prodsY[pVW][base+j])
-					nw = -iC * (ckx*ws.prodsY[pUW][base+j] + cky*ws.prodsY[pVW][base+j] + ckz*ws.prodsY[pWW][base+j])
+					nu = -iC * (ckx*prods[parfft.UU][base+j] + cky*prods[parfft.UV][base+j] + ckz*prods[parfft.UW][base+j])
+					nv = -iC * (ckx*prods[parfft.UV][base+j] + cky*prods[parfft.VV][base+j] + ckz*prods[parfft.VW][base+j])
+					nw = -iC * (ckx*prods[parfft.UW][base+j] + cky*prods[parfft.VW][base+j] + ckz*prods[parfft.WW][base+j])
 					// Pressure projection: N -= k (k.N)/k2.
 					div := (ckx*nu + cky*nv + ckz*nw) / complex(k2, 0)
 					nu -= ckx * div
@@ -533,11 +408,12 @@ func (s *IsoSolver) StepOnce() {
 	s.trc.BeginStep(int64(s.Step))
 	for sub := 0; sub < 3; sub++ {
 		s.trc.SetStage(sub)
+		var prods [][]complex128
 		if !s.Cfg.DisableNonlinear {
-			s.isoNonlinear()
+			prods = s.isoNonlinear()
 		}
-		s.isoAdvance(sub, dt)
-		s.hPrev, s.ws.hCur = s.ws.hCur, s.hPrev
+		s.isoAdvance(sub, dt, prods)
+		s.hPrev, s.hCur = s.hCur, s.hPrev
 	}
 	s.trc.SetStage(-1)
 	s.trc.EndStep(t0, time.Now())
@@ -648,7 +524,7 @@ func (s *IsoSolver) CheckpointState() *ckpt.State {
 		Step: int64(s.Step), Time: s.Time, Dt: s.Cfg.Dt,
 		Fingerprint: s.Cfg.Fingerprint(),
 		CV:          s.cu, CW: s.cv, HgPrev: s.cw, HvPrev: s.hPrev[0],
-		Extra:       [][][]complex128{s.hPrev[1], s.hPrev[2]},
+		Extra: [][][]complex128{s.hPrev[1], s.hPrev[2]},
 	}
 }
 

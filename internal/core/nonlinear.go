@@ -1,200 +1,36 @@
 package core
 
-// Nonlinear term evaluation, paper §2.3 steps (a)-(h): the three velocity
-// components are transposed y->z, zero-padded to the 3/2 quadrature grid
-// and inverse transformed in z, transposed z->x, padded and inverse
-// transformed in x; the quadratic products are formed pointwise on the
-// physical grid; the products then retrace the path with forward transforms
-// and truncation. Products and transforms in x share one threaded block so
-// lines stay in cache across the three operations, as in the paper.
+// Nonlinear term evaluation. The dealiased excursion of paper §2.3 steps
+// (a)-(h) — out through the transposes and padded inverse transforms to the
+// 3/2 physical grid, pointwise products, and the same path back — is
+// parfft.Excursion, shared by every solver; this file holds the channel
+// solver's side of it: the choice of form and the per-mode assembly of the
+// right-hand sides from what the excursion brings back.
 //
 // The paper forms five product fields; we carry the six independent
 // components of u_i*u_j (uu, uv, uw, vv, vw, ww) for a direct assembly of
 // the divergence-form right-hand sides — see DESIGN.md for the accounting
 // difference, which the machine model (not this code) normalizes back to
 // the paper's five.
-//
-// Every buffer in the pipeline comes from the solver's workspace arena
-// (workspace.go); the steady state allocates nothing beyond the closure
-// headers handed to the worker pool.
 
 import (
-	"math"
-
+	"channeldns/internal/parfft"
 	"channeldns/internal/telemetry"
 )
 
-const (
-	pUU = iota
-	pUV
-	pUW
-	pVV
-	pVW
-	pWW
-	nProducts
-)
-
-// products computes the six dealiased quadratic products as y-pencil
-// collocation values, layout [kxLoc][kzLoc][Ny] per product.
-//
-// The three forward-path transposes run through the pipelined entry points:
-// with Config.Overlap each exchange moves in chunks and the consume hooks
-// below run the following transform stage on every completed chunk-axis
-// line range while later chunks are still on the wire; with overlap off the
-// same hooks run once over the full range after the one-shot exchange, so
-// there is a single code path either way. The hooks and their pool-block
-// bodies are method values bound at construction (solver.go), keeping the
-// steady state free of per-step closure allocation beyond the pool headers.
-func (s *Solver) products() [][]complex128 {
-	d := s.D
-	ws := s.ws
-	mz := s.G.MZ()
-
-	// (a)-(c) y-pencils -> z-pencils for u, v, w, the padded inverse z
-	// transform consuming each completed chunk of local-kx lines.
-	vel := s.velocityValues()
-	d.YtoZPipelined(ws.zpVel[:3], vel, s.nlZInvFn)
-
-	// (d)-(g) z-pencils -> x-pencils, the fused x excursion (inverse
-	// transform, pointwise products, forward transform — one threaded block
-	// per line so lines stay in cache) consuming each chunk of local-y
-	// lines.
-	zeroF(ws.locMaxU)
-	zeroF(ws.locMaxV)
-	zeroF(ws.locMaxW)
-	d.ZtoXPipelined(ws.xp[:3], ws.zphys[:3], mz, s.nlXFn)
+// dealiased runs one pass of sp over the velocity fields already written to
+// s.exc.In and publishes the physical velocity maxima the pass harvested
+// for CFLEstimate. Returns the pass's y-pencil collocation values, layout
+// [kxLoc][kzLoc][Ny] per field.
+func (s *Solver) dealiased(sp *parfft.Spec) [][]complex128 {
+	out := s.exc.Run(sp)
 	s.physMaxMu.Lock()
-	copy(s.physMaxU, ws.locMaxU)
-	copy(s.physMaxV, ws.locMaxV)
-	copy(s.physMaxW, ws.locMaxW)
+	for c, m := range s.exc.MaxAbs() {
+		copy(s.physMax[c], m)
+	}
 	s.physMaxCurrent = true
 	s.physMaxMu.Unlock()
-
-	// (h) reverse path: x-pencils -> z-pencils with the truncated forward z
-	// transform consuming each chunk of local-y lines, then back to
-	// y-pencils (one-shot: nothing follows to hide the return leg under).
-	d.XtoZPipelined(ws.zpProd, ws.prodX, mz, s.nlZFwdFn)
-	return d.ZtoY(ws.prodsY, ws.zspec)
-}
-
-// consumeNLZInv is the YtoZ consume hook: pad and inverse transform in z
-// the lines of local-kx range [lo, hi) — z-pencil lines are kx-major, so
-// the range maps to the contiguous line window [lo, hi) * nyLoc.
-func (s *Solver) consumeNLZInv(lo, hi int) {
-	yl, yh := s.D.YRange()
-	nyLoc := yh - yl
-	s.nlLineOff = lo * nyLoc
-	sp := s.tel.Begin(telemetry.PhaseFFTInverse)
-	s.pool().ForBlocksIndexed((hi-lo)*nyLoc, s.nlZInvBlk)
-	sp.End()
-}
-
-func (s *Solver) nlZInvBlock(blk, lo, hi int) {
-	ws := s.ws
-	nz, mz := s.G.Nz, s.G.MZ()
-	scratch := ws.workers[blk].zscr
-	lo += s.nlLineOff
-	hi += s.nlLineOff
-	for f := 0; f < 3; f++ {
-		src, dst := ws.zpVel[f], ws.zphys[f]
-		for l := lo; l < hi; l++ {
-			s.padZ.InversePaddedScratch(dst[l*mz:(l+1)*mz], src[l*nz:(l+1)*nz], scratch)
-		}
-	}
-}
-
-// consumeNLX is the ZtoX consume hook: the fused x excursion for the
-// local-y range [lo, hi) — x-pencil lines are y-major, so the range maps to
-// the contiguous line window [lo, hi) * nzLoc.
-func (s *Solver) consumeNLX(lo, hi int) {
-	zxl, zxh := s.D.ZRangeX(s.G.MZ())
-	nzLoc := zxh - zxl
-	s.nlLineOff = lo * nzLoc
-	sp := s.tel.Begin(telemetry.PhaseNonlinear)
-	s.pool().ForBlocksIndexed((hi-lo)*nzLoc, s.nlXBlk)
-	sp.End()
-}
-
-func (s *Solver) nlXBlock(blk, lo, hi int) {
-	ws := s.ws
-	g := s.G
-	nkx, mx := g.NKx(), g.MX()
-	zxl, zxh := s.D.ZRangeX(g.MZ())
-	nzLoc := zxh - zxl
-	yl0, _ := s.D.YRange()
-	xp := ws.xp
-	prodX := ws.prodX
-	w := &ws.workers[blk]
-	pu, pv, pw := w.phys[0], w.phys[1], w.phys[2]
-	pp := w.prod
-	scratch := w.xscr
-	blkU, blkV, blkW := w.rl[0], w.rl[1], w.rl[2]
-	zeroF(blkU)
-	zeroF(blkV)
-	zeroF(blkW)
-	lo += s.nlLineOff
-	hi += s.nlLineOff
-	for l := lo; l < hi; l++ {
-		s.padX.InversePaddedScratch(pu, xp[0][l*nkx:(l+1)*nkx], scratch)
-		s.padX.InversePaddedScratch(pv, xp[1][l*nkx:(l+1)*nkx], scratch)
-		s.padX.InversePaddedScratch(pw, xp[2][l*nkx:(l+1)*nkx], scratch)
-		// Harvest physical velocity maxima for the CFL diagnostic;
-		// line l sits at global collocation index yl0 + l/nzLoc.
-		yg := yl0 + l/nzLoc
-		for i := 0; i < mx; i++ {
-			blkU[yg] = math.Max(blkU[yg], math.Abs(pu[i]))
-			blkV[yg] = math.Max(blkV[yg], math.Abs(pv[i]))
-			blkW[yg] = math.Max(blkW[yg], math.Abs(pw[i]))
-		}
-		forward := func(f int, a, b []float64) {
-			for i := 0; i < mx; i++ {
-				pp[i] = a[i] * b[i]
-			}
-			s.padX.ForwardTruncatedScratch(prodX[f][l*nkx:(l+1)*nkx], pp, scratch)
-		}
-		forward(pUU, pu, pu)
-		forward(pUV, pu, pv)
-		forward(pUW, pu, pw)
-		forward(pVV, pv, pv)
-		forward(pVW, pv, pw)
-		forward(pWW, pw, pw)
-	}
-	s.nlMaxMu.Lock()
-	for y := range ws.locMaxU {
-		ws.locMaxU[y] = math.Max(ws.locMaxU[y], blkU[y])
-		ws.locMaxV[y] = math.Max(ws.locMaxV[y], blkV[y])
-		ws.locMaxW[y] = math.Max(ws.locMaxW[y], blkW[y])
-	}
-	s.nlMaxMu.Unlock()
-}
-
-// consumeNLZFwd is the XtoZ consume hook: truncated forward z transform
-// for the local-y range [lo, hi). Unlike the inverse leg the destination
-// lines are strided — line kx*nyLoc + y for every local kx and y in range —
-// so the pool iterates a dense (kx, y-in-range) index.
-func (s *Solver) consumeNLZFwd(lo, hi int) {
-	s.nlYLo, s.nlYSpan = lo, hi-lo
-	kxloc := s.kxhi - s.kxlo
-	sp := s.tel.Begin(telemetry.PhaseFFTForward)
-	s.pool().ForBlocksIndexed(kxloc*(hi-lo), s.nlZFwdBlk)
-	sp.End()
-}
-
-func (s *Solver) nlZFwdBlock(blk, lo, hi int) {
-	ws := s.ws
-	nz, mz := s.G.Nz, s.G.MZ()
-	yl, yh := s.D.YRange()
-	nyLoc := yh - yl
-	span := s.nlYSpan
-	scratch := ws.workers[blk].zscr
-	for f := 0; f < nProducts; f++ {
-		src, dst := ws.zpProd[f], ws.zspec[f]
-		for l := lo; l < hi; l++ {
-			kx := l / span
-			li := kx*nyLoc + s.nlYLo + (l - kx*span)
-			s.padZ.ForwardTruncatedScratch(dst[li*nz:(li+1)*nz], src[li*mz:(li+1)*mz], scratch)
-		}
-	}
+	return out
 }
 
 // nonlinearTerms evaluates h_g and h_v (collocation values per local
@@ -250,7 +86,8 @@ func (s *Solver) nonlinearTerms() (hg, hv [][]complex128, meanHx, meanHz []float
 func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64) {
 	ny := s.Cfg.Ny
 	ws := s.ws
-	prods := s.products()
+	s.velocityValues()
+	prods := s.dealiased(&parfft.SixProducts)
 
 	sp := s.tel.Begin(telemetry.PhaseNonlinear)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
@@ -272,14 +109,14 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 			ikxC := complex(0, kx)
 			ikzC := complex(0, kz)
 			for i := 0; i < ny; i++ {
-				uv := prods[pUV][base+i]
-				vw := prods[pVW][base+i]
+				uv := prods[parfft.UV][base+i]
+				vw := prods[parfft.VW][base+i]
 				sv[i] = ikxC*uv + ikzC*vw
 				sg[i] = ikzC*uv - ikxC*vw
-				tv[i] = complex(kx*kx, 0)*prods[pUU][base+i] +
-					complex(2*kx*kz, 0)*prods[pUW][base+i] +
-					complex(kz*kz, 0)*prods[pWW][base+i]
-				vv[i] = prods[pVV][base+i]
+				tv[i] = complex(kx*kx, 0)*prods[parfft.UU][base+i] +
+					complex(2*kx*kz, 0)*prods[parfft.UW][base+i] +
+					complex(kz*kz, 0)*prods[parfft.WW][base+i]
+				vv[i] = prods[parfft.VV][base+i]
 			}
 			// h_g = kx*kz*(uu-ww) - (kx^2-kz^2)*uw - d/dy(Sg)
 			copy(sol, sg)
@@ -287,8 +124,8 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 			s.b1.MulVecComplex(tmp, sol)
 			hgw := hg[w]
 			for i := 0; i < ny; i++ {
-				hgw[i] = complex(kx*kz, 0)*(prods[pUU][base+i]-prods[pWW][base+i]) -
-					complex(kx*kx-kz*kz, 0)*prods[pUW][base+i] - tmp[i]
+				hgw[i] = complex(kx*kz, 0)*(prods[parfft.UU][base+i]-prods[parfft.WW][base+i]) -
+					complex(kx*kx-kz*kz, 0)*prods[parfft.UW][base+i] - tmp[i]
 			}
 			// h_v = k2*S + k2*d/dy(vv) - d/dy(T) + d2/dy2(S)
 			hvw := hv[w]
@@ -321,8 +158,8 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 		cuv := ws.meanS0
 		cvw := ws.meanS1
 		for i := 0; i < ny; i++ {
-			cuv[i] = real(prods[pUV][base+i])
-			cvw[i] = real(prods[pVW][base+i])
+			cuv[i] = real(prods[parfft.UV][base+i])
+			cvw[i] = real(prods[parfft.VW][base+i])
 		}
 		s.b0fac.SolveReal(cuv)
 		s.b0fac.SolveReal(cvw)

@@ -14,26 +14,32 @@ import (
 // the consume hooks run the same per-line transforms in the same floating-
 // point order, only the communication schedule differs. Covers even and
 // uneven decompositions and non-default pipeline depths, including the
-// P=1 serial fallback.
+// P=1 serial fallback, and the convective and skew forms, whose passes
+// carry the i*kz / i*kx derivative lines through the same hooks.
 func TestOverlapBitIdenticalToSerial(t *testing.T) {
 	cases := []struct {
 		name   string
 		pa, pb int
 		chunks int
 		ny     int
+		form   Form
 	}{
-		{"P1-fallback", 1, 1, 0, 24},
-		{"PA1xPB2-uneven", 1, 2, 3, 17},
-		{"PA2xPB1", 2, 1, 0, 24},
-		{"PA2xPB2-uneven", 2, 2, 2, 17},
-		{"PA4xPB1-deep", 4, 1, 64, 24},
-		{"PA2xPB4-uneven", 2, 4, 0, 19},
+		{"P1-fallback", 1, 1, 0, 24, FormDivergence},
+		{"PA1xPB2-uneven", 1, 2, 3, 17, FormDivergence},
+		{"PA2xPB1", 2, 1, 0, 24, FormDivergence},
+		{"PA2xPB2-uneven", 2, 2, 2, 17, FormDivergence},
+		{"PA4xPB1-deep", 4, 1, 64, 24, FormDivergence},
+		{"PA2xPB4-uneven", 2, 4, 0, 19, FormDivergence},
+		{"PA1xPB2-uneven-convective", 1, 2, 3, 17, FormConvective},
+		{"PA2xPB2-uneven-convective", 2, 2, 2, 17, FormConvective},
+		{"PA1xPB2-uneven-skew", 1, 2, 3, 17, FormSkewSymmetric},
+		{"PA2xPB2-uneven-skew", 2, 2, 2, 17, FormSkewSymmetric},
 	}
 	const steps = 3
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Nx: 16, Ny: tc.ny, Nz: 16, ReTau: 180, Dt: 1e-3,
-				Forcing: 1, PA: tc.pa, PB: tc.pb}
+				Forcing: 1, PA: tc.pa, PB: tc.pb, Nonlinear: tc.form}
 			np := tc.pa * tc.pb
 			if np > 1 {
 				cfg.Pool = par.NewPool(2)

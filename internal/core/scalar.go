@@ -20,10 +20,10 @@ package core
 //
 //	h_theta = -(i kx (u theta) + i kz (w theta) + d/dy (v theta))
 //
-// is assembled per mode exactly like the momentum terms. The excursion
-// reuses the channel solver's workspace arena: by the time the scalar pass
-// runs, the nonlinear pipeline's field buffers are dead until the next
-// substep, and the pass fully rewrites every element it reads.
+// is assembled per mode exactly like the momentum terms. The pass runs on
+// the channel solver's excursion: by the time it runs, the momentum pass's
+// field buffers are dead until the next substep, and the pass fully rewrites
+// every element it reads.
 
 import (
 	"fmt"
@@ -31,6 +31,7 @@ import (
 
 	"channeldns/internal/ckpt"
 	"channeldns/internal/mpi"
+	"channeldns/internal/parfft"
 	"channeldns/internal/telemetry"
 )
 
@@ -50,8 +51,8 @@ type ScalarSolver struct {
 	hthCur  [][]complex128
 
 	// Mean scalar profile (owner of kx=kz=0 only).
-	meanTh                   []float64
-	meanHthPrev, meanHthCur  []float64
+	meanTh                  []float64
+	meanHthPrev, meanHthCur []float64
 
 	// Per-wavenumber factored implicit operators for the current dt.
 	sOps     []*scalarOps
@@ -92,6 +93,7 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		t.meanHthPrev = make([]float64, ny)
 		t.meanHthCur = make([]float64, ny)
 	}
+	inner.exc.Register(&scalarFlux)
 	if t.tel != nil {
 		// The flop credit must match the scalar schedule, not the channel's.
 		t.stepFlops = int64(t.Cfg.ScalarSchedule().TotalFlops() / float64(world.Size()))
@@ -208,6 +210,15 @@ func (t *ScalarSolver) ensureSOps(dt float64) {
 	}
 }
 
+// scalarFlux is the scalar's excursion pass: u, v, w and theta go out, the
+// flux products u*theta, v*theta, w*theta come back.
+var scalarFlux = parfft.Spec{In: 4, Out: 3, Kernel: func(out []float64, c int, phys [][]float64) {
+	a, th := phys[c], phys[3]
+	for i := range out {
+		out[i] = a[i] * th[i]
+	}
+}}
+
 // scalarTerms evaluates h_theta (collocation values per local mode) and
 // the mean scalar forcing profile on the owner rank, via the extra
 // transpose/FFT excursion described in the package comment. It must run
@@ -216,11 +227,8 @@ func (t *ScalarSolver) ensureSOps(dt float64) {
 func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	s := t.Solver
 	ws := s.ws
-	d := s.D
 	g := s.G
 	ny := s.Cfg.Ny
-	nz, mz := g.Nz, g.MZ()
-	nkx, mx := g.NKx(), g.MX()
 	hth = t.hthCur
 	meanHth = t.meanHthCur
 
@@ -228,6 +236,7 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	// that held them were consumed by the momentum pass) plus theta values,
 	// as the 4-field y-pencil block the excursion carries out.
 	s.velocityValues()
+	theta := s.exc.In(scalarFlux.In)[3]
 	sp := s.tel.Begin(telemetry.PhasePressure)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]
@@ -243,77 +252,18 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 					tvals := wk.rl[0]
 					s.b0.MulVec(tvals, t.meanTh)
 					for i := 0; i < ny; i++ {
-						ws.velY[3][base+i] = complex(tvals[i], 0)
+						theta[base+i] = complex(tvals[i], 0)
 					}
 				}
 				continue
 			}
 			s.b0.MulVecComplex(th, t.cth[w])
-			copy(ws.velY[3][base:base+ny], th)
+			copy(theta[base:base+ny], th)
 		}
 	})
 	sp.End()
 
-	// Out: y -> z -> x with padded inverse transforms (4 fields).
-	d.YtoZ(ws.zpVel[:4], ws.velY[:4])
-	yl, yh := d.YRange()
-	nyLoc := yh - yl
-	linesZ := (s.kxhi - s.kxlo) * nyLoc
-	sp = s.tel.Begin(telemetry.PhaseFFTInverse)
-	s.pool().ForBlocksIndexed(linesZ, func(blk, lo, hi int) {
-		scratch := ws.workers[blk].zscr
-		for f := 0; f < 4; f++ {
-			src, dst := ws.zpVel[f], ws.zphys[f]
-			for l := lo; l < hi; l++ {
-				s.padZ.InversePaddedScratch(dst[l*mz:(l+1)*mz], src[l*nz:(l+1)*nz], scratch)
-			}
-		}
-	})
-	sp.End()
-	d.ZtoX(ws.xp[:4], ws.zphys[:4], mz)
-
-	// The x excursion: 4 inverse transforms, 3 flux products, 3 forward
-	// truncated transforms per line.
-	zxl, zxh := d.ZRangeX(mz)
-	linesX := nyLoc * (zxh - zxl)
-	sp = s.tel.Begin(telemetry.PhaseNonlinear)
-	s.pool().ForBlocksIndexed(linesX, func(blk, lo, hi int) {
-		w := &ws.workers[blk]
-		pu, pv, pw, pt := w.phys[0], w.phys[1], w.phys[2], w.phys[3]
-		pp := w.prod
-		scratch := w.xscr
-		for l := lo; l < hi; l++ {
-			s.padX.InversePaddedScratch(pu, ws.xp[0][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pv, ws.xp[1][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pw, ws.xp[2][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pt, ws.xp[3][l*nkx:(l+1)*nkx], scratch)
-			forward := func(f int, a []float64) {
-				for i := 0; i < mx; i++ {
-					pp[i] = a[i] * pt[i]
-				}
-				s.padX.ForwardTruncatedScratch(ws.prodX[f][l*nkx:(l+1)*nkx], pp, scratch)
-			}
-			forward(0, pu) // u*theta
-			forward(1, pv) // v*theta
-			forward(2, pw) // w*theta
-		}
-	})
-	sp.End()
-
-	// Back: x -> z -> y with the truncated forward z transform (3 fields).
-	d.XtoZ(ws.zpProd[:3], ws.prodX[:3], mz)
-	sp = s.tel.Begin(telemetry.PhaseFFTForward)
-	s.pool().ForBlocksIndexed(linesZ, func(blk, lo, hi int) {
-		scratch := ws.workers[blk].zscr
-		for f := 0; f < 3; f++ {
-			src, dst := ws.zpProd[f], ws.zspec[f]
-			for l := lo; l < hi; l++ {
-				s.padZ.ForwardTruncatedScratch(dst[l*nz:(l+1)*nz], src[l*mz:(l+1)*mz], scratch)
-			}
-		}
-	})
-	sp.End()
-	prods := d.ZtoY(ws.prodsY[:3], ws.zspec[:3])
+	prods := s.exc.Run(&scalarFlux)
 
 	// Assemble h_theta = -(i kx (u th) + i kz (w th) + d/dy (v th)).
 	sp = s.tel.Begin(telemetry.PhaseNonlinear)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"channeldns/internal/parfft"
 	"channeldns/internal/pencil"
 	"channeldns/internal/schedule"
 )
@@ -25,7 +26,7 @@ func (c Config) Schedule() *schedule.Schedule {
 	return schedule.Timestep(schedule.TimestepParams{
 		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
 		PA: c.PA, PB: c.PB,
-		Products:   nProducts,
+		Products:   parfft.NumProducts,
 		PackPasses: 4,
 		ChunksA:    ca, ChunksB: cb,
 	})
@@ -41,7 +42,7 @@ func (c Config) IsotropicSchedule() *schedule.Schedule {
 	return schedule.IsotropicTimestep(schedule.TimestepParams{
 		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
 		PA: c.PA, PB: c.PB,
-		Products:   nProducts,
+		Products:   parfft.NumProducts,
 		PackPasses: 4,
 	})
 }
@@ -55,7 +56,7 @@ func (c Config) ScalarSchedule() *schedule.Schedule {
 	return schedule.ScalarTimestep(schedule.TimestepParams{
 		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
 		PA: c.PA, PB: c.PB,
-		Products:   nProducts,
+		Products:   parfft.NumProducts,
 		PackPasses: 4,
 	})
 }

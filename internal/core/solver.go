@@ -8,6 +8,7 @@ import (
 	"channeldns/internal/fft"
 	"channeldns/internal/field"
 	"channeldns/internal/mpi"
+	"channeldns/internal/parfft"
 	"channeldns/internal/pencil"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
@@ -53,9 +54,11 @@ type Solver struct {
 	opsDt   float64
 	meanOps [3]bandSolver
 
-	// Fused dealiasing transforms.
+	// Fused dealiasing transforms and the excursion that carries fields
+	// through them to the physical grid and back (see nonlinear.go).
 	padZ *fft.PaddedComplex
 	padX *fft.PaddedReal
+	exc  *parfft.Excursion
 
 	// Steady-state workspace arena (see workspace.go).
 	ws *solverWS
@@ -64,19 +67,8 @@ type Solver struct {
 	// free during the most recent nonlinear evaluation (local to this
 	// rank's y range; zero elsewhere). Used by CFLEstimate.
 	physMaxMu      sync.Mutex
-	physMaxU       []float64
-	physMaxV       []float64
-	physMaxW       []float64
+	physMax        [3][]float64
 	physMaxCurrent bool
-
-	// Pipelined nonlinear-path hooks, bound once at construction so the
-	// overlapped transposes hand completed chunk-axis line ranges to the
-	// FFT stages without per-step closure allocation (see nonlinear.go).
-	nlZInvFn, nlXFn, nlZFwdFn    func(lo, hi int)
-	nlZInvBlk, nlXBlk, nlZFwdBlk func(blk, lo, hi int)
-	nlLineOff                    int // first line of the current consume range
-	nlYLo, nlYSpan               int // y window of the current forward-z range
-	nlMaxMu                      sync.Mutex
 
 	// tel is this rank's telemetry collector (nil when Config.Telemetry is
 	// unset — every recording call is then a no-op); stepFlops is this
@@ -168,16 +160,21 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 
 	s.padZ = fft.NewPaddedComplex(g.Nz, g.MZ())
 	s.padX = fft.NewPaddedReal(g.NKx(), g.MX())
-	s.physMaxU = make([]float64, cfg.Ny)
-	s.physMaxV = make([]float64, cfg.Ny)
-	s.physMaxW = make([]float64, cfg.Ny)
+	ikz := make([]complex128, g.Nz)
+	for j := range ikz {
+		ikz[j] = complex(0, g.Kz(j))
+	}
+	ikx := make([]complex128, g.NKx())
+	for k := range ikx {
+		ikx[k] = complex(0, g.Kx(k))
+	}
+	// Both forms' passes are registered whatever Cfg.Nonlinear says, so the
+	// arena does not depend on the form.
+	s.exc = parfft.NewExcursion(s.D, s.padZ, s.padX, ikz, ikx, s.tel, &parfft.SixProducts, &convectiveForm)
+	for c := range s.physMax {
+		s.physMax[c] = make([]float64, cfg.Ny)
+	}
 	s.ws = s.newWorkspace()
-	s.nlZInvFn = s.consumeNLZInv
-	s.nlXFn = s.consumeNLX
-	s.nlZFwdFn = s.consumeNLZFwd
-	s.nlZInvBlk = s.nlZInvBlock
-	s.nlXBlk = s.nlXBlock
-	s.nlZFwdBlk = s.nlZFwdBlock
 	return s, nil
 }
 

@@ -18,19 +18,7 @@ import (
 // tracing itself contributes zero heap objects per event.
 func TestStepOnceSteadyStateAllocsTrace(t *testing.T) {
 	trc := trace.New(0)
-	cfg := Config{Nx: 16, Ny: 24, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
-		Telemetry: telemetry.NewRegistry(), Trace: trc}
-	s := serialSolver(t, cfg)
-	s.SetLaminar()
-	s.Perturb(0.2, 2, 2, 13)
-	Advance(s, 2)
-	allocs := testing.AllocsPerRun(5, func() { s.StepOnce() })
-	if allocs > stepAllocBudget {
-		t.Errorf("steady-state traced StepOnce: %v allocs per step, budget %d",
-			allocs, stepAllocBudget)
-	}
-	t.Logf("steady-state traced StepOnce: %v allocs per step (budget %d)",
-		allocs, stepAllocBudget)
+	warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry(), Trace: trc})
 	if trc.Rank(0).Recorded() == 0 {
 		t.Error("recorder attached but no events recorded")
 	}

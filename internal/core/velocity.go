@@ -18,13 +18,13 @@ import (
 
 // velocityValues evaluates the three velocity components at the collocation
 // points for every locally owned mode, in the y-pencil layout
-// [kxLoc][kzLoc][Ny] expected by the pencil transposes. Returns {u, v, w},
-// backed by the arena's velocity buffers.
-func (s *Solver) velocityValues() [][]complex128 {
+// [kxLoc][kzLoc][Ny] expected by the pencil transposes, into the first three
+// input fields {u, v, w} of the excursion.
+func (s *Solver) velocityValues() {
 	sp := s.tel.Begin(telemetry.PhasePressure)
 	ny := s.Cfg.Ny
 	ws := s.ws
-	out := ws.velY[:3]
+	out := s.exc.In(3)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]
 		vy := wk.ln[0]
@@ -64,7 +64,6 @@ func (s *Solver) velocityValues() [][]complex128 {
 		}
 	})
 	sp.End()
-	return out
 }
 
 // ModeVelocityValues returns the velocity component values at the

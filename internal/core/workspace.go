@@ -1,65 +1,31 @@
 package core
 
-// The steady-state workspace arena. Every per-substep buffer the nonlinear
-// pipeline and the implicit advance need is allocated once here, at Solver
-// construction, and reused for the life of the run — the allocation-
-// discipline analog of the paper's 1x communication buffers (§4.3). After
-// the first step the only heap traffic per substep is the handful of
-// closure headers created when loops are handed to the worker pool (see
-// the steady-state allocation test).
+// The steady-state workspace arena. Every per-substep buffer the per-mode
+// loops (velocity evaluation, right-hand-side assembly, implicit advance)
+// need is allocated once here, at Solver construction, and reused for the
+// life of the run; the field buffers of the dealiased pipeline live in
+// parfft.Excursion under the same discipline. After the first step the only
+// heap traffic per substep is the handful of closure headers created when
+// loops are handed to the worker pool (see the steady-state allocation
+// test).
 //
-// Sharing rules the buffers rely on:
-//   - Field buffers are sized for the largest consumer (the convective
-//     form needs 6 velocity fields and 9 z/x-pencil fields; the divergence
-//     form needs 3 and 6) and sliced down per call. Every pipeline stage
-//     fully overwrites the elements it later reads, so stale data from the
-//     other form is never observed.
-//   - Modes that a stage skips (the z Nyquist column, the mean mode on
-//     ranks that do not own it) are never written by any stage, so they
-//     keep the zeros they were allocated with.
-//   - hg/hv (and the mean forcing profiles) are double-buffered: the
-//     "current" buffer is written each substep and then swapped with the
-//     Solver's previous-substep buffer, replacing the seed's
-//     allocate-per-substep pattern.
+// hg/hv (and the mean forcing profiles) are double-buffered: the "current"
+// buffer is written each substep and then swapped with the Solver's
+// previous-substep buffer, replacing the seed's allocate-per-substep
+// pattern.
 
 // wsWorker is one worker's private line scratch, selected by the block id
-// of ForBlocksIndexed (always < Pool.Workers()). Buffers are grouped by
-// the loop family that uses them; families never run concurrently, so
-// buffers are shared across families where the lengths match.
+// of ForBlocksIndexed (always < Pool.Workers()). The per-wavenumber loops
+// never run concurrently with each other, so they share it.
 type wsWorker struct {
-	// Ny-length complex line scratch for the per-wavenumber loops
-	// (velocity evaluation, RHS assembly, implicit advance).
+	// Ny-length complex line scratch.
 	ln [6][]complex128
-	// Ny-length real scratch (mean-profile evaluation, CFL maxima).
+	// Ny-length real scratch (mean-profile evaluation).
 	rl [4][]float64
-	// Padded-z transform stage: transform scratch and a spectral line for
-	// the z-derivative input.
-	zscr, zline []complex128
-	// Padded-x transform stage: physical lines (u v w, their y, z, and x
-	// derivatives), the product line, transform scratch, and a spectral
-	// line for the x-derivative input.
-	phys  [12][]float64
-	prod  []float64
-	xscr  []complex128
-	xline []complex128
 }
 
 // solverWS is the arena owned by one Solver.
 type solverWS struct {
-	// Nonlinear pipeline field buffers, in pipeline order. Capacities are
-	// the convective-form (worst-case) field counts.
-	velY   [][]complex128 // velocities (+ y-derivatives) in y-pencils
-	zpVel  [][]complex128 // the same after YtoZ
-	zphys  [][]complex128 // padded physical-z lines (+ z-derivatives)
-	xp     [][]complex128 // the same after ZtoX
-	prodX  [][]complex128 // products / H components in x-pencils
-	zpProd [][]complex128 // the same after XtoZ
-	zspec  [][]complex128 // truncated spectral-z lines
-	prodsY [][]complex128 // products back in y-pencils
-
-	// Per-y physical velocity maxima accumulated across one pipeline pass.
-	locMaxU, locMaxV, locMaxW []float64
-
 	// Current-substep nonlinear terms, swapped with Solver.hgPrev/hvPrev
 	// (and the mean equivalents) after each substep.
 	hgCur, hvCur         [][]complex128
@@ -72,52 +38,18 @@ type solverWS struct {
 	// Serial scratch for the owner rank's mean-mode work.
 	meanS0, meanS1 []float64
 
-	// i*kz per wrapped z mode, for the spectral z derivative.
-	kzMul []complex128
-
 	workers []wsWorker
 }
 
-// newWorkspace sizes the arena from the decomposition and transform plans
-// already attached to the solver.
+// newWorkspace sizes the arena from the solver's local wavenumber window.
 func (s *Solver) newWorkspace() *solverWS {
 	ny := s.Cfg.Ny
-	g := s.G
-	nz, mz := g.Nz, g.MZ()
-	nkx, mx := g.NKx(), g.MX()
-	d := s.D
-
-	kxloc := s.kxhi - s.kxlo
-	yl, yh := d.YRange()
-	nyLoc := yh - yl
-	linesZ := kxloc * nyLoc
-	zxl, zxh := d.ZRangeX(mz)
-	linesX := nyLoc * (zxh - zxl)
-
 	ws := &solverWS{
-		velY:   allocFieldsC(6, s.nw*ny),
-		zpVel:  allocFieldsC(6, linesZ*nz),
-		zphys:  allocFieldsC(9, linesZ*mz),
-		xp:     allocFieldsC(9, linesX*nkx),
-		prodX:  allocFieldsC(nProducts, linesX*nkx),
-		zpProd: allocFieldsC(nProducts, linesZ*mz),
-		zspec:  allocFieldsC(nProducts, linesZ*nz),
-		prodsY: allocFieldsC(nProducts, s.nw*ny),
-
-		locMaxU: make([]float64, ny),
-		locMaxV: make([]float64, ny),
-		locMaxW: make([]float64, ny),
-
 		hgCur: allocCoef(s.nw, ny),
 		hvCur: allocCoef(s.nw, ny),
 
 		meanS0: make([]float64, ny),
 		meanS1: make([]float64, ny),
-
-		kzMul: make([]complex128, nz),
-	}
-	for j := 0; j < nz; j++ {
-		ws.kzMul[j] = complex(0, g.Kz(j))
 	}
 	if s.ownsMean {
 		ws.meanHxCur = make([]float64, ny)
@@ -133,14 +65,6 @@ func (s *Solver) newWorkspace() *solverWS {
 		for j := range w.rl {
 			w.rl[j] = make([]float64, ny)
 		}
-		w.zscr = make([]complex128, s.padZ.ScratchLen())
-		w.zline = make([]complex128, nz)
-		for j := range w.phys {
-			w.phys[j] = make([]float64, mx)
-		}
-		w.prod = make([]float64, mx)
-		w.xscr = make([]complex128, s.padX.ScratchLen())
-		w.xline = make([]complex128, nkx)
 	}
 	return ws
 }
@@ -159,14 +83,6 @@ func (s *Solver) ensureAlt() {
 		ws.meanHxAlt = make([]float64, ny)
 		ws.meanHzAlt = make([]float64, ny)
 	}
-}
-
-func allocFieldsC(nf, n int) [][]complex128 {
-	out := make([][]complex128, nf)
-	for i := range out {
-		out[i] = make([]complex128, n)
-	}
-	return out
 }
 
 func zeroC(x []complex128) {

@@ -2,39 +2,30 @@ package galerkin
 
 import (
 	"channeldns/internal/par"
+	"channeldns/internal/parfft"
 )
 
 // Nonlinear term evaluation for the Galerkin scheme. Velocities are
-// evaluated at the wall-normal quadrature points, run through the same
-// transpose/dealiased-FFT pipeline as the collocation solver, multiplied
-// pointwise, and the results are projected onto the test functions by
-// quadrature, with y-derivatives integrated by parts:
+// evaluated at the wall-normal quadrature points, carried through the same
+// dealiased excursion as the collocation solver (parfft.SixProducts on a
+// decomposition with NY = NumQuad), and the results are projected onto the
+// test functions by quadrature, with y-derivatives integrated by parts:
 //
 //	Fhg_i = int B_i [kx*kz*(uu-ww) - (kx^2-kz^2)*uw] + int B_i' Sg
 //	Fhv_i = k2 int B_i S - k2 int B_i' vv + int B_i' T + int B_i'' S
 //
 // with S = i*kx*uv + i*kz*vw, Sg = i*kz*uv - i*kx*vw and
 // T = kx^2*uu + 2*kx*kz*uw + kz^2*ww.
-const (
-	pUU = iota
-	pUV
-	pUW
-	pVV
-	pVW
-	pWW
-	nProducts
-)
 
 func (s *Solver) pool() *par.Pool { return s.Cfg.Pool }
 
 // velocityAtQuad evaluates u, v, w at the quadrature points for every local
-// mode, in the y-pencil layout with NY = NumQuad.
+// mode, in the y-pencil layout with NY = NumQuad, into the excursion's input
+// fields (returned). Modes the loop skips are never written and keep their
+// zeros.
 func (s *Solver) velocityAtQuad() [][]complex128 {
 	nq := s.qt.NumQuad()
-	out := make([][]complex128, 3)
-	for f := range out {
-		out[f] = make([]complex128, s.nw*nq)
-	}
+	out := s.exc.In(3)
 	s.pool().ForBlocks(s.nw, func(wlo, whi int) {
 		full := make([]complex128, s.Cfg.Ny)
 		vq := make([]complex128, nq)
@@ -81,81 +72,6 @@ func (s *Solver) velocityAtQuad() [][]complex128 {
 	return out
 }
 
-// products runs the dealiased product pipeline on quadrature-point data,
-// returning the six products in y-pencil layout.
-func (s *Solver) products() [][]complex128 {
-	d := s.D
-	g := s.G
-	nz, mz := g.Nz, g.MZ()
-	nkx, mx := g.NKx(), g.MX()
-
-	vel := s.velocityAtQuad()
-	zp := d.YtoZ(nil, vel)
-
-	kxloc := s.kxhi - s.kxlo
-	yl, yh := d.YRange()
-	nyLoc := yh - yl
-	linesZ := kxloc * nyLoc
-	zphys := make([][]complex128, 3)
-	for f := 0; f < 3; f++ {
-		zphys[f] = make([]complex128, linesZ*mz)
-		src, dst := zp[f], zphys[f]
-		s.pool().ForBlocks(linesZ, func(lo, hi int) {
-			scratch := make([]complex128, mz)
-			for l := lo; l < hi; l++ {
-				s.padZ.InversePaddedScratch(dst[l*mz:(l+1)*mz], src[l*nz:(l+1)*nz], scratch)
-			}
-		})
-	}
-
-	xp := d.ZtoX(nil, zphys, mz)
-	zxl, zxh := d.ZRangeX(mz)
-	nzLoc := zxh - zxl
-	linesX := nyLoc * nzLoc
-	prodX := make([][]complex128, nProducts)
-	for f := range prodX {
-		prodX[f] = make([]complex128, linesX*nkx)
-	}
-	s.pool().ForBlocks(linesX, func(lo, hi int) {
-		pu := make([]float64, mx)
-		pv := make([]float64, mx)
-		pw := make([]float64, mx)
-		pp := make([]float64, mx)
-		scratch := make([]complex128, s.padX.ScratchLen())
-		for l := lo; l < hi; l++ {
-			s.padX.InversePaddedScratch(pu, xp[0][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pv, xp[1][l*nkx:(l+1)*nkx], scratch)
-			s.padX.InversePaddedScratch(pw, xp[2][l*nkx:(l+1)*nkx], scratch)
-			forward := func(f int, a, b []float64) {
-				for i := 0; i < mx; i++ {
-					pp[i] = a[i] * b[i]
-				}
-				s.padX.ForwardTruncatedScratch(prodX[f][l*nkx:(l+1)*nkx], pp, scratch)
-			}
-			forward(pUU, pu, pu)
-			forward(pUV, pu, pv)
-			forward(pUW, pu, pw)
-			forward(pVV, pv, pv)
-			forward(pVW, pv, pw)
-			forward(pWW, pw, pw)
-		}
-	})
-
-	zp2 := d.XtoZ(nil, prodX, mz)
-	zspec := make([][]complex128, nProducts)
-	for f := range zspec {
-		zspec[f] = make([]complex128, linesZ*nz)
-		src, dst := zp2[f], zspec[f]
-		s.pool().ForBlocks(linesZ, func(lo, hi int) {
-			scratch := make([]complex128, mz)
-			for l := lo; l < hi; l++ {
-				s.padZ.ForwardTruncatedScratch(dst[l*nz:(l+1)*nz], src[l*mz:(l+1)*mz], scratch)
-			}
-		})
-	}
-	return d.ZtoY(nil, zspec)
-}
-
 // nonlinearProjections evaluates the Galerkin-projected nonlinear terms.
 func (s *Solver) nonlinearProjections() (fhg, fhv [][]complex128, meanFx, meanFz []float64) {
 	nq := s.qt.NumQuad()
@@ -173,7 +89,8 @@ func (s *Solver) nonlinearProjections() (fhg, fhv [][]complex128, meanFx, meanFz
 	if s.Cfg.DisableNonlinear {
 		return fhg, fhv, meanFx, meanFz
 	}
-	prods := s.products()
+	s.velocityAtQuad()
+	prods := s.exc.Run(&parfft.SixProducts)
 
 	s.pool().ForBlocks(s.nw, func(wlo, whi int) {
 		sv := make([]complex128, nq)
@@ -193,15 +110,15 @@ func (s *Solver) nonlinearProjections() (fhg, fhv [][]complex128, meanFx, meanFz
 			ikxC := complex(0, kx)
 			ikzC := complex(0, kz)
 			for i := 0; i < nq; i++ {
-				uv := prods[pUV][base+i]
-				vw := prods[pVW][base+i]
+				uv := prods[parfft.UV][base+i]
+				vw := prods[parfft.VW][base+i]
 				sv[i] = ikxC*uv + ikzC*vw
 				sg[i] = ikzC*uv - ikxC*vw
-				tv[i] = complex(kx*kx, 0)*prods[pUU][base+i] +
-					complex(2*kx*kz, 0)*prods[pUW][base+i] +
-					complex(kz*kz, 0)*prods[pWW][base+i]
-				g0[i] = complex(kx*kz, 0)*(prods[pUU][base+i]-prods[pWW][base+i]) -
-					complex(kx*kx-kz*kz, 0)*prods[pUW][base+i]
+				tv[i] = complex(kx*kx, 0)*prods[parfft.UU][base+i] +
+					complex(2*kx*kz, 0)*prods[parfft.UW][base+i] +
+					complex(kz*kz, 0)*prods[parfft.WW][base+i]
+				g0[i] = complex(kx*kz, 0)*(prods[parfft.UU][base+i]-prods[parfft.WW][base+i]) -
+					complex(kx*kx-kz*kz, 0)*prods[parfft.UW][base+i]
 			}
 			for i := range fullG {
 				fullG[i] = 0
@@ -214,7 +131,7 @@ func (s *Solver) nonlinearProjections() (fhg, fhv [][]complex128, meanFx, meanFz
 			ck2 := complex(k2, 0)
 			s.qt.project(fullV, sv, 0, ck2)
 			for i := 0; i < nq; i++ {
-				g0[i] = prods[pVV][base+i] // reuse buffer for vv
+				g0[i] = prods[parfft.VV][base+i] // reuse buffer for vv
 			}
 			s.qt.project(fullV, g0, 1, -ck2)
 			s.qt.project(fullV, tv, 1, 1)
@@ -229,8 +146,8 @@ func (s *Solver) nonlinearProjections() (fhg, fhv [][]complex128, meanFx, meanFz
 		uv := make([]float64, nq)
 		vw := make([]float64, nq)
 		for i := 0; i < nq; i++ {
-			uv[i] = real(prods[pUV][base+i])
-			vw[i] = real(prods[pVW][base+i])
+			uv[i] = real(prods[parfft.UV][base+i])
+			vw[i] = real(prods[parfft.VW][base+i])
 		}
 		fullX := make([]float64, n)
 		fullZ := make([]float64, n)

@@ -10,6 +10,7 @@ import (
 	"channeldns/internal/field"
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
+	"channeldns/internal/parfft"
 	"channeldns/internal/pencil"
 )
 
@@ -97,8 +98,7 @@ type Solver struct {
 	ops              []*gops
 	opsDt            float64
 	meanOp           [3]*banded.Compact
-	padZ             *fft.PaddedComplex
-	padX             *fft.PaddedReal
+	exc              *parfft.Excursion // dealiased product pipeline
 
 	Time float64
 	Step int
@@ -149,8 +149,8 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	full := s.B.IntegrationWeights()
 	s.bInt = append([]float64(nil), full[1:cfg.Ny-1]...)
 
-	s.padZ = fft.NewPaddedComplex(g.Nz, g.MZ())
-	s.padX = fft.NewPaddedReal(g.NKx(), g.MX())
+	s.exc = parfft.NewExcursion(s.D, fft.NewPaddedComplex(g.Nz, g.MZ()), fft.NewPaddedReal(g.NKx(), g.MX()),
+		nil, nil, nil, &parfft.SixProducts)
 	return s, nil
 }
 

@@ -4,8 +4,7 @@ import "runtime"
 
 // Allocation accounting: the zero-allocation steady state is a measurable
 // property, so the benchmark tools sample the Go runtime's allocation
-// counters around kernels the same way the section timers sample wall
-// clock. Readings are process-wide (runtime.ReadMemStats): a delta
+// counters around kernels. Readings are process-wide (runtime.ReadMemStats): a delta
 // attributes allocations from EVERY goroutine that ran in the interval,
 // not just the caller's, so exact counts are only meaningful around serial
 // regions; around concurrent ones they are whole-process rates. For
@@ -40,13 +39,4 @@ type AllocDelta struct {
 // Sub returns the traffic between an earlier sample old and this one.
 func (a AllocSample) Sub(old AllocSample) AllocDelta {
 	return AllocDelta{Bytes: a.Bytes - old.Bytes, Mallocs: a.Mallocs - old.Mallocs}
-}
-
-// MeasureAllocs runs fn and returns the process-wide allocation traffic it
-// caused. Traffic from other goroutines running concurrently is included —
-// measure serial regions for exact numbers.
-func MeasureAllocs(fn func()) AllocDelta {
-	before := ReadAllocs()
-	fn()
-	return ReadAllocs().Sub(before)
 }

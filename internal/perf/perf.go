@@ -1,51 +1,16 @@
-// Package perf provides the instrumentation the benchmark harness reports
-// with: section timers mirroring the paper's Transpose / FFT / N-S advance
-// breakdown, software flop and byte counters standing in for the IBM HPM
-// hardware counters of Table 2, and plain-text table rendering.
+// Package perf provides the instrumentation the benchmark tools report
+// with: software flop and byte counters standing in for the IBM HPM
+// hardware counters of Table 2, allocation sampling, and plain-text table
+// rendering.
 package perf
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 )
-
-// Sections partitions run time the way the paper's tables do.
-type Sections struct {
-	mu        sync.Mutex
-	Transpose time.Duration
-	FFT       time.Duration
-	Advance   time.Duration
-	Other     time.Duration
-}
-
-// AddTranspose accumulates transpose time (thread-safe).
-func (s *Sections) AddTranspose(d time.Duration) { s.add(&s.Transpose, d) }
-
-// AddFFT accumulates FFT time.
-func (s *Sections) AddFFT(d time.Duration) { s.add(&s.FFT, d) }
-
-// AddAdvance accumulates Navier-Stokes time-advance time.
-func (s *Sections) AddAdvance(d time.Duration) { s.add(&s.Advance, d) }
-
-// AddOther accumulates unclassified time.
-func (s *Sections) AddOther(d time.Duration) { s.add(&s.Other, d) }
-
-func (s *Sections) add(dst *time.Duration, d time.Duration) {
-	s.mu.Lock()
-	*dst += d
-	s.mu.Unlock()
-}
-
-// Total returns the sum of all sections.
-func (s *Sections) Total() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Transpose + s.FFT + s.Advance + s.Other
-}
 
 // Counters tallies floating-point operations and memory traffic. The DNS
 // kernels report their operation counts here so single-core performance can
@@ -150,45 +115,4 @@ func (t *Table) Write(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// Stopwatch measures named laps; useful in benchmark mains.
-type Stopwatch struct {
-	start time.Time
-	laps  map[string]time.Duration
-}
-
-// NewStopwatch starts a stopwatch.
-func NewStopwatch() *Stopwatch {
-	return &Stopwatch{start: time.Now(), laps: map[string]time.Duration{}}
-}
-
-// Lap records time since the last lap (or start) under the given name.
-func (sw *Stopwatch) Lap(name string) time.Duration {
-	now := time.Now()
-	d := now.Sub(sw.start)
-	sw.start = now
-	sw.laps[name] += d
-	return d
-}
-
-// Laps returns the recorded laps sorted by name.
-func (sw *Stopwatch) Laps() []struct {
-	Name string
-	D    time.Duration
-} {
-	names := make([]string, 0, len(sw.laps))
-	for n := range sw.laps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]struct {
-		Name string
-		D    time.Duration
-	}, len(names))
-	for i, n := range names {
-		out[i].Name = n
-		out[i].D = sw.laps[n]
-	}
-	return out
 }

@@ -2,28 +2,9 @@ package perf
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-func TestSectionsConcurrent(t *testing.T) {
-	var s Sections
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.AddTranspose(time.Millisecond)
-			s.AddFFT(2 * time.Millisecond)
-			s.AddAdvance(3 * time.Millisecond)
-		}()
-	}
-	wg.Wait()
-	if s.Total() != 50*6*time.Millisecond {
-		t.Errorf("total %v", s.Total())
-	}
-}
 
 func TestCountersRates(t *testing.T) {
 	var c Counters
@@ -57,19 +38,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, rule, 2 rows
 		t.Errorf("got %d lines", len(lines))
-	}
-}
-
-func TestStopwatchLaps(t *testing.T) {
-	sw := NewStopwatch()
-	sw.Lap("a")
-	sw.Lap("b")
-	sw.Lap("a")
-	laps := sw.Laps()
-	if len(laps) != 2 || laps[0].Name != "a" || laps[1].Name != "b" {
-		t.Errorf("laps %v", laps)
-	}
-	if laps[0].D < 0 {
-		t.Error("negative lap")
 	}
 }

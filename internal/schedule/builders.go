@@ -36,88 +36,75 @@ type TimestepParams struct {
 }
 
 // Timestep builds one full RK3 timestep: three substeps, each running the
-// §2.3 pipeline — y->z transpose, inverse z FFT onto the 3/2 grid, z->x
-// transpose, the fused x excursion (inverse transform, pointwise products,
-// forward transform), x->z transpose, forward z FFT, z->y transpose, then
-// the implicit banded advance.
+// §2.3 excursion (see Schedule.excursion) with the three velocities out and
+// Products fields back, then the implicit banded advance.
 func Timestep(p TimestepParams) *Schedule {
-	ranks := p.PA * p.PB
-	nkx := p.Nx / 2
-	mx, mz := 3*p.Nx/2, 3*p.Nz/2
-	fieldBytes := 16 * float64(nkx) * float64(p.Nz) * float64(p.Ny) / float64(ranks)
-	padBytes := fieldBytes * 1.5
-	linesZ := nkx * p.Ny
-	linesX := mz * p.Ny
-
-	s := &Schedule{
-		Name: "timestep",
-		Nx:   p.Nx, Ny: p.Ny, Nz: p.Nz, NKx: nkx,
-		PA: p.PA, PB: p.PB, Ranks: ranks,
-	}
+	s := p.header("timestep")
 	overlapped := p.ChunksA > 0 && p.ChunksB > 0
 	for sub := 1; sub <= 3; sub++ {
-		if overlapped {
-			// Pipelined form: each forward-path transpose fuses with the FFT
-			// stage consuming its chunks. The x excursion (inverse transform,
-			// pointwise products, forward transform) runs entirely inside the
-			// ZtoX consumer, so its two stages' flops ride one overlap op.
-			s.overlap(sub, DirYtoZ, "B", p.PB, 3, fieldBytes*3, p.PackPasses, p.ChunksB, Op{
-				Phase: PhaseFFTInverse.String(),
-				Axis:  "z", Inverse: true, Padded: true,
-				Lines: linesZ, Points: mz,
-				Flops: 3 * float64(linesZ) * FFTFlops(mz, false),
-			})
-			s.overlap(sub, DirZtoX, "A", p.PA, 3, padBytes*3, p.PackPasses, p.ChunksA, Op{
-				Phase: PhaseNonlinear.String(),
-				Axis:  "x", Inverse: true, Real: true, Padded: true,
-				Lines: linesX, Points: mx,
-				Flops: float64(3+p.Products) * float64(linesX) * FFTFlops(mx, true),
-			})
-			s.overlap(sub, DirXtoZ, "A", p.PA, p.Products, padBytes*float64(p.Products), p.PackPasses, p.ChunksA, Op{
-				Phase: PhaseFFTForward.String(),
-				Axis:  "z", Padded: true,
-				Lines: linesZ, Points: mz,
-				Flops: float64(p.Products) * float64(linesZ) * FFTFlops(mz, false),
-			})
-		} else {
-			s.transpose(sub, DirYtoZ, "B", p.PB, 3, fieldBytes*3, p.PackPasses, 0)
-			s.Ops = append(s.Ops, Op{
-				Kind: OpFFT, Phase: PhaseFFTInverse.String(), Sub: sub,
-				Axis: "z", Inverse: true, Padded: true,
-				Fields: 3, Lines: linesZ, Points: mz,
-				Flops: 3 * float64(linesZ) * FFTFlops(mz, false),
-			})
-			s.transpose(sub, DirZtoX, "A", p.PA, 3, padBytes*3, p.PackPasses, 0)
-			s.Ops = append(s.Ops, Op{
-				Kind: OpFFT, Phase: PhaseNonlinear.String(), Sub: sub,
-				Axis: "x", Inverse: true, Real: true, Padded: true,
-				Fields: 3, Lines: linesX, Points: mx,
-				Flops: 3 * float64(linesX) * FFTFlops(mx, true),
-			})
-			s.Ops = append(s.Ops, Op{
-				Kind: OpFFT, Phase: PhaseNonlinear.String(), Sub: sub,
-				Axis: "x", Real: true, Padded: true,
-				Fields: p.Products, Lines: linesX, Points: mx,
-				Flops: float64(p.Products) * float64(linesX) * FFTFlops(mx, true),
-			})
-			s.transpose(sub, DirXtoZ, "A", p.PA, p.Products, padBytes*float64(p.Products), p.PackPasses, 0)
-			s.Ops = append(s.Ops, Op{
-				Kind: OpFFT, Phase: PhaseFFTForward.String(), Sub: sub,
-				Axis: "z", Padded: true,
-				Fields: p.Products, Lines: linesZ, Points: mz,
-				Flops: float64(p.Products) * float64(linesZ) * FFTFlops(mz, false),
-			})
-		}
-		// The return leg has no following transform to hide under: it stays a
-		// one-shot exchange even in the overlapped program.
-		s.transpose(sub, DirZtoY, "B", p.PB, p.Products, fieldBytes*float64(p.Products), p.PackPasses, 0)
+		s.excursion(sub, p, 3, p.Products, overlapped)
 		s.Ops = append(s.Ops, Op{
 			Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
-			Systems: nkx * p.Nz, Bandwidth: solveBandwidth,
-			Flops: float64(nkx) * float64(p.Nz) * float64(p.Ny) * NSFlopsPerPoint,
+			Systems: s.NKx * p.Nz, Bandwidth: solveBandwidth,
+			Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * NSFlopsPerPoint,
 		})
 	}
 	return s
+}
+
+// header starts a timestep-family schedule: name and identity, no ops.
+func (p TimestepParams) header(name string) *Schedule {
+	return &Schedule{
+		Name: name,
+		Nx:   p.Nx, Ny: p.Ny, Nz: p.Nz, NKx: p.Nx / 2,
+		PA: p.PA, PB: p.PB, Ranks: p.PA * p.PB,
+	}
+}
+
+// excursion appends one dealiased out-and-back pass of substep sub, the
+// program parfft.Excursion executes: y->z transpose of in fields, inverse z
+// FFT onto the 3/2 grid, z->x transpose, the fused x excursion (inverse
+// transform of the in fields, pointwise products, forward transform of the
+// out fields), x->z transpose, forward z FFT, z->y transpose.
+//
+// The overlapped form fuses each forward-path transpose with the FFT stage
+// consuming its chunks (OpOverlap). The x excursion runs entirely inside the
+// ZtoX consumer, so its two stages' flops ride one overlap op. The return
+// leg has no following transform to hide under: it stays a one-shot exchange
+// in both forms.
+func (s *Schedule) excursion(sub int, p TimestepParams, in, out int, overlapped bool) {
+	mx, mz := 3*p.Nx/2, 3*p.Nz/2
+	fieldBytes := 16 * float64(s.NKx) * float64(p.Nz) * float64(p.Ny) / float64(s.Ranks)
+	padBytes := fieldBytes * 1.5
+	linesZ := s.NKx * p.Ny
+	linesX := mz * p.Ny
+	stage := func(phase Phase, axis string, inverse bool, fields, lines, points int) Op {
+		isReal := axis == "x"
+		return Op{
+			Kind: OpFFT, Phase: phase.String(), Sub: sub,
+			Axis: axis, Inverse: inverse, Real: isReal, Padded: true,
+			Fields: fields, Lines: lines, Points: points,
+			Flops: float64(fields) * float64(lines) * FFTFlops(points, isReal),
+		}
+	}
+	zInv := stage(PhaseFFTInverse, "z", true, in, linesZ, mz)
+	xInv := stage(PhaseNonlinear, "x", true, in, linesX, mx)
+	xFwd := stage(PhaseNonlinear, "x", false, out, linesX, mx)
+	zFwd := stage(PhaseFFTForward, "z", false, out, linesZ, mz)
+	if overlapped {
+		xInv.Flops = float64(in+out) * float64(linesX) * FFTFlops(mx, true)
+		s.overlap(sub, DirYtoZ, "B", p.PB, in, fieldBytes*float64(in), p.PackPasses, p.ChunksB, zInv)
+		s.overlap(sub, DirZtoX, "A", p.PA, in, padBytes*float64(in), p.PackPasses, p.ChunksA, xInv)
+		s.overlap(sub, DirXtoZ, "A", p.PA, out, padBytes*float64(out), p.PackPasses, p.ChunksA, zFwd)
+	} else {
+		s.transpose(sub, DirYtoZ, "B", p.PB, in, fieldBytes*float64(in), p.PackPasses, 0)
+		s.Ops = append(s.Ops, zInv)
+		s.transpose(sub, DirZtoX, "A", p.PA, in, padBytes*float64(in), p.PackPasses, 0)
+		s.Ops = append(s.Ops, xInv, xFwd)
+		s.transpose(sub, DirXtoZ, "A", p.PA, out, padBytes*float64(out), p.PackPasses, 0)
+		s.Ops = append(s.Ops, zFwd)
+	}
+	s.transpose(sub, DirZtoY, "B", p.PB, out, fieldBytes*float64(out), p.PackPasses, 0)
 }
 
 // IsoSolveFlopsPerPoint prices the isotropic workload's per-point spectral
@@ -134,129 +121,52 @@ const ScalarSolveFlopsPerPoint = 500.0
 
 // IsotropicTimestep builds one RK3 timestep of the triply-periodic
 // isotropic-turbulence workload: per substep, an inverse y FFT brings the
-// three velocity fields to y-physical space, the channel pipeline's four
-// transposes and padded z/x transforms evaluate the six dealiased products,
-// a forward y FFT returns the products to fully spectral space, and a
-// diagonal (bandwidth-0) per-mode projection + IMEX advance replaces the
-// channel's banded wall-normal solve. The transposes move exactly the
-// channel's images, so the pencil layer needs no new machinery.
+// three velocity fields to y-physical space, the channel's excursion
+// evaluates the six dealiased products, a forward y FFT returns the
+// products to fully spectral space, and a diagonal (bandwidth-0) per-mode
+// projection + IMEX advance replaces the channel's banded wall-normal
+// solve. The transposes move exactly the channel's images, so the pencil
+// layer needs no new machinery.
 func IsotropicTimestep(p TimestepParams) *Schedule {
-	ranks := p.PA * p.PB
-	nkx := p.Nx / 2
-	mx, mz := 3*p.Nx/2, 3*p.Nz/2
-	fieldBytes := 16 * float64(nkx) * float64(p.Nz) * float64(p.Ny) / float64(ranks)
-	padBytes := fieldBytes * 1.5
-	linesY := nkx * p.Nz
-	linesZ := nkx * p.Ny
-	linesX := mz * p.Ny
-
-	s := &Schedule{
-		Name: "isotropic_timestep",
-		Nx:   p.Nx, Ny: p.Ny, Nz: p.Nz, NKx: nkx,
-		PA: p.PA, PB: p.PB, Ranks: ranks,
+	s := p.header("isotropic_timestep")
+	linesY := s.NKx * p.Nz
+	yFFT := func(sub int, phase Phase, inverse bool, fields int) Op {
+		return Op{
+			Kind: OpFFT, Phase: phase.String(), Sub: sub,
+			Axis: "y", Inverse: inverse,
+			Fields: fields, Lines: linesY, Points: p.Ny,
+			Flops: float64(fields) * float64(linesY) * FFTFlops(p.Ny, false),
+		}
 	}
 	for sub := 1; sub <= 3; sub++ {
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseFFTInverse.String(), Sub: sub,
-			Axis: "y", Inverse: true,
-			Fields: 3, Lines: linesY, Points: p.Ny,
-			Flops: 3 * float64(linesY) * FFTFlops(p.Ny, false),
-		})
-		s.transpose(sub, DirYtoZ, "B", p.PB, 3, fieldBytes*3, p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseFFTInverse.String(), Sub: sub,
-			Axis: "z", Inverse: true, Padded: true,
-			Fields: 3, Lines: linesZ, Points: mz,
-			Flops: 3 * float64(linesZ) * FFTFlops(mz, false),
-		})
-		s.transpose(sub, DirZtoX, "A", p.PA, 3, padBytes*3, p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseNonlinear.String(), Sub: sub,
-			Axis: "x", Inverse: true, Real: true, Padded: true,
-			Fields: 3, Lines: linesX, Points: mx,
-			Flops: 3 * float64(linesX) * FFTFlops(mx, true),
-		})
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseNonlinear.String(), Sub: sub,
-			Axis: "x", Real: true, Padded: true,
-			Fields: p.Products, Lines: linesX, Points: mx,
-			Flops: float64(p.Products) * float64(linesX) * FFTFlops(mx, true),
-		})
-		s.transpose(sub, DirXtoZ, "A", p.PA, p.Products, padBytes*float64(p.Products), p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseFFTForward.String(), Sub: sub,
-			Axis: "z", Padded: true,
-			Fields: p.Products, Lines: linesZ, Points: mz,
-			Flops: float64(p.Products) * float64(linesZ) * FFTFlops(mz, false),
-		})
-		s.transpose(sub, DirZtoY, "B", p.PB, p.Products, fieldBytes*float64(p.Products), p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseFFTForward.String(), Sub: sub,
-			Axis: "y",
-			Fields: p.Products, Lines: linesY, Points: p.Ny,
-			Flops: float64(p.Products) * float64(linesY) * FFTFlops(p.Ny, false),
-		})
-		s.Ops = append(s.Ops, Op{
+		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTInverse, true, 3))
+		s.excursion(sub, p, 3, p.Products, false)
+		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTForward, false, p.Products), Op{
 			Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
-			Systems: nkx * p.Nz, Bandwidth: 0,
-			Flops: float64(nkx) * float64(p.Nz) * float64(p.Ny) * IsoSolveFlopsPerPoint,
+			Systems: s.NKx * p.Nz, Bandwidth: 0,
+			Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * IsoSolveFlopsPerPoint,
 		})
 	}
 	return s
 }
 
 // ScalarTimestep builds one RK3 timestep of the passive-scalar workload:
-// the full channel timestep, plus a second forward/backward excursion per
-// substep that carries the three velocities and the scalar out to the
-// dealiased physical grid (4 fields), forms the three flux products
-// (u*th, v*th, w*th) and brings them back (3 fields), followed by the
-// scalar's banded implicit solve. The same transpose directions appear
-// twice per substep with different field counts, which is why the
-// telemetry consistency check aggregates per direction rather than
-// requiring uniform op shapes.
+// the full channel timestep, plus a second excursion per substep that
+// carries the three velocities and the scalar out to the dealiased physical
+// grid (4 fields), forms the three flux products (u*th, v*th, w*th) and
+// brings them back (3 fields), followed by the scalar's banded implicit
+// solve. The same transpose directions appear twice per substep with
+// different field counts, which is why the telemetry consistency check
+// aggregates per direction rather than requiring uniform op shapes.
 func ScalarTimestep(p TimestepParams) *Schedule {
 	s := Timestep(p)
 	s.Name = "scalar_timestep"
-	ranks := p.PA * p.PB
-	nkx := p.Nx / 2
-	mx, mz := 3*p.Nx/2, 3*p.Nz/2
-	fieldBytes := 16 * float64(nkx) * float64(p.Nz) * float64(p.Ny) / float64(ranks)
-	padBytes := fieldBytes * 1.5
-	linesZ := nkx * p.Ny
-	linesX := mz * p.Ny
 	for sub := 1; sub <= 3; sub++ {
-		s.transpose(sub, DirYtoZ, "B", p.PB, 4, fieldBytes*4, p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseFFTInverse.String(), Sub: sub,
-			Axis: "z", Inverse: true, Padded: true,
-			Fields: 4, Lines: linesZ, Points: mz,
-			Flops: 4 * float64(linesZ) * FFTFlops(mz, false),
-		})
-		s.transpose(sub, DirZtoX, "A", p.PA, 4, padBytes*4, p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseNonlinear.String(), Sub: sub,
-			Axis: "x", Inverse: true, Real: true, Padded: true,
-			Fields: 4, Lines: linesX, Points: mx,
-			Flops: 4 * float64(linesX) * FFTFlops(mx, true),
-		})
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseNonlinear.String(), Sub: sub,
-			Axis: "x", Real: true, Padded: true,
-			Fields: 3, Lines: linesX, Points: mx,
-			Flops: 3 * float64(linesX) * FFTFlops(mx, true),
-		})
-		s.transpose(sub, DirXtoZ, "A", p.PA, 3, padBytes*3, p.PackPasses, 0)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpFFT, Phase: PhaseFFTForward.String(), Sub: sub,
-			Axis: "z", Padded: true,
-			Fields: 3, Lines: linesZ, Points: mz,
-			Flops: 3 * float64(linesZ) * FFTFlops(mz, false),
-		})
-		s.transpose(sub, DirZtoY, "B", p.PB, 3, fieldBytes*3, p.PackPasses, 0)
+		s.excursion(sub, p, 4, 3, false)
 		s.Ops = append(s.Ops, Op{
 			Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
-			Systems: nkx * p.Nz, Bandwidth: solveBandwidth,
-			Flops: float64(nkx) * float64(p.Nz) * float64(p.Ny) * ScalarSolveFlopsPerPoint,
+			Systems: s.NKx * p.Nz, Bandwidth: solveBandwidth,
+			Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * ScalarSolveFlopsPerPoint,
 		})
 	}
 	return s
@@ -415,7 +325,7 @@ func FFTCycle(p FFTCycleParams) *Schedule {
 	s.transpose(0, DirXtoZ, "A", p.PA, p.Fields, bytes, passes, 0)
 	s.Ops = append(s.Ops, Op{
 		Kind: OpFFT, Phase: PhaseFFTForward.String(),
-		Axis: "z",
+		Axis:   "z",
 		Fields: p.Fields, Lines: linesZ, Points: p.Nz,
 		Flops: float64(p.Fields) * float64(linesZ) * FFTFlops(p.Nz, false),
 	})
