@@ -202,7 +202,7 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 	// chunk of local-y lines.
 	if sp.Harvest {
 		for c := range e.maxAbs {
-			zero(e.maxAbs[c])
+			clear(e.maxAbs[c])
 		}
 	}
 	d.ZtoXPipelined(e.xp[:nd], e.zphys[:nd], mz, e.xFn)
@@ -212,12 +212,6 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 	// y-pencils (one-shot: nothing follows to hide the return leg under).
 	d.XtoZPipelined(e.zpOut[:sp.Out], e.prodX[:sp.Out], mz, e.zFwdFn)
 	return d.ZtoY(e.outY[:sp.Out], e.zspec[:sp.Out])
-}
-
-func zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
 }
 
 // consumeZInv is the YtoZ consume hook: pad and inverse transform in z the
@@ -268,7 +262,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 	phys := w.phys[:nd+sp.Grad]
 	if sp.Harvest {
 		for c := range w.maxAbs {
-			zero(w.maxAbs[c])
+			clear(w.maxAbs[c])
 		}
 	}
 	lo += e.lineOff
