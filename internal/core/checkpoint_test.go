@@ -141,3 +141,23 @@ func TestConfigFingerprint(t *testing.T) {
 		t.Error("explicit default Degree fingerprints differently from the implicit one")
 	}
 }
+
+// TestFingerprintPinned holds three fingerprints to the values the commit
+// before Config.UseGeneralSolver was removed computed, so a checkpoint
+// written by an older build still passes the store's fingerprint check.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"channel", Config{Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1}, 0xba50dbe8e9952426},
+		{"isotropic", Config{Workload: WorkloadIsotropic, Nx: 16, Ny: 16, Nz: 16, Ly: 3, ReTau: 100, Dt: 1e-3}, 0x21bb6b765e3ca6cc},
+		{"scalar", Config{Workload: WorkloadScalar, Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
+			Prandtl: 0.7, Nonlinear: FormSkewSymmetric}, 0x7f84251190889e17},
+	} {
+		if got := tc.cfg.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %#016x, pinned %#016x", tc.name, got, tc.want)
+		}
+	}
+}
