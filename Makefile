@@ -1,41 +1,46 @@
 # Developer entry points. `make ci` is what a pipeline should run: static
 # checks, a full build, the whole test suite, and the race detector over
 # the concurrency-bearing packages (shared FFT plans, worker pool,
-# in-process MPI runtime, pencil transposes).
+# in-process MPI runtime, pencil transposes). vet and test also cover
+# benchmark/, the regression ruler: it is its own module (its only
+# requirement is replaced by ../, so no network), which `./...` skips, and
+# an API break there would otherwise surface only in the pipeline.
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-alloc bench-smoke bench-diff ckpt-smoke tcp-smoke obs-smoke serve-smoke clean
+.PHONY: ci vet build test race bench bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke clean
 
-ci: vet build test race bench-smoke bench-diff ckpt-smoke tcp-smoke obs-smoke serve-smoke
+ci: vet build test race bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet .
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark test .
 
 race:
 	$(GO) test -race -short channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
 
-# Paper-table benchmarks with allocation reporting; see README
-# "Performance notes" for how to read the allocs/op columns.
+# The micro-benchmarks that live beside their package. The paper tables
+# come from the cmd/bench-* tools and changes are gated by benchmark/
+# (BENCHMARK.json), not by these.
 bench:
-	$(GO) test -run xxx -bench 'Table|Figure|Ablation' -benchmem -benchtime 200ms .
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
-
-bench-alloc:
-	$(GO) test -run xxx -bench 'Table5|Table6|Table9' -benchmem -benchtime 200ms .
+	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server
 
 # Tiny end-to-end run of every bench tool, validating the emitted
 # BENCH_*.json artifacts against the channeldns/bench/v1 schema (including
 # each report's declarative schedule block, cross-checked against its own
 # comm table). Keeps the telemetry report path from bit-rotting without
-# burning CI minutes.
+# burning CI minutes. The last line is the model-vs-measured pass over the
+# two timestep reports: measured phase seconds against the machine model of
+# each report's schedule block, advisory only (drift warns, never fails).
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
 	$(GO) run ./cmd/bench-solver -n 128 -reps 1 -json .bench-smoke/BENCH_table1.json > /dev/null
@@ -55,15 +60,7 @@ bench-smoke:
 	$(GO) run ./cmd/bench-fft -schedule > /dev/null
 	$(GO) run ./cmd/bench-validate .bench-smoke/BENCH_*.json
 	$(GO) run ./cmd/bench-validate -trace .bench-smoke/*.trace.json
-
-# Model-vs-measured pass over the fresh bench-smoke timestep reports:
-# compares measured phase seconds against the machine model of each
-# report's schedule block. Advisory only, never gates — the regression
-# ruler is benchmark/ (BENCHMARK.json); bench-smoke's bench-validate is the
-# structural check of the reports.
-bench-diff: bench-smoke
-	$(GO) run ./cmd/bench-diff -model .bench-smoke/BENCH_table9.json
-	$(GO) run ./cmd/bench-diff -model .bench-smoke/BENCH_table9_overlap.json
+	$(GO) run ./cmd/bench-validate -q -model .bench-smoke/BENCH_table9.json .bench-smoke/BENCH_table9_overlap.json
 
 # Crash-restart drill: checkpoint a tiny multi-rank run every 2 steps,
 # flip a bit in the newest checkpoint's shard (manifest left intact — the

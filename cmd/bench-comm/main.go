@@ -128,11 +128,7 @@ func main() {
 			rep.WallSeconds = balanced.elapsed.Seconds()
 			rep.Metrics = metrics
 			rep.Schedule = balanced.sched
-			if err := rep.WriteFile(*jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
+			perf.WriteReport(rep, *jsonPath)
 			if balancedOv != nil {
 				ovPath := strings.TrimSuffix(*jsonPath, ".json") + ".overlap.json"
 				ovRep := telemetry.NewReport("table5-overlap", balancedOv.reg,
@@ -140,11 +136,7 @@ func main() {
 				ovRep.WallSeconds = balancedOv.elapsed.Seconds()
 				ovRep.Schedule = balancedOv.sched
 				ovRep.Trace = balancedOv.traceSum
-				if err := ovRep.WriteFile(ovPath); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", ovPath)
+				perf.WriteReport(ovRep, ovPath)
 			}
 		}
 	}
@@ -204,11 +196,7 @@ func transportAB(runners map[string]func(int, func(*mpi.Comm)), jsonPath string)
 		rep.WallSeconds = balanced[tr].elapsed.Seconds()
 		rep.Metrics = metrics[tr]
 		rep.Schedule = balanced[tr].sched
-		if err := rep.WriteFile(paths[tr]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", paths[tr])
+		perf.WriteReport(rep, paths[tr])
 	}
 }
 

@@ -102,11 +102,7 @@ func main() {
 			rep.WallSeconds = last.elapsed.Seconds()
 			rep.Metrics = metrics
 			rep.Schedule = last.sched
-			if err := rep.WriteFile(*jsonPath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
+			perf.WriteReport(rep, *jsonPath)
 			if lastOv != nil {
 				ovPath := strings.TrimSuffix(*jsonPath, ".json") + ".overlap.json"
 				ovRep := telemetry.NewReport("table6-overlap", lastOv.reg, map[string]string{
@@ -117,11 +113,7 @@ func main() {
 				ovRep.WallSeconds = lastOv.elapsed.Seconds()
 				ovRep.Schedule = lastOv.sched
 				ovRep.Trace = lastOv.traceSum
-				if err := ovRep.WriteFile(ovPath); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", ovPath)
+				perf.WriteReport(ovRep, ovPath)
 			}
 		}
 	}

@@ -43,11 +43,7 @@ func main() {
 			"reorder": "64x96x64 x8 reps",
 		})
 		rep.Metrics = metrics
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		perf.WriteReport(rep, *jsonPath)
 	}
 }
 

@@ -64,11 +64,7 @@ func main() {
 			"n": fmt.Sprint(*n), "reps": fmt.Sprint(*reps),
 		})
 		rep.Metrics = metrics
-		if err := rep.WriteFile(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		perf.WriteReport(rep, *jsonPath)
 	}
 }
 

@@ -115,17 +115,15 @@ func runReport(path, tracePath, workload string, nx, ny, nz, steps int, overlap 
 		"overlap": fmt.Sprint(overlap),
 	})
 	rep.AllocsPerStep = allocsPerStep
-	if err := rep.WriteFile(path); err != nil {
-		return err
-	}
+	perf.WriteReport(rep, path)
+	fmt.Printf("  %d steps, %.4fs/step, phase sum %.4fs\n",
+		steps, rep.WallSeconds/float64(steps), rep.PhaseSecondsSum/float64(steps))
 	if trc != nil {
 		if err := trc.WriteChromeFile(tracePath); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", tracePath)
 	}
-	fmt.Printf("wrote %s (%d steps, %.4fs/step, phase sum %.4fs)\n",
-		path, steps, rep.WallSeconds/float64(steps), rep.PhaseSecondsSum/float64(steps))
 	return nil
 }
 

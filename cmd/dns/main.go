@@ -63,7 +63,7 @@ func main() {
 		form    = flag.String("form", "divergence", "nonlinear form: divergence | convective | skew")
 		budget  = flag.Bool("budget", false, "print the TKE budget at the end")
 		spectra = flag.Bool("spectra", false, "print 1-D energy spectra at selected heights")
-		listen  = flag.String("listen", "", "serve live telemetry + pprof + expvar on this address (e.g. localhost:6060)")
+		listen  = flag.String("listen", "", "serve live telemetry + pprof on this address (e.g. localhost:6060)")
 		hbEvery = flag.Int("heartbeat-every", 0, "gather per-rank telemetry deltas to rank 0 every N steps for the live /metrics + /status world dashboard (0 = off; a collective, so every rank must run the same value)")
 		repPath = flag.String("report", "", "write the final telemetry report (BENCH-schema JSON) to this file")
 		trcPath = flag.String("trace", "", "record a flight-recorder trace and write it as Chrome trace-event JSON (open in Perfetto) to this file")
@@ -133,7 +133,7 @@ func main() {
 	if *listen != "" {
 		tracker = telemetry.NewWorldTracker(*pa * *pb)
 		mux := http.NewServeMux()
-		mux.Handle("/", telemetry.HandlerWithIdentity(reg, buildReport, telemetry.Identity{
+		mux.Handle("/", telemetry.HandlerWithIdentity(buildReport, telemetry.Identity{
 			Rank: *rankF, World: *worldF, Transport: *transportF,
 		}))
 		mux.Handle("/trace", trace.Handler(trc))

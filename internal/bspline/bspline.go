@@ -96,9 +96,6 @@ func (b *Basis) Domain() (float64, float64) {
 	return b.knots[0], b.knots[len(b.knots)-1]
 }
 
-// Knots returns the full clamped knot vector (not a copy; do not modify).
-func (b *Basis) Knots() []float64 { return b.knots }
-
 // FindSpan locates the knot span index i such that knots[i] <= u < knots[i+1]
 // (with the right endpoint mapped into the last span).
 func (b *Basis) FindSpan(u float64) int {

@@ -55,7 +55,7 @@ func (c Config) Fingerprint() uint64 {
 	b(c.DisableNonlinear)
 	f(c.Forcing)
 	u(uint64(c.Nonlinear))
-	b(c.UseGeneralSolver)
+	u(0) // slot of a removed solver-backend flag: checkpoints written while it existed still resume
 	return h.Sum64()
 }
 

@@ -142,9 +142,10 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned holds three fingerprints to the values the commit
-// before Config.UseGeneralSolver was removed computed, so a checkpoint
-// written by an older build still passes the store's fingerprint check.
+// TestFingerprintPinned holds three fingerprints to the values computed when
+// Config still had its solver-backend flag (PR 19 removed it), so a
+// checkpoint written by an older build still passes the store's
+// fingerprint check.
 func TestFingerprintPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -85,12 +85,6 @@ type Config struct {
 	// Prandtl is the Prandtl number nu/kappa of the passive-scalar
 	// workload (0 selects 1). Ignored by the other workloads.
 	Prandtl float64
-	// UseGeneralSolver replaces the customized compact banded solver in the
-	// time advance with the general pivoted banded solver (complex right-
-	// hand sides via two sequential real solves) — the configuration the
-	// paper's Table 1 baseline corresponds to. An ablation knob; results
-	// agree to rounding.
-	UseGeneralSolver bool
 }
 
 func (c *Config) fillDefaults() {

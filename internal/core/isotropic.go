@@ -171,15 +171,7 @@ func (s *IsoSolver) kyIndex(j int) int {
 
 func (s *IsoSolver) pool() *par.Pool { return s.Cfg.Pool }
 
-// widx maps global mode indices to the local slot, or -1.
-func (s *IsoSolver) widx(ikx, ikz int) int {
-	if ikx < s.kxlo || ikx >= s.kxhi || ikz < s.kzlo || ikz >= s.kzhi {
-		return -1
-	}
-	return (ikx-s.kxlo)*(s.kzhi-s.kzlo) + (ikz - s.kzlo)
-}
-
-// modeOf inverts widx: local slot -> global (ikx, ikz).
+// modeOf maps a local slot to its global (ikx, ikz).
 func (s *IsoSolver) modeOf(w int) (int, int) {
 	nkz := s.kzhi - s.kzlo
 	return s.kxlo + w/nkz, s.kzlo + w%nkz
@@ -200,16 +192,6 @@ func (s *IsoSolver) CurrentStep() int     { return s.Step }
 func (s *IsoSolver) CurrentTime() float64 { return s.Time }
 func (s *IsoSolver) CurrentDt() float64   { return s.Cfg.Dt }
 func (s *IsoSolver) SetDt(dt float64)     { s.Cfg.Dt = dt }
-
-// VelCoef returns one component's spectral column for a locally owned
-// (ikx, ikz) mode (nil if not owned). The slice aliases solver state.
-func (s *IsoSolver) VelCoef(comp, ikx, ikz int) []complex128 {
-	w := s.widx(ikx, ikz)
-	if w < 0 {
-		return nil
-	}
-	return [3][][]complex128{s.cu, s.cv, s.cw}[comp][w]
-}
 
 // InitDefault seeds a deterministic divergence-free large-scale velocity
 // field: unit-magnitude random phases of amplitude amp on every mode with

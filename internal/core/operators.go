@@ -6,21 +6,6 @@ import (
 	"channeldns/internal/banded"
 )
 
-// bandSolver is the factored-operator interface the time advance uses;
-// the customized compact solver is the default, the general pivoted banded
-// solver the ablation alternative (Config.UseGeneralSolver).
-type bandSolver interface {
-	SolveComplex(b []complex128)
-	SolveReal(b []float64)
-}
-
-// realGB adapts banded.Real: complex right-hand sides go through the
-// two-sequential-real-solves workaround of Table 1's "MKL^R" column.
-type realGB struct{ m *banded.Real }
-
-func (r realGB) SolveComplex(b []complex128) { r.m.SolveComplexTwoReal(b) }
-func (r realGB) SolveReal(b []float64)       { r.m.Solve(b) }
-
 // wnOps caches the factored implicit operators for one wavenumber at one
 // time step size: the three substep Helmholtz solves of paper Eq. (3)
 // sharing a single matrix structure, the v-recovery operator of Eq. (4),
@@ -28,9 +13,9 @@ func (r realGB) SolveReal(b []float64)       { r.m.Solve(b) }
 type wnOps struct {
 	k2 float64
 	// lhs[s] = B0 - beta_s*dt*nu*(B2 - k2*B0) with value rows at the walls.
-	lhs [3]bandSolver
+	lhs [3]*banded.Compact
 	// helm = B2 - k2*B0 with value rows at the walls (only for k2 > 0).
-	helm bandSolver
+	helm *banded.Compact
 	// Influence data per substep: homogeneous v solutions and the inverse
 	// influence matrix mapping wall values of phi to wall slopes of v.
 	cv1, cv2 [3][]float64
@@ -76,29 +61,22 @@ func (s *Solver) fillOperator(set func(i, j int, v float64), a0, a2 float64) {
 }
 
 // factorOperator materializes a0*B0 - a2*B2 (with wall value rows) in the
-// configured backend and factors it.
-func (s *Solver) factorOperator(a0, a2 float64) (bandSolver, error) {
-	ny := s.Cfg.Ny
-	deg := s.B.Degree()
-	if s.Cfg.UseGeneralSolver {
-		m := banded.NewReal(ny, deg, deg)
-		s.fillOperator(m.Set, a0, a2)
-		return realGB{m}, m.Factor()
-	}
-	m := banded.NewCompact(ny, deg)
+// compact format and factors it.
+func (s *Solver) factorOperator(a0, a2 float64) (*banded.Compact, error) {
+	m := banded.NewCompact(s.Cfg.Ny, s.B.Degree())
 	s.fillOperator(m.Set, a0, a2)
 	return m, m.Factor()
 }
 
 // assembleLHS builds B0 - c*(B2 - k2*B0) = (1 + c*k2)*B0 - c*B2 with
-// Dirichlet value rows at both walls, factored in the configured backend.
-func (s *Solver) assembleLHS(c, k2 float64) (bandSolver, error) {
+// Dirichlet value rows at both walls, factored.
+func (s *Solver) assembleLHS(c, k2 float64) (*banded.Compact, error) {
 	return s.factorOperator(1+c*k2, c)
 }
 
 // assembleHelm builds B2 - k2*B0 with Dirichlet value rows at both walls,
 // i.e. -k2*B0 + B2 = -(k2*B0 - B2): assembled as a0 = -k2, a2 = -1.
-func (s *Solver) assembleHelm(k2 float64) (bandSolver, error) {
+func (s *Solver) assembleHelm(k2 float64) (*banded.Compact, error) {
 	return s.factorOperator(-k2, -1)
 }
 

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"time"
 
+	"channeldns/internal/banded"
 	"channeldns/internal/ckpt"
 	"channeldns/internal/mpi"
 	"channeldns/internal/parfft"
@@ -56,12 +57,12 @@ type ScalarSolver struct {
 
 	// Per-wavenumber factored implicit operators for the current dt.
 	sOps     []*scalarOps
-	sMeanOps [3]bandSolver
+	sMeanOps [3]*banded.Compact
 	sOpsDt   float64
 }
 
 type scalarOps struct {
-	lhs [3]bandSolver
+	lhs [3]*banded.Compact
 }
 
 // NewScalar constructs the passive-scalar workload collectively on the
@@ -107,19 +108,6 @@ func (t *ScalarSolver) WorkloadName() string { return WorkloadScalar }
 
 // Kappa returns the scalar diffusivity nu/Prandtl.
 func (t *ScalarSolver) Kappa() float64 { return t.kappa }
-
-// ThetaCoef returns the spline coefficients of theta-hat for a locally
-// owned mode, or nil. The slice aliases solver state.
-func (t *ScalarSolver) ThetaCoef(ikx, ikz int) []complex128 {
-	if w := t.widx(ikx, ikz); w >= 0 {
-		return t.cth[w]
-	}
-	return nil
-}
-
-// MeanThetaCoef returns the spline coefficients of the mean scalar profile
-// (owner rank only; nil elsewhere). The slice aliases solver state.
-func (t *ScalarSolver) MeanThetaCoef() []float64 { return t.meanTh }
 
 // SetMeanScalarProfile sets the mean scalar profile Theta(y) on the owner
 // rank (no-op elsewhere). The profile should satisfy Theta(-1) = +1,

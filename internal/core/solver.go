@@ -52,7 +52,7 @@ type Solver struct {
 	// Per-wavenumber factored operators, built lazily for the current Dt.
 	ops     []*wnOps
 	opsDt   float64
-	meanOps [3]bandSolver
+	meanOps [3]*banded.Compact
 
 	// Fused dealiasing transforms and the excursion that carries fields
 	// through them to the physical grid and back (see nonlinear.go).
@@ -237,9 +237,6 @@ func (s *Solver) OmegaCoef(ikx, ikz int) []complex128 {
 // MeanUCoef returns the spline coefficients of the mean streamwise profile
 // (owner rank only; nil elsewhere). The slice aliases solver state.
 func (s *Solver) MeanUCoef() []float64 { return s.meanU }
-
-// MeanWCoef returns the spline coefficients of the mean spanwise profile.
-func (s *Solver) MeanWCoef() []float64 { return s.meanW }
 
 // compactFromRows assembles a Compact matrix whose interior rows are a
 // combination of the 0th/1st/2nd-derivative collocation rows at each

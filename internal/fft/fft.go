@@ -316,19 +316,10 @@ func Scale(x []complex128, s float64) {
 // length Len() stored back to back in src, writing to dst. dst and src may
 // alias element-for-element.
 func (p *Plan) ForwardMany(dst, src []complex128, howmany int) {
-	p.many(dst, src, howmany, forward)
-}
-
-// InverseMany applies the inverse transform to howmany contiguous lines.
-func (p *Plan) InverseMany(dst, src []complex128, howmany int) {
-	p.many(dst, src, howmany, inverse)
-}
-
-func (p *Plan) many(dst, src []complex128, howmany, dir int) {
 	if len(dst) < howmany*p.n || len(src) < howmany*p.n {
 		panic("fft: batch slices shorter than howmany*Len()")
 	}
 	for i := 0; i < howmany; i++ {
-		p.transform(dst[i*p.n:(i+1)*p.n], src[i*p.n:(i+1)*p.n], dir)
+		p.transform(dst[i*p.n:(i+1)*p.n], src[i*p.n:(i+1)*p.n], forward)
 	}
 }

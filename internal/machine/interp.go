@@ -32,7 +32,7 @@ type Env struct {
 
 // MPIEnv is the rank-per-core placement for a schedule at laptop/live
 // scale: every rank on its own core, CommB groups packed contiguously.
-// bench-diff -model uses it to price a live report's schedule.
+// bench-validate -model uses it to price a live report's schedule.
 func MPIEnv(m Machine, s *schedule.Schedule) Env {
 	ranks := max(1, s.Ranks)
 	rpnNode := min(m.CoresPerNode, ranks)

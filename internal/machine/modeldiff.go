@@ -8,7 +8,7 @@ import (
 	"channeldns/internal/telemetry"
 )
 
-// Model-vs-measured comparison: the bench-diff -model mode. A live report's
+// Model-vs-measured comparison: the bench-validate -model mode. A live report's
 // schedule block is priced under a machine's cost functions (Interpret) and
 // the per-phase predictions are set against the report's measured per-phase
 // seconds. Absolute agreement is not expected — the model is calibrated to

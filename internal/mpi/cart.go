@@ -32,9 +32,6 @@ func (c *Comm) CartCreate(dims []int) *CartComm {
 	return cc
 }
 
-// Dims returns the grid extents.
-func (cc *CartComm) Dims() []int { return append([]int(nil), cc.dims...) }
-
 // Coords returns the calling rank's grid coordinates.
 func (cc *CartComm) Coords() []int { return append([]int(nil), cc.coords...) }
 

@@ -177,10 +177,6 @@ func (c *Comm) Size() int { return c.size() }
 
 func (c *Comm) size() int { return len(c.group) }
 
-// WorldRank returns the world rank backing a communicator rank; used by the
-// topology-aware performance model and by Figure 4's pattern dump.
-func (c *Comm) WorldRank(rank int) int { return c.group[rank] }
-
 func (c *Comm) myBox() *mailbox { return c.t.LocalBox() }
 
 // send delivers a payload (already copied) to comm rank dst.

@@ -45,9 +45,6 @@ func NewStream(c *Comm, capacity int) *Stream {
 	}
 }
 
-// Cap returns the stream's posted-receive capacity.
-func (s *Stream) Cap() int { return len(s.reqs) }
-
 // Post posts a nonblocking receive from communicator rank src and returns
 // its index: the value Next later delivers when that message lands.
 // Receives from the same source complete in post order (non-overtaking).

@@ -156,12 +156,6 @@ func New(world *mpi.Comm, pa, pb, nkx, nz, ny int, pool *par.Pool) *Decomp {
 	}
 }
 
-// CoordA returns this rank's index along the CommA direction.
-func (d *Decomp) CoordA() int { return d.ca }
-
-// CoordB returns this rank's index along the CommB direction.
-func (d *Decomp) CoordB() int { return d.cb }
-
 // KxRange returns this rank's one-sided x-mode range (distributed over CommA).
 func (d *Decomp) KxRange() (int, int) { return Chunk(d.NKx, d.PA, d.ca) }
 

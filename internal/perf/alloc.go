@@ -7,11 +7,7 @@ import "runtime"
 // counters around kernels. Readings are process-wide (runtime.ReadMemStats): a delta
 // attributes allocations from EVERY goroutine that ran in the interval,
 // not just the caller's, so exact counts are only meaningful around serial
-// regions; around concurrent ones they are whole-process rates. For
-// attributing allocations to a specific phase of the timestep, use the
-// telemetry package's per-phase probe (Collector.SetAllocTracking), which
-// carries the same serial-only caveat and is what the BENCH_*.json
-// allocs_per_step field restates.
+// regions; around concurrent ones they are whole-process rates.
 
 // AllocSample is a snapshot of the runtime's cumulative allocation
 // counters.

@@ -7,9 +7,12 @@ package perf
 import (
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"sync"
 	"time"
+
+	"channeldns/internal/telemetry"
 )
 
 // Counters tallies floating-point operations and memory traffic. The DNS
@@ -115,4 +118,15 @@ func (t *Table) Write(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// WriteReport writes a benchmark tool's BENCH report to path and says so on
+// stdout; a report that fails validation or cannot be written ends the
+// process with status 1.
+func WriteReport(rep *telemetry.Report, path string) {
+	if err := rep.WriteFile(path); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n", path)
 }

@@ -188,8 +188,7 @@ func (sp JobSpec) Config(pool *par.Pool, reg *telemetry.Registry, trc *trace.Tra
 	}
 }
 
-// ConfigMap is the spec rendered as a BENCH report config block, the
-// fingerprint bench-diff compares structurally.
+// ConfigMap is the spec rendered as a BENCH report config block.
 func (sp JobSpec) ConfigMap() map[string]string {
 	d := sp.withDefaults()
 	return map[string]string{

@@ -89,9 +89,6 @@ func NewRunStore(dir string) (*RunStore, error) {
 	return &RunStore{root: dir}, nil
 }
 
-// Root returns the store's root directory.
-func (rs *RunStore) Root() string { return rs.root }
-
 const runDirPrefix = "job-"
 
 // runDirName formats the directory name of a numeric run id; runDirID

@@ -13,11 +13,15 @@ import "fmt"
 // imbalance aggregation, the same histogram quantiles, the same
 // schedule-consistency cross-checks in bench-validate.
 
-// dumpLen is the fixed length of a collector dump: per phase the time,
-// call and alloc counters plus the latency histogram buckets; per comm
-// channel its three counters; then flops, steps, step time, and the
-// step-latency histogram.
-const dumpLen = int(NumPhases)*(3+histBuckets) + int(NumCommOps)*3 + 3 + histBuckets
+// A collector dump has a fixed layout: per phase the time and call
+// counters plus the latency histogram buckets (phaseDumpLen values); from
+// commDumpBase on, per comm channel its three counters; then flops, steps,
+// step time, and the step-latency histogram.
+const (
+	phaseDumpLen = 2 + histBuckets
+	commDumpBase = int(NumPhases) * phaseDumpLen
+	dumpLen      = commDumpBase + int(NumCommOps)*3 + 3 + histBuckets
+)
 
 // DumpLen returns the length of every Collector.Dump result.
 func DumpLen() int { return dumpLen }
@@ -31,7 +35,7 @@ func (c *Collector) Dump() []int64 {
 	out := make([]int64, 0, dumpLen)
 	for i := range c.phases {
 		rec := &c.phases[i]
-		out = append(out, rec.ns.Load(), rec.calls.Load(), rec.allocs.Load())
+		out = append(out, rec.ns.Load(), rec.calls.Load())
 		for b := 0; b < histBuckets; b++ {
 			out = append(out, rec.hist.counts[b].Load())
 		}
@@ -59,7 +63,6 @@ func (c *Collector) addDump(d []int64) error {
 		rec := &c.phases[i]
 		rec.ns.Add(next())
 		rec.calls.Add(next())
-		rec.allocs.Add(next())
 		for b := 0; b < histBuckets; b++ {
 			if n := next(); n != 0 {
 				rec.hist.counts[b].Add(n)
@@ -108,22 +111,22 @@ func ViewDump(d []int64) (DumpView, bool) {
 }
 
 // PhaseNs returns the accumulated nanoseconds of a phase.
-func (v DumpView) PhaseNs(p Phase) int64 { return v.d[int(p)*(3+histBuckets)] }
+func (v DumpView) PhaseNs(p Phase) int64 { return v.d[int(p)*phaseDumpLen] }
 
 // PhaseCalls returns the closed-region count of a phase.
-func (v DumpView) PhaseCalls(p Phase) int64 { return v.d[int(p)*(3+histBuckets)+1] }
+func (v DumpView) PhaseCalls(p Phase) int64 { return v.d[int(p)*phaseDumpLen+1] }
 
 // CommCounts returns the (calls, messages, bytes) counters of a channel.
 func (v DumpView) CommCounts(op CommOp) (calls, messages, bytes int64) {
-	base := int(NumPhases)*(3+histBuckets) + int(op)*3
+	base := commDumpBase + int(op)*3
 	return v.d[base], v.d[base+1], v.d[base+2]
 }
 
 // Steps returns the completed-timestep count.
-func (v DumpView) Steps() int64 { return v.d[int(NumPhases)*(3+histBuckets)+int(NumCommOps)*3+1] }
+func (v DumpView) Steps() int64 { return v.d[commDumpBase+int(NumCommOps)*3+1] }
 
 // StepNs returns the accumulated timestep nanoseconds.
-func (v DumpView) StepNs() int64 { return v.d[int(NumPhases)*(3+histBuckets)+int(NumCommOps)*3+2] }
+func (v DumpView) StepNs() int64 { return v.d[commDumpBase+int(NumCommOps)*3+2] }
 
 // Flops returns the accumulated floating-point work.
-func (v DumpView) Flops() int64 { return v.d[int(NumPhases)*(3+histBuckets)+int(NumCommOps)*3] }
+func (v DumpView) Flops() int64 { return v.d[commDumpBase+int(NumCommOps)*3] }

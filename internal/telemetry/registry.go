@@ -70,9 +70,6 @@ type PhaseStats struct {
 	// merged across ranks.
 	P50Seconds float64 `json:"p50_seconds"`
 	P99Seconds float64 `json:"p99_seconds"`
-	// AllocObjects is the alloc-probe heap-object count (serial-only; see
-	// Collector.SetAllocTracking), summed across ranks. Omitted when zero.
-	AllocObjects int64 `json:"alloc_objects,omitempty"`
 }
 
 // CommStats summarizes one communication channel across ranks.
@@ -126,7 +123,6 @@ func aggregate(cs []*Collector) Snapshot {
 		for i, c := range cs {
 			s := time.Duration(c.phases[p].ns.Load()).Seconds()
 			st.Calls += c.phases[p].calls.Load()
-			st.AllocObjects += c.phases[p].allocs.Load()
 			st.TotalSeconds += s
 			if i == 0 || s < minS {
 				minS = s

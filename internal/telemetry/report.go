@@ -73,7 +73,7 @@ type Report struct {
 	// Schedule is the declarative op list of the program the run executed
 	// (one RK3 timestep or one Table 5/6 sub-cycle), emitted by the
 	// producing tool from the same objects that ran — core.Config.Schedule,
-	// pencil.Decomp.CycleSchedule, parfft.Kernel.Schedule. bench-diff
+	// pencil.Decomp.CycleSchedule, parfft.Kernel.Schedule. bench-validate
 	// -model interprets it under the machine performance model;
 	// CheckScheduleConsistency cross-checks its traffic against the
 	// measured comm table. Absent from reports of tools without a single

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // Live endpoint: cmd/dns -listen exposes the standard Go observability
@@ -14,22 +13,10 @@ import (
 // inspected without stopping it:
 //
 //	/debug/pprof/...   net/http/pprof profiles (CPU, heap, goroutines)
-//	/debug/vars        expvar (runtime memstats + the published snapshot)
+//	/debug/vars        expvar (runtime memstats, command line)
 //	/telemetry         the current aggregated Report as canonical JSON
 //
 // The handler never blocks the simulation: snapshots read atomic counters.
-
-// The expvar name "channeldns.telemetry" can be published only once per
-// process (expvar.Publish panics on reuse), but successive runs in one
-// process each bring their own Registry. The published closure therefore
-// reads a process-global current-registry pointer that every Handler call
-// updates, so /debug/vars always reflects the most recent run instead of
-// latching onto the first (the pre-fix behavior).
-var (
-	publishOnce sync.Once
-	publishMu   sync.Mutex
-	publishReg  *Registry
-)
 
 // Identity names a process's place in a distributed run, for the
 // endpoint's index page: without it, a rank's -listen endpoint looks like
@@ -39,30 +26,11 @@ type Identity struct {
 	Transport   string
 }
 
-// Handler returns the observability mux for a registry. report builds the
+// HandlerWithIdentity returns the observability mux: report builds the
 // current Report on demand (typically a closure over the run's table name
-// and config fingerprint).
-func Handler(reg *Registry, report func() *Report) http.Handler {
-	return HandlerWithIdentity(reg, report, Identity{})
-}
-
-// HandlerWithIdentity is Handler plus an index page at / identifying
-// which rank of which world this process is.
-func HandlerWithIdentity(reg *Registry, report func() *Report, id Identity) http.Handler {
-	publishMu.Lock()
-	publishReg = reg
-	publishMu.Unlock()
-	publishOnce.Do(func() {
-		expvar.Publish("channeldns.telemetry", expvar.Func(func() any {
-			publishMu.Lock()
-			r := publishReg
-			publishMu.Unlock()
-			if r == nil {
-				return nil
-			}
-			return r.Snapshot()
-		}))
-	})
+// and config fingerprint), and the index page at / says which rank of
+// which world this process is.
+func HandlerWithIdentity(report func() *Report, id Identity) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -94,21 +62,9 @@ func HandlerWithIdentity(reg *Registry, report func() *Report, id Identity) http
 	return mux
 }
 
-// Serve starts the observability endpoint on addr (e.g. "localhost:6060";
-// ":0" picks a free port) and returns the bound address. The server runs
-// on a background goroutine for the life of the process.
-func Serve(addr string, reg *Registry, report func() *Report) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	h := Handler(reg, report)
-	go func() { _ = http.Serve(ln, h) }()
-	return ln.Addr().String(), nil
-}
-
-// ServeHandler is Serve for a caller-assembled handler — cmd/dns uses it
-// to mount /trace next to the telemetry mux.
+// ServeHandler serves h on addr (e.g. "localhost:6060"; ":0" picks a free
+// port) from a background goroutine for the life of the process and
+// returns the bound address.
 func ServeHandler(addr string, h http.Handler) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -42,9 +41,9 @@ func sampleRegistry(stepNs int64) *Registry {
 }
 
 func handlerFor(reg *Registry) (h *httptest.Server, close func()) {
-	srv := httptest.NewServer(Handler(reg, func() *Report {
+	srv := httptest.NewServer(HandlerWithIdentity(func() *Report {
 		return NewReport("dns", reg, map[string]string{"test": "1"})
-	}))
+	}, Identity{}))
 	return srv, srv.Close
 }
 
@@ -60,59 +59,6 @@ func TestTelemetryEndpointCanonical(t *testing.T) {
 	}
 	if rep.Table != "dns" || rep.Ranks != 1 {
 		t.Errorf("report %+v", rep)
-	}
-}
-
-// TestDebugVarsIncludesTelemetry: /debug/vars carries the published
-// channeldns.telemetry snapshot.
-func TestDebugVarsIncludesTelemetry(t *testing.T) {
-	srv, done := handlerFor(sampleRegistry(1e6))
-	defer done()
-	raw := get(t, srv.URL+"/debug/vars")
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	snap, ok := vars["channeldns.telemetry"]
-	if !ok {
-		t.Fatal("/debug/vars missing channeldns.telemetry")
-	}
-	var s Snapshot
-	if err := json.Unmarshal(snap, &s); err != nil {
-		t.Fatalf("published snapshot not a Snapshot: %v", err)
-	}
-	if s.Ranks != 1 {
-		t.Errorf("published snapshot %+v", s)
-	}
-}
-
-// TestPublishTracksCurrentRegistry is the regression test for the
-// publishOnce latch: before the fix, the expvar closure captured the first
-// Handler call's registry forever, so a second run in the same process
-// published stale snapshots. The published var must follow the most recent
-// Handler call.
-func TestPublishTracksCurrentRegistry(t *testing.T) {
-	first := sampleRegistry(1e6)
-	srv1, done1 := handlerFor(first)
-	done1()
-	_ = srv1
-
-	second := NewRegistry()
-	second.Rank(0)
-	second.Rank(1)
-	second.Rank(2) // distinguishable: 3 ranks vs 1
-	srv2, done2 := handlerFor(second)
-	defer done2()
-
-	raw := get(t, srv2.URL+"/debug/vars")
-	var vars struct {
-		Snap Snapshot `json:"channeldns.telemetry"`
-	}
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.Snap.Ranks != 3 {
-		t.Errorf("published snapshot has %d ranks, want 3 (the current registry) — stale latch", vars.Snap.Ranks)
 	}
 }
 
@@ -155,9 +101,9 @@ func TestHandlerNeverBlocksRecording(t *testing.T) {
 
 func TestServeHandler(t *testing.T) {
 	reg := sampleRegistry(1e6)
-	addr, err := ServeHandler("127.0.0.1:0", Handler(reg, func() *Report {
+	addr, err := ServeHandler("127.0.0.1:0", HandlerWithIdentity(func() *Report {
 		return NewReport("dns", reg, nil)
-	}))
+	}, Identity{}))
 	if err != nil {
 		t.Fatal(err)
 	}

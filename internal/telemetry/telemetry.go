@@ -20,7 +20,6 @@
 package telemetry
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -117,10 +116,9 @@ type tracerBox struct{ t Tracer }
 
 // phaseRec is the per-phase accumulator inside a Collector.
 type phaseRec struct {
-	ns     atomic.Int64 // total time inside the phase
-	calls  atomic.Int64
-	allocs atomic.Int64 // heap objects, only when alloc tracking is on
-	hist   Histogram    // per-region latency
+	ns    atomic.Int64 // total time inside the phase
+	calls atomic.Int64
+	hist  Histogram // per-region latency
 }
 
 // commRec is the per-channel communication accumulator.
@@ -143,10 +141,6 @@ type Collector struct {
 	steps    atomic.Int64
 	stepNs   atomic.Int64
 	stepHist Histogram
-
-	// allocTrack enables the serial-only per-phase allocation probe; see
-	// SetAllocTracking.
-	allocTrack atomic.Bool
 
 	// tracer, when attached, receives every completed span; nil pointer =
 	// tracing off, one atomic load per Span.End either way.
@@ -173,7 +167,6 @@ type Span struct {
 	c     *Collector
 	phase Phase
 	t0    time.Time
-	m0    uint64 // Mallocs at Begin, when alloc tracking is on
 }
 
 // Begin opens a phase region. On a nil collector it returns an inert span.
@@ -181,17 +174,10 @@ func (c *Collector) Begin(p Phase) Span {
 	if c == nil {
 		return Span{}
 	}
-	sp := Span{c: c, phase: p, t0: time.Now()}
-	if c.allocTrack.Load() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		sp.m0 = ms.Mallocs
-	}
-	return sp
+	return Span{c: c, phase: p, t0: time.Now()}
 }
 
-// End closes the region, crediting its duration (and, under alloc
-// tracking, its heap-object delta) to the phase.
+// End closes the region, crediting its duration to the phase.
 func (sp Span) End() {
 	c := sp.c
 	if c == nil {
@@ -202,11 +188,6 @@ func (sp Span) End() {
 	rec.ns.Add(int64(d))
 	rec.calls.Add(1)
 	rec.hist.Record(int64(d))
-	if c.allocTrack.Load() {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		rec.allocs.Add(int64(ms.Mallocs - sp.m0))
-	}
 	if box := c.tracer.Load(); box != nil {
 		box.t.TraceSpan(sp.phase, sp.t0, sp.t0.Add(d))
 	}
@@ -258,25 +239,6 @@ func (c *Collector) StepDone(d time.Duration) {
 	c.stepHist.Record(int64(d))
 }
 
-// SetAllocTracking toggles the per-phase allocation probe: when on, every
-// region samples runtime.ReadMemStats at Begin and End and credits the
-// heap-object delta to its phase.
-//
-// The probe is SERIAL-ONLY by construction: the runtime counters are
-// process-wide, so the deltas are exact only when nothing else allocates
-// concurrently — one rank, nil worker pool, no background goroutines.
-// Multi-rank or pooled runs will attribute other goroutines' allocations
-// to whatever phase happens to be open. It is also expensive (ReadMemStats
-// briefly stops the world per region) and perturbs timings; keep it off
-// for performance runs. Tests asserting exact deltas must skip under the
-// race detector (telemetry.RaceEnabled), whose instrumentation allocates.
-func (c *Collector) SetAllocTracking(on bool) {
-	if c == nil {
-		return
-	}
-	c.allocTrack.Store(on)
-}
-
 // PhaseSeconds returns the accumulated wall clock inside a phase.
 func (c *Collector) PhaseSeconds(p Phase) float64 {
 	if c == nil {
@@ -291,15 +253,6 @@ func (c *Collector) PhaseCalls(p Phase) int64 {
 		return 0
 	}
 	return c.phases[p].calls.Load()
-}
-
-// PhaseAllocs returns the heap objects credited to a phase by the alloc
-// probe (zero unless SetAllocTracking(true) was active).
-func (c *Collector) PhaseAllocs(p Phase) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.phases[p].allocs.Load()
 }
 
 // CommCounts returns the accumulated (calls, messages, bytes) of a
@@ -346,7 +299,6 @@ func (c *Collector) Reset() {
 		rec := &c.phases[i]
 		rec.ns.Store(0)
 		rec.calls.Store(0)
-		rec.allocs.Store(0)
 		rec.hist.Reset()
 	}
 	for i := range c.comm {

@@ -14,7 +14,6 @@ func TestNilCollectorSafe(t *testing.T) {
 	c.AddComm(CommYtoZ, 100, 2)
 	c.AddFlops(5)
 	c.StepDone(time.Millisecond)
-	c.SetAllocTracking(true)
 	c.Reset()
 	if c.PhaseSeconds(PhaseNonlinear) != 0 || c.PhaseCalls(PhaseNonlinear) != 0 ||
 		c.Steps() != 0 || c.Flops() != 0 || c.Rank() != 0 {
@@ -70,44 +69,6 @@ func TestCollectorAccumulation(t *testing.T) {
 	c.Reset()
 	if c.PhaseCalls(PhaseViscousSolve) != 0 || c.Flops() != 0 {
 		t.Error("Reset did not zero accumulators")
-	}
-}
-
-// TestAllocTrackingSerial: with the serial-only alloc probe on, a region
-// that allocates must be charged at least that many heap objects, and a
-// region that does not allocate must be charged none. Guarded against
-// -race, whose shadow-memory allocations make exact counts meaningless.
-func TestAllocTrackingSerial(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("alloc probe counts are perturbed under -race (documented serial-only, exact-count use)")
-	}
-	c := NewCollector(0)
-	c.SetAllocTracking(true)
-
-	sink := make([]*[64]byte, 0, 16)
-	sp := c.Begin(PhaseNonlinear)
-	for i := 0; i < 10; i++ {
-		sink = append(sink, new([64]byte))
-	}
-	sp.End()
-	if got := c.PhaseAllocs(PhaseNonlinear); got < 10 {
-		t.Errorf("alloc probe charged %d objects, want >= 10", got)
-	}
-	_ = sink
-
-	before := c.PhaseAllocs(PhaseViscousSolve)
-	sp = c.Begin(PhaseViscousSolve)
-	sp.End()
-	if got := c.PhaseAllocs(PhaseViscousSolve) - before; got != 0 {
-		t.Errorf("empty region charged %d objects, want 0", got)
-	}
-
-	c.SetAllocTracking(false)
-	sp = c.Begin(PhasePressure)
-	_ = make([]byte, 1024)
-	sp.End()
-	if got := c.PhaseAllocs(PhasePressure); got != 0 {
-		t.Errorf("probe off but charged %d objects", got)
 	}
 }
 

@@ -7,46 +7,30 @@ import (
 	"channeldns/internal/schedule"
 )
 
-// Tests of the workload structural diff line and the per-direction
-// aggregate form of the schedule consistency check.
-
-func TestDiffWorkloadStructural(t *testing.T) {
-	workloadLine := func(res *DiffResult) *DiffLine {
-		for i := range res.Lines {
-			if res.Lines[i].Metric == "workload" {
-				return &res.Lines[i]
-			}
-		}
-		return nil
-	}
-
-	// Matching workloads pass.
-	base, cand := fixtureReport(1), fixtureReport(1)
-	base.Config["workload"] = "channel"
-	cand.Config["workload"] = "channel"
-	res := Diff(base, cand, DiffOptions{})
-	if l := workloadLine(res); l == nil || l.Verdict != Pass {
-		t.Fatalf("matching workloads: line %+v", l)
-	}
-
-	// A mismatch is structural: it fails even in warn-only mode, where
-	// numeric regressions are capped at warn.
-	cand = fixtureReport(1)
-	cand.Config["workload"] = "isotropic"
-	res = Diff(base, cand, DiffOptions{WarnOnly: true})
-	if res.Verdict != Fail {
-		t.Fatalf("workload mismatch in warn-only mode: verdict %v, want fail", res.Verdict)
-	}
-	if l := workloadLine(res); l == nil || l.Verdict != Fail ||
-		!strings.Contains(l.Note, "channel") || !strings.Contains(l.Note, "isotropic") {
-		t.Fatalf("workload mismatch line %+v, want fail naming both", l)
-	}
-
-	// Reports predating the registry carry no key on either side and emit
-	// no workload line at all.
-	res = Diff(fixtureReport(1), fixtureReport(1), DiffOptions{})
-	if l := workloadLine(res); l != nil {
-		t.Fatalf("legacy reports grew a workload line: %+v", l)
+// fixtureReport builds a small valid report with one phase, one comm
+// channel and one metric.
+func fixtureReport() *Report {
+	return &Report{
+		Schema:          SchemaVersion,
+		Table:           "table9",
+		GitRev:          "unknown",
+		GoVersion:       "go",
+		Config:          map[string]string{"nx": "32", "steps": "3"},
+		Ranks:           1,
+		WallSeconds:     0.030,
+		PhaseSecondsSum: 0.029,
+		Steps:           3,
+		Phases: []PhaseStats{{
+			Phase: "transpose", Calls: 36,
+			TotalSeconds:   0.010,
+			MinRankSeconds: 0.010, MeanRankSeconds: 0.010, MaxRankSeconds: 0.010,
+			Imbalance: 1, P50Seconds: 0.001, P99Seconds: 0.002,
+		}},
+		Comm:            []CommStats{{Op: "YtoZ", Calls: 12, Messages: 12, Bytes: 1 << 20}},
+		Flops:           1e9,
+		GFlopsSustained: 1.0,
+		AllocsPerStep:   21,
+		Metrics:         map[string]float64{"speedup": 1},
 	}
 }
 
@@ -55,7 +39,7 @@ func TestDiffWorkloadStructural(t *testing.T) {
 // six-field transpose plus a four-field scalar excursion), measured over
 // three executions.
 func aggregateFixture() *Report {
-	r := fixtureReport(1)
+	r := fixtureReport()
 	r.Schedule = &schedule.Schedule{
 		Name: "timestep", Nx: 16, Ny: 17, Nz: 16, NKx: 8, PA: 2, PB: 2, Ranks: 4,
 		Ops: []schedule.Op{

@@ -152,6 +152,29 @@ func (t *WorldTracker) Status(nowUnixNs int64) WorldStatus {
 	return st
 }
 
+// rankMetrics are the per-rank series of the health view, in exposition
+// order. Values print with %v: %g for the float64 ones, %d for the rest.
+var rankMetrics = []struct {
+	name, help, typ string
+	value           func(RankStatus) any
+}{
+	{"channeldns_rank_last_heard_seconds", "Staleness of each rank's newest heartbeat.", "gauge",
+		func(r RankStatus) any { return r.LastHeardSeconds }},
+	{"channeldns_rank_steps_total", "Completed timesteps per rank.", "counter",
+		func(r RankStatus) any { return r.Steps }},
+	{"channeldns_rank_step_seconds_total", "Accumulated step wall clock per rank.", "counter",
+		func(r RankStatus) any { return r.StepSecondsTotal }},
+	{"channeldns_rank_step_seconds_rolling", "Mean step time between the two newest heartbeats.", "gauge",
+		func(r RankStatus) any { return r.RollingStepSeconds }},
+	{"channeldns_rank_straggler", "1 when the rank's rolling step time exceeds the cross-rank mean by the straggler factor.", "gauge",
+		func(r RankStatus) any {
+			if r.Straggler {
+				return 1
+			}
+			return 0
+		}},
+}
+
 // WriteMetrics renders the world state in Prometheus text exposition
 // format at the given wall-clock time.
 func (t *WorldTracker) WriteMetrics(w io.Writer, nowUnixNs int64) {
@@ -159,49 +182,13 @@ func (t *WorldTracker) WriteMetrics(w io.Writer, nowUnixNs int64) {
 	fmt.Fprintf(w, "# HELP channeldns_world_size Number of ranks in the running world.\n")
 	fmt.Fprintf(w, "# TYPE channeldns_world_size gauge\n")
 	fmt.Fprintf(w, "channeldns_world_size %d\n", st.World)
-	fmt.Fprintf(w, "# HELP channeldns_rank_last_heard_seconds Staleness of each rank's newest heartbeat.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_last_heard_seconds gauge\n")
-	for _, r := range st.Ranks {
-		if !r.Heard {
-			continue
+	for _, m := range rankMetrics {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
+		for _, r := range st.Ranks {
+			if r.Heard {
+				fmt.Fprintf(w, "%s{rank=\"%d\"} %v\n", m.name, r.Rank, m.value(r))
+			}
 		}
-		fmt.Fprintf(w, "channeldns_rank_last_heard_seconds{rank=\"%d\"} %g\n", r.Rank, r.LastHeardSeconds)
-	}
-	fmt.Fprintf(w, "# HELP channeldns_rank_steps_total Completed timesteps per rank.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_steps_total counter\n")
-	for _, r := range st.Ranks {
-		if !r.Heard {
-			continue
-		}
-		fmt.Fprintf(w, "channeldns_rank_steps_total{rank=\"%d\"} %d\n", r.Rank, r.Steps)
-	}
-	fmt.Fprintf(w, "# HELP channeldns_rank_step_seconds_total Accumulated step wall clock per rank.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_step_seconds_total counter\n")
-	for _, r := range st.Ranks {
-		if !r.Heard {
-			continue
-		}
-		fmt.Fprintf(w, "channeldns_rank_step_seconds_total{rank=\"%d\"} %g\n", r.Rank, r.StepSecondsTotal)
-	}
-	fmt.Fprintf(w, "# HELP channeldns_rank_step_seconds_rolling Mean step time between the two newest heartbeats.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_step_seconds_rolling gauge\n")
-	for _, r := range st.Ranks {
-		if !r.Heard {
-			continue
-		}
-		fmt.Fprintf(w, "channeldns_rank_step_seconds_rolling{rank=\"%d\"} %g\n", r.Rank, r.RollingStepSeconds)
-	}
-	fmt.Fprintf(w, "# HELP channeldns_rank_straggler 1 when the rank's rolling step time exceeds the cross-rank mean by the straggler factor.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_straggler gauge\n")
-	for _, r := range st.Ranks {
-		if !r.Heard {
-			continue
-		}
-		v := 0
-		if r.Straggler {
-			v = 1
-		}
-		fmt.Fprintf(w, "channeldns_rank_straggler{rank=\"%d\"} %d\n", r.Rank, v)
 	}
 
 	// Per-phase and per-channel counters straight out of the latest dumps.

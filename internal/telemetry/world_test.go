@@ -12,11 +12,11 @@ import (
 // arithmetic DumpView reads with.
 func heartbeatDump(steps, stepNs int64, phase Phase, phaseNs int64, op CommOp, bytes int64) []int64 {
 	d := make([]int64, DumpLen())
-	d[int(phase)*(3+histBuckets)] = phaseNs
-	d[int(phase)*(3+histBuckets)+1] = 1
-	base := int(NumPhases)*(3+histBuckets) + int(op)*3
+	d[int(phase)*phaseDumpLen] = phaseNs
+	d[int(phase)*phaseDumpLen+1] = 1
+	base := commDumpBase + int(op)*3
 	d[base], d[base+1], d[base+2] = 1, 2, bytes
-	tail := int(NumPhases)*(3+histBuckets) + int(NumCommOps)*3
+	tail := commDumpBase + int(NumCommOps)*3
 	d[tail+1], d[tail+2] = steps, stepNs
 	return d
 }
