@@ -15,12 +15,13 @@ import "fmt"
 
 // A collector dump has a fixed layout: per phase the time and call
 // counters plus the latency histogram buckets (phaseDumpLen values); from
-// commDumpBase on, per comm channel its three counters; then flops, steps,
-// step time, and the step-latency histogram.
+// commDumpBase on, per comm channel its three counters; from stepDumpBase
+// on, flops, steps, step time, and the step-latency histogram.
 const (
 	phaseDumpLen = 2 + histBuckets
 	commDumpBase = int(NumPhases) * phaseDumpLen
-	dumpLen      = commDumpBase + int(NumCommOps)*3 + 3 + histBuckets
+	stepDumpBase = commDumpBase + int(NumCommOps)*3
+	dumpLen      = stepDumpBase + 3 + histBuckets
 )
 
 // DumpLen returns the length of every Collector.Dump result.
@@ -123,10 +124,10 @@ func (v DumpView) CommCounts(op CommOp) (calls, messages, bytes int64) {
 }
 
 // Steps returns the completed-timestep count.
-func (v DumpView) Steps() int64 { return v.d[commDumpBase+int(NumCommOps)*3+1] }
+func (v DumpView) Steps() int64 { return v.d[stepDumpBase+1] }
 
 // StepNs returns the accumulated timestep nanoseconds.
-func (v DumpView) StepNs() int64 { return v.d[commDumpBase+int(NumCommOps)*3+2] }
+func (v DumpView) StepNs() int64 { return v.d[stepDumpBase+2] }
 
 // Flops returns the accumulated floating-point work.
-func (v DumpView) Flops() int64 { return v.d[commDumpBase+int(NumCommOps)*3] }
+func (v DumpView) Flops() int64 { return v.d[stepDumpBase] }

@@ -16,8 +16,7 @@ func heartbeatDump(steps, stepNs int64, phase Phase, phaseNs int64, op CommOp, b
 	d[int(phase)*phaseDumpLen+1] = 1
 	base := commDumpBase + int(op)*3
 	d[base], d[base+1], d[base+2] = 1, 2, bytes
-	tail := commDumpBase + int(NumCommOps)*3
-	d[tail+1], d[tail+2] = steps, stepNs
+	d[stepDumpBase+1], d[stepDumpBase+2] = steps, stepNs
 	return d
 }
 
