@@ -390,6 +390,26 @@ func TestConstructionFailureFailsJob(t *testing.T) {
 	}
 }
 
+const serveMetricsGolden = `# HELP dnsserve_jobs_total Jobs known to this server.
+# TYPE dnsserve_jobs_total gauge
+dnsserve_jobs_total 2
+# HELP dnsserve_jobs Jobs by lifecycle state.
+# TYPE dnsserve_jobs gauge
+dnsserve_jobs{state="queued"} 0
+dnsserve_jobs{state="running"} 0
+dnsserve_jobs{state="paused"} 1
+dnsserve_jobs{state="done"} 1
+dnsserve_jobs{state="failed"} 0
+dnsserve_jobs{state="cancelled"} 0
+dnsserve_jobs{state="interrupted"} 0
+# HELP dnsserve_stream_watchers Attached stream clients.
+# TYPE dnsserve_stream_watchers gauge
+dnsserve_stream_watchers 0
+# HELP dnsserve_job_step Current step of non-terminal jobs.
+# TYPE dnsserve_job_step gauge
+dnsserve_job_step{job="job-000007"} 3
+`
+
 // TestAPI drives the full HTTP surface end to end against a live
 // httptest server: submit, list, get, long-poll stream, SSE stream,
 // report, plane, metrics, cancel.
@@ -551,6 +571,11 @@ func TestAPI(t *testing.T) {
 		t.Errorf("list: total %d with %d jobs, want 1/1", list.Total, len(list.Jobs))
 	}
 
+	// A paused record beside the finished job, so the scrape carries a
+	// per-job step sample; the body is held byte for byte.
+	m.mu.Lock()
+	m.jobs[7] = m.newJob(7, smallSpec(6), Status{ID: RunID(7), State: StatePaused, Step: 3})
+	m.mu.Unlock()
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -558,8 +583,8 @@ func TestAPI(t *testing.T) {
 	var metrics bytes.Buffer
 	metrics.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(metrics.String(), `dnsserve_jobs{state="done"} 1`) {
-		t.Errorf("metrics missing done-job gauge:\n%s", metrics.String())
+	if metrics.String() != serveMetricsGolden {
+		t.Errorf("/metrics body:\n%s\nwant:\n%s", metrics.String(), serveMetricsGolden)
 	}
 
 	// DELETE on a finished job is a accepted no-op; on an unknown id, 404.
