@@ -18,9 +18,9 @@ const stepAllocBudget = 64
 
 // warmStepAllocs builds cfg's workload serially at 16x24x16, seeds its
 // default initial condition, warms it up (transpose plans, operator caches,
-// lazily built buffers), holds one warm step to stepAllocBudget and returns
-// the workload.
-func warmStepAllocs(t *testing.T, cfg Config) Workload {
+// lazily built buffers), holds one warm step to limit (at most
+// stepAllocBudget) and returns the workload.
+func warmStepAllocs(t *testing.T, cfg Config, limit float64) Workload {
 	t.Helper()
 	cfg.Nx, cfg.Ny, cfg.Nz, cfg.ReTau, cfg.Dt = 16, 24, 16, 180, 1e-3
 	if cfg.Workload != WorkloadIsotropic {
@@ -35,10 +35,10 @@ func warmStepAllocs(t *testing.T, cfg Config) Workload {
 	wl.InitDefault(0.2, 13)
 	Advance(wl, 2)
 	allocs := testing.AllocsPerRun(5, wl.StepOnce)
-	if allocs > stepAllocBudget {
-		t.Errorf("steady-state StepOnce: %v allocs per step, budget %d", allocs, stepAllocBudget)
+	if allocs > limit {
+		t.Errorf("steady-state StepOnce: %v allocs per step, limit %v", allocs, limit)
 	}
-	t.Logf("steady-state StepOnce: %v allocs per step (budget %d)", allocs, stepAllocBudget)
+	t.Logf("steady-state StepOnce: %v allocs per step (limit %v, budget %d)", allocs, limit, stepAllocBudget)
 	return wl
 }
 
@@ -48,19 +48,23 @@ func warmStepAllocs(t *testing.T, cfg Config) Workload {
 // excursion. (The seed allocated every scratch field, pencil buffer and FFT
 // temporary per substep: hundreds of thousands of objects per step at this
 // size.) The skew form runs both passes plus the lazily built alternate
-// buffer set; the scalar adds a third pass.
+// buffer set; the scalar adds a third pass. Inside the budget, each case is
+// held to the count measured before the three solvers moved onto the shared
+// skeleton (go1.24, amd64), so its step bracket and line advances are seen to
+// add nothing.
 func TestStepOnceSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		parent float64
 	}{
-		{"divergence", Config{}},
-		{"convective", Config{Nonlinear: FormConvective}},
-		{"skew", Config{Nonlinear: FormSkewSymmetric}},
-		{"isotropic", Config{Workload: WorkloadIsotropic}},
-		{"scalar", Config{Workload: WorkloadScalar}},
+		{"divergence", Config{}, 9},
+		{"convective", Config{Nonlinear: FormConvective}, 9},
+		{"skew", Config{Nonlinear: FormSkewSymmetric}, 15},
+		{"isotropic", Config{Workload: WorkloadIsotropic}, 9},
+		{"scalar", Config{Workload: WorkloadScalar}, 24},
 	} {
-		t.Run(tc.name, func(t *testing.T) { warmStepAllocs(t, tc.cfg) })
+		t.Run(tc.name, func(t *testing.T) { warmStepAllocs(t, tc.cfg, tc.parent) })
 	}
 }
 
@@ -70,7 +74,7 @@ func TestStepOnceSteadyStateAllocs(t *testing.T) {
 // same budget. Spans are value-typed and counters are preallocated
 // atomics, so instrumentation itself contributes zero heap objects.
 func TestStepOnceSteadyStateAllocsTelemetry(t *testing.T) {
-	wl := warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry()})
+	wl := warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry()}, stepAllocBudget)
 	if got := wl.(*Solver).Telemetry().PhaseCalls(telemetry.PhaseNonlinear); got == 0 {
 		t.Error("telemetry attached but no nonlinear spans recorded")
 	}

@@ -65,27 +65,12 @@ func (c Config) Fingerprint() uint64 {
 // workspace-arena-backed storage (no buffer identity changes, so the
 // steady-state allocation discipline survives a restore).
 func (s *Solver) CheckpointState() *ckpt.State {
-	return &ckpt.State{
-		Workload: s.Cfg.Workload,
-		Nx:       s.Cfg.Nx, Ny: s.Cfg.Ny, Nz: s.Cfg.Nz, NKx: s.G.NKx(),
-		Kxlo: s.kxlo, Kxhi: s.kxhi, Kzlo: s.kzlo, Kzhi: s.kzhi,
-		Step: int64(s.Step), Time: s.Time, Dt: s.Cfg.Dt,
-		Fingerprint: s.Cfg.Fingerprint(),
-		CV:          s.cv, CW: s.cw, HgPrev: s.hgPrev, HvPrev: s.hvPrev,
-		HasMean: s.ownsMean,
-		MeanU:   s.meanU, MeanW: s.meanW,
-		MeanHxPrev: s.meanHxPrev, MeanHzPrev: s.meanHzPrev,
-	}
-}
-
-// applyRestored adopts a restored run position: clock, step count and the
-// (possibly adaptively adjusted) time step. The per-wavenumber operator
-// cache rebuilds lazily on the next step if Dt changed, and the cached
-// physical-space maxima are stale by definition.
-func (s *Solver) applyRestored(st *ckpt.State) {
-	s.Time, s.Step = st.Time, int(st.Step)
-	s.Cfg.Dt = st.Dt
-	s.physMaxCurrent = false
+	st := s.stateHeader()
+	st.CV, st.CW, st.HgPrev, st.HvPrev = s.cv, s.cw, s.hgPrev, s.hvPrev
+	st.HasMean = s.ownsMean
+	st.MeanU, st.MeanW = s.meanU, s.meanW
+	st.MeanHxPrev, st.MeanHzPrev = s.meanHxPrev, s.meanHzPrev
+	return st
 }
 
 // checkpointable is what the shared checkpoint methods need from a solver.

@@ -23,9 +23,10 @@ import (
 type Config struct {
 	// Workload selects the registered simulation scenario: "channel" (the
 	// default), "isotropic", "scalar", or any name added through
-	// RegisterWorkload. NewWorkload dispatches on it; the direct
-	// constructors (New, NewIsotropic, NewScalar) ignore it beyond
-	// stamping it into checkpoints and reports.
+	// RegisterWorkload. NewWorkload dispatches on it; NewIsotropic and
+	// NewScalar set it themselves. It selects the validation rules and the
+	// schedule whose flops are credited, and is stamped into checkpoints
+	// and reports.
 	Workload string
 	// Spectral resolution: Nx, Nz full Fourier modes (even), Ny B-spline
 	// basis functions (= wall-normal collocation points). The isotropic
@@ -117,12 +118,33 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// validate rejects what the workload named by c.Workload cannot run. The
+// channel family needs enough basis functions for its spline degree; the
+// scalar and isotropic workloads run the serial exchange only, and the
+// isotropic one the divergence form only.
 func (c *Config) validate() error {
+	if _, ok := workloads[c.Workload]; !ok {
+		return fmt.Errorf("core: unknown workload %q (registered: %v)", c.Workload, WorkloadNames())
+	}
 	if c.ReTau <= 0 {
 		return fmt.Errorf("core: ReTau must be positive, got %g", c.ReTau)
 	}
 	if c.Dt <= 0 {
 		return fmt.Errorf("core: Dt must be positive, got %g", c.Dt)
+	}
+	if c.Overlap && (c.Workload == WorkloadIsotropic || c.Workload == WorkloadScalar) {
+		return fmt.Errorf("core: the %s workload runs the serial exchange only (Overlap unsupported)", c.Workload)
+	}
+	switch c.Workload {
+	case WorkloadIsotropic:
+		if c.Nonlinear != FormDivergence {
+			return fmt.Errorf("core: the isotropic workload supports only the divergence form")
+		}
+		return nil
+	case WorkloadScalar:
+		if c.Prandtl <= 0 {
+			return fmt.Errorf("core: Prandtl must be positive, got %g", c.Prandtl)
+		}
 	}
 	if c.Ny < c.Degree+2 {
 		return fmt.Errorf("core: Ny=%d too small for degree %d", c.Ny, c.Degree)

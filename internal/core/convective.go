@@ -64,68 +64,6 @@ func (f Form) String() string {
 	return fmt.Sprintf("Form(%d)", int(f))
 }
 
-// velocityAndGradValues evaluates {u, v, w, du/dy, dv/dy, dw/dy} at the
-// collocation points for every locally owned mode, y-pencil layout, into
-// the six input fields of the convective pass.
-func (s *Solver) velocityAndGradValues() {
-	sp := s.tel.Begin(telemetry.PhasePressure)
-	ny := s.Cfg.Ny
-	ws := s.ws
-	out := s.exc.In(convectiveForm.In)
-	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
-		wk := &ws.workers[blk]
-		vy := wk.ln[0]
-		vyy := wk.ln[1]
-		om := wk.ln[2]
-		omy := wk.ln[3]
-		vv := wk.ln[4]
-		for w := wlo; w < whi; w++ {
-			ikx, ikz := s.modeOf(w)
-			base := w * ny
-			if s.G.IsNyquistZ(ikz) {
-				continue
-			}
-			if ikx == 0 && ikz == 0 {
-				if s.ownsMean {
-					uv := wk.rl[0]
-					wv := wk.rl[1]
-					uyv := wk.rl[2]
-					wyv := wk.rl[3]
-					s.b0.MulVec(uv, s.meanU)
-					s.b0.MulVec(wv, s.meanW)
-					s.b1.MulVec(uyv, s.meanU)
-					s.b1.MulVec(wyv, s.meanW)
-					for i := 0; i < ny; i++ {
-						out[0][base+i] = complex(uv[i], 0)
-						out[2][base+i] = complex(wv[i], 0)
-						out[3][base+i] = complex(uyv[i], 0)
-						out[5][base+i] = complex(wyv[i], 0)
-					}
-				}
-				continue
-			}
-			kx, kz := s.G.Kx(ikx), s.G.Kz(ikz)
-			k2 := kx*kx + kz*kz
-			s.b1.MulVecComplex(vy, s.cv[w])
-			s.b2.MulVecComplex(vyy, s.cv[w])
-			s.b0.MulVecComplex(om, s.cw[w])
-			s.b1.MulVecComplex(omy, s.cw[w])
-			s.b0.MulVecComplex(vv, s.cv[w])
-			ikxC := complex(0, kx/k2)
-			ikzC := complex(0, kz/k2)
-			for i := 0; i < ny; i++ {
-				out[0][base+i] = ikxC*vy[i] - ikzC*om[i]
-				out[1][base+i] = vv[i]
-				out[2][base+i] = ikzC*vy[i] + ikxC*om[i]
-				out[3][base+i] = ikxC*vyy[i] - ikzC*omy[i]
-				out[4][base+i] = vy[i]
-				out[5][base+i] = ikzC*vyy[i] + ikxC*omy[i]
-			}
-		}
-	})
-	sp.End()
-}
-
 // convectiveForm is the excursion pass of the convective form: u, v, w and
 // their y derivatives go out, the z and x derivatives of u, v, w are formed
 // on the way, and H_i = -u_j du_i/dx_j for i = x, y, z comes back.
@@ -151,14 +89,14 @@ func convectiveH(out []float64, c int, phys [][]float64) {
 func (s *Solver) convectiveTerms(hg, hv [][]complex128, meanHx, meanHz []float64) {
 	ny := s.Cfg.Ny
 	ws := s.ws
-	s.velocityAndGradValues()
+	s.velocityValues(convectiveForm.In)
 	h := s.dealiased(&convectiveForm)
 	sp := s.tel.Begin(telemetry.PhaseNonlinear)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]
 		p := wk.ln[0]
 		tmp := wk.ln[1]
-		cp := wk.ln[2]
+		sol := wk.ln[2]
 		for w := wlo; w < whi; w++ {
 			ikx, ikz := s.modeOf(w)
 			if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
@@ -174,9 +112,7 @@ func (s *Solver) convectiveTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 				hgw[i] = ikzC*h[0][base+i] - ikxC*h[2][base+i]
 				p[i] = ikxC*h[0][base+i] + ikzC*h[2][base+i]
 			}
-			copy(cp, p)
-			s.b0fac.SolveComplex(cp)
-			s.b1.MulVecComplex(tmp, cp)
+			s.ddy(tmp, s.b1, p, sol)
 			ck2 := complex(k2, 0)
 			for i := 0; i < ny; i++ {
 				hvw[i] = -ck2*h[1][base+i] - tmp[i]

@@ -15,18 +15,15 @@ import (
 func (s *Solver) BCResidual() float64 {
 	m := 0.0
 	for w := 0; w < s.nw; w++ {
-		if s.ops != nil && w < len(s.ops) && s.ops[w] == nil {
-			continue
-		}
 		ikx, ikz := s.modeOf(w)
 		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
 			continue
 		}
-		vlo := s.evalWall(s.cv[w], false, 0)
-		vhi := s.evalWall(s.cv[w], true, 0)
+		vlo := s.evalWall(s.cv[w], false)
+		vhi := s.evalWall(s.cv[w], true)
 		dlo, dhi := s.wallDeriv(s.cv[w])
-		olo := s.evalWall(s.cw[w], false, 0)
-		ohi := s.evalWall(s.cw[w], true, 0)
+		olo := s.evalWall(s.cw[w], false)
+		ohi := s.evalWall(s.cw[w], true)
 		for _, c := range []complex128{vlo, vhi, dlo, dhi, olo, ohi} {
 			if a := cmplx.Abs(c); a > m {
 				m = a
@@ -37,7 +34,7 @@ func (s *Solver) BCResidual() float64 {
 }
 
 // evalWall evaluates a coefficient vector's value row at a wall.
-func (s *Solver) evalWall(c []complex128, upper bool, _ int) complex128 {
+func (s *Solver) evalWall(c []complex128, upper bool) complex128 {
 	row := s.wall.LowerVal
 	start := s.wall.LowerValStart
 	if upper {
@@ -65,26 +62,13 @@ func (s *Solver) EnergyProfile() []float64 {
 		if s.G.IsNyquistZ(ikz) {
 			continue
 		}
-		u, v, wv, ok := s.modeVelocityLocal(ikx, ikz)
-		if !ok {
-			continue
-		}
-		wt := 2.0
-		if ikx == 0 {
-			wt = 1.0
-		}
+		u, v, wv := s.ModeVelocityValues(ikx, ikz)
+		wt := oneSided(ikx)
 		for i := 0; i < ny; i++ {
 			prof[i] += wt * (sq(u[i]) + sq(v[i]) + sq(wv[i]))
 		}
 	}
 	return mpi.Allreduce(s.World(), mpi.OpSum, prof)
-}
-
-// modeVelocityLocal is ModeVelocityValues without the ownership check
-// round trip (w is known local).
-func (s *Solver) modeVelocityLocal(ikx, ikz int) (u, v, w []complex128, ok bool) {
-	u, v, w = s.ModeVelocityValues(ikx, ikz)
-	return u, v, w, u != nil
 }
 
 func sq(c complex128) float64 { return real(c)*real(c) + imag(c)*imag(c) }
@@ -138,43 +122,30 @@ func (s *Solver) FrictionVelocity() float64 {
 // states.
 func (s *Solver) CFLEstimate() float64 {
 	ny := s.Cfg.Ny
-	var maxU, maxV, maxW []float64
-	s.physMaxMu.Lock()
-	current := s.physMaxCurrent
-	if current {
-		// Exact physical maxima harvested during the last nonlinear
-		// evaluation: each rank holds its own y range, merged by max.
-		maxU = mpi.Allreduce(s.World(), mpi.OpMax, s.physMax[0])
-		maxV = mpi.Allreduce(s.World(), mpi.OpMax, s.physMax[1])
-		maxW = mpi.Allreduce(s.World(), mpi.OpMax, s.physMax[2])
-	}
-	s.physMaxMu.Unlock()
+	// Exact physical maxima harvested during the last nonlinear evaluation:
+	// each rank holds its own y range, merged by max.
+	m, current := s.harvested()
+	op := mpi.OpMax
 	if !current {
 		// No nonlinear evaluation yet (or frozen convection): fall back to
 		// the triangle-inequality bound from spectral amplitudes.
-		maxU = make([]float64, ny)
-		maxV = make([]float64, ny)
-		maxW = make([]float64, ny)
+		op = mpi.OpSum
 		for w := 0; w < s.nw; w++ {
 			ikx, ikz := s.modeOf(w)
 			if s.G.IsNyquistZ(ikz) {
 				continue
 			}
-			u, v, wv := s.ModeVelocityValues(ikx, ikz)
-			wt := 2.0
-			if ikx == 0 {
-				wt = 1.0
-			}
-			for i := 0; i < ny; i++ {
-				maxU[i] += wt * cmplx.Abs(u[i])
-				maxV[i] += wt * cmplx.Abs(v[i])
-				maxW[i] += wt * cmplx.Abs(wv[i])
+			wt := oneSided(ikx)
+			for c, vals := range s.modeLines(ikx, ikz, 3) {
+				for i, v := range vals {
+					m[c][i] += wt * cmplx.Abs(v)
+				}
 			}
 		}
-		maxU = mpi.Allreduce(s.World(), mpi.OpSum, maxU)
-		maxV = mpi.Allreduce(s.World(), mpi.OpSum, maxV)
-		maxW = mpi.Allreduce(s.World(), mpi.OpSum, maxW)
 	}
+	maxU := mpi.Allreduce(s.World(), op, m[0])
+	maxV := mpi.Allreduce(s.World(), op, m[1])
+	maxW := mpi.Allreduce(s.World(), op, m[2])
 	dx := s.Cfg.Lx / float64(s.G.MX())
 	dz := s.Cfg.Lz / float64(s.G.MZ())
 	cfl := 0.0

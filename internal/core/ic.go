@@ -11,9 +11,6 @@ import (
 // conjugate-symmetry constraint on the kx = 0 plane is satisfied without
 // communication and so that runs are reproducible across process grids.
 
-// World returns the full communicator backing the solver's process grid.
-func (s *Solver) World() *mpi.Comm { return s.Cart().Comm }
-
 // Cart returns the cartesian process-grid communicator.
 func (s *Solver) Cart() *mpi.CartComm { return s.D.Cart }
 

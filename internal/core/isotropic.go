@@ -21,33 +21,19 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
-	"time"
 
 	"channeldns/internal/ckpt"
 	"channeldns/internal/fft"
-	"channeldns/internal/field"
 	"channeldns/internal/mpi"
-	"channeldns/internal/par"
 	"channeldns/internal/parfft"
-	"channeldns/internal/pencil"
 	"channeldns/internal/telemetry"
-	"channeldns/internal/trace"
 )
 
 // IsoSolver holds the distributed state of an isotropic-turbulence run:
 // the three spectral velocity components per locally owned (kx, kz) mode
 // column, plus the previous-substep nonlinear terms.
 type IsoSolver struct {
-	checkpointing
-
-	Cfg Config
-	G   field.Grid
-	D   *pencil.Decomp
-	nu  float64
-
-	kxlo, kxhi, kzlo, kzhi int
-	nw                     int
+	base
 
 	// Spectral velocity, [w][j] over wrapped y modes.
 	cu, cv, cw [][]complex128
@@ -66,65 +52,18 @@ type IsoSolver struct {
 	exc   *parfft.Excursion
 	hCur  [3][][]complex128
 	yline [][]complex128
-
-	// Physical |u_i| maxima harvested during the last nonlinear pass.
-	physMaxMu      sync.Mutex
-	physMax        [3]float64
-	physMaxCurrent bool
-
-	tel       *telemetry.Collector
-	stepFlops int64
-	trc       *trace.Recorder
-
-	Time float64
-	Step int
 }
 
 // NewIsotropic constructs the isotropic workload collectively. Every rank
 // of the PA x PB grid must call it with identical configuration.
 func NewIsotropic(world *mpi.Comm, cfg Config) (*IsoSolver, error) {
-	cfg.fillDefaults()
 	cfg.Workload = WorkloadIsotropic
-	if cfg.ReTau <= 0 {
-		return nil, fmt.Errorf("core: ReTau must be positive, got %g", cfg.ReTau)
+	s := &IsoSolver{}
+	if err := s.base.init(world, cfg); err != nil {
+		return nil, err
 	}
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("core: Dt must be positive, got %g", cfg.Dt)
-	}
-	if cfg.Overlap {
-		return nil, fmt.Errorf("core: the isotropic workload runs the serial exchange only (Overlap unsupported)")
-	}
-	if cfg.Nonlinear != FormDivergence {
-		return nil, fmt.Errorf("core: the isotropic workload supports only the divergence form")
-	}
-	g := field.NewGrid(cfg.Nx, cfg.Ny, cfg.Nz, cfg.Lx, cfg.Lz)
-	s := &IsoSolver{
-		Cfg: cfg,
-		G:   g,
-		nu:  1 / cfg.ReTau,
-	}
+	cfg, g := s.Cfg, s.G
 	s.checkpointing.self = s
-
-	if cfg.Trace != nil && cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-		s.Cfg.Telemetry = cfg.Telemetry
-	}
-	if cfg.Telemetry != nil {
-		s.tel = cfg.Telemetry.Rank(world.Rank())
-		world.SetTelemetry(s.tel)
-		s.stepFlops = int64(cfg.IsotropicSchedule().TotalFlops() / float64(world.Size()))
-	}
-	if cfg.Trace != nil {
-		s.trc = cfg.Trace.Rank(world.Rank())
-		world.SetTracer(s.trc)
-		s.tel.SetTracer(s.trc)
-	}
-	s.D = pencil.New(world, cfg.PA, cfg.PB, g.NKx(), g.Nz, g.Ny, cfg.Pool)
-	s.D.Telemetry = s.tel
-	s.D.Trace = s.trc
-	s.kxlo, s.kxhi = s.D.KxRange()
-	s.kzlo, s.kzhi = s.D.KzRangeY()
-	s.nw = (s.kxhi - s.kxlo) * (s.kzhi - s.kzlo)
 
 	ny := cfg.Ny
 	s.cu = allocCoef(s.nw, ny)
@@ -168,30 +107,6 @@ func (s *IsoSolver) kyIndex(j int) int {
 	}
 	return j - s.Cfg.Ny
 }
-
-func (s *IsoSolver) pool() *par.Pool { return s.Cfg.Pool }
-
-// modeOf maps a local slot to its global (ikx, ikz).
-func (s *IsoSolver) modeOf(w int) (int, int) {
-	nkz := s.kzhi - s.kzlo
-	return s.kxlo + w/nkz, s.kzlo + w%nkz
-}
-
-// World returns the full communicator backing the process grid.
-func (s *IsoSolver) World() *mpi.Comm { return s.D.Cart.Comm }
-
-// Telemetry returns this rank's collector (nil when unset).
-func (s *IsoSolver) Telemetry() *telemetry.Collector { return s.tel }
-
-// Nu returns the kinematic viscosity 1/ReTau.
-func (s *IsoSolver) Nu() float64 { return s.nu }
-
-// Workload interface accessors.
-func (s *IsoSolver) WorkloadName() string { return WorkloadIsotropic }
-func (s *IsoSolver) CurrentStep() int     { return s.Step }
-func (s *IsoSolver) CurrentTime() float64 { return s.Time }
-func (s *IsoSolver) CurrentDt() float64   { return s.Cfg.Dt }
-func (s *IsoSolver) SetDt(dt float64)     { s.Cfg.Dt = dt }
 
 // InitDefault seeds a deterministic divergence-free large-scale velocity
 // field: unit-magnitude random phases of amplitude amp on every mode with
@@ -278,16 +193,7 @@ func (s *IsoSolver) isoNonlinear() [][]complex128 {
 
 	// Out to the padded physical grid, six products, and back.
 	prods := s.exc.Run(&parfft.SixProducts)
-	var m [3]float64
-	for c, perY := range s.exc.MaxAbs() {
-		for _, v := range perY {
-			m[c] = math.Max(m[c], v)
-		}
-	}
-	s.physMaxMu.Lock()
-	s.physMax = m
-	s.physMaxCurrent = true
-	s.physMaxMu.Unlock()
+	s.harvest(s.exc)
 
 	// Forward y FFT with the 2/3-rule truncation, folding in the 1/Ny
 	// normalization of the round trip.
@@ -385,9 +291,7 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64, prods [][]complex128) {
 
 // StepOnce advances the solution by one full time step (three substeps).
 func (s *IsoSolver) StepOnce() {
-	t0 := time.Now()
-	dt := s.Cfg.Dt
-	s.trc.BeginStep(int64(s.Step))
+	dt := s.beginStep()
 	for sub := 0; sub < 3; sub++ {
 		s.trc.SetStage(sub)
 		var prods [][]complex128
@@ -397,12 +301,7 @@ func (s *IsoSolver) StepOnce() {
 		s.isoAdvance(sub, dt, prods)
 		s.hPrev, s.hCur = s.hCur, s.hPrev
 	}
-	s.trc.SetStage(-1)
-	s.trc.EndStep(t0, time.Now())
-	s.Time += dt
-	s.Step++
-	s.tel.StepDone(time.Since(t0))
-	s.tel.AddFlops(s.stepFlops)
+	s.endStep(dt)
 }
 
 // CFLEstimate returns a bound on the convective CFL number at the current
@@ -410,34 +309,28 @@ func (s *IsoSolver) StepOnce() {
 // triangle-inequality bound from spectral amplitudes. Collective.
 func (s *IsoSolver) CFLEstimate() float64 {
 	var m [3]float64
-	s.physMaxMu.Lock()
-	current := s.physMaxCurrent
-	m = s.physMax
-	s.physMaxMu.Unlock()
+	perY, current := s.harvested()
 	if current {
-		r := mpi.Allreduce(s.World(), mpi.OpMax, m[:])
-		copy(m[:], r)
-	} else {
 		for c := range m {
-			m[c] = 0
+			for _, v := range perY[c] {
+				m[c] = math.Max(m[c], v)
+			}
 		}
+		copy(m[:], mpi.Allreduce(s.World(), mpi.OpMax, m[:]))
+	} else {
 		for w := 0; w < s.nw; w++ {
 			ikx, ikz := s.modeOf(w)
 			if s.G.IsNyquistZ(ikz) {
 				continue
 			}
-			wt := 2.0
-			if ikx == 0 {
-				wt = 1.0
-			}
+			wt := oneSided(ikx)
 			for j := 0; j < s.Cfg.Ny; j++ {
 				m[0] += wt * cmplx.Abs(s.cu[w][j])
 				m[1] += wt * cmplx.Abs(s.cv[w][j])
 				m[2] += wt * cmplx.Abs(s.cw[w][j])
 			}
 		}
-		r := mpi.Allreduce(s.World(), mpi.OpSum, m[:])
-		copy(m[:], r)
+		copy(m[:], mpi.Allreduce(s.World(), mpi.OpSum, m[:]))
 	}
 	dx := s.Cfg.Lx / float64(s.G.MX())
 	dy := s.Cfg.Ly / float64(s.Cfg.Ny)
@@ -455,10 +348,7 @@ func (s *IsoSolver) TotalEnergy() float64 {
 		if s.G.IsNyquistZ(ikz) {
 			continue
 		}
-		wt := 2.0
-		if ikx == 0 {
-			wt = 1.0
-		}
+		wt := oneSided(ikx)
 		for j := 0; j < s.Cfg.Ny; j++ {
 			e += wt * (sq(s.cu[w][j]) + sq(s.cv[w][j]) + sq(s.cw[w][j]))
 		}
@@ -499,19 +389,8 @@ func (s *IsoSolver) StatusLine() string {
 // first previous-substep nonlinear component; the remaining two components
 // ride the extended-field block. No mean profiles: the k = 0 mode is zero.
 func (s *IsoSolver) CheckpointState() *ckpt.State {
-	return &ckpt.State{
-		Workload: WorkloadIsotropic,
-		Nx:       s.Cfg.Nx, Ny: s.Cfg.Ny, Nz: s.Cfg.Nz, NKx: s.G.NKx(),
-		Kxlo: s.kxlo, Kxhi: s.kxhi, Kzlo: s.kzlo, Kzhi: s.kzhi,
-		Step: int64(s.Step), Time: s.Time, Dt: s.Cfg.Dt,
-		Fingerprint: s.Cfg.Fingerprint(),
-		CV:          s.cu, CW: s.cv, HgPrev: s.cw, HvPrev: s.hPrev[0],
-		Extra: [][][]complex128{s.hPrev[1], s.hPrev[2]},
-	}
-}
-
-func (s *IsoSolver) applyRestored(st *ckpt.State) {
-	s.Time, s.Step = st.Time, int(st.Step)
-	s.Cfg.Dt = st.Dt
-	s.physMaxCurrent = false
+	st := s.stateHeader()
+	st.CV, st.CW, st.HgPrev, st.HvPrev = s.cu, s.cv, s.cw, s.hPrev[0]
+	st.Extra = [][][]complex128{s.hPrev[1], s.hPrev[2]}
+	return st
 }

@@ -14,6 +14,7 @@ package core
 // the paper's five.
 
 import (
+	"channeldns/internal/banded"
 	"channeldns/internal/parfft"
 	"channeldns/internal/telemetry"
 )
@@ -24,13 +25,32 @@ import (
 // [kxLoc][kzLoc][Ny] per field.
 func (s *Solver) dealiased(sp *parfft.Spec) [][]complex128 {
 	out := s.exc.Run(sp)
-	s.physMaxMu.Lock()
-	for c, m := range s.exc.MaxAbs() {
-		copy(s.physMax[c], m)
-	}
-	s.physMaxCurrent = true
-	s.physMaxMu.Unlock()
+	s.harvest(s.exc)
 	return out
+}
+
+// ddy maps the collocation values vals of a mode line to those of a
+// wall-normal derivative of their spline interpolant, dst = d*B0^{-1}*vals
+// with d = b1 or b2; sol is scratch.
+func (s *Solver) ddy(dst []complex128, d *banded.Real, vals, sol []complex128) {
+	copy(sol, vals)
+	s.b0fac.SolveComplex(sol)
+	d.MulVecComplex(dst, sol)
+}
+
+// meanFluxTerm writes the mean-mode right-hand side -d<flux>/dy from the
+// (real) mean-slot collocation values of a wall-normal flux: <uv> for U,
+// <vw> for W, <v theta> for Theta.
+func (s *Solver) meanFluxTerm(dst []float64, flux []complex128) {
+	c := s.ws.meanS0
+	for i := range c {
+		c[i] = real(flux[i])
+	}
+	s.b0fac.SolveReal(c)
+	s.b1.MulVec(dst, c)
+	for i := range dst {
+		dst[i] = -dst[i]
+	}
 }
 
 // nonlinearTerms evaluates h_g and h_v (collocation values per local
@@ -46,13 +66,11 @@ func (s *Solver) nonlinearTerms() (hg, hv [][]complex128, meanHx, meanHz []float
 	meanHx, meanHz = ws.meanHxCur, ws.meanHzCur
 	if s.Cfg.DisableNonlinear {
 		for w := 0; w < s.nw; w++ {
-			zeroC(hg[w])
-			zeroC(hv[w])
+			clear(hg[w])
+			clear(hv[w])
 		}
-		if s.ownsMean {
-			zeroF(meanHx)
-			zeroF(meanHz)
-		}
+		clear(meanHx) // nil off the owner rank
+		clear(meanHz)
 		return hg, hv, meanHx, meanHz
 	}
 	switch s.Cfg.Nonlinear {
@@ -86,7 +104,7 @@ func (s *Solver) nonlinearTerms() (hg, hv [][]complex128, meanHx, meanHz []float
 func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64) {
 	ny := s.Cfg.Ny
 	ws := s.ws
-	s.velocityValues()
+	s.velocityValues(parfft.SixProducts.In)
 	prods := s.dealiased(&parfft.SixProducts)
 
 	sp := s.tel.Begin(telemetry.PhaseNonlinear)
@@ -95,9 +113,8 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 		sv := wk.ln[0]  // S  = i*kx*uv + i*kz*vw
 		sg := wk.ln[1]  // Sg = i*kz*uv - i*kx*vw
 		tv := wk.ln[2]  // T  = kx^2*uu + 2*kx*kz*uw + kz^2*ww
-		vv := wk.ln[3]  // vv
-		tmp := wk.ln[4] // derivative values
-		sol := wk.ln[5] // banded-solve right-hand side
+		tmp := wk.ln[3] // derivative values
+		sol := wk.ln[4] // banded-solve right-hand side
 		for w := wlo; w < whi; w++ {
 			ikx, ikz := s.modeOf(w)
 			if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
@@ -116,12 +133,9 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 				tv[i] = complex(kx*kx, 0)*prods[parfft.UU][base+i] +
 					complex(2*kx*kz, 0)*prods[parfft.UW][base+i] +
 					complex(kz*kz, 0)*prods[parfft.WW][base+i]
-				vv[i] = prods[parfft.VV][base+i]
 			}
 			// h_g = kx*kz*(uu-ww) - (kx^2-kz^2)*uw - d/dy(Sg)
-			copy(sol, sg)
-			s.b0fac.SolveComplex(sol)
-			s.b1.MulVecComplex(tmp, sol)
+			s.ddy(tmp, s.b1, sg, sol)
 			hgw := hg[w]
 			for i := 0; i < ny; i++ {
 				hgw[i] = complex(kx*kz, 0)*(prods[parfft.UU][base+i]-prods[parfft.WW][base+i]) -
@@ -130,21 +144,15 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 			// h_v = k2*S + k2*d/dy(vv) - d/dy(T) + d2/dy2(S)
 			hvw := hv[w]
 			ck2 := complex(k2, 0)
-			copy(sol, sv)
-			s.b0fac.SolveComplex(sol)
-			s.b2.MulVecComplex(tmp, sol)
+			s.ddy(tmp, s.b2, sv, sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] = ck2*sv[i] + tmp[i]
 			}
-			copy(sol, vv)
-			s.b0fac.SolveComplex(sol)
-			s.b1.MulVecComplex(tmp, sol)
+			s.ddy(tmp, s.b1, prods[parfft.VV][base:base+ny], sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] += ck2 * tmp[i]
 			}
-			copy(sol, tv)
-			s.b0fac.SolveComplex(sol)
-			s.b1.MulVecComplex(tmp, sol)
+			s.ddy(tmp, s.b1, tv, sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] -= tmp[i]
 			}
@@ -153,22 +161,9 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 
 	if s.ownsMean {
 		// Mean momentum: H_x(0,0) = -d<uv>/dy, H_z(0,0) = -d<vw>/dy.
-		w00 := s.widx(0, 0)
-		base := w00 * ny
-		cuv := ws.meanS0
-		cvw := ws.meanS1
-		for i := 0; i < ny; i++ {
-			cuv[i] = real(prods[parfft.UV][base+i])
-			cvw[i] = real(prods[parfft.VW][base+i])
-		}
-		s.b0fac.SolveReal(cuv)
-		s.b0fac.SolveReal(cvw)
-		s.b1.MulVec(meanHx, cuv)
-		s.b1.MulVec(meanHz, cvw)
-		for i := 0; i < ny; i++ {
-			meanHx[i] = -meanHx[i]
-			meanHz[i] = -meanHz[i]
-		}
+		base := s.widx(0, 0) * ny
+		s.meanFluxTerm(meanHx, prods[parfft.UV][base:base+ny])
+		s.meanFluxTerm(meanHz, prods[parfft.VW][base:base+ny])
 	}
 	sp.End()
 }

@@ -6,14 +6,23 @@ import (
 	"channeldns/internal/banded"
 )
 
-// wnOps caches the factored implicit operators for one wavenumber at one
-// time step size: the three substep Helmholtz solves of paper Eq. (3)
-// sharing a single matrix structure, the v-recovery operator of Eq. (4),
-// and the influence-matrix data that enforces v = v' = 0 at the walls.
+// implicitOps caches the factored Helmholtz left-hand sides of one
+// transported diffusivity d at one time step size: per advanced mode and
+// substep, lhs[w][s] = B0 - beta_s*dt*d*(B2 - k2*B0) with value rows at the
+// walls — the three solves of paper Eq. (3) sharing a single matrix structure
+// — and the same at k2 = 0 for the mean profile. The cache of nu serves
+// omega_y, phi, U and W; the scalar workload adds kappa's for theta and Theta.
+type implicitOps struct {
+	diff float64
+	lhs  [][3]*banded.Compact // unset in the mean and Nyquist slots
+	mean [3]*banded.Compact
+}
+
+// wnOps caches what the v recovery of one wavenumber needs beside nu's
+// left-hand sides: the operator of Eq. (4) and the influence-matrix data that
+// enforces v = v' = 0 at the walls.
 type wnOps struct {
 	k2 float64
-	// lhs[s] = B0 - beta_s*dt*nu*(B2 - k2*B0) with value rows at the walls.
-	lhs [3]*banded.Compact
 	// helm = B2 - k2*B0 with value rows at the walls (only for k2 > 0).
 	helm *banded.Compact
 	// Influence data per substep: homogeneous v solutions and the inverse
@@ -61,22 +70,26 @@ func (s *Solver) fillOperator(set func(i, j int, v float64), a0, a2 float64) {
 }
 
 // factorOperator materializes a0*B0 - a2*B2 (with wall value rows) in the
-// compact format and factors it.
-func (s *Solver) factorOperator(a0, a2 float64) (*banded.Compact, error) {
+// compact format and factors it. B-spline collocation operators of a
+// Helmholtz problem are never singular; one that is means a broken basis.
+func (s *Solver) factorOperator(a0, a2 float64) *banded.Compact {
 	m := banded.NewCompact(s.Cfg.Ny, s.B.Degree())
 	s.fillOperator(m.Set, a0, a2)
-	return m, m.Factor()
+	if err := m.Factor(); err != nil {
+		panic(fmt.Sprintf("core: singular implicit operator %g*B0 - %g*B2: %v", a0, a2, err))
+	}
+	return m
 }
 
 // assembleLHS builds B0 - c*(B2 - k2*B0) = (1 + c*k2)*B0 - c*B2 with
 // Dirichlet value rows at both walls, factored.
-func (s *Solver) assembleLHS(c, k2 float64) (*banded.Compact, error) {
+func (s *Solver) assembleLHS(c, k2 float64) *banded.Compact {
 	return s.factorOperator(1+c*k2, c)
 }
 
 // assembleHelm builds B2 - k2*B0 with Dirichlet value rows at both walls,
 // i.e. -k2*B0 + B2 = -(k2*B0 - B2): assembled as a0 = -k2, a2 = -1.
-func (s *Solver) assembleHelm(k2 float64) (*banded.Compact, error) {
+func (s *Solver) assembleHelm(k2 float64) *banded.Compact {
 	return s.factorOperator(-k2, -1)
 }
 
@@ -113,55 +126,64 @@ func (s *Solver) wallDerivReal(c []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// buildOps (re)builds the per-wavenumber operator cache for time step dt.
-func (s *Solver) buildOps(dt float64) {
-	s.ops = make([]*wnOps, s.nw)
-	s.opsDt = dt
-	for w := 0; w < s.nw; w++ {
+// buildImplicit factors the left-hand sides of diffusivity o.diff at time step dt
+// for the modes ops marks as advanced, and for the mean.
+func (s *Solver) buildImplicit(o *implicitOps, dt float64, ops []*wnOps) {
+	o.lhs = make([][3]*banded.Compact, len(ops))
+	for sub := 0; sub < 3; sub++ {
+		o.mean[sub] = s.assembleLHS(rkBeta[sub]*dt*o.diff, 0)
+	}
+	for w, op := range ops {
+		if op == nil {
+			continue
+		}
+		for sub := 0; sub < 3; sub++ {
+			o.lhs[w][sub] = s.assembleLHS(rkBeta[sub]*dt*o.diff, op.k2)
+		}
+	}
+}
+
+// ensureOps rebuilds every operator cache when the time step changes: the
+// left-hand sides of each transported diffusivity, then per advanced mode the
+// v-recovery operator and the influence data of nu's left-hand sides.
+func (s *Solver) ensureOps(dt float64) {
+	if s.ops != nil && s.opsDt == dt {
+		return
+	}
+	ops := make([]*wnOps, s.nw)
+	for w := range ops {
 		ikx, ikz := s.modeOf(w)
 		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
 			continue // Nyquist never advanced; mean handled separately
 		}
-		k2 := s.G.K2(ikx, ikz)
-		op := &wnOps{k2: k2}
-		helm, err := s.assembleHelm(k2)
-		if err != nil {
-			panic(fmt.Sprintf("core: singular Helmholtz operator k2=%g: %v", k2, err))
+		ops[w] = &wnOps{k2: s.G.K2(ikx, ikz)}
+	}
+	for _, o := range s.imp {
+		s.buildImplicit(o, dt, ops)
+	}
+	for w, op := range ops {
+		if op == nil {
+			continue
 		}
-		op.helm = helm
+		op.helm = s.assembleHelm(op.k2)
 		for sub := 0; sub < 3; sub++ {
-			c := rkBeta[sub] * dt * s.nu
-			lhs, err := s.assembleLHS(c, k2)
-			if err != nil {
-				panic(fmt.Sprintf("core: singular implicit operator k2=%g: %v", k2, err))
-			}
-			op.lhs[sub] = lhs
-			s.buildInfluence(op, sub)
+			s.buildInfluence(op, s.imp[0].lhs[w][sub], sub)
 		}
-		s.ops[w] = op
 	}
-	// Mean-flow implicit operators: B0 - beta*dt*nu*B2 with U(+-1)=0.
-	for sub := 0; sub < 3; sub++ {
-		c := rkBeta[sub] * dt * s.nu
-		m, err := s.assembleLHS(c, 0)
-		if err != nil {
-			panic(fmt.Sprintf("core: singular mean operator: %v", err))
-		}
-		s.meanOps[sub] = m
-	}
+	s.ops, s.opsDt = ops, dt
 }
 
 // buildInfluence computes the homogeneous influence solutions for substep
-// sub: phi_m solves lhs*phi = 0 with phi(wall_m) = 1, then v_m solves
-// helm*v = B0*phi_m with v(+-1) = 0. The 2x2 influence matrix maps the
+// sub, whose nu left-hand side is lhs: phi_m solves lhs*phi = 0 with
+// phi(wall_m) = 1, then v_m solves helm*v = B0*phi_m with v(+-1) = 0. The 2x2 influence matrix maps the
 // homogeneous phi wall values to v wall slopes; its inverse corrects the
 // provisional solution so that v'(+-1) = 0.
-func (s *Solver) buildInfluence(op *wnOps, sub int) {
+func (s *Solver) buildInfluence(op *wnOps, lhs *banded.Compact, sub int) {
 	ny := s.Cfg.Ny
 	solveHom := func(wallRow int) []float64 {
 		rhs := make([]float64, ny)
 		rhs[wallRow] = 1
-		op.lhs[sub].SolveReal(rhs) // rhs now holds phi coefficients
+		lhs.SolveReal(rhs) // rhs now holds phi coefficients
 		// v from phi: interior rows get B0*phi values; wall rows 0.
 		vals := make([]float64, ny)
 		s.b0.MulVec(vals, rhs)
@@ -182,13 +204,6 @@ func (s *Solver) buildInfluence(op *wnOps, sub int) {
 	op.minv[sub] = [2][2]float64{
 		{h2 / det, -l2 / det},
 		{-h1 / det, l1 / det},
-	}
-}
-
-// ensureOps rebuilds the operator cache when the time step changes.
-func (s *Solver) ensureOps(dt float64) {
-	if s.ops == nil || s.opsDt != dt {
-		s.buildOps(dt)
 	}
 }
 

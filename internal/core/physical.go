@@ -35,58 +35,22 @@ func (s *Solver) PhysicalPlane(comp PhysicalComponent, yi int) [][]float64 {
 
 	// Spectral plane spec[kx][kz] of the component at yi.
 	spec := make([]complex128, nkx*nz)
-	vy := make([]complex128, ny)
-	vyy := make([]complex128, ny)
-	om := make([]complex128, ny)
-	omy := make([]complex128, ny)
-	vv := make([]complex128, ny)
+	lines := allocCoef(6, ny) // u v w and their y derivatives
 	for w := 0; w < s.nw; w++ {
 		ikx, ikz := s.modeOf(w)
 		if g.IsNyquistZ(ikz) {
 			continue
 		}
-		var val complex128
-		if ikx == 0 && ikz == 0 {
-			switch comp {
-			case CompU:
-				u := make([]float64, ny)
-				s.b0.MulVec(u, s.meanU)
-				val = complex(u[yi], 0)
-			case CompW:
-				wv := make([]float64, ny)
-				s.b0.MulVec(wv, s.meanW)
-				val = complex(wv[yi], 0)
-			case CompOmegaZ:
-				// -dU/dy for the mean.
-				du := make([]float64, ny)
-				s.b1.MulVec(du, s.meanU)
-				val = complex(-du[yi], 0)
-			}
-		} else {
-			kx, kz := g.Kx(ikx), g.Kz(ikz)
-			k2 := kx*kx + kz*kz
-			switch comp {
-			case CompV:
-				s.b0.MulVecComplex(vv, s.cv[w])
-				val = vv[yi]
-			case CompU, CompW:
-				s.b1.MulVecComplex(vy, s.cv[w])
-				s.b0.MulVecComplex(om, s.cw[w])
-				if comp == CompU {
-					val = complex(0, kx/k2)*vy[yi] - complex(0, kz/k2)*om[yi]
-				} else {
-					val = complex(0, kz/k2)*vy[yi] + complex(0, kx/k2)*om[yi]
-				}
-			case CompOmegaZ:
-				// omega_z = i*kx*v - du/dy, du/dy = (i*kx*v'' - i*kz*om')/k2.
-				s.b0.MulVecComplex(vv, s.cv[w])
-				s.b2.MulVecComplex(vyy, s.cv[w])
-				s.b1.MulVecComplex(omy, s.cw[w])
-				duy := complex(0, kx/k2)*vyy[yi] - complex(0, kz/k2)*omy[yi]
-				val = complex(0, kx)*vv[yi] - duy
-			}
+		for _, l := range lines {
+			clear(l) // the mean leaves v and dv/dy alone
 		}
-		spec[ikx*nz+ikz] = val
+		s.modeVelocity(lines, w, &s.ws.workers[0])
+		if comp == CompOmegaZ {
+			// omega_z = i*kx*v - du/dy (just -dU/dy for the mean).
+			spec[ikx*nz+ikz] = complex(0, g.Kx(ikx))*lines[1][yi] - lines[3][yi]
+		} else {
+			spec[ikx*nz+ikz] = lines[comp][yi] // CompU, CompV, CompW index u, v, w
+		}
 	}
 
 	// Inverse transform: z first (per kx line), then x (per z line).

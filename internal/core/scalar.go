@@ -27,9 +27,7 @@ package core
 
 import (
 	"fmt"
-	"time"
 
-	"channeldns/internal/banded"
 	"channeldns/internal/ckpt"
 	"channeldns/internal/mpi"
 	"channeldns/internal/parfft"
@@ -55,37 +53,24 @@ type ScalarSolver struct {
 	meanTh                  []float64
 	meanHthPrev, meanHthCur []float64
 
-	// Per-wavenumber factored implicit operators for the current dt.
-	sOps     []*scalarOps
-	sMeanOps [3]*banded.Compact
-	sOpsDt   float64
-}
-
-type scalarOps struct {
-	lhs [3]*banded.Compact
+	// kappa's Helmholtz left-hand sides, rebuilt with the channel solver's
+	// operator caches (see Solver.ensureOps).
+	diffusive *implicitOps
 }
 
 // NewScalar constructs the passive-scalar workload collectively on the
 // world communicator.
 func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
-	cfg.fillDefaults()
 	cfg.Workload = WorkloadScalar
-	if cfg.Overlap {
-		return nil, fmt.Errorf("core: the scalar workload runs the serial exchange only (Overlap unsupported)")
-	}
-	if cfg.Prandtl <= 0 {
-		return nil, fmt.Errorf("core: Prandtl must be positive, got %g", cfg.Prandtl)
-	}
 	inner, err := New(world, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := &ScalarSolver{
-		Solver: inner,
-		kappa:  inner.nu / cfg.Prandtl,
-	}
+	t := &ScalarSolver{Solver: inner, kappa: inner.nu / inner.Cfg.Prandtl}
+	t.diffusive = &implicitOps{diff: t.kappa}
+	inner.imp = append(inner.imp, t.diffusive)
 	inner.checkpointing.self = t
-	ny := cfg.Ny
+	ny := inner.Cfg.Ny
 	t.cth = allocCoef(inner.nw, ny)
 	t.hthPrev = allocCoef(inner.nw, ny)
 	t.hthCur = allocCoef(inner.nw, ny)
@@ -95,16 +80,8 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		t.meanHthCur = make([]float64, ny)
 	}
 	inner.exc.Register(&scalarFlux)
-	if t.tel != nil {
-		// The flop credit must match the scalar schedule, not the channel's.
-		t.stepFlops = int64(t.Cfg.ScalarSchedule().TotalFlops() / float64(world.Size()))
-	}
 	return t, nil
 }
-
-// WorkloadName identifies the scalar workload (the embedded solver's
-// configuration carries it, but be explicit).
-func (t *ScalarSolver) WorkloadName() string { return WorkloadScalar }
 
 // Kappa returns the scalar diffusivity nu/Prandtl.
 func (t *ScalarSolver) Kappa() float64 { return t.kappa }
@@ -162,42 +139,6 @@ func (t *ScalarSolver) InitDefault(amp float64, seed int64) {
 	t.PerturbScalar(amp, 2, 2, seed)
 }
 
-// ensureSOps rebuilds the scalar operator cache when the time step changes:
-// per mode, lhs[s] = B0 - beta_s*dt*kappa*(B2 - k2*B0) with wall value rows,
-// plus the mean operators at k2 = 0.
-func (t *ScalarSolver) ensureSOps(dt float64) {
-	if t.sOps != nil && t.sOpsDt == dt {
-		return
-	}
-	t.sOps = make([]*scalarOps, t.nw)
-	t.sOpsDt = dt
-	for w := 0; w < t.nw; w++ {
-		ikx, ikz := t.modeOf(w)
-		if t.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
-			continue
-		}
-		k2 := t.G.K2(ikx, ikz)
-		op := &scalarOps{}
-		for sub := 0; sub < 3; sub++ {
-			c := rkBeta[sub] * dt * t.kappa
-			lhs, err := t.assembleLHS(c, k2)
-			if err != nil {
-				panic(fmt.Sprintf("core: singular scalar operator k2=%g: %v", k2, err))
-			}
-			op.lhs[sub] = lhs
-		}
-		t.sOps[w] = op
-	}
-	for sub := 0; sub < 3; sub++ {
-		c := rkBeta[sub] * dt * t.kappa
-		m, err := t.assembleLHS(c, 0)
-		if err != nil {
-			panic(fmt.Sprintf("core: singular scalar mean operator: %v", err))
-		}
-		t.sMeanOps[sub] = m
-	}
-}
-
 // scalarFlux is the scalar's excursion pass: u, v, w and theta go out, the
 // flux products u*theta, v*theta, w*theta come back.
 var scalarFlux = parfft.Spec{In: 4, Out: 3, Kernel: func(out []float64, c int, phys [][]float64) {
@@ -223,30 +164,21 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	// Velocity values at this substage (recomputed — the pipeline buffers
 	// that held them were consumed by the momentum pass) plus theta values,
 	// as the 4-field y-pencil block the excursion carries out.
-	s.velocityValues()
+	s.velocityValues(3)
 	theta := s.exc.In(scalarFlux.In)[3]
 	sp := s.tel.Begin(telemetry.PhasePressure)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
-		wk := &ws.workers[blk]
-		th := wk.ln[0]
 		for w := wlo; w < whi; w++ {
 			ikx, ikz := s.modeOf(w)
 			if g.IsNyquistZ(ikz) {
 				continue // stays zero
 			}
-			base := w * ny
-			if ikx == 0 && ikz == 0 {
-				if s.ownsMean {
-					tvals := wk.rl[0]
-					s.b0.MulVec(tvals, t.meanTh)
-					for i := 0; i < ny; i++ {
-						theta[base+i] = complex(tvals[i], 0)
-					}
-				}
-				continue
+			line := theta[w*ny : (w+1)*ny]
+			if ikx != 0 || ikz != 0 {
+				s.b0.MulVecComplex(line, t.cth[w])
+			} else if s.ownsMean {
+				meanLine(line, s.b0, t.meanTh, ws.workers[blk].rl)
 			}
-			s.b0.MulVecComplex(th, t.cth[w])
-			copy(theta[base:base+ny], th)
 		}
 	})
 	sp.End()
@@ -258,7 +190,6 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]
 		tmp := wk.ln[0]
-		sol := wk.ln[1]
 		for w := wlo; w < whi; w++ {
 			ikx, ikz := s.modeOf(w)
 			if g.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
@@ -268,9 +199,7 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 			base := w * ny
 			ikxC := complex(0, kx)
 			ikzC := complex(0, kz)
-			copy(sol, prods[1][base:base+ny])
-			s.b0fac.SolveComplex(sol)
-			s.b1.MulVecComplex(tmp, sol)
+			s.ddy(tmp, s.b1, prods[1][base:base+ny], wk.ln[1])
 			hw := hth[w]
 			for i := 0; i < ny; i++ {
 				hw[i] = -(ikxC*prods[0][base+i] + ikzC*prods[2][base+i] + tmp[i])
@@ -279,17 +208,8 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	})
 	if s.ownsMean {
 		// Mean scalar: H_theta(0,0) = -d<v theta>/dy.
-		w00 := s.widx(0, 0)
-		base := w00 * ny
-		cvt := ws.meanS0
-		for i := 0; i < ny; i++ {
-			cvt[i] = real(prods[1][base+i])
-		}
-		s.b0fac.SolveReal(cvt)
-		s.b1.MulVec(meanHth, cvt)
-		for i := 0; i < ny; i++ {
-			meanHth[i] = -meanHth[i]
-		}
+		base := s.widx(0, 0) * ny
+		s.meanFluxTerm(meanHth, prods[1][base:base+ny])
 	}
 	sp.End()
 	return hth, meanHth
@@ -297,50 +217,20 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 
 // advanceScalar performs the implicit scalar advance for one substep:
 // fluctuations with homogeneous Dirichlet walls, then the mean profile with
-// the fixed wall values Theta(-1) = +1, Theta(+1) = -1 on the owner rank.
+// the fixed wall values Theta(-1) = +1, Theta(+1) = -1 (heated bottom wall,
+// cooled top wall) on the owner rank.
 func (t *ScalarSolver) advanceScalar(sub int, dt float64, hth [][]complex128, mHth []float64) {
 	s := t.Solver
 	sp := s.tel.Begin(telemetry.PhaseViscousSolve)
-	ny := s.Cfg.Ny
-	ga := rkGamma[sub]
-	ze := rkZeta[sub]
-	al := rkAlpha[sub] * dt * t.kappa
-
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
-		wk := &s.ws.workers[blk]
-		rhs := wk.ln[0]
-		vals := wk.ln[1]
-		lap := wk.ln[2]
-		helmTmp := wk.ln[3]
 		for w := wlo; w < whi; w++ {
-			op := t.sOps[w]
-			if op == nil {
-				continue // mean or Nyquist
+			if s.ops[w] != nil { // neither mean nor Nyquist
+				s.advanceLine(t.diffusive, w, sub, dt, t.cth[w], hth[w], t.hthPrev[w], &s.ws.workers[blk])
 			}
-			k2 := s.G.K2(s.modeOf(w))
-			s.b0.MulVecComplex(vals, t.cth[w])
-			s.applyHelmValues(lap, t.cth[w], k2, helmTmp)
-			for i := 0; i < ny; i++ {
-				rhs[i] = vals[i] + complex(al, 0)*lap[i] +
-					complex(dt, 0)*(complex(ga, 0)*hth[w][i]+complex(ze, 0)*t.hthPrev[w][i])
-			}
-			rhs[0], rhs[ny-1] = 0, 0 // theta(+-1) = 0 (fluctuations)
-			op.lhs[sub].SolveComplex(rhs)
-			copy(t.cth[w], rhs)
 		}
 	})
-
 	if s.ownsMean {
-		rhs := s.ws.meanS0
-		lap := s.ws.meanS1
-		s.b0.MulVec(rhs, t.meanTh)
-		s.b2.MulVec(lap, t.meanTh)
-		for i := 0; i < ny; i++ {
-			rhs[i] += al*lap[i] + dt*(ga*mHth[i]+ze*t.meanHthPrev[i])
-		}
-		rhs[0], rhs[ny-1] = 1, -1 // heated bottom wall, cooled top wall
-		t.sMeanOps[sub].SolveReal(rhs)
-		copy(t.meanTh, rhs)
+		s.advanceMeanLine(t.diffusive, sub, dt, t.meanTh, mHth, t.meanHthPrev, 0, 1, -1)
 	}
 	sp.End()
 }
@@ -350,32 +240,19 @@ func (t *ScalarSolver) advanceScalar(sub int, dt float64, hth [][]complex128, mH
 // evaluation (which must see the pre-advance velocity) and the buffer swap.
 func (t *ScalarSolver) StepOnce() {
 	s := t.Solver
-	t0 := time.Now()
-	dt := s.Cfg.Dt
+	dt := s.beginStep()
 	s.ensureOps(dt)
-	t.ensureSOps(dt)
-	s.trc.BeginStep(int64(s.Step))
 	for sub := 0; sub < 3; sub++ {
 		s.trc.SetStage(sub)
 		hg, hv, mHx, mHz := s.nonlinearTerms()
 		hth, mHth := t.scalarTerms()
 		s.advanceSubstep(sub, dt, hg, hv, mHx, mHz)
 		t.advanceScalar(sub, dt, hth, mHth)
-		s.hgPrev, s.ws.hgCur = hg, s.hgPrev
-		s.hvPrev, s.ws.hvCur = hv, s.hvPrev
+		s.swapNonlinear(hg, hv, mHx, mHz)
 		t.hthPrev, t.hthCur = hth, t.hthPrev
-		if s.ownsMean {
-			s.meanHxPrev, s.ws.meanHxCur = mHx, s.meanHxPrev
-			s.meanHzPrev, s.ws.meanHzCur = mHz, s.meanHzPrev
-			t.meanHthPrev, t.meanHthCur = mHth, t.meanHthPrev
-		}
+		t.meanHthPrev, t.meanHthCur = mHth, t.meanHthPrev // nil off the owner rank
 	}
-	s.trc.SetStage(-1)
-	s.trc.EndStep(t0, time.Now())
-	s.Time += dt
-	s.Step++
-	s.tel.StepDone(time.Since(t0))
-	s.tel.AddFlops(s.stepFlops)
+	s.endStep(dt)
 }
 
 // ScalarVariance integrates the scalar fluctuation variance over y (times
@@ -390,10 +267,7 @@ func (t *ScalarSolver) ScalarVariance() float64 {
 		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
 			continue
 		}
-		wt := 2.0
-		if ikx == 0 {
-			wt = 1.0
-		}
+		wt := oneSided(ikx)
 		s.b0.MulVecComplex(vals, t.cth[w])
 		for i := 0; i < ny; i++ {
 			prof[i] += wt * sq(vals[i])

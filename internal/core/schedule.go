@@ -6,6 +6,19 @@ import (
 	"channeldns/internal/schedule"
 )
 
+// timestepParams is what the three schedule builders share: the grid, the
+// process grid, and the divergence form's six products with 4-pass
+// pack/unpack around every transpose.
+func (c Config) timestepParams() schedule.TimestepParams {
+	c.fillDefaults()
+	return schedule.TimestepParams{
+		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
+		PA: c.PA, PB: c.PB,
+		Products:   parfft.NumProducts,
+		PackPasses: 4,
+	}
+}
+
 // Schedule returns the declarative op list of one RK3 timestep as this
 // solver executes it: three substeps of the §2.3 transpose/FFT pipeline
 // with the six independent quadratic products (uu, uv, uw, vv, vw, ww) of
@@ -18,18 +31,11 @@ import (
 // they hide under, with the same per-direction pipeline depths the live
 // decomposition uses.
 func (c Config) Schedule() *schedule.Schedule {
-	c.fillDefaults()
-	var ca, cb int
+	p := c.timestepParams()
 	if c.Overlap {
-		ca, cb = pencil.OverlapChunksFor(c.Nx/2, c.Ny, c.PA, c.PB, c.PipelineChunks)
+		p.ChunksA, p.ChunksB = pencil.OverlapChunksFor(p.Nx/2, p.Ny, p.PA, p.PB, c.PipelineChunks)
 	}
-	return schedule.Timestep(schedule.TimestepParams{
-		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
-		PA: c.PA, PB: c.PB,
-		Products:   parfft.NumProducts,
-		PackPasses: 4,
-		ChunksA:    ca, ChunksB: cb,
-	})
+	return schedule.Timestep(p)
 }
 
 // IsotropicSchedule returns the declarative op list of one RK3 timestep of
@@ -38,13 +44,7 @@ func (c Config) Schedule() *schedule.Schedule {
 // advance in place of the banded wall-normal solve. The workload runs the
 // serial exchange only (no overlap form).
 func (c Config) IsotropicSchedule() *schedule.Schedule {
-	c.fillDefaults()
-	return schedule.IsotropicTimestep(schedule.TimestepParams{
-		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
-		PA: c.PA, PB: c.PB,
-		Products:   parfft.NumProducts,
-		PackPasses: 4,
-	})
+	return schedule.IsotropicTimestep(c.timestepParams())
 }
 
 // ScalarSchedule returns the declarative op list of one RK3 timestep of
@@ -52,11 +52,5 @@ func (c Config) IsotropicSchedule() *schedule.Schedule {
 // advection excursion (4 fields out, 3 flux products back) and the scalar's
 // banded implicit solve per substep. Serial exchange only.
 func (c Config) ScalarSchedule() *schedule.Schedule {
-	c.fillDefaults()
-	return schedule.ScalarTimestep(schedule.TimestepParams{
-		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
-		PA: c.PA, PB: c.PB,
-		Products:   parfft.NumProducts,
-		PackPasses: 4,
-	})
+	return schedule.ScalarTimestep(c.timestepParams())
 }

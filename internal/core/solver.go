@@ -1,17 +1,11 @@
 package core
 
 import (
-	"sync"
-
 	"channeldns/internal/banded"
 	"channeldns/internal/bspline"
 	"channeldns/internal/fft"
-	"channeldns/internal/field"
 	"channeldns/internal/mpi"
 	"channeldns/internal/parfft"
-	"channeldns/internal/pencil"
-	"channeldns/internal/telemetry"
-	"channeldns/internal/trace"
 )
 
 // Solver holds the distributed state of a channel DNS: B-spline coefficients
@@ -19,14 +13,10 @@ import (
 // locally owned Fourier mode (y-pencil configuration), plus the mean-flow
 // profiles on the rank that owns the (0,0) mode.
 type Solver struct {
-	checkpointing
+	base
 
-	Cfg  Config
-	G    field.Grid
-	D    *pencil.Decomp
 	B    *bspline.Basis
 	grev []float64
-	nu   float64
 
 	// Collocation operators (unfactored, used as matvecs) and the factored
 	// interpolation matrix shared by every wavenumber.
@@ -34,10 +24,6 @@ type Solver struct {
 	b0fac      *banded.Compact
 	wall       bspline.WallRows
 	opRows     []opRow // interior collocation rows, see fillOperator
-
-	// Local wavenumber window (y-pencil): one-sided kx and wrapped kz.
-	kxlo, kxhi, kzlo, kzhi int
-	nw                     int // (kxhi-kxlo)*(kzhi-kzlo)
 
 	// State: spline coefficients per local wavenumber.
 	cv, cw [][]complex128
@@ -49,10 +35,13 @@ type Solver struct {
 	meanU, meanW           []float64 // spline coefficients
 	meanHxPrev, meanHzPrev []float64
 
-	// Per-wavenumber factored operators, built lazily for the current Dt.
-	ops     []*wnOps
-	opsDt   float64
-	meanOps [3]*banded.Compact
+	// Factored implicit operators, built lazily for the current Dt (see
+	// operators.go): the Helmholtz left-hand sides of every transported
+	// diffusivity (imp[0] is nu's; the scalar workload appends kappa's), and
+	// per wavenumber the v-recovery operator with its influence data.
+	imp   []*implicitOps
+	ops   []*wnOps
+	opsDt float64
 
 	// Fused dealiasing transforms and the excursion that carries fields
 	// through them to the physical grid and back (see nonlinear.go).
@@ -62,42 +51,19 @@ type Solver struct {
 
 	// Steady-state workspace arena (see workspace.go).
 	ws *solverWS
-
-	// Per-y maxima of |u|, |v|, |w| on the physical grid, harvested for
-	// free during the most recent nonlinear evaluation (local to this
-	// rank's y range; zero elsewhere). Used by CFLEstimate.
-	physMaxMu      sync.Mutex
-	physMax        [3][]float64
-	physMaxCurrent bool
-
-	// tel is this rank's telemetry collector (nil when Config.Telemetry is
-	// unset — every recording call is then a no-op); stepFlops is this
-	// rank's share of the machine model's per-step operation count,
-	// credited once per StepOnce.
-	tel       *telemetry.Collector
-	stepFlops int64
-	// trc is this rank's flight recorder (nil when Config.Trace is unset).
-	trc *trace.Recorder
-
-	Time float64
-	Step int
 }
 
 // New constructs a solver collectively on the world communicator. Every
 // rank of the PA x PB grid must call it with identical configuration.
 func New(world *mpi.Comm, cfg Config) (*Solver, error) {
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+	s := &Solver{}
+	if err := s.base.init(world, cfg); err != nil {
 		return nil, err
 	}
-	g := field.NewGrid(cfg.Nx, cfg.Ny, cfg.Nz, cfg.Lx, cfg.Lz)
-	s := &Solver{
-		Cfg: cfg,
-		G:   g,
-		nu:  1 / cfg.ReTau,
-		B:   bspline.NewFromBreakpoints(cfg.Degree, bspline.ChannelBreakpoints(cfg.Ny-cfg.Degree, cfg.Stretch)),
-	}
+	cfg, g := s.Cfg, s.G
 	s.checkpointing.self = s
+	s.imp = []*implicitOps{{diff: s.nu}}
+	s.B = bspline.NewFromBreakpoints(cfg.Degree, bspline.ChannelBreakpoints(cfg.Ny-cfg.Degree, cfg.Stretch))
 	if s.B.NumBasis() != cfg.Ny {
 		panic("core: basis size mismatch")
 	}
@@ -113,37 +79,6 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	if err := s.b0fac.Factor(); err != nil {
 		return nil, err
 	}
-
-	if cfg.Trace != nil && cfg.Telemetry == nil {
-		// Phase events piggyback on telemetry spans, so tracing needs a
-		// collector even when the caller did not ask for aggregates.
-		cfg.Telemetry = telemetry.NewRegistry()
-		s.Cfg.Telemetry = cfg.Telemetry
-	}
-	if cfg.Telemetry != nil {
-		s.tel = cfg.Telemetry.Rank(world.Rank())
-		// Attach before the cartesian splits below so CommA/CommB inherit
-		// the collector for their collective instrumentation.
-		world.SetTelemetry(s.tel)
-		// Flop accounting comes from the same schedule that describes the
-		// step's operations, divided evenly across ranks.
-		s.stepFlops = int64(cfg.Schedule().TotalFlops() / float64(world.Size()))
-	}
-	if cfg.Trace != nil {
-		s.trc = cfg.Trace.Rank(world.Rank())
-		// Same pre-split attach, so the sub-communicators inherit the
-		// recorder for their per-peer exchange events.
-		world.SetTracer(s.trc)
-		s.tel.SetTracer(s.trc)
-	}
-	s.D = pencil.New(world, cfg.PA, cfg.PB, g.NKx(), g.Nz, g.Ny, cfg.Pool)
-	s.D.Telemetry = s.tel
-	s.D.Trace = s.trc
-	s.D.Overlap = cfg.Overlap
-	s.D.PipelineChunks = cfg.PipelineChunks
-	s.kxlo, s.kxhi = s.D.KxRange()
-	s.kzlo, s.kzhi = s.D.KzRangeY()
-	s.nw = (s.kxhi - s.kxlo) * (s.kzhi - s.kzlo)
 
 	s.cv = allocCoef(s.nw, cfg.Ny)
 	s.cw = allocCoef(s.nw, cfg.Ny)
@@ -171,9 +106,6 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	// Both forms' passes are registered whatever Cfg.Nonlinear says, so the
 	// arena does not depend on the form.
 	s.exc = parfft.NewExcursion(s.D, s.padZ, s.padX, ikz, ikx, s.tel, &parfft.SixProducts, &convectiveForm)
-	for c := range s.physMax {
-		s.physMax[c] = make([]float64, cfg.Ny)
-	}
 	s.ws = s.newWorkspace()
 	return s, nil
 }
@@ -186,35 +118,14 @@ func allocCoef(nw, ny int) [][]complex128 {
 	return out
 }
 
-// widx maps global mode indices to the local wavenumber slot, or -1.
-func (s *Solver) widx(ikx, ikz int) int {
-	if ikx < s.kxlo || ikx >= s.kxhi || ikz < s.kzlo || ikz >= s.kzhi {
-		return -1
-	}
-	return (ikx-s.kxlo)*(s.kzhi-s.kzlo) + (ikz - s.kzlo)
-}
-
-// modeOf inverts widx: local slot -> global (ikx, ikz).
-func (s *Solver) modeOf(w int) (int, int) {
-	nkz := s.kzhi - s.kzlo
-	return s.kxlo + w/nkz, s.kzlo + w%nkz
-}
-
 // OwnsMean reports whether this rank holds the kx=kz=0 mean-flow state.
 func (s *Solver) OwnsMean() bool { return s.ownsMean }
-
-// Telemetry returns this rank's collector (nil when Config.Telemetry was
-// not set).
-func (s *Solver) Telemetry() *telemetry.Collector { return s.tel }
 
 // Basis returns the wall-normal B-spline basis.
 func (s *Solver) Basis() *bspline.Basis { return s.B }
 
 // CollocationPoints returns the Greville collocation points in y.
 func (s *Solver) CollocationPoints() []float64 { return s.grev }
-
-// Nu returns the kinematic viscosity 1/ReTau.
-func (s *Solver) Nu() float64 { return s.nu }
 
 // VCoef returns the spline coefficients of v-hat for a locally owned mode,
 // or nil. The slice aliases solver state.

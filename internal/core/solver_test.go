@@ -304,10 +304,17 @@ func TestConfigValidation(t *testing.T) {
 		{Nx: 8, Ny: 16, Nz: 8, ReTau: 0, Dt: 0.1},
 		{Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0},
 		{Nx: 8, Ny: 4, Nz: 8, ReTau: 100, Dt: 0.1}, // Ny too small for degree 7
+		{Workload: "nonesuch", Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1},
+		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 0, Dt: 0.1},
+		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 100, Dt: 0},
+		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 100, Dt: 0.1, Overlap: true},
+		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 100, Dt: 0.1, Nonlinear: FormSkewSymmetric},
+		{Workload: WorkloadScalar, Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Overlap: true},
+		{Workload: WorkloadScalar, Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Prandtl: -1},
 	}
 	for i, cfg := range bad {
 		mpi.Run(1, func(c *mpi.Comm) {
-			if _, err := New(c, cfg); err == nil {
+			if _, err := NewWorkload(c, cfg); err == nil {
 				t.Errorf("config %d: expected error", i)
 			}
 		})

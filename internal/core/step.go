@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"channeldns/internal/telemetry"
 )
 
@@ -11,41 +9,87 @@ import (
 // value problems of Eq. (3) for omega_y-hat and phi-hat with the customized
 // banded solver, then recovers v-hat from phi-hat through Eq. (4) with the
 // influence-matrix correction enforcing v = v' = 0 at the walls, and finally
-// advances the mean-flow profiles.
+// advances the mean-flow profiles. Every transported quantity goes through
+// the same Helmholtz line advance: solveLine for a complex mode line (omega_y,
+// phi, theta), advanceMeanLine for a real mean profile (U, W, Theta).
 
 // StepOnce advances the solution by one full time step (three substeps).
 func (s *Solver) StepOnce() {
-	t0 := time.Now()
-	dt := s.Cfg.Dt
+	dt := s.beginStep()
 	s.ensureOps(dt)
-	s.trc.BeginStep(int64(s.Step))
 	for sub := 0; sub < 3; sub++ {
 		s.trc.SetStage(sub)
 		hg, hv, mHx, mHz := s.nonlinearTerms()
 		s.advanceSubstep(sub, dt, hg, hv, mHx, mHz)
-		// Swap current and previous nonlinear buffers instead of
-		// reallocating; nonlinearTerms fully rewrites the current set.
-		s.hgPrev, s.ws.hgCur = hg, s.hgPrev
-		s.hvPrev, s.ws.hvCur = hv, s.hvPrev
-		if s.ownsMean {
-			s.meanHxPrev, s.ws.meanHxCur = mHx, s.meanHxPrev
-			s.meanHzPrev, s.ws.meanHzCur = mHz, s.meanHzPrev
-		}
+		s.swapNonlinear(hg, hv, mHx, mHz)
 	}
-	s.trc.SetStage(-1)
-	s.trc.EndStep(t0, time.Now())
-	s.Time += dt
-	s.Step++
-	s.tel.StepDone(time.Since(t0))
-	s.tel.AddFlops(s.stepFlops)
+	s.endStep(dt)
+}
+
+// swapNonlinear makes the substep's nonlinear terms the previous-substep set
+// and hands the old set back to the arena instead of reallocating;
+// nonlinearTerms fully rewrites the current set.
+func (s *Solver) swapNonlinear(hg, hv [][]complex128, mHx, mHz []float64) {
+	s.hgPrev, s.ws.hgCur = hg, s.hgPrev
+	s.hvPrev, s.ws.hvCur = hv, s.hvPrev
+	if s.ownsMean {
+		s.meanHxPrev, s.ws.meanHxCur = mHx, s.meanHxPrev
+		s.meanHzPrev, s.ws.meanHzCur = mHz, s.meanHzPrev
+	}
+}
+
+// solveLine completes the IMEX substep of one mode line of diffusivity
+// o.diff, paper Eq. (3) with homogeneous Dirichlet walls: given the line's
+// collocation values vals and those of its Helmholtz operator lap,
+//
+//	lhs*c = vals + alpha*dt*d*lap + dt*(gamma*h + zeta*hPrev)
+//
+// is assembled in rhs and solved in place, leaving the new coefficients there.
+func (o *implicitOps) solveLine(w, sub int, dt float64, rhs, vals, lap, h, hPrev []complex128) {
+	al := complex(rkAlpha[sub]*dt*o.diff, 0)
+	ga, ze, cdt := complex(rkGamma[sub], 0), complex(rkZeta[sub], 0), complex(dt, 0)
+	for i := range rhs {
+		rhs[i] = vals[i] + al*lap[i] + cdt*(ga*h[i]+ze*hPrev[i])
+	}
+	rhs[0], rhs[len(rhs)-1] = 0, 0
+	o.lhs[w][sub].SolveComplex(rhs)
+}
+
+// advanceLine advances the spline coefficients c of one Helmholtz-transported
+// mode line (omega_y, theta) through substep sub in place.
+func (s *Solver) advanceLine(o *implicitOps, w, sub int, dt float64, c, h, hPrev []complex128, wk *wsWorker) {
+	rhs, vals, lap := wk.ln[0], wk.ln[1], wk.ln[2]
+	s.b0.MulVecComplex(vals, c) // B0*c = values of the line
+	s.b2.MulVecComplex(lap, c)
+	ck2 := complex(s.ops[w].k2, 0)
+	for i := range lap {
+		lap[i] -= ck2 * vals[i] // (B2 - k2*B0)*c
+	}
+	o.solveLine(w, sub, dt, rhs, vals, lap, h, hPrev)
+	copy(c, rhs)
+}
+
+// advanceMeanLine advances one real kx = kz = 0 profile through substep sub
+// in place: the same Helmholtz problem at k2 = 0, with a uniform forcing added
+// to the explicit term and the wall values lo, hi imposed.
+func (s *Solver) advanceMeanLine(o *implicitOps, sub int, dt float64, c, h, hPrev []float64, forcing, lo, hi float64) {
+	ga, ze := rkGamma[sub], rkZeta[sub]
+	al := rkAlpha[sub] * dt * o.diff
+	rhs, lap := s.ws.meanS0, s.ws.meanS1
+	s.b0.MulVec(rhs, c)
+	s.b2.MulVec(lap, c)
+	for i := range rhs {
+		rhs[i] += al*lap[i] + dt*(ga*(h[i]+forcing)+ze*(hPrev[i]+forcing))
+	}
+	rhs[0], rhs[len(rhs)-1] = lo, hi
+	o.mean[sub].SolveReal(rhs)
+	copy(c, rhs)
 }
 
 func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx, mHz []float64) {
 	sp := s.tel.Begin(telemetry.PhaseViscousSolve)
 	ny := s.Cfg.Ny
-	ga := rkGamma[sub]
-	ze := rkZeta[sub]
-	al := rkAlpha[sub] * dt * s.nu
+	visc := s.imp[0]
 
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &s.ws.workers[blk]
@@ -60,17 +104,7 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 				continue // mean or Nyquist
 			}
 			k2 := op.k2
-
-			// --- omega_y advance ---
-			s.b0.MulVecComplex(vals, s.cw[w]) // B0*c = values of omega
-			s.applyHelmValues(lap, s.cw[w], k2, helmTmp)
-			for i := 0; i < ny; i++ {
-				rhs[i] = vals[i] + complex(al, 0)*lap[i] +
-					complex(dt, 0)*(complex(ga, 0)*hg[w][i]+complex(ze, 0)*s.hgPrev[w][i])
-			}
-			rhs[0], rhs[ny-1] = 0, 0 // omega(+-1) = 0
-			op.lhs[sub].SolveComplex(rhs)
-			copy(s.cw[w], rhs)
+			s.advanceLine(visc, w, sub, dt, s.cw[w], hg[w], s.hgPrev[w], wk) // omega(+-1) = 0
 
 			// --- phi advance ---
 			// phi values at collocation points: (B2 - k2*B0)*c_v;
@@ -79,12 +113,8 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 			copy(cphi, vals)
 			s.b0fac.SolveComplex(cphi)
 			s.applyHelmValues(lap, cphi, k2, helmTmp) // (d2-k2) phi values
-			for i := 0; i < ny; i++ {
-				rhs[i] = vals[i] + complex(al, 0)*lap[i] +
-					complex(dt, 0)*(complex(ga, 0)*hv[w][i]+complex(ze, 0)*s.hvPrev[w][i])
-			}
-			rhs[0], rhs[ny-1] = 0, 0      // provisional phi(+-1) = 0
-			op.lhs[sub].SolveComplex(rhs) // rhs = c_phi (provisional)
+			// rhs = c_phi with provisional phi(+-1) = 0
+			visc.solveLine(w, sub, dt, rhs, vals, lap, hv[w], s.hvPrev[w])
 
 			// --- v from phi (Eq. 4) with v(+-1) = 0 ---
 			s.b0.MulVecComplex(vals, rhs) // phi values
@@ -105,35 +135,10 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 	})
 
 	if s.ownsMean {
-		s.advanceMean(sub, dt, mHx, mHz)
+		// dU/dt = F - d<uv>/dy + nu*d2U/dy2, dW/dt = -d<vw>/dy + nu*d2W/dy2
+		// with U(+-1) = W(+-1) = 0 and F the imposed pressure gradient.
+		s.advanceMeanLine(visc, sub, dt, s.meanU, mHx, s.meanHxPrev, s.Cfg.Forcing, 0, 0)
+		s.advanceMeanLine(visc, sub, dt, s.meanW, mHz, s.meanHzPrev, 0, 0, 0)
 	}
 	sp.End()
-}
-
-// advanceMean advances the kx = kz = 0 profiles:
-//
-//	dU/dt = F - d<uv>/dy + nu*d2U/dy2,   dW/dt = -d<vw>/dy + nu*d2W/dy2
-//
-// with U(+-1) = W(+-1) = 0 and F the imposed pressure gradient.
-func (s *Solver) advanceMean(sub int, dt float64, mHx, mHz []float64) {
-	ny := s.Cfg.Ny
-	ga := rkGamma[sub]
-	ze := rkZeta[sub]
-	al := rkAlpha[sub] * dt * s.nu
-	f := s.Cfg.Forcing
-
-	adv := func(c []float64, h, hPrev []float64, forcing float64) {
-		rhs := s.ws.meanS0
-		lap := s.ws.meanS1
-		s.b0.MulVec(rhs, c)
-		s.b2.MulVec(lap, c)
-		for i := 0; i < ny; i++ {
-			rhs[i] += al*lap[i] + dt*(ga*(h[i]+forcing)+ze*(hPrev[i]+forcing))
-		}
-		rhs[0], rhs[ny-1] = 0, 0
-		s.meanOps[sub].SolveReal(rhs)
-		copy(c, rhs)
-	}
-	adv(s.meanU, mHx, s.meanHxPrev, f)
-	adv(s.meanW, mHz, s.meanHzPrev, 0)
 }

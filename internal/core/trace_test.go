@@ -18,7 +18,7 @@ import (
 // tracing itself contributes zero heap objects per event.
 func TestStepOnceSteadyStateAllocsTrace(t *testing.T) {
 	trc := trace.New(0)
-	warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry(), Trace: trc})
+	warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry(), Trace: trc}, stepAllocBudget)
 	if trc.Rank(0).Recorded() == 0 {
 		t.Error("recorder attached but no events recorded")
 	}

@@ -200,28 +200,6 @@ func init() {
 		func(cfg Config) *schedule.Schedule { return cfg.ScalarSchedule() })
 }
 
-// Workload interface methods of the channel solver. The channel solver is
-// the registry's first entry; these accessors adapt its existing API
-// without touching the numerical hot path.
-
-// WorkloadName returns the workload stamped into the configuration
-// ("channel" for directly constructed solvers, "scalar" for the embedded
-// solver inside a ScalarSolver).
-func (s *Solver) WorkloadName() string { return s.Cfg.Workload }
-
-// CurrentStep returns the number of completed RK3 steps.
-func (s *Solver) CurrentStep() int { return s.Step }
-
-// CurrentTime returns the simulated time.
-func (s *Solver) CurrentTime() float64 { return s.Time }
-
-// CurrentDt returns the current time step (tracks adaptive stepping).
-func (s *Solver) CurrentDt() float64 { return s.Cfg.Dt }
-
-// SetDt changes the time step; the per-wavenumber operator cache rebuilds
-// lazily on the next step.
-func (s *Solver) SetDt(dt float64) { s.Cfg.Dt = dt }
-
 // ChannelSolver exposes the solver to channel-specific diagnostics.
 func (s *Solver) ChannelSolver() *Solver { return s }
 

@@ -21,7 +21,7 @@ type wsWorker struct {
 	// Ny-length complex line scratch.
 	ln [6][]complex128
 	// Ny-length real scratch (mean-profile evaluation).
-	rl [4][]float64
+	rl []float64
 }
 
 // solverWS is the arena owned by one Solver.
@@ -62,9 +62,7 @@ func (s *Solver) newWorkspace() *solverWS {
 		for j := range w.ln {
 			w.ln[j] = make([]complex128, ny)
 		}
-		for j := range w.rl {
-			w.rl[j] = make([]float64, ny)
-		}
+		w.rl = make([]float64, ny)
 	}
 	return ws
 }
@@ -82,17 +80,5 @@ func (s *Solver) ensureAlt() {
 	if s.ownsMean {
 		ws.meanHxAlt = make([]float64, ny)
 		ws.meanHzAlt = make([]float64, ny)
-	}
-}
-
-func zeroC(x []complex128) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
-func zeroF(x []float64) {
-	for i := range x {
-		x[i] = 0
 	}
 }
