@@ -369,18 +369,20 @@ func (m *Manager) Resume(id int) error {
 	if m.draining.Load() {
 		return errors.New("server: draining, not accepting jobs")
 	}
+	// Refuse before touching the job, so a refused resume leaves it paused
+	// and resumable. Submit and Resume are the only senders and both hold
+	// m.mu, so a queue with room here still has room at the send below.
+	if len(m.queue) == cap(m.queue) {
+		return ErrQueueFull
+	}
 	job.stop.Store(stopNone)
 	newSt := job.update(func(s *Status) { s.State = StateQueued })
 	if err := m.store.WriteStatus(id, newSt); err != nil {
 		return err
 	}
-	select {
-	case m.queue <- job:
-		job.Hub.Publish(EventState, newSt)
-		return nil
-	default:
-		return ErrQueueFull
-	}
+	m.queue <- job
+	job.Hub.Publish(EventState, newSt)
+	return nil
 }
 
 // Drain stops the manager for a graceful shutdown: no new submissions,
@@ -420,7 +422,10 @@ func (m *Manager) worker() {
 			// next server instance to recover.
 			continue
 		}
-		if terminalState(job.Status().State) || job.stop.Load() == stopCancel {
+		if terminalState(job.Status().State) {
+			continue // cancelled while queued: Cancel finalized it on the spot
+		}
+		if job.stop.Load() == stopCancel {
 			m.finalize(job, StateCancelled, nil)
 			continue
 		}
