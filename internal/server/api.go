@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
 )
 
@@ -339,23 +340,20 @@ func (a *API) metrics(w http.ResponseWriter, _ *http.Request) {
 	for _, st := range statuses {
 		byState[st.State]++
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# HELP dnsserve_jobs_total Jobs known to this server.\n")
-	fmt.Fprintf(w, "# TYPE dnsserve_jobs_total gauge\n")
-	fmt.Fprintf(w, "dnsserve_jobs_total %d\n", total)
-	fmt.Fprintf(w, "# HELP dnsserve_jobs Jobs by lifecycle state.\n")
-	fmt.Fprintf(w, "# TYPE dnsserve_jobs gauge\n")
+	w.Header().Set("Content-Type", telemetry.PromContentType)
+	pw := telemetry.NewPromWriter(w)
+	pw.Family("dnsserve_jobs_total", "Jobs known to this server.", "gauge")
+	pw.Sample(total)
+	pw.Family("dnsserve_jobs", "Jobs by lifecycle state.", "gauge")
 	for _, state := range []string{StateQueued, StateRunning, StatePaused, StateDone, StateFailed, StateCancelled, StateInterrupted} {
-		fmt.Fprintf(w, "dnsserve_jobs{state=%q} %d\n", state, byState[state])
+		pw.Sample(byState[state], "state", state)
 	}
-	fmt.Fprintf(w, "# HELP dnsserve_stream_watchers Attached stream clients.\n")
-	fmt.Fprintf(w, "# TYPE dnsserve_stream_watchers gauge\n")
-	fmt.Fprintf(w, "dnsserve_stream_watchers %d\n", a.watcherConns.Load())
-	fmt.Fprintf(w, "# HELP dnsserve_job_step Current step of non-terminal jobs.\n")
-	fmt.Fprintf(w, "# TYPE dnsserve_job_step gauge\n")
+	pw.Family("dnsserve_stream_watchers", "Attached stream clients.", "gauge")
+	pw.Sample(a.watcherConns.Load())
+	pw.Family("dnsserve_job_step", "Current step of non-terminal jobs.", "gauge")
 	for _, st := range statuses {
 		if !terminalState(st.State) {
-			fmt.Fprintf(w, "dnsserve_job_step{job=%q} %d\n", st.ID, st.Step)
+			pw.Sample(st.Step, "job", st.ID)
 		}
 	}
 }

@@ -349,6 +349,78 @@ func TestPauseResume(t *testing.T) {
 	}
 }
 
+// TestResumeOnFullQueue: a resume that finds the queue full must leave the
+// job as it was — paused in memory and on disk — so a later resume works.
+func TestResumeOnFullQueue(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Options{Queue: 1})
+	defer drainManager(t, m)
+	slow := func(steps int) *Job {
+		spec := smallSpec(steps)
+		spec.StepDelayMs = 10
+		job, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	job := slow(8)
+	waitState(t, job, StateRunning)
+	if err := m.Pause(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, StatePaused)
+	blocker := slow(1000)
+	waitState(t, blocker, StateRunning)
+	queued := slow(2) // fills the one queue slot behind the blocker
+
+	if err := m.Resume(job.ID); err != ErrQueueFull {
+		t.Fatalf("resume on a full queue: %v, want ErrQueueFull", err)
+	}
+	disk, err := m.Store().LoadStatus(job.ID)
+	if st := job.Status().State; st != StatePaused || err != nil || disk.State != StatePaused {
+		t.Fatalf("after the refused resume: state %q, on disk %q (err %v), want paused", st, disk.State, err)
+	}
+	m.Cancel(blocker.ID)
+	waitState(t, queued, StateRunning) // the slot is free again
+	if err := m.Resume(job.ID); err != nil {
+		t.Fatalf("resume with room in the queue: %v", err)
+	}
+	if st := waitState(t, job, StateDone); st.Step != 8 {
+		t.Errorf("resumed job finished at step %d, want 8", st.Step)
+	}
+}
+
+// TestCancelQueuedFinalizedOnce: Cancel finalizes a queued job on the spot;
+// the worker that later takes it off the queue must not finalize it again.
+func TestCancelQueuedFinalizedOnce(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Options{})
+	defer drainManager(t, m)
+	spec := smallSpec(1000)
+	spec.StepDelayMs = 10
+	blocker, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning)
+	job, _ := m.Submit(smallSpec(2))
+	last, _ := m.Submit(smallSpec(2))
+	m.Cancel(job.ID)
+	st := waitState(t, job, StateCancelled)
+	statusFile := filepath.Join(m.Store().Dir(job.ID), "status.json")
+	onDisk, err := os.ReadFile(statusFile)
+	if err != nil || st.Finished == nil {
+		t.Fatalf("cancelled queued job: finished %v, status file err %v", st.Finished, err)
+	}
+	m.Cancel(blocker.ID)
+	waitState(t, last, StateDone) // FIFO: the worker has been past the cancelled job
+	if got := job.Status().Finished; !got.Equal(*st.Finished) {
+		t.Errorf("finished re-stamped by the worker: %v, was %v", got, st.Finished)
+	}
+	if now, _ := os.ReadFile(statusFile); !bytes.Equal(now, onDisk) {
+		t.Errorf("status.json rewritten by the worker:\n%s\nwas:\n%s", now, onDisk)
+	}
+}
+
 // TestSubmitValidation: doomed specs are rejected at the door, not
 // queued.
 func TestSubmitValidation(t *testing.T) {
@@ -583,6 +655,9 @@ func TestAPI(t *testing.T) {
 	var metrics bytes.Buffer
 	metrics.ReadFrom(resp.Body)
 	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != telemetry.PromContentType {
+		t.Errorf("/metrics Content-Type %q, want the world dashboard's %q", ct, telemetry.PromContentType)
+	}
 	if metrics.String() != serveMetricsGolden {
 		t.Errorf("/metrics body:\n%s\nwant:\n%s", metrics.String(), serveMetricsGolden)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -153,7 +154,7 @@ func (t *WorldTracker) Status(nowUnixNs int64) WorldStatus {
 }
 
 // rankMetrics are the per-rank series of the health view, in exposition
-// order. Values print with %v: %g for the float64 ones, %d for the rest.
+// order.
 var rankMetrics = []struct {
 	name, help, typ string
 	value           func(RankStatus) any
@@ -179,14 +180,14 @@ var rankMetrics = []struct {
 // format at the given wall-clock time.
 func (t *WorldTracker) WriteMetrics(w io.Writer, nowUnixNs int64) {
 	st := t.Status(nowUnixNs)
-	fmt.Fprintf(w, "# HELP channeldns_world_size Number of ranks in the running world.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_world_size gauge\n")
-	fmt.Fprintf(w, "channeldns_world_size %d\n", st.World)
+	pw := NewPromWriter(w)
+	pw.Family("channeldns_world_size", "Number of ranks in the running world.", "gauge")
+	pw.Sample(st.World)
 	for _, m := range rankMetrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
+		pw.Family(m.name, m.help, m.typ)
 		for _, r := range st.Ranks {
 			if r.Heard {
-				fmt.Fprintf(w, "%s{rank=\"%d\"} %v\n", m.name, r.Rank, m.value(r))
+				pw.Sample(m.value(r), "rank", strconv.Itoa(r.Rank))
 			}
 		}
 	}
@@ -220,25 +221,22 @@ func (t *WorldTracker) WriteMetrics(w io.Writer, nowUnixNs int64) {
 	}
 	t.unlock()
 
-	fmt.Fprintf(w, "# HELP channeldns_rank_phase_seconds_total Accumulated wall clock per phase per rank.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_phase_seconds_total counter\n")
+	pw.Family("channeldns_rank_phase_seconds_total", "Accumulated wall clock per phase per rank.", "counter")
 	for rank, pns := range phases {
 		for p := Phase(0); p < NumPhases; p++ {
 			if pns == nil || pns[p] == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "channeldns_rank_phase_seconds_total{rank=\"%d\",phase=\"%s\"} %g\n",
-				rank, p, float64(pns[p])/1e9)
+			pw.Sample(float64(pns[p])/1e9, "rank", strconv.Itoa(rank), "phase", p.String())
 		}
 	}
-	fmt.Fprintf(w, "# HELP channeldns_rank_comm_bytes_total Payload bytes per communication channel per rank.\n")
-	fmt.Fprintf(w, "# TYPE channeldns_rank_comm_bytes_total counter\n")
+	pw.Family("channeldns_rank_comm_bytes_total", "Payload bytes per communication channel per rank.", "counter")
 	for rank, cts := range comms {
 		for op := CommOp(0); op < NumCommOps; op++ {
 			if cts == nil || cts[op][2] == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "channeldns_rank_comm_bytes_total{rank=\"%d\",op=\"%s\"} %d\n", rank, op, cts[op][2])
+			pw.Sample(cts[op][2], "rank", strconv.Itoa(rank), "op", op.String())
 		}
 	}
 
@@ -258,12 +256,11 @@ func (t *WorldTracker) WriteMetrics(w io.Writer, nowUnixNs int64) {
 			return s
 		}
 		emit := func(name, help string, field int) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+			pw.Family(name, help, "counter")
 			for rank, wd := range wires {
-				if wd == nil {
-					continue
+				if wd != nil {
+					pw.Sample(sum(wd, field), "rank", strconv.Itoa(rank))
 				}
-				fmt.Fprintf(w, "%s{rank=\"%d\"} %d\n", name, rank, sum(wd, field))
 			}
 		}
 		emit("channeldns_rank_wire_frames_out_total", "Wire frames enqueued toward peers.", WireFramesOut)
@@ -290,7 +287,7 @@ func (t *WorldTracker) observedRanks() []int {
 // MetricsHandler serves the tracker in Prometheus text format.
 func MetricsHandler(t *WorldTracker) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", PromContentType)
 		t.WriteMetrics(w, time.Now().UnixNano())
 	})
 }
