@@ -8,13 +8,14 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke clean
+.PHONY: ci vet build test race bench bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke loc clean
 
 ci: vet build test race bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet .
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -97,6 +98,16 @@ obs-smoke:
 # final SIGTERM must drain cleanly.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# Line counts as the simplicity PRs quote them: non-test and test *.go lines
+# per internal/* package, then in total outside benchmark/.
+loc:
+	@for d in internal/*/; do printf '%-22s %6d %6d\n' $$d \
+		$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) \
+		$$(find $$d -name '*_test.go' | xargs cat | wc -l); done
+	@printf '%-22s %6d %6d\n' 'total (no benchmark/)' \
+		$$(find . -name '*.go' ! -path './benchmark/*' ! -name '*_test.go' | xargs cat | wc -l) \
+		$$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 
 clean:
 	rm -rf .bench-smoke .ckpt-smoke .tcp-smoke .obs-smoke .serve-smoke

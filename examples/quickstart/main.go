@@ -22,7 +22,7 @@ func main() {
 	mpi.Run(1, func(comm *mpi.Comm) {
 		wl, err := core.NewWorkload(comm, core.Config{
 			Workload: core.WorkloadChannel, // "" also selects the channel
-			Nx:       16, Ny: 25, Nz: 16, // Fourier x B-spline x Fourier resolution
+			Nx:       16, Ny: 25, Nz: 16,   // Fourier x B-spline x Fourier resolution
 			ReTau:   180,  // friction Reynolds number (nu = 1/ReTau)
 			Dt:      1e-3, // time step
 			Forcing: 1,    // mean pressure gradient, wall units

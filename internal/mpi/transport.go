@@ -58,12 +58,12 @@ type chanTransport struct {
 	self int
 }
 
-func (t *chanTransport) Self() int              { return t.self }
-func (t *chanTransport) WorldSize() int         { return t.w.size }
+func (t *chanTransport) Self() int                  { return t.self }
+func (t *chanTransport) WorldSize() int             { return t.w.size }
 func (t *chanTransport) Deliver(dst int, m message) { t.w.boxes[dst].put(m) }
-func (t *chanTransport) LocalBox() *mailbox     { return t.w.boxes[t.self] }
-func (t *chanTransport) Name() string           { return "chan" }
-func (t *chanTransport) Close() error           { return nil }
+func (t *chanTransport) LocalBox() *mailbox         { return t.w.boxes[t.self] }
+func (t *chanTransport) Name() string               { return "chan" }
+func (t *chanTransport) Close() error               { return nil }
 
 // TransportName returns the name of the transport carrying this
 // communicator's traffic ("chan" for the in-process runtime, "tcp" for

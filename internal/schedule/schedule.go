@@ -130,10 +130,10 @@ type Op struct {
 	Sub int `json:"sub,omitempty"`
 
 	// Transpose / Reorder fields.
-	Dir      string  `json:"dir,omitempty"`       // DirYtoZ, ...
-	Comm     string  `json:"comm,omitempty"`      // "A" or "B"
-	CommSize int     `json:"comm_size,omitempty"` // ranks in the sub-communicator
-	Fields   int     `json:"fields,omitempty"`    // fields moved/transformed together
+	Dir      string `json:"dir,omitempty"`       // DirYtoZ, ...
+	Comm     string `json:"comm,omitempty"`      // "A" or "B"
+	CommSize int    `json:"comm_size,omitempty"` // ranks in the sub-communicator
+	Fields   int    `json:"fields,omitempty"`    // fields moved/transformed together
 	// BytesPerRank is the payload each rank contributes: one packed local
 	// image of the transported fields (16 bytes per complex mode).
 	BytesPerRank float64 `json:"bytes_per_rank,omitempty"`

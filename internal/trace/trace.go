@@ -243,7 +243,7 @@ func (r *Recorder) Rank() int {
 // per-slot seqlock.
 func (r *Recorder) record(kind Kind, code uint8, peer int, bytes int64, t0, t1 time.Time) {
 	p := r.pos.Add(1) // 1-based reservation index
-	base := int((p - 1) % uint64(r.t.capacity)) * slotWords
+	base := int((p-1)%uint64(r.t.capacity)) * slotWords
 	b := r.buf[base : base+slotWords]
 	b[slotSeq].Store(-int64(p)) // writing marker
 	b[slotStart].Store(int64(t0.Sub(r.t.epoch)))
