@@ -140,7 +140,7 @@ func (c *Config) validate() error {
 		if c.Nonlinear != FormDivergence {
 			return fmt.Errorf("core: the isotropic workload supports only the divergence form")
 		}
-		return nil
+		return nil // Fourier in y: no spline degree for Ny to carry
 	case WorkloadScalar:
 		if c.Prandtl <= 0 {
 			return fmt.Errorf("core: Prandtl must be positive, got %g", c.Prandtl)

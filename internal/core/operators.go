@@ -126,8 +126,8 @@ func (s *Solver) wallDerivReal(c []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// buildImplicit factors the left-hand sides of diffusivity o.diff at time step dt
-// for the modes ops marks as advanced, and for the mean.
+// buildImplicit factors the left-hand sides of diffusivity o.diff at time
+// step dt for the modes ops marks as advanced, and for the mean.
 func (s *Solver) buildImplicit(o *implicitOps, dt float64, ops []*wnOps) {
 	o.lhs = make([][3]*banded.Compact, len(ops))
 	for sub := 0; sub < 3; sub++ {
@@ -175,9 +175,9 @@ func (s *Solver) ensureOps(dt float64) {
 
 // buildInfluence computes the homogeneous influence solutions for substep
 // sub, whose nu left-hand side is lhs: phi_m solves lhs*phi = 0 with
-// phi(wall_m) = 1, then v_m solves helm*v = B0*phi_m with v(+-1) = 0. The 2x2 influence matrix maps the
-// homogeneous phi wall values to v wall slopes; its inverse corrects the
-// provisional solution so that v'(+-1) = 0.
+// phi(wall_m) = 1, then v_m solves helm*v = B0*phi_m with v(+-1) = 0. The
+// 2x2 influence matrix maps the homogeneous phi wall values to v wall slopes;
+// its inverse corrects the provisional solution so that v'(+-1) = 0.
 func (s *Solver) buildInfluence(op *wnOps, lhs *banded.Compact, sub int) {
 	ny := s.Cfg.Ny
 	solveHom := func(wallRow int) []float64 {

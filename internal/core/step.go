@@ -56,7 +56,8 @@ func (o *implicitOps) solveLine(w, sub int, dt float64, rhs, vals, lap, h, hPrev
 }
 
 // advanceLine advances the spline coefficients c of one Helmholtz-transported
-// mode line (omega_y, theta) through substep sub in place.
+// mode line (omega_y, theta) through substep sub in place, on the worker's
+// first three scratch lines.
 func (s *Solver) advanceLine(o *implicitOps, w, sub int, dt float64, c, h, hPrev []complex128, wk *wsWorker) {
 	rhs, vals, lap := wk.ln[0], wk.ln[1], wk.ln[2]
 	s.b0.MulVecComplex(vals, c) // B0*c = values of the line

@@ -85,12 +85,13 @@ func (s *Solver) velocityValues(n int) {
 	ny := s.Cfg.Ny
 	out := s.exc.In(n)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
+		wk := &s.ws.workers[blk]
 		var dst [6][]complex128
 		for w := wlo; w < whi; w++ {
 			for c := range out {
 				dst[c] = out[c][w*ny : (w+1)*ny]
 			}
-			s.modeVelocity(dst[:n], w, &s.ws.workers[blk])
+			s.modeVelocity(dst[:n], w, wk)
 		}
 	})
 	sp.End()

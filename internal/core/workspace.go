@@ -19,7 +19,7 @@ package core
 // never run concurrently with each other, so they share it.
 type wsWorker struct {
 	// Ny-length complex line scratch.
-	ln [6][]complex128
+	ln [5][]complex128
 	// Ny-length real scratch (mean-profile evaluation).
 	rl []float64
 }
