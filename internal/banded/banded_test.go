@@ -1,9 +1,12 @@
 package banded
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -293,14 +296,7 @@ func TestCompactResidualProperty(t *testing.T) {
 }
 
 func cloneCompact(c *Compact) *Compact {
-	d := &Compact{n: c.n, lo: append([]int(nil), c.lo...), hi: append([]int(nil), c.hi...)}
-	d.rows = make([][]float64, c.n)
-	for i := range c.rows {
-		if c.rows[i] != nil {
-			d.rows[i] = append([]float64(nil), c.rows[i]...)
-		}
-	}
-	return d
+	return &Compact{n: c.n, ext: append([]rowExt(nil), c.ext...), a: append([]float64(nil), c.a...)}
 }
 
 func TestCompactStorageSmallerThanGeneral(t *testing.T) {
@@ -438,4 +434,74 @@ func BenchmarkNaiveFactorSolve(b *testing.B) {
 		}
 		nv.Solve(rhs)
 	}
+}
+
+// TestCompactMutationAfterFactorPanics: a factored matrix holds L and U in
+// the storage of A, possibly trimmed below the declared extent, so writing an
+// entry into it (which used to clear the factored flag and let the next
+// Factor re-eliminate the half-factored matrix without an error) must panic
+// and name the call.
+func TestCompactMutationAfterFactorPanics(t *testing.T) {
+	c, _, _, _ := benchSystem(12, 2)
+	if err := c.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	for call, mutate := range map[string]func(){
+		"Set":    func() { c.Set(3, 4, 1) },
+		"Add":    func() { c.Add(3, 4, 1) },
+		"Widen":  func() { c.Widen(3, 0, 8) },
+		"Factor": func() { _ = c.Factor() },
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, call+" after Factor") {
+					t.Errorf("%s on a factored matrix: recovered %q, want a panic naming the call", call, msg)
+				}
+			}()
+			mutate()
+		}()
+	}
+	// The factors are still intact and usable.
+	ref, _, _, _ := benchSystem(12, 2)
+	x := randComplexVec(rand.New(rand.NewSource(1)), 12)
+	b := make([]complex128, 12)
+	ref.MulVecComplex(b, x)
+	c.SolveComplex(b)
+	if d := maxDiff(b, x); d > 1e-12 {
+		t.Errorf("solve after the refused mutations is off by %g", d)
+	}
+}
+
+// TestSharedOperatorsConcurrentUse: operators are shared read-only state —
+// every pool worker of a threaded step multiplies by the same b0, b1, b2 and
+// solves against the same b0fac. Two goroutines doing so must agree with a
+// serial run (and, under -race, touch nothing either of them writes).
+func TestSharedOperatorsConcurrentUse(t *testing.T) {
+	const n, h = 49, 7
+	c, r, _, _ := benchSystem(n, h)
+	if err := c.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	x := randComplexVec(rand.New(rand.NewSource(2)), n)
+	wantMul, wantSol := make([]complex128, n), append([]complex128(nil), x...)
+	r.MulVecComplex(wantMul, x)
+	c.SolveComplex(wantSol)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mul, sol := make([]complex128, n), make([]complex128, n)
+			for rep := 0; rep < 200; rep++ {
+				r.MulVecComplex(mul, x)
+				copy(sol, x)
+				c.SolveComplex(sol)
+				if maxDiff(mul, wantMul) != 0 || maxDiff(sol, wantSol) != 0 {
+					t.Error("concurrent use of a shared operator changed its result")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -17,13 +17,23 @@ import (
 // a complex right-hand side natively: each inner update is two real
 // multiply-adds instead of a full complex multiply or a rearrangement into
 // two sequential real vectors.
+//
+// All rows live back to back in one slab, located by a table of 32-bit row
+// extents. A caller that knows its rows' extents declares them through Widen
+// on a narrower band (NewCompact(n, 0) for none) and assembles straight into
+// the final storage; whatever was declared, Factor first trims every row to
+// its first and last stored nonzero, so a caller that declared a full band
+// around narrower rows ends with the same layout.
 type Compact struct {
 	n        int
-	lo       []int       // first stored column of row i
-	hi       []int       // last stored column of row i (after symbolic fill)
-	rows     [][]float64 // rows[i][j-lo[i]] = A(i, j)
+	ext      []rowExt
+	a        []float64 // nil until the layout is resolved, see layout
 	factored bool
 }
+
+// rowExt locates one row: it stores columns [lo, hi], the diagonal entry
+// A(i, i) at a[off] (so A(i, j) is a[off+j-i]).
+type rowExt struct{ lo, hi, off int32 }
 
 // NewCompact allocates an n x n compact matrix with half-bandwidth h:
 // row i initially covers columns [i-h, i+h] clipped to the matrix.
@@ -31,69 +41,105 @@ func NewCompact(n, h int) *Compact {
 	if n <= 0 || h < 0 {
 		panic(fmt.Sprintf("banded: bad compact dimensions n=%d h=%d", n, h))
 	}
-	c := &Compact{n: n, lo: make([]int, n), hi: make([]int, n)}
-	for i := 0; i < n; i++ {
-		c.lo[i] = max(0, i-h)
-		c.hi[i] = min(n-1, i+h)
+	c := &Compact{n: n, ext: make([]rowExt, n)}
+	for i := range c.ext {
+		c.ext[i] = rowExt{lo: int32(max(0, i-h)), hi: int32(min(n-1, i+h))}
 	}
 	return c
 }
 
-// Widen extends row i so it stores columns [lo, hi]; used to declare the
-// boundary-row extras before assembly. Existing entries are preserved.
+// Widen extends row i so it stores columns [lo, hi]; used to declare row
+// extents beyond the band before assembly. It panics once assembly has
+// started: the layout is resolved at the first Set or Add.
 func (c *Compact) Widen(i, lo, hi int) {
-	lo = max(0, lo)
-	hi = min(c.n-1, hi)
-	if lo < c.lo[i] {
-		c.lo[i] = lo
+	if c.factored {
+		panic("banded: compact Widen after Factor")
 	}
-	if hi > c.hi[i] {
-		c.hi[i] = hi
+	if c.a != nil {
+		panic("banded: compact Widen after assembly started")
 	}
-	if c.rows != nil && c.rows[i] != nil {
-		panic("banded: Widen after assembly started on this row")
-	}
+	e := &c.ext[i]
+	e.lo = min(e.lo, int32(max(0, lo)))
+	e.hi = max(e.hi, int32(min(c.n-1, hi)))
 }
 
-// ensure allocates row storage lazily after all Widen calls.
-func (c *Compact) ensure(i int) []float64 {
-	if c.rows == nil {
-		c.rows = make([][]float64, c.n)
+// layout resolves the symbolic fill of the declared extents — eliminating
+// row i against row k extends row i to row k's extent, which is exactly how
+// boundary extras fold through the band — and allocates the slab, so entries
+// are assembled, eliminated and solved against in one place.
+func (c *Compact) layout() {
+	ext := c.ext
+	tot := int32(0)
+	for i := range ext {
+		e := &ext[i]
+		for k := e.lo; k < int32(i); k++ {
+			e.hi = max(e.hi, ext[k].hi)
+		}
+		e.off = tot + int32(i) - e.lo
+		tot += e.hi - e.lo + 1
+		if tot < 0 {
+			panic("banded: compact matrix exceeds 2^31 stored entries")
+		}
 	}
-	if c.rows[i] == nil {
-		c.rows[i] = make([]float64, c.hi[i]-c.lo[i]+1)
-	}
-	return c.rows[i]
+	c.a = make([]float64, tot)
 }
 
-// Set assigns A(i, j) = v. j must lie within the declared extent of row i.
+// open is the slow path of Set and Add: the first entry of a matrix resolves
+// its layout, and a call on a factored matrix or outside the row's extent
+// panics. It returns row i's extent.
+func (c *Compact) open(call string, i, j int) rowExt {
+	if c.factored {
+		panic("banded: compact " + call + " after Factor")
+	}
+	if c.a == nil {
+		c.layout()
+	}
+	e := c.ext[i]
+	if j < int(e.lo) || j > int(e.hi) {
+		panic(fmt.Sprintf("banded: compact %s outside row extent (%d,%d) in [%d,%d]", call, i, j, e.lo, e.hi))
+	}
+	return e
+}
+
+// Set assigns A(i, j) = v. j must lie within the extent of row i. Like Add
+// and Widen it panics on a factored matrix, whose storage holds L and U.
 func (c *Compact) Set(i, j int, v float64) {
-	if j < c.lo[i] || j > c.hi[i] {
-		panic(fmt.Sprintf("banded: compact Set outside row extent (%d,%d) in [%d,%d]", i, j, c.lo[i], c.hi[i]))
+	e := c.ext[i]
+	if c.a == nil || c.factored || j < int(e.lo) || j > int(e.hi) {
+		e = c.open("Set", i, j)
 	}
-	c.ensure(i)[j-c.lo[i]] = v
-	c.factored = false
+	c.a[int(e.off)+j-i] = v
 }
 
 // Add accumulates A(i, j) += v.
 func (c *Compact) Add(i, j int, v float64) {
-	if j < c.lo[i] || j > c.hi[i] {
-		panic(fmt.Sprintf("banded: compact Add outside row extent (%d,%d)", i, j))
+	e := c.ext[i]
+	if c.a == nil || c.factored || j < int(e.lo) || j > int(e.hi) {
+		e = c.open("Add", i, j)
 	}
-	c.ensure(i)[j-c.lo[i]] += v
-	c.factored = false
+	c.a[int(e.off)+j-i] += v
 }
 
 // At returns A(i, j), zero outside the stored extent.
 func (c *Compact) At(i, j int) float64 {
-	if i < 0 || i >= c.n || j < c.lo[i] || j > c.hi[i] || c.rows == nil || c.rows[i] == nil {
+	if i < 0 || i >= c.n || c.a == nil {
 		return 0
 	}
-	return c.rows[i][j-c.lo[i]]
+	e := c.ext[i]
+	if j < int(e.lo) || j > int(e.hi) {
+		return 0
+	}
+	return c.a[int(e.off)+j-i]
 }
 
 // N returns the matrix dimension.
 func (c *Compact) N() int { return c.n }
+
+// row returns the stored entries of row i, the first of them at column lo.
+func (c *Compact) row(i int) (row []float64, lo int) {
+	e := c.ext[i]
+	return c.a[e.off-(int32(i)-e.lo) : e.off+(e.hi-int32(i))+1], int(e.lo)
+}
 
 // MulVecComplex computes y = A*x for a complex vector using the unfactored
 // entries (for residual checks). Must be called before Factor.
@@ -101,11 +147,14 @@ func (c *Compact) MulVecComplex(y, x []complex128) {
 	if c.factored {
 		panic("banded: MulVecComplex after Factor")
 	}
+	if c.a == nil {
+		c.layout()
+	}
 	for i := 0; i < c.n; i++ {
-		row := c.ensure(i)
+		row, lo := c.row(i)
 		var sr, si float64
 		for k, a := range row {
-			xv := x[c.lo[i]+k]
+			xv := x[lo+k]
 			sr += a * real(xv)
 			si += a * imag(xv)
 		}
@@ -113,64 +162,73 @@ func (c *Compact) MulVecComplex(y, x []complex128) {
 	}
 }
 
-// Factor computes the in-place LU factorization without pivoting. Symbolic
-// fill is resolved first: eliminating row i against row k extends row i to
-// row k's extent, which is exactly how boundary extras fold through the
-// band. Returns ErrSingular on a (near-)zero pivot.
-func (c *Compact) Factor() error {
-	n := c.n
-	// Symbolic pass: final extents.
-	for i := 1; i < n; i++ {
-		h := c.hi[i]
-		for k := c.lo[i]; k < i; k++ {
-			if c.hi[k] > h {
-				h = c.hi[k]
+// trim narrows every row to its first and last stored nonzero (keeping the
+// diagonal), resolves the fill of the narrowed extents and closes the rows
+// up inside the slab. A trimmed row lies within its old extent and rows only
+// move towards the front, so this runs in place, front to back.
+func (c *Compact) trim() {
+	ext, a := c.ext, c.a
+	tot := int32(0)
+	for i := range ext {
+		row, lo := c.row(i)
+		first, last := i-lo, i-lo
+		for k := 0; k < first; k++ {
+			if row[k] != 0 {
+				first = k
+				break
 			}
 		}
-		if h > c.hi[i] {
-			row := make([]float64, h-c.lo[i]+1)
-			copy(row, c.ensure(i))
-			c.rows[i] = row
-			c.hi[i] = h
-		} else {
-			c.ensure(i)
+		for k := len(row) - 1; k > last; k-- {
+			if row[k] != 0 {
+				last = k
+				break
+			}
 		}
+		e := rowExt{lo: int32(lo + first), hi: int32(lo + last)}
+		kept := int32(copy(a[tot:], row[first:last+1]))
+		for k := e.lo; k < int32(i); k++ {
+			e.hi = max(e.hi, ext[k].hi)
+		}
+		width := e.hi - e.lo + 1
+		clear(a[tot+kept : tot+width])
+		e.off = tot + int32(i) - e.lo
+		ext[i] = e
+		tot += width
 	}
-	c.ensure(0)
-	// Numeric pass: row-oriented Doolittle, no pivoting. The inner update
-	// loop is unrolled by four, the hand-optimization the paper applies to
-	// improve cache reuse in the LU kernel.
-	for i := 1; i < n; i++ {
-		ri := c.rows[i]
-		loi := c.lo[i]
-		for k := loi; k < i; k++ {
-			piv := c.rows[k][k-c.lo[k]]
-			if piv == 0 || math.Abs(piv) < 1e-300 {
-				return ErrSingular
-			}
-			l := ri[k-loi] / piv
-			ri[k-loi] = l
+	c.a = a[:tot]
+}
+
+// Factor computes the in-place LU factorization without pivoting, on rows
+// trimmed to their stored nonzeros. Returns ErrSingular on a (near-)zero
+// pivot.
+func (c *Compact) Factor() error {
+	if c.factored {
+		panic("banded: compact Factor after Factor")
+	}
+	if c.a == nil {
+		c.layout()
+	}
+	c.trim()
+	// Row-oriented Doolittle: row i is eliminated against every row k of its
+	// lower extent in turn, updating columns k+1..hi[k] of both.
+	for i := range c.ext {
+		ri, lo := c.row(i)
+		for k := lo; k < i; k++ {
+			rk, lok := c.row(k)
+			l := ri[k-lo] / rk[k-lok]
+			ri[k-lo] = l
 			if l == 0 {
 				continue
 			}
-			rk := c.rows[k]
-			// Columns k+1..hi[k] in both rows.
-			a := ri[k+1-loi : c.hi[k]+1-loi]
-			b := rk[k+1-c.lo[k] : c.hi[k]+1-c.lo[k]]
-			j := 0
-			for ; j+3 < len(a); j += 4 {
-				a[j] -= l * b[j]
-				a[j+1] -= l * b[j+1]
-				a[j+2] -= l * b[j+2]
-				a[j+3] -= l * b[j+3]
-			}
-			for ; j < len(a); j++ {
-				a[j] -= l * b[j]
+			u := rk[k+1-lok:]
+			t := ri[k+1-lo:][:len(u)]
+			for j, v := range u {
+				t[j] -= l * v
 			}
 		}
-	}
-	if c.rows[n-1][n-1-c.lo[n-1]] == 0 {
-		return ErrSingular
+		if math.Abs(ri[i-lo]) < 1e-300 {
+			return ErrSingular
+		}
 	}
 	c.factored = true
 	return nil
@@ -178,42 +236,38 @@ func (c *Compact) Factor() error {
 
 // SolveComplex overwrites b with the solution of A*x = b for a complex
 // right-hand side against the real factors, the native real x complex mode
-// of the customized solver.
+// of the customized solver. Both sweeps run over re-sliced windows of the
+// slab and of b, so the inner loops carry no bounds check and no test for
+// zero: every stored entry lies between its row's first and last nonzero.
 func (c *Compact) SolveComplex(b []complex128) {
 	if !c.factored {
 		panic("banded: SolveComplex before Factor")
 	}
-	n := c.n
+	a, ext := c.a, c.ext
+	b = b[:len(ext)]
 	// Forward substitution: y_i = b_i - sum L(i,k) y_k.
-	for i := 1; i < n; i++ {
-		ri := c.rows[i]
-		loi := c.lo[i]
+	for i := 1; i < len(ext); i++ {
+		e := ext[i]
+		l := a[e.off-(int32(i)-e.lo) : e.off]
+		y := b[e.lo:i][:len(l)]
 		var sr, si float64
-		kmax := i - loi
-		for k := 0; k < kmax; k++ {
-			l := ri[k]
-			if l != 0 {
-				v := b[loi+k]
-				sr += l * real(v)
-				si += l * imag(v)
-			}
+		for k, v := range l {
+			sr += v * real(y[k])
+			si += v * imag(y[k])
 		}
 		b[i] = complex(real(b[i])-sr, imag(b[i])-si)
 	}
 	// Back substitution: x_i = (y_i - sum U(i,j) x_j) / U(i,i).
-	for i := n - 1; i >= 0; i-- {
-		ri := c.rows[i]
-		loi := c.lo[i]
+	for i := len(ext) - 1; i >= 0; i-- {
+		e := ext[i]
+		u := a[e.off+1 : e.off+1+(e.hi-int32(i))]
+		x := b[i+1:][:len(u)]
 		var sr, si float64
-		for j := i + 1; j <= c.hi[i]; j++ {
-			u := ri[j-loi]
-			if u != 0 {
-				v := b[j]
-				sr += u * real(v)
-				si += u * imag(v)
-			}
+		for k, v := range u {
+			sr += v * real(x[k])
+			si += v * imag(x[k])
 		}
-		d := ri[i-loi]
+		d := a[e.off]
 		b[i] = complex((real(b[i])-sr)/d, (imag(b[i])-si)/d)
 	}
 }
@@ -223,33 +277,41 @@ func (c *Compact) SolveReal(b []float64) {
 	if !c.factored {
 		panic("banded: SolveReal before Factor")
 	}
-	n := c.n
-	for i := 1; i < n; i++ {
-		ri := c.rows[i]
-		loi := c.lo[i]
+	a, ext := c.a, c.ext
+	b = b[:len(ext)]
+	for i := 1; i < len(ext); i++ {
+		e := ext[i]
+		l := a[e.off-(int32(i)-e.lo) : e.off]
+		y := b[e.lo:i][:len(l)]
 		s := 0.0
-		for k := 0; k < i-loi; k++ {
-			s += ri[k] * b[loi+k]
+		for k, v := range l {
+			s += v * y[k]
 		}
 		b[i] -= s
 	}
-	for i := n - 1; i >= 0; i-- {
-		ri := c.rows[i]
-		loi := c.lo[i]
+	for i := len(ext) - 1; i >= 0; i-- {
+		e := ext[i]
+		u := a[e.off+1 : e.off+1+(e.hi-int32(i))]
+		x := b[i+1:][:len(u)]
 		s := 0.0
-		for j := i + 1; j <= c.hi[i]; j++ {
-			s += ri[j-loi] * b[j]
+		for k, v := range u {
+			s += v * x[k]
 		}
-		b[i] = (b[i] - s) / ri[i-loi]
+		b[i] = (b[i] - s) / a[e.off]
 	}
 }
 
 // StorageFloats reports the number of float64 values held, for comparing the
-// memory footprint against the general band layout (paper: half the memory).
+// memory footprint against the general band layout (paper: half the memory):
+// the declared extents before assembly, with their fill once it has started,
+// the trimmed extents with theirs after Factor.
 func (c *Compact) StorageFloats() int {
+	if c.a != nil {
+		return len(c.a)
+	}
 	tot := 0
-	for i := 0; i < c.n; i++ {
-		tot += c.hi[i] - c.lo[i] + 1
+	for _, e := range c.ext {
+		tot += int(e.hi-e.lo) + 1
 	}
 	return tot
 }

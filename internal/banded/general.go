@@ -35,8 +35,16 @@ type Real struct {
 	ldab      int // KL + KU + KL + 1 stored diagonals per row
 	ab        []float64
 	ipiv      []int
-	factored  bool
+	// nz[i] spans the first to the last column of row i that was given a
+	// nonzero value: MulVec and MulVecComplex walk it, not the declared band.
+	// Set and Add record it as they go, so matrices shared between
+	// goroutines are only ever read.
+	nz       []colSpan
+	factored bool
 }
+
+// colSpan is the column range [first, last] of a row; empty when last < first.
+type colSpan struct{ first, last int32 }
 
 // NewReal allocates an n x n real banded matrix with bandwidths kl, ku.
 func NewReal(n, kl, ku int) *Real {
@@ -44,11 +52,34 @@ func NewReal(n, kl, ku int) *Real {
 		panic(fmt.Sprintf("banded: bad dimensions n=%d kl=%d ku=%d", n, kl, ku))
 	}
 	ldab := 2*kl + ku + 1
-	return &Real{N: n, KL: kl, KU: ku, ldab: ldab, ab: make([]float64, n*ldab), ipiv: make([]int, n)}
+	m := &Real{N: n, KL: kl, KU: ku, ldab: ldab, ab: make([]float64, n*ldab), ipiv: make([]int, n), nz: make([]colSpan, n)}
+	for i := range m.nz {
+		m.nz[i] = colSpan{first: int32(n), last: -1}
+	}
+	return m
 }
 
 // idx maps logical (i, j) to storage; valid for j-i in [-KL, KU+KL].
 func (m *Real) idx(i, j int) int { return i*m.ldab + (j - i + m.KL) }
+
+// note widens row i's nonzero span to column j when v is nonzero.
+func (m *Real) note(i, j int, v float64) {
+	if v != 0 {
+		s := &m.nz[i]
+		s.first = min(s.first, int32(j))
+		s.last = max(s.last, int32(j))
+	}
+}
+
+// span returns the entries of row i from its first to its last nonzero
+// column and that column range; row is empty for a row of zeros.
+func (m *Real) span(i int) (row []float64, first, last int) {
+	first, last = int(m.nz[i].first), int(m.nz[i].last)
+	if last < first {
+		return nil, 0, -1
+	}
+	return m.ab[m.idx(i, first) : m.idx(i, last)+1], first, last
+}
 
 func (m *Real) inBand(i, j int) bool {
 	d := j - i
@@ -69,6 +100,7 @@ func (m *Real) Set(i, j int, v float64) {
 		panic(fmt.Sprintf("banded: Set outside band (%d,%d) kl=%d ku=%d", i, j, m.KL, m.KU))
 	}
 	m.ab[m.idx(i, j)] = v
+	m.note(i, j, v)
 	m.factored = false
 }
 
@@ -78,40 +110,42 @@ func (m *Real) Add(i, j int, v float64) {
 		panic(fmt.Sprintf("banded: Add outside band (%d,%d)", i, j))
 	}
 	m.ab[m.idx(i, j)] += v
+	m.note(i, j, v)
 	m.factored = false
 }
 
-// MulVec computes y = A*x using the unfactored band entries. It must be
-// called before Factor.
+// MulVec computes y = A*x using the unfactored band entries, each row from
+// its first to its last nonzero column in ascending order. It must be called
+// before Factor.
 func (m *Real) MulVec(y, x []float64) {
 	if m.factored {
 		panic("banded: MulVec after Factor")
 	}
-	for i := 0; i < m.N; i++ {
-		lo := max(0, i-m.KL)
-		hi := min(m.N-1, i+m.KU)
+	for i := range m.nz {
+		row, first, last := m.span(i)
+		xs := x[first : last+1][:len(row)]
 		s := 0.0
-		for j := lo; j <= hi; j++ {
-			s += m.ab[m.idx(i, j)] * x[j]
+		for k, a := range row {
+			s += a * xs[k]
 		}
 		y[i] = s
 	}
 }
 
 // MulVecComplex computes y = A*x for a complex vector with the real,
-// unfactored band entries (two real multiply-adds per element).
+// unfactored band entries (two real multiply-adds per element), over the
+// same nonzero spans.
 func (m *Real) MulVecComplex(y, x []complex128) {
 	if m.factored {
 		panic("banded: MulVecComplex after Factor")
 	}
-	for i := 0; i < m.N; i++ {
-		lo := max(0, i-m.KL)
-		hi := min(m.N-1, i+m.KU)
+	for i := range m.nz {
+		row, first, last := m.span(i)
+		xs := x[first : last+1][:len(row)]
 		var sr, si float64
-		for j := lo; j <= hi; j++ {
-			a := m.ab[m.idx(i, j)]
-			sr += a * real(x[j])
-			si += a * imag(x[j])
+		for k, a := range row {
+			sr += a * real(xs[k])
+			si += a * imag(xs[k])
 		}
 		y[i] = complex(sr, si)
 	}

@@ -98,3 +98,43 @@ func TestCollocationMatVecBitIdenticalToReference(t *testing.T) {
 		}
 	}
 }
+
+// The two kernels of the time advance at the shape the DNS runs them
+// (ny = 49, degree 7): a collocation matvec on a complex line, and a complex
+// solve against a factored Helmholtz left-hand side. The full-band random
+// systems of BenchmarkCompactFactorSolve have no zeros inside their band and
+// cannot see what these rows' narrower extent is worth.
+
+func benchLine(ny int) []complex128 {
+	x := make([]complex128, ny)
+	for i := range x {
+		x[i] = complex(float64(i%17)-8, float64(i%11)-5)
+	}
+	return x
+}
+
+func BenchmarkCollocationMatVec(b *testing.B) {
+	basis, grev := dnsBasis(49)
+	m := basis.CollocationMatrix(grev, 2)
+	x, y := benchLine(49), make([]complex128, 49)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.MulVecComplex(y, x)
+	}
+}
+
+func BenchmarkHelmholtzSolve(b *testing.B) {
+	basis, grev := dnsBasis(49)
+	const c, k2 = 8.0 / 15 * 2e-4 / 180, 9.0
+	m := banded.NewCompact(49, dnsDegree)
+	helmholtzRows(basis, grev, 1+c*k2, c, false)(m)
+	if err := m.Factor(); err != nil {
+		b.Fatal(err)
+	}
+	rhs, x := benchLine(49), make([]complex128, 49)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, rhs)
+		m.SolveComplex(x)
+	}
+}
