@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"channeldns/internal/banded"
 	"channeldns/internal/mpi"
 	"channeldns/internal/telemetry"
 )
@@ -77,5 +79,81 @@ func TestStepOnceSteadyStateAllocsTelemetry(t *testing.T) {
 	wl := warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry()}, stepAllocBudget)
 	if got := wl.(*Solver).Telemetry().PhaseCalls(telemetry.PhaseNonlinear); got == 0 {
 		t.Error("telemetry attached but no nonlinear spans recorded")
+	}
+}
+
+// forEachOperator visits every factored wall-normal operator a channel-family
+// solver holds after ensureOps: B0, and per advanced mode the v-recovery
+// operator and the three left-hand sides of every transported diffusivity,
+// plus the mean's.
+func forEachOperator(s *Solver, visit func(name string, m *banded.Compact)) {
+	visit("b0fac", s.b0fac)
+	for w, op := range s.ops {
+		if op != nil {
+			visit(fmt.Sprintf("helm[%d]", w), op.helm)
+		}
+	}
+	for d, o := range s.imp {
+		for sub, m := range o.mean {
+			visit(fmt.Sprintf("imp[%d].mean[%d]", d, sub), m)
+		}
+		for w, lhs := range o.lhs {
+			for sub, m := range lhs {
+				if m != nil {
+					visit(fmt.Sprintf("imp[%d].lhs[%d][%d]", d, w, sub), m)
+				}
+			}
+		}
+	}
+}
+
+// TestOperatorsAtNonzeroExtent: every factored operator is stored at the
+// extent of its nonzeros, not at the 2*degree+1 band its rows fit in (679
+// floats at ny = 49, degree 7). The rows are declared at the degree+1 = 8
+// splines of a collocation point, 49*8 = 392 floats, and Factor trims the
+// seven splines that are exactly zero at a wall from each wall value row.
+func TestOperatorsAtNonzeroExtent(t *testing.T) {
+	s := serialSolver(t, Config{Nx: 8, Ny: 49, Nz: 8, ReTau: 180, Dt: 2e-4, Forcing: 1})
+	s.ensureOps(s.Cfg.Dt)
+	count := 0
+	forEachOperator(s, func(name string, m *banded.Compact) {
+		count++
+		if got, want := m.StorageFloats(), 392-2*7; got != want {
+			t.Errorf("%s stores %d floats, want %d", name, got, want)
+		}
+	})
+	if count < 4*20 {
+		t.Fatalf("only %d operators visited", count)
+	}
+}
+
+// TestEnsureOpsAllocs: rebuilding the operator caches after a change of dt
+// costs a fixed few allocations per factored operator (the matrix, its row
+// table, its slab) and one slab for all the influence solutions — not one
+// allocation per matrix row or per homogeneous solve, as it used to (about
+// 52 per operator).
+func TestEnsureOpsAllocs(t *testing.T) {
+	for _, workload := range []string{WorkloadChannel, WorkloadScalar} {
+		var wl Workload
+		var err error
+		cfg := Config{Workload: workload, Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1}
+		mpi.Run(1, func(c *mpi.Comm) { wl, err = NewWorkload(c, cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := wl.(ChannelFlow).ChannelSolver()
+		s.ensureOps(s.Cfg.Dt)
+		operators := -1 // b0fac is not rebuilt
+		forEachOperator(s, func(string, *banded.Compact) { operators++ })
+		dt := s.Cfg.Dt
+		allocs := testing.AllocsPerRun(3, func() {
+			dt /= 2
+			s.SetDt(dt)
+			s.ensureOps(dt)
+		})
+		if limit := float64(4*operators + 16); allocs > limit {
+			t.Errorf("%s: ensureOps rebuild: %v allocs for %d operators, limit %v", workload, allocs, operators, limit)
+		}
+		t.Logf("%s: ensureOps rebuild: %v allocs for %d operators", workload, allocs, operators)
 	}
 }

@@ -182,8 +182,8 @@ func TestGeneralSolverAblationMatches(t *testing.T) {
 		}
 		for op, a := range coef {
 			cm, gm := banded.NewCompact(ny, deg), banded.NewReal(ny, deg, deg)
-			s.fillOperator(cm.Set, a[0], a[1])
-			s.fillOperator(gm.Set, a[0], a[1])
+			s.fillOperator(cm, a[0], a[1])
+			s.fillOperator(gm, a[0], a[1])
 			if err := cm.Factor(); err != nil {
 				t.Fatal(err)
 			}

@@ -31,50 +31,57 @@ type wnOps struct {
 	minv     [3][2][2]float64
 }
 
-// opRow is one interior collocation row evaluated once at construction: the
-// value (d0) and second-derivative (d2) entries of the deg+1 splines that
-// are nonzero at the row's Greville point, the first of them at column
-// start. Every implicit operator of every wavenumber is a combination of
-// these same rows.
+// opRow is one collocation row evaluated once at construction: the value (d0)
+// and second-derivative (d2) entries of the deg+1 splines that are nonzero at
+// the row's Greville point, the first of them at column start. Every implicit
+// operator of every wavenumber is a combination of these same rows. The first
+// and last rows hold only start: they are the wall value rows of s.wall.
 type opRow struct {
 	start  int
 	d0, d2 []float64
 }
 
-// collocationRows evaluates the interior rows (1..ny-2; the wall rows are
-// value rows and come from s.wall).
+// collocationRows evaluates the interior rows 1..ny-2 and records where the
+// two wall value rows start.
 func (s *Solver) collocationRows() []opRow {
-	rows := make([]opRow, s.Cfg.Ny)
-	for i := 1; i < s.Cfg.Ny-1; i++ {
+	ny := s.Cfg.Ny
+	rows := make([]opRow, ny)
+	for i := 1; i < ny-1; i++ {
 		start, ders := s.B.RowAt(s.grev[i], 2)
 		rows[i] = opRow{start: start, d0: ders[0], d2: ders[2]}
 	}
+	rows[0].start, rows[ny-1].start = s.wall.LowerValStart, s.wall.UpperValStart
 	return rows
 }
 
-// fillOperator writes the rows of an implicit operator through set: interior
+// fillOperator writes the rows of an implicit operator into m: interior
 // rows combine the value/second-derivative collocation rows as
 // a0*B0 - a2*B2, and the first and last rows are the wall value rows.
-func (s *Solver) fillOperator(set func(i, j int, v float64), a0, a2 float64) {
+func (s *Solver) fillOperator(m interface{ Set(i, j int, v float64) }, a0, a2 float64) {
 	ny := s.Cfg.Ny
 	for i := 1; i < ny-1; i++ {
 		row := &s.opRows[i]
 		for j, d0 := range row.d0 {
-			set(i, row.start+j, a0*d0-a2*row.d2[j])
+			m.Set(i, row.start+j, a0*d0-a2*row.d2[j])
 		}
 	}
 	for j := 0; j <= s.B.Degree(); j++ {
-		set(0, s.wall.LowerValStart+j, s.wall.LowerVal[j])
-		set(ny-1, s.wall.UpperValStart+j, s.wall.UpperVal[j])
+		m.Set(0, s.wall.LowerValStart+j, s.wall.LowerVal[j])
+		m.Set(ny-1, s.wall.UpperValStart+j, s.wall.UpperVal[j])
 	}
 }
 
 // factorOperator materializes a0*B0 - a2*B2 (with wall value rows) in the
-// compact format and factors it. B-spline collocation operators of a
-// Helmholtz problem are never singular; one that is means a broken basis.
+// compact format and factors it. Each row is declared at the deg+1 columns
+// its splines occupy, so the operator is assembled, eliminated and solved
+// against in the same storage. B-spline collocation operators of a Helmholtz
+// problem are never singular; one that is means a broken basis.
 func (s *Solver) factorOperator(a0, a2 float64) *banded.Compact {
-	m := banded.NewCompact(s.Cfg.Ny, s.B.Degree())
-	s.fillOperator(m.Set, a0, a2)
+	m := banded.NewCompact(s.Cfg.Ny, 0)
+	for i, row := range s.opRows {
+		m.Widen(i, row.start, row.start+s.B.Degree())
+	}
+	s.fillOperator(m, a0, a2)
 	if err := m.Factor(); err != nil {
 		panic(fmt.Sprintf("core: singular implicit operator %g*B0 - %g*B2: %v", a0, a2, err))
 	}
@@ -161,12 +168,22 @@ func (s *Solver) ensureOps(dt float64) {
 	for _, o := range s.imp {
 		s.buildImplicit(o, dt, ops)
 	}
+	// One slab holds the homogeneous solutions cv1, cv2 of every advanced
+	// mode and substep.
+	ny, advanced := s.Cfg.Ny, 0
+	for _, op := range ops {
+		if op != nil {
+			advanced++
+		}
+	}
+	hom := make([]float64, advanced*6*ny)
 	for w, op := range ops {
 		if op == nil {
 			continue
 		}
 		op.helm = s.assembleHelm(op.k2)
 		for sub := 0; sub < 3; sub++ {
+			op.cv1[sub], op.cv2[sub], hom = hom[:ny:ny], hom[ny:2*ny:2*ny], hom[2*ny:]
 			s.buildInfluence(op, s.imp[0].lhs[w][sub], sub)
 		}
 	}
@@ -174,33 +191,32 @@ func (s *Solver) ensureOps(dt float64) {
 }
 
 // buildInfluence computes the homogeneous influence solutions for substep
-// sub, whose nu left-hand side is lhs: phi_m solves lhs*phi = 0 with
-// phi(wall_m) = 1, then v_m solves helm*v = B0*phi_m with v(+-1) = 0. The
-// 2x2 influence matrix maps the homogeneous phi wall values to v wall slopes;
-// its inverse corrects the provisional solution so that v'(+-1) = 0.
+// sub, whose nu left-hand side is lhs, into op.cv1[sub] and op.cv2[sub]:
+// phi_m solves lhs*phi = 0 with phi(wall_m) = 1, then v_m solves
+// helm*v = B0*phi_m with v(+-1) = 0. The 2x2 influence matrix maps the
+// homogeneous phi wall values to v wall slopes; its inverse corrects the
+// provisional solution so that v'(+-1) = 0.
 func (s *Solver) buildInfluence(op *wnOps, lhs *banded.Compact, sub int) {
 	ny := s.Cfg.Ny
-	solveHom := func(wallRow int) []float64 {
-		rhs := make([]float64, ny)
+	solveHom := func(vals []float64, wallRow int) {
+		rhs := s.ws.meanS0 // ensureOps runs between substeps, on one goroutine
+		clear(rhs)
 		rhs[wallRow] = 1
 		lhs.SolveReal(rhs) // rhs now holds phi coefficients
 		// v from phi: interior rows get B0*phi values; wall rows 0.
-		vals := make([]float64, ny)
 		s.b0.MulVec(vals, rhs)
 		vals[0], vals[ny-1] = 0, 0
 		op.helm.SolveReal(vals)
-		return vals
 	}
-	cv1 := solveHom(0)
-	cv2 := solveHom(ny - 1)
+	cv1, cv2 := op.cv1[sub], op.cv2[sub]
+	solveHom(cv1, 0)
+	solveHom(cv2, ny-1)
 	l1, h1 := s.wallDerivReal(cv1)
 	l2, h2 := s.wallDerivReal(cv2)
 	det := l1*h2 - l2*h1
 	if det == 0 {
 		panic("core: singular influence matrix")
 	}
-	op.cv1[sub] = cv1
-	op.cv2[sub] = cv2
 	op.minv[sub] = [2][2]float64{
 		{h2 / det, -l2 / det},
 		{-h1 / det, l1 / det},

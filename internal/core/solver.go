@@ -23,7 +23,7 @@ type Solver struct {
 	b0, b1, b2 *banded.Real
 	b0fac      *banded.Compact
 	wall       bspline.WallRows
-	opRows     []opRow // interior collocation rows, see fillOperator
+	opRows     []opRow // collocation rows, see fillOperator
 
 	// State: spline coefficients per local wavenumber.
 	cv, cw [][]complex128
@@ -73,12 +73,7 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	s.b2 = s.B.CollocationMatrix(s.grev, 2)
 	s.wall = s.B.WallRows()
 	s.opRows = s.collocationRows()
-	s.b0fac = compactFromRows(s.B, s.grev, func(i int, row0, row1, row2 []float64) []float64 {
-		return row0
-	})
-	if err := s.b0fac.Factor(); err != nil {
-		return nil, err
-	}
+	s.b0fac = s.factorOperator(1, 0) // B0 with the wall value rows it has anyway
 
 	s.cv = allocCoef(s.nw, cfg.Ny)
 	s.cw = allocCoef(s.nw, cfg.Ny)
@@ -148,22 +143,3 @@ func (s *Solver) OmegaCoef(ikx, ikz int) []complex128 {
 // MeanUCoef returns the spline coefficients of the mean streamwise profile
 // (owner rank only; nil elsewhere). The slice aliases solver state.
 func (s *Solver) MeanUCoef() []float64 { return s.meanU }
-
-// compactFromRows assembles a Compact matrix whose interior rows are a
-// combination of the 0th/1st/2nd-derivative collocation rows at each
-// Greville point, as selected by pick.
-func compactFromRows(b *bspline.Basis, pts []float64, pick func(i int, r0, r1, r2 []float64) []float64) *banded.Compact {
-	n := len(pts)
-	deg := b.Degree()
-	c := banded.NewCompact(n, deg)
-	for i, u := range pts {
-		start, ders := b.RowAt(u, 2)
-		row := pick(i, ders[0], ders[1], ders[2])
-		// For Greville points the span satisfies i <= span <= i+deg, so
-		// every nonzero column lies within [i-deg, i+deg]: always in band.
-		for j := 0; j <= deg; j++ {
-			c.Set(i, start+j, row[j])
-		}
-	}
-	return c
-}
