@@ -270,13 +270,22 @@ func CheckCompactAgainstReference(t *testing.T, name string, n, h int, rng *rand
 			bc[0], bc[n/2], br[0], br[n/2] = 0, complex(math.Copysign(0, -1), 1), 0, math.Copysign(0, -1)
 		}
 		wc, wr := append([]complex128(nil), bc...), append([]float64(nil), br...)
+		// The pair solve takes this side first and second, beside another.
+		other := randComplexVec(rng, n)
+		p0, q0 := append([]complex128(nil), bc...), append([]complex128(nil), other...)
+		p1, q1 := append([]complex128(nil), bc...), append([]complex128(nil), other...)
 		got.SolveComplex(bc)
+		got.SolveComplex2(p0, q0)
+		got.SolveComplex2(q1, p1)
 		ref.SolveComplex(wc)
 		got.SolveReal(br)
 		ref.SolveReal(wr)
 		for i := range bc {
 			if !sameBitsComplex(bc[i], wc[i]) {
 				t.Fatalf("%s: SolveComplex[%d] = %v, reference %v", name, i, bc[i], wc[i])
+			}
+			if !sameBitsComplex(p0[i], wc[i]) || !sameBitsComplex(p1[i], wc[i]) {
+				t.Fatalf("%s: SolveComplex2[%d] = %v first, %v second, reference %v", name, i, p0[i], p1[i], wc[i])
 			}
 			if math.Float64bits(br[i]) != math.Float64bits(wr[i]) {
 				t.Fatalf("%s: SolveReal[%d] = %v, reference %v", name, i, br[i], wr[i])

@@ -134,8 +134,13 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 					complex(2*kx*kz, 0)*prods[parfft.UW][base+i] +
 					complex(kz*kz, 0)*prods[parfft.WW][base+i]
 			}
+			// The four y derivatives below each interpolate a line first
+			// (see ddy); the solves against B0 go two at a time, Sg and T in
+			// place, S and vv through sol.
 			// h_g = kx*kz*(uu-ww) - (kx^2-kz^2)*uw - d/dy(Sg)
-			s.ddy(tmp, s.b1, sg, sol)
+			copy(sol, sv)
+			s.b0fac.SolveComplex2(sg, sol)
+			s.b1.MulVecComplex(tmp, sg)
 			hgw := hg[w]
 			for i := 0; i < ny; i++ {
 				hgw[i] = complex(kx*kz, 0)*(prods[parfft.UU][base+i]-prods[parfft.WW][base+i]) -
@@ -144,15 +149,17 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 			// h_v = k2*S + k2*d/dy(vv) - d/dy(T) + d2/dy2(S)
 			hvw := hv[w]
 			ck2 := complex(k2, 0)
-			s.ddy(tmp, s.b2, sv, sol)
+			s.b2.MulVecComplex(tmp, sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] = ck2*sv[i] + tmp[i]
 			}
-			s.ddy(tmp, s.b1, prods[parfft.VV][base:base+ny], sol)
+			copy(sol, prods[parfft.VV][base:base+ny])
+			s.b0fac.SolveComplex2(sol, tv)
+			s.b1.MulVecComplex(tmp, sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] += ck2 * tmp[i]
 			}
-			s.ddy(tmp, s.b1, tv, sol)
+			s.b1.MulVecComplex(tmp, tv)
 			for i := 0; i < ny; i++ {
 				hvw[i] -= tmp[i]
 			}

@@ -225,7 +225,8 @@ func (t *ScalarSolver) advanceScalar(sub int, dt float64, hth [][]complex128, mH
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
 			if s.ops[w] != nil { // neither mean nor Nyquist
-				s.advanceLine(t.diffusive, w, sub, dt, t.cth[w], hth[w], t.hthPrev[w], &s.ws.workers[blk])
+				s.advanceRHS(t.diffusive, w, sub, dt, t.cth[w], hth[w], t.hthPrev[w], &s.ws.workers[blk])
+				t.diffusive.lhs[w][sub].SolveComplex(t.cth[w])
 			}
 		}
 	})

@@ -10,8 +10,9 @@ import (
 // banded solver, then recovers v-hat from phi-hat through Eq. (4) with the
 // influence-matrix correction enforcing v = v' = 0 at the walls, and finally
 // advances the mean-flow profiles. Every transported quantity goes through
-// the same Helmholtz line advance: solveLine for a complex mode line (omega_y,
-// phi, theta), advanceMeanLine for a real mean profile (U, W, Theta).
+// the same Helmholtz line advance: lineRHS and a solve against the cached
+// left-hand side for a complex mode line (omega_y, phi, theta),
+// advanceMeanLine for a real mean profile (U, W, Theta).
 
 // StepOnce advances the solution by one full time step (three substeps).
 func (s *Solver) StepOnce() {
@@ -38,36 +39,34 @@ func (s *Solver) swapNonlinear(hg, hv [][]complex128, mHx, mHz []float64) {
 	}
 }
 
-// solveLine completes the IMEX substep of one mode line of diffusivity
-// o.diff, paper Eq. (3) with homogeneous Dirichlet walls: given the line's
-// collocation values vals and those of its Helmholtz operator lap,
+// lineRHS assembles the right-hand side of the IMEX substep of one mode line
+// of diffusivity o.diff, paper Eq. (3) with homogeneous Dirichlet walls: given
+// the line's collocation values vals and those of its Helmholtz operator lap,
 //
-//	lhs*c = vals + alpha*dt*d*lap + dt*(gamma*h + zeta*hPrev)
+//	rhs = vals + alpha*dt*d*lap + dt*(gamma*h + zeta*hPrev)
 //
-// is assembled in rhs and solved in place, leaving the new coefficients there.
-func (o *implicitOps) solveLine(w, sub int, dt float64, rhs, vals, lap, h, hPrev []complex128) {
+// which a solve against o.lhs[w][sub] turns into the new coefficients.
+func (o *implicitOps) lineRHS(sub int, dt float64, rhs, vals, lap, h, hPrev []complex128) {
 	al := complex(rkAlpha[sub]*dt*o.diff, 0)
 	ga, ze, cdt := complex(rkGamma[sub], 0), complex(rkZeta[sub], 0), complex(dt, 0)
 	for i := range rhs {
 		rhs[i] = vals[i] + al*lap[i] + cdt*(ga*h[i]+ze*hPrev[i])
 	}
 	rhs[0], rhs[len(rhs)-1] = 0, 0
-	o.lhs[w][sub].SolveComplex(rhs)
 }
 
-// advanceLine advances the spline coefficients c of one Helmholtz-transported
-// mode line (omega_y, theta) through substep sub in place, on the worker's
-// first three scratch lines.
-func (s *Solver) advanceLine(o *implicitOps, w, sub int, dt float64, c, h, hPrev []complex128, wk *wsWorker) {
-	rhs, vals, lap := wk.ln[0], wk.ln[1], wk.ln[2]
+// advanceRHS overwrites the spline coefficients c of one Helmholtz-transported
+// mode line (omega_y, theta) with the right-hand side of substep sub, on the
+// worker's second and third scratch lines.
+func (s *Solver) advanceRHS(o *implicitOps, w, sub int, dt float64, c, h, hPrev []complex128, wk *wsWorker) {
+	vals, lap := wk.ln[1], wk.ln[2]
 	s.b0.MulVecComplex(vals, c) // B0*c = values of the line
 	s.b2.MulVecComplex(lap, c)
 	ck2 := complex(s.ops[w].k2, 0)
 	for i := range lap {
 		lap[i] -= ck2 * vals[i] // (B2 - k2*B0)*c
 	}
-	o.solveLine(w, sub, dt, rhs, vals, lap, h, hPrev)
-	copy(c, rhs)
+	o.lineRHS(sub, dt, c, vals, lap, h, hPrev)
 }
 
 // advanceMeanLine advances one real kx = kz = 0 profile through substep sub
@@ -105,7 +104,7 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 				continue // mean or Nyquist
 			}
 			k2 := op.k2
-			s.advanceLine(visc, w, sub, dt, s.cw[w], hg[w], s.hgPrev[w], wk) // omega(+-1) = 0
+			s.advanceRHS(visc, w, sub, dt, s.cw[w], hg[w], s.hgPrev[w], wk) // omega(+-1) = 0
 
 			// --- phi advance ---
 			// phi values at collocation points: (B2 - k2*B0)*c_v;
@@ -114,8 +113,12 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 			copy(cphi, vals)
 			s.b0fac.SolveComplex(cphi)
 			s.applyHelmValues(lap, cphi, k2, helmTmp) // (d2-k2) phi values
-			// rhs = c_phi with provisional phi(+-1) = 0
-			visc.solveLine(w, sub, dt, rhs, vals, lap, hv[w], s.hvPrev[w])
+			visc.lineRHS(sub, dt, rhs, vals, lap, hv[w], s.hvPrev[w])
+
+			// omega_y and phi solve against the same left-hand side: one pass
+			// over its factors leaves c_omega in place and c_phi, with
+			// provisional phi(+-1) = 0, in rhs.
+			visc.lhs[w][sub].SolveComplex2(s.cw[w], rhs)
 
 			// --- v from phi (Eq. 4) with v(+-1) = 0 ---
 			s.b0.MulVecComplex(vals, rhs) // phi values
