@@ -1,7 +1,8 @@
 # Developer entry points. `make ci` is what a pipeline should run: static
 # checks, a full build, the whole test suite, and the race detector over
-# the concurrency-bearing packages (shared FFT plans, worker pool,
-# in-process MPI runtime, pencil transposes). vet and test also cover
+# the concurrency-bearing packages (wall-normal operators and FFT plans
+# shared by every pool worker, worker pool, in-process MPI runtime, pencil
+# transposes). vet and test also cover
 # benchmark/, the regression ruler: it is its own module (its only
 # requirement is replaced by ../, so no network), which `./...` skips, and
 # an API break there would otherwise surface only in the pipeline.
@@ -25,12 +26,14 @@ test:
 	$(GO) -C benchmark test .
 
 race:
-	$(GO) test -race -short channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
+	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
 
 # The micro-benchmarks that live beside their package. The paper tables
 # come from the cmd/bench-* tools and changes are gated by benchmark/
-# (BENCHMARK.json), not by these.
+# (BENCHMARK.json), not by these. banded has the full-band N = 1024 systems
+# of Table 1 and, as BenchmarkCollocationMatVec and BenchmarkHelmholtzSolve,
+# the DNS's own rows at ny = 49, whose zeros inside the band the former lack.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server
