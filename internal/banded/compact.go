@@ -35,6 +35,24 @@ type Compact struct {
 // A(i, i) at a[off] (so A(i, j) is a[off+j-i]).
 type rowExt struct{ lo, hi, off int32 }
 
+// lower and upper return the stored entries of row i left and right of the
+// diagonal: columns [lo, i) and (i, hi].
+func (e rowExt) lower(a []float64, i int) []float64 { return a[e.off-(int32(i)-e.lo) : e.off] }
+func (e rowExt) upper(a []float64, i int) []float64 { return a[e.off+1 : e.off+1+(e.hi-int32(i))] }
+
+// place finishes the extent of row i, given that rows before it are placed
+// and hold tot entries between them: eliminating row i against row k extends
+// it to row k's extent — exactly how boundary extras fold through the band —
+// and the row goes next in the slab. It returns the entries held through row i.
+func place(ext []rowExt, i int, e rowExt, tot int32) int32 {
+	for k := e.lo; k < int32(i); k++ {
+		e.hi = max(e.hi, ext[k].hi)
+	}
+	e.off = tot + int32(i) - e.lo
+	ext[i] = e
+	return tot + e.hi - e.lo + 1
+}
+
 // NewCompact allocates an n x n compact matrix with half-bandwidth h:
 // row i initially covers columns [i-h, i+h] clipped to the matrix.
 func NewCompact(n, h int) *Compact {
@@ -63,23 +81,12 @@ func (c *Compact) Widen(i, lo, hi int) {
 	e.hi = max(e.hi, int32(min(c.n-1, hi)))
 }
 
-// layout resolves the symbolic fill of the declared extents — eliminating
-// row i against row k extends row i to row k's extent, which is exactly how
-// boundary extras fold through the band — and allocates the slab, so entries
-// are assembled, eliminated and solved against in one place.
+// layout resolves the symbolic fill of the declared extents and allocates the
+// slab, so entries are assembled, eliminated and solved against in one place.
 func (c *Compact) layout() {
-	ext := c.ext
 	tot := int32(0)
-	for i := range ext {
-		e := &ext[i]
-		for k := e.lo; k < int32(i); k++ {
-			e.hi = max(e.hi, ext[k].hi)
-		}
-		e.off = tot + int32(i) - e.lo
-		tot += e.hi - e.lo + 1
-		if tot < 0 {
-			panic("banded: compact matrix exceeds 2^31 stored entries")
-		}
+	for i, e := range c.ext {
+		tot = place(c.ext, i, e, tot)
 	}
 	c.a = make([]float64, tot)
 }
@@ -148,7 +155,8 @@ func (c *Compact) MulVecComplex(y, x []complex128) {
 		panic("banded: MulVecComplex after Factor")
 	}
 	if c.a == nil {
-		c.layout()
+		clear(y[:c.n])
+		return
 	}
 	for i := 0; i < c.n; i++ {
 		row, lo := c.row(i)
@@ -184,16 +192,10 @@ func (c *Compact) trim() {
 				break
 			}
 		}
-		e := rowExt{lo: int32(lo + first), hi: int32(lo + last)}
 		kept := int32(copy(a[tot:], row[first:last+1]))
-		for k := e.lo; k < int32(i); k++ {
-			e.hi = max(e.hi, ext[k].hi)
-		}
-		width := e.hi - e.lo + 1
-		clear(a[tot+kept : tot+width])
-		e.off = tot + int32(i) - e.lo
-		ext[i] = e
-		tot += width
+		end := place(ext, i, rowExt{lo: int32(lo + first), hi: int32(lo + last)}, tot)
+		clear(a[tot+kept : end])
+		tot = end
 	}
 	c.a = a[:tot]
 }
@@ -248,7 +250,7 @@ func (c *Compact) SolveComplex(b []complex128) {
 	// Forward substitution: y_i = b_i - sum L(i,k) y_k.
 	for i := 1; i < len(ext); i++ {
 		e := ext[i]
-		l := a[e.off-(int32(i)-e.lo) : e.off]
+		l := e.lower(a, i)
 		y := b[e.lo:i][:len(l)]
 		var sr, si float64
 		for k, v := range l {
@@ -260,7 +262,7 @@ func (c *Compact) SolveComplex(b []complex128) {
 	// Back substitution: x_i = (y_i - sum U(i,j) x_j) / U(i,i).
 	for i := len(ext) - 1; i >= 0; i-- {
 		e := ext[i]
-		u := a[e.off+1 : e.off+1+(e.hi-int32(i))]
+		u := e.upper(a, i)
 		x := b[i+1:][:len(u)]
 		var sr, si float64
 		for k, v := range u {
@@ -285,7 +287,7 @@ func (c *Compact) SolveComplex2(b0, b1 []complex128) {
 	b0, b1 = b0[:len(ext)], b1[:len(ext)]
 	for i := 1; i < len(ext); i++ {
 		e := ext[i]
-		l := a[e.off-(int32(i)-e.lo) : e.off]
+		l := e.lower(a, i)
 		y0, y1 := b0[e.lo:i][:len(l)], b1[e.lo:i][:len(l)]
 		var r0, i0, r1, i1 float64
 		for k, v := range l {
@@ -299,7 +301,7 @@ func (c *Compact) SolveComplex2(b0, b1 []complex128) {
 	}
 	for i := len(ext) - 1; i >= 0; i-- {
 		e := ext[i]
-		u := a[e.off+1 : e.off+1+(e.hi-int32(i))]
+		u := e.upper(a, i)
 		x0, x1 := b0[i+1:][:len(u)], b1[i+1:][:len(u)]
 		var r0, i0, r1, i1 float64
 		for k, v := range u {
@@ -323,7 +325,7 @@ func (c *Compact) SolveReal(b []float64) {
 	b = b[:len(ext)]
 	for i := 1; i < len(ext); i++ {
 		e := ext[i]
-		l := a[e.off-(int32(i)-e.lo) : e.off]
+		l := e.lower(a, i)
 		y := b[e.lo:i][:len(l)]
 		s := 0.0
 		for k, v := range l {
@@ -333,7 +335,7 @@ func (c *Compact) SolveReal(b []float64) {
 	}
 	for i := len(ext) - 1; i >= 0; i-- {
 		e := ext[i]
-		u := a[e.off+1 : e.off+1+(e.hi-int32(i))]
+		u := e.upper(a, i)
 		x := b[i+1:][:len(u)]
 		s := 0.0
 		for k, v := range u {

@@ -52,7 +52,10 @@ func NewReal(n, kl, ku int) *Real {
 		panic(fmt.Sprintf("banded: bad dimensions n=%d kl=%d ku=%d", n, kl, ku))
 	}
 	ldab := 2*kl + ku + 1
-	m := &Real{N: n, KL: kl, KU: ku, ldab: ldab, ab: make([]float64, n*ldab), ipiv: make([]int, n), nz: make([]colSpan, n)}
+	m := &Real{
+		N: n, KL: kl, KU: ku, ldab: ldab,
+		ab: make([]float64, n*ldab), ipiv: make([]int, n), nz: make([]colSpan, n),
+	}
 	for i := range m.nz {
 		m.nz[i] = colSpan{first: int32(n), last: -1}
 	}
@@ -72,13 +75,13 @@ func (m *Real) note(i, j int, v float64) {
 }
 
 // span returns the entries of row i from its first to its last nonzero
-// column and that column range; row is empty for a row of zeros.
-func (m *Real) span(i int) (row []float64, first, last int) {
-	first, last = int(m.nz[i].first), int(m.nz[i].last)
+// column, and the first; row is empty for a row of zeros.
+func (m *Real) span(i int) (row []float64, first int) {
+	first, last := int(m.nz[i].first), int(m.nz[i].last)
 	if last < first {
-		return nil, 0, -1
+		return nil, 0
 	}
-	return m.ab[m.idx(i, first) : m.idx(i, last)+1], first, last
+	return m.ab[m.idx(i, first) : m.idx(i, last)+1], first
 }
 
 func (m *Real) inBand(i, j int) bool {
@@ -122,8 +125,8 @@ func (m *Real) MulVec(y, x []float64) {
 		panic("banded: MulVec after Factor")
 	}
 	for i := range m.nz {
-		row, first, last := m.span(i)
-		xs := x[first : last+1][:len(row)]
+		row, first := m.span(i)
+		xs := x[first:][:len(row)]
 		s := 0.0
 		for k, a := range row {
 			s += a * xs[k]
@@ -140,8 +143,8 @@ func (m *Real) MulVecComplex(y, x []complex128) {
 		panic("banded: MulVecComplex after Factor")
 	}
 	for i := range m.nz {
-		row, first, last := m.span(i)
-		xs := x[first : last+1][:len(row)]
+		row, first := m.span(i)
+		xs := x[first:][:len(row)]
 		var sr, si float64
 		for k, a := range row {
 			sr += a * real(xs[k])

@@ -56,7 +56,9 @@ func (s *Solver) collocationRows() []opRow {
 
 // fillOperator writes the rows of an implicit operator into m: interior
 // rows combine the value/second-derivative collocation rows as
-// a0*B0 - a2*B2, and the first and last rows are the wall value rows.
+// a0*B0 - a2*B2, and the first and last rows are the wall value rows. m is
+// an interface, not a func(i, j, v): handing over a matrix then allocates
+// nothing, where its bound Set method would, once per operator.
 func (s *Solver) fillOperator(m interface{ Set(i, j int, v float64) }, a0, a2 float64) {
 	ny := s.Cfg.Ny
 	for i := 1; i < ny-1; i++ {
@@ -77,9 +79,9 @@ func (s *Solver) fillOperator(m interface{ Set(i, j int, v float64) }, a0, a2 fl
 // against in the same storage. B-spline collocation operators of a Helmholtz
 // problem are never singular; one that is means a broken basis.
 func (s *Solver) factorOperator(a0, a2 float64) *banded.Compact {
-	m := banded.NewCompact(s.Cfg.Ny, 0)
+	m, deg := banded.NewCompact(s.Cfg.Ny, 0), s.B.Degree()
 	for i, row := range s.opRows {
-		m.Widen(i, row.start, row.start+s.B.Degree())
+		m.Widen(i, row.start, row.start+deg)
 	}
 	s.fillOperator(m, a0, a2)
 	if err := m.Factor(); err != nil {
@@ -168,22 +170,18 @@ func (s *Solver) ensureOps(dt float64) {
 	for _, o := range s.imp {
 		s.buildImplicit(o, dt, ops)
 	}
-	// One slab holds the homogeneous solutions cv1, cv2 of every advanced
-	// mode and substep.
-	ny, advanced := s.Cfg.Ny, 0
-	for _, op := range ops {
-		if op != nil {
-			advanced++
-		}
-	}
-	hom := make([]float64, advanced*6*ny)
+	// One slab holds the homogeneous solutions cv1, cv2 of every mode and
+	// substep (the few slots of modes that are not advanced stay unused).
+	ny := s.Cfg.Ny
+	hom := make([]float64, len(ops)*3*2*ny)
 	for w, op := range ops {
 		if op == nil {
 			continue
 		}
 		op.helm = s.assembleHelm(op.k2)
 		for sub := 0; sub < 3; sub++ {
-			op.cv1[sub], op.cv2[sub], hom = hom[:ny:ny], hom[ny:2*ny:2*ny], hom[2*ny:]
+			at := (3*w + sub) * 2 * ny
+			op.cv1[sub], op.cv2[sub] = hom[at:at+ny], hom[at+ny:at+2*ny]
 			s.buildInfluence(op, s.imp[0].lhs[w][sub], sub)
 		}
 	}
