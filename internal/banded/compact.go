@@ -173,7 +173,8 @@ func (c *Compact) MulVecComplex(y, x []complex128) {
 // trim narrows every row to its first and last stored nonzero (keeping the
 // diagonal), resolves the fill of the narrowed extents and closes the rows
 // up inside the slab. A trimmed row lies within its old extent and rows only
-// move towards the front, so this runs in place, front to back.
+// move towards the front, so this runs in place, front to back; a full band,
+// which has nothing to trim, costs two loads a row.
 func (c *Compact) trim() {
 	ext, a := c.ext, c.a
 	tot := int32(0)
@@ -191,6 +192,10 @@ func (c *Compact) trim() {
 				last = k
 				break
 			}
+		}
+		if first == 0 && last == len(row)-1 && tot == c.ext[i].off-int32(i-lo) {
+			tot += int32(len(row)) // nonzero at both ends and nothing before it moved
+			continue
 		}
 		kept := int32(copy(a[tot:], row[first:last+1]))
 		end := place(ext, i, rowExt{lo: int32(lo + first), hi: int32(lo + last)}, tot)
@@ -213,22 +218,22 @@ func (c *Compact) Factor() error {
 	c.trim()
 	// Row-oriented Doolittle: row i is eliminated against every row k of its
 	// lower extent in turn, updating columns k+1..hi[k] of both.
-	for i := range c.ext {
-		ri, lo := c.row(i)
-		for k := lo; k < i; k++ {
-			rk, lok := c.row(k)
-			l := ri[k-lo] / rk[k-lok]
-			ri[k-lo] = l
+	a, ext := c.a, c.ext
+	for i, e := range ext {
+		for k := int(e.lo); k < i; k++ {
+			at := e.off + int32(k-i) // A(i, k)
+			l := a[at] / a[ext[k].off]
+			a[at] = l
 			if l == 0 {
 				continue
 			}
-			u := rk[k+1-lok:]
-			t := ri[k+1-lo:][:len(u)]
+			u := ext[k].upper(a, k)
+			t := a[at+1:][:len(u)]
 			for j, v := range u {
 				t[j] -= l * v
 			}
 		}
-		if math.Abs(ri[i-lo]) < 1e-300 {
+		if math.Abs(a[e.off]) < 1e-300 {
 			return ErrSingular
 		}
 	}
