@@ -123,7 +123,7 @@ func BenchmarkCollocationMatVec(b *testing.B) {
 	}
 }
 
-func BenchmarkHelmholtzSolve(b *testing.B) {
+func benchHelmholtz(b *testing.B) *banded.Compact {
 	basis, grev := dnsBasis(49)
 	const c, k2 = 8.0 / 15 * 2e-4 / 180, 9.0
 	m := banded.NewCompact(49, dnsDegree)
@@ -131,10 +131,28 @@ func BenchmarkHelmholtzSolve(b *testing.B) {
 	if err := m.Factor(); err != nil {
 		b.Fatal(err)
 	}
+	return m
+}
+
+func BenchmarkHelmholtzSolve(b *testing.B) {
+	m := benchHelmholtz(b)
 	rhs, x := benchLine(49), make([]complex128, 49)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(x, rhs)
 		m.SolveComplex(x)
+	}
+}
+
+// BenchmarkHelmholtzSolvePair: two right-hand sides through the factors in
+// one pass, as omega_y and phi of a mode go; compare with twice the above.
+func BenchmarkHelmholtzSolvePair(b *testing.B) {
+	m := benchHelmholtz(b)
+	rhs, x0, x1 := benchLine(49), make([]complex128, 49), make([]complex128, 49)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x0, rhs)
+		copy(x1, rhs)
+		m.SolveComplex2(x0, x1)
 	}
 }
