@@ -55,6 +55,76 @@ func stateDigest(st *ckpt.State) uint64 {
 	return h.Sum64()
 }
 
+// pinnedCase is one row of TestTrajectoryPinned: a run and the values it
+// must reproduce.
+type pinnedCase struct {
+	name     string
+	workload string
+	form     Form
+	pa, pb   int
+	prandtl  float64
+	halveDt  bool
+	energy   float64
+	variance float64 // scalar only
+	state    uint64
+}
+
+// run advances the case on runner's ranks (mpi.Run or mpi.RunTCP) and returns
+// rank 0's diagnostics and state digest; cfl is Workload.CFLEstimate after
+// the last step.
+func (tc pinnedCase) run(t *testing.T, runner func(int, func(*mpi.Comm)), frozen bool) (energy, variance, cfl float64, state uint64) {
+	cfg := Config{Workload: tc.workload, Nonlinear: tc.form, DisableNonlinear: frozen,
+		Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
+		PA: tc.pa, PB: tc.pb, Prandtl: tc.prandtl}
+	if tc.workload == WorkloadIsotropic {
+		cfg.Ny, cfg.Forcing = 16, 0
+	}
+	np := tc.pa * tc.pb
+	if np > 1 {
+		cfg.Pool = par.NewPool(2)
+	}
+	runner(np, func(c *mpi.Comm) {
+		wl, err := NewWorkload(c, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wl.InitDefault(0.3, 7)
+		if tc.halveDt {
+			Advance(wl, 2)
+			wl.SetDt(wl.CurrentDt() / 2)
+			Advance(wl, 2)
+		} else {
+			Advance(wl, 3)
+		}
+		e := wl.(interface{ TotalEnergy() float64 }).TotalEnergy()
+		v := 0.0
+		if sc, ok := wl.(*ScalarSolver); ok {
+			v = sc.ScalarVariance()
+		}
+		f := wl.CFLEstimate()
+		if c.Rank() == 0 {
+			energy, variance, cfl = e, v, f
+			state = stateDigest(wl.(checkpointable).CheckpointState())
+		}
+	})
+	return energy, variance, cfl, state
+}
+
+// check holds a run's diagnostics to the row's pins.
+func (tc pinnedCase) check(t *testing.T, energy, variance float64, state uint64) {
+	serial := tc.pa*tc.pb == 1
+	if !pinnedEqual(energy, tc.energy, serial) {
+		t.Errorf("energy %x, pinned %x", energy, tc.energy)
+	}
+	if !pinnedEqual(variance, tc.variance, serial) {
+		t.Errorf("scalar variance %x, pinned %x", variance, tc.variance)
+	}
+	if bitExact && state != tc.state {
+		t.Errorf("state digest %#x, pinned %#x", state, tc.state)
+	}
+}
+
 // TestTrajectoryPinned pins the energy after three steps of every workload
 // and every nonlinear form, serial and on 2x2 ranks, to values recorded
 // before the dealiased excursion was folded into parfft.Excursion. The
@@ -67,17 +137,7 @@ func stateDigest(st *ckpt.State) uint64 {
 // scalar's implicit operators from the momentum ones, and SetDt(dt/2) after
 // step 2 of 4 shows an operator cache that was not rebuilt.
 func TestTrajectoryPinned(t *testing.T) {
-	cases := []struct {
-		name     string
-		workload string
-		form     Form
-		pa, pb   int
-		prandtl  float64
-		halveDt  bool
-		energy   float64
-		variance float64 // scalar only
-		state    uint64
-	}{
+	cases := []pinnedCase{
 		{"channel-divergence-serial", WorkloadChannel, FormDivergence, 1, 1, 0, false, 0x1.0e1a4b87e4304p+12, 0, 0x26299e68186d3416},
 		{"channel-divergence-2x2", WorkloadChannel, FormDivergence, 2, 2, 0, false, 0x1.0e1a4b87e4304p+12, 0, 0x2494e211978ddc8c},
 		{"channel-convective-serial", WorkloadChannel, FormConvective, 1, 1, 0, false, 0x1.0e1a4b85b61dep+12, 0, 0xc16bd27d52c70fa1},
@@ -99,50 +159,41 @@ func TestTrajectoryPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Workload: tc.workload, Nonlinear: tc.form,
-				Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
-				PA: tc.pa, PB: tc.pb, Prandtl: tc.prandtl}
-			if tc.workload == WorkloadIsotropic {
-				cfg.Ny, cfg.Forcing = 16, 0
+			energy, variance, _, state := tc.run(t, mpi.Run, false)
+			tc.check(t, energy, variance, state)
+		})
+	}
+
+	// Recorded before theta was moved onto the momentum pass: the scalar
+	// under the two other forms, the scalar with the convective terms frozen
+	// (theta is still advected, so its pass still runs, but no pass harvests
+	// physical maxima and CFLEstimate is the spectral bound), and one row over
+	// real sockets, which must reproduce the channel transport's
+	// scalar-pr071-1x2 row to the bit. CFLEstimate after the last step is
+	// pinned beside the rest: the harvest belongs to the pass theta joins.
+	more := []struct {
+		pinnedCase
+		frozen, tcp bool
+		cfl         float64
+	}{
+		{pinnedCase{"scalar-convective-serial", WorkloadScalar, FormConvective, 1, 1, 0, false, 0x1.0e1a4b85b61dep+12, 0x1.26fa60bf708cbp+00, 0xe96fbe880f29c808}, false, false, 0x1.7f199284dd31cp-02},
+		{pinnedCase{"scalar-convective-1x2", WorkloadScalar, FormConvective, 1, 2, 0, false, 0x1.0e1a4b85b61dep+12, 0x1.26fa60bf708cbp+00, 0xd70d63e00ebe86c2}, false, false, 0x1.7f199284dd31cp-02},
+		{pinnedCase{"scalar-skew-serial", WorkloadScalar, FormSkewSymmetric, 1, 1, 0, false, 0x1.0e1a4b86cf3acp+12, 0x1.26fa60c064758p+00, 0xd62facbd73da9b49}, false, false, 0x1.7f1994457b90dp-02},
+		{pinnedCase{"scalar-skew-1x2", WorkloadScalar, FormSkewSymmetric, 1, 2, 0, false, 0x1.0e1a4b86cf3adp+12, 0x1.26fa60c064759p+00, 0xe9728a0639b754af}, false, false, 0x1.7f1994457b90dp-02},
+		{pinnedCase{"scalar-frozen-serial", WorkloadScalar, FormDivergence, 1, 1, 0, false, 0x1.0e1a4be31e17ep+12, 0x1.26efd68ed076cp+00, 0xebd2206fe56b05}, true, false, 0x1.91dffb3368d74p-02},
+		{pinnedCase{"scalar-frozen-1x2", WorkloadScalar, FormDivergence, 1, 2, 0, false, 0x1.0e1a4be31e17ep+12, 0x1.26efd68ed076cp+00, 0xab83d381f2a135c1}, true, false, 0x1.91dffb3368d75p-02},
+		{pinnedCase{"scalar-pr071-1x2-tcp", WorkloadScalar, FormDivergence, 1, 2, 0.71, false, 0x1.0e1a4b87e4304p+12, 0x1.26ed0f54a4034p+00, 0x8c36ef00d0db41be}, false, true, 0x1.7f1995e0feb3ep-02},
+	}
+	for _, tc := range more {
+		t.Run(tc.name, func(t *testing.T) {
+			runner := mpi.Run
+			if tc.tcp {
+				runner = mpi.RunTCP
 			}
-			np := tc.pa * tc.pb
-			if np > 1 {
-				cfg.Pool = par.NewPool(2)
-			}
-			var energy, variance float64
-			var state uint64
-			mpi.Run(np, func(c *mpi.Comm) {
-				wl, err := NewWorkload(c, cfg)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				wl.InitDefault(0.3, 7)
-				if tc.halveDt {
-					Advance(wl, 2)
-					wl.SetDt(wl.CurrentDt() / 2)
-					Advance(wl, 2)
-				} else {
-					Advance(wl, 3)
-				}
-				e := wl.(interface{ TotalEnergy() float64 }).TotalEnergy()
-				v := 0.0
-				if sc, ok := wl.(*ScalarSolver); ok {
-					v = sc.ScalarVariance()
-				}
-				if c.Rank() == 0 {
-					energy, variance = e, v
-					state = stateDigest(wl.(checkpointable).CheckpointState())
-				}
-			})
-			if !pinnedEqual(energy, tc.energy, np == 1) {
-				t.Errorf("energy %x, pinned %x", energy, tc.energy)
-			}
-			if !pinnedEqual(variance, tc.variance, np == 1) {
-				t.Errorf("scalar variance %x, pinned %x", variance, tc.variance)
-			}
-			if bitExact && state != tc.state {
-				t.Errorf("state digest %#x, pinned %#x", state, tc.state)
+			energy, variance, cfl, state := tc.run(t, runner, tc.frozen)
+			tc.check(t, energy, variance, state)
+			if !pinnedEqual(cfl, tc.cfl, tc.pa*tc.pb == 1) {
+				t.Errorf("CFL estimate %x, pinned %x", cfl, tc.cfl)
 			}
 		})
 	}
