@@ -50,7 +50,7 @@ func warmStepAllocs(t *testing.T, cfg Config, limit float64) Workload {
 // excursion. (The seed allocated every scratch field, pencil buffer and FFT
 // temporary per substep: hundreds of thousands of objects per step at this
 // size.) The skew form runs both passes plus the lazily built alternate
-// buffer set; the scalar adds a third pass. Inside the budget, each case is
+// buffer set; the scalar rides the momentum pass. Inside the budget, each case is
 // held to the count measured before the three solvers moved onto the shared
 // skeleton (go1.24, amd64), so its step bracket and line advances are seen to
 // add nothing.

@@ -69,13 +69,13 @@ func (f Form) String() string {
 // on the way, and H_i = -u_j du_i/dx_j for i = x, y, z comes back.
 var convectiveForm = parfft.Spec{In: 6, Grad: 3, Out: 3, Harvest: true, Kernel: convectiveH}
 
-// convectiveH forms H_c on one physical x line. phys is the excursion's
-// layout: u v w, uy vy wy, uz vz wz, ux vx wx.
-func convectiveH(out []float64, c int, phys [][]float64) {
+// convectiveH forms H_c on one physical x line from phys = u v w, uy vy wy
+// and the z and x derivatives of u v w.
+func convectiveH(out []float64, c int, phys, dz, dx [][]float64) {
 	u, v, w := phys[0], phys[1], phys[2]
-	dx, dy, dz := phys[9+c], phys[3+c], phys[6+c]
+	gx, gy, gz := dx[c], phys[3+c], dz[c]
 	for i := range out {
-		out[i] = -(u[i]*dx[i] + v[i]*dy[i] + w[i]*dz[i])
+		out[i] = -(u[i]*gx[i] + v[i]*gy[i] + w[i]*gz[i])
 	}
 }
 
@@ -89,8 +89,7 @@ func convectiveH(out []float64, c int, phys [][]float64) {
 func (s *Solver) convectiveTerms(hg, hv [][]complex128, meanHx, meanHz []float64) {
 	ny := s.Cfg.Ny
 	ws := s.ws
-	s.velocityValues(convectiveForm.In)
-	h := s.dealiased(&convectiveForm)
+	h := s.pass(&convectiveForm)
 	sp := s.tel.Begin(telemetry.PhaseNonlinear)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]

@@ -19,14 +19,30 @@ import (
 	"channeldns/internal/telemetry"
 )
 
-// dealiased runs one pass of sp over the velocity fields already written to
-// s.exc.In and publishes the physical velocity maxima the pass harvested
-// for CFLEstimate. Returns the pass's y-pencil collocation values, layout
-// [kxLoc][kzLoc][Ny] per field.
-func (s *Solver) dealiased(sp *parfft.Spec) [][]complex128 {
-	out := s.exc.Run(sp)
-	s.harvest(s.exc)
-	return out
+// pass evaluates the velocity lines sp takes out, runs sp over them and
+// returns its y-pencil collocation values, layout [kxLoc][kzLoc][Ny] per
+// field, publishing the physical velocity maxima a harvesting pass found for
+// CFLEstimate. In the scalar workload theta joins the one pass chosen to
+// carry it (see ScalarSolver.carrier): it goes out as one more input and the
+// three fluxes that come back behind sp's own outputs are kept for
+// scalarTerms.
+func (s *Solver) pass(sp *parfft.Spec) [][]complex128 {
+	run := sp
+	if t := s.scalar; t != nil && sp == t.carrier {
+		run = &t.carried
+	}
+	s.velocityValues(sp.In)
+	if run != sp {
+		s.scalar.thetaValues(s.exc.In(run.In)[sp.In])
+	}
+	out := s.exc.Run(run)
+	if run.Harvest {
+		s.harvest(s.exc)
+	}
+	if run != sp {
+		s.scalar.fluxes = out[sp.Out:]
+	}
+	return out[:sp.Out]
 }
 
 // ddy maps the collocation values vals of a mode line to those of a
@@ -104,8 +120,7 @@ func (s *Solver) nonlinearTerms() (hg, hv [][]complex128, meanHx, meanHz []float
 func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64) {
 	ny := s.Cfg.Ny
 	ws := s.ws
-	s.velocityValues(parfft.SixProducts.In)
-	prods := s.dealiased(&parfft.SixProducts)
+	prods := s.pass(&parfft.SixProducts)
 
 	sp := s.tel.Begin(telemetry.PhaseNonlinear)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {

@@ -13,17 +13,20 @@ package core
 // separately on its owner rank; fluctuations carry homogeneous Dirichlet
 // walls.
 //
-// Each substep the scalar adds one extra excursion through the existing
-// transpose/FFT cycle: the three velocities and theta go out to the
-// dealiased physical grid (4 fields), the flux products u*theta, v*theta,
-// w*theta come back (3 fields), and the divergence-form right-hand side
+// The scalar adds no excursion of its own: each substep theta goes out to the
+// dealiased physical grid as one more input of the pass the momentum terms
+// already run (the divergence pass, also under the skew-symmetric form; the
+// convective pass under the convective form), the flux products u*theta,
+// v*theta, w*theta are formed on the same physical lines as the momentum
+// products and come back behind them (three more fields), and the
+// divergence-form right-hand side
 //
 //	h_theta = -(i kx (u theta) + i kz (w theta) + d/dy (v theta))
 //
-// is assembled per mode exactly like the momentum terms. The pass runs on
-// the channel solver's excursion: by the time it runs, the momentum pass's
-// field buffers are dead until the next substep, and the pass fully rewrites
-// every element it reads.
+// is assembled per mode exactly like the momentum terms. So the velocities
+// cross the transposes and the inverse transforms once per substep, not
+// twice; every line sees the transforms it would see in a pass of its own, so
+// the trajectory is the same to the bit.
 
 import (
 	"fmt"
@@ -56,7 +59,39 @@ type ScalarSolver struct {
 	// kappa's Helmholtz left-hand sides, rebuilt with the channel solver's
 	// operator caches (see Solver.ensureOps).
 	diffusive *implicitOps
+
+	// carrier is the momentum pass theta rides, carried the pass that runs in
+	// its place (see withScalar and Solver.pass), fluxes the u*theta,
+	// v*theta, w*theta it last brought back. fluxes aliases the excursion's
+	// output fields behind carrier's own: the skew form's second pass, which
+	// brings back fewer fields than the first, leaves it intact.
+	carrier *parfft.Spec
+	carried parfft.Spec
+	fluxes  [][]complex128
 }
+
+// withScalar returns sp with theta as one more input behind its own and the
+// fluxes u*theta, v*theta, w*theta as three more outputs behind its own; sp's
+// first three inputs are the velocities.
+func withScalar(sp parfft.Spec) parfft.Spec {
+	theta, own, kernel := sp.In, sp.Out, sp.Kernel
+	sp.In, sp.Out = theta+1, own+3
+	sp.Kernel = func(out []float64, c int, phys, dz, dx [][]float64) {
+		if c < own {
+			kernel(out, c, phys, dz, dx)
+			return
+		}
+		a, th := phys[c-own], phys[theta]
+		for i := range out {
+			out[i] = a[i] * th[i]
+		}
+	}
+	return sp
+}
+
+// frozenMomentum is the pass theta rides when Config.DisableNonlinear leaves
+// the momentum equations without one: the velocities out, nothing back.
+var frozenMomentum = parfft.Spec{In: 3}
 
 // NewScalar constructs the passive-scalar workload collectively on the
 // world communicator.
@@ -79,7 +114,17 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		t.meanHthPrev = make([]float64, ny)
 		t.meanHthCur = make([]float64, ny)
 	}
-	inner.exc.Register(&scalarFlux)
+	switch {
+	case inner.Cfg.DisableNonlinear:
+		t.carrier = &frozenMomentum
+	case inner.Cfg.Nonlinear == FormConvective:
+		t.carrier = &convectiveForm
+	default:
+		t.carrier = &parfft.SixProducts
+	}
+	t.carried = withScalar(*t.carrier)
+	inner.exc.Register(&t.carried)
+	inner.scalar = t
 	return t, nil
 }
 
@@ -139,20 +184,34 @@ func (t *ScalarSolver) InitDefault(amp float64, seed int64) {
 	t.PerturbScalar(amp, 2, 2, seed)
 }
 
-// scalarFlux is the scalar's excursion pass: u, v, w and theta go out, the
-// flux products u*theta, v*theta, w*theta come back.
-var scalarFlux = parfft.Spec{In: 4, Out: 3, Kernel: func(out []float64, c int, phys [][]float64) {
-	a, th := phys[c], phys[3]
-	for i := range out {
-		out[i] = a[i] * th[i]
-	}
-}}
+// thetaValues writes theta's collocation values for every locally owned mode
+// into one y-pencil input field of the excursion.
+func (t *ScalarSolver) thetaValues(theta []complex128) {
+	s := t.Solver
+	ny := s.Cfg.Ny
+	sp := s.tel.Begin(telemetry.PhasePressure)
+	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			ikx, ikz := s.modeOf(w)
+			if s.G.IsNyquistZ(ikz) {
+				continue // stays zero
+			}
+			line := theta[w*ny : (w+1)*ny]
+			if ikx != 0 || ikz != 0 {
+				s.b0.MulVecComplex(line, t.cth[w])
+			} else if s.ownsMean {
+				meanLine(line, s.b0, t.meanTh, s.ws.workers[blk].rl)
+			}
+		}
+	})
+	sp.End()
+}
 
-// scalarTerms evaluates h_theta (collocation values per local mode) and
-// the mean scalar forcing profile on the owner rank, via the extra
-// transpose/FFT excursion described in the package comment. It must run
-// before advanceSubstep updates the velocity state, so the scalar sees the
-// same substage velocity the momentum terms did.
+// scalarTerms assembles h_theta (collocation values per local mode) and the
+// mean scalar forcing profile on the owner rank from the fluxes the momentum
+// pass of nonlinearTerms brought back; with the convective terms frozen that
+// pass did not run, and theta's carrier runs here. Either way the fluxes are
+// those of the substage velocity, so it must run before advanceSubstep.
 func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	s := t.Solver
 	ws := s.ws
@@ -160,33 +219,13 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	ny := s.Cfg.Ny
 	hth = t.hthCur
 	meanHth = t.meanHthCur
-
-	// Velocity values at this substage (recomputed — the pipeline buffers
-	// that held them were consumed by the momentum pass) plus theta values,
-	// as the 4-field y-pencil block the excursion carries out.
-	s.velocityValues(3)
-	theta := s.exc.In(scalarFlux.In)[3]
-	sp := s.tel.Begin(telemetry.PhasePressure)
-	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			ikx, ikz := s.modeOf(w)
-			if g.IsNyquistZ(ikz) {
-				continue // stays zero
-			}
-			line := theta[w*ny : (w+1)*ny]
-			if ikx != 0 || ikz != 0 {
-				s.b0.MulVecComplex(line, t.cth[w])
-			} else if s.ownsMean {
-				meanLine(line, s.b0, t.meanTh, ws.workers[blk].rl)
-			}
-		}
-	})
-	sp.End()
-
-	prods := s.exc.Run(&scalarFlux)
+	if s.Cfg.DisableNonlinear {
+		s.pass(t.carrier)
+	}
+	prods := t.fluxes
 
 	// Assemble h_theta = -(i kx (u th) + i kz (w th) + d/dy (v th)).
-	sp = s.tel.Begin(telemetry.PhaseNonlinear)
+	sp := s.tel.Begin(telemetry.PhaseNonlinear)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		wk := &ws.workers[blk]
 		tmp := wk.ln[0]
@@ -237,8 +276,8 @@ func (t *ScalarSolver) advanceScalar(sub int, dt float64, hth [][]complex128, mH
 }
 
 // StepOnce advances flow and scalar by one full time step: the channel
-// substep sequence with the scalar pass inserted between the nonlinear
-// evaluation (which must see the pre-advance velocity) and the buffer swap.
+// substep sequence with the scalar's assembly and advance beside the
+// momentum ones.
 func (t *ScalarSolver) StepOnce() {
 	s := t.Solver
 	dt := s.beginStep()

@@ -48,9 +48,9 @@ func (c Config) IsotropicSchedule() *schedule.Schedule {
 }
 
 // ScalarSchedule returns the declarative op list of one RK3 timestep of
-// the passive-scalar workload: the full channel timestep plus the scalar
-// advection excursion (4 fields out, 3 flux products back) and the scalar's
-// banded implicit solve per substep. Serial exchange only.
+// the passive-scalar workload: the channel timestep with the scalar riding
+// its excursion (4 fields out, the six products and 3 flux products back)
+// and the scalar's banded implicit solve per substep. Serial exchange only.
 func (c Config) ScalarSchedule() *schedule.Schedule {
 	return schedule.ScalarTimestep(c.timestepParams())
 }

@@ -49,6 +49,10 @@ type Solver struct {
 	padX *fft.PaddedReal
 	exc  *parfft.Excursion
 
+	// scalar is set in the passive-scalar workload, whose theta rides one of
+	// this solver's excursion passes (see Solver.pass).
+	scalar *ScalarSolver
+
 	// Steady-state workspace arena (see workspace.go).
 	ws *solverWS
 }

@@ -27,10 +27,12 @@ type Spec struct {
 	// Harvest records the per-y maxima of |phys[0]|, |phys[1]|, |phys[2]|
 	// (the velocities) for the CFL diagnostic; see MaxAbs.
 	Harvest bool
-	// Kernel fills out with product c (0 <= c < Out) of one physical x line.
-	// phys holds the In fields, then the Grad z-derivatives, then the Grad
-	// x-derivatives. The excursion forward-transforms out after each call.
-	Kernel func(out []float64, c int, phys [][]float64)
+	// Kernel fills out with product c (0 <= c < Out) of one physical x line:
+	// phys holds the In fields, dz and dx the z and x derivatives of the
+	// first Grad of them, so a kernel reads the same lines whatever fields a
+	// caller appends to In. The excursion forward-transforms out after each
+	// call.
+	Kernel func(out []float64, c int, phys, dz, dx [][]float64)
 }
 
 // Indices of the six independent components of u_i*u_j that SixProducts
@@ -52,7 +54,7 @@ var SixProducts = Spec{In: 3, Out: NumProducts, Harvest: true, Kernel: sixProduc
 
 var productPairs = [NumProducts][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 
-func sixProducts(out []float64, c int, phys [][]float64) {
+func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 	a, b := phys[productPairs[c][0]], phys[productPairs[c][1]]
 	for i := range out {
 		out[i] = a[i] * b[i]
@@ -112,7 +114,7 @@ type Excursion struct {
 type excursionWorker struct {
 	zscr, zline []complex128 // z transform scratch, i*kz-multiplied line
 	xscr, xline []complex128 // x transform scratch, i*kx-multiplied line
-	phys        [][]float64  // physical x lines, Spec.Kernel's layout
+	phys        [][]float64  // physical x lines: In fields, Grad dz, Grad dx
 	prod        []float64
 	maxAbs      [3][]float64
 }
@@ -260,6 +262,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 	nd := sp.In + sp.Grad
 	w := &e.workers[blk]
 	phys := w.phys[:nd+sp.Grad]
+	fields, dz, dx := phys[:sp.In], phys[sp.In:nd], phys[nd:]
 	if sp.Harvest {
 		for c := range w.maxAbs {
 			clear(w.maxAbs[c])
@@ -291,7 +294,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 			m[0][yg], m[1][yg], m[2][yg] = m0, m1, m2
 		}
 		for c := 0; c < sp.Out; c++ {
-			sp.Kernel(w.prod, c, phys)
+			sp.Kernel(w.prod, c, fields, dz, dx)
 			e.padX.ForwardTruncatedScratch(e.prodX[c][l*nkx:(l+1)*nkx], w.prod, w.xscr)
 		}
 	}

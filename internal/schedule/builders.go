@@ -43,13 +43,19 @@ func Timestep(p TimestepParams) *Schedule {
 	overlapped := p.ChunksA > 0 && p.ChunksB > 0
 	for sub := 1; sub <= 3; sub++ {
 		s.excursion(sub, p, 3, p.Products, overlapped)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
-			Systems: s.NKx * p.Nz, Bandwidth: solveBandwidth,
-			Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * NSFlopsPerPoint,
-		})
+		s.solve(sub, p, solveBandwidth, NSFlopsPerPoint)
 	}
 	return s
+}
+
+// solve appends the per-mode wall-normal advance of substep sub: one system
+// of the given bandwidth per (kx, kz) mode, priced per grid point.
+func (s *Schedule) solve(sub int, p TimestepParams, bandwidth int, flopsPerPoint float64) {
+	s.Ops = append(s.Ops, Op{
+		Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
+		Systems: s.NKx * p.Nz, Bandwidth: bandwidth,
+		Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * flopsPerPoint,
+	})
 }
 
 // header starts a timestep-family schedule: name and identity, no ops.
@@ -141,33 +147,24 @@ func IsotropicTimestep(p TimestepParams) *Schedule {
 	for sub := 1; sub <= 3; sub++ {
 		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTInverse, true, 3))
 		s.excursion(sub, p, 3, p.Products, false)
-		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTForward, false, p.Products), Op{
-			Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
-			Systems: s.NKx * p.Nz, Bandwidth: 0,
-			Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * IsoSolveFlopsPerPoint,
-		})
+		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTForward, false, p.Products))
+		s.solve(sub, p, 0, IsoSolveFlopsPerPoint)
 	}
 	return s
 }
 
-// ScalarTimestep builds one RK3 timestep of the passive-scalar workload:
-// the full channel timestep, plus a second excursion per substep that
-// carries the three velocities and the scalar out to the dealiased physical
-// grid (4 fields), forms the three flux products (u*th, v*th, w*th) and
-// brings them back (3 fields), followed by the scalar's banded implicit
-// solve. The same transpose directions appear twice per substep with
-// different field counts, which is why the telemetry consistency check
-// aggregates per direction rather than requiring uniform op shapes.
+// ScalarTimestep builds one RK3 timestep of the passive-scalar workload: the
+// channel timestep with the scalar riding its excursion — the three
+// velocities and the scalar go out to the dealiased physical grid (4 fields),
+// the Products momentum fields and the three flux products (u*th, v*th,
+// w*th) come back — and the scalar's banded implicit solve after the
+// momentum one.
 func ScalarTimestep(p TimestepParams) *Schedule {
-	s := Timestep(p)
-	s.Name = "scalar_timestep"
+	s := p.header("scalar_timestep")
 	for sub := 1; sub <= 3; sub++ {
-		s.excursion(sub, p, 4, 3, false)
-		s.Ops = append(s.Ops, Op{
-			Kind: OpSolve, Phase: PhaseViscousSolve.String(), Sub: sub,
-			Systems: s.NKx * p.Nz, Bandwidth: solveBandwidth,
-			Flops: float64(s.NKx) * float64(p.Nz) * float64(p.Ny) * ScalarSolveFlopsPerPoint,
-		})
+		s.excursion(sub, p, 4, p.Products+3, false)
+		s.solve(sub, p, solveBandwidth, NSFlopsPerPoint)
+		s.solve(sub, p, solveBandwidth, ScalarSolveFlopsPerPoint)
 	}
 	return s
 }

@@ -365,9 +365,9 @@ func (r *Report) validateSchedule() error {
 //	messages == executions * msgs_per_exec   (exactly)
 //
 // independent of how many times the program ran. This covers programs
-// whose executions of one direction vary in size (the scalar workload
-// sends 6 channel fields and 4 scalar-excursion fields through YtoZ each
-// substep); for uniform programs it reduces to the per-call invariant.
+// whose executions of one direction vary in size (a substep that runs two
+// passes of different shapes); for uniform programs it reduces to the
+// per-call invariant.
 // Overlap ops count like transposes with messages = chunks *
 // (comm_size - 1): the pipelined exchange sends one message per remote
 // peer per chunk but moves the same images. When the report carries

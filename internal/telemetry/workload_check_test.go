@@ -35,9 +35,8 @@ func fixtureReport() *Report {
 }
 
 // aggregateFixture builds a report whose schedule sends two different-sized
-// YtoZ ops per execution (the scalar workload's shape: the channel's
-// six-field transpose plus a four-field scalar excursion), measured over
-// three executions.
+// YtoZ ops per execution (two passes of different shapes in one substep),
+// measured over three executions.
 func aggregateFixture() *Report {
 	r := fixtureReport()
 	r.Schedule = &schedule.Schedule{
