@@ -9,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke loc clean
+.PHONY: ci vet build test race fuzz bench bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke loc clean
 
-ci: vet build test race bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke
+ci: vet build test race fuzz bench-smoke ckpt-smoke tcp-smoke obs-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,11 +29,19 @@ race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
 
+# A few seconds of the fuzz targets: the TCP transport's frame reader against
+# whatever bytes a peer might write (no panic, no allocation on the word of a
+# length field). The seeds alone run with every `go test`.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 5s channeldns/internal/mpi
+
 # The micro-benchmarks that live beside their package. The paper tables
 # come from the cmd/bench-* tools and changes are gated by benchmark/
 # (BENCHMARK.json), not by these. banded has the full-band N = 1024 systems
 # of Table 1 and, as BenchmarkCollocationMatVec and BenchmarkHelmholtzSolve,
-# the DNS's own rows at ny = 49, whose zeros inside the band the former lack.
+# the DNS's own rows at ny = 49, whose zeros inside the band the former lack;
+# mpi has BenchmarkAlltoallvTCP, the wire path's ns/op, B/op and allocs/op at
+# the two message sizes of the scalar step at 32x33x32 on 1x2 ranks.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server

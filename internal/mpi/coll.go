@@ -222,9 +222,11 @@ func Alltoallv[T any](c *Comm, data []T, sendCounts, sendDispls, recvCounts, rec
 // by a fresh allocation. A *CountMismatchError is returned when a peer's
 // payload contradicts recvCounts — inconsistent tables across ranks —
 // leaving out partially written. The send buffer is free for reuse as soon
-// as the call returns on this rank: each per-peer block is copied into the
-// message before it is posted, which is exactly what lets the pencil
-// transpose plans keep the paper's 1x communication-buffer discipline.
+// as the call returns on this rank: each per-peer block is copied before it
+// is posted — into the message, or by a transport that serializes, into the
+// frame — which is exactly what lets the pencil transpose plans keep the
+// paper's 1x communication-buffer discipline. Received blocks go back to the
+// transport once copied out.
 func AlltoallvInto[T any](c *Comm, out, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) ([]T, error) {
 	p := c.size()
 	total := recvTotal(p, recvCounts, recvDispls)
@@ -237,13 +239,17 @@ func AlltoallvInto[T any](c *Comm, out, data []T, sendCounts, sendDispls, recvCo
 	for s := 1; s < p; s++ {
 		dst := (c.rank + s) % p
 		src := (c.rank - s + p) % p
-		blk := append([]T(nil), data[sendDispls[dst]:sendDispls[dst]+sendCounts[dst]]...)
+		blk := data[sendDispls[dst] : sendDispls[dst]+sendCounts[dst]]
+		if !c.t.Copies() {
+			blk = append([]T(nil), blk...)
+		}
 		c.send(dst, tagAlltoall, blk)
 		var t0 time.Time
 		if c.trc != nil {
 			t0 = time.Now()
 		}
-		in := c.recv(src, tagAlltoall).([]T)
+		payload := c.recv(src, tagAlltoall)
+		in := payload.([]T)
 		if len(in) != recvCounts[src] {
 			return out, &CountMismatchError{Op: "Alltoallv", Rank: c.rank, Src: src, Want: recvCounts[src], Got: len(in)}
 		}
@@ -251,6 +257,7 @@ func AlltoallvInto[T any](c *Comm, out, data []T, sendCounts, sendDispls, recvCo
 			c.trc.Peer(src, int64(len(in))*sizeofT[T](), t0, time.Now())
 		}
 		copy(out[recvDispls[src]:], in)
+		c.t.Release(c.group[src], payload)
 	}
 	return out, nil
 }

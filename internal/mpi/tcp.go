@@ -31,9 +31,9 @@ import (
 //     identifies itself with a 4-byte rank header; rank j accepts
 //     P-1-j such links. Each link is used bidirectionally.
 //
-// Data frames are [u32 length][i32 src][i64 commID][i32 tag][u8 kind]
-// [payload], little-endian, with the payload serialized by wire.go at
-// send time — the one copy the frame boundary requires. A per-peer
+// Data frames (frame.go has the layout and the ownership of frame and
+// receive memory) carry the payload serialized by wire.go at send time —
+// the one copy the frame boundary requires. A per-peer
 // writer goroutine drains an unbounded queue so Deliver keeps the eager,
 // never-blocking semantics the exchange patterns assume; a per-peer
 // reader goroutine decodes frames straight into the local mailbox, where
@@ -73,6 +73,11 @@ type tcpPeer struct {
 	queue  [][]byte // encoded frames awaiting the writer
 	closed bool     // no further enqueues; writer flushes and half-closes
 
+	// Recycled memory of this link (see frame.go): frames the writer has
+	// finished with, and what the reader decodes into.
+	frames freeList[byte]
+	recv   recvBufs
+
 	// Wire counters for this link, atomically bumped on the send path
 	// (Deliver) and the receive path (readLoop) and read by WireStats at
 	// any time. Outbound counts are taken at enqueue, not at socket write:
@@ -107,14 +112,14 @@ func (p *tcpPeer) enqueue(frame []byte) {
 // what lets a finished rank's last messages reach slower peers.
 func (p *tcpPeer) writeLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
-	bw := bufio.NewWriterSize(p.conn, 1<<16)
+	bw := bufio.NewWriterSize(p.conn, wireWindow)
+	var batch [][]byte // swapped with the queue, so neither is reallocated
 	for {
 		p.mu.Lock()
 		for len(p.queue) == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		batch := p.queue
-		p.queue = nil
+		batch, p.queue = p.queue, batch[:0]
 		done := p.closed && len(batch) == 0
 		p.mu.Unlock()
 		if done {
@@ -124,10 +129,13 @@ func (p *tcpPeer) writeLoop(wg *sync.WaitGroup) {
 			}
 			return
 		}
-		for _, f := range batch {
+		for i, f := range batch {
 			if _, err := bw.Write(f); err != nil {
 				return // peer gone; reader side reports if it matters
 			}
+			// Write has copied f or put it on the socket: the frame is free.
+			p.frames.put(f)
+			batch[i] = nil
 		}
 		if err := bw.Flush(); err != nil {
 			return
@@ -149,6 +157,7 @@ func (t *tcpTransport) Self() int          { return t.self }
 func (t *tcpTransport) WorldSize() int     { return t.world }
 func (t *tcpTransport) LocalBox() *mailbox { return t.box }
 func (t *tcpTransport) Name() string       { return "tcp" }
+func (t *tcpTransport) Copies() bool       { return true }
 
 // Deliver serializes the message into a frame and hands it to the peer's
 // writer. Self-sends skip the wire entirely (same-process delivery, the
@@ -161,7 +170,7 @@ func (t *tcpTransport) Deliver(dst int, m message) {
 	}
 	p := t.peers[dst]
 	t0 := time.Now()
-	frame := encodeFrame(m)
+	frame := encodeFrame(m, &p.frames)
 	p.serializeNs.Add(int64(time.Since(t0)))
 	p.framesOut.Add(1)
 	p.bytesOut.Add(int64(len(frame)))
@@ -169,22 +178,18 @@ func (t *tcpTransport) Deliver(dst int, m message) {
 	p.enqueue(frame)
 }
 
-// frameHeaderLen is the fixed per-frame overhead: the u32 length prefix
-// plus the src/commID/tag/kind header it counts.
-const frameHeaderLen = 21
-
-// encodeFrame serializes a message into one wire frame.
-func encodeFrame(m message) []byte {
-	frame := make([]byte, 4, 64)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(int32(m.src)))
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(m.commID))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(int32(m.tag)))
-	frame = append(frame, 0) // kind placeholder
-	kindAt := len(frame) - 1
-	frame, kind := appendPayload(frame, m.payload)
-	frame[kindAt] = byte(kind)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	return frame
+// Release puts a bulk payload received from src back on that link's receive
+// list, for the reader to decode a later frame into.
+func (t *tcpTransport) Release(src int, payload any) {
+	if src == t.self {
+		return
+	}
+	switch b := payload.(type) {
+	case []complex128:
+		t.peers[src].recv.c128.put(b)
+	case []float64:
+		t.peers[src].recv.f64.put(b)
+	}
 }
 
 // readLoop decodes frames from one peer connection into the local
@@ -197,38 +202,19 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	conn := p.conn
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	var hdr [frameHeaderLen]byte // len + src + commID + tag + kind
+	br := bufio.NewReaderSize(conn, wireWindow)
 	for {
-		if _, err := io.ReadFull(br, hdr[:4]); err != nil {
+		m, payloadLen, err := readFrame(br, &p.recv)
+		if err != nil {
 			if err == io.EOF || t.closing.Load() {
 				return
 			}
-			panic(fmt.Sprintf("mpi: tcp rank %d: reading frame header: %v", t.self, err))
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		if n < frameHeaderLen-4 {
-			panic(fmt.Sprintf("mpi: tcp rank %d: frame of %d bytes", t.self, n))
-		}
-		if _, err := io.ReadFull(br, hdr[4:frameHeaderLen]); err != nil {
-			panic(fmt.Sprintf("mpi: tcp rank %d: reading frame: %v", t.self, err))
-		}
-		src := int(int32(binary.LittleEndian.Uint32(hdr[4:])))
-		commID := int64(binary.LittleEndian.Uint64(hdr[8:]))
-		tag := int(int32(binary.LittleEndian.Uint32(hdr[16:])))
-		kind := wireKind(hdr[20])
-		body := make([]byte, n-(frameHeaderLen-4))
-		if _, err := io.ReadFull(br, body); err != nil {
-			panic(fmt.Sprintf("mpi: tcp rank %d: reading frame body: %v", t.self, err))
-		}
-		payload, err := decodePayload(kind, body)
-		if err != nil {
 			panic(fmt.Sprintf("mpi: tcp rank %d: %v", t.self, err))
 		}
 		p.framesIn.Add(1)
-		p.bytesIn.Add(int64(n) + 4)
-		p.payloadIn.Add(int64(len(body)))
-		t.box.put(message{src: src, commID: commID, tag: tag, payload: payload})
+		p.bytesIn.Add(int64(payloadLen) + frameHeaderLen)
+		p.payloadIn.Add(int64(payloadLen))
+		t.box.put(m)
 	}
 }
 

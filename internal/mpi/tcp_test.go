@@ -1,24 +1,26 @@
 package mpi
 
 import (
+	"bufio"
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// TestWireRoundTrip pins the payload codec: every fast-path type (and a
-// gob-registered struct) must reconstruct to a deeply equal value of the
-// identical dynamic type, including IEEE bit patterns that are not equal
-// to themselves (NaN) or that compare equal across distinct encodings
-// (signed zero).
-func TestWireRoundTrip(t *testing.T) {
-	type meta struct {
-		Name string
-		N    int
-	}
-	RegisterWire[meta]()
-	payloads := []any{
+// wireMeta is the gob-registered payload type of the codec tests.
+type wireMeta struct {
+	Name string
+	N    int
+}
+
+// wirePayloads returns one payload or more of every wire kind, including
+// IEEE bit patterns that are not equal to themselves (NaN) or that compare
+// equal across distinct encodings (signed zero).
+func wirePayloads() []any {
+	RegisterWire[wireMeta]()
+	return []any{
 		[]byte{0, 1, 255},
 		[]byte{},
 		[]float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 1.5e-300},
@@ -28,20 +30,36 @@ func TestWireRoundTrip(t *testing.T) {
 		[]string{"", "hello", "με unicode"},
 		[]string{},
 		[]splitTuple{{Color: -1, Key: 3, Rank: 7}},
-		[]meta{{Name: "shard", N: 4}},
+		[]wireMeta{{Name: "shard", N: 4}},
 	}
-	for _, p := range payloads {
-		frame, kind := appendPayload(nil, p)
-		got, err := decodePayload(kind, frame)
+}
+
+// decodeFrame reads the one frame in data the way a link's reader would.
+func decodeFrame(data []byte, bufs *recvBufs) (message, error) {
+	m, _, err := readFrame(bufio.NewReaderSize(bytes.NewReader(data), wireWindow), bufs)
+	return m, err
+}
+
+// sameMessage reports whether two messages have the same header and
+// payloads of the identical dynamic type and representation.
+func sameMessage(a, b message) bool {
+	return a.src == b.src && a.commID == b.commID && a.tag == b.tag &&
+		reflect.TypeOf(a.payload) == reflect.TypeOf(b.payload) &&
+		reflect.DeepEqual(frameBits(a.payload), frameBits(b.payload))
+}
+
+// TestWireRoundTrip pins the payload codec: every fast-path type (and a
+// gob-registered struct) must come back from a frame as a deeply equal value
+// of the identical dynamic type, bit for bit.
+func TestWireRoundTrip(t *testing.T) {
+	for _, p := range wirePayloads() {
+		m := message{src: 3, commID: 1_000_003_000_007, tag: tagStream, payload: p}
+		got, err := decodeFrame(encodeFrame(m, nil), &recvBufs{})
 		if err != nil {
 			t.Fatalf("%T: %v", p, err)
 		}
-		if reflect.TypeOf(got) != reflect.TypeOf(p) {
-			t.Fatalf("%T decoded as %T", p, got)
-		}
-		want, gotB := frameBits(p), frameBits(got)
-		if !reflect.DeepEqual(want, gotB) {
-			t.Fatalf("%T round trip: sent %v, got %v", p, p, got)
+		if !sameMessage(m, got) {
+			t.Fatalf("%T round trip: sent %+v, got %+v", p, m, got)
 		}
 	}
 }
@@ -82,7 +100,7 @@ func TestWireUnknownTypePanics(t *testing.T) {
 // tags and 64-bit communicator ids must survive the i32/i64 packing.
 func TestTCPFrameEncodeDecode(t *testing.T) {
 	m := message{src: 3, commID: 1_000_003_000_007, tag: tagStream, payload: []float64{1, 2}}
-	frame := encodeFrame(m)
+	frame := encodeFrame(m, nil)
 	n := int(uint32(frame[0]) | uint32(frame[1])<<8 | uint32(frame[2])<<16 | uint32(frame[3])<<24)
 	if n != len(frame)-4 {
 		t.Fatalf("frame length field %d, frame body %d", n, len(frame)-4)

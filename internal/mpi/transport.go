@@ -31,6 +31,15 @@ type Transport interface {
 	// sends copy; prepacked stream sends deliberately do not); a wire
 	// transport additionally serializes it at the frame boundary.
 	Deliver(dst int, m message)
+	// Copies reports whether Deliver to another rank copies the payload
+	// before it returns (a wire transport serializes it into the frame), so
+	// that an eager send need not copy it first.
+	Copies() bool
+	// Release hands back a payload received from world rank src that the
+	// receiver has copied out and holds no reference to, for the transport
+	// to receive into again. Optional for receivers; a no-op where payloads
+	// arrive by reference.
+	Release(src int, payload any)
 	// LocalBox returns the mailbox this rank's receives match against.
 	LocalBox() *mailbox
 	// Name identifies the transport in reports and diagnostics
@@ -61,6 +70,8 @@ type chanTransport struct {
 func (t *chanTransport) Self() int                  { return t.self }
 func (t *chanTransport) WorldSize() int             { return t.w.size }
 func (t *chanTransport) Deliver(dst int, m message) { t.w.boxes[dst].put(m) }
+func (t *chanTransport) Copies() bool               { return false }
+func (t *chanTransport) Release(int, any)           {}
 func (t *chanTransport) LocalBox() *mailbox         { return t.w.boxes[t.self] }
 func (t *chanTransport) Name() string               { return "chan" }
 func (t *chanTransport) Close() error               { return nil }

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -79,6 +80,38 @@ func RegisterWire[T any]() {
 	}
 }
 
+// payloadSize returns the number of bytes appendPayload will write for
+// payload, or -1 for a type whose size only its codec can tell.
+func payloadSize(payload any) int {
+	switch p := payload.(type) {
+	case []byte:
+		return len(p)
+	case []float64:
+		return 8 * len(p)
+	case []complex128:
+		return 16 * len(p)
+	case []int:
+		return 8 * len(p)
+	case []int64:
+		return 8 * len(p)
+	case []string:
+		n := 4 + 4*len(p)
+		for _, s := range p {
+			n += len(s)
+		}
+		return n
+	case []splitTuple:
+		return 24 * len(p)
+	}
+	return -1
+}
+
+// extend lengthens dst by n bytes and returns it with the new tail.
+func extend(dst []byte, n int) (whole, tail []byte) {
+	whole = slices.Grow(dst, n)[:len(dst)+n]
+	return whole, whole[len(dst):]
+}
+
 // appendPayload serializes payload onto dst and returns the extended
 // buffer plus the kind byte that was used. It panics on types no codec
 // covers: that is a programming error (a new message type was introduced
@@ -88,14 +121,16 @@ func appendPayload(dst []byte, payload any) ([]byte, wireKind) {
 	case []byte:
 		return append(dst, p...), wireBytes
 	case []float64:
-		for _, v := range p {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		dst, b := extend(dst, 8*len(p))
+		for i, v := range p {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 		}
 		return dst, wireFloat64
 	case []complex128:
-		for _, v := range p {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(v)))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(v)))
+		dst, b := extend(dst, 16*len(p))
+		for i, v := range p {
+			binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(v)))
+			binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(v)))
 		}
 		return dst, wireComplex128
 	case []int:
@@ -143,32 +178,29 @@ func appendPayload(dst []byte, payload any) ([]byte, wireKind) {
 	}
 }
 
-// decodePayload reconstructs a payload from its wire form. data must not
-// be retained: slices are copied out.
+// decodeFloat64 and decodeComplex128 decode len(dst) elements from src; they
+// are the bulk kinds' decoders, which readFrame runs window by window.
+func decodeFloat64(dst []float64, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func decodeComplex128(dst []complex128, src []byte) {
+	for i := range dst {
+		re := math.Float64frombits(binary.LittleEndian.Uint64(src[16*i:]))
+		im := math.Float64frombits(binary.LittleEndian.Uint64(src[16*i+8:]))
+		dst[i] = complex(re, im)
+	}
+}
+
+// decodePayload reconstructs a payload of one of the control kinds from its
+// whole wire form (readFrame streams the two bulk kinds itself). data must
+// not be retained: slices are copied out.
 func decodePayload(kind wireKind, data []byte) (any, error) {
 	switch kind {
 	case wireBytes:
 		return append(make([]byte, 0, len(data)), data...), nil
-	case wireFloat64:
-		if len(data)%8 != 0 {
-			return nil, fmt.Errorf("mpi: float64 payload of %d bytes", len(data))
-		}
-		out := make([]float64, len(data)/8)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-		}
-		return out, nil
-	case wireComplex128:
-		if len(data)%16 != 0 {
-			return nil, fmt.Errorf("mpi: complex128 payload of %d bytes", len(data))
-		}
-		out := make([]complex128, len(data)/16)
-		for i := range out {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(data[i*16:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(data[i*16+8:]))
-			out[i] = complex(re, im)
-		}
-		return out, nil
 	case wireInt:
 		if len(data)%8 != 0 {
 			return nil, fmt.Errorf("mpi: int payload of %d bytes", len(data))
@@ -193,6 +225,9 @@ func decodePayload(kind wireKind, data []byte) (any, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(data))
 		data = data[4:]
+		if n > len(data)/4 { // every string has its own length prefix
+			return nil, fmt.Errorf("mpi: truncated string payload")
+		}
 		out := make([]string, 0, n)
 		for i := 0; i < n; i++ {
 			if len(data) < 4 {

@@ -38,27 +38,45 @@ func wireDelta(before, after mpi.WireStats) mpi.WireStats {
 // frames (the self block is a local copy, never a frame), and every
 // frame carries exactly the fixed header on top of its payload. The
 // cross-check is the observability plane's ground truth: report wire
-// blocks and schedule predictions must agree to the byte.
+// blocks and schedule predictions must agree to the byte. The cycle runs in
+// two shapes: the same fields out and back, and the scalar step's excursion,
+// 4 fields out (u, v, w, theta) and 9 back (six products, three fluxes).
 func TestWireCountersMatchSchedule(t *testing.T) {
+	for _, shape := range []struct {
+		name      string
+		out, back int
+	}{{"3-out-3-back", 3, 3}, {"4-out-9-back", 4, 9}} {
+		t.Run(shape.name, func(t *testing.T) { wireCountersMatchSchedule(t, shape.out, shape.back) })
+	}
+}
+
+func wireCountersMatchSchedule(t *testing.T, nout, nback int) {
 	const (
 		pa, pb      = 1, 4 // CommB spans the world; CommA is wireless
 		nkx, nz, ny = 4, 8, 8
-		nf          = 3
 		cycles      = 5
 	)
 	world := pa * pb
 	finals := make([]mpi.WireStats, world)
 	mpi.RunTCP(world, func(c *mpi.Comm) {
 		d := New(c, pa, pb, nkx, nz, ny, par.NewPool(1))
-		src := make([][]complex128, nf)
+		src := make([][]complex128, max(nout, nback))
 		for f := range src {
 			src[f] = yPencilOf(d, f)
 		}
-		// Warm-up cycle: builds the four lazy transpose plans so the
-		// measured interval is pure steady-state exchange.
-		zp := d.YtoZ(nil, src)
-		xp := d.ZtoX(nil, zp, d.NZ)
-		d.ZtoY(nil, d.XtoZ(nil, xp, d.NZ))
+		// One cycle carries nout fields to the x-pencils and nback fields
+		// home. The warm-up cycle builds the lazy transpose plans, so the
+		// measured interval is pure steady-state exchange, and leaves nback
+		// fields in x-pencils for the return legs to carry.
+		xback := d.ZtoX(nil, d.YtoZ(nil, src[:nback]), d.NZ)
+		var zp, xp, zback [][]complex128
+		cycle := func() {
+			zp = d.YtoZ(zp, src[:nout])
+			xp = d.ZtoX(xp, zp, d.NZ)
+			zback = d.XtoZ(zback, xback, d.NZ)
+			d.ZtoY(src[:nback], zback)
+		}
+		cycle()
 
 		before, ok := c.WireStats()
 		if !ok {
@@ -66,10 +84,7 @@ func TestWireCountersMatchSchedule(t *testing.T) {
 			return
 		}
 		for i := 0; i < cycles; i++ {
-			zp = d.YtoZ(zp, src)
-			xp = d.ZtoX(xp, zp, d.NZ)
-			zp = d.XtoZ(zp, xp, d.NZ)
-			d.ZtoY(src, zp)
+			cycle()
 		}
 		after, _ := c.WireStats()
 		delta := wireDelta(before, after)
@@ -79,7 +94,12 @@ func TestWireCountersMatchSchedule(t *testing.T) {
 		// Messages/(CommSize-1) frames. CommA ops have CommSize 1 here
 		// and predict zero wire traffic.
 		var peerPayload, peerFrames int64
-		for _, op := range d.CycleSchedule(nf).Ops {
+		ops := append(d.CycleSchedule(nout).Ops, d.CycleSchedule(nback).Ops...)
+		for i, op := range ops {
+			outbound := op.Dir == schedule.DirYtoZ || op.Dir == schedule.DirZtoX
+			if (i < len(ops)/2) != outbound {
+				continue // the out legs of the first cycle, the back legs of the second
+			}
 			if op.Kind != schedule.OpTranspose || op.CommSize <= 1 {
 				continue
 			}
