@@ -19,22 +19,18 @@ import (
 	"channeldns/internal/telemetry"
 )
 
-// pass evaluates the velocity lines sp takes out, runs sp over them and
-// returns its y-pencil collocation values, layout [kxLoc][kzLoc][Ny] per
-// field, publishing the physical velocity maxima a harvesting pass found for
-// CFLEstimate. In the scalar workload theta joins the one pass chosen to
-// carry it (see ScalarSolver.carrier): it goes out as one more input and the
-// three fluxes that come back behind sp's own outputs are kept for
-// scalarTerms.
+// pass evaluates the velocity lines sp takes out, runs it and returns its
+// y-pencil collocation values, layout [kxLoc][kzLoc][Ny] per field; what a
+// harvesting pass found is published for CFLEstimate. In the scalar workload
+// theta joins the pass chosen to carry it (ScalarSolver.carrier) as one more
+// input, and the fluxes it brings back behind sp's outputs are kept.
 func (s *Solver) pass(sp *parfft.Spec) [][]complex128 {
-	run := sp
+	run, theta := sp, []complex128(nil)
 	if t := s.scalar; t != nil && sp == t.carrier {
 		run = &t.carried
+		theta = s.exc.In(run.In)[sp.In]
 	}
-	s.velocityValues(sp.In)
-	if run != sp {
-		s.scalar.thetaValues(s.exc.In(run.In)[sp.In])
-	}
+	s.velocityValues(sp.In, theta)
 	out := s.exc.Run(run)
 	if run.Harvest {
 		s.harvest(s.exc)

@@ -13,20 +13,16 @@ package core
 // separately on its owner rank; fluctuations carry homogeneous Dirichlet
 // walls.
 //
-// The scalar adds no excursion of its own: each substep theta goes out to the
-// dealiased physical grid as one more input of the pass the momentum terms
-// already run (the divergence pass, also under the skew-symmetric form; the
-// convective pass under the convective form), the flux products u*theta,
-// v*theta, w*theta are formed on the same physical lines as the momentum
-// products and come back behind them (three more fields), and the
-// divergence-form right-hand side
+// The scalar adds no excursion of its own. Each substep theta goes out to the
+// dealiased physical grid as one more input of a pass the momentum terms
+// already run, u*theta, v*theta, w*theta are formed on the same physical
+// lines as the momentum products and come back behind them, and
 //
 //	h_theta = -(i kx (u theta) + i kz (w theta) + d/dy (v theta))
 //
-// is assembled per mode exactly like the momentum terms. So the velocities
-// cross the transposes and the inverse transforms once per substep, not
-// twice; every line sees the transforms it would see in a pass of its own, so
-// the trajectory is the same to the bit.
+// is assembled per mode like the momentum terms. The velocities so cross the
+// transposes and inverse transforms once per substep, and every line still
+// sees the transforms it would see in a pass of its own: the same bits.
 
 import (
 	"fmt"
@@ -60,11 +56,10 @@ type ScalarSolver struct {
 	// operator caches (see Solver.ensureOps).
 	diffusive *implicitOps
 
-	// carrier is the momentum pass theta rides, carried the pass that runs in
-	// its place (see withScalar and Solver.pass), fluxes the u*theta,
-	// v*theta, w*theta it last brought back. fluxes aliases the excursion's
-	// output fields behind carrier's own: the skew form's second pass, which
-	// brings back fewer fields than the first, leaves it intact.
+	// theta rides carrier, one of the momentum passes: Solver.pass runs
+	// carried = withScalar(carrier) in its place and leaves the fluxes here.
+	// They alias the excursion's outputs behind carrier's own, which the
+	// skew form's second, narrower pass does not touch.
 	carrier *parfft.Spec
 	carried parfft.Spec
 	fluxes  [][]complex128
@@ -89,10 +84,6 @@ func withScalar(sp parfft.Spec) parfft.Spec {
 	return sp
 }
 
-// frozenMomentum is the pass theta rides when Config.DisableNonlinear leaves
-// the momentum equations without one: the velocities out, nothing back.
-var frozenMomentum = parfft.Spec{In: 3}
-
 // NewScalar constructs the passive-scalar workload collectively on the
 // world communicator.
 func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
@@ -114,13 +105,11 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		t.meanHthPrev = make([]float64, ny)
 		t.meanHthCur = make([]float64, ny)
 	}
-	switch {
-	case inner.Cfg.DisableNonlinear:
-		t.carrier = &frozenMomentum
-	case inner.Cfg.Nonlinear == FormConvective:
+	t.carrier = &parfft.SixProducts // also under the skew form
+	if inner.Cfg.DisableNonlinear {
+		t.carrier = &parfft.Spec{In: 3} // no momentum pass: the velocities out, nothing back
+	} else if inner.Cfg.Nonlinear == FormConvective {
 		t.carrier = &convectiveForm
-	default:
-		t.carrier = &parfft.SixProducts
 	}
 	t.carried = withScalar(*t.carrier)
 	inner.exc.Register(&t.carried)
@@ -184,34 +173,23 @@ func (t *ScalarSolver) InitDefault(amp float64, seed int64) {
 	t.PerturbScalar(amp, 2, 2, seed)
 }
 
-// thetaValues writes theta's collocation values for every locally owned mode
-// into one y-pencil input field of the excursion.
-func (t *ScalarSolver) thetaValues(theta []complex128) {
-	s := t.Solver
-	ny := s.Cfg.Ny
-	sp := s.tel.Begin(telemetry.PhasePressure)
-	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			ikx, ikz := s.modeOf(w)
-			if s.G.IsNyquistZ(ikz) {
-				continue // stays zero
-			}
-			line := theta[w*ny : (w+1)*ny]
-			if ikx != 0 || ikz != 0 {
-				s.b0.MulVecComplex(line, t.cth[w])
-			} else if s.ownsMean {
-				meanLine(line, s.b0, t.meanTh, s.ws.workers[blk].rl)
-			}
-		}
-	})
-	sp.End()
+// modeTheta evaluates theta of local mode w at the collocation points; like
+// modeVelocity it leaves a line the mode does not define at zero.
+func (t *ScalarSolver) modeTheta(line []complex128, w int, wk *wsWorker) {
+	ikx, ikz := t.modeOf(w)
+	switch {
+	case t.G.IsNyquistZ(ikz):
+	case ikx != 0 || ikz != 0:
+		t.b0.MulVecComplex(line, t.cth[w])
+	case t.ownsMean:
+		meanLine(line, t.b0, t.meanTh, wk.rl)
+	}
 }
 
 // scalarTerms assembles h_theta (collocation values per local mode) and the
-// mean scalar forcing profile on the owner rank from the fluxes the momentum
-// pass of nonlinearTerms brought back; with the convective terms frozen that
-// pass did not run, and theta's carrier runs here. Either way the fluxes are
-// those of the substage velocity, so it must run before advanceSubstep.
+// mean scalar forcing profile on the owner rank from the fluxes of the
+// substage velocity: those nonlinearTerms' pass brought back or, with the
+// convective terms frozen, the carrier's, run here. Call before advanceSubstep.
 func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	s := t.Solver
 	ws := s.ws

@@ -49,9 +49,7 @@ type Solver struct {
 	padX *fft.PaddedReal
 	exc  *parfft.Excursion
 
-	// scalar is set in the passive-scalar workload, whose theta rides one of
-	// this solver's excursion passes (see Solver.pass).
-	scalar *ScalarSolver
+	scalar *ScalarSolver // set in the scalar workload: theta rides a pass, see pass
 
 	// Steady-state workspace arena (see workspace.go).
 	ws *solverWS

@@ -79,8 +79,9 @@ func (s *Solver) modeVelocity(dst [][]complex128, w int, wk *wsWorker) {
 // velocityValues evaluates modeVelocity for every locally owned mode into
 // the first n input fields of the excursion — {u, v, w} for n = 3, plus their
 // y derivatives for n = 6 — in the y-pencil layout [kxLoc][kzLoc][Ny] the
-// pencil transposes expect.
-func (s *Solver) velocityValues(n int) {
+// pencil transposes expect, and in the scalar workload theta's values into
+// the field theta (nil otherwise).
+func (s *Solver) velocityValues(n int, theta []complex128) {
 	sp := s.tel.Begin(telemetry.PhasePressure)
 	ny := s.Cfg.Ny
 	out := s.exc.In(n)
@@ -92,6 +93,9 @@ func (s *Solver) velocityValues(n int) {
 				dst[c] = out[c][w*ny : (w+1)*ny]
 			}
 			s.modeVelocity(dst[:n], w, wk)
+			if theta != nil {
+				s.scalar.modeTheta(theta[w*ny:(w+1)*ny], w, wk)
+			}
 		}
 	})
 	sp.End()

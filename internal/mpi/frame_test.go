@@ -27,8 +27,8 @@ func readMeasured(data []byte) (m message, spent uint64, err error) {
 // body, without allocating for more than has arrived (the reader used to
 // make the whole body up front).
 func TestReadFrameRejects(t *testing.T) {
-	good := encodeFrame(message{src: 1, commID: 1, tag: 5, payload: make([]complex128, 64)}, nil)
-	goodBytes := encodeFrame(message{src: 1, commID: 1, tag: 5, payload: make([]byte, 1024)}, nil)
+	good := frameOf(message{src: 1, commID: 1, tag: 5, payload: make([]complex128, 64)})
+	goodBytes := frameOf(message{src: 1, commID: 1, tag: 5, payload: make([]byte, 1024)})
 	withLength := func(n uint32, frame ...byte) []byte {
 		if frame == nil {
 			frame = good
@@ -76,7 +76,7 @@ func TestReadFrameGrowsWithArrival(t *testing.T) {
 	for i := range want {
 		want[i] = complex(float64(i), -float64(i))
 	}
-	frame := encodeFrame(message{payload: want}, nil)
+	frame := frameOf(message{payload: want})
 	var bufs recvBufs
 	m, err := decodeFrame(frame, &bufs)
 	if err != nil {
@@ -102,25 +102,29 @@ func TestReadFrameGrowsWithArrival(t *testing.T) {
 }
 
 // TestFreeListBounded: a list never holds more than freeListLen slices, a
-// full one keeps the largest, and get only hands out a slice the request
-// fills at least half of.
+// full one drops its oldest, slices too short to be worth finding are not
+// kept, and get only hands out a slice the request fills at least half of.
 func TestFreeListBounded(t *testing.T) {
 	var f freeList[byte]
+	f.put(make([]byte, 0, freeListMin-1))
+	if len(f.bufs) != 0 {
+		t.Fatal("kept a slice below freeListMin")
+	}
 	for n := 1; n <= 3*freeListLen; n++ {
-		f.put(make([]byte, 0, 100*n))
+		f.put(make([]byte, 0, 1000*n))
 	}
 	if len(f.bufs) != freeListLen {
 		t.Fatalf("list holds %d slices, bound %d", len(f.bufs), freeListLen)
 	}
 	for _, b := range f.bufs {
-		if cap(b) <= 100*2*freeListLen {
-			t.Errorf("kept a slice of cap %d over a larger one", cap(b))
+		if cap(b) <= 1000*2*freeListLen {
+			t.Errorf("kept a slice of cap %d, put before the last %d", cap(b), freeListLen)
 		}
 	}
-	if b := f.get(10); b != nil {
-		t.Errorf("a request for 10 bytes was given cap %d", cap(b))
+	if b := f.get(100); b != nil {
+		t.Errorf("a request for 100 bytes was given cap %d", cap(b))
 	}
-	if b := f.get(100 * 3 * freeListLen); cap(b) != 100*3*freeListLen || len(b) != 0 {
+	if b := f.get(1000 * 3 * freeListLen); cap(b) != 1000*3*freeListLen || len(b) != 0 {
 		t.Errorf("exact-size request got len %d cap %d", len(b), cap(b))
 	}
 	if len(f.bufs) != freeListLen-1 {
@@ -141,9 +145,9 @@ func TestFreeListBounded(t *testing.T) {
 // trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	for _, p := range wirePayloads() {
-		f.Add(encodeFrame(message{src: 2, commID: 1_000_003_000_007, tag: tagAlltoall, payload: p}, nil))
+		f.Add(frameOf(message{src: 2, commID: 1_000_003_000_007, tag: tagAlltoall, payload: p}))
 	}
-	bulk := encodeFrame(message{src: 1, commID: 1, tag: 0, payload: make([]complex128, 40)}, nil)
+	bulk := frameOf(message{src: 1, commID: 1, tag: 0, payload: make([]complex128, 40)})
 	f.Add(bulk[:len(bulk)-7]) // truncated body
 	huge := append([]byte(nil), bulk...)
 	binary.LittleEndian.PutUint32(huge, 0xFFFFFFF0)
@@ -161,7 +165,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := decodeFrame(encodeFrame(m, nil), &recvBufs{})
+		again, err := decodeFrame(frameOf(m), &recvBufs{})
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}

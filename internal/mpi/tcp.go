@@ -178,17 +178,11 @@ func (t *tcpTransport) Deliver(dst int, m message) {
 	p.enqueue(frame)
 }
 
-// Release puts a bulk payload received from src back on that link's receive
+// Release puts a []complex128 received from src back on that link's receive
 // list, for the reader to decode a later frame into.
 func (t *tcpTransport) Release(src int, payload any) {
-	if src == t.self {
-		return
-	}
-	switch b := payload.(type) {
-	case []complex128:
+	if b, ok := payload.([]complex128); ok && src != t.self {
 		t.peers[src].recv.c128.put(b)
-	case []float64:
-		t.peers[src].recv.f64.put(b)
 	}
 }
 

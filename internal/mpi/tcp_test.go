@@ -34,6 +34,9 @@ func wirePayloads() []any {
 	}
 }
 
+// frameOf encodes m into a fresh frame.
+func frameOf(m message) []byte { return encodeFrame(m, new(freeList[byte])) }
+
 // decodeFrame reads the one frame in data the way a link's reader would.
 func decodeFrame(data []byte, bufs *recvBufs) (message, error) {
 	m, _, err := readFrame(bufio.NewReaderSize(bytes.NewReader(data), wireWindow), bufs)
@@ -54,7 +57,7 @@ func sameMessage(a, b message) bool {
 func TestWireRoundTrip(t *testing.T) {
 	for _, p := range wirePayloads() {
 		m := message{src: 3, commID: 1_000_003_000_007, tag: tagStream, payload: p}
-		got, err := decodeFrame(encodeFrame(m, nil), &recvBufs{})
+		got, err := decodeFrame(frameOf(m), &recvBufs{})
 		if err != nil {
 			t.Fatalf("%T: %v", p, err)
 		}
@@ -100,7 +103,7 @@ func TestWireUnknownTypePanics(t *testing.T) {
 // tags and 64-bit communicator ids must survive the i32/i64 packing.
 func TestTCPFrameEncodeDecode(t *testing.T) {
 	m := message{src: 3, commID: 1_000_003_000_007, tag: tagStream, payload: []float64{1, 2}}
-	frame := encodeFrame(m, nil)
+	frame := frameOf(m)
 	n := int(uint32(frame[0]) | uint32(frame[1])<<8 | uint32(frame[2])<<16 | uint32(frame[3])<<24)
 	if n != len(frame)-4 {
 		t.Fatalf("frame length field %d, frame body %d", n, len(frame)-4)

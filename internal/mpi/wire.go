@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -80,8 +79,9 @@ func RegisterWire[T any]() {
 	}
 }
 
-// payloadSize returns the number of bytes appendPayload will write for
-// payload, or -1 for a type whose size only its codec can tell.
+// payloadSize returns the bytes appendPayload writes for a payload of a bulk
+// kind; for the others, small control messages that append may grow, a
+// starting capacity.
 func payloadSize(payload any) int {
 	switch p := payload.(type) {
 	case []byte:
@@ -90,26 +90,8 @@ func payloadSize(payload any) int {
 		return 8 * len(p)
 	case []complex128:
 		return 16 * len(p)
-	case []int:
-		return 8 * len(p)
-	case []int64:
-		return 8 * len(p)
-	case []string:
-		n := 4 + 4*len(p)
-		for _, s := range p {
-			n += len(s)
-		}
-		return n
-	case []splitTuple:
-		return 24 * len(p)
 	}
-	return -1
-}
-
-// extend lengthens dst by n bytes and returns it with the new tail.
-func extend(dst []byte, n int) (whole, tail []byte) {
-	whole = slices.Grow(dst, n)[:len(dst)+n]
-	return whole, whole[len(dst):]
+	return 64
 }
 
 // appendPayload serializes payload onto dst and returns the extended
@@ -121,16 +103,14 @@ func appendPayload(dst []byte, payload any) ([]byte, wireKind) {
 	case []byte:
 		return append(dst, p...), wireBytes
 	case []float64:
-		dst, b := extend(dst, 8*len(p))
-		for i, v := range p {
-			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		for _, v := range p {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
 		return dst, wireFloat64
 	case []complex128:
-		dst, b := extend(dst, 16*len(p))
-		for i, v := range p {
-			binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(v)))
+		for _, v := range p {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(v)))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(v)))
 		}
 		return dst, wireComplex128
 	case []int:
