@@ -87,7 +87,6 @@ func encodeFrame(m message, free *freeList[byte]) []byte {
 // recvBufs is what one link's reader reuses between frames.
 type recvBufs struct {
 	c128 freeList[complex128]
-	body []byte               // scratch body of the kinds decodePayload copies out of
 	hdr  [frameHeaderLen]byte // here so that reading into it allocates nothing
 }
 
@@ -122,12 +121,9 @@ func readFrame(br *bufio.Reader, bufs *recvBufs) (m message, payloadLen int, err
 	case wireFloat64:
 		m.payload, err = readElems(br, nil, payloadLen, 8, decodeFloat64)
 	case wireBytes, wireInt, wireInt64, wireString, wireSplit, wireGob:
-		bufs.body, err = readElems(br, bufs.body, payloadLen, 1, func(dst, src []byte) { copy(dst, src) })
-		if err == nil {
-			m.payload, err = decodePayload(kind, bufs.body)
-		}
-		if cap(bufs.body) > wireWindow {
-			bufs.body = nil // control traffic is small: do not hold on to a large body
+		var body []byte // control traffic: collected whole, then copied out of
+		if body, err = readElems(br, body, payloadLen, 1, func(dst, src []byte) { copy(dst, src) }); err == nil {
+			m.payload, err = decodePayload(kind, body)
 		}
 	default:
 		err = fmt.Errorf("mpi: unknown wire kind %d", kind)
