@@ -1,0 +1,121 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"testing"
+)
+
+// withCRC returns a copy of the image with its trailer recomputed, so a
+// mutated header is judged on its fields instead of bouncing off the CRC.
+func withCRC(b []byte) []byte {
+	b = bytes.Clone(b)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], castagnoli))
+	return b
+}
+
+// reencode checks one shard image: parseShard must not panic, and an image
+// it accepts must describe a state the writer could have written — restoring
+// the image into a state of the header's shape and encoding that gives the
+// same bytes back.
+func reencode(t *testing.T, b []byte) {
+	h, err := parseShard(b)
+	if err != nil {
+		return
+	}
+	st := &State{
+		Nx: h.Nx, Ny: h.Ny, Nz: h.Nz, NKx: h.NKx,
+		Kxlo: h.Kxlo, Kxhi: h.Kxhi, Kzlo: h.Kzlo, Kzhi: h.Kzhi,
+		Step: h.Step, Time: h.Time, Dt: h.Dt, Fingerprint: h.Fingerprint, HasMean: h.HasMean,
+	}
+	field := func() [][]complex128 {
+		f := make([][]complex128, h.nw())
+		for w := range f {
+			f[w] = make([]complex128, h.Ny)
+		}
+		return f
+	}
+	st.CV, st.CW, st.HgPrev, st.HvPrev = field(), field(), field(), field()
+	for i := 0; i < h.NExtra; i++ {
+		st.Extra = append(st.Extra, field())
+	}
+	if h.HasMean {
+		mean := func() []float64 { return make([]float64, h.Ny) }
+		st.MeanU, st.MeanW, st.MeanHxPrev, st.MeanHzPrev = mean(), mean(), mean(), mean()
+		for i := 0; i < h.NExtraMean; i++ {
+			st.ExtraMean = append(st.ExtraMean, mean())
+		}
+	}
+	copyOverlap(b, h, st)
+	var out bytes.Buffer
+	if _, _, err := EncodeShard(&out, st); err != nil {
+		t.Fatalf("accepted image does not re-encode: %v (header %+v)", err, h)
+	}
+	if !bytes.Equal(out.Bytes(), b) {
+		t.Fatalf("accepted image re-encodes to different bytes (header %+v)", h)
+	}
+}
+
+// FuzzParseShard feeds parseShard whatever bytes a shard file might hold.
+// Each input is also tried with its CRC trailer recomputed, which is what
+// lets the fuzzer reach the header checks behind the CRC gate.
+func FuzzParseShard(f *testing.F) {
+	image := func(st *State) []byte {
+		var buf bytes.Buffer
+		if _, _, err := EncodeShard(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plain := image(makeState(5, 1, 3, 0, 2, true))
+	ext := makeState(5, 0, 2, 2, 5, true)
+	addExtras(ext, 2, 1)
+	extended := image(ext)
+	for _, b := range [][]byte{plain, extended} {
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(b[:headerSize+4])
+		f.Add(b[:headerSize+3])
+		f.Add(b[:20])
+	}
+	f.Add([]byte{})
+	// Header-field mutations behind a valid CRC: each uint32 field in turn
+	// set to values that wrap or overflow the size arithmetic.
+	le := binary.LittleEndian
+	for off := 20; off <= 48; off += 4 {
+		for _, v := range []uint32{0, 1, 1 << 31, 1<<32 - 1} {
+			m := bytes.Clone(plain)
+			le.PutUint32(m[off:], v)
+			f.Add(withCRC(m))
+		}
+	}
+	for _, flags := range []uint32{0, flagExtended, flagHasMean | flagExtended, 1 << 2, 1<<32 - 1} {
+		m := bytes.Clone(plain)
+		le.PutUint32(m[76:], flags)
+		f.Add(withCRC(m))
+	}
+	// An 84-byte image whose 2^31 x 2^31 window times ny = 1 wraps the
+	// implied size to exactly 84 bytes.
+	wrap := bytes.Clone(plain[:headerSize+4])
+	for off, v := range map[int]uint32{20: 4, 24: 1, 28: 4, 32: 4, 36: 0, 40: 1 << 31, 44: 0, 48: 1 << 31, 76: 0} {
+		le.PutUint32(wrap[off:], v)
+	}
+	f.Add(withCRC(wrap))
+	// The extended counters at their cap and past it.
+	for _, n := range []uint32{1024, 1025, 1<<32 - 1} {
+		m := bytes.Clone(extended)
+		le.PutUint32(m[80:], n)
+		f.Add(withCRC(m))
+		m = bytes.Clone(extended)
+		le.PutUint32(m[84:], n)
+		f.Add(withCRC(m))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		reencode(t, b)
+		if len(b) >= headerSize+4 {
+			reencode(t, withCRC(b))
+		}
+	})
+}

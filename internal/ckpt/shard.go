@@ -210,6 +210,9 @@ func parseShard(b []byte) (shardHeader, error) {
 	h.Time = math.Float64frombits(le.Uint64(b[60:]))
 	h.Dt = math.Float64frombits(le.Uint64(b[68:]))
 	flags := le.Uint32(b[76:])
+	if flags&^(flagHasMean|flagExtended) != 0 {
+		return h, fmt.Errorf("ckpt: shard flags %#x carry bits this reader does not know", flags)
+	}
 	h.HasMean = flags&flagHasMean != 0
 	h.Extended = flags&flagExtended != 0
 	if h.Extended {
@@ -222,9 +225,15 @@ func parseShard(b []byte) (shardHeader, error) {
 			return h, fmt.Errorf("ckpt: shard header claims %d extra fields, %d extra means", h.NExtra, h.NExtraMean)
 		}
 	}
-	if h.Ny <= 0 || h.nw() < 0 || h.Kxlo > h.Kxhi || h.Kzlo > h.Kzhi {
-		return h, fmt.Errorf("ckpt: shard header carries degenerate window kx[%d,%d) kz[%d,%d)",
-			h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi)
+	// Hold the header to what State.validate lets the writer emit, and to the
+	// image's own length one factor at a time: the extents arrive as uint32s,
+	// so a window of 2^31 x 2^31 modes would otherwise wrap the size below to
+	// whatever the image happens to measure and index far outside it later.
+	dkx, dkz, n := h.Kxhi-h.Kxlo, h.Kzhi-h.Kzlo, len(b)
+	if h.Nx <= 0 || h.Ny <= 0 || h.Nz <= 0 || h.NKx <= 0 || dkx < 0 || h.Kxhi > h.NKx || dkz < 0 || h.Kzhi > h.Nz ||
+		h.Ny > n || (dkz > 0 && dkx > n/dkz) || (h.nw() > 0 && h.Ny > n/h.nw()) || (!h.HasMean && h.NExtraMean > 0) {
+		return h, fmt.Errorf("ckpt: shard header carries degenerate window kx[%d,%d) kz[%d,%d) of ny %d on a %dx%dx%d grid (nkx %d)",
+			h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, h.Ny, h.Nx, h.Ny, h.Nz, h.NKx)
 	}
 	if want := shardSize(h.nw(), h.Ny, h.HasMean, h.NExtra, h.NExtraMean); int64(len(b)) != want || h.Extended != (h.NExtra > 0 || h.NExtraMean > 0) {
 		return h, fmt.Errorf("ckpt: shard is %d bytes, header implies %d", len(b), want)

@@ -118,13 +118,38 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// validate rejects what the workload named by c.Workload cannot run. The
-// channel family needs enough basis functions for its spline degree; the
-// scalar and isotropic workloads run the serial exchange only, and the
-// isotropic one the divergence form only.
+// Validate reports why no workload can be built from c, or nil. Zero values
+// stand for their defaults, as they do in the constructors. It is the one
+// owner of the shape checks: the constructors run it before they build
+// anything, and a front end that takes configurations from outside the
+// process (dnsserve's JobSpec) runs it to refuse them up front.
+func (c Config) Validate() error {
+	c.fillDefaults()
+	return c.validate()
+}
+
+// validate rejects what the workload named by c.Workload cannot run: a grid
+// the Fourier directions or the pencil decomposition cannot carry (every
+// rank must own a non-empty window of kx and z over CommA and of kz and y
+// over CommB), and per workload: the channel family needs enough basis
+// functions for its spline degree; the scalar and isotropic workloads run
+// the serial exchange only, and the isotropic one the divergence form only.
 func (c *Config) validate() error {
 	if _, ok := workloads[c.Workload]; !ok {
 		return fmt.Errorf("core: unknown workload %q (registered: %v)", c.Workload, WorkloadNames())
+	}
+	if c.Nx < 4 || c.Nx%2 != 0 || c.Nz < 4 || c.Nz%2 != 0 {
+		return fmt.Errorf("core: Nx=%d Nz=%d must be even and >= 4", c.Nx, c.Nz)
+	}
+	if c.Ny < 4 {
+		return fmt.Errorf("core: Ny=%d must be >= 4", c.Ny)
+	}
+	if c.PA < 1 || c.PB < 1 {
+		return fmt.Errorf("core: process grid %dx%d must be at least 1x1", c.PA, c.PB)
+	}
+	if c.PA > c.Nx/2 || c.PA > c.Nz || c.PB > c.Nz || c.PB > c.Ny {
+		return fmt.Errorf("core: process grid %dx%d leaves a rank an empty pencil window on the %dx%dx%d grid (need PA <= Nx/2, Nz and PB <= Nz, Ny)",
+			c.PA, c.PB, c.Nx, c.Ny, c.Nz)
 	}
 	if c.ReTau <= 0 {
 		return fmt.Errorf("core: ReTau must be positive, got %g", c.ReTau)

@@ -87,6 +87,19 @@ func (j *Job) update(f func(*Status)) Status {
 	return j.status
 }
 
+// claim moves the job from state from to state to and reports whether it
+// was in from: one compare-and-set under the job lock. The worker taking a
+// queued job and Cancel dropping it both go through here, so exactly one of
+// them gets it.
+func (j *Job) claim(from, to string) (ok bool) {
+	j.update(func(s *Status) {
+		if ok = s.State == from; ok {
+			s.State = to
+		}
+	})
+	return ok
+}
+
 // requestStop records the first stop request; later, different requests
 // lose. Returns the winning kind.
 func (j *Job) requestStop(kind int32) int32 {
@@ -332,8 +345,7 @@ func (m *Manager) Cancel(id int) error {
 		return ErrNotFound
 	}
 	job.requestStop(stopCancel)
-	st := job.Status()
-	if st.State == StateQueued || st.State == StatePaused {
+	if job.claim(StateQueued, StateCancelled) || job.claim(StatePaused, StateCancelled) {
 		m.finalize(job, StateCancelled, nil)
 	}
 	return nil
@@ -422,12 +434,8 @@ func (m *Manager) worker() {
 			// next server instance to recover.
 			continue
 		}
-		if terminalState(job.Status().State) {
-			continue // cancelled while queued: Cancel finalized it on the spot
-		}
-		if job.stop.Load() == stopCancel {
-			m.finalize(job, StateCancelled, nil)
-			continue
+		if !job.claim(StateQueued, StateRunning) {
+			continue // cancelled while queued: Cancel claimed and finalized it
 		}
 		m.runJob(job)
 	}
@@ -455,8 +463,7 @@ func (m *Manager) runJob(job *Job) {
 	job.live.Store(&liveRun{reg: reg, trc: trc})
 
 	now := time.Now().UTC()
-	st := job.update(func(s *Status) {
-		s.State = StateRunning
+	st := job.update(func(s *Status) { // already running: the worker claimed it
 		s.Started = &now
 		s.Error = ""
 	})

@@ -9,11 +9,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"channeldns/internal/ckpt"
+	"channeldns/internal/core"
+	"channeldns/internal/mpi"
 	"channeldns/internal/telemetry"
 )
 
@@ -421,6 +425,63 @@ func TestCancelQueuedFinalizedOnce(t *testing.T) {
 	}
 }
 
+// TestCancelRacesClaim: Cancel against the worker taking the same queued job
+// off the queue. Whichever claims the job owns it, so it is finalized once —
+// one finalize log line, one terminal state event — whether Cancel dropped it
+// or the worker ran it into the stop flag. (Before the claim, a Cancel that
+// read "queued" just ahead of the worker's store of "running" finalized a job
+// that then ran and was finalized again.)
+func TestCancelRacesClaim(t *testing.T) {
+	iters := 300
+	if testing.Short() {
+		iters = 60
+	}
+	var mu sync.Mutex
+	finalized := map[any]int{}
+	// A cancelled job keeps its queue slot until the worker reaches it.
+	m := newTestManager(t, t.TempDir(), Options{Queue: iters, Logf: func(format string, args ...any) {
+		if strings.HasSuffix(format, "at step %d") { // finalize's line: id, state, step
+			mu.Lock()
+			finalized[args[0]]++
+			mu.Unlock()
+		}
+	}})
+	defer drainManager(t, m)
+	var jobs []*Job
+	for i := 0; i < iters; i++ {
+		job, err := m.Submit(JobSpec{Nx: 4, Ny: 9, Nz: 4, Dt: 1e-3, Steps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for spin := i % 40 * 50; spin > 0; spin-- { // sweep Cancel across the worker's claim
+			runtime.Gosched()
+		}
+		m.Cancel(job.ID)
+		jobs = append(jobs, job)
+		for !terminalState(job.Status().State) {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	drainManager(t, m) // the worker is past every job
+	for _, job := range jobs {
+		terminal := 0
+		events, _ := job.Hub.Since(0)
+		for _, ev := range events {
+			var st Status
+			if ev.Type == EventState && json.Unmarshal(ev.Data, &st) == nil && terminalState(st.State) {
+				terminal++
+			}
+		}
+		mu.Lock()
+		n := finalized[RunID(job.ID)]
+		mu.Unlock()
+		if n != 1 || terminal != 1 {
+			t.Errorf("%s (%s): finalized %d times, %d terminal state events, want 1 and 1",
+				RunID(job.ID), job.Status().State, n, terminal)
+		}
+	}
+}
+
 // TestSubmitValidation: doomed specs are rejected at the door, not
 // queued.
 func TestSubmitValidation(t *testing.T) {
@@ -446,19 +507,69 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestConstructionFailureFailsJob: specs that pass static validation but
-// cannot construct (Ny below the B-spline degree floor) fail the job with
-// a stored error instead of wedging a worker.
+// TestConstructionFailureFailsJob: a job whose workload cannot be built
+// fails with a stored error instead of wedging a worker. Submit refuses such
+// a spec at the door, so this one (Ny below the B-spline degree floor) is a
+// queued run left on disk by a server that accepted it, found by Recover.
 func TestConstructionFailureFailsJob(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Options{})
 	defer drainManager(t, m)
-	job, err := m.Submit(JobSpec{Nx: 16, Ny: 6, Nz: 16, Steps: 2})
-	if err != nil {
+	spec := JobSpec{Nx: 16, Ny: 6, Nz: 16, Steps: 2}
+	if spec.Validate() == nil {
+		t.Fatal("the spec passes Validate: it would not reach construction")
+	}
+	if err := m.Store().Create(0, spec, Status{ID: RunID(0), State: StateQueued}); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	job, _ := m.Get(0)
 	st := waitState(t, job, StateFailed)
 	if st.Error == "" {
 		t.Error("failed job carries no error")
+	}
+}
+
+// TestHostileSpecsRefused: the three bodies that used to panic dnsserve — a
+// grid below the Fourier minimum and two process grids that leave a rank an
+// empty pencil window — get 400 from POST /v1/jobs, core refuses each
+// configuration with an error, and the server goes on answering.
+func TestHostileSpecsRefused(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Options{})
+	defer drainManager(t, m)
+	srv := httptest.NewServer(NewAPI(m).Routes())
+	defer srv.Close()
+	for _, body := range []string{
+		`{"nx":2,"ny":17,"nz":2,"steps":1}`,
+		`{"nx":4,"ny":17,"nz":4,"steps":1,"pa":4,"pb":4}`,
+		`{"nx":16,"ny":17,"nz":16,"steps":1,"pb":32}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		spec, err := decodeSpec([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mpi.Run(spec.World(), func(c *mpi.Comm) {
+			if _, err := core.NewWorkload(c, spec.Config(nil, nil, nil)); err == nil {
+				t.Errorf("%s: core.NewWorkload built it", body)
+			}
+		})
+		resp, err = http.Get(srv.URL + "/v1/jobs")
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: server stopped answering /v1/jobs: %v", body, err)
+		}
+		resp.Body.Close()
+	}
+	if _, total := m.List(0, 0); total != 0 {
+		t.Errorf("%d jobs queued from hostile specs", total)
 	}
 }
 

@@ -134,29 +134,15 @@ func (sp JobSpec) withDefaults() JobSpec {
 	return sp
 }
 
-// Validate rejects specs that cannot possibly run, so submission fails
-// with 400 instead of burning a queue slot on a doomed job. Deeper
-// constraints (grid-vs-degree, decomposition fit) surface when the
-// workload is constructed and fail the job with a stored error.
+// Validate rejects specs that cannot run, so submission fails with 400
+// instead of burning a queue slot on a doomed job — or, for a grid or process
+// grid the solver cannot carry, taking the server down with it. The job
+// fields are checked here; everything that shapes the workload is
+// core.Config's to judge, the same validation the constructors run.
 func (sp JobSpec) Validate() error {
 	d := sp.withDefaults()
-	if core.WorkloadDescription(d.Workload) == "" {
-		return fmt.Errorf("unknown workload %q (registered: %v)", d.Workload, core.WorkloadNames())
-	}
-	if d.Nx <= 0 || d.Ny <= 0 || d.Nz <= 0 {
-		return fmt.Errorf("grid %dx%dx%d: all extents must be positive", d.Nx, d.Ny, d.Nz)
-	}
-	if d.Nx%2 != 0 || d.Nz%2 != 0 {
-		return fmt.Errorf("grid %dx%dx%d: nx and nz must be even (full Fourier modes)", d.Nx, d.Ny, d.Nz)
-	}
 	if d.Steps <= 0 {
 		return fmt.Errorf("steps %d: must be positive", d.Steps)
-	}
-	if d.ReTau <= 0 || d.Dt <= 0 {
-		return fmt.Errorf("re_tau %g / dt %g: must be positive", d.ReTau, d.Dt)
-	}
-	if d.PA < 1 || d.PB < 1 {
-		return fmt.Errorf("process grid %dx%d: must be at least 1x1", d.PA, d.PB)
 	}
 	if _, err := core.ParseForm(d.Form); err != nil {
 		return err
@@ -164,7 +150,7 @@ func (sp JobSpec) Validate() error {
 	if d.StepDelayMs < 0 {
 		return fmt.Errorf("step_delay_ms %d: must be non-negative", d.StepDelayMs)
 	}
-	return nil
+	return sp.Config(nil, nil, nil).Validate()
 }
 
 // World returns the rank count of the spec's process grid.
