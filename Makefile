@@ -29,14 +29,20 @@ race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
 
-# A few seconds of the fuzz targets: the TCP transport's frame reader against
-# whatever bytes a peer might write (no panic, no allocation on the word of a
-# length field). The seeds alone run with every `go test`.
+# A few seconds of each fuzz target, one per decoder of bytes the process did
+# not write: the TCP transport's frame reader against whatever a peer might
+# send (no panic, no allocation on the word of a length field), the job-spec
+# decoder behind POST /v1/jobs (nothing between body and queue panics; an
+# accepted spec survives spec.json), and the checkpoint shard parser (no
+# panic; an accepted image re-encodes to the same bytes). The seeds alone run
+# with every `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 5s channeldns/internal/mpi
+	$(GO) test -run xxx -fuzz FuzzDecodeSpec -fuzztime 5s channeldns/internal/server
+	$(GO) test -run xxx -fuzz FuzzParseShard -fuzztime 5s channeldns/internal/ckpt
 
 # The micro-benchmarks that live beside their package. The paper tables
-# come from the cmd/bench-* tools and changes are gated by benchmark/
+# come from cmd/bench and changes are gated by benchmark/
 # (BENCHMARK.json), not by these. banded has the full-band N = 1024 systems
 # of Table 1 and, as BenchmarkCollocationMatVec and BenchmarkHelmholtzSolve,
 # the DNS's own rows at ny = 49, whose zeros inside the band the former lack;
@@ -46,30 +52,32 @@ bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server
 
-# Tiny end-to-end run of every bench tool, validating the emitted
-# BENCH_*.json artifacts against the channeldns/bench/v1 schema (including
-# each report's declarative schedule block, cross-checked against its own
-# comm table). Keeps the telemetry report path from bit-rotting without
-# burning CI minutes. The last line is the model-vs-measured pass over the
-# two timestep reports: measured phase seconds against the machine model of
-# each report's schedule block, advisory only (drift warns, never fails).
+# Tiny end-to-end run of every experiment of cmd/bench that writes a report,
+# validating the emitted BENCH_*.json artifacts against the
+# channeldns/bench/v1 schema (including each report's declarative schedule
+# block, cross-checked against its own comm table). Keeps the telemetry report
+# path from bit-rotting without burning CI minutes. The last line is the
+# model-vs-measured pass over the two timestep reports: measured phase seconds
+# against the machine model of each report's schedule block, advisory only
+# (drift warns, never fails).
+SMALL = -nx 16 -ny 17 -nz 16
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
-	$(GO) run ./cmd/bench-solver -n 128 -reps 1 -json .bench-smoke/BENCH_table1.json > /dev/null
-	$(GO) run ./cmd/bench-node -json .bench-smoke/BENCH_table2_3_4.json > /dev/null
-	$(GO) run ./cmd/bench-comm -overlap -json .bench-smoke/BENCH_table5.json > /dev/null
-	$(GO) run ./cmd/bench-fft -overlap -json .bench-smoke/BENCH_table6.json > /dev/null
-	$(GO) run ./cmd/bench-timestep -nx 16 -ny 17 -nz 16 -steps 2 -json .bench-smoke/BENCH_table9.json -trace .bench-smoke/table9.trace.json > /dev/null
-	$(GO) run ./cmd/bench-timestep -overlap -nx 16 -ny 17 -nz 16 -steps 2 -json .bench-smoke/BENCH_table9_overlap.json -trace .bench-smoke/table9_overlap.trace.json > /dev/null
-	$(GO) run ./cmd/dns -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -trace .bench-smoke/dns.trace.json -report .bench-smoke/BENCH_dns.json > /dev/null
-	$(GO) run ./cmd/dns -overlap -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -trace .bench-smoke/dns_overlap.trace.json -report .bench-smoke/BENCH_dns_overlap.json > /dev/null
+	$(GO) run ./cmd/bench -table 1 -n 128 -reps 1 -json .bench-smoke/BENCH_table1.json > /dev/null
+	$(GO) run ./cmd/bench -table 2 -json .bench-smoke/BENCH_table2_3_4.json > /dev/null
+	$(GO) run ./cmd/bench -table 5 -overlap -json .bench-smoke/BENCH_table5.json > /dev/null
+	$(GO) run ./cmd/bench -table 6 -overlap -json .bench-smoke/BENCH_table6.json > /dev/null
+	$(GO) run ./cmd/bench -table 9 $(SMALL) -steps 2 -json .bench-smoke/BENCH_table9.json -trace .bench-smoke/table9.trace.json > /dev/null
+	$(GO) run ./cmd/bench -table 9 -overlap $(SMALL) -steps 2 -json .bench-smoke/BENCH_table9_overlap.json -trace .bench-smoke/table9_overlap.trace.json > /dev/null
+	$(GO) run ./cmd/dns $(SMALL) -steps 2 -pa 2 -pb 2 -trace .bench-smoke/dns.trace.json -report .bench-smoke/BENCH_dns.json > /dev/null
+	$(GO) run ./cmd/dns -overlap $(SMALL) -steps 2 -pa 2 -pb 2 -trace .bench-smoke/dns_overlap.trace.json -report .bench-smoke/BENCH_dns_overlap.json > /dev/null
 	$(GO) run ./cmd/dns -workload isotropic -nx 16 -ny 16 -nz 16 -steps 2 -pa 2 -pb 2 -report .bench-smoke/BENCH_dns_isotropic.json > /dev/null
-	$(GO) run ./cmd/dns -workload scalar -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -report .bench-smoke/BENCH_dns_scalar.json > /dev/null
-	$(GO) run ./cmd/bench-timestep -nx 16 -ny 17 -nz 16 -schedule > /dev/null
-	$(GO) run ./cmd/bench-timestep -workload isotropic -nx 16 -ny 16 -nz 16 -schedule > /dev/null
-	$(GO) run ./cmd/bench-timestep -workload scalar -nx 16 -ny 17 -nz 16 -schedule > /dev/null
-	$(GO) run ./cmd/bench-comm -schedule > /dev/null
-	$(GO) run ./cmd/bench-fft -schedule > /dev/null
+	$(GO) run ./cmd/dns -workload scalar $(SMALL) -steps 2 -pa 2 -pb 2 -report .bench-smoke/BENCH_dns_scalar.json > /dev/null
+	$(GO) run ./cmd/bench -table 9 $(SMALL) -schedule > /dev/null
+	$(GO) run ./cmd/bench -table 9 -workload isotropic -nx 16 -ny 16 -nz 16 -schedule > /dev/null
+	$(GO) run ./cmd/bench -table 9 -workload scalar $(SMALL) -schedule > /dev/null
+	$(GO) run ./cmd/bench -table 5 -schedule > /dev/null
+	$(GO) run ./cmd/bench -table 6 -schedule > /dev/null
 	$(GO) run ./cmd/bench-validate .bench-smoke/BENCH_*.json
 	$(GO) run ./cmd/bench-validate -trace .bench-smoke/*.trace.json
 	$(GO) run ./cmd/bench-validate -q -model .bench-smoke/BENCH_table9.json .bench-smoke/BENCH_table9_overlap.json
@@ -111,14 +119,17 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Line counts as the simplicity PRs quote them: non-test and test *.go lines
-# per internal/* package, then in total outside benchmark/.
+# per internal/* package, under cmd/ and examples/, and in total outside
+# benchmark/; then the command-line flags defined under cmd/.
 loc:
-	@for d in internal/*/; do printf '%-22s %6d %6d\n' $$d \
+	@for d in internal/*/ cmd/ cmd/bench/ examples/; do printf '%-22s %6d %6d\n' $$d \
 		$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) \
-		$$(find $$d -name '*_test.go' | xargs cat | wc -l); done
+		$$(find $$d -name '*_test.go' | xargs cat /dev/null | wc -l); done
 	@printf '%-22s %6d %6d\n' 'total (no benchmark/)' \
 		$$(find . -name '*.go' ! -path './benchmark/*' ! -name '*_test.go' | xargs cat | wc -l) \
 		$$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
+	@printf '%-22s %6d\n' 'flags under cmd/' \
+		$$(grep -rhoE '\b(flag|fs)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(' --include='*.go' --exclude='*_test.go' cmd | wc -l)
 
 clean:
 	rm -rf .bench-smoke .ckpt-smoke .tcp-smoke .obs-smoke .serve-smoke

@@ -3,7 +3,7 @@
 // invariants, and sane comm/metric accounting. With -trace it instead
 // validates Chrome trace-event files (valid JSON, >0 events, monotone
 // timestamps per track). The bench-smoke CI target runs it over every
-// artifact the cmd/bench-* tools emit.
+// artifact cmd/bench and cmd/dns emit.
 //
 // With -model each valid report's measured per-phase seconds are also
 // compared against the machine model's prediction for the report's schedule

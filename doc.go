@@ -7,7 +7,7 @@
 // machine models that regenerate the paper's scaling tables.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-vs-reproduction results. The cmd/bench-* tools
-// regenerate the paper's tables; benchmark/ (BENCHMARK.json) is the
+// EXPERIMENTS.md for paper-vs-reproduction results. cmd/bench -table NAME
+// regenerates the paper's tables; benchmark/ (BENCHMARK.json) is the
 // regression benchmark that gates a change.
 package channeldns

@@ -11,7 +11,7 @@ import (
 // timestep, so the per-step sum of mean-rank phase seconds must track the
 // measured step wall clock to within the repo's 10% acceptance bound
 // (anything looser means a hot region escaped instrumentation). Runs the
-// same serial configuration cmd/bench-timestep -json reports on, for every
+// same serial configuration cmd/bench -table 9 -json reports on, for every
 // workload: the step bracket that records the wall clock and credits the
 // schedule's flops is written once, under all three.
 func TestTelemetryPhaseCoverage(t *testing.T) {

@@ -301,7 +301,7 @@ func TestTrajectoryPinned(t *testing.T) {
 // BenchmarkStep times one Galerkin-in-y step, which carries quadrature
 // points through the transposes and projects the nonlinear terms. The
 // collocation step it is compared with in EXPERIMENTS.md comes from
-// cmd/bench-timestep at the same 16x20x16.
+// cmd/bench -table 9 at the same 16x20x16.
 func BenchmarkStep(b *testing.B) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s, err := New(c, Config{Nx: 16, Ny: 20, Nz: 16, ReTau: 180, Dt: 5e-4, Forcing: 1})

@@ -26,8 +26,8 @@ type Host struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 }
 
-// Report is the machine-readable run artifact every cmd/bench-* tool
-// emits (BENCH_<table>.json): the cross-rank phase breakdown, the
+// Report is the machine-readable run artifact cmd/bench and the solver
+// front ends emit (BENCH_<table>.json): the cross-rank phase breakdown, the
 // communication accounting, allocation counters, a config fingerprint and
 // the source revision, so a perf trajectory can be reconstructed from
 // committed artifacts alone. Field order is fixed by this struct and map

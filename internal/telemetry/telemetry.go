@@ -6,8 +6,8 @@
 // counters for communication traffic and floating-point work. A Registry
 // aggregates the per-rank collectors into the min/mean/max/imbalance
 // summaries the paper's per-platform tables report, and report.go encodes
-// them as the machine-readable BENCH_*.json artifacts every cmd/bench-*
-// tool emits.
+// them as the machine-readable BENCH_*.json artifacts cmd/bench, cmd/dns
+// and dnsserve emit.
 //
 // The steady-state recording path allocates nothing: spans are value
 // types, histograms are fixed arrays bumped with atomic adds, and a nil
