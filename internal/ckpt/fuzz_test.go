@@ -24,29 +24,10 @@ func reencode(t *testing.T, b []byte) {
 	if err != nil {
 		return
 	}
-	st := &State{
-		Nx: h.Nx, Ny: h.Ny, Nz: h.Nz, NKx: h.NKx,
-		Kxlo: h.Kxlo, Kxhi: h.Kxhi, Kzlo: h.Kzlo, Kzhi: h.Kzhi,
-		Step: h.Step, Time: h.Time, Dt: h.Dt, Fingerprint: h.Fingerprint, HasMean: h.HasMean,
-	}
-	field := func() [][]complex128 {
-		f := make([][]complex128, h.nw())
-		for w := range f {
-			f[w] = make([]complex128, h.Ny)
-		}
-		return f
-	}
-	st.CV, st.CW, st.HgPrev, st.HvPrev = field(), field(), field(), field()
-	for i := 0; i < h.NExtra; i++ {
-		st.Extra = append(st.Extra, field())
-	}
-	if h.HasMean {
-		mean := func() []float64 { return make([]float64, h.Ny) }
-		st.MeanU, st.MeanW, st.MeanHxPrev, st.MeanHzPrev = mean(), mean(), mean(), mean()
-		for i := 0; i < h.NExtraMean; i++ {
-			st.ExtraMean = append(st.ExtraMean, mean())
-		}
-	}
+	grid := &State{Nx: h.Nx, Ny: h.Ny, Nz: h.Nz, NKx: h.NKx, Fingerprint: h.Fingerprint}
+	st := emptyLike(grid, h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, h.HasMean)
+	emptyExtras(st, h.NExtra, h.NExtraMean)
+	st.Step, st.Time, st.Dt = h.Step, h.Time, h.Dt
 	copyOverlap(b, h, st)
 	var out bytes.Buffer
 	if _, _, err := EncodeShard(&out, st); err != nil {
