@@ -29,10 +29,12 @@ func (t *Table) Row(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Write renders the table with every column padded to its widest cell.
+// Write renders the table with every column padded to its widest cell and a
+// rule under the headers as long as they are.
 func (t *Table) Write(w io.Writer) {
+	rows := append([][]string{t.Headers}, t.Rows...)
 	widths := make([]int, len(t.Headers))
-	for _, r := range append([][]string{t.Headers}, t.Rows...) {
+	for _, r := range rows {
 		for i, c := range r {
 			widths[i] = max(widths[i], len(c))
 		}
@@ -41,23 +43,16 @@ func (t *Table) Write(w io.Writer) {
 	if t.Title != "" {
 		sb.WriteString(t.Title + "\n")
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(c + strings.Repeat(" ", widths[i]-len(c)))
+	for n, r := range rows {
+		padded := make([]string, len(r))
+		for i, c := range r {
+			padded[i] = c + strings.Repeat(" ", widths[i]-len(c))
 		}
-		sb.WriteByte('\n')
-	}
-	line(t.Headers)
-	total := 2 * (len(widths) - 1)
-	for _, w := range widths {
-		total += w
-	}
-	sb.WriteString(strings.Repeat("-", max(4, total)) + "\n")
-	for _, r := range t.Rows {
-		line(r)
+		line := strings.Join(padded, "  ")
+		sb.WriteString(line + "\n")
+		if n == 0 {
+			sb.WriteString(strings.Repeat("-", max(4, len(line))) + "\n")
+		}
 	}
 	io.WriteString(w, sb.String())
 }
