@@ -10,10 +10,12 @@ import (
 	"channeldns/internal/par"
 )
 
-// globalField builds a deterministic global array indexed (kx, kz, y) so
-// every rank can compute expected values without communication.
+// globalVal is a deterministic global array indexed (f, kx, kz, y) so every
+// rank can compute expected values without communication. Each index gets
+// ten bits, so it is injective for every extent below 1024 and exact in a
+// float64.
 func globalVal(f, kx, kz, y int) complex128 {
-	return complex(float64(1000*f+100*kx+10*kz+y), float64(kx-kz))
+	return complex(float64(((f<<10+kx)<<10+kz)<<10+y), float64(kx-kz))
 }
 
 // yPencilOf fills this rank's y-pencil slice of the global field.
@@ -33,44 +35,66 @@ func yPencilOf(d *Decomp, f int) []complex128 {
 	return out
 }
 
-func checkZPencil(t *testing.T, d *Decomp, f int, got []complex128) {
-	t.Helper()
+// zPencilOf fills this rank's z-pencil slice of the global field at z
+// extent zLen (the spectral NZ or a padded physical length).
+func zPencilOf(d *Decomp, f, zLen int) []complex128 {
 	kl, kh := d.KxRange()
 	yl, yh := d.YRange()
-	nyLoc := yh - yl
-	pos := 0
+	out := make([]complex128, 0, d.ZPencilLen(zLen))
 	for kx := kl; kx < kh; kx++ {
 		for y := yl; y < yh; y++ {
-			for kz := 0; kz < d.NZ; kz++ {
-				want := globalVal(f, kx, kz, y)
-				if got[pos] != want {
-					t.Fatalf("z-pencil f=%d kx=%d y=%d kz=%d: got %v want %v", f, kx, y, kz, got[pos], want)
-				}
-				pos++
+			for z := 0; z < zLen; z++ {
+				out = append(out, globalVal(f, kx, z, y))
 			}
 		}
 	}
-	_ = nyLoc
+	return out
 }
 
-func checkXPencil(t *testing.T, d *Decomp, f int, got []complex128, zLen int) {
-	t.Helper()
+// xPencilOf fills this rank's x-pencil slice of the global field at z
+// extent zLen.
+func xPencilOf(d *Decomp, f, zLen int) []complex128 {
 	yl, yh := d.YRange()
 	zl, zh := d.ZRangeX(zLen)
-	pos := 0
+	out := make([]complex128, 0, d.XPencilLen(zLen))
 	for y := yl; y < yh; y++ {
 		for z := zl; z < zh; z++ {
 			for kx := 0; kx < d.NKx; kx++ {
-				want := globalVal(f, kx, z, y)
-				if got[pos] != want {
-					t.Fatalf("x-pencil f=%d y=%d z=%d kx=%d: got %v want %v", f, y, z, kx, got[pos], want)
-				}
-				pos++
+				out = append(out, globalVal(f, kx, z, y))
 			}
 		}
 	}
+	return out
 }
 
+// fieldsOf builds nf fields with one of the *PencilOf layouts.
+func fieldsOf(nf int, of func(f int) []complex128) [][]complex128 {
+	out := make([][]complex128, nf)
+	for f := range out {
+		out[f] = of(f)
+	}
+	return out
+}
+
+// sameFields reports, on the first differing element, how got differs from
+// want. globalVal is injective, so a wrong value names the element that
+// landed in its slot.
+func sameFields(got, want [][]complex128) error {
+	for f := range want {
+		for i := range want[f] {
+			if got[f][i] != want[f][i] {
+				return fmt.Errorf("f=%d i=%d: got %v want %v", f, i, got[f][i], want[f][i])
+			}
+		}
+	}
+	return nil
+}
+
+// TestTransposePath checks every direction against the global layout, each
+// from its exact input: even and uneven grids, a serial and a two-worker
+// pool, the spectral and (at pa ∈ {1, 3}) a padded z extent for the CommA
+// pair, and with Overlap on through the four *Pipelined entry points, whose
+// consume ranges must tile [0, lineN) in ascending order.
 func TestTransposePath(t *testing.T) {
 	cases := []struct{ pa, pb, nkx, nz, ny int }{
 		{1, 1, 4, 6, 5},
@@ -79,78 +103,86 @@ func TestTransposePath(t *testing.T) {
 		{2, 4, 8, 12, 10},
 		{3, 2, 7, 11, 9}, // uneven divisions everywhere
 		{4, 4, 16, 16, 16},
+		{1, 3, 5, 7, 10}, // uneven over CommB alone
+		{3, 1, 7, 5, 8},  // uneven over CommA alone
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(fmt.Sprintf("pa%d_pb%d_%dx%dx%d", tc.pa, tc.pb, tc.nkx, tc.nz, tc.ny), func(t *testing.T) {
-			mpi.Run(tc.pa*tc.pb, func(c *mpi.Comm) {
-				d := New(c, tc.pa, tc.pb, tc.nkx, tc.nz, tc.ny, par.NewPool(1))
-				const nf = 3
-				src := make([][]complex128, nf)
-				for f := range src {
-					src[f] = yPencilOf(d, f)
-				}
-				// y -> z: verify against global data.
-				zp := d.YtoZ(nil, src)
-				for f := 0; f < nf; f++ {
-					checkZPencil(t, d, f, zp[f])
-				}
-				// z -> x (spectral z extent): verify.
-				xp := d.ZtoX(nil, zp, d.NZ)
-				for f := 0; f < nf; f++ {
-					checkXPencil(t, d, f, xp[f], d.NZ)
-				}
-				// Round trip back.
-				zp2 := d.XtoZ(nil, xp, d.NZ)
-				for f := 0; f < nf; f++ {
-					checkZPencil(t, d, f, zp2[f])
-				}
-				yp2 := d.ZtoY(nil, zp2)
-				for f := 0; f < nf; f++ {
-					want := yPencilOf(d, f)
-					for i := range want {
-						if yp2[f][i] != want[i] {
-							t.Fatalf("y roundtrip f=%d i=%d: got %v want %v", f, i, yp2[f][i], want[i])
-						}
+			zLens := []int{tc.nz}
+			if tc.pa == 1 || tc.pa == 3 {
+				zLens = append(zLens, 3*tc.nz/2)
+			}
+			for _, workers := range []int{1, 2} {
+				for _, zLen := range zLens {
+					for _, overlap := range []bool{false, true} {
+						t.Run(fmt.Sprintf("w%d_z%d_overlap=%v", workers, zLen, overlap), func(t *testing.T) {
+							mpi.Run(tc.pa*tc.pb, func(c *mpi.Comm) {
+								pool := par.NewPool(workers)
+								defer pool.Close()
+								d := New(c, tc.pa, tc.pb, tc.nkx, tc.nz, tc.ny, pool)
+								d.Overlap = overlap
+								transposePath(t, d, zLen)
+							})
+						})
 					}
 				}
-			})
+			}
 		})
 	}
+}
+
+// transposePath is one rank's part of TestTransposePath.
+func transposePath(t *testing.T, d *Decomp, zLen int) {
+	const nf = 3
+	me := d.Cart.Rank()
+	y := fieldsOf(nf, func(f int) []complex128 { return yPencilOf(d, f) })
+	z := fieldsOf(nf, func(f int) []complex128 { return zPencilOf(d, f, d.NZ) })
+	zpad := fieldsOf(nf, func(f int) []complex128 { return zPencilOf(d, f, zLen) })
+	x := fieldsOf(nf, func(f int) []complex128 { return xPencilOf(d, f, zLen) })
+	kl, kh := d.KxRange()
+	yl, yh := d.YRange()
+
+	next := 0
+	consume := func(lo, hi int) {
+		if lo != next || hi <= lo {
+			t.Errorf("rank %d: consume(%d, %d) after lines [0, %d)", me, lo, hi, next)
+		}
+		next = hi
+	}
+	check := func(dir string, got, want [][]complex128, lineN int) {
+		if err := sameFields(got, want); err != nil {
+			t.Errorf("rank %d %s: %v", me, dir, err)
+		}
+		if d.Overlap && next != lineN {
+			t.Errorf("rank %d %s: consume covered [0, %d) of [0, %d)", me, dir, next, lineN)
+		}
+		next = 0
+	}
+	if !d.Overlap {
+		check("YtoZ", d.YtoZ(nil, y), z, 0)
+		check("ZtoX", d.ZtoX(nil, zpad, zLen), x, 0)
+		check("XtoZ", d.XtoZ(nil, x, zLen), zpad, 0)
+		check("ZtoY", d.ZtoY(nil, z), y, 0)
+		return
+	}
+	check("YtoZ", d.YtoZPipelined(nil, y, consume), z, kh-kl)
+	check("ZtoX", d.ZtoXPipelined(nil, zpad, zLen, consume), x, yh-yl)
+	check("XtoZ", d.XtoZPipelined(nil, x, zLen, consume), zpad, yh-yl)
+	check("ZtoY", d.ZtoYPipelined(nil, z, consume), y, kh-kl)
 }
 
 func TestTransposeWithPaddedZ(t *testing.T) {
 	// z extent larger than NZ (physical 3/2 grid) for the z<->x transposes.
 	mpi.Run(4, func(c *mpi.Comm) {
 		d := New(c, 2, 2, 6, 8, 8, par.NewPool(2))
-		zLen := 12 // 3*NZ/2
-		kl, kh := d.KxRange()
-		yl, yh := d.YRange()
-		nf := 2
-		src := make([][]complex128, nf)
-		for f := range src {
-			src[f] = make([]complex128, (kh-kl)*(yh-yl)*zLen)
-			pos := 0
-			for kx := kl; kx < kh; kx++ {
-				for y := yl; y < yh; y++ {
-					for z := 0; z < zLen; z++ {
-						src[f][pos] = globalVal(f, kx, z, y)
-						pos++
-					}
-				}
-			}
-		}
+		const zLen, nf = 12, 2 // 3*NZ/2
+		src := fieldsOf(nf, func(f int) []complex128 { return zPencilOf(d, f, zLen) })
 		xp := d.ZtoX(nil, src, zLen)
-		for f := 0; f < nf; f++ {
-			checkXPencil(t, d, f, xp[f], zLen)
+		if err := sameFields(xp, fieldsOf(nf, func(f int) []complex128 { return xPencilOf(d, f, zLen) })); err != nil {
+			t.Errorf("rank %d padded ZtoX: %v", c.Rank(), err)
 		}
-		back := d.XtoZ(nil, xp, zLen)
-		for f := 0; f < nf; f++ {
-			for i := range src[f] {
-				if back[f][i] != src[f][i] {
-					t.Fatalf("padded roundtrip f=%d i=%d", f, i)
-				}
-			}
+		if err := sameFields(d.XtoZ(nil, xp, zLen), src); err != nil {
+			t.Errorf("rank %d padded round trip: %v", c.Rank(), err)
 		}
 	})
 }
