@@ -8,16 +8,20 @@
 //	CommA:  z-pencils <-> x-pencils (redistributes kx and z)
 //
 // The on-node data reordering A(i,j,k) -> A(j,k,i) that the paper threads
-// with OpenMP shows up here as the pack/unpack loops around the exchange,
-// plus a standalone Reorder kernel used by the Table 4 benchmark.
+// with OpenMP shows up here as the pack/unpack loops around the exchange
+// and the move of the block a rank keeps, plus a standalone Reorder kernel
+// used by the Table 4 benchmark.
 //
 // Every transpose runs through a TransposePlan: per-(direction, z-extent,
 // field-count) precomputed count/displacement tables plus persistent send
 // and receive buffers owned by the Decomp and sized exactly once (the
-// paper's 1x-buffer discipline, §4.3). Plans are built lazily on first use
-// and reused for the life of the Decomp, so the steady-state transpose
-// path performs no allocations. A Decomp's transposes must not be invoked
-// concurrently from multiple goroutines (ranks never do).
+// paper's 1x-buffer discipline, §4.3). The buffers hold only the blocks
+// bound for other ranks; a rank's own block is copied once, src -> dst, by
+// the plan's move kernel, pool-parallel over lines, so at P = 1 a transpose
+// is that one pass. Plans are built lazily on first use and reused for the
+// life of the Decomp, so the steady-state transpose path performs no
+// allocations. A Decomp's transposes must not be invoked concurrently from
+// multiple goroutines (ranks never do).
 package pencil
 
 import (

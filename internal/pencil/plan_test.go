@@ -10,12 +10,12 @@ import (
 	"channeldns/internal/telemetry"
 )
 
-// TestTransposePlanZeroAlloc: at P=1 every transpose direction degenerates
-// to a self-copy through the plan's persistent buffers, so a warmed plan
-// with a preallocated destination must perform zero heap allocations per
-// call. (At P>1 the in-process runtime copies each eager-send message, so
-// strict zero-alloc only holds single-rank; the plan tables and exchange
-// buffers are still reused either way.)
+// TestTransposePlanZeroAlloc: at P=1 every transpose direction is the plan's
+// move kernel alone, src straight to dst, so a warmed plan with a
+// preallocated destination must perform zero heap allocations per call. (At
+// P>1 the in-process runtime copies each eager-send message, so strict
+// zero-alloc only holds single-rank; the plan tables and exchange buffers
+// are still reused either way.)
 func TestTransposePlanZeroAlloc(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		d := New(c, 1, 1, 6, 8, 10, nil)
@@ -158,5 +158,90 @@ func TestDecompTelemetry(t *testing.T) {
 	}
 	if len(snap.Comm) != 4 {
 		t.Errorf("snapshot comm ops = %d, want 4", len(snap.Comm))
+	}
+}
+
+// TestPlanBuffersHoldRemoteBlocksOnly: a plan's send, receive and wire
+// buffers carry the blocks bound for other ranks and nothing else — empty at
+// 1x1; at 1x2 exactly the remote half for CommB and nothing for the
+// single-rank CommA — while the per-direction counters still report what
+// they did when the own block rode through the buffers: 16·nf·(srcLen +
+// dstLen) bytes a call and one message per remote peer (per chunk when
+// pipelined).
+func TestPlanBuffersHoldRemoteBlocksOnly(t *testing.T) {
+	const nf, nkx, nz, ny = 2, 6, 8, 10 // even nz and ny: the remote block is half
+	for _, pb := range []int{1, 2} {
+		t.Run(fmt.Sprintf("1x%d", pb), func(t *testing.T) {
+			mpi.Run(pb, func(c *mpi.Comm) {
+				d := New(c, 1, pb, nkx, nz, ny, nil)
+				d.Overlap = true
+				d.Telemetry = telemetry.NewCollector(c.Rank())
+				yl, zl, xl := d.YPencilLen(), d.ZPencilLen(nz), d.XPencilLen(nz)
+				for _, tc := range []struct {
+					dir            TransposeDir
+					op             telemetry.CommOp
+					srcLen, dstLen int
+					np             int
+				}{
+					{DirYtoZ, telemetry.CommYtoZ, yl, zl, pb},
+					{DirZtoY, telemetry.CommZtoY, zl, yl, pb},
+					{DirZtoX, telemetry.CommZtoX, zl, xl, 1},
+					{DirXtoZ, telemetry.CommXtoZ, xl, zl, 1},
+				} {
+					p := d.Plan(tc.dir, nz, nf)
+					src := AllocFields(nf, tc.srcLen)
+					p.Run(nil, src)
+					p.RunPipelined(nil, src, nil)
+					wantS, wantR := (tc.np-1)*nf*tc.srcLen/tc.np, (tc.np-1)*nf*tc.dstLen/tc.np
+					if len(p.sbuf) != wantS || len(p.rbuf) != wantR {
+						t.Errorf("rank %d %v: sbuf %d rbuf %d, want %d %d", c.Rank(), tc.dir, len(p.sbuf), len(p.rbuf), wantS, wantR)
+					}
+					if tc.np > 1 && (len(p.wire[0]) != wantS || len(p.wire[1]) != wantS) || tc.np == 1 && p.wire[0] != nil {
+						t.Errorf("rank %d %v: wire arenas %d %d, want %d", c.Rank(), tc.dir, len(p.wire[0]), len(p.wire[1]), wantS)
+					}
+					calls, msgs, bytes := d.Telemetry.CommCounts(tc.op)
+					wantMsgs := int64(tc.np-1) * int64(1+p.Chunks())
+					if wantBytes := int64(2 * 16 * nf * (tc.srcLen + tc.dstLen)); calls != 2 || msgs != wantMsgs || bytes != wantBytes {
+						t.Errorf("rank %d %v: %d calls, %d messages, %d bytes; want 2, %d, %d",
+							c.Rank(), tc.dir, calls, msgs, bytes, wantMsgs, wantBytes)
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkExcursionTransposes times the four transposes of one substep's
+// dealiased excursion at the channel-48 shapes: 3 fields out at NZ, 3 and 6
+// at the padded zLen = 72, 6 back. At 1x1 all of it is the own block; at
+// 1x2 half of CommB crosses the in-process exchange.
+func BenchmarkExcursionTransposes(b *testing.B) {
+	const nkx, nz, ny, mz = 24, 48, 49, 72
+	for _, bc := range []struct{ pb, workers int }{{1, 1}, {1, 2}, {2, 1}} {
+		b.Run(fmt.Sprintf("1x%d_w%d", bc.pb, bc.workers), func(b *testing.B) {
+			mpi.Run(bc.pb, func(c *mpi.Comm) {
+				pool := par.NewPool(bc.workers)
+				defer pool.Close()
+				d := New(c, 1, bc.pb, nkx, nz, ny, pool)
+				yin, zin := AllocFields(3, d.YPencilLen()), AllocFields(3, d.ZPencilLen(nz))
+				zpad, xin := AllocFields(3, d.ZPencilLen(mz)), AllocFields(3, d.XPencilLen(mz))
+				xout, zout := AllocFields(6, d.XPencilLen(mz)), AllocFields(6, d.ZPencilLen(mz))
+				zspec, yout := AllocFields(6, d.ZPencilLen(nz)), AllocFields(6, d.YPencilLen())
+				substep := func() {
+					d.YtoZ(zin, yin)
+					d.ZtoX(xin, zpad, mz)
+					d.XtoZ(zout, xout, mz)
+					d.ZtoY(yout, zspec)
+				}
+				substep()
+				c.Barrier()
+				if c.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					substep()
+				}
+			})
+		})
 	}
 }
