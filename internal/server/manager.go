@@ -344,11 +344,15 @@ func (m *Manager) Cancel(id int) error {
 	if !ok {
 		return ErrNotFound
 	}
+	m.cancel(job)
+	return nil
+}
+
+func (m *Manager) cancel(job *Job) {
 	job.requestStop(stopCancel)
 	if job.claim(StateQueued, StateCancelled) || job.claim(StatePaused, StateCancelled) {
 		m.finalize(job, StateCancelled, nil)
 	}
-	return nil
 }
 
 // Pause requests a running job to checkpoint and stop without going
@@ -366,18 +370,16 @@ func (m *Manager) Pause(id int) error {
 }
 
 // Resume re-enqueues a paused (or interrupted) job; it continues from
-// its latest checkpoint.
+// its latest checkpoint. Taking the job out of paused is one claim under
+// m.mu, so of a Resume and a racing Cancel or second Resume exactly one
+// gets the paused job.
 func (m *Manager) Resume(id int) error {
-	job, ok := m.Get(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	job, ok := m.jobs[id]
 	if !ok {
 		return ErrNotFound
 	}
-	st := job.Status()
-	if st.State != StatePaused && st.State != StateInterrupted {
-		return fmt.Errorf("server: %s is %s, not resumable", RunID(id), st.State)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.draining.Load() {
 		return errors.New("server: draining, not accepting jobs")
 	}
@@ -387,13 +389,29 @@ func (m *Manager) Resume(id int) error {
 	if len(m.queue) == cap(m.queue) {
 		return ErrQueueFull
 	}
-	job.stop.Store(stopNone)
-	newSt := job.update(func(s *Status) { s.State = StateQueued })
-	if err := m.store.WriteStatus(id, newSt); err != nil {
+	var claimed bool
+	var err error
+	st := job.update(func(s *Status) {
+		if s.State != StatePaused && s.State != StateInterrupted {
+			return
+		}
+		// Persisted under the job lock: a Cancel that claims the queued job
+		// next writes its state to disk after this one, not before.
+		q := *s
+		q.State = StateQueued
+		if err = m.store.WriteStatus(id, q); err == nil {
+			*s, claimed = q, true
+			job.stop.Store(stopNone)
+		}
+	})
+	if err != nil {
 		return err
 	}
+	if !claimed {
+		return fmt.Errorf("server: %s is %s, not resumable", RunID(id), st.State)
+	}
 	m.queue <- job
-	job.Hub.Publish(EventState, newSt)
+	job.Hub.Publish(EventState, st)
 	return nil
 }
 

@@ -482,6 +482,130 @@ func TestCancelRacesClaim(t *testing.T) {
 	}
 }
 
+// pausedJob registers a job as a landed Pause leaves it: run directory on
+// disk, state paused, stop flag still set, hub open. Once resumed it runs
+// for a second, so a Cancel after the Resume reaches it still running.
+func pausedJob(t *testing.T, m *Manager) *Job {
+	t.Helper()
+	id, err := m.store.NextID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := Status{ID: RunID(id), State: StatePaused}
+	job := m.newJob(id, JobSpec{Nx: 4, Ny: 9, Nz: 4, Dt: 1e-3, Steps: 100, StepDelayMs: 10}, st)
+	if err := m.store.Create(id, job.Spec, st); err != nil {
+		t.Fatal(err)
+	}
+	job.stop.Store(stopPause)
+	m.mu.Lock()
+	m.jobs[id] = job
+	m.mu.Unlock()
+	return job
+}
+
+// waitParked polls the goroutine dump until n goroutines wait on a
+// sync.Mutex with frame in on their stack and none of notIn. It is how the
+// resume races below hold a Resume at a chosen lock.
+func waitParked(t *testing.T, n int, in string, notIn ...string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		got := 0
+	stacks:
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if !strings.Contains(g, "[sync.Mutex.Lock") || !strings.Contains(g, in) {
+				continue
+			}
+			for _, s := range notIn {
+				if strings.Contains(g, s) {
+					continue stacks
+				}
+			}
+			got++
+		}
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines parked in %s, want %d", got, in, n)
+		}
+	}
+}
+
+// holdResumes parks n concurrent Resumes of job on the job lock, then
+// reports whether they read the job's state before taking m.mu. If they
+// did (a read-then-write Resume), they return with m.mu held and every
+// Resume past its read, waiting for it; the caller runs its interleaving
+// there and unlocks. If not, the claim is under m.mu and there is no such
+// window: the Resumes are released and run one after the other.
+func holdResumes(t *testing.T, m *Manager, job *Job, n int) (errs chan error, readFirst bool) {
+	const resume, get = "(*Manager).Resume", "(*Manager).Get"
+	errs = make(chan error, n)
+	job.mu.Lock()
+	for i := 0; i < n; i++ {
+		go func() { errs <- m.Resume(job.ID) }()
+	}
+	waitParked(t, n, resume, get)
+	readFirst = m.mu.TryLock() // taken: one Resume holds it, parked in its claim
+	job.mu.Unlock()
+	if readFirst {
+		waitParked(t, n, resume, get, "(*Job).Status")
+	}
+	return errs, readFirst
+}
+
+// TestCancelRacesResume: a Cancel of a paused job landing between a
+// Resume's read of "paused" and its write of "queued". Before the claim,
+// Cancel finalized the job cancelled and the Resume then overwrote it to
+// queued, on disk too, and ran it.
+func TestCancelRacesResume(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Options{})
+	defer drainManager(t, m)
+	job := pausedJob(t, m)
+	errs, readFirst := holdResumes(t, m, job, 1)
+	if readFirst {
+		m.cancel(job) // Cancel minus its m.mu lookup
+		m.mu.Unlock()
+		<-errs
+	} else {
+		<-errs
+		m.Cancel(job.ID)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for !terminalState(job.Status().State) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := job.Status(); st.State != StateCancelled {
+		t.Errorf("job is %s after cancel, want %s", st.State, StateCancelled)
+	}
+	if st, err := m.store.LoadStatus(job.ID); err != nil || st.State != StateCancelled {
+		t.Errorf("status.json: %s (%v), want %s", st.State, err, StateCancelled)
+	}
+}
+
+// TestDoubleResumeEnqueuesOnce: two Resumes of one paused job, both
+// started before either writes. Exactly one re-enqueues it; before the
+// claim, both read "paused" and both enqueued.
+func TestDoubleResumeEnqueuesOnce(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), Options{})
+	defer drainManager(t, m)
+	job := pausedJob(t, m)
+	errs, readFirst := holdResumes(t, m, job, 2)
+	if readFirst {
+		m.mu.Unlock()
+	}
+	resumed := 0
+	for i := 0; i < 2; i++ {
+		if <-errs == nil {
+			resumed++
+		}
+	}
+	if resumed != 1 {
+		t.Errorf("%d of 2 racing resumes re-enqueued the job, want 1", resumed)
+	}
+	m.Cancel(job.ID)
+}
+
 // TestSubmitValidation: doomed specs are rejected at the door, not
 // queued.
 func TestSubmitValidation(t *testing.T) {
