@@ -33,13 +33,15 @@ race:
 # not write: the TCP transport's frame reader against whatever a peer might
 # send (no panic, no allocation on the word of a length field), the job-spec
 # decoder behind POST /v1/jobs (nothing between body and queue panics; an
-# accepted spec survives spec.json), and the checkpoint shard parser (no
-# panic; an accepted image re-encodes to the same bytes). The seeds alone run
-# with every `go test`.
+# accepted spec survives spec.json), the checkpoint shard parser (no panic;
+# an accepted image re-encodes to the same bytes) and the checkpoint manifest
+# reader (no panic; an accepted manifest covers every mode exactly once). The
+# seeds alone run with every `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 5s channeldns/internal/mpi
 	$(GO) test -run xxx -fuzz FuzzDecodeSpec -fuzztime 5s channeldns/internal/server
 	$(GO) test -run xxx -fuzz FuzzParseShard -fuzztime 5s channeldns/internal/ckpt
+	$(GO) test -run xxx -fuzz FuzzReadManifest -fuzztime 5s channeldns/internal/ckpt
 
 # The micro-benchmarks that live beside their package. The paper tables
 # come from cmd/bench and changes are gated by benchmark/
@@ -47,9 +49,12 @@ fuzz:
 # of Table 1 and, as BenchmarkCollocationMatVec and BenchmarkHelmholtzSolve,
 # the DNS's own rows at ny = 49, whose zeros inside the band the former lack;
 # mpi has BenchmarkAlltoallvTCP, the wire path's ns/op, B/op and allocs/op at
-# the two message sizes of the scalar step at 32x33x32 on 1x2 ranks.
+# the two message sizes of the scalar step at 32x33x32 on 1x2 ranks; pencil
+# has BenchmarkExcursionTransposes, the four transposes of one substep at the
+# channel-48 shapes, at 1x1 on one and two workers and at 1x2.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
+	$(GO) test -run xxx -bench ExcursionTransposes -benchtime 100x channeldns/internal/pencil
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server
 
 # Tiny end-to-end run of every experiment of cmd/bench that writes a report,

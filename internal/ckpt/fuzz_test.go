@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -97,6 +98,63 @@ func FuzzParseShard(f *testing.F) {
 		reencode(t, b)
 		if len(b) >= headerSize+4 {
 			reencode(t, withCRC(b))
+		}
+	})
+}
+
+// tilesOnce fails unless the manifest's windows cover every (kx, kz) mode of
+// its grid exactly once. It counts on the grid cut at every window edge, so
+// each cell stands for all its modes and any grid size is cheap.
+func tilesOnce(t *testing.T, m *Manifest) {
+	xs, zs := []int{0, m.NKx}, []int{0, m.Nz}
+	for _, sh := range m.Shards {
+		xs = append(xs, sh.Kxlo, sh.Kxhi)
+		zs = append(zs, sh.Kzlo, sh.Kzhi)
+	}
+	slices.Sort(xs)
+	slices.Sort(zs)
+	xs, zs = slices.Compact(xs), slices.Compact(zs)
+	for _, kx := range xs[:len(xs)-1] {
+		for _, kz := range zs[:len(zs)-1] {
+			n := 0
+			for _, sh := range m.Shards {
+				if sh.Kxlo <= kx && kx < sh.Kxhi && sh.Kzlo <= kz && kz < sh.Kzhi {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Fatalf("accepted manifest covers mode (%d, %d) %d times: %+v", kx, kz, n, m)
+			}
+		}
+	}
+}
+
+// FuzzReadManifest feeds parseManifest whatever bytes a MANIFEST.json might
+// hold: no panic, and a manifest it accepts covers every mode exactly once.
+func FuzzReadManifest(f *testing.F) {
+	shard := func(kxlo, kxhi, kzlo, kzhi int) ShardInfo {
+		return ShardInfo{File: "shard.ckpt", Kxlo: kxlo, Kxhi: kxhi, Kzlo: kzlo, Kzhi: kzhi, Bytes: 1, CRC32C: "0"}
+	}
+	for _, m := range []Manifest{
+		{NKx: 8, Nz: 6, Shards: []ShardInfo{shard(0, 4, 0, 6), shard(4, 8, 0, 6)}},
+		{NKx: 8, Nz: 6, Shards: []ShardInfo{shard(0, 8, 0, 3), shard(0, 0, 0, 0), shard(0, 8, 3, 6)}},
+		// Both accepted before windows had to be disjoint and the mode count
+		// bounded: one mode twice and one never, and a count that wraps.
+		{NKx: 2, Nz: 2, Shards: []ShardInfo{shard(0, 2, 0, 1), shard(0, 1, 0, 2)}},
+		{NKx: 1 << 62, Nz: 1 << 62, Shards: []ShardInfo{shard(0, 1<<62, 0, 4)}},
+	} {
+		m.Format, m.Fingerprint, m.Nx, m.Ny, m.Ranks = FormatVersion, fingerprintString(1), 16, 5, len(m.Shards)
+		b, err := encodeManifest(&m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"format":`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if m, err := parseManifest(b); err == nil {
+			tilesOnce(t, m)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,13 +61,16 @@ func (m *Manifest) Validate() error {
 	if m.Nx <= 0 || m.Ny <= 0 || m.Nz <= 0 || m.NKx <= 0 {
 		return fmt.Errorf("ckpt: manifest carries degenerate grid %dx%dx%d", m.Nx, m.Ny, m.Nz)
 	}
+	// Bound the mode count so it and every sum of window areas below it
+	// fit an int: a wrapped product could match a wrapped coverage.
+	if m.NKx > math.MaxInt32 || m.Nz > math.MaxInt32 {
+		return fmt.Errorf("ckpt: manifest grid nkx %d x nz %d is too large", m.NKx, m.Nz)
+	}
 	if m.Ranks != len(m.Shards) || m.Ranks == 0 {
 		return fmt.Errorf("ckpt: manifest lists %d shards for %d ranks", len(m.Shards), m.Ranks)
 	}
 	covered := 0
 	meanShards := 0
-	type window struct{ kxlo, kxhi, kzlo, kzhi int }
-	seen := map[window]bool{}
 	for i, sh := range m.Shards {
 		if sh.File == "" || filepath.Base(sh.File) != sh.File {
 			return fmt.Errorf("ckpt: shard %d: bad file name %q (must be dir-local)", i, sh.File)
@@ -76,12 +80,14 @@ func (m *Manifest) Validate() error {
 			return fmt.Errorf("ckpt: shard %d: window kx[%d,%d) kz[%d,%d) outside grid",
 				i, sh.Kxlo, sh.Kxhi, sh.Kzlo, sh.Kzhi)
 		}
-		w := window{sh.Kxlo, sh.Kxhi, sh.Kzlo, sh.Kzhi}
-		if seen[w] && w.kxlo != w.kxhi && w.kzlo != w.kzhi {
-			return fmt.Errorf("ckpt: shard %d: duplicate window kx[%d,%d) kz[%d,%d)",
-				i, sh.Kxlo, sh.Kxhi, sh.Kzlo, sh.Kzhi)
+		// Disjoint windows whose areas sum to the grid's tile it: every mode
+		// once. (Empty windows, of ranks that own nothing, overlap nothing.)
+		for j, o := range m.Shards[:i] {
+			if max(sh.Kxlo, o.Kxlo) < min(sh.Kxhi, o.Kxhi) && max(sh.Kzlo, o.Kzlo) < min(sh.Kzhi, o.Kzhi) {
+				return fmt.Errorf("ckpt: shard %d: window kx[%d,%d) kz[%d,%d) overlaps shard %d's",
+					i, sh.Kxlo, sh.Kxhi, sh.Kzlo, sh.Kzhi, j)
+			}
 		}
-		seen[w] = true
 		covered += (sh.Kxhi - sh.Kxlo) * (sh.Kzhi - sh.Kzlo)
 		if sh.HasMean {
 			meanShards++
@@ -103,6 +109,11 @@ func readManifest(dir string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseManifest(raw)
+}
+
+// parseManifest decodes and validates a manifest's bytes.
+func parseManifest(raw []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("ckpt: parsing %s: %w", ManifestName, err)

@@ -285,6 +285,16 @@ func TestManifestValidate(t *testing.T) {
 		{"rank count mismatch", func(m *Manifest) { m.Ranks = 3 }},
 		{"gap in coverage", func(m *Manifest) { m.Shards[1].Kxlo = 5 }},
 		{"overlapping windows", func(m *Manifest) { m.Shards[1].Kxlo = 3 }},
+		{"overlap hiding a gap", func(m *Manifest) { // 2x2: (0,0) twice, (1,1) never, areas sum to 4
+			m.NKx, m.Nz = 2, 2
+			m.Shards[0].Kxlo, m.Shards[0].Kxhi, m.Shards[0].Kzlo, m.Shards[0].Kzhi = 0, 2, 0, 1
+			m.Shards[1].Kxlo, m.Shards[1].Kxhi, m.Shards[1].Kzlo, m.Shards[1].Kzhi = 0, 1, 0, 2
+		}},
+		{"wrapping mode count", func(m *Manifest) { // 2^62 x 4 wraps to 0, as does 2^62 x 2^62
+			m.NKx, m.Nz, m.Ranks = 1<<62, 1<<62, 1
+			m.Shards = m.Shards[:1]
+			m.Shards[0].Kxlo, m.Shards[0].Kxhi, m.Shards[0].Kzlo, m.Shards[0].Kzhi = 0, 1<<62, 0, 4
+		}},
 		{"two mean shards", func(m *Manifest) { m.Shards[1].HasMean = true }},
 		{"escaping file name", func(m *Manifest) { m.Shards[0].File = "../evil" }},
 		{"window outside grid", func(m *Manifest) { m.Shards[1].Kxhi = 9 }},
