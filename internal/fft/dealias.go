@@ -14,43 +14,50 @@ package fft
 // matching the solver convention; for odd n every slot is a resolved mode.
 func bands(n int) (pos, neg int) { return (n + 1) / 2, (n - 1) / 2 }
 
-// PadComplex embeds a wrap-ordered complex spectrum of logical length n into
-// a wrap-ordered spectrum of length m >= n, zeroing the new high modes. The
+// span is the slice length n elements stride apart occupy.
+func span(n, stride int) int { return (n-1)*stride + 1 }
+
+// PadComplex embeds a wrap-ordered complex spectrum of logical length n,
+// whose modes lie stride apart in src (src[j*stride]), into a contiguous
+// wrap-ordered spectrum of length m >= n, zeroing the new high modes. The
 // Nyquist slot of an even-length source (index n/2) is dropped.
-func PadComplex(dst, src []complex128, n, m int) {
+func PadComplex(dst, src []complex128, stride, n, m int) {
 	if m < n {
 		panic("fft: PadComplex target smaller than source")
 	}
-	if len(dst) < m || len(src) < n {
+	if len(dst) < m || stride < 1 || len(src) < span(n, stride) {
 		panic("fft: PadComplex slice lengths")
 	}
 	pos, neg := bands(n)
-	copy(dst[:pos], src[:pos])
-	for i := pos; i < m-neg; i++ {
-		dst[i] = 0
+	for j := 0; j < pos; j++ {
+		dst[j] = src[j*stride]
 	}
-	copy(dst[m-neg:m], src[n-neg:n])
+	clear(dst[pos : m-neg])
+	for j := n - neg; j < n; j++ {
+		dst[m-n+j] = src[j*stride]
+	}
 }
 
-// TruncateComplex extracts the resolved modes of a wrap-ordered spectrum of
-// length m back into a spectrum of logical length n <= m, scaling by s and
-// zeroing the Nyquist slot of an even-length destination.
-func TruncateComplex(dst, src []complex128, n, m int, s float64) {
+// TruncateComplex extracts the resolved modes of a contiguous wrap-ordered
+// spectrum of length m back into a spectrum of logical length n <= m whose
+// modes lie stride apart in dst (dst[k*stride]), scaling by s and zeroing
+// the Nyquist slot of an even-length destination.
+func TruncateComplex(dst []complex128, stride int, src []complex128, n, m int, s float64) {
 	if m < n {
 		panic("fft: TruncateComplex source smaller than target")
 	}
-	if len(dst) < n || len(src) < m {
+	if stride < 1 || len(dst) < span(n, stride) || len(src) < m {
 		panic("fft: TruncateComplex slice lengths")
 	}
 	pos, neg := bands(n)
 	for k := 0; k < pos; k++ {
-		dst[k] = scale(src[k], s)
+		dst[k*stride] = scale(src[k], s)
 	}
 	if n%2 == 0 {
-		dst[pos] = 0 // Nyquist not carried
+		dst[pos*stride] = 0 // Nyquist not carried
 	}
-	for j := 0; j < neg; j++ {
-		dst[n-neg+j] = scale(src[m-neg+j], s)
+	for k := n - neg; k < n; k++ {
+		dst[k*stride] = scale(src[m-n+k], s)
 	}
 }
 
@@ -70,6 +77,10 @@ func scale(c complex128, s float64) complex128 { return complex(real(c)*s, imag(
 // keeps — for m = 3n/2 none of the middle third — scaled as they are stored.
 // Both produce the values of pad-then-transform and transform-then-truncate
 // exactly; other plans run those two steps through scratch.
+//
+// The spectral operand of the *Strided entries is n modes stride apart, so a
+// line is transformed where it sits inside a pencil; the *Scratch entries are
+// the stride-1 calls of the same bodies. The physical side is contiguous.
 type PaddedComplex struct {
 	n, m int
 	plan *Plan
@@ -129,35 +140,41 @@ func (p *PaddedComplex) InversePadded(phys, spec []complex128) {
 // InversePaddedScratch is InversePadded with caller-provided scratch of
 // length PhysicalLen(), safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) InversePaddedScratch(phys, spec, scratch []complex128) {
+	p.InversePaddedStrided(phys, spec, 1, scratch)
+}
+
+// InversePaddedStrided is InversePaddedScratch reading the n modes stride
+// apart, spec[j*stride].
+func (p *PaddedComplex) InversePaddedStrided(phys, spec []complex128, stride int, scratch []complex128) {
 	if p.load == nil {
-		PadComplex(scratch, spec, p.n, p.m)
+		PadComplex(scratch, spec, stride, p.n, p.m)
 		p.plan.Inverse(phys, scratch)
 		return
 	}
-	if len(phys) < p.m || len(spec) < p.n {
+	if len(phys) < p.m || stride < 1 || len(spec) < span(p.n, stride) {
 		panic("fft: padded inverse slice lengths")
 	}
 	phys = phys[:p.m]
-	first2Padded(phys, spec[:p.n], p.load)
+	first2Padded(phys, spec[:span(p.n, stride)], stride, p.load)
 	combine(phys, p.plan.stages[inverse][1:])
 }
 
-// first2Padded is first2 reading through a padded load table: a butterfly
-// with a zero input is a copy (a+0 = a-0 = a; 0+b = b, 0-b = -b).
-func first2Padded(dst, spec []complex128, load []int32) {
+// first2Padded is first2 reading spec[j*stride] through a padded load table:
+// a butterfly with a zero input is a copy (a+0 = a-0 = a; 0+b = b, 0-b = -b).
+func first2Padded(dst, spec []complex128, stride int, load []int32) {
 	dst = dst[:len(load)]
 	for i := 1; i < len(load); i += 2 {
-		ja, jb := load[i-1], load[i]
+		ja, jb := int(load[i-1]), int(load[i])
 		switch {
 		case ja >= 0 && jb >= 0:
-			a, b := spec[ja], spec[jb]
+			a, b := spec[ja*stride], spec[jb*stride]
 			dst[i-1] = a + b
 			dst[i] = a - b
 		case ja >= 0:
-			a := spec[ja]
+			a := spec[ja*stride]
 			dst[i-1], dst[i] = a, a
 		case jb >= 0:
-			b := spec[jb]
+			b := spec[jb*stride]
 			dst[i-1], dst[i] = b, -b
 		default:
 			dst[i-1], dst[i] = 0, 0
@@ -176,45 +193,51 @@ func (p *PaddedComplex) ForwardTruncated(spec, phys []complex128) {
 // ForwardTruncatedScratch is ForwardTruncated with caller-provided scratch
 // of length PhysicalLen(), safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) ForwardTruncatedScratch(spec, phys, scratch []complex128) {
+	p.ForwardTruncatedStrided(spec, 1, phys, scratch)
+}
+
+// ForwardTruncatedStrided is ForwardTruncatedScratch storing the n modes
+// stride apart, spec[k*stride].
+func (p *PaddedComplex) ForwardTruncatedStrided(spec []complex128, stride int, phys, scratch []complex128) {
 	s := 1 / float64(p.m)
 	if !p.keepLast {
 		p.plan.Forward(scratch, phys)
-		TruncateComplex(spec, scratch, p.n, p.m, s)
+		TruncateComplex(spec, stride, scratch, p.n, p.m, s)
 		return
 	}
-	if len(phys) < p.m || len(spec) < p.n || len(scratch) < p.m {
+	if len(phys) < p.m || stride < 1 || len(spec) < span(p.n, stride) || len(scratch) < p.m {
 		panic("fft: truncated forward slice lengths")
 	}
-	scratch, spec = scratch[:p.m], spec[:p.n]
+	scratch = scratch[:p.m]
 	rest := p.plan.load(scratch, phys[:p.m], p.plan.stages[forward])
 	combine(scratch, rest[:len(rest)-1])
-	last3Truncated(spec, scratch, &rest[len(rest)-1], s)
+	last3Truncated(spec[:span(p.n, stride)], p.n, stride, scratch, &rest[len(rest)-1], s)
 }
 
 // last3Truncated is the outermost radix-3 stage of a truncated forward
 // transform. Of its outputs x0[k], x1[k], x2[k] it forms only those the
-// length-len(spec) spectrum carries — the leading modes from x0, the
-// trailing ones from x2, nothing from x1 — and stores them scaled by s.
-func last3Truncated(spec, x []complex128, st *stage, s float64) {
+// length-n spectrum carries — the leading modes from x0, the trailing ones
+// from x2, nothing from x1 — and stores them scaled by s at spec[k*stride].
+func last3Truncated(spec []complex128, n, stride int, x []complex128, st *stage, s float64) {
 	m := st.m
-	pos, neg := bands(len(spec))
+	pos, neg := bands(n)
 	w1, w2 := st.w[1], st.w[2]
 	t1, t2 := st.tw[:m], st.tw[m:][:m]
 	x0, x1, x2 := x[:m], x[m:][:m], x[2*m:][:m]
-	shift := len(spec) - m // x2[k] lands on spec[shift+k]
+	shift := n - m // x2[k] lands on mode shift+k
 	for k, u := range t1 {
 		a := x0[k]
 		b := u * x1[k]
 		c := t2[k] * x2[k]
 		if k < pos {
-			spec[k] = scale(a+b+c, s)
+			spec[k*stride] = scale(a+b+c, s)
 		}
 		if k >= m-neg {
-			spec[shift+k] = scale(a+w2*b+w1*c, s)
+			spec[(shift+k)*stride] = scale(a+w2*b+w1*c, s)
 		}
 	}
-	if len(spec)%2 == 0 {
-		spec[pos] = 0 // Nyquist not carried
+	if n%2 == 0 {
+		spec[pos*stride] = 0 // Nyquist not carried
 	}
 }
 
@@ -224,7 +247,9 @@ func last3Truncated(spec, x []complex128, st *stage, s float64) {
 // customized kernel; the physical side has m real points. For even m the
 // pad and the truncation happen inside the real plan's tangling passes
 // (inverseModes reads no mode past nk, forwardModes forms none); odd m pads
-// and truncates a full half-complex image in scratch.
+// and truncates a full half-complex image in scratch. As for PaddedComplex,
+// the *Strided entries address the nk modes stride apart and the *Scratch
+// entries are their stride-1 calls.
 type PaddedReal struct {
 	nk, m int
 	plan  *RealPlan
@@ -263,19 +288,25 @@ func (p *PaddedReal) InversePadded(phys []float64, spec []complex128) {
 // length ScratchLen(), safe for concurrent use with distinct scratch and
 // free of allocations.
 func (p *PaddedReal) InversePaddedScratch(phys []float64, spec, scratch []complex128) {
-	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
+	p.InversePaddedStrided(phys, spec, 1, scratch)
+}
+
+// InversePaddedStrided is InversePaddedScratch reading the nk modes stride
+// apart, spec[k*stride].
+func (p *PaddedReal) InversePaddedStrided(phys []float64, spec []complex128, stride int, scratch []complex128) {
+	if len(phys) < p.m || stride < 1 || len(spec) < span(p.nk, stride) || len(scratch) < p.ScratchLen() {
 		panic("fft: padded real inverse slice lengths")
 	}
 	if p.plan.half != nil {
-		p.plan.inverseModes(phys, spec, p.nk, scratch)
+		p.plan.inverseModes(phys, spec, stride, p.nk, scratch)
 		return
 	}
 	nc := p.m/2 + 1
 	image, rest := scratch[:nc], scratch[nc:]
-	copy(image[:p.nk], spec[:p.nk])
-	for i := p.nk; i < nc; i++ {
-		image[i] = 0
+	for k := 0; k < p.nk; k++ {
+		image[k] = spec[k*stride]
 	}
+	clear(image[p.nk:])
 	p.plan.InverseScratch(phys, image, rest)
 }
 
@@ -290,18 +321,24 @@ func (p *PaddedReal) ForwardTruncated(spec []complex128, phys []float64) {
 // of length ScratchLen(), safe for concurrent use with distinct scratch and
 // free of allocations.
 func (p *PaddedReal) ForwardTruncatedScratch(spec []complex128, phys []float64, scratch []complex128) {
-	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
+	p.ForwardTruncatedStrided(spec, 1, phys, scratch)
+}
+
+// ForwardTruncatedStrided is ForwardTruncatedScratch storing the nk modes
+// stride apart, spec[k*stride].
+func (p *PaddedReal) ForwardTruncatedStrided(spec []complex128, stride int, phys []float64, scratch []complex128) {
+	if len(phys) < p.m || stride < 1 || len(spec) < span(p.nk, stride) || len(scratch) < p.ScratchLen() {
 		panic("fft: padded real forward slice lengths")
 	}
 	s := 1 / float64(p.m)
 	if p.plan.half != nil {
-		p.plan.forwardModes(spec, phys, scratch, p.nk, s)
+		p.plan.forwardModes(spec, stride, phys, scratch, p.nk, s)
 		return
 	}
 	nc := p.m/2 + 1
 	image, rest := scratch[:nc], scratch[nc:]
 	p.plan.ForwardScratch(image, phys, rest)
 	for k := 0; k < p.nk; k++ {
-		spec[k] = scale(image[k], s)
+		spec[k*stride] = scale(image[k], s)
 	}
 }

@@ -403,9 +403,9 @@ func TestPaddedComplexOddLength(t *testing.T) {
 		n, m := nm[0], nm[1]
 		spec := randComplex(rng, n)
 		padded := make([]complex128, m)
-		PadComplex(padded, spec, n, m)
+		PadComplex(padded, spec, 1, n, m)
 		back := randComplex(rng, n) // stale contents must all be overwritten
-		TruncateComplex(back, padded, n, m, 1)
+		TruncateComplex(back, 1, padded, n, m, 1)
 		for k := range spec {
 			if back[k] != spec[k] {
 				t.Errorf("n=%d m=%d: pad/truncate lost mode slot %d: %v != %v", n, m, k, back[k], spec[k])
@@ -474,5 +474,105 @@ func TestPaddedRealOddGrid(t *testing.T) {
 		if e := maxErrC(back, spec); e > 1e-10 {
 			t.Errorf("nk=%d m=%d: padded real round trip error %g", nk, m, e)
 		}
+	}
+}
+
+// TestStridedEntriesMatchContiguous: each *Strided entry, fed a spectrum
+// whose modes lie stride apart, gives the bits its contiguous form gives,
+// stores nothing between the modes, and allocates nothing. The lengths reach
+// every branch: with and without the padded load table, with and without the
+// truncating last radix-3 stage, odd and even spectral lengths, and the
+// half-length real plan as well as the odd-m image in scratch.
+func TestStridedEntriesMatchContiguous(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	const sentinel = complex(-7, 7)
+	// strided returns a stride-apart copy of spec with sentinels between.
+	strided := func(spec []complex128, stride int) []complex128 {
+		buf := make([]complex128, span(len(spec), stride)+stride-1)
+		for i := range buf {
+			buf[i] = sentinel
+		}
+		for k, v := range spec {
+			buf[k*stride] = v
+		}
+		return buf
+	}
+	// check holds a strided spectrum to its contiguous form and its gaps to
+	// the sentinel.
+	check := func(name string, buf, want []complex128, stride int) {
+		t.Helper()
+		for i, v := range buf {
+			k, on := i/stride, i%stride == 0 && i/stride < len(want)
+			if on && !same(v, want[k]) || !on && v != sentinel {
+				t.Errorf("%s stride %d: slot %d = %v", name, stride, i, v)
+				return
+			}
+		}
+	}
+	noAllocs := func(name string, stride int, f func()) {
+		t.Helper()
+		if a := testing.AllocsPerRun(20, f); a != 0 {
+			t.Errorf("%s stride %d: %v allocations per call, want 0", name, stride, a)
+		}
+	}
+	var load, noLoad, keepLast, noKeepLast, half, odd bool
+	for _, nm := range [][2]int{{48, 72}, {16, 24}, {7, 12}, {10, 16}, {5, 8}, {6, 9}, {10, 15}} {
+		n, m := nm[0], nm[1]
+		p := NewPaddedComplex(n, m)
+		load, noLoad = load || p.load != nil, noLoad || p.load == nil
+		keepLast, noKeepLast = keepLast || p.keepLast, noKeepLast || !p.keepLast
+		scr := make([]complex128, p.ScratchLen())
+		spec, phys := randComplex(rng, n), randComplex(rng, m)
+		wantPhys, wantSpec := make([]complex128, m), make([]complex128, n)
+		p.InversePaddedScratch(wantPhys, spec, scr)
+		p.ForwardTruncatedScratch(wantSpec, phys, scr)
+		for _, stride := range []int{1, 3, 49} {
+			name := fmt.Sprintf("PaddedComplex(%d, %d)", n, m)
+			in, got := strided(spec, stride), make([]complex128, m)
+			p.InversePaddedStrided(got, in, stride, scr)
+			check(name+".InversePaddedStrided", strided(got, 1), wantPhys, 1)
+			out := strided(make([]complex128, n), stride)
+			p.ForwardTruncatedStrided(out, stride, phys, scr)
+			check(name+".ForwardTruncatedStrided", out, wantSpec, stride)
+			noAllocs(name+".InversePaddedStrided", stride, func() { p.InversePaddedStrided(got, in, stride, scr) })
+			noAllocs(name+".ForwardTruncatedStrided", stride, func() { p.ForwardTruncatedStrided(out, stride, phys, scr) })
+		}
+	}
+	for _, c := range [][2]int{{24, 72}, {16, 48}, {5, 8}, {3, 9}, {5, 15}} {
+		nk, m := c[0], c[1]
+		p := NewPaddedReal(nk, m)
+		half, odd = half || p.plan.half != nil, odd || p.plan.half == nil
+		scr := make([]complex128, p.ScratchLen())
+		spec, phys := randComplex(rng, nk), make([]float64, m)
+		for i := range phys {
+			phys[i] = rng.NormFloat64()
+		}
+		wantPhys, wantSpec := make([]float64, m), make([]complex128, nk)
+		p.InversePaddedScratch(wantPhys, spec, scr)
+		p.ForwardTruncatedScratch(wantSpec, phys, scr)
+		for _, stride := range []int{1, 3, 49} {
+			name := fmt.Sprintf("PaddedReal(%d, %d)", nk, m)
+			in, got := strided(spec, stride), make([]float64, m)
+			p.InversePaddedStrided(got, in, stride, scr)
+			for j, v := range got {
+				if math.Float64bits(v) != math.Float64bits(wantPhys[j]) {
+					t.Errorf("%s.InversePaddedStrided stride %d: point %d = %v, contiguous %v", name, stride, j, v, wantPhys[j])
+					break
+				}
+			}
+			out := strided(make([]complex128, nk), stride)
+			p.ForwardTruncatedStrided(out, stride, phys, scr)
+			check(name+".ForwardTruncatedStrided", out, wantSpec, stride)
+			noAllocs(name+".InversePaddedStrided", stride, func() { p.InversePaddedStrided(got, in, stride, scr) })
+			noAllocs(name+".ForwardTruncatedStrided", stride, func() { p.ForwardTruncatedStrided(out, stride, phys, scr) })
+		}
+	}
+	if !load || !noLoad || !keepLast || !noKeepLast || !half || !odd {
+		t.Errorf("branches reached: load %v, no load %v, keepLast %v, no keepLast %v, half-length %v, odd %v",
+			load, noLoad, keepLast, noKeepLast, half, odd)
 	}
 }
