@@ -438,6 +438,31 @@ func (p *TransposePlan) Run(dst, src [][]complex128) [][]complex128 {
 	return dst
 }
 
+// Book records one call of a transpose on a one-rank communicator without
+// running it, then runs consume (if non-nil) over the whole line range, as
+// RunPipelined does after its Run there. It is for a caller whose consumer
+// addresses the source pencil in place, since such a transpose moves only the
+// own block, by a fixed index map. What it records is what Run records: a
+// PhaseTransposeAB span, one (empty) Exchange trace event, and commBytes()
+// with np-1 = 0 messages, so the counters, the trace and the schedule IR
+// cannot tell the two apart.
+func (p *TransposePlan) Book(consume func(lo, hi int)) {
+	if p.np != 1 {
+		panic(fmt.Sprintf("pencil: %v booked on a %d-rank communicator", p.dir, p.np))
+	}
+	d := p.d
+	sp := d.Telemetry.Begin(telemetry.PhaseTransposeAB)
+	if d.Trace != nil {
+		t := time.Now()
+		d.Trace.Exchange(commOp(p.dir), p.commBytes(), t, t)
+	}
+	sp.End()
+	d.Telemetry.AddComm(commOp(p.dir), p.commBytes(), 0)
+	if consume != nil {
+		consume(0, p.lineN)
+	}
+}
+
 // RunPipelined executes the transpose as a chunked pipeline: the chunk axis
 // is split into Chunks() pieces, each packed and sent per peer as its own
 // stream message, and arrivals are unpacked the moment they land. After
