@@ -61,7 +61,7 @@ func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 	}
 }
 
-// Excursion runs dealiased passes over one decomposition. It owns the eight
+// Excursion runs dealiased passes over one decomposition. It owns the
 // pipeline field buffers and the per-worker line scratch, sized once for the
 // largest registered Spec — the allocation-discipline analog of the paper's
 // 1x communication buffers (§4.3) — so a pass allocates nothing beyond the
@@ -69,7 +69,17 @@ func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 // reads, so passes of different Specs share the buffers; elements no pass
 // writes (the z Nyquist column, the mean mode of v) keep their initial zeros.
 //
-// The three forward-path transposes run through the pipelined entry points:
+// A transpose inside a one-rank communicator moves each element by a fixed
+// index map, so there the excursion does not run it: the transforms read and
+// write the pencils where they sit, through strided spectral operands, and
+// the plan only books the call (pencil.TransposePlan.Book). The fold is
+// chosen per communicator from the process grid: with PB == 1 the z inverse
+// reads the y-pencil inputs and the z forward writes the y-pencil outputs, so
+// there is no zpIn or zspec; with PA == 1 the x line is read from and written
+// to the z-pencils, so there is no xp or prodX. Each consume hook has one body
+// over a lines view bound at construction, folded or not.
+//
+// The other forward-path transposes run through the pipelined entry points:
 // with Decomp.Overlap each exchange moves in chunks and the consume hooks
 // run the following transform stage on every completed chunk-axis line range
 // while later chunks are still on the wire; with overlap off the same hooks
@@ -90,9 +100,16 @@ type Excursion struct {
 	// Field buffers in pipeline order: y-pencil inputs, the same after YtoZ,
 	// padded physical-z lines (+ z derivatives), the same after ZtoX, products
 	// in x-pencils, the same after XtoZ, truncated spectral-z lines, products
-	// back in y-pencils.
+	// back in y-pencils. zpIn and zspec stay empty when foldB, xp and prodX
+	// when foldA.
 	inY, zpIn, zphys, xp, prodX, zpOut, zspec, outY [][]complex128
 	workers                                         []excursionWorker
+
+	// foldA and foldB say CommA and CommB have one rank. The lines the z
+	// inverse reads, the x inverse reads, the x forward writes and the z
+	// forward writes are zIn, xIn, xOut and zOut.
+	foldA, foldB         bool
+	zIn, xIn, xOut, zOut lines
 
 	// Per-y maxima of the last harvesting pass, merged from the workers'
 	// block maxima under maxMu.
@@ -107,6 +124,19 @@ type Excursion struct {
 
 	zInvFn, xFn, zFwdFn    func(lo, hi int)
 	zInvBlk, xBlk, zFwdBlk func(blk, lo, hi int)
+}
+
+// lines addresses the spectral lines of a set of fields: line l of field f
+// starts at (l/div)*outer + (l%div)*inner of (*bufs)[f], and its elements
+// lie stride apart. bufs points at an Excursion field, which Register grows.
+type lines struct {
+	bufs                      *[][]complex128
+	div, outer, inner, stride int
+}
+
+// at returns field f from the start of line l on.
+func (v *lines) at(f, l int) []complex128 {
+	return (*v.bufs)[f][(l/v.div)*v.outer+(l%v.div)*v.inner:]
 }
 
 // excursionWorker is one worker's private line scratch, selected by the
@@ -130,6 +160,20 @@ func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedRea
 	yl, yh := d.YRange()
 	zl, zh := d.ZRangeX(padZ.PhysicalLen())
 	e.kxLoc, e.nyLoc, e.nzLoc, e.yLo0 = kh-kl, yh-yl, zh-zl, yl
+	nz, nkx, mz := padZ.SpectralLen(), padX.SpectralLen(), padZ.PhysicalLen()
+	e.foldA, e.foldB = d.PA == 1, d.PB == 1
+	e.zIn, e.zOut = lines{&e.zpIn, 1, nz, 0, 1}, lines{&e.zspec, 1, nz, 0, 1}
+	if e.foldB {
+		// z line kx*nyLoc + y is the y-pencil column (kx, ., y): nyLoc == NY.
+		e.zIn = lines{&e.inY, e.nyLoc, nz * d.NY, 1, d.NY}
+		e.zOut = lines{&e.outY, e.nyLoc, nz * d.NY, 1, d.NY}
+	}
+	e.xIn, e.xOut = lines{&e.xp, 1, nkx, 0, 1}, lines{&e.prodX, 1, nkx, 0, 1}
+	if e.foldA {
+		// x line y*nzLoc + z is the z-pencil column (., y, z): nzLoc == mz.
+		e.xIn = lines{&e.zphys, 1, 1, 0, e.nyLoc * mz}
+		e.xOut = lines{&e.zpOut, 1, 1, 0, e.nyLoc * mz}
+	}
 	e.zInvFn, e.xFn, e.zFwdFn = e.consumeZInv, e.consumeX, e.consumeZFwd
 	e.zInvBlk, e.xBlk, e.zFwdBlk = e.zInvBlock, e.xBlock, e.zFwdBlock
 	for c := range e.maxAbs {
@@ -164,13 +208,17 @@ func (e *Excursion) Register(sp *Spec) {
 		}
 	}
 	grow(&e.inY, sp.In, d.YPencilLen())
-	grow(&e.zpIn, sp.In, d.ZPencilLen(nz))
 	grow(&e.zphys, sp.In+sp.Grad, d.ZPencilLen(mz))
-	grow(&e.xp, sp.In+sp.Grad, d.XPencilLen(mz))
-	grow(&e.prodX, sp.Out, d.XPencilLen(mz))
 	grow(&e.zpOut, sp.Out, d.ZPencilLen(mz))
-	grow(&e.zspec, sp.Out, d.ZPencilLen(nz))
 	grow(&e.outY, sp.Out, d.YPencilLen())
+	if !e.foldB {
+		grow(&e.zpIn, sp.In, d.ZPencilLen(nz))
+		grow(&e.zspec, sp.Out, d.ZPencilLen(nz))
+	}
+	if !e.foldA {
+		grow(&e.xp, sp.In+sp.Grad, d.XPencilLen(mz))
+		grow(&e.prodX, sp.Out, d.XPencilLen(mz))
+	}
 	for i := range e.workers {
 		w := &e.workers[i]
 		for len(w.phys) < sp.In+2*sp.Grad {
@@ -198,7 +246,7 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 
 	// (a)-(c) y-pencils -> z-pencils, the padded inverse z transform
 	// consuming each completed chunk of local-kx lines.
-	d.YtoZPipelined(e.zpIn[:sp.In], e.inY[:sp.In], e.zInvFn)
+	e.transpose(e.foldB, pencil.DirYtoZ, d.NZ, sp.In, e.zpIn, e.inY, e.zInvFn)
 
 	// (d)-(g) z-pencils -> x-pencils, the fused x excursion consuming each
 	// chunk of local-y lines.
@@ -207,13 +255,30 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 			clear(e.maxAbs[c])
 		}
 	}
-	d.ZtoXPipelined(e.xp[:nd], e.zphys[:nd], mz, e.xFn)
+	e.transpose(e.foldA, pencil.DirZtoX, mz, nd, e.xp, e.zphys, e.xFn)
 
 	// (h) reverse path: x-pencils -> z-pencils with the truncated forward z
 	// transform consuming each chunk of local-y lines, then back to
 	// y-pencils (one-shot: nothing follows to hide the return leg under).
-	d.XtoZPipelined(e.zpOut[:sp.Out], e.prodX[:sp.Out], mz, e.zFwdFn)
-	return d.ZtoY(e.outY[:sp.Out], e.zspec[:sp.Out])
+	e.transpose(e.foldA, pencil.DirXtoZ, mz, sp.Out, e.zpOut, e.prodX, e.zFwdFn)
+	e.transpose(e.foldB, pencil.DirZtoY, d.NZ, sp.Out, e.outY, e.zspec, nil)
+	return e.outY[:sp.Out]
+}
+
+// transpose moves the first nf fields of src to dst in direction dir and
+// runs consume over the moved lines: pipelined, or one-shot when consume is
+// nil. Where fold says the communicator has one rank, the consume hooks
+// address the pencils in place, so the plan only books the call.
+func (e *Excursion) transpose(fold bool, dir pencil.TransposeDir, zLen, nf int, dst, src [][]complex128, consume func(lo, hi int)) {
+	p := e.d.Plan(dir, zLen, nf)
+	switch {
+	case fold:
+		p.Book(consume)
+	case consume == nil:
+		p.Run(dst[:nf], src[:nf])
+	default:
+		p.RunPipelined(dst[:nf], src[:nf], consume)
+	}
 }
 
 // consumeZInv is the YtoZ consume hook: pad and inverse transform in z the
@@ -227,18 +292,19 @@ func (e *Excursion) consumeZInv(lo, hi int) {
 }
 
 func (e *Excursion) zInvBlock(blk, lo, hi int) {
-	nz, mz := e.padZ.SpectralLen(), e.padZ.PhysicalLen()
+	mz := e.padZ.PhysicalLen()
 	w := &e.workers[blk]
+	in := &e.zIn
 	lo += e.lineOff
 	hi += e.lineOff
 	for f := 0; f < e.spec.In; f++ {
-		src, dst := e.zpIn[f], e.zphys[f]
+		dst := e.zphys[f]
 		for l := lo; l < hi; l++ {
-			line := src[l*nz : (l+1)*nz]
-			e.padZ.InversePaddedScratch(dst[l*mz:(l+1)*mz], line, w.zscr)
+			line := in.at(f, l)
+			e.padZ.InversePaddedStrided(dst[l*mz:(l+1)*mz], line, in.stride, w.zscr)
 			if f < e.spec.Grad {
-				for j, v := range line {
-					w.zline[j] = e.ikz[j] * v
+				for j := range w.zline {
+					w.zline[j] = e.ikz[j] * line[j*in.stride]
 				}
 				e.padZ.InversePaddedScratch(e.zphys[e.spec.In+f][l*mz:(l+1)*mz], w.zline, w.zscr)
 			}
@@ -258,9 +324,9 @@ func (e *Excursion) consumeX(lo, hi int) {
 
 func (e *Excursion) xBlock(blk, lo, hi int) {
 	sp := e.spec
-	nkx := e.padX.SpectralLen()
 	nd := sp.In + sp.Grad
 	w := &e.workers[blk]
+	in, out := &e.xIn, &e.xOut
 	phys := w.phys[:nd+sp.Grad]
 	fields, dz, dx := phys[:sp.In], phys[sp.In:nd], phys[nd:]
 	if sp.Harvest {
@@ -272,11 +338,12 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 	hi += e.lineOff
 	for l := lo; l < hi; l++ {
 		for f := 0; f < nd; f++ {
-			e.padX.InversePaddedScratch(phys[f], e.xp[f][l*nkx:(l+1)*nkx], w.xscr)
+			e.padX.InversePaddedStrided(phys[f], in.at(f, l), in.stride, w.xscr)
 		}
 		for f := 0; f < sp.Grad; f++ {
-			for k, v := range e.xp[f][l*nkx : (l+1)*nkx] {
-				w.xline[k] = e.ikx[k] * v
+			line := in.at(f, l)
+			for k := range w.xline {
+				w.xline[k] = e.ikx[k] * line[k*in.stride]
 			}
 			e.padX.InversePaddedScratch(phys[nd+f], w.xline, w.xscr)
 		}
@@ -295,7 +362,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 		}
 		for c := 0; c < sp.Out; c++ {
 			sp.Kernel(w.prod, c, fields, dz, dx)
-			e.padX.ForwardTruncatedScratch(e.prodX[c][l*nkx:(l+1)*nkx], w.prod, w.xscr)
+			e.padX.ForwardTruncatedStrided(out.at(c, l), out.stride, w.prod, w.xscr)
 		}
 	}
 	if sp.Harvest {
@@ -321,15 +388,16 @@ func (e *Excursion) consumeZFwd(lo, hi int) {
 }
 
 func (e *Excursion) zFwdBlock(blk, lo, hi int) {
-	nz, mz := e.padZ.SpectralLen(), e.padZ.PhysicalLen()
+	mz := e.padZ.PhysicalLen()
 	zscr := e.workers[blk].zscr
 	span := e.ySpan
+	out := &e.zOut
 	for f := 0; f < e.spec.Out; f++ {
-		src, dst := e.zpOut[f], e.zspec[f]
+		src := e.zpOut[f]
 		for l := lo; l < hi; l++ {
 			kx := l / span
 			li := kx*e.nyLoc + e.yLo + (l - kx*span)
-			e.padZ.ForwardTruncatedScratch(dst[li*nz:(li+1)*nz], src[li*mz:(li+1)*mz], zscr)
+			e.padZ.ForwardTruncatedStrided(out.at(f, li), out.stride, src[li*mz:(li+1)*mz], zscr)
 		}
 	}
 }
