@@ -34,14 +34,16 @@ race:
 # send (no panic, no allocation on the word of a length field), the job-spec
 # decoder behind POST /v1/jobs (nothing between body and queue panics; an
 # accepted spec survives spec.json), the checkpoint shard parser (no panic;
-# an accepted image re-encodes to the same bytes) and the checkpoint manifest
-# reader (no panic; an accepted manifest covers every mode exactly once). The
-# seeds alone run with every `go test`.
+# an accepted image re-encodes to the same bytes), the checkpoint manifest
+# reader (no panic; an accepted manifest covers every mode exactly once) and
+# the per-rank trace files trace-merge reads (no panic in the parse or in a
+# Merge of the one file). The seeds alone run with every `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 5s channeldns/internal/mpi
 	$(GO) test -run xxx -fuzz FuzzDecodeSpec -fuzztime 5s channeldns/internal/server
 	$(GO) test -run xxx -fuzz FuzzParseShard -fuzztime 5s channeldns/internal/ckpt
 	$(GO) test -run xxx -fuzz FuzzReadManifest -fuzztime 5s channeldns/internal/ckpt
+	$(GO) test -run xxx -fuzz FuzzParseChrome -fuzztime 5s channeldns/internal/trace
 
 # The micro-benchmarks that live beside their package. The paper tables
 # come from cmd/bench and changes are gated by benchmark/
@@ -51,10 +53,13 @@ fuzz:
 # mpi has BenchmarkAlltoallvTCP, the wire path's ns/op, B/op and allocs/op at
 # the two message sizes of the scalar step at 32x33x32 on 1x2 ranks; pencil
 # has BenchmarkExcursionTransposes, the four transposes of one substep at the
-# channel-48 shapes, at 1x1 on one and two workers and at 1x2.
+# channel-48 shapes, at 1x1 on one and two workers and at 1x2; parfft has
+# BenchmarkExcursionPass, one whole SixProducts excursion at the same shapes
+# and grids.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 	$(GO) test -run xxx -bench ExcursionTransposes -benchtime 100x channeldns/internal/pencil
+	$(GO) test -run xxx -bench ExcursionPass -benchtime 50x channeldns/internal/parfft
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server
 
 # Tiny end-to-end run of every experiment of cmd/bench that writes a report,

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -42,10 +43,17 @@ type RankTrace struct {
 	Events []Event
 }
 
+// MaxWorld bounds the world a trace file may claim, and the rank of a file
+// that states none: above the paper's largest run (786 432 cores), and small
+// enough that Merge's per-rank tables stay a few tens of MB.
+const MaxWorld = 1 << 20
+
 // ParseChrome decodes one rank's exported Chrome trace file back into
 // events, inverting the export's name scheme. Files without the
 // clock_epoch_unix_ns metadata (pre-distributed-observability exports)
-// are rejected: they cannot be placed on a shared timeline.
+// are rejected: they cannot be placed on a shared timeline, and so are
+// files whose world is negative or above MaxWorld, or whose rank is negative
+// or not below the world (MaxWorld when none is stamped).
 func ParseChrome(raw []byte) (*RankTrace, error) {
 	var f chromeFile
 	if err := json.Unmarshal(raw, &f); err != nil {
@@ -68,12 +76,15 @@ func ParseChrome(raw []byte) (*RankTrace, error) {
 		return nil, fmt.Errorf("trace: file carries no clock_epoch_unix_ns metadata (exported before clock alignment?)")
 	}
 	rt.EpochUnixNs = epoch
-	if v, ok := meta("clock_rank"); ok {
-		rt.Rank = int(v)
+	rank, _ := meta("clock_rank")
+	world, _ := meta("clock_world")
+	if world < 0 || world > MaxWorld {
+		return nil, fmt.Errorf("trace: clock_world %d outside [0, %d]", world, MaxWorld)
 	}
-	if v, ok := meta("clock_world"); ok {
-		rt.World = int(v)
+	if limit := cmp.Or(world, MaxWorld); rank < 0 || rank >= limit {
+		return nil, fmt.Errorf("trace: clock_rank %d outside [0, %d)", rank, limit)
 	}
+	rt.Rank, rt.World = int(rank), int(world)
 	rt.OffsetNs, _ = meta("clock_offset_ns")
 	rt.ErrorNs, _ = meta("clock_error_ns")
 

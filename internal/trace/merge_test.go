@@ -77,6 +77,59 @@ func TestParseChromeRejectsUnalignedFile(t *testing.T) {
 	}
 }
 
+// TestParseChromeRefusesHostileIdentity: a file whose rank or world would
+// index or size Merge's per-rank tables out of range is refused at parse.
+// The first two panicked Merge before ParseChrome checked them.
+func TestParseChromeRefusesHostileIdentity(t *testing.T) {
+	for _, od := range []string{
+		`"clock_rank": "-1"`,
+		`"clock_rank": "4611686018427387904"`,
+		`"clock_rank": "2", "clock_world": "2"`,
+		`"clock_world": "-3"`,
+		`"clock_rank": "0", "clock_world": "1048577"`,
+	} {
+		raw := []byte(`{"traceEvents": [], "otherData": {"clock_epoch_unix_ns": "1", ` + od + `}}`)
+		if rt, err := ParseChrome(raw); err == nil {
+			t.Errorf("%s: accepted as rank %d of %d", od, rt.Rank, rt.World)
+		}
+	}
+	raw := []byte(`{"traceEvents": [], "otherData": {"clock_epoch_unix_ns": "1", "clock_rank": "3", "clock_world": "4"}}`)
+	if _, err := ParseChrome(raw); err != nil {
+		t.Errorf("rank 3 of 4 refused: %v", err)
+	}
+}
+
+// FuzzParseChrome feeds ParseChrome whatever bytes cmd/trace-merge might be
+// handed: no panic, and a file it accepts merges alone without one.
+func FuzzParseChrome(f *testing.F) {
+	tr := New(16)
+	tr.SetIdentity(1, 2)
+	tr.SetClockSync(-40, 3)
+	rec := tr.Rank(1)
+	ep := tr.Epoch()
+	rec.BeginStep(2)
+	rec.SetStage(0)
+	rec.TraceSpan(telemetry.PhaseTransposeAB, ep.Add(time.Microsecond), ep.Add(9*time.Microsecond))
+	rec.ExchangePipelined(telemetry.CommZtoX, 3, 512, ep.Add(2*time.Microsecond), ep.Add(8*time.Microsecond))
+	rec.Peer(0, 256, ep.Add(3*time.Microsecond), ep.Add(4*time.Microsecond))
+	rec.EndStep(ep, ep.Add(10*time.Microsecond))
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents": [], "otherData": {"clock_epoch_unix_ns": "1", "clock_rank": "-1"}}`))
+	f.Add([]byte(`{"traceEvents": [], "otherData": {"clock_epoch_unix_ns": "1", "clock_rank": "4611686018427387904"}}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if rt, err := ParseChrome(b); err == nil {
+			if _, err := Merge([]*RankTrace{rt}); err != nil {
+				t.Fatalf("one accepted file does not merge: %v", err)
+			}
+		}
+	})
+}
+
 // TestMergeAlignsOnRank0Clock: per-rank events land on rank 0's timeline
 // shifted by (epoch + offset − rank 0 epoch), exactly.
 func TestMergeAlignsOnRank0Clock(t *testing.T) {
