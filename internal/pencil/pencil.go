@@ -18,8 +18,12 @@
 // paper's 1x-buffer discipline, §4.3). The buffers hold only the blocks
 // bound for other ranks; a rank's own block is copied once, src -> dst, by
 // the plan's move kernel, pool-parallel over lines, so at P = 1 a transpose
-// is that one pass. Plans are built lazily on first use and reused for the
-// life of the Decomp, so the steady-state transpose path performs no
+// is that one pass. The dealiased excursion (parfft.Excursion) skips even
+// that: at P = 1 its transforms read and write the pencils in place and the
+// plan only books the call (TransposePlan.Book), so its transposes move
+// nothing there while the counters, the trace and the schedule IR still
+// declare the paper's passes. Plans are built lazily on first use and reused
+// for the life of the Decomp, so the steady-state transpose path performs no
 // allocations. A Decomp's transposes must not be invoked concurrently from
 // multiple goroutines (ranks never do).
 package pencil
