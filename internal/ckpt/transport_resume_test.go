@@ -7,6 +7,9 @@
 package ckpt_test
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"channeldns/internal/core"
@@ -104,4 +107,55 @@ func TestTCPElasticRestart(t *testing.T) {
 		t.FailNow()
 	}
 	mustEqual(t, got, ref, "tcp elastic P=4 -> P=2")
+}
+
+// TestCheckpointBytesIdenticalAcrossTransports: the same run checkpointed
+// over the channel transport and over TCP, at 1x2 and at 2x2, must leave
+// byte-identical stores — MANIFEST.json and every shard. The manifest is
+// assembled on rank 0 from what every rank sends it, so this pins that
+// gather as well as the state the shards freeze.
+func TestCheckpointBytesIdenticalAcrossTransports(t *testing.T) {
+	for _, grid := range [][2]int{{1, 2}, {2, 2}} {
+		write := func(runner func(int, func(*mpi.Comm))) map[string][]byte {
+			dir := t.TempDir()
+			runner(grid[0]*grid[1], func(c *mpi.Comm) {
+				s, err := core.New(c, eqCfg(grid[0], grid[1]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				initState(s)
+				core.Advance(s, 2)
+				if _, err := s.WriteCheckpoint(s.NewCheckpointStore(dir, 0)); err != nil {
+					t.Errorf("rank %d: write: %v", c.Rank(), err)
+				}
+			})
+			files := map[string][]byte{}
+			err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+				if err != nil || d.IsDir() {
+					return err
+				}
+				rel, _ := filepath.Rel(dir, path)
+				files[rel], err = os.ReadFile(path)
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return files
+		}
+		want, got := write(mpi.Run), write(mpi.RunTCP)
+		if t.Failed() {
+			t.FailNow()
+		}
+		if n := 1 + grid[0]*grid[1]; len(want) != n || len(got) != n {
+			t.Errorf("%dx%d: stores hold %d (chan) and %d (tcp) files, want a manifest and %d shards",
+				grid[0], grid[1], len(want), len(got), n-1)
+		}
+		for name, w := range want {
+			if !bytes.Equal(got[name], w) {
+				t.Errorf("%dx%d: %s differs between the chan and tcp stores", grid[0], grid[1], name)
+			}
+		}
+	}
 }
