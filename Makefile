@@ -17,6 +17,7 @@ vet:
 	$(GO) vet ./...
 	$(GO) -C benchmark vet .
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
+	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"encoding/gob"' . || { echo "these import encoding/gob, an unbounded decoder of peer bytes"; exit 1; }
 
 build:
 	$(GO) build ./...

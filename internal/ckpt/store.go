@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,16 +76,13 @@ func stepOfName(name string) (int64, bool) {
 
 func shardFileName(rank int) string { return fmt.Sprintf("shard-%04d.ckpt", rank) }
 
-// shardMeta is the per-rank write result gathered on rank 0 to assemble
-// the manifest. Fixed-shape so it can ride mpi.Gather.
+// shardMeta is one rank's write result. Rank 0 gathers it to assemble the
+// manifest as two strings, Err and the JSON of Info: messages carry slices of
+// mpi.Elem only, so the entry travels as the JSON object the manifest holds.
 type shardMeta struct {
 	Info ShardInfo
 	Err  string
 }
-
-// The gather crosses process boundaries on the TCP transport; exported
-// fields make it gob-encodable for the wire codec.
-func init() { mpi.RegisterWire[shardMeta]() }
 
 // writeFileAtomic writes data to path through a same-directory temp file,
 // fsyncs it, renames it into place, and best-effort fsyncs the directory
@@ -149,11 +147,12 @@ func (s *Store) Write(c *mpi.Comm, st *State, opts ...WriteOption) (string, erro
 	}
 
 	meta := s.writeShard(dir, c.Rank(), st, plan)
-	metas := mpi.Gather(c, 0, []shardMeta{meta})
+	info, _ := json.Marshal(meta.Info) // a struct of strings, ints and a bool: cannot fail
+	entries := mpi.Gather(c, 0, []string{meta.Err, string(info)})
 
 	var status string
 	if c.Rank() == 0 {
-		status = s.publish(dir, st, metas, plan)
+		status = s.publish(dir, st, entries, plan)
 	}
 	status = mpi.Bcast(c, 0, []string{status})[0]
 	if status != "" {
@@ -225,13 +224,18 @@ func encodeShardAtomic(path string, st *State) (int64, uint32, error) {
 	return n, crc, nil
 }
 
-// publish runs on rank 0 once every rank's meta has been gathered: checks
-// them, writes the manifest atomically, and applies retention. Returns ""
-// on success or the error text to broadcast.
-func (s *Store) publish(dir string, st *State, metas []shardMeta, plan *writePlan) string {
-	for _, m := range metas {
-		if m.Err != "" {
-			return fmt.Sprintf("shard %s: %s (manifest not written)", m.Info.File, m.Err)
+// publish runs on rank 0 once every rank's entry (Err, then the JSON of
+// Info) has been gathered: decodes and checks them, writes the manifest
+// atomically, and applies retention. Returns "" on success or the error text
+// to broadcast.
+func (s *Store) publish(dir string, st *State, entries []string, plan *writePlan) string {
+	shards := make([]ShardInfo, len(entries)/2)
+	for i := range shards {
+		if err := json.Unmarshal([]byte(entries[2*i+1]), &shards[i]); err != nil {
+			return fmt.Sprintf("shard entry of rank %d: %v", i, err)
+		}
+		if e := entries[2*i]; e != "" {
+			return fmt.Sprintf("shard %s: %s (manifest not written)", shards[i].File, e)
 		}
 	}
 	if plan.dropManifest {
@@ -243,10 +247,8 @@ func (s *Store) publish(dir string, st *State, metas []shardMeta, plan *writePla
 		Workload:    st.Workload,
 		Nx:          st.Nx, Ny: st.Ny, Nz: st.Nz, NKx: st.NKx,
 		Step: st.Step, Time: st.Time, Dt: st.Dt,
-		Ranks: len(metas),
-	}
-	for _, m := range metas {
-		man.Shards = append(man.Shards, m.Info)
+		Ranks:  len(shards),
+		Shards: shards,
 	}
 	if err := man.Validate(); err != nil {
 		return err.Error()

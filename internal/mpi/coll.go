@@ -37,7 +37,7 @@ func (c *Comm) Barrier() {
 // bcast is the uninstrumented binomial-tree broadcast shared by Bcast and
 // Allreduce; it returns the received buffer and the number of tree sends
 // this rank performed (for the caller's comm accounting).
-func bcast[T any](c *Comm, root int, data []T) (buf []T, sends int64) {
+func bcast[T Elem](c *Comm, root int, data []T) (buf []T, sends int64) {
 	p := c.size()
 	// Rotate so the root is virtual rank 0.
 	vr := (c.rank - root + p) % p
@@ -64,7 +64,7 @@ func bcast[T any](c *Comm, root int, data []T) (buf []T, sends int64) {
 
 // Bcast distributes root's data to every rank over a binomial tree and
 // returns each rank's copy.
-func Bcast[T any](c *Comm, root int, data []T) []T {
+func Bcast[T Elem](c *Comm, root int, data []T) []T {
 	sp := c.tel.Begin(telemetry.PhaseCollective)
 	buf, sends := bcast(c, root, data)
 	sp.End()
@@ -82,9 +82,10 @@ const (
 	OpMin
 )
 
-// Number is the element constraint for reductions.
+// Number is the element constraint for reductions: the Elem types with an
+// order and a sum.
 type Number interface {
-	~int | ~int64 | ~float64
+	int | int64 | float64
 }
 
 func reduceInto[T Number](op Op, acc, in []T) {
@@ -128,7 +129,7 @@ func Allreduce[T Number](c *Comm, op Op, data []T) []T {
 
 // Gather collects equal-length contributions on the root, concatenated in
 // rank order. Non-root ranks receive nil.
-func Gather[T any](c *Comm, root int, data []T) []T {
+func Gather[T Elem](c *Comm, root int, data []T) []T {
 	sp := c.tel.Begin(telemetry.PhaseCollective)
 	if c.rank != root {
 		cp := append([]T(nil), data...)
@@ -154,7 +155,7 @@ func Gather[T any](c *Comm, root int, data []T) []T {
 // Alltoall performs the complete exchange: rank r's block i (of blockLen
 // elements) is delivered to rank i's slot r. This is the communication
 // pattern at the heart of the global transposes (paper §4.3).
-func Alltoall[T any](c *Comm, data []T, blockLen int) []T {
+func Alltoall[T Elem](c *Comm, data []T, blockLen int) []T {
 	p := c.size()
 	if len(data) != p*blockLen {
 		panic(fmt.Sprintf("mpi: Alltoall data length %d != size %d * block %d", len(data), p, blockLen))
@@ -207,7 +208,7 @@ func recvTotal(p int, recvCounts, recvDispls []int) int {
 // The exchange is scheduled pairwise: in step s, rank r exchanges with
 // (r - s mod P) and (r + s mod P), the same linear-shift schedule MPI
 // implementations use to avoid hot spots.
-func Alltoallv[T any](c *Comm, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) []T {
+func Alltoallv[T Elem](c *Comm, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) []T {
 	out, err := AlltoallvInto(c, nil, data, sendCounts, sendDispls, recvCounts, recvDispls)
 	if err != nil {
 		panic(err)
@@ -227,7 +228,7 @@ func Alltoallv[T any](c *Comm, data []T, sendCounts, sendDispls, recvCounts, rec
 // frame — which is exactly what lets the pencil transpose plans keep the
 // paper's 1x communication-buffer discipline. Received blocks go back to the
 // transport once copied out.
-func AlltoallvInto[T any](c *Comm, out, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) ([]T, error) {
+func AlltoallvInto[T Elem](c *Comm, out, data []T, sendCounts, sendDispls, recvCounts, recvDispls []int) ([]T, error) {
 	p := c.size()
 	total := recvTotal(p, recvCounts, recvDispls)
 	if len(out) < total {

@@ -198,6 +198,54 @@ func TestConformanceCollectives(t *testing.T) {
 	})
 }
 
+// TestConformancePayloadKinds: a payload of every Elem type, and an empty
+// one of each, must arrive through Send/Recv, Bcast and Gather as a slice of
+// the identical type holding the same bits — NaN, −0 and non-ASCII strings
+// included — on both transports.
+func TestConformancePayloadKinds(t *testing.T) {
+	forEachTransport(t, []int{2}, func(t *testing.T, c *Comm) {
+		for _, p := range wirePayloads() {
+			var got []any
+			switch p := p.(type) {
+			case []byte:
+				got = carry(c, p)
+			case []int:
+				got = carry(c, p)
+			case []int64:
+				got = carry(c, p)
+			case []float64:
+				got = carry(c, p)
+			case []complex128:
+				got = carry(c, p)
+			case []string:
+				got = carry(c, p)
+			default:
+				t.Errorf("wirePayloads lists %T, which is not a slice of an Elem type", p)
+			}
+			for i, g := range got {
+				if !samePayload(g, p) {
+					t.Errorf("%s of %T: sent %v, got %v", []string{"Send/Recv", "Bcast", "Gather"}[i], p, p, g)
+				}
+			}
+		}
+	})
+}
+
+// carry moves p from rank 0 to rank 1 by Send/Recv, by Bcast and by Gather,
+// and returns what each delivered on rank 1 (nil on rank 0).
+func carry[T Elem](c *Comm, p []T) []any {
+	if c.Rank() == 0 {
+		Send(c, 1, 3, p)
+		Bcast(c, 0, p)
+		Gather(c, 1, p)
+		return nil
+	}
+	recvd := Recv[T](c, 0, 3)
+	bcast := Bcast[T](c, 0, nil)
+	gathered := Gather(c, 1, p)
+	return []any{recvd, bcast, gathered[:len(p)]}
+}
+
 // TestConformanceTagMatching: messages match on (source, tag, comm) with
 // AnyTag/AnySource wildcards, across communicator boundaries.
 func TestConformanceTagMatching(t *testing.T) {

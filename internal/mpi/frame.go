@@ -120,7 +120,7 @@ func readFrame(br *bufio.Reader, bufs *recvBufs) (m message, payloadLen int, err
 		m.payload, err = readElems(br, bufs.c128.get(payloadLen/16), payloadLen, 16, decodeComplex128)
 	case wireFloat64:
 		m.payload, err = readElems(br, nil, payloadLen, 8, decodeFloat64)
-	case wireBytes, wireInt, wireInt64, wireString, wireSplit, wireGob:
+	case wireBytes, wireInt, wireInt64, wireString:
 		var body []byte // control traffic: collected whole, then copied out of
 		if body, err = readElems(br, body, payloadLen, 1, func(dst, src []byte) { copy(dst, src) }); err == nil {
 			m.payload, err = decodePayload(kind, body)

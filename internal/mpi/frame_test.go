@@ -56,7 +56,7 @@ func TestReadFrameRejects(t *testing.T) {
 		{"huge length, bulk kind", withLength(0xFFFFFFF1), io.ErrUnexpectedEOF},
 		{"huge length, control kind", withLength(0xFFFFFFF0, goodBytes...), io.ErrUnexpectedEOF},
 		{"kind zero", withKind(0), nil},
-		{"kind beyond the last", withKind(byte(wireGob) + 1), nil},
+		{"kind beyond the last", withKind(byte(wireString) + 1), nil},
 	} {
 		_, spent, err := readMeasured(tc.frame)
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
@@ -138,11 +138,8 @@ func TestFreeListBounded(t *testing.T) {
 // the input plus one window: the decoded form of a payload can be 4x its wire
 // form (a 16-byte string header per 4-byte length prefix) next to the scratch
 // body it was collected in, and a body that outgrows the window is copied as
-// its slice doubles. Frames of the gob kind are held to the rest but not to
-// the bound: past the frame boundary their bytes are encoding/gob's, which
-// does not promise to resist hostile streams (it was seen to allocate 10 MB
-// for 103 bytes). A frame that decodes survives a further encode/decode round
-// trip unchanged.
+// its slice doubles. A frame that decodes survives a further encode/decode
+// round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	for _, p := range wirePayloads() {
 		f.Add(frameOf(message{src: 2, commID: 1_000_003_000_007, tag: tagAlltoall, payload: p}))
@@ -158,8 +155,7 @@ func FuzzReadFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, spent, err := readMeasured(data)
-		isGob := len(data) >= frameHeaderLen && wireKind(data[frameHeaderLen-1]) == wireGob
-		if limit := uint64(8*len(data) + wireWindow); spent > limit && !isGob {
+		if limit := uint64(8*len(data) + wireWindow); spent > limit {
 			t.Fatalf("allocated %d bytes reading %d", spent, len(data))
 		}
 		if err != nil {

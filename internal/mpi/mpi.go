@@ -14,13 +14,20 @@
 // matching semantics, so CartCreate/CartSub/Alltoallv/Stream callers
 // cannot tell the transports apart except by the clock.
 //
+// A message is a slice of one Elem type (wire.go): complex128, float64,
+// byte, int, int64 or string — the closed set, like MPI's fixed datatypes,
+// that both transports carry, so a payload the wire could not frame does not
+// compile.
+//
 // Sends are eager: the payload is copied (or, on the wire, serialized)
 // before Send returns, so the usual MPI buffer-reuse rules hold and
 // exchange patterns that would deadlock with rendezvous semantics do not.
 package mpi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"channeldns/internal/telemetry"
@@ -201,7 +208,7 @@ func (c *Comm) recv(src, tag int) any {
 }
 
 // Send copies data and delivers it to rank dst with the given tag (>= 0).
-func Send[T any](c *Comm, dst, tag int, data []T) {
+func Send[T Elem](c *Comm, dst, tag int, data []T) {
 	if tag < 0 {
 		panic("mpi: user tags must be >= 0")
 	}
@@ -211,7 +218,7 @@ func Send[T any](c *Comm, dst, tag int, data []T) {
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. src may be AnySource and tag may be AnyTag.
-func Recv[T any](c *Comm, src, tag int) []T {
+func Recv[T Elem](c *Comm, src, tag int) []T {
 	if tag < 0 && tag != AnyTag {
 		panic("mpi: user tags must be >= 0")
 	}
@@ -220,61 +227,47 @@ func Recv[T any](c *Comm, src, tag int) []T {
 
 // Sendrecv exchanges data with the given partners in one operation, the
 // pattern FFTW's transpose planner uses as an alternative to alltoall.
-func Sendrecv[T any](c *Comm, dst, sendTag int, data []T, src, recvTag int) []T {
+func Sendrecv[T Elem](c *Comm, dst, sendTag int, data []T, src, recvTag int) []T {
 	Send(c, dst, sendTag, data)
 	return Recv[T](c, src, recvTag)
 }
-
-// splitTuple is the (color, key, rank) triple Split allgathers. It is a
-// package-level type (not a function-local one) so the wire codec can
-// carry it between processes on the TCP transport.
-type splitTuple struct{ Color, Key, Rank int }
 
 // Split partitions the communicator: ranks passing the same color form a new
 // communicator, ordered by (key, parent rank). Every rank of c must call
 // Split. A negative color returns nil for that rank (MPI_UNDEFINED).
 func (c *Comm) Split(color, key int) *Comm {
 	c.splitSeq++
-	mine := []splitTuple{{color, key, c.rank}}
-	// Allgather the tuples through rank 0 of the parent.
-	var all []splitTuple
+	// Allgather the (color, key, rank) triples through rank 0 of the parent.
+	all := []int{color, key, c.rank}
 	if c.rank == 0 {
-		all = make([]splitTuple, 0, c.size())
-		all = append(all, mine...)
 		for i := 1; i < c.size(); i++ {
-			t := c.recv(AnySource, tagSplit).([]splitTuple)
-			all = append(all, t...)
+			all = append(all, c.recv(AnySource, tagSplit).([]int)...)
 		}
-		for i := 0; i < c.size(); i++ {
-			if i != 0 {
-				c.send(i, tagSplit, all)
-			}
+		for i := 1; i < c.size(); i++ {
+			c.send(i, tagSplit, all)
 		}
 	} else {
-		c.send(0, tagSplit, mine)
-		all = c.recv(0, tagSplit).([]splitTuple)
+		c.send(0, tagSplit, all)
+		all = c.recv(0, tagSplit).([]int)
 	}
 	if color < 0 {
 		return nil
 	}
 	// Deterministic group: members with my color sorted by (key, rank).
-	var members []splitTuple
-	for _, t := range all {
-		if t.Color == color {
-			members = append(members, t)
+	var members [][2]int
+	for i := 0; i < len(all); i += 3 {
+		if all[i] == color {
+			members = append(members, [2]int{all[i+1], all[i+2]})
 		}
 	}
-	for i := 1; i < len(members); i++ { // insertion sort, tiny groups
-		for j := i; j > 0 && (members[j].Key < members[j-1].Key ||
-			(members[j].Key == members[j-1].Key && members[j].Rank < members[j-1].Rank)); j-- {
-			members[j], members[j-1] = members[j-1], members[j]
-		}
-	}
+	slices.SortFunc(members, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
 	group := make([]int, len(members))
 	newRank := -1
-	for i, t := range members {
-		group[i] = c.group[t.Rank]
-		if t.Rank == c.rank {
+	for i, m := range members {
+		group[i] = c.group[m[1]]
+		if m[1] == c.rank {
 			newRank = i
 		}
 	}

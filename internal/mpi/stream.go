@@ -92,7 +92,7 @@ func (s *Stream) Reset() {
 
 // StreamSend sends data (copied, eager) to communicator rank dst on the
 // stream tag, to be matched by a Stream.Post on the receiving rank.
-func StreamSend[T any](c *Comm, dst int, data []T) {
+func StreamSend[T Elem](c *Comm, dst int, data []T) {
 	cp := append([]T(nil), data...)
 	c.send(dst, tagStream, cp)
 }

@@ -67,6 +67,7 @@ type TCPConfig struct {
 // tcpPeer is one live connection to a peer rank.
 type tcpPeer struct {
 	conn net.Conn
+	rank int // the world rank at the other end: the src of every frame read
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -199,6 +200,9 @@ func (t *tcpTransport) readLoop(p *tcpPeer) {
 	br := bufio.NewReaderSize(conn, wireWindow)
 	for {
 		m, payloadLen, err := readFrame(br, &p.recv)
+		if err == nil && m.src != p.rank {
+			err = fmt.Errorf("mpi: frame from rank %d on the link to rank %d", m.src, p.rank)
+		}
 		if err != nil {
 			if err == io.EOF || t.closing.Load() {
 				return
@@ -342,7 +346,7 @@ func (t *tcpTransport) addPeer(rank int, conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	p := &tcpPeer{conn: conn}
+	p := &tcpPeer{conn: conn, rank: rank}
 	p.cond = sync.NewCond(&p.mu)
 	t.peers[rank] = p
 	t.wg.Add(2)

@@ -1,29 +1,31 @@
 package mpi
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Payload codec for the TCP transport. The channel transport moves
-// payloads by reference, so the concrete slice types callers send never
-// mattered; on the wire each payload is serialized into the data frame at
-// send time — the copy-at-the-frame-boundary the transport contract
-// requires — and reconstructed on the receiving side as exactly the type
-// the sender passed, so Recv[T]'s type assertion behaves identically on
+// payloads by reference; on the wire each payload is serialized into the
+// data frame at send time — the copy-at-the-frame-boundary the transport
+// contract requires — and reconstructed on the receiving side as exactly the
+// type the sender passed, so Recv[T]'s type assertion behaves identically on
 // both transports.
 //
-// The hot types of the simulation ([]complex128 pencil wire traffic,
-// []float64 reductions, []byte barriers, []int/[]int64 tables, []string
-// control messages, the split tuples) are hand-coded little-endian fast
-// paths; anything else rides a gob fallback that packages opt into with
-// RegisterWire (internal/ckpt registers its shard metadata this way).
-// Floating-point values travel as raw IEEE-754 bits, which is what makes
-// a TCP trajectory bit-identical to a channel-transport one.
+// The set of payloads is closed, and Elem names it: a message is a []T for
+// one T of Elem — []complex128 pencil blocks, []float64 reductions, []byte
+// barriers, []int/[]int64 tables, []string control messages — and each has a
+// hand-coded little-endian kind below, so a payload the wire cannot frame is
+// a compile error on both transports. Floating-point values travel as raw
+// IEEE-754 bits, which is what makes a TCP trajectory bit-identical to a
+// channel-transport one.
+
+// Elem is the element type of every message: the exported generic
+// operations take a []T with T in this set, the exact types only.
+type Elem interface {
+	byte | int | int64 | float64 | complex128 | string
+}
 
 // wireKind tags the encoding of a frame's payload.
 type wireKind byte
@@ -35,49 +37,7 @@ const (
 	wireInt                            // []int, as int64 LE
 	wireInt64                          // []int64, LE
 	wireString                         // []string, u32 count then u32-len-prefixed
-	wireSplit                          // []splitTuple, 3 x int64 LE each
-	wireGob                            // registered type: u16 name len, name, gob stream
 )
-
-// wireCodec is one registered gob-fallback type.
-type wireCodec struct {
-	enc func(payload any) ([]byte, error)
-	dec func(data []byte) (any, error)
-}
-
-var (
-	wireMu  sync.RWMutex
-	wireReg = map[string]wireCodec{}
-)
-
-// RegisterWire makes []T transportable over the wire via gob. The
-// registry key is the payload's fmt %T name, so registration is once per
-// concrete element type, in an init function of the package that owns T.
-// Types whose fields gob cannot encode (unexported fields) need a
-// hand-coded kind instead. Hot-path types should not go through here:
-// gob re-describes the type per message.
-func RegisterWire[T any]() {
-	var z []T
-	name := fmt.Sprintf("%T", z)
-	wireMu.Lock()
-	defer wireMu.Unlock()
-	wireReg[name] = wireCodec{
-		enc: func(payload any) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(payload.([]T)); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		},
-		dec: func(data []byte) (any, error) {
-			var v []T
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
-	}
-}
 
 // payloadSize returns the bytes appendPayload writes for a payload of a bulk
 // kind; for the others, small control messages that append may grow, a
@@ -95,9 +55,9 @@ func payloadSize(payload any) int {
 }
 
 // appendPayload serializes payload onto dst and returns the extended
-// buffer plus the kind byte that was used. It panics on types no codec
-// covers: that is a programming error (a new message type was introduced
-// without teaching the wire about it), not a runtime condition.
+// buffer plus the kind byte that was used. A payload outside the Elem
+// slices cannot come from the generic operations; the one untyped entry,
+// StreamSendPrepacked, panics here on one.
 func appendPayload(dst []byte, payload any) ([]byte, wireKind) {
 	switch p := payload.(type) {
 	case []byte:
@@ -130,31 +90,8 @@ func appendPayload(dst []byte, payload any) ([]byte, wireKind) {
 			dst = append(dst, s...)
 		}
 		return dst, wireString
-	case []splitTuple:
-		for _, t := range p {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(t.Color)))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(t.Key)))
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(t.Rank)))
-		}
-		return dst, wireSplit
 	default:
-		name := fmt.Sprintf("%T", payload)
-		wireMu.RLock()
-		codec, ok := wireReg[name]
-		wireMu.RUnlock()
-		if !ok {
-			panic(fmt.Sprintf("mpi: no wire codec for payload type %s (add a fast path in wire.go or call mpi.RegisterWire)", name))
-		}
-		enc, err := codec.enc(payload)
-		if err != nil {
-			panic(fmt.Sprintf("mpi: wire-encoding %s: %v", name, err))
-		}
-		if len(name) > 0xffff {
-			panic("mpi: wire type name too long")
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(name)))
-		dst = append(dst, name...)
-		return append(dst, enc...), wireGob
+		panic(fmt.Sprintf("mpi: payload type %T is not a slice of an Elem type", payload))
 	}
 }
 
@@ -222,35 +159,6 @@ func decodePayload(kind wireKind, data []byte) (any, error) {
 			data = data[l:]
 		}
 		return out, nil
-	case wireSplit:
-		if len(data)%24 != 0 {
-			return nil, fmt.Errorf("mpi: splitTuple payload of %d bytes", len(data))
-		}
-		out := make([]splitTuple, len(data)/24)
-		for i := range out {
-			out[i] = splitTuple{
-				Color: int(int64(binary.LittleEndian.Uint64(data[i*24:]))),
-				Key:   int(int64(binary.LittleEndian.Uint64(data[i*24+8:]))),
-				Rank:  int(int64(binary.LittleEndian.Uint64(data[i*24+16:]))),
-			}
-		}
-		return out, nil
-	case wireGob:
-		if len(data) < 2 {
-			return nil, fmt.Errorf("mpi: truncated gob payload")
-		}
-		nl := int(binary.LittleEndian.Uint16(data))
-		if len(data) < 2+nl {
-			return nil, fmt.Errorf("mpi: truncated gob type name")
-		}
-		name := string(data[2 : 2+nl])
-		wireMu.RLock()
-		codec, ok := wireReg[name]
-		wireMu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("mpi: received wire type %s with no local RegisterWire", name)
-		}
-		return codec.dec(data[2+nl:])
 	default:
 		return nil, fmt.Errorf("mpi: unknown wire kind %d", kind)
 	}
