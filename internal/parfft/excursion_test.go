@@ -145,13 +145,16 @@ func excursionDigests(sh excursionShape, pa, pb int) [3]uint64 {
 
 // TestExcursionPinned pins Run's outputs and MaxAbs, bit for bit, for the
 // divergence-form pass and a Grad > 0 pass on five process grids — serial,
-// either communicator alone, both, and an uneven three-way CommA — and three
+// either communicator alone, both, and an uneven three-way CommA — and four
 // shapes: 24-point lines (the load-table inverse and the truncating last
-// radix-3 stage, even real x), 9-point lines (no load table, odd real x)
-// and 15-point lines (no load table and an outermost radix 5, so the forward
-// truncates in scratch). The values were recorded before any transpose was
-// folded into the transforms. A digest has no tolerance, so it is checked
-// only on amd64, where the compiler fuses no multiply-add.
+// radix-3 stage, even real x), 9-point lines (no load table, odd real x),
+// 15-point lines (no load table and an outermost radix 5, so the forward
+// truncates in scratch) and 21-point lines (a Bluestein z plan and odd real
+// x; 105 x lines and 35 z lines a field, so no grid splits them into equal
+// blocks). The first three were recorded before any transpose was folded
+// into the transforms, the fourth before the transforms were batched. A
+// digest has no tolerance, so it is checked only on amd64, where the
+// compiler fuses no multiply-add.
 func TestExcursionPinned(t *testing.T) {
 	pins := []struct {
 		sh        excursionShape
@@ -160,6 +163,7 @@ func TestExcursionPinned(t *testing.T) {
 		{excursionShape{16, 9, 16}, 0x4195f95e80e21061, 0xa9a631f3d11302e},
 		{excursionShape{6, 7, 6}, 0x31b89d24835c3c33, 0x4743ada220a0a8b},
 		{excursionShape{10, 5, 10}, 0xd1b521f562f1045d, 0x16f183ab7699ef5b},
+		{excursionShape{14, 5, 14}, 0xeeb013db7477c0df, 0x84de52b9e4591727},
 	}
 	grids := [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}, {3, 1}}
 	for _, pin := range pins {
