@@ -2,7 +2,8 @@
 # checks, a full build, the whole test suite, and the race detector over
 # the concurrency-bearing packages (wall-normal operators and FFT plans
 # shared by every pool worker, worker pool, in-process MPI runtime, pencil
-# transposes). vet and test also cover
+# transposes, the dealiased excursion whose pool workers each write their
+# own runs of lines). vet and test also cover
 # benchmark/, the regression ruler: it is its own module (its only
 # requirement is replaced by ../, so no network), which `./...` skips, and
 # an API break there would otherwise surface only in the pipeline.
@@ -27,7 +28,7 @@ test:
 	$(GO) -C benchmark test .
 
 race:
-	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
+	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
@@ -48,7 +49,9 @@ fuzz:
 
 # The micro-benchmarks that live beside their package. The paper tables
 # come from cmd/bench and changes are gated by benchmark/
-# (BENCHMARK.json), not by these. banded has the full-band N = 1024 systems
+# (BENCHMARK.json), not by these. fft has BenchmarkLines, ns/line of the
+# per-line entries at the workload line lengths, and BenchmarkBatch, the
+# per-line entries against the batched ones at the channel-48 shapes; banded has the full-band N = 1024 systems
 # of Table 1 and, as BenchmarkCollocationMatVec and BenchmarkHelmholtzSolve,
 # the DNS's own rows at ny = 49, whose zeros inside the band the former lack;
 # mpi has BenchmarkAlltoallvTCP, the wire path's ns/op, B/op and allocs/op at
@@ -59,6 +62,7 @@ fuzz:
 # and grids.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
+	$(GO) test -run xxx -bench Batch -benchtime 20x channeldns/internal/fft
 	$(GO) test -run xxx -bench ExcursionTransposes -benchtime 100x channeldns/internal/pencil
 	$(GO) test -run xxx -bench ExcursionPass -benchtime 50x channeldns/internal/parfft
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/galerkin channeldns/internal/server

@@ -69,11 +69,12 @@ func (f Form) String() string {
 // on the way, and H_i = -u_j du_i/dx_j for i = x, y, z comes back.
 var convectiveForm = parfft.Spec{In: 6, Grad: 3, Out: 3, Harvest: true, Kernel: convectiveH}
 
-// convectiveH forms H_c on one physical x line from phys = u v w, uy vy wy
-// and the z and x derivatives of u v w.
+// convectiveH forms H_c on a block of physical x lines from phys = u v w,
+// uy vy wy and the z and x derivatives of u v w.
 func convectiveH(out []float64, c int, phys, dz, dx [][]float64) {
-	u, v, w := phys[0], phys[1], phys[2]
-	gx, gy, gz := dx[c], phys[3+c], dz[c]
+	n := len(out)
+	u, v, w := phys[0][:n], phys[1][:n], phys[2][:n]
+	gx, gy, gz := dx[c][:n], phys[3+c][:n], dz[c][:n]
 	for i := range out {
 		out[i] = -(u[i]*gx[i] + v[i]*gy[i] + w[i]*gz[i])
 	}

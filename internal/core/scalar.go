@@ -76,7 +76,7 @@ func withScalar(sp parfft.Spec) parfft.Spec {
 			kernel(out, c, phys, dz, dx)
 			return
 		}
-		a, th := phys[c-own], phys[theta]
+		a, th := phys[c-own][:len(out)], phys[theta][:len(out)]
 		for i := range out {
 			out[i] = a[i] * th[i]
 		}

@@ -78,11 +78,11 @@ func scale(c complex128, s float64) complex128 { return complex(real(c)*s, imag(
 // Both produce the values of pad-then-transform and transform-then-truncate
 // exactly; other plans run those two steps through scratch.
 //
-// The spectral operand of the *Strided entries is n modes stride apart, so a
-// line is transformed where it sits inside a pencil; the *Scratch entries are
-// the stride-1 calls of the same bodies. The physical side is contiguous.
+// The *Batch entries (batch.go) transform a run of adjacent lines where they
+// sit inside a pencil; the *Scratch entries transform one contiguous line.
 type PaddedComplex struct {
 	n, m int
+	nb   int // batch width, see Batch
 	plan *Plan
 	buf  []complex128
 	// load[i] is the spectrum index position i of the innermost stage reads,
@@ -99,7 +99,7 @@ func NewPaddedComplex(n, m int) *PaddedComplex {
 	if m < n {
 		panic("fft: padded transform needs m >= n")
 	}
-	p := &PaddedComplex{n: n, m: m, plan: NewPlan(m), buf: make([]complex128, m)}
+	p := &PaddedComplex{n: n, m: m, nb: batchLines(m), plan: NewPlan(m), buf: make([]complex128, m)}
 	pos, neg := bands(n)
 	if inv := p.plan.stages[inverse]; len(inv) > 0 && inv[0].r == 2 {
 		p.load = make([]int32, m)
@@ -140,19 +140,19 @@ func (p *PaddedComplex) InversePadded(phys, spec []complex128) {
 // InversePaddedScratch is InversePadded with caller-provided scratch of
 // length PhysicalLen(), safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) InversePaddedScratch(phys, spec, scratch []complex128) {
-	p.InversePaddedStrided(phys, spec, 1, scratch)
+	if len(phys) < p.m || len(spec) < p.n {
+		panic("fft: padded inverse slice lengths")
+	}
+	p.inversePadded(phys, spec, 1, scratch)
 }
 
-// InversePaddedStrided is InversePaddedScratch reading the n modes stride
-// apart, spec[j*stride].
-func (p *PaddedComplex) InversePaddedStrided(phys, spec []complex128, stride int, scratch []complex128) {
+// inversePadded is the per-line body of InversePaddedScratch, reading the n
+// modes stride apart, spec[j*stride].
+func (p *PaddedComplex) inversePadded(phys, spec []complex128, stride int, scratch []complex128) {
 	if p.load == nil {
 		PadComplex(scratch, spec, stride, p.n, p.m)
 		p.plan.Inverse(phys, scratch)
 		return
-	}
-	if len(phys) < p.m || stride < 1 || len(spec) < span(p.n, stride) {
-		panic("fft: padded inverse slice lengths")
 	}
 	phys = phys[:p.m]
 	first2Padded(phys, spec[:span(p.n, stride)], stride, p.load)
@@ -193,20 +193,20 @@ func (p *PaddedComplex) ForwardTruncated(spec, phys []complex128) {
 // ForwardTruncatedScratch is ForwardTruncated with caller-provided scratch
 // of length PhysicalLen(), safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) ForwardTruncatedScratch(spec, phys, scratch []complex128) {
-	p.ForwardTruncatedStrided(spec, 1, phys, scratch)
+	if len(phys) < p.m || len(spec) < p.n || len(scratch) < p.m {
+		panic("fft: truncated forward slice lengths")
+	}
+	p.forwardTruncated(spec, 1, phys, scratch)
 }
 
-// ForwardTruncatedStrided is ForwardTruncatedScratch storing the n modes
-// stride apart, spec[k*stride].
-func (p *PaddedComplex) ForwardTruncatedStrided(spec []complex128, stride int, phys, scratch []complex128) {
+// forwardTruncated is the per-line body of ForwardTruncatedScratch, storing
+// the n modes stride apart, spec[k*stride].
+func (p *PaddedComplex) forwardTruncated(spec []complex128, stride int, phys, scratch []complex128) {
 	s := 1 / float64(p.m)
 	if !p.keepLast {
 		p.plan.Forward(scratch, phys)
 		TruncateComplex(spec, stride, scratch, p.n, p.m, s)
 		return
-	}
-	if len(phys) < p.m || stride < 1 || len(spec) < span(p.n, stride) || len(scratch) < p.m {
-		panic("fft: truncated forward slice lengths")
 	}
 	scratch = scratch[:p.m]
 	rest := p.plan.load(scratch, phys[:p.m], p.plan.stages[forward])
@@ -248,10 +248,11 @@ func last3Truncated(spec []complex128, n, stride int, x []complex128, st *stage,
 // pad and the truncation happen inside the real plan's tangling passes
 // (inverseModes reads no mode past nk, forwardModes forms none); odd m pads
 // and truncates a full half-complex image in scratch. As for PaddedComplex,
-// the *Strided entries address the nk modes stride apart and the *Scratch
-// entries are their stride-1 calls.
+// the *Batch entries transform a run of lines inside a pencil and the
+// *Scratch entries one contiguous line.
 type PaddedReal struct {
 	nk, m int
+	nb    int // batch width, see Batch
 	plan  *RealPlan
 	buf   []complex128
 }
@@ -262,7 +263,7 @@ func NewPaddedReal(nk, m int) *PaddedReal {
 	if m/2+1 < nk {
 		panic("fft: padded real transform needs m/2+1 >= nk")
 	}
-	p := &PaddedReal{nk: nk, m: m, plan: NewRealPlan(m)}
+	p := &PaddedReal{nk: nk, m: m, nb: batchLines(m), plan: NewRealPlan(m)}
 	p.buf = make([]complex128, p.ScratchLen())
 	return p
 }
@@ -288,17 +289,18 @@ func (p *PaddedReal) InversePadded(phys []float64, spec []complex128) {
 // length ScratchLen(), safe for concurrent use with distinct scratch and
 // free of allocations.
 func (p *PaddedReal) InversePaddedScratch(phys []float64, spec, scratch []complex128) {
-	p.InversePaddedStrided(phys, spec, 1, scratch)
-}
-
-// InversePaddedStrided is InversePaddedScratch reading the nk modes stride
-// apart, spec[k*stride].
-func (p *PaddedReal) InversePaddedStrided(phys []float64, spec []complex128, stride int, scratch []complex128) {
-	if len(phys) < p.m || stride < 1 || len(spec) < span(p.nk, stride) || len(scratch) < p.ScratchLen() {
+	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
 		panic("fft: padded real inverse slice lengths")
 	}
+	p.inversePadded(phys, 1, spec, 1, scratch)
+}
+
+// inversePadded is the per-line body of InversePaddedScratch, reading the
+// nk modes stride apart, spec[k*stride], and writing the m points ps apart,
+// phys[j*ps].
+func (p *PaddedReal) inversePadded(phys []float64, ps int, spec []complex128, stride int, scratch []complex128) {
 	if p.plan.half != nil {
-		p.plan.inverseModes(phys, spec, stride, p.nk, scratch)
+		p.plan.inverseModes(phys, ps, spec, stride, p.nk, scratch)
 		return
 	}
 	nc := p.m/2 + 1
@@ -307,7 +309,7 @@ func (p *PaddedReal) InversePaddedStrided(phys []float64, spec []complex128, str
 		image[k] = spec[k*stride]
 	}
 	clear(image[p.nk:])
-	p.plan.InverseScratch(phys, image, rest)
+	p.plan.inverseFull(phys, ps, image, rest)
 }
 
 // ForwardTruncated transforms phys forward and keeps the nk resolved
@@ -321,23 +323,24 @@ func (p *PaddedReal) ForwardTruncated(spec []complex128, phys []float64) {
 // of length ScratchLen(), safe for concurrent use with distinct scratch and
 // free of allocations.
 func (p *PaddedReal) ForwardTruncatedScratch(spec []complex128, phys []float64, scratch []complex128) {
-	p.ForwardTruncatedStrided(spec, 1, phys, scratch)
-}
-
-// ForwardTruncatedStrided is ForwardTruncatedScratch storing the nk modes
-// stride apart, spec[k*stride].
-func (p *PaddedReal) ForwardTruncatedStrided(spec []complex128, stride int, phys []float64, scratch []complex128) {
-	if len(phys) < p.m || stride < 1 || len(spec) < span(p.nk, stride) || len(scratch) < p.ScratchLen() {
+	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
 		panic("fft: padded real forward slice lengths")
 	}
+	p.forwardTruncated(spec, 1, phys, 1, scratch)
+}
+
+// forwardTruncated is the per-line body of ForwardTruncatedScratch, reading
+// the m points ps apart, phys[j*ps], and storing the nk modes stride apart,
+// spec[k*stride].
+func (p *PaddedReal) forwardTruncated(spec []complex128, stride int, phys []float64, ps int, scratch []complex128) {
 	s := 1 / float64(p.m)
 	if p.plan.half != nil {
-		p.plan.forwardModes(spec, stride, phys, scratch, p.nk, s)
+		p.plan.forwardModes(spec, stride, phys, ps, scratch, p.nk, s)
 		return
 	}
 	nc := p.m/2 + 1
 	image, rest := scratch[:nc], scratch[nc:]
-	p.plan.ForwardScratch(image, phys, rest)
+	p.plan.forwardFull(image, phys, ps, rest)
 	for k := 0; k < p.nk; k++ {
 		spec[k*stride] = scale(image[k], s)
 	}

@@ -1,8 +1,10 @@
 // Package fft provides the one-dimensional fast Fourier transforms that the
 // channel DNS is built on: complex mixed-radix transforms (radix 2, 3, 5 with
 // a Bluestein fallback for other factors), real-to-complex transforms in the
-// half-complex storage scheme, batched strided interfaces, and the fused
-// 3/2-rule pad/truncate transforms used for dealiasing.
+// half-complex storage scheme, and the fused 3/2-rule pad/truncate transforms
+// used for dealiasing, each of the latter also as a batched entry that runs
+// a block of adjacent lines, wherever they sit in a pencil, through every
+// stage together (batch.go).
 //
 // Sign and normalization conventions follow FFTW: Forward computes
 //

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"channeldns/internal/telemetry"
 )
 
 // naiveDFT is the O(N^2) reference transform.
@@ -394,6 +396,99 @@ func BenchmarkLines(b *testing.B) {
 	}
 }
 
+// BenchmarkBatch sets the batched entries against the per-line ones at the
+// channel-48 shapes: 48 z modes and 24 one-sided x modes, both on 72-point
+// grids, over the 24*49 z lines and 72*49 x lines of one field at 1x1. The
+// per-line rows run the *Scratch entries over contiguous lines; the batched
+// rows run the *Batch entries over the same lines laid out as the excursion
+// finds them in the pencils (z modes NY = 49 apart with adjacent lines
+// adjacent; x modes 49*72 apart, likewise) with the physical side contiguous
+// lines in z and point-interleaved in x. ns/line is the figure to compare.
+func BenchmarkBatch(b *testing.B) {
+	const ny, nkx, nz, m = 49, 24, 48, 72
+	rng := rand.New(rand.NewSource(1))
+	padZ, padX := NewPaddedComplex(nz, m), NewPaddedReal(nkx, m)
+	zLines, xLines := nkx*ny, m*ny
+	zspec, zphys := randComplex(rng, nz*zLines), randComplex(rng, m*zLines)
+	xspec, xphys := randComplex(rng, nkx*xLines), make([]float64, m*xLines)
+	for i := range xphys {
+		xphys[i] = rng.NormFloat64()
+	}
+	zscr, xscr := make([]complex128, padZ.BatchScratchLen()), make([]complex128, padX.BatchScratchLen())
+	nbz, nbx := padZ.Batch(), padX.Batch()
+	// zRun and xRun visit the runs of the 1x1 pencils: z lines in runs of
+	// nbz inside one kx (ny lines), x lines in runs of nbx.
+	zRun := func(f func(l, nb int)) {
+		for kx := 0; kx < nkx; kx++ {
+			for y := 0; y < ny; y += nbz {
+				f(kx*ny+y, min(nbz, ny-y))
+			}
+		}
+	}
+	xRun := func(f func(l, nb int)) {
+		for l := 0; l < xLines; l += nbx {
+			f(l, min(nbx, xLines-l))
+		}
+	}
+	zs, xs := Layout{Elem: ny, Line: 1}, Layout{Elem: ny * m, Line: 1}
+	zp := Layout{Elem: 1, Line: m}
+	for _, bc := range []struct {
+		name  string
+		lines int
+		pass  func()
+	}{
+		{"per-line/complex-inv", zLines, func() {
+			for l := 0; l < zLines; l++ {
+				padZ.InversePaddedScratch(zphys[l*m:(l+1)*m], zspec[l*nz:(l+1)*nz], zscr)
+			}
+		}},
+		{"batched/complex-inv", zLines, func() {
+			zRun(func(l, nb int) {
+				kx, y := l/ny, l%ny
+				padZ.InversePaddedBatch(zphys[l*m:], zp, zspec[kx*nz*ny+y:], zs, nb, zscr)
+			})
+		}},
+		{"per-line/complex-fwd", zLines, func() {
+			for l := 0; l < zLines; l++ {
+				padZ.ForwardTruncatedScratch(zspec[l*nz:(l+1)*nz], zphys[l*m:(l+1)*m], zscr)
+			}
+		}},
+		{"batched/complex-fwd", zLines, func() {
+			zRun(func(l, nb int) {
+				kx, y := l/ny, l%ny
+				padZ.ForwardTruncatedBatch(zspec[kx*nz*ny+y:], zs, zphys[l*m:], zp, nb, zscr)
+			})
+		}},
+		{"per-line/real-inv", xLines, func() {
+			for l := 0; l < xLines; l++ {
+				padX.InversePaddedScratch(xphys[l*m:(l+1)*m], xspec[l*nkx:(l+1)*nkx], xscr)
+			}
+		}},
+		{"batched/real-inv", xLines, func() {
+			xRun(func(l, nb int) {
+				padX.InversePaddedBatch(xphys[l*m:], Layout{Elem: nb, Line: 1}, xspec[l:], xs, nb, xscr)
+			})
+		}},
+		{"per-line/real-fwd", xLines, func() {
+			for l := 0; l < xLines; l++ {
+				padX.ForwardTruncatedScratch(xspec[l*nkx:(l+1)*nkx], xphys[l*m:(l+1)*m], xscr)
+			}
+		}},
+		{"batched/real-fwd", xLines, func() {
+			xRun(func(l, nb int) {
+				padX.ForwardTruncatedBatch(xspec[l:], xs, xphys[l*m:], Layout{Elem: nb, Line: 1}, nb, xscr)
+			})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.lines), "ns/line")
+		})
+	}
+}
+
 // TestPaddedComplexOddLength: for odd n every slot of the wrap-ordered
 // spectrum is a resolved mode — index n/2 is +n/2, not a Nyquist slot — so
 // padding must carry it and truncation must write it.
@@ -477,102 +572,192 @@ func TestPaddedRealOddGrid(t *testing.T) {
 	}
 }
 
-// TestStridedEntriesMatchContiguous: each *Strided entry, fed a spectrum
-// whose modes lie stride apart, gives the bits its contiguous form gives,
-// stores nothing between the modes, and allocates nothing. The lengths reach
-// every branch: with and without the padded load table, with and without the
-// truncating last radix-3 stage, odd and even spectral lengths, and the
-// half-length real plan as well as the odd-m image in scratch.
-func TestStridedEntriesMatchContiguous(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	same := func(a, b complex128) bool {
-		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
-			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+// laidOut returns a buffer holding lines by l, with fill everywhere else.
+func laidOut[T float64 | complex128](lines [][]T, l Layout, fill T) []T {
+	buf := make([]T, l.span(len(lines[0]), len(lines))+l.Line)
+	for i := range buf {
+		buf[i] = fill
 	}
-	const sentinel = complex(-7, 7)
-	// strided returns a stride-apart copy of spec with sentinels between.
-	strided := func(spec []complex128, stride int) []complex128 {
-		buf := make([]complex128, span(len(spec), stride)+stride-1)
-		for i := range buf {
-			buf[i] = sentinel
+	for b, line := range lines {
+		for k, v := range line {
+			buf[k*l.Elem+b*l.Line] = v
 		}
-		for k, v := range spec {
-			buf[k*stride] = v
-		}
-		return buf
 	}
-	// check holds a strided spectrum to its contiguous form and its gaps to
-	// the sentinel.
-	check := func(name string, buf, want []complex128, stride int) {
-		t.Helper()
-		for i, v := range buf {
-			k, on := i/stride, i%stride == 0 && i/stride < len(want)
-			if on && !same(v, want[k]) || !on && v != sentinel {
-				t.Errorf("%s stride %d: slot %d = %v", name, stride, i, v)
-				return
+	return buf
+}
+
+// firstBitDiff returns the first index at which a and b differ in their
+// bits, so that -0 and +0 differ, or -1.
+func firstBitDiff[T float64 | complex128](a, b []T) int {
+	bits := func(v T) [2]uint64 {
+		switch v := any(v).(type) {
+		case float64:
+			return [2]uint64{math.Float64bits(v)}
+		case complex128:
+			return [2]uint64{math.Float64bits(real(v)), math.Float64bits(imag(v))}
+		}
+		return [2]uint64{}
+	}
+	for i := range a {
+		if bits(a[i]) != bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// zeroLines returns nb lines of n zeros.
+func zeroLines[T float64 | complex128](nb, n int) [][]T {
+	lines := make([][]T, nb)
+	for b := range lines {
+		lines[b] = make([]T, n)
+	}
+	return lines
+}
+
+// testLines returns nb random lines of n elements with zeros of both signs
+// mixed in (negz is the negative zero): line 1 is all negz, and every line
+// holds a negz and a +0.
+func testLines[T float64 | complex128](nb, n int, negz T, draw func() T) [][]T {
+	lines := make([][]T, nb)
+	for b := range lines {
+		lines[b] = make([]T, n)
+		for k := range lines[b] {
+			switch {
+			case b == 1 || k == (b+1)%n:
+				lines[b][k] = negz
+			case k == (b+2)%n:
+				lines[b][k] = 0
+			default:
+				lines[b][k] = draw()
 			}
 		}
 	}
-	noAllocs := func(name string, stride int, f func()) {
+	return lines
+}
+
+// TestBatchedEntriesMatchPerLine: each *Batch entry gives, bit for bit (-0
+// included), what its per-line *Scratch form gives line by line; stores
+// nothing outside its lines; and allocates nothing. The widths are 1, 2 and
+// one below, at and one above the entry's Batch(); the spectral side is laid
+// out as contiguous lines and at the excursion's folded strides (49 = NY
+// apart, and nyLoc*mz apart with adjacent lines adjacent), the physical side
+// as contiguous lines and point-interleaved. The lengths reach every branch:
+// the padded load table or not, the truncating last radix-3 stage or not,
+// Bluestein, the half-length real plan with and without a radix-2 innermost
+// stage, a Bluestein half-length plan, and odd real grids.
+func TestBatchedEntriesMatchPerLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const sentinel = -7.5
+	negz := math.Copysign(0, -1)
+	cnegz := complex(negz, negz)
+	cdraw := func() complex128 { return complex(rng.NormFloat64(), rng.NormFloat64()) }
+	rdraw := func() float64 { return rng.NormFloat64() }
+	widths := func(nb int) []int {
+		ws := []int{1}
+		for _, w := range []int{2, nb - 1, nb, nb + 1} {
+			if w > ws[len(ws)-1] {
+				ws = append(ws, w)
+			}
+		}
+		return ws
+	}
+	check := func(name string, diff int) {
 		t.Helper()
-		if a := testing.AllocsPerRun(20, f); a != 0 {
-			t.Errorf("%s stride %d: %v allocations per call, want 0", name, stride, a)
+		if diff >= 0 {
+			t.Errorf("%s: slot %d differs from the per-line bits", name, diff)
 		}
 	}
-	var load, noLoad, keepLast, noKeepLast, half, odd bool
-	for _, nm := range [][2]int{{48, 72}, {16, 24}, {7, 12}, {10, 16}, {5, 8}, {6, 9}, {10, 15}} {
+	// noAllocs holds f to no allocations; a Bluestein plan borrows its work
+	// arrays from a sync.Pool, which the race detector drops at random.
+	noAllocs := func(name string, pooled bool, f func()) {
+		t.Helper()
+		if pooled && telemetry.RaceEnabled {
+			return
+		}
+		if a := testing.AllocsPerRun(3, f); a != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", name, a)
+		}
+	}
+	var load, noLoad, keepLast, noKeepLast, blue bool
+	for _, nm := range [][2]int{{48, 72}, {16, 24}, {7, 12}, {10, 16}, {6, 9}, {10, 15}, {14, 21}} {
 		n, m := nm[0], nm[1]
 		p := NewPaddedComplex(n, m)
 		load, noLoad = load || p.load != nil, noLoad || p.load == nil
 		keepLast, noKeepLast = keepLast || p.keepLast, noKeepLast || !p.keepLast
-		scr := make([]complex128, p.ScratchLen())
-		spec, phys := randComplex(rng, n), randComplex(rng, m)
-		wantPhys, wantSpec := make([]complex128, m), make([]complex128, n)
-		p.InversePaddedScratch(wantPhys, spec, scr)
-		p.ForwardTruncatedScratch(wantSpec, phys, scr)
-		for _, stride := range []int{1, 3, 49} {
-			name := fmt.Sprintf("PaddedComplex(%d, %d)", n, m)
-			in, got := strided(spec, stride), make([]complex128, m)
-			p.InversePaddedStrided(got, in, stride, scr)
-			check(name+".InversePaddedStrided", strided(got, 1), wantPhys, 1)
-			out := strided(make([]complex128, n), stride)
-			p.ForwardTruncatedStrided(out, stride, phys, scr)
-			check(name+".ForwardTruncatedStrided", out, wantSpec, stride)
-			noAllocs(name+".InversePaddedStrided", stride, func() { p.InversePaddedStrided(got, in, stride, scr) })
-			noAllocs(name+".ForwardTruncatedStrided", stride, func() { p.ForwardTruncatedStrided(out, stride, phys, scr) })
-		}
-	}
-	for _, c := range [][2]int{{24, 72}, {16, 48}, {5, 8}, {3, 9}, {5, 15}} {
-		nk, m := c[0], c[1]
-		p := NewPaddedReal(nk, m)
-		half, odd = half || p.plan.half != nil, odd || p.plan.half == nil
-		scr := make([]complex128, p.ScratchLen())
-		spec, phys := randComplex(rng, nk), make([]float64, m)
-		for i := range phys {
-			phys[i] = rng.NormFloat64()
-		}
-		wantPhys, wantSpec := make([]float64, m), make([]complex128, nk)
-		p.InversePaddedScratch(wantPhys, spec, scr)
-		p.ForwardTruncatedScratch(wantSpec, phys, scr)
-		for _, stride := range []int{1, 3, 49} {
-			name := fmt.Sprintf("PaddedReal(%d, %d)", nk, m)
-			in, got := strided(spec, stride), make([]float64, m)
-			p.InversePaddedStrided(got, in, stride, scr)
-			for j, v := range got {
-				if math.Float64bits(v) != math.Float64bits(wantPhys[j]) {
-					t.Errorf("%s.InversePaddedStrided stride %d: point %d = %v, contiguous %v", name, stride, j, v, wantPhys[j])
-					break
+		blue = blue || p.plan.blue != nil
+		scr, lineScr := make([]complex128, p.BatchScratchLen()), make([]complex128, p.ScratchLen())
+		for _, nb := range widths(p.Batch()) {
+			specs, physs := testLines(nb, n, cnegz, cdraw), testLines(nb, m, cnegz, cdraw)
+			wantPhys, wantSpec := make([][]complex128, nb), make([][]complex128, nb)
+			for b := range specs {
+				wantPhys[b], wantSpec[b] = make([]complex128, m), make([]complex128, n)
+				p.InversePaddedScratch(wantPhys[b], specs[b], lineScr)
+				p.ForwardTruncatedScratch(wantSpec[b], physs[b], lineScr)
+			}
+			for _, sl := range []Layout{{1, n}, {49, 1}, {3 * m, 1}} {
+				if !sl.disjoint(len(specs[0]), nb) {
+					continue // more lines than the pencil stride leaves room for
+				}
+				for _, pl := range []Layout{{1, m}, {nb, 1}} {
+					name := fmt.Sprintf("PaddedComplex(%d, %d) nb %d spec %v phys %v", n, m, nb, sl, pl)
+					in, got := laidOut(specs, sl, sentinel), laidOut(zeroLines[complex128](nb, m), pl, sentinel)
+					p.InversePaddedBatch(got, pl, in, sl, nb, scr)
+					check(name+" InversePaddedBatch", firstBitDiff(got, laidOut(wantPhys, pl, sentinel)))
+					ph, out := laidOut(physs, pl, sentinel), laidOut(zeroLines[complex128](nb, n), sl, sentinel)
+					p.ForwardTruncatedBatch(out, sl, ph, pl, nb, scr)
+					check(name+" ForwardTruncatedBatch", firstBitDiff(out, laidOut(wantSpec, sl, sentinel)))
+					pooled := p.plan.blue != nil
+					noAllocs(name+" InversePaddedBatch", pooled, func() { p.InversePaddedBatch(got, pl, in, sl, nb, scr) })
+					noAllocs(name+" ForwardTruncatedBatch", pooled, func() { p.ForwardTruncatedBatch(out, sl, ph, pl, nb, scr) })
 				}
 			}
-			out := strided(make([]complex128, nk), stride)
-			p.ForwardTruncatedStrided(out, stride, phys, scr)
-			check(name+".ForwardTruncatedStrided", out, wantSpec, stride)
-			noAllocs(name+".InversePaddedStrided", stride, func() { p.InversePaddedStrided(got, in, stride, scr) })
-			noAllocs(name+".ForwardTruncatedStrided", stride, func() { p.ForwardTruncatedStrided(out, stride, phys, scr) })
 		}
 	}
-	if !load || !noLoad || !keepLast || !noKeepLast || !half || !odd {
-		t.Errorf("branches reached: load %v, no load %v, keepLast %v, no keepLast %v, half-length %v, odd %v",
-			load, noLoad, keepLast, noKeepLast, half, odd)
+	var pairs, pack, halfBlue, odd bool
+	for _, c := range [][2]int{{24, 72}, {16, 48}, {4, 12}, {6, 18}, {1, 2}, {7, 14}, {3, 9}, {5, 15}, {7, 21}} {
+		nk, m := c[0], c[1]
+		p := NewPaddedReal(nk, m)
+		if h := p.plan.half; h == nil {
+			odd = true
+		} else if h.blue != nil {
+			halfBlue = true
+		} else if st := h.stages[forward]; len(st) > 0 && st[0].r == 2 {
+			pairs = true
+		} else {
+			pack = true
+		}
+		scr, lineScr := make([]complex128, p.BatchScratchLen()), make([]complex128, p.ScratchLen())
+		for _, nb := range widths(p.Batch()) {
+			specs, physs := testLines(nb, nk, cnegz, cdraw), testLines(nb, m, negz, rdraw)
+			wantPhys, wantSpec := make([][]float64, nb), make([][]complex128, nb)
+			for b := range specs {
+				wantPhys[b], wantSpec[b] = make([]float64, m), make([]complex128, nk)
+				p.InversePaddedScratch(wantPhys[b], specs[b], lineScr)
+				p.ForwardTruncatedScratch(wantSpec[b], physs[b], lineScr)
+			}
+			for _, sl := range []Layout{{1, nk}, {49, 1}, {3 * m, 1}} {
+				if !sl.disjoint(len(specs[0]), nb) {
+					continue // more lines than the pencil stride leaves room for
+				}
+				for _, pl := range []Layout{{1, m}, {nb, 1}} {
+					name := fmt.Sprintf("PaddedReal(%d, %d) nb %d spec %v phys %v", nk, m, nb, sl, pl)
+					in, got := laidOut(specs, sl, sentinel), laidOut(zeroLines[float64](nb, m), pl, sentinel)
+					p.InversePaddedBatch(got, pl, in, sl, nb, scr)
+					check(name+" InversePaddedBatch", firstBitDiff(got, laidOut(wantPhys, pl, sentinel)))
+					ph, out := laidOut(physs, pl, sentinel), laidOut(zeroLines[complex128](nb, nk), sl, sentinel)
+					p.ForwardTruncatedBatch(out, sl, ph, pl, nb, scr)
+					check(name+" ForwardTruncatedBatch", firstBitDiff(out, laidOut(wantSpec, sl, sentinel)))
+					pooled := p.plan.full != nil && p.plan.full.blue != nil || p.plan.half != nil && p.plan.half.blue != nil
+					noAllocs(name+" InversePaddedBatch", pooled, func() { p.InversePaddedBatch(got, pl, in, sl, nb, scr) })
+					noAllocs(name+" ForwardTruncatedBatch", pooled, func() { p.ForwardTruncatedBatch(out, sl, ph, pl, nb, scr) })
+				}
+			}
+		}
+	}
+	if !load || !noLoad || !keepLast || !noKeepLast || !blue || !pairs || !pack || !halfBlue || !odd {
+		t.Errorf("branches reached: load %v, no load %v, keepLast %v, no keepLast %v, Bluestein %v, "+
+			"real pairs %v, real pack %v, Bluestein half %v, odd %v",
+			load, noLoad, keepLast, noKeepLast, blue, pairs, pack, halfBlue, odd)
 	}
 }

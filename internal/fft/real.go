@@ -71,33 +71,45 @@ func (p *RealPlan) ForwardScratch(dst []complex128, src []float64, scratch []com
 		panic("fft: real forward scratch length")
 	}
 	if p.full != nil {
-		buf, out := scratch[:p.n], scratch[p.n:2*p.n]
-		for j, v := range src[:p.n] {
-			buf[j] = complex(v, 0)
-		}
-		p.full.Forward(out, buf)
-		copy(dst, out[:p.nc])
+		p.forwardFull(dst, src, 1, scratch)
 		return
 	}
-	p.forwardModes(dst, 1, src, scratch, p.nc, 1)
+	p.forwardModes(dst, 1, src, 1, scratch, p.nc, 1)
 }
 
-// forwardModes is the even-length forward transform restricted to the first
-// nk <= NumModes() modes, each scaled by s and stored at dst[k*stride]: one
-// half-length complex transform
-// of the points taken in pairs, then the untangling pass
+// forwardFull is the odd-length forward transform of the points ss apart,
+// src[j*ss]: one full-length complex transform.
+func (p *RealPlan) forwardFull(dst []complex128, src []float64, ss int, scratch []complex128) {
+	buf, out := scratch[:p.n], scratch[p.n:2*p.n]
+	for j := range buf {
+		buf[j] = complex(src[j*ss], 0)
+	}
+	p.full.Forward(out, buf)
+	copy(dst, out[:p.nc])
+}
+
+// forwardModes is the even-length forward transform of the points ss apart,
+// src[j*ss], restricted to the first nk <= NumModes() modes, each scaled by s
+// and stored at dst[k*stride]: one half-length complex transform of the
+// points taken in pairs, then the untangling pass
 //
 //	E[k] = (Z[k]+conj(Z[h-k]))/2, O[k] = (Z[k]-conj(Z[h-k]))/(2i),
 //	X[k] = E[k] + w^k O[k]
 //
 // for k = 0..h with Z periodic (Z[h] = Z[0]); the two ends are peeled so the
 // loop carries no index wrap.
-func (p *RealPlan) forwardModes(dst []complex128, stride int, src []float64, scratch []complex128, nk int, s float64) {
+func (p *RealPlan) forwardModes(dst []complex128, stride int, src []float64, ss int, scratch []complex128, nk int, s float64) {
 	h := p.n / 2
 	z, zt := scratch[:h], scratch[h:][:h]
-	src = src[:2*h]
-	for j := range z {
-		z[j] = complex(src[2*j], src[2*j+1])
+	if ss == 1 {
+		src = src[:2*h]
+		for j := range z {
+			z[j] = complex(src[2*j], src[2*j+1])
+		}
+	} else {
+		for j := range z {
+			z[j] = complex(src[2*j*ss], src[(2*j+1)*ss])
+		}
 	}
 	p.half.Forward(zt, z)
 	dst = dst[:span(nk, stride)]
@@ -143,30 +155,37 @@ func (p *RealPlan) InverseScratch(dst []float64, src, scratch []complex128) {
 		panic("fft: real inverse scratch length")
 	}
 	if p.full != nil {
-		buf, out := scratch[:p.n], scratch[p.n:2*p.n]
-		copy(buf, src[:p.nc])
-		buf[0] = complex(real(src[0]), 0)
-		for k := p.nc; k < p.n; k++ {
-			buf[k] = conj(buf[p.n-k])
-		}
-		p.full.Inverse(out, buf)
-		for j := 0; j < p.n; j++ {
-			dst[j] = real(out[j])
-		}
+		p.inverseFull(dst, 1, src, scratch)
 		return
 	}
-	p.inverseModes(dst, src, 1, p.nc, scratch)
+	p.inverseModes(dst, 1, src, 1, p.nc, scratch)
+}
+
+// inverseFull is the odd-length inverse transform writing the points ds
+// apart, dst[j*ds]: one full-length complex transform of the Hermitian
+// extension of src.
+func (p *RealPlan) inverseFull(dst []float64, ds int, src, scratch []complex128) {
+	buf, out := scratch[:p.n], scratch[p.n:2*p.n]
+	copy(buf, src[:p.nc])
+	buf[0] = complex(real(src[0]), 0)
+	for k := p.nc; k < p.n; k++ {
+		buf[k] = conj(buf[p.n-k])
+	}
+	p.full.Inverse(out, buf)
+	for j, v := range out {
+		dst[j*ds] = real(v)
+	}
 }
 
 // inverseModes is the even-length inverse transform of a spectrum whose
 // modes k >= nk are zero and are not read (nk <= NumModes()) and whose mode k
-// is src[k*stride]: the tangling
+// is src[k*stride], writing the points ds apart, dst[j*ds]: the tangling
 // pass Z[k] = E[k] + i*O[k] with E[k] = (X[k]+conj(X[h-k]))/2 and
 // O[k] = w^-k (X[k]-conj(X[h-k]))/2, one half-length complex transform, and
 // the points written out in pairs. Where one of X[k], X[h-k] is a known
 // zero, E and the half difference are the same number up to sign and are
 // formed once.
-func (p *RealPlan) inverseModes(dst []float64, src []complex128, stride, nk int, scratch []complex128) {
+func (p *RealPlan) inverseModes(dst []float64, ds int, src []complex128, stride, nk int, scratch []complex128) {
 	h := p.n / 2
 	z, zt := scratch[:h], scratch[h:][:h]
 	src = src[:span(nk, stride)]
@@ -193,10 +212,17 @@ func (p *RealPlan) inverseModes(dst []float64, src []complex128, stride, nk int,
 		z[k] = tangleHalves(e, -e, w[k])
 	}
 	p.half.Inverse(zt, z)
-	dst = dst[:2*h]
+	if ds == 1 {
+		dst = dst[:2*h]
+		for j, v := range zt {
+			dst[2*j] = 2 * real(v)
+			dst[2*j+1] = 2 * imag(v)
+		}
+		return
+	}
 	for j, v := range zt {
-		dst[2*j] = 2 * real(v)
-		dst[2*j+1] = 2 * imag(v)
+		dst[2*j*ds] = 2 * real(v)
+		dst[(2*j+1)*ds] = 2 * imag(v)
 	}
 }
 

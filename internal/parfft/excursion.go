@@ -27,11 +27,14 @@ type Spec struct {
 	// Harvest records the per-y maxima of |phys[0]|, |phys[1]|, |phys[2]|
 	// (the velocities) for the CFL diagnostic; see MaxAbs.
 	Harvest bool
-	// Kernel fills out with product c (0 <= c < Out) of one physical x line:
-	// phys holds the In fields, dz and dx the z and x derivatives of the
-	// first Grad of them, so a kernel reads the same lines whatever fields a
-	// caller appends to In. The excursion forward-transforms out after each
-	// call.
+	// Kernel fills out with product c (0 <= c < Out) on a block of physical
+	// x lines: phys holds the In fields, dz and dx the z and x derivatives of
+	// the first Grad of them, so a kernel reads the same lines whatever fields
+	// a caller appends to In. Every operand, out included, holds the block's
+	// nb lines point-interleaved (point i of line b at i*nb + b) and has
+	// len(out) elements, so a kernel must be pointwise: out[i] may depend on
+	// the operands' element i only. The excursion forward-transforms out
+	// after each call.
 	Kernel func(out []float64, c int, phys, dz, dx [][]float64)
 }
 
@@ -55,7 +58,7 @@ var SixProducts = Spec{In: 3, Out: NumProducts, Harvest: true, Kernel: sixProduc
 var productPairs = [NumProducts][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 
 func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
-	a, b := phys[productPairs[c][0]], phys[productPairs[c][1]]
+	a, b := phys[productPairs[c][0]][:len(out)], phys[productPairs[c][1]][:len(out)]
 	for i := range out {
 		out[i] = a[i] * b[i]
 	}
@@ -69,15 +72,21 @@ func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 // reads, so passes of different Specs share the buffers; elements no pass
 // writes (the z Nyquist column, the mean mode of v) keep their initial zeros.
 //
+// Each hook hands the transforms runs of adjacent lines, at most the padded
+// transform's Batch() at a time, through the batched entries: a run goes
+// through every FFT stage together, lines innermost, and on the x line the
+// run is one point-interleaved block from the inverse transforms through the
+// Kernel to the forward ones.
+//
 // A transpose inside a one-rank communicator moves each element by a fixed
 // index map, so there the excursion does not run it: the transforms read and
-// write the pencils where they sit, through strided spectral operands, and
-// the plan only books the call (pencil.TransposePlan.Book). The fold is
-// chosen per communicator from the process grid: with PB == 1 the z inverse
-// reads the y-pencil inputs and the z forward writes the y-pencil outputs, so
-// there is no zpIn or zspec; with PA == 1 the x line is read from and written
-// to the z-pencils, so there is no xp or prodX. Each consume hook has one body
-// over a lines view bound at construction, folded or not.
+// write the pencils where they sit, through the batched entries' strided
+// layouts, and the plan only books the call (pencil.TransposePlan.Book). The
+// fold is chosen per communicator from the process grid: with PB == 1 the z
+// inverse reads the y-pencil inputs and the z forward writes the y-pencil
+// outputs, so there is no zpIn or zspec; with PA == 1 the x line is read from
+// and written to the z-pencils, so there is no xp or prodX. Each consume hook
+// has one body over a lines view bound at construction, folded or not.
 //
 // The other forward-path transposes run through the pipelined entry points:
 // with Decomp.Overlap each exchange moves in chunks and the consume hooks
@@ -92,6 +101,9 @@ type Excursion struct {
 	padX     *fft.PaddedReal
 	ikz, ikx []complex128
 	tel      *telemetry.Collector
+	// nbz and nbx are the z and x batch widths: the most lines a hook hands
+	// one batched call.
+	nbz, nbx int
 
 	// Local extents: kx lines and y planes of the z-pencils, z lines per y
 	// plane of the x-pencils, and the first global y index.
@@ -134,18 +146,28 @@ type lines struct {
 	div, outer, inner, stride int
 }
 
-// at returns field f from the start of line l on.
-func (v *lines) at(f, l int) []complex128 {
-	return (*v.bufs)[f][(l/v.div)*v.outer+(l%v.div)*v.inner:]
+// run returns field f from the start of line l on, the layout of the lines
+// from l, and how many of the next n lines (n >= 1) that layout holds: the
+// lines up to the next multiple of div, which lie inner apart, or all n when
+// div == 1, outer apart.
+func (v *lines) run(f, l, n int) ([]complex128, fft.Layout, int) {
+	s := (*v.bufs)[f][(l/v.div)*v.outer+(l%v.div)*v.inner:]
+	if v.div == 1 {
+		return s, fft.Layout{Elem: v.stride, Line: v.outer}, n
+	}
+	return s, fft.Layout{Elem: v.stride, Line: v.inner}, min(n, v.div-l%v.div)
 }
 
-// excursionWorker is one worker's private line scratch, selected by the
-// block id of ForBlocksIndexed.
+// excursionWorker is one worker's private scratch, selected by the block id
+// of ForBlocksIndexed. The line buffers hold a batch: zline nbz lines and
+// xline nbx lines innermost, and phys and prod nbx point-interleaved lines.
 type excursionWorker struct {
-	zscr, zline []complex128 // z transform scratch, i*kz-multiplied line
-	xscr, xline []complex128 // x transform scratch, i*kx-multiplied line
+	zscr, zline []complex128 // z batch scratch, i*kz-multiplied lines
+	xscr, xline []complex128 // x batch scratch, i*kx-multiplied lines
 	phys        [][]float64  // physical x lines: In fields, Grad dz, Grad dx
+	view        [][]float64  // phys cut to the block in flight
 	prod        []float64
+	lineMax     []float64 // per-line maxima of one harvested field
 	maxAbs      [3][]float64
 }
 
@@ -160,6 +182,7 @@ func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedRea
 	yl, yh := d.YRange()
 	zl, zh := d.ZRangeX(padZ.PhysicalLen())
 	e.kxLoc, e.nyLoc, e.nzLoc, e.yLo0 = kh-kl, yh-yl, zh-zl, yl
+	e.nbz, e.nbx = padZ.Batch(), padX.Batch()
 	nz, nkx, mz := padZ.SpectralLen(), padX.SpectralLen(), padZ.PhysicalLen()
 	e.foldA, e.foldB = d.PA == 1, d.PB == 1
 	e.zIn, e.zOut = lines{&e.zpIn, 1, nz, 0, 1}, lines{&e.zspec, 1, nz, 0, 1}
@@ -182,11 +205,12 @@ func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedRea
 	e.workers = make([]excursionWorker, d.Pool.Workers())
 	for i := range e.workers {
 		w := &e.workers[i]
-		w.zscr = make([]complex128, padZ.ScratchLen())
-		w.zline = make([]complex128, padZ.SpectralLen())
-		w.xscr = make([]complex128, padX.ScratchLen())
-		w.xline = make([]complex128, padX.SpectralLen())
-		w.prod = make([]float64, padX.PhysicalLen())
+		w.zscr = make([]complex128, padZ.BatchScratchLen())
+		w.zline = make([]complex128, nz*e.nbz)
+		w.xscr = make([]complex128, padX.BatchScratchLen())
+		w.xline = make([]complex128, nkx*e.nbx)
+		w.prod = make([]float64, padX.PhysicalLen()*e.nbx)
+		w.lineMax = make([]float64, e.nbx)
 		for c := range w.maxAbs {
 			w.maxAbs[c] = make([]float64, d.NY)
 		}
@@ -222,7 +246,8 @@ func (e *Excursion) Register(sp *Spec) {
 	for i := range e.workers {
 		w := &e.workers[i]
 		for len(w.phys) < sp.In+2*sp.Grad {
-			w.phys = append(w.phys, make([]float64, e.padX.PhysicalLen()))
+			w.phys = append(w.phys, make([]float64, e.padX.PhysicalLen()*e.nbx))
+			w.view = append(w.view, nil)
 		}
 	}
 }
@@ -295,21 +320,34 @@ func (e *Excursion) zInvBlock(blk, lo, hi int) {
 	mz := e.padZ.PhysicalLen()
 	w := &e.workers[blk]
 	in := &e.zIn
+	phys := fft.Layout{Elem: 1, Line: mz}
 	lo += e.lineOff
 	hi += e.lineOff
 	for f := 0; f < e.spec.In; f++ {
-		dst := e.zphys[f]
-		for l := lo; l < hi; l++ {
-			line := in.at(f, l)
-			e.padZ.InversePaddedStrided(dst[l*mz:(l+1)*mz], line, in.stride, w.zscr)
+		for l := lo; l < hi; {
+			spec, sl, nb := in.run(f, l, min(hi-l, e.nbz))
+			e.padZ.InversePaddedBatch(e.zphys[f][l*mz:], phys, spec, sl, nb, w.zscr)
 			if f < e.spec.Grad {
-				for j := range w.zline {
-					w.zline[j] = e.ikz[j] * line[j*in.stride]
-				}
-				e.padZ.InversePaddedScratch(e.zphys[e.spec.In+f][l*mz:(l+1)*mz], w.zline, w.zscr)
+				e.padZ.InversePaddedBatch(e.zphys[e.spec.In+f][l*mz:], phys,
+					derivative(w.zline, e.ikz, spec, sl, nb), fft.Layout{Elem: nb, Line: 1}, nb, w.zscr)
 			}
+			l += nb
 		}
 	}
+}
+
+// derivative fills dst with the nb lines of spec (laid out by sl) times ik,
+// mode by mode, lines innermost, and returns the filled part.
+func derivative(dst, ik, spec []complex128, sl fft.Layout, nb int) []complex128 {
+	dst = dst[:len(ik)*nb]
+	for k, m := range ik {
+		o := k * sl.Elem
+		for b, row := 0, dst[k*nb:][:nb]; b < len(row); b++ {
+			row[b] = m * spec[o]
+			o += sl.Line
+		}
+	}
+	return dst
 }
 
 // consumeX is the ZtoX consume hook: the fused x excursion for the local-y
@@ -327,8 +365,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 	nd := sp.In + sp.Grad
 	w := &e.workers[blk]
 	in, out := &e.xIn, &e.xOut
-	phys := w.phys[:nd+sp.Grad]
-	fields, dz, dx := phys[:sp.In], phys[sp.In:nd], phys[nd:]
+	mx := e.padX.PhysicalLen()
 	if sp.Harvest {
 		for c := range w.maxAbs {
 			clear(w.maxAbs[c])
@@ -336,43 +373,65 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 	}
 	lo += e.lineOff
 	hi += e.lineOff
-	for l := lo; l < hi; l++ {
-		for f := 0; f < nd; f++ {
-			e.padX.InversePaddedStrided(phys[f], in.at(f, l), in.stride, w.xscr)
+	for l := lo; l < hi; {
+		// x lines are all one stride apart (div == 1): any nb form a run.
+		nb := min(hi-l, e.nbx)
+		phys := fft.Layout{Elem: nb, Line: 1}
+		view := w.view[:nd+sp.Grad]
+		for f := range view {
+			view[f] = w.phys[f][:mx*nb]
 		}
-		for f := 0; f < sp.Grad; f++ {
-			line := in.at(f, l)
-			for k := range w.xline {
-				w.xline[k] = e.ikx[k] * line[k*in.stride]
+		fields, dz, dx := view[:sp.In], view[sp.In:nd], view[nd:]
+		for f := 0; f < nd; f++ {
+			spec, sl, _ := in.run(f, l, nb)
+			e.padX.InversePaddedBatch(view[f], phys, spec, sl, nb, w.xscr)
+			if f < sp.Grad {
+				e.padX.InversePaddedBatch(dx[f], phys,
+					derivative(w.xline, e.ikx, spec, sl, nb), fft.Layout{Elem: nb, Line: 1}, nb, w.xscr)
 			}
-			e.padX.InversePaddedScratch(phys[nd+f], w.xline, w.xscr)
 		}
 		if sp.Harvest {
-			// Line l sits at global y index yLo0 + l/nzLoc.
-			yg := e.yLo0 + l/e.nzLoc
-			m := &w.maxAbs
-			m0, m1, m2 := m[0][yg], m[1][yg], m[2][yg]
-			pu, pv, pw := phys[0], phys[1][:len(phys[0])], phys[2][:len(phys[0])]
-			for i := range pu {
-				m0 = math.Max(m0, math.Abs(pu[i]))
-				m1 = math.Max(m1, math.Abs(pv[i]))
-				m2 = math.Max(m2, math.Abs(pw[i]))
-			}
-			m[0][yg], m[1][yg], m[2][yg] = m0, m1, m2
+			e.harvest(w, l, nb, fields)
 		}
+		prod := w.prod[:mx*nb]
 		for c := 0; c < sp.Out; c++ {
-			sp.Kernel(w.prod, c, fields, dz, dx)
-			e.padX.ForwardTruncatedStrided(out.at(c, l), out.stride, w.prod, w.xscr)
+			sp.Kernel(prod, c, fields, dz, dx)
+			spec, sl, _ := out.run(c, l, nb)
+			e.padX.ForwardTruncatedBatch(spec, sl, prod, phys, nb, w.xscr)
 		}
+		l += nb
 	}
 	if sp.Harvest {
 		e.maxMu.Lock()
 		for c, m := range e.maxAbs {
 			for y, v := range w.maxAbs[c] {
-				m[y] = math.Max(m[y], v)
+				m[y] = max(m[y], v)
 			}
 		}
 		e.maxMu.Unlock()
+	}
+}
+
+// harvest folds |fields[0..2]| of the nb point-interleaved x lines from l
+// into the worker's per-y maxima; line l+b sits at global y index
+// yLo0 + (l+b)/nzLoc. The lines' maxima are formed side by side, point by
+// point, so no line waits on another; the builtin max carries a NaN
+// through.
+func (e *Excursion) harvest(w *excursionWorker, l, nb int, fields [][]float64) {
+	lm := w.lineMax[:nb]
+	for c := range w.maxAbs {
+		clear(lm)
+		p := fields[c]
+		for i := 0; i < len(p); i += nb {
+			for b, v := range p[i:][:len(lm)] {
+				lm[b] = max(lm[b], math.Abs(v))
+			}
+		}
+		m := w.maxAbs[c]
+		for b, v := range lm {
+			yg := e.yLo0 + (l+b)/e.nzLoc
+			m[yg] = max(m[yg], v)
+		}
 	}
 }
 
@@ -392,12 +451,17 @@ func (e *Excursion) zFwdBlock(blk, lo, hi int) {
 	zscr := e.workers[blk].zscr
 	span := e.ySpan
 	out := &e.zOut
+	phys := fft.Layout{Elem: 1, Line: mz}
 	for f := 0; f < e.spec.Out; f++ {
 		src := e.zpOut[f]
-		for l := lo; l < hi; l++ {
+		for l := lo; l < hi; {
+			// A run stays inside one kx: its lines li are adjacent.
 			kx := l / span
-			li := kx*e.nyLoc + e.yLo + (l - kx*span)
-			e.padZ.ForwardTruncatedStrided(out.at(f, li), out.stride, src[li*mz:(li+1)*mz], zscr)
+			y := l - kx*span
+			li := kx*e.nyLoc + e.yLo + y
+			spec, sl, nb := out.run(f, li, min(hi-l, span-y, e.nbz))
+			e.padZ.ForwardTruncatedBatch(spec, sl, src[li*mz:], phys, nb, zscr)
+			l += nb
 		}
 	}
 }

@@ -284,3 +284,50 @@ func TestExcursionOneRankBuffers(t *testing.T) {
 		})
 	}
 }
+
+// TestHarvestCarriesNaN: a NaN in one y-pencil input mode of u spreads, by
+// the z and x inverse transforms, over the whole physical plane of its y, so
+// MaxAbs must read NaN for u at that y — the value a NaN watchdog on the CFL
+// diagnostic reads — and stay finite everywhere else.
+func TestHarvestCarriesNaN(t *testing.T) {
+	sh := excursionShape{12, 9, 10}
+	const nanKx, nanKz, nanY = 1, 2, 3
+	for _, g := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
+		pa, pb := g[0], g[1]
+		t.Run(fmt.Sprintf("%dx%d", pa, pb), func(t *testing.T) {
+			mpi.Run(pa*pb, func(c *mpi.Comm) {
+				pool := par.NewPool(2)
+				defer pool.Close()
+				d := pencil.New(c, pa, pb, sh.nx/2, sh.nz, sh.ny, pool)
+				e := newTestExcursion(d, sh, &SixProducts)
+				kl, kh := d.KxRange()
+				zl, zh := d.KzRangeY()
+				rng := rand.New(rand.NewSource(int64(c.Rank() + 1)))
+				for f, in := range e.In(SixProducts.In) {
+					loc := 0
+					for kx := kl; kx < kh; kx++ {
+						for kz := zl; kz < zh; kz++ {
+							for y := 0; y < sh.ny; y++ {
+								in[loc] = complex(rng.NormFloat64(), rng.NormFloat64())
+								if f == 0 && kx == nanKx && kz == nanKz && y == nanY {
+									in[loc] = complex(math.NaN(), 0)
+								}
+								loc++
+							}
+						}
+					}
+				}
+				e.Run(&SixProducts)
+				yl, yh := d.YRange()
+				for comp, m := range e.MaxAbs() {
+					for y, v := range m {
+						want := comp == 0 && y == nanY && y >= yl && y < yh
+						if math.IsNaN(v) != want {
+							t.Errorf("rank %d: MaxAbs[%d][%d] = %v, want NaN %v", c.Rank(), comp, y, v, want)
+						}
+					}
+				}
+			})
+		})
+	}
+}
