@@ -31,12 +31,16 @@ func (l Layout) ok(s []complex128, n, nb int) bool {
 }
 
 // batchBytes is the size of the lines-innermost block a batched entry runs
-// through the stages: about 14 lines of 72 points, well inside L1 with the
+// through the stages: 14 lines of 72 points, well inside L1 with the
 // operands it reads and writes.
 const batchBytes = 16 << 10
 
-// batchLines is the batch width for m-point lines.
-func batchLines(m int) int { return max(1, batchBytes/(16*m)) }
+// batchLines is the batch width for m-point lines: as many as batchBytes
+// holds, but at most 16, because a caller keeps its operands a batch wide
+// (the excursion's physical x lines: tens of fields a worker) and 42-line
+// batches of 24-point lines measured 0.8 MB more peak RSS on a server
+// running 16-cubed jobs for no measured speed.
+func batchLines(m int) int { return min(16, max(1, batchBytes/(16*m))) }
 
 // Batch returns how many lines the batched entries run through the stages
 // together; a caller gains nothing by passing more at once.
@@ -61,7 +65,7 @@ func (p *PaddedComplex) InversePaddedBatch(phys []complex128, pl Layout, spec []
 			line, scr := scratch[:p.m], scratch[p.m:2*p.m]
 			for b := 0; b < c; b++ {
 				p.inversePadded(line, sp[b*sl.Line:], sl.Elem, scr)
-				scatter(ph[b*pl.Line:], pl.Elem, line)
+				storeB(ph[b*pl.Line:], pl, line, 1)
 			}
 			continue
 		}
@@ -108,8 +112,11 @@ func (p *PaddedReal) Batch() int { return p.nb }
 func (p *PaddedReal) BatchScratchLen() int { return max(p.ScratchLen(), p.m*p.nb) }
 
 // batched says the real plan has a fused batched path: an even grid whose
-// half-length plan is not a Bluestein one.
-func (p *PaddedReal) batched() bool { return p.plan.half != nil && p.plan.half.blue == nil }
+// half-length plan starts with a radix-2 stage (so it is no Bluestein one).
+func (p *PaddedReal) batched() bool {
+	h := p.plan.half
+	return h != nil && len(h.stages[forward]) > 0 && h.stages[forward][0].r == 2
+}
 
 // InversePaddedBatch is InversePaddedScratch for nb lines: the nk modes of
 // line b lie at spec[k*sl.Elem + b*sl.Line], its m points go to
@@ -168,32 +175,9 @@ func (p *PaddedReal) ForwardTruncatedBatch(spec []complex128, sl Layout, phys []
 		}
 		half := p.plan.half
 		zt := scratch[:h*c]
-		stages := half.stages[forward]
-		if len(stages) > 0 && stages[0].r == 2 {
-			first2Pairs(zt, c, ph, pl, half.perm)
-			stages = stages[1:]
-		} else {
-			z := scratch[h*c:][:h*c]
-			for j := 0; j < h; j++ {
-				o0, o1 := 2*j*pl.Elem, (2*j+1)*pl.Elem
-				row := z[j*c:][:c]
-				for b := range row {
-					row[b] = complex(ph[o0], ph[o1])
-					o0 += pl.Line
-					o1 += pl.Line
-				}
-			}
-			stages = loadB(zt, c, z, Layout{c, 1}, half.perm, stages)
-		}
-		combineB(zt, c, stages)
+		first2Pairs(zt, c, ph, pl, half.perm)
+		combineB(zt, c, half.stages[forward][1:])
 		p.plan.untangleB(sp, sl, c, zt, p.nk, s)
-	}
-}
-
-// scatter stores the contiguous line x at dst[j*elem].
-func scatter(dst []complex128, elem int, x []complex128) {
-	for j, v := range x {
-		dst[j*elem] = v
 	}
 }
 

@@ -714,18 +714,19 @@ func TestBatchedEntriesMatchPerLine(t *testing.T) {
 			}
 		}
 	}
-	var pairs, pack, halfBlue, odd bool
+	var batched, noRadix2, halfBlue, odd bool
 	for _, c := range [][2]int{{24, 72}, {16, 48}, {4, 12}, {6, 18}, {1, 2}, {7, 14}, {3, 9}, {5, 15}, {7, 21}} {
 		nk, m := c[0], c[1]
 		p := NewPaddedReal(nk, m)
-		if h := p.plan.half; h == nil {
+		switch h := p.plan.half; {
+		case h == nil:
 			odd = true
-		} else if h.blue != nil {
+		case h.blue != nil:
 			halfBlue = true
-		} else if st := h.stages[forward]; len(st) > 0 && st[0].r == 2 {
-			pairs = true
-		} else {
-			pack = true
+		case p.batched():
+			batched = true
+		default:
+			noRadix2 = true
 		}
 		scr, lineScr := make([]complex128, p.BatchScratchLen()), make([]complex128, p.ScratchLen())
 		for _, nb := range widths(p.Batch()) {
@@ -755,9 +756,9 @@ func TestBatchedEntriesMatchPerLine(t *testing.T) {
 			}
 		}
 	}
-	if !load || !noLoad || !keepLast || !noKeepLast || !blue || !pairs || !pack || !halfBlue || !odd {
+	if !load || !noLoad || !keepLast || !noKeepLast || !blue || !batched || !noRadix2 || !halfBlue || !odd {
 		t.Errorf("branches reached: load %v, no load %v, keepLast %v, no keepLast %v, Bluestein %v, "+
-			"real pairs %v, real pack %v, Bluestein half %v, odd %v",
-			load, noLoad, keepLast, noKeepLast, blue, pairs, pack, halfBlue, odd)
+			"real batched %v, half-length plan without radix 2 %v, Bluestein half %v, odd %v",
+			load, noLoad, keepLast, noKeepLast, blue, batched, noRadix2, halfBlue, odd)
 	}
 }
