@@ -8,17 +8,19 @@
 //	CommA:  z-pencils <-> x-pencils (redistributes kx and z)
 //
 // The on-node data reordering A(i,j,k) -> A(j,k,i) that the paper threads
-// with OpenMP shows up here as the pack/unpack loops around the exchange
-// and the move of the block a rank keeps, plus a standalone Reorder kernel
-// used by the Table 4 benchmark.
+// with OpenMP, and the pack/unpack around each exchange (paper Tables 3–5),
+// are one data movement here: a 3-D block read at one set of strides and
+// written at another (copyBlock). A plan describes each peer's block on the
+// two pencil sides of its direction once; pack, unpack, the move of the
+// block a rank keeps and the standalone Reorder kernel of the Table 4
+// benchmark are all that one copy.
 //
 // Every transpose runs through a TransposePlan: per-(direction, z-extent,
 // field-count) precomputed count/displacement tables plus persistent send
 // and receive buffers owned by the Decomp and sized exactly once (the
 // paper's 1x-buffer discipline, §4.3). The buffers hold only the blocks
-// bound for other ranks; a rank's own block is copied once, src -> dst, by
-// the plan's move kernel, pool-parallel over lines, so at P = 1 a transpose
-// is that one pass. The dealiased excursion (parfft.Excursion) skips even
+// bound for other ranks; a rank's own block is copied once, src -> dst,
+// pool-parallel over lines, so at P = 1 a transpose is that one pass. The dealiased excursion (parfft.Excursion) skips even
 // that: at P = 1 its transforms read and write the pencils in place and the
 // plan only books the call (TransposePlan.Book), so its transposes move
 // nothing there while the counters, the trace and the schedule IR still
@@ -277,15 +279,8 @@ func Reorder(dst, src []complex128, ni, nj, nk int, pool *par.Pool) {
 	if len(dst) < ni*nj*nk || len(src) < ni*nj*nk {
 		panic("pencil: Reorder slice lengths")
 	}
-	pool.ForBlocks(nj, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for k := 0; k < nk; k++ {
-				out := (j*nk + k) * ni
-				in := j*nk + k
-				for i := 0; i < ni; i++ {
-					dst[out+i] = src[in+i*nj*nk]
-				}
-			}
-		}
-	})
+	// Both blocks walk dst's order [j][k][i]; the pool splits over j.
+	sb := block{n: [3]int{nj, nk, ni}, s: [3]int{nk, 1, nj * nk}}
+	db := block{n: sb.n, s: [3]int{nk * ni, ni, 1}}
+	pool.ForBlocks(nj, func(lo, hi int) { copyBlock(dst, db.lines(lo, hi), src, sb.lines(lo, hi)) })
 }
