@@ -57,7 +57,7 @@ fuzz:
 # mpi has BenchmarkAlltoallvTCP, the wire path's ns/op, B/op and allocs/op at
 # the two message sizes of the scalar step at 32x33x32 on 1x2 ranks; pencil
 # has BenchmarkExcursionTransposes, the four transposes of one substep at the
-# channel-48 shapes, at 1x1 on one and two workers and at 1x2; parfft has
+# channel-48 shapes, at 1x1 on one and two workers and at 1x2, 2x1 and 2x2; parfft has
 # BenchmarkExcursionPass, one whole SixProducts excursion at the same shapes
 # and grids.
 bench:
