@@ -56,7 +56,7 @@ type base struct {
 // init validates cfg for the workload it names and builds the shared
 // skeleton collectively on world.
 func (b *base) init(world *mpi.Comm, cfg Config) error {
-	cfg.fillDefaults()
+	cfg.FillDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}

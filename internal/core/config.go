@@ -88,7 +88,10 @@ type Config struct {
 	Prandtl float64
 }
 
-func (c *Config) fillDefaults() {
+// FillDefaults replaces the zero values that stand for a default with that
+// default. It is the one default pass: every constructor, Validate and
+// internal/galerkin's New run it.
+func (c *Config) FillDefaults() {
 	if c.Workload == "" {
 		c.Workload = WorkloadChannel
 	}
@@ -124,7 +127,7 @@ func (c *Config) fillDefaults() {
 // anything, and a front end that takes configurations from outside the
 // process (dnsserve's JobSpec) runs it to refuse them up front.
 func (c Config) Validate() error {
-	c.fillDefaults()
+	c.FillDefaults()
 	return c.validate()
 }
 
@@ -177,11 +180,13 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// SMR'91 low-storage IMEX RK3 coefficients (paper §2.1 reference [23]).
-// Explicit (convective): gamma, zeta; implicit (viscous): alpha = beta.
-var (
-	rkGamma = [3]float64{8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0}
-	rkZeta  = [3]float64{0, -17.0 / 60.0, -5.0 / 12.0}
-	rkAlpha = [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0}
-	rkBeta  = [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0}
-)
+// SMR91 holds the low-storage IMEX RK3 coefficients of Spalart, Moser &
+// Rogers (1991) (paper §2.1 reference [23]), one entry per substep:
+// explicit (convective) Gamma, Zeta; implicit (viscous) Alpha = Beta. Every
+// solver's substep reads this one table, internal/galerkin's included.
+var SMR91 = struct{ Gamma, Zeta, Alpha, Beta [3]float64 }{
+	Gamma: [3]float64{8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0},
+	Zeta:  [3]float64{0, -17.0 / 60.0, -5.0 / 12.0},
+	Alpha: [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0},
+	Beta:  [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0},
+}

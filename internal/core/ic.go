@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"channeldns/internal/field"
 	"channeldns/internal/mpi"
 )
 
@@ -72,34 +73,44 @@ func (s *Solver) interpolateComplex(dst []complex128, f func(y float64) complex1
 }
 
 // Perturb adds wall-compatible disturbances of the given amplitude to all
-// locally owned modes with |kx index| <= kxMax and |kz index| <= kzMax
-// (excluding the mean). Phases derive deterministically from (seed, mode),
-// with conjugate symmetry on the kx = 0 plane built in, so a run is
-// bit-reproducible for any process grid.
+// locally owned modes PerturbMode admits, so a run is bit-reproducible for
+// any process grid.
 func (s *Solver) Perturb(amp float64, kxMax, kzMax int, seed int64) {
 	for w := 0; w < s.nw; w++ {
 		ikx, ikz := s.modeOf(w)
-		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
+		av, ok := PerturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 0)
+		if !ok {
 			continue
 		}
-		kzIdx := s.G.KzIndex(ikz)
-		if ikx > kxMax || kzIdx > kzMax || kzIdx < -kzMax {
-			continue
-		}
-		av := modePhase(seed, ikx, kzIdx, 0)
-		ao := modePhase(seed, ikx, kzIdx, 1)
-		if ikx == 0 && kzIdx < 0 {
-			// Conjugate partner of (0, -kzIdx): reality of the field.
-			av = conj(modePhase(seed, 0, -kzIdx, 0))
-			ao = conj(modePhase(seed, 0, -kzIdx, 1))
-		}
-		av *= complex(amp, 0)
-		ao *= complex(amp, 0)
+		ao, _ := PerturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 1)
 		// v shape (1-y^2)^2 satisfies v = v' = 0; omega shape (1-y^2)
 		// satisfies omega = 0 at the walls.
 		s.setShape(s.cv[w], av, func(y float64) float64 { q := 1 - y*y; return q * q })
 		s.setShape(s.cw[w], ao, func(y float64) float64 { return 1 - y*y })
 	}
+}
+
+// PerturbMode is the one perturbation rule of the channel-family solvers
+// (collocation, scalar, internal/galerkin): the amplitude of component comp
+// (0 v, 1 omega_y, 2 theta) on mode (ikx, ikz) of g, or false for a mode the
+// disturbance leaves alone — the mean, the z Nyquist mode, and any with kx
+// index above kxMax or |kz index| above kzMax. The phase derives from (seed,
+// mode, comp); on the kx = 0 plane a negative kz index takes the conjugate
+// of its partner's, so the field is real. Solvers that seed through it start
+// from the same physical state.
+func PerturbMode(g field.Grid, ikx, ikz, kxMax, kzMax int, amp float64, seed int64, comp int) (complex128, bool) {
+	if g.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
+		return 0, false
+	}
+	kzIdx := g.KzIndex(ikz)
+	if ikx > kxMax || kzIdx > kzMax || kzIdx < -kzMax {
+		return 0, false
+	}
+	a := modePhase(seed, ikx, kzIdx, comp)
+	if ikx == 0 && kzIdx < 0 {
+		a = conj(modePhase(seed, 0, -kzIdx, comp))
+	}
+	return a * complex(amp, 0), true
 }
 
 func (s *Solver) setShape(dst []complex128, a complex128, shape func(float64) float64) {

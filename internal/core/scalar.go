@@ -141,24 +141,14 @@ func (t *ScalarSolver) SetConduction() {
 }
 
 // PerturbScalar adds wall-compatible scalar disturbances to all locally
-// owned modes with |kx index| <= kxMax and |kz index| <= kzMax (excluding
-// the mean), deterministic in (seed, mode) with conjugate symmetry on the
-// kx = 0 plane.
+// owned modes PerturbMode admits.
 func (t *ScalarSolver) PerturbScalar(amp float64, kxMax, kzMax int, seed int64) {
 	for w := 0; w < t.nw; w++ {
 		ikx, ikz := t.modeOf(w)
-		if t.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
+		a, ok := PerturbMode(t.G, ikx, ikz, kxMax, kzMax, amp, seed, 2)
+		if !ok {
 			continue
 		}
-		kzIdx := t.G.KzIndex(ikz)
-		if ikx > kxMax || kzIdx > kzMax || kzIdx < -kzMax {
-			continue
-		}
-		a := modePhase(seed, ikx, kzIdx, 2)
-		if ikx == 0 && kzIdx < 0 {
-			a = conj(modePhase(seed, 0, -kzIdx, 2))
-		}
-		a *= complex(amp, 0)
 		// Shape (1-y^2) satisfies theta = 0 at both walls.
 		t.setShape(t.cth[w], a, func(y float64) float64 { return 1 - y*y })
 	}

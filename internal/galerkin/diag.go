@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"channeldns/internal/banded"
+	"channeldns/internal/core"
 	"channeldns/internal/mpi"
 )
 
@@ -67,27 +68,17 @@ func (s *Solver) SetModeOmega(ikx, ikz int, f func(y float64) complex128) {
 	copy(s.cw[w], s.projectReduced(f, 1))
 }
 
-// Perturb adds deterministic wall-compatible disturbances, mirroring the
-// collocation solver's Perturb (same phases, so cross-solver comparisons
-// start from the same physical state).
+// Perturb adds wall-compatible disturbances to the modes
+// core.PerturbMode admits, with the collocation solver's amplitudes and
+// shapes, so cross-solver comparisons start from the same physical state.
 func (s *Solver) Perturb(amp float64, kxMax, kzMax int, seed int64) {
 	for w := 0; w < s.nw; w++ {
 		ikx, ikz := s.modeOf(w)
-		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
+		av, ok := core.PerturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 0)
+		if !ok {
 			continue
 		}
-		kzIdx := s.G.KzIndex(ikz)
-		if ikx > kxMax || kzIdx > kzMax || kzIdx < -kzMax {
-			continue
-		}
-		av := modePhase(seed, ikx, kzIdx, 0)
-		ao := modePhase(seed, ikx, kzIdx, 1)
-		if ikx == 0 && kzIdx < 0 {
-			av = conj(modePhase(seed, 0, -kzIdx, 0))
-			ao = conj(modePhase(seed, 0, -kzIdx, 1))
-		}
-		av *= complex(amp, 0)
-		ao *= complex(amp, 0)
+		ao, _ := core.PerturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 1)
 		cv := s.projectReduced(func(y float64) complex128 {
 			q := 1 - y*y
 			return av * complex(q*q, 0)
@@ -102,20 +93,6 @@ func (s *Solver) Perturb(amp float64, kxMax, kzMax int, seed int64) {
 			s.cw[w][i] += co[i]
 		}
 	}
-}
-
-func conj(c complex128) complex128 { return complex(real(c), -imag(c)) }
-
-// modePhase matches the collocation solver's deterministic phase function.
-func modePhase(seed int64, ikx, kzIdx, comp int) complex128 {
-	h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(ikx+1)*0xbf58476d1ce4e5b9 +
-		uint64(kzIdx+1000)*0x94d049bb133111eb + uint64(comp)*0x2545f4914f6cdd1d
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 29
-	theta := 2 * math.Pi * float64(h%1000003) / 1000003
-	sn, cs := math.Sincos(theta)
-	return complex(cs, sn)
 }
 
 // TotalEnergy returns the volume-averaged kinetic energy per unit plan
@@ -158,30 +135,23 @@ func (s *Solver) MeanProfileAt(ys []float64) []float64 {
 
 // EvalV evaluates v-hat for a local mode at y (zero if not owned).
 func (s *Solver) EvalV(ikx, ikz int, y float64) complex128 {
-	full := s.VCoefFull(ikx, ikz)
-	if full == nil {
-		return 0
-	}
-	re := make([]float64, len(full))
-	im := make([]float64, len(full))
-	for i, c := range full {
-		re[i] = real(c)
-		im[i] = imag(c)
-	}
-	return complex(s.B.Eval(re, y), s.B.Eval(im, y))
+	return s.evalFull(s.coefFull(s.cv, 2, ikx, ikz), y)
 }
 
-// EvalOmega evaluates omega_y-hat for a local mode at y.
+// EvalOmega evaluates omega_y-hat for a local mode at y (zero if not owned).
 func (s *Solver) EvalOmega(ikx, ikz int, y float64) complex128 {
-	full := s.OmegaCoefFull(ikx, ikz)
+	return s.evalFull(s.coefFull(s.cw, 1, ikx, ikz), y)
+}
+
+// evalFull evaluates full-basis complex coefficients at y (zero for nil).
+func (s *Solver) evalFull(full []complex128, y float64) complex128 {
 	if full == nil {
 		return 0
 	}
 	re := make([]float64, len(full))
 	im := make([]float64, len(full))
 	for i, c := range full {
-		re[i] = real(c)
-		im[i] = imag(c)
+		re[i], im[i] = real(c), imag(c)
 	}
 	return complex(s.B.Eval(re, y), s.B.Eval(im, y))
 }

@@ -13,12 +13,15 @@ import (
 	"channeldns/internal/par"
 )
 
-func serialG(t *testing.T, cfg Config) *Solver {
+func serialG(t *testing.T, cfg core.Config) *Solver { return serialQ(t, cfg, 0) }
+
+// serialQ is serialG with perInterval quadrature points per knot interval.
+func serialQ(t *testing.T, cfg core.Config, perInterval int) *Solver {
 	t.Helper()
 	var s *Solver
 	mpi.Run(1, func(c *mpi.Comm) {
 		var err error
-		s, err = New(c, cfg)
+		s, err = newSolver(c, cfg, perInterval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +33,7 @@ func serialG(t *testing.T, cfg Config) *Solver {
 // int B_i = row sums against the known closed form, and K must annihilate
 // constants.
 func TestWeakMatricesAgainstExactIntegrals(t *testing.T) {
-	cfg := Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 1, Dt: 1e-2, Forcing: 1}
+	cfg := core.Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 1, Dt: 1e-2, Forcing: 1}
 	s := serialG(t, cfg)
 	n := cfg.Ny
 	wInt := s.B.IntegrationWeights()
@@ -56,7 +59,7 @@ func TestWeakMatricesAgainstExactIntegrals(t *testing.T) {
 // TestGalerkinPoiseuille: with unit forcing the mean flow must converge to
 // the exact parabola (which lies in the trial space).
 func TestGalerkinPoiseuille(t *testing.T) {
-	cfg := Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 1, Dt: 0.02, Forcing: 1}
+	cfg := core.Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 1, Dt: 0.02, Forcing: 1}
 	s := serialG(t, cfg)
 	s.Advance(600)
 	ys := []float64{-0.9, -0.5, 0, 0.4, 0.8}
@@ -75,7 +78,7 @@ func TestGalerkinPoiseuille(t *testing.T) {
 // TestGalerkinStokesDecay: an omega_y eigenmode decays at the exact Stokes
 // rate, as in the collocation solver.
 func TestGalerkinStokesDecay(t *testing.T) {
-	cfg := Config{Nx: 8, Ny: 32, Nz: 8, ReTau: 1, Dt: 5e-4, Forcing: 0, DisableNonlinear: true}
+	cfg := core.Config{Nx: 8, Ny: 32, Nz: 8, ReTau: 1, Dt: 5e-4, Forcing: 0, DisableNonlinear: true}
 	s := serialG(t, cfg)
 	s.SetModeOmega(1, 1, func(y float64) complex128 {
 		return complex(math.Sin(math.Pi*(y+1)/2), 0)
@@ -96,7 +99,7 @@ func TestGalerkinStokesDecay(t *testing.T) {
 // TestGalerkinWallConditionsBuiltIn: v, v' and omega are exactly zero at
 // the walls by construction of the reduced spaces.
 func TestGalerkinWallConditionsBuiltIn(t *testing.T) {
-	cfg := Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 180, Dt: 5e-4, Forcing: 1}
+	cfg := core.Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 180, Dt: 5e-4, Forcing: 1}
 	s := serialG(t, cfg)
 	s.SetLaminar()
 	s.Perturb(0.3, 2, 2, 7)
@@ -125,9 +128,8 @@ func TestGalerkinWallConditionsBuiltIn(t *testing.T) {
 // run must be at the time-discretization level and no worse than the
 // collocation solver's.
 func TestGalerkinEnergyConservation(t *testing.T) {
-	cfg := Config{Nx: 16, Ny: 24, Nz: 16, ReTau: 1e10, Dt: 2e-4, Forcing: 0,
-		QuadPerInterval: 11} // exact triple-product quadrature
-	s := serialG(t, cfg)
+	cfg := core.Config{Nx: 16, Ny: 24, Nz: 16, ReTau: 1e10, Dt: 2e-4, Forcing: 0}
+	s := serialQ(t, cfg, 11) // exact triple-product quadrature
 	s.Perturb(0.2, 2, 2, 11)
 	e0 := s.TotalEnergy()
 	s.Advance(20)
@@ -141,17 +143,16 @@ func TestGalerkinEnergyConservation(t *testing.T) {
 // two discretizations must track each other through nonlinear evolution.
 func TestGalerkinMatchesCollocationWhenResolved(t *testing.T) {
 	steps := 10
-	gcfg := Config{Nx: 16, Ny: 40, Nz: 16, ReTau: 100, Dt: 5e-4, Forcing: 1}
-	g := serialG(t, gcfg)
+	cfg := core.Config{Nx: 16, Ny: 40, Nz: 16, ReTau: 100, Dt: 5e-4, Forcing: 1}
+	g := serialG(t, cfg)
 	g.SetLaminar()
 	g.Perturb(0.3, 2, 2, 9)
 	g.Advance(steps)
 
 	var cv complex128
 	var eC float64
-	ccfg := core.Config{Nx: 16, Ny: 40, Nz: 16, ReTau: 100, Dt: 5e-4, Forcing: 1}
 	mpi.Run(1, func(c *mpi.Comm) {
-		s, err := core.New(c, ccfg)
+		s, err := core.New(c, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,9 +180,40 @@ func TestGalerkinMatchesCollocationWhenResolved(t *testing.T) {
 	}
 }
 
+// TestNewRefusesUnrunnableConfigs: a configuration the solver cannot run
+// is an error from New on every rank, never a panic inside a constructor —
+// core.Config.Validate's shape checks, galerkin's own basis size, and a
+// core.Config field the solver does not implement.
+func TestNewRefusesUnrunnableConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"odd Nx", core.Config{Nx: 7, Ny: 20, Nz: 8, ReTau: 180, Dt: 1e-3}},
+		{"PA > Nx/2", core.Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 180, Dt: 1e-3, PA: 5}},
+		{"Ny < Degree+6", core.Config{Nx: 8, Ny: 12, Nz: 8, ReTau: 180, Dt: 1e-3}},
+		{"convective form", core.Config{Nx: 8, Ny: 20, Nz: 8, ReTau: 180, Dt: 1e-3, Nonlinear: core.FormConvective}},
+	} {
+		ranks := max(1, tc.cfg.PA) * max(1, tc.cfg.PB)
+		errs := make([]error, ranks)
+		panics := make([]any, ranks)
+		mpi.Run(ranks, func(c *mpi.Comm) {
+			defer func() { panics[c.Rank()] = recover() }()
+			_, errs[c.Rank()] = New(c, tc.cfg)
+		})
+		for r := range ranks {
+			if panics[r] != nil {
+				t.Errorf("%s: rank %d panicked: %v", tc.name, r, panics[r])
+			} else if errs[r] == nil {
+				t.Errorf("%s: rank %d built a solver", tc.name, r)
+			}
+		}
+	}
+}
+
 // TestGalerkinSerialMatchesParallel: decomposition independence.
 func TestGalerkinSerialMatchesParallel(t *testing.T) {
-	cfg := Config{Nx: 16, Ny: 20, Nz: 16, ReTau: 180, Dt: 5e-4, Forcing: 1}
+	cfg := core.Config{Nx: 16, Ny: 20, Nz: 16, ReTau: 180, Dt: 5e-4, Forcing: 1}
 	steps := 3
 	ref := map[[2]int][]complex128{}
 	mpi.Run(1, func(c *mpi.Comm) {
@@ -224,7 +256,7 @@ func TestGalerkinSurvivesMarginalResolution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transition run is slow")
 	}
-	cfg := Config{Nx: 24, Ny: 41, Nz: 24, ReTau: 180, Dt: 3e-4, Forcing: 1,
+	cfg := core.Config{Nx: 24, Ny: 41, Nz: 24, ReTau: 180, Dt: 3e-4, Forcing: 1,
 		Pool: par.NewPool(4)}
 	s := serialG(t, cfg)
 	s.SetLaminar()
@@ -256,7 +288,7 @@ func TestTrajectoryPinned(t *testing.T) {
 		{"serial", 1, 1, 0x1.0e1a4b8ed8207p+12, 0xb8c4566bce28036b},
 		{"2x2", 2, 2, 0x1.0e1a4b8ed828ap+12, 0xa3574702158dc0b1},
 	} {
-		cfg := Config{Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
+		cfg := core.Config{Nx: 16, Ny: 17, Nz: 16, ReTau: 180, Dt: 1e-3, Forcing: 1,
 			PA: tc.pa, PB: tc.pb}
 		if tc.pa*tc.pb > 1 {
 			cfg.Pool = par.NewPool(2)
@@ -304,7 +336,7 @@ func TestTrajectoryPinned(t *testing.T) {
 // cmd/bench -table 9 at the same 16x20x16.
 func BenchmarkStep(b *testing.B) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s, err := New(c, Config{Nx: 16, Ny: 20, Nz: 16, ReTau: 180, Dt: 5e-4, Forcing: 1})
+		s, err := New(c, core.Config{Nx: 16, Ny: 20, Nz: 16, ReTau: 180, Dt: 5e-4, Forcing: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,7 +14,9 @@
 //     test functions, so no derivatives of products are ever formed.
 //
 // The Fourier directions, 3/2-rule dealiasing, pencil transposes and IMEX
-// RK3 are shared with the collocation solver in internal/core.
+// RK3 are shared with the collocation solver in internal/core, as are its
+// run description (core.Config, with core's defaults and shape checks), its
+// SMR'91 table (core.SMR91) and its perturbation rule (core.PerturbMode).
 package galerkin
 
 import (

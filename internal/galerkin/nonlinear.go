@@ -41,10 +41,10 @@ func (s *Solver) velocityAtQuad() [][]complex128 {
 				if s.ownsMean {
 					fr := make([]float64, s.Cfg.Ny)
 					uq := make([]float64, nq)
-					s.embedGReal(fr, s.meanU)
+					embed(fr, s.meanU, 1)
 					s.qt.evalReal(uq, fr, 0)
 					wq := make([]float64, nq)
-					s.embedGReal(fr, s.meanW)
+					embed(fr, s.meanW, 1)
 					s.qt.evalReal(wq, fr, 0)
 					for i := 0; i < nq; i++ {
 						out[0][base+i] = complex(uq[i], 0)
@@ -55,10 +55,10 @@ func (s *Solver) velocityAtQuad() [][]complex128 {
 			}
 			kx, kz := s.G.Kx(ikx), s.G.Kz(ikz)
 			k2 := kx*kx + kz*kz
-			s.embedV(full, s.cv[w])
+			embed(full, s.cv[w], 2)
 			s.qt.eval(vq, full, 0)
 			s.qt.eval(vyq, full, 1)
-			s.embedG(full, s.cw[w])
+			embed(full, s.cw[w], 1)
 			s.qt.eval(omq, full, 0)
 			ikxC := complex(0, kx/k2)
 			ikzC := complex(0, kz/k2)

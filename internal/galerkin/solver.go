@@ -2,67 +2,15 @@ package galerkin
 
 import (
 	"fmt"
-	"math"
 
 	"channeldns/internal/banded"
 	"channeldns/internal/bspline"
+	"channeldns/internal/core"
 	"channeldns/internal/fft"
 	"channeldns/internal/field"
 	"channeldns/internal/mpi"
-	"channeldns/internal/par"
 	"channeldns/internal/parfft"
 	"channeldns/internal/pencil"
-)
-
-// Config mirrors the collocation solver's configuration for the fields the
-// Galerkin discretization uses.
-type Config struct {
-	Nx, Ny, Nz       int
-	Lx, Lz           float64
-	ReTau            float64
-	Dt               float64
-	Degree           int
-	Stretch          float64
-	PA, PB           int
-	Pool             *par.Pool
-	Forcing          float64
-	DisableNonlinear bool
-	// QuadPerInterval sets the nonlinear quadrature density; 0 selects
-	// degree+2 points per knot interval. ceil((3*degree+1)/2) integrates
-	// the Galerkin triple products exactly (full wall-normal dealiasing).
-	QuadPerInterval int
-}
-
-func (c *Config) fillDefaults() {
-	if c.Degree == 0 {
-		c.Degree = 7
-	}
-	if c.Stretch == 0 {
-		c.Stretch = 0.85
-	}
-	if c.PA == 0 {
-		c.PA = 1
-	}
-	if c.PB == 0 {
-		c.PB = 1
-	}
-	if c.Lx == 0 {
-		c.Lx = 2 * math.Pi
-	}
-	if c.Lz == 0 {
-		c.Lz = math.Pi
-	}
-	if c.QuadPerInterval == 0 {
-		c.QuadPerInterval = c.Degree + 2
-	}
-}
-
-// SMR'91 coefficients, as in the collocation solver.
-var (
-	rkGamma = [3]float64{8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0}
-	rkZeta  = [3]float64{0, -17.0 / 60.0, -5.0 / 12.0}
-	rkAlpha = [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0}
-	rkBeta  = [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0}
 )
 
 // gops caches the factored implicit operators for one wavenumber.
@@ -75,7 +23,7 @@ type gops struct {
 // spline coefficient spaces: omega_y in H^1_0 (Ny-2 coefficients) and v in
 // H^2_0 (Ny-4 coefficients) per locally owned Fourier mode.
 type Solver struct {
-	Cfg Config
+	Cfg core.Config
 	G   field.Grid
 	D   *pencil.Decomp
 	B   *bspline.Basis
@@ -104,20 +52,56 @@ type Solver struct {
 	Step int
 }
 
-// New constructs a Galerkin solver collectively on the world communicator.
-func New(world *mpi.Comm, cfg Config) (*Solver, error) {
-	cfg.fillDefaults()
-	if cfg.ReTau <= 0 || cfg.Dt <= 0 {
-		return nil, fmt.Errorf("galerkin: ReTau and Dt must be positive")
+// New constructs a Galerkin solver collectively on the world communicator
+// from the collocation solver's run description. Defaults are core's, and
+// what the solver cannot run is refused on every rank before anything is
+// built (see admit). The nonlinear terms are projected with degree+2
+// quadrature points per knot interval.
+func New(world *mpi.Comm, cfg core.Config) (*Solver, error) {
+	return newSolver(world, cfg, 0)
+}
+
+// admit fills cfg's defaults and refuses what the Galerkin solver cannot
+// run: any shape core.Config.Validate refuses for the channel workload,
+// fewer than degree+6 basis functions, and the fields it does not implement
+// — another workload, a form other than the divergence form it projects,
+// Overlap, Telemetry and Trace.
+func admit(cfg *core.Config) error {
+	if cfg.Workload != "" && cfg.Workload != core.WorkloadChannel {
+		return fmt.Errorf("galerkin: runs the channel workload only, not %q", cfg.Workload)
 	}
-	if cfg.Ny < cfg.Degree+6 {
-		return nil, fmt.Errorf("galerkin: Ny=%d too small for degree %d (need >= degree+6)", cfg.Ny, cfg.Degree)
+	cfg.FillDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case cfg.Ny < cfg.Degree+6:
+		return fmt.Errorf("galerkin: Ny=%d too small for degree %d (need >= degree+6)", cfg.Ny, cfg.Degree)
+	case cfg.Nonlinear != core.FormDivergence:
+		return fmt.Errorf("galerkin: supports only the divergence form")
+	case cfg.Overlap:
+		return fmt.Errorf("galerkin: runs the serial exchange only (Overlap unsupported)")
+	case cfg.Telemetry != nil || cfg.Trace != nil:
+		return fmt.Errorf("galerkin: Telemetry and Trace are unsupported")
+	}
+	return nil
+}
+
+// newSolver is New with perInterval quadrature points per knot interval (0
+// selects degree+2); ceil((3*degree+1)/2) integrates the Galerkin triple
+// products exactly (full wall-normal dealiasing).
+func newSolver(world *mpi.Comm, cfg core.Config, perInterval int) (*Solver, error) {
+	if err := admit(&cfg); err != nil {
+		return nil, err
+	}
+	if perInterval == 0 {
+		perInterval = cfg.Degree + 2
 	}
 	g := field.NewGrid(cfg.Nx, cfg.Ny, cfg.Nz, cfg.Lx, cfg.Lz)
 	s := &Solver{Cfg: cfg, G: g, nu: 1 / cfg.ReTau}
 	s.B = bspline.NewFromBreakpoints(cfg.Degree, bspline.ChannelBreakpoints(cfg.Ny-cfg.Degree, cfg.Stretch))
 	s.wm = newWeakMatrices(s.B)
-	s.qt = newQuadTables(s.B, cfg.QuadPerInterval)
+	s.qt = newQuadTables(s.B, perInterval)
 	s.ng = cfg.Ny - 2
 	s.nv = cfg.Ny - 4
 
@@ -172,58 +156,35 @@ func (s *Solver) World() *mpi.Comm { return s.D.Cart.Comm }
 // Nu returns the kinematic viscosity.
 func (s *Solver) Nu() float64 { return s.nu }
 
-// embedV expands reduced H^2_0 coefficients to the full basis.
-func (s *Solver) embedV(dst []complex128, c []complex128) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	copy(dst[2:s.Cfg.Ny-2], c)
+// embed expands reduced coefficients c, which leave out lo basis functions
+// at each wall (1 for H^1_0, 2 for H^2_0), to the full basis in dst.
+func embed[T float64 | complex128](dst, c []T, lo int) {
+	clear(dst)
+	copy(dst[lo:len(dst)-lo], c)
 }
 
-// embedG expands reduced H^1_0 coefficients to the full basis.
-func (s *Solver) embedG(dst []complex128, c []complex128) {
-	for i := range dst {
-		dst[i] = 0
+// coefFull returns the full-basis coefficients of a local mode of f, s.cv
+// (lo 2) or s.cw (lo 1); nil if the mode is not owned.
+func (s *Solver) coefFull(f [][]complex128, lo, ikx, ikz int) []complex128 {
+	w := s.widx(ikx, ikz)
+	if w < 0 {
+		return nil
 	}
-	copy(dst[1:s.Cfg.Ny-1], c)
-}
-
-func (s *Solver) embedGReal(dst []float64, c []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	copy(dst[1:s.Cfg.Ny-1], c)
+	out := make([]complex128, s.Cfg.Ny)
+	embed(out, f[w], lo)
+	return out
 }
 
 // VCoefFull returns the full-basis v-hat coefficients for a local mode
 // (nil if not owned).
-func (s *Solver) VCoefFull(ikx, ikz int) []complex128 {
-	w := s.widx(ikx, ikz)
-	if w < 0 {
-		return nil
-	}
-	out := make([]complex128, s.Cfg.Ny)
-	s.embedV(out, s.cv[w])
-	return out
-}
-
-// OmegaCoefFull returns the full-basis omega_y-hat coefficients.
-func (s *Solver) OmegaCoefFull(ikx, ikz int) []complex128 {
-	w := s.widx(ikx, ikz)
-	if w < 0 {
-		return nil
-	}
-	out := make([]complex128, s.Cfg.Ny)
-	s.embedG(out, s.cw[w])
-	return out
-}
+func (s *Solver) VCoefFull(ikx, ikz int) []complex128 { return s.coefFull(s.cv, 2, ikx, ikz) }
 
 // MeanCoefFull returns the full-basis mean streamwise profile coefficients
 // (owner rank; zeros elsewhere).
 func (s *Solver) MeanCoefFull() []float64 {
 	out := make([]float64, s.Cfg.Ny)
 	if s.ownsMean {
-		s.embedGReal(out, s.meanU)
+		embed(out, s.meanU, 1)
 	}
 	return mpi.Bcast(s.World(), 0, out)
 }
@@ -250,7 +211,7 @@ func (s *Solver) ensureOps(dt float64) {
 		k2 := s.G.K2(ikx, ikz)
 		op := &gops{k2: k2}
 		for sub := 0; sub < 3; sub++ {
-			b := rkBeta[sub] * dt * s.nu
+			b := core.SMR91.Beta[sub] * dt * s.nu
 			op.lhsO[sub] = weakOp{lo: 1, n: n,
 				mats: []*banded.Real{s.wm.m, s.wm.k},
 				cfs:  []float64{1 + b*k2, b}}.factored()
@@ -261,7 +222,7 @@ func (s *Solver) ensureOps(dt float64) {
 		s.ops[w] = op
 	}
 	for sub := 0; sub < 3; sub++ {
-		b := rkBeta[sub] * dt * s.nu
+		b := core.SMR91.Beta[sub] * dt * s.nu
 		s.meanOp[sub] = weakOp{lo: 1, n: n,
 			mats: []*banded.Real{s.wm.m, s.wm.k},
 			cfs:  []float64{1, b}}.factored()

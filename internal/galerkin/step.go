@@ -1,6 +1,9 @@
 package galerkin
 
-import "channeldns/internal/banded"
+import (
+	"channeldns/internal/banded"
+	"channeldns/internal/core"
+)
 
 // StepOnce advances the Galerkin solution one full time step.
 func (s *Solver) StepOnce() {
@@ -27,9 +30,9 @@ func (s *Solver) Advance(n int) {
 
 func (s *Solver) advanceSubstep(sub int, dt float64, fhg, fhv [][]complex128, mFx, mFz []float64) {
 	n := s.Cfg.Ny
-	ga := rkGamma[sub]
-	ze := rkZeta[sub]
-	a := rkAlpha[sub] * dt * s.nu
+	ga := core.SMR91.Gamma[sub]
+	ze := core.SMR91.Zeta[sub]
+	a := core.SMR91.Alpha[sub] * dt * s.nu
 
 	s.pool().ForBlocks(s.nw, func(wlo, whi int) {
 		scratch := make([]complex128, n)
