@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"channeldns/internal/fft"
+)
 
 // Physical-space extraction for visualization (paper Figures 7 and 8).
 // These helpers run on a single-rank solver: they evaluate the spectral
@@ -53,21 +57,18 @@ func (s *Solver) PhysicalPlane(comp PhysicalComponent, yi int) [][]float64 {
 		}
 	}
 
-	// Inverse transform: z first (per kx line), then x (per z line).
-	zline := make([]complex128, nz)
+	// Inverse transform, each stage one batched call over the plane: z
+	// along the nkx lines spec[kx][.], then x along the mz columns
+	// zphys[.][z] into the rows of plane.
 	zphys := make([]complex128, nkx*mz)
-	for ikx := 0; ikx < nkx; ikx++ {
-		copy(zline, spec[ikx*nz:(ikx+1)*nz])
-		s.padZ.InversePadded(zphys[ikx*mz:(ikx+1)*mz], zline)
-	}
+	s.padZ.InversePaddedBatch(zphys, fft.Layout{Elem: 1, Line: mz}, spec, fft.Layout{Elem: 1, Line: nz}, nkx,
+		make([]complex128, s.padZ.BatchScratchLen()))
+	phys := make([]float64, mz*mx)
+	s.padX.InversePaddedBatch(phys, fft.Layout{Elem: 1, Line: mx}, zphys, fft.Layout{Elem: mz, Line: 1}, mz,
+		make([]complex128, s.padX.BatchScratchLen()))
 	plane := make([][]float64, mz)
-	xline := make([]complex128, nkx)
-	for z := 0; z < mz; z++ {
-		plane[z] = make([]float64, mx)
-		for ikx := 0; ikx < nkx; ikx++ {
-			xline[ikx] = zphys[ikx*mz+z]
-		}
-		s.padX.InversePadded(plane[z], xline)
+	for z := range plane {
+		plane[z] = phys[z*mx : (z+1)*mx : (z+1)*mx]
 	}
 	return plane
 }

@@ -84,7 +84,6 @@ type PaddedComplex struct {
 	n, m int
 	nb   int // batch width, see Batch
 	plan *Plan
-	buf  []complex128
 	// load[i] is the spectrum index position i of the innermost stage reads,
 	// or -1 inside the zeroed band; nil when the innermost radix is not 2.
 	load []int32
@@ -99,7 +98,7 @@ func NewPaddedComplex(n, m int) *PaddedComplex {
 	if m < n {
 		panic("fft: padded transform needs m >= n")
 	}
-	p := &PaddedComplex{n: n, m: m, nb: batchLines(m), plan: NewPlan(m), buf: make([]complex128, m)}
+	p := &PaddedComplex{n: n, m: m, nb: batchLines(m), plan: NewPlan(m)}
 	pos, neg := bands(n)
 	if inv := p.plan.stages[inverse]; len(inv) > 0 && inv[0].r == 2 {
 		p.load = make([]int32, m)
@@ -130,15 +129,9 @@ func (p *PaddedComplex) PhysicalLen() int { return p.m }
 // ScratchLen returns the scratch length the Scratch variants require.
 func (p *PaddedComplex) ScratchLen() int { return p.m }
 
-// InversePadded fills phys (length m) with the unnormalized inverse
-// transform of the zero-padded spectrum spec (length n). Not safe for
-// concurrent use; see InversePaddedScratch.
-func (p *PaddedComplex) InversePadded(phys, spec []complex128) {
-	p.InversePaddedScratch(phys, spec, p.buf)
-}
-
-// InversePaddedScratch is InversePadded with caller-provided scratch of
-// length PhysicalLen(), safe for concurrent use with distinct scratch.
+// InversePaddedScratch fills phys (length m) with the unnormalized inverse
+// transform of the zero-padded spectrum spec (length n). scratch has length
+// ScratchLen(); the call is safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) InversePaddedScratch(phys, spec, scratch []complex128) {
 	if len(phys) < p.m || len(spec) < p.n {
 		panic("fft: padded inverse slice lengths")
@@ -182,16 +175,10 @@ func first2Padded(dst, spec []complex128, stride int, load []int32) {
 	}
 }
 
-// ForwardTruncated transforms phys (length m) forward and stores the n
-// resolved modes into spec, normalized by 1/m so that a round trip is the
-// identity on the resolved modes. Not safe for concurrent use; see
-// ForwardTruncatedScratch.
-func (p *PaddedComplex) ForwardTruncated(spec, phys []complex128) {
-	p.ForwardTruncatedScratch(spec, phys, p.buf)
-}
-
-// ForwardTruncatedScratch is ForwardTruncated with caller-provided scratch
-// of length PhysicalLen(), safe for concurrent use with distinct scratch.
+// ForwardTruncatedScratch transforms phys (length m) forward and stores the
+// n resolved modes into spec, normalized by 1/m so that a round trip is the
+// identity on the resolved modes. scratch has length ScratchLen(); the call
+// is safe for concurrent use with distinct scratch.
 func (p *PaddedComplex) ForwardTruncatedScratch(spec, phys, scratch []complex128) {
 	if len(phys) < p.m || len(spec) < p.n || len(scratch) < p.m {
 		panic("fft: truncated forward slice lengths")
@@ -254,7 +241,6 @@ type PaddedReal struct {
 	nk, m int
 	nb    int // batch width, see Batch
 	plan  *RealPlan
-	buf   []complex128
 }
 
 // NewPaddedReal builds the fused real transform carrying nk one-sided modes
@@ -263,9 +249,7 @@ func NewPaddedReal(nk, m int) *PaddedReal {
 	if m/2+1 < nk {
 		panic("fft: padded real transform needs m/2+1 >= nk")
 	}
-	p := &PaddedReal{nk: nk, m: m, nb: batchLines(m), plan: NewRealPlan(m)}
-	p.buf = make([]complex128, p.ScratchLen())
-	return p
+	return &PaddedReal{nk: nk, m: m, nb: batchLines(m), plan: NewRealPlan(m)}
 }
 
 // SpectralLen returns the number of one-sided modes carried.
@@ -278,16 +262,10 @@ func (p *PaddedReal) PhysicalLen() int { return p.m }
 // half-complex spectrum image plus the underlying real plan's own scratch.
 func (p *PaddedReal) ScratchLen() int { return p.m/2 + 1 + p.plan.ScratchLen() }
 
-// InversePadded fills phys (length m) with the unnormalized inverse real
-// transform of the zero-padded one-sided spectrum spec (length nk). Not
-// safe for concurrent use; see InversePaddedScratch.
-func (p *PaddedReal) InversePadded(phys []float64, spec []complex128) {
-	p.InversePaddedScratch(phys, spec, p.buf)
-}
-
-// InversePaddedScratch is InversePadded with caller-provided scratch of
-// length ScratchLen(), safe for concurrent use with distinct scratch and
-// free of allocations.
+// InversePaddedScratch fills phys (length m) with the unnormalized inverse
+// real transform of the zero-padded one-sided spectrum spec (length nk).
+// scratch has length ScratchLen(); the call allocates nothing and is safe
+// for concurrent use with distinct scratch.
 func (p *PaddedReal) InversePaddedScratch(phys []float64, spec, scratch []complex128) {
 	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
 		panic("fft: padded real inverse slice lengths")
@@ -312,16 +290,10 @@ func (p *PaddedReal) inversePadded(phys []float64, ps int, spec []complex128, st
 	p.plan.inverseFull(phys, ps, image, rest)
 }
 
-// ForwardTruncated transforms phys forward and keeps the nk resolved
-// one-sided modes, normalized by 1/m. Not safe for concurrent use; see
-// ForwardTruncatedScratch.
-func (p *PaddedReal) ForwardTruncated(spec []complex128, phys []float64) {
-	p.ForwardTruncatedScratch(spec, phys, p.buf)
-}
-
-// ForwardTruncatedScratch is ForwardTruncated with caller-provided scratch
-// of length ScratchLen(), safe for concurrent use with distinct scratch and
-// free of allocations.
+// ForwardTruncatedScratch transforms phys forward and keeps the nk resolved
+// one-sided modes, normalized by 1/m. scratch has length ScratchLen(); the
+// call allocates nothing and is safe for concurrent use with distinct
+// scratch.
 func (p *PaddedReal) ForwardTruncatedScratch(spec []complex128, phys []float64, scratch []complex128) {
 	if len(phys) < p.m || len(spec) < p.nk || len(scratch) < p.ScratchLen() {
 		panic("fft: padded real forward slice lengths")

@@ -313,15 +313,3 @@ func Scale(x []complex128, s float64) {
 		x[i] *= cs
 	}
 }
-
-// ForwardMany applies the forward transform to howmany contiguous lines of
-// length Len() stored back to back in src, writing to dst. dst and src may
-// alias element-for-element.
-func (p *Plan) ForwardMany(dst, src []complex128, howmany int) {
-	if len(dst) < howmany*p.n || len(src) < howmany*p.n {
-		panic("fft: batch slices shorter than howmany*Len()")
-	}
-	for i := 0; i < howmany; i++ {
-		p.transform(dst[i*p.n:(i+1)*p.n], src[i*p.n:(i+1)*p.n], forward)
-	}
-}

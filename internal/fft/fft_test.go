@@ -235,9 +235,9 @@ func TestPadTruncateComplexRoundTrip(t *testing.T) {
 	spec := randComplex(rng, n)
 	spec[n/2] = 0 // Nyquist not carried
 	phys := make([]complex128, m)
-	pc.InversePadded(phys, spec)
+	pc.InversePaddedScratch(phys, spec, make([]complex128, pc.ScratchLen()))
 	back := make([]complex128, n)
-	pc.ForwardTruncated(back, phys)
+	pc.ForwardTruncatedScratch(back, phys, make([]complex128, pc.ScratchLen()))
 	if e := maxErrC(back, spec); e > 1e-10 {
 		t.Errorf("padded complex roundtrip error %g", e)
 	}
@@ -250,9 +250,9 @@ func TestPadTruncateRealRoundTrip(t *testing.T) {
 	spec := randComplex(rng, nk)
 	spec[0] = complex(real(spec[0]), 0) // DC of a real field is real
 	phys := make([]float64, m)
-	pr.InversePadded(phys, spec)
+	pr.InversePaddedScratch(phys, spec, make([]complex128, pr.ScratchLen()))
 	back := make([]complex128, nk)
-	pr.ForwardTruncated(back, phys)
+	pr.ForwardTruncatedScratch(back, phys, make([]complex128, pr.ScratchLen()))
 	if e := maxErrC(back, spec); e > 1e-10 {
 		t.Errorf("padded real roundtrip error %g", e)
 	}
@@ -271,14 +271,14 @@ func TestPaddedProductDealiases(t *testing.T) {
 	b[k2] = 1
 	pa := make([]complex128, m)
 	pb := make([]complex128, m)
-	pc.InversePadded(pa, a)
-	pc.InversePadded(pb, b)
+	pc.InversePaddedScratch(pa, a, make([]complex128, pc.ScratchLen()))
+	pc.InversePaddedScratch(pb, b, make([]complex128, pc.ScratchLen()))
 	prod := make([]complex128, m)
 	for i := range prod {
 		prod[i] = pa[i] * pb[i]
 	}
 	out := make([]complex128, n)
-	pc.ForwardTruncated(out, prod)
+	pc.ForwardTruncatedScratch(out, prod, make([]complex128, pc.ScratchLen()))
 	// k1+k2 = 11 > n/2-1 = 7, so the product is entirely unresolved: with
 	// proper dealiasing every resolved coefficient must vanish.
 	for k := range out {
@@ -289,11 +289,11 @@ func TestPaddedProductDealiases(t *testing.T) {
 	// And a resolved product must land exactly on k1+k2.
 	b2 := make([]complex128, n)
 	b2[2] = 1
-	pc.InversePadded(pb, b2)
+	pc.InversePaddedScratch(pb, b2, make([]complex128, pc.ScratchLen()))
 	for i := range prod {
 		prod[i] = pa[i] * pb[i]
 	}
-	pc.ForwardTruncated(out, prod)
+	pc.ForwardTruncatedScratch(out, prod, make([]complex128, pc.ScratchLen()))
 	for k := range out {
 		want := complex128(0)
 		if k == k1+2 {
@@ -301,22 +301,6 @@ func TestPaddedProductDealiases(t *testing.T) {
 		}
 		if cmplx.Abs(out[k]-want) > 1e-12 {
 			t.Errorf("product mode k=%d: got %v want %v", k, out[k], want)
-		}
-	}
-}
-
-func TestForwardManyMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n, hm := 20, 7
-	p := NewPlan(n)
-	src := randComplex(rng, n*hm)
-	dst := make([]complex128, n*hm)
-	p.ForwardMany(dst, src, hm)
-	for i := 0; i < hm; i++ {
-		want := make([]complex128, n)
-		p.Forward(want, src[i*n:(i+1)*n])
-		if e := maxErrC(dst[i*n:(i+1)*n], want); e > 1e-12 {
-			t.Errorf("batch line %d differs: %g", i, e)
 		}
 	}
 }
@@ -508,12 +492,12 @@ func TestPaddedComplexOddLength(t *testing.T) {
 		}
 		pc := NewPaddedComplex(n, m)
 		phys := make([]complex128, m)
-		pc.InversePadded(phys, spec)
+		pc.InversePaddedScratch(phys, spec, make([]complex128, pc.ScratchLen()))
 		if e := maxErrC(phys, naiveDFT(padded, -1)); e > 1e-10 {
 			t.Errorf("n=%d m=%d: padded inverse differs from the DFT of the padded spectrum by %g", n, m, e)
 		}
 		back = randComplex(rng, n)
-		pc.ForwardTruncated(back, phys)
+		pc.ForwardTruncatedScratch(back, phys, make([]complex128, pc.ScratchLen()))
 		if e := maxErrC(back, spec); e > 1e-12 {
 			t.Errorf("n=%d m=%d: odd-length round trip error %g", n, m, e)
 		}
@@ -563,9 +547,9 @@ func TestPaddedRealOddGrid(t *testing.T) {
 		spec := randComplex(rng, nk)
 		spec[0] = complex(real(spec[0]), 0)
 		phys := make([]float64, m)
-		pr.InversePadded(phys, spec)
+		pr.InversePaddedScratch(phys, spec, make([]complex128, pr.ScratchLen()))
 		back := make([]complex128, nk)
-		pr.ForwardTruncated(back, phys)
+		pr.ForwardTruncatedScratch(back, phys, make([]complex128, pr.ScratchLen()))
 		if e := maxErrC(back, spec); e > 1e-10 {
 			t.Errorf("nk=%d m=%d: padded real round trip error %g", nk, m, e)
 		}
