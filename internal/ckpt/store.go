@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,24 +85,24 @@ type shardMeta struct {
 	Err  string
 }
 
-// writeFileAtomic writes data to path through a same-directory temp file,
-// fsyncs it, renames it into place, and best-effort fsyncs the directory
-// so the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
+// writeAtomic writes path through a same-directory temp file: write fills
+// it, then it is fsynced, closed and renamed into place, and the directory
+// is fsynced best-effort so the rename itself is durable. A reader sees the
+// old file or the whole new one, never a torn one.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -188,7 +189,12 @@ func (s *Store) writeShard(dir string, rank int, st *State, plan *writePlan) sha
 	}
 
 	sp := s.tel.Begin(telemetry.PhaseCheckpoint)
-	n, crc, err := encodeShardAtomic(path, st)
+	var n int64
+	var crc uint32
+	err := writeAtomic(path, func(w io.Writer) (err error) {
+		n, crc, err = EncodeShard(w, st)
+		return err
+	})
 	sp.End()
 	s.tel.AddComm(telemetry.CommCheckpoint, n, 1)
 	if err != nil {
@@ -198,30 +204,6 @@ func (s *Store) writeShard(dir string, rank int, st *State, plan *writePlan) sha
 	meta.Info.Bytes = n
 	meta.Info.CRC32C = fmt.Sprintf("%08x", crc)
 	return meta
-}
-
-// encodeShardAtomic encodes st into path via temp + fsync + rename.
-func encodeShardAtomic(path string, st *State) (int64, uint32, error) {
-	tmp := path + tmpSuffix
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, 0, err
-	}
-	n, crc, err := EncodeShard(f, st)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return n, crc, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return n, crc, err
-	}
-	syncDir(filepath.Dir(path))
-	return n, crc, nil
 }
 
 // publish runs on rank 0 once every rank's entry (Err, then the JSON of
@@ -258,7 +240,10 @@ func (s *Store) publish(dir string, st *State, entries []string, plan *writePlan
 		return err.Error()
 	}
 	sp := s.tel.Begin(telemetry.PhaseCheckpoint)
-	err = writeFileAtomic(filepath.Join(dir, ManifestName), data)
+	err = writeAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	sp.End()
 	s.tel.AddComm(telemetry.CommCheckpoint, int64(len(data)), 1)
 	if err != nil {
