@@ -3,7 +3,8 @@
 # the concurrency-bearing packages (wall-normal operators and FFT plans
 # shared by every pool worker, worker pool, in-process MPI runtime, pencil
 # transposes, the dealiased excursion whose pool workers each write their
-# own runs of lines). vet and test also cover
+# own runs of lines, and the Galerkin solver's pool blocks, which share its
+# operators and its excursion). vet and test also cover
 # benchmark/, the regression ruler: it is its own module (its only
 # requirement is replaced by ../, so no network), which `./...` skips, and
 # an API break there would otherwise surface only in the pipeline.
@@ -30,6 +31,7 @@ test:
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
+	$(GO) test -race -run 'TestGalerkinSerialMatchesParallel|TestTrajectoryPinned' channeldns/internal/galerkin
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
 # not write: the TCP transport's frame reader against whatever a peer might
