@@ -89,8 +89,8 @@ type Config struct {
 }
 
 // FillDefaults replaces the zero values that stand for a default with that
-// default. It is the one default pass: every constructor, Validate and
-// internal/galerkin's New run it.
+// default. It is the one default pass, run by the constructors, Validate,
+// Fingerprint and internal/galerkin's New.
 func (c *Config) FillDefaults() {
 	if c.Workload == "" {
 		c.Workload = WorkloadChannel
