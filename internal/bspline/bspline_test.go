@@ -177,28 +177,6 @@ func TestGaussLegendre(t *testing.T) {
 	}
 }
 
-func TestQuadratureRuleIntegratesSplines(t *testing.T) {
-	b := NewUniform(4, 12, -1, 1)
-	pts, wts := b.QuadratureRule(5)
-	rng := rand.New(rand.NewSource(4))
-	coef := make([]float64, b.NumBasis())
-	for i := range coef {
-		coef[i] = rng.NormFloat64()
-	}
-	got := 0.0
-	for i, u := range pts {
-		got += wts[i] * b.Eval(coef, u)
-	}
-	w := b.IntegrationWeights()
-	want := 0.0
-	for i := range w {
-		want += w[i] * coef[i]
-	}
-	if math.Abs(got-want) > 1e-10 {
-		t.Errorf("quadrature %g vs exact %g", got, want)
-	}
-}
-
 func TestChannelBreakpoints(t *testing.T) {
 	for _, s := range []float64{0, 0.5, 1} {
 		br := ChannelBreakpoints(16, s)

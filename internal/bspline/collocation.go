@@ -100,29 +100,6 @@ func GaussLegendre(n int) (x, w []float64) {
 	return x, w
 }
 
-// QuadratureRule returns points and weights integrating splines (and products
-// of splines) exactly: an m-point Gauss rule on each knot interval. m must
-// be large enough for the integrand degree (m >= degree+1 integrates single
-// splines exactly; 2*degree needs more for products).
-func (b *Basis) QuadratureRule(m int) (pts, wts []float64) {
-	gx, gw := GaussLegendre(m)
-	p := b.degree
-	// Unique knot intervals.
-	for i := p; i < len(b.knots)-p-1; i++ {
-		a, c := b.knots[i], b.knots[i+1]
-		if c <= a {
-			continue
-		}
-		half := (c - a) / 2
-		mid := (c + a) / 2
-		for q := 0; q < m; q++ {
-			pts = append(pts, mid+half*gx[q])
-			wts = append(wts, half*gw[q])
-		}
-	}
-	return pts, wts
-}
-
 // SecondDerivWallRows returns the operator rows used for boundary
 // conditions: value and first-derivative rows at both walls. Each row is
 // (startCol, coefficients over degree+1 basis functions). For a clamped

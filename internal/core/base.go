@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"channeldns/internal/ckpt"
-	"channeldns/internal/field"
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
 	"channeldns/internal/parfft"
@@ -24,7 +23,7 @@ type base struct {
 	checkpointing
 
 	Cfg Config
-	G   field.Grid
+	G   Grid
 	D   *pencil.Decomp
 	nu  float64
 
@@ -56,7 +55,7 @@ type base struct {
 // init validates cfg for the workload it names and builds the shared
 // skeleton collectively on world.
 func (b *base) init(world *mpi.Comm, cfg Config) error {
-	cfg.FillDefaults()
+	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
 		return err
 	}
@@ -65,7 +64,7 @@ func (b *base) init(world *mpi.Comm, cfg Config) error {
 		// collector even when the caller did not ask for aggregates.
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	g := field.NewGrid(cfg.Nx, cfg.Ny, cfg.Nz, cfg.Lx, cfg.Lz)
+	g := NewGrid(cfg.Nx, cfg.Ny, cfg.Nz, cfg.Lx, cfg.Lz)
 	b.Cfg, b.G, b.nu = cfg, g, 1/cfg.ReTau
 	if cfg.Telemetry != nil {
 		b.tel = cfg.Telemetry.Rank(world.Rank())

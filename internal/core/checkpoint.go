@@ -24,7 +24,7 @@ import (
 // worker pool, Dt (adaptive runs change it mid-flight) and instrumentation
 // hooks are deliberately excluded — a checkpoint moves freely across those.
 func (c Config) Fingerprint() uint64 {
-	c.FillDefaults()
+	c.fillDefaults()
 	h := fnv.New64a()
 	u := func(v uint64) {
 		var b [8]byte

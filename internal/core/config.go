@@ -88,10 +88,10 @@ type Config struct {
 	Prandtl float64
 }
 
-// FillDefaults replaces the zero values that stand for a default with that
+// fillDefaults replaces the zero values that stand for a default with that
 // default. It is the one default pass, run by the constructors, Validate,
-// Fingerprint and internal/galerkin's New.
-func (c *Config) FillDefaults() {
+// Fingerprint and the schedule builders.
+func (c *Config) fillDefaults() {
 	if c.Workload == "" {
 		c.Workload = WorkloadChannel
 	}
@@ -127,16 +127,17 @@ func (c *Config) FillDefaults() {
 // anything, and a front end that takes configurations from outside the
 // process (dnsserve's JobSpec) runs it to refuse them up front.
 func (c Config) Validate() error {
-	c.FillDefaults()
+	c.fillDefaults()
 	return c.validate()
 }
 
-// validate rejects what the workload named by c.Workload cannot run: a grid
-// the Fourier directions or the pencil decomposition cannot carry (every
-// rank must own a non-empty window of kx and z over CommA and of kz and y
-// over CommB), and per workload: the channel family needs enough basis
-// functions for its spline degree; the scalar and isotropic workloads run
-// the serial exchange only, and the isotropic one the divergence form only.
+// validate rejects what the workload named by c.Workload cannot run: a
+// non-positive domain extent, a grid the Fourier directions or the pencil
+// decomposition cannot carry (every rank must own a non-empty window of kx
+// and z over CommA and of kz and y over CommB), and per workload: the
+// channel family needs enough basis functions for its spline degree; the
+// scalar and isotropic workloads run the serial exchange only, and the
+// isotropic one the divergence form only.
 func (c *Config) validate() error {
 	if _, ok := workloads[c.Workload]; !ok {
 		return fmt.Errorf("core: unknown workload %q (registered: %v)", c.Workload, WorkloadNames())
@@ -146,6 +147,9 @@ func (c *Config) validate() error {
 	}
 	if c.Ny < 4 {
 		return fmt.Errorf("core: Ny=%d must be >= 4", c.Ny)
+	}
+	if !(c.Lx > 0 && c.Lz > 0 && c.Ly > 0) {
+		return fmt.Errorf("core: domain extents Lx=%g Lz=%g Ly=%g must be positive", c.Lx, c.Lz, c.Ly)
 	}
 	if c.PA < 1 || c.PB < 1 {
 		return fmt.Errorf("core: process grid %dx%d must be at least 1x1", c.PA, c.PB)
@@ -180,11 +184,11 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// SMR91 holds the low-storage IMEX RK3 coefficients of Spalart, Moser &
+// smr91 holds the low-storage IMEX RK3 coefficients of Spalart, Moser &
 // Rogers (1991) (paper §2.1 reference [23]), one entry per substep:
 // explicit (convective) Gamma, Zeta; implicit (viscous) Alpha = Beta. Every
-// solver's substep reads this one table, internal/galerkin's included.
-var SMR91 = struct{ Gamma, Zeta, Alpha, Beta [3]float64 }{
+// solver's substep reads this one table.
+var smr91 = struct{ Gamma, Zeta, Alpha, Beta [3]float64 }{
 	Gamma: [3]float64{8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0},
 	Zeta:  [3]float64{0, -17.0 / 60.0, -5.0 / 12.0},
 	Alpha: [3]float64{4.0 / 15.0, 1.0 / 15.0, 1.0 / 6.0},

@@ -177,7 +177,7 @@ func TestGeneralSolverAblationMatches(t *testing.T) {
 		k2 := s.G.K2(ikx, ikz)
 		coef := [][2]float64{{-k2, -1}} // helm; then lhs[0..2]
 		for sub := 0; sub < 3; sub++ {
-			c := SMR91.Beta[sub] * s.Cfg.Dt * s.nu
+			c := smr91.Beta[sub] * s.Cfg.Dt * s.nu
 			coef = append(coef, [2]float64{1 + c*k2, c})
 		}
 		for op, a := range coef {

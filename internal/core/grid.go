@@ -1,7 +1,10 @@
-// Package field carries the spectral grid bookkeeping shared by the solver,
-// the statistics module and the benchmark tools: mode counts, wavenumber
-// values, the 3/2-rule quadrature grid sizes, and the storage conventions
-// for spectral fields.
+package core
+
+import "math"
+
+// Grid is the spectral grid bookkeeping of a channel field: mode counts,
+// wavenumber values, the 3/2-rule quadrature grid sizes, and the storage
+// conventions for spectral fields.
 //
 // Conventions. A real field q(x, y, z) on the channel (x, z periodic with
 // lengths Lx, Lz; y in [-1, 1]) is represented as
@@ -13,30 +16,14 @@
 // customized kernel); the z direction stores Nz modes in FFT wrap order
 // with the Nyquist slot held at zero. kz' is the signed wavenumber of wrap
 // slot kz.
-package field
-
-import (
-	"fmt"
-	"math"
-)
-
-// Grid describes the spectral resolution and domain of a channel field.
 type Grid struct {
 	Nx, Ny, Nz int     // full x modes, y basis size, full z modes
 	Lx, Lz     float64 // periodic domain lengths
 }
 
-// NewGrid validates and returns a Grid. Nx and Nz must be even and >= 4.
+// NewGrid returns the Grid of the given shape. It checks nothing:
+// Config.Validate owns the shape checks.
 func NewGrid(nx, ny, nz int, lx, lz float64) Grid {
-	if nx < 4 || nx%2 != 0 || nz < 4 || nz%2 != 0 {
-		panic(fmt.Sprintf("field: Nx=%d Nz=%d must be even and >= 4", nx, nz))
-	}
-	if ny < 4 {
-		panic(fmt.Sprintf("field: Ny=%d must be >= 4", ny))
-	}
-	if lx <= 0 || lz <= 0 {
-		panic("field: domain lengths must be positive")
-	}
 	return Grid{Nx: nx, Ny: ny, Nz: nz, Lx: lx, Lz: lz}
 }
 

@@ -1,4 +1,4 @@
-package field
+package core
 
 import (
 	"math"
@@ -65,21 +65,26 @@ func TestK2(t *testing.T) {
 	}
 }
 
-func TestNewGridValidation(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewGrid(7, 8, 8, 1, 1) }, // odd Nx
-		func() { NewGrid(8, 8, 7, 1, 1) }, // odd Nz
-		func() { NewGrid(2, 8, 8, 1, 1) }, // tiny Nx
-		func() { NewGrid(8, 2, 8, 1, 1) }, // tiny Ny
-		func() { NewGrid(8, 8, 8, 0, 1) }, // bad domain
+// TestGridShapeValidation checks that Config.Validate refuses the grid
+// shapes the Fourier directions cannot carry. The base config is
+// isotropic (Fourier in y) so that no spline-degree check on Ny hides
+// the shape check, and it must itself pass.
+func TestGridShapeValidation(t *testing.T) {
+	base := Config{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, Lx: 1, Lz: 1, ReTau: 100, Dt: 0.1}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("base config refused: %v", err)
+	}
+	for name, edit := range map[string]func(*Config){
+		"odd Nx":     func(c *Config) { c.Nx = 7 },
+		"odd Nz":     func(c *Config) { c.Nz = 7 },
+		"tiny Nx":    func(c *Config) { c.Nx = 2 },
+		"tiny Ny":    func(c *Config) { c.Ny = 2 },
+		"bad domain": func(c *Config) { c.Lx = -1 }, // zero means the default extent
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
+		cfg := base
+		edit(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s: expected error", name)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"channeldns/internal/field"
 	"channeldns/internal/mpi"
 )
 
@@ -73,16 +72,16 @@ func (s *Solver) interpolateComplex(dst []complex128, f func(y float64) complex1
 }
 
 // Perturb adds wall-compatible disturbances of the given amplitude to all
-// locally owned modes PerturbMode admits, so a run is bit-reproducible for
+// locally owned modes perturbMode admits, so a run is bit-reproducible for
 // any process grid.
 func (s *Solver) Perturb(amp float64, kxMax, kzMax int, seed int64) {
 	for w := 0; w < s.nw; w++ {
 		ikx, ikz := s.modeOf(w)
-		av, ok := PerturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 0)
+		av, ok := perturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 0)
 		if !ok {
 			continue
 		}
-		ao, _ := PerturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 1)
+		ao, _ := perturbMode(s.G, ikx, ikz, kxMax, kzMax, amp, seed, 1)
 		// v shape (1-y^2)^2 satisfies v = v' = 0; omega shape (1-y^2)
 		// satisfies omega = 0 at the walls.
 		s.setShape(s.cv[w], av, func(y float64) float64 { q := 1 - y*y; return q * q })
@@ -90,15 +89,15 @@ func (s *Solver) Perturb(amp float64, kxMax, kzMax int, seed int64) {
 	}
 }
 
-// PerturbMode is the one perturbation rule of the channel-family solvers
-// (collocation, scalar, internal/galerkin): the amplitude of component comp
-// (0 v, 1 omega_y, 2 theta) on mode (ikx, ikz) of g, or false for a mode the
-// disturbance leaves alone — the mean, the z Nyquist mode, and any with kx
+// perturbMode is the one perturbation rule of the channel-family solvers
+// (channel and scalar): the amplitude of component comp (0 v, 1 omega_y,
+// 2 theta) on mode (ikx, ikz) of g, or false for a mode the disturbance
+// leaves alone — the mean, the z Nyquist mode, and any with kx
 // index above kxMax or |kz index| above kzMax. The phase derives from (seed,
 // mode, comp); on the kx = 0 plane a negative kz index takes the conjugate
 // of its partner's, so the field is real. Solvers that seed through it start
 // from the same physical state.
-func PerturbMode(g field.Grid, ikx, ikz, kxMax, kzMax int, amp float64, seed int64, comp int) (complex128, bool) {
+func perturbMode(g Grid, ikx, ikz, kxMax, kzMax int, amp float64, seed int64, comp int) (complex128, bool) {
 	if g.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
 		return 0, false
 	}

@@ -237,10 +237,10 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64, prods [][]complex128) {
 	sp := s.tel.Begin(telemetry.PhaseViscousSolve)
 	g := s.G
 	ny := s.Cfg.Ny
-	ga := complex(SMR91.Gamma[sub], 0)
-	ze := complex(SMR91.Zeta[sub], 0)
-	al := SMR91.Alpha[sub] * dt * s.nu
-	be := SMR91.Beta[sub] * dt * s.nu
+	ga := complex(smr91.Gamma[sub], 0)
+	ze := complex(smr91.Zeta[sub], 0)
+	al := smr91.Alpha[sub] * dt * s.nu
+	be := smr91.Beta[sub] * dt * s.nu
 	cdt := complex(dt, 0)
 	iC := complex(0, 1)
 

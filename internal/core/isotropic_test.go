@@ -88,7 +88,7 @@ func TestIsotropicViscousDecayExact(t *testing.T) {
 				}
 				factor := 1.0
 				for sub := 0; sub < 3; sub++ {
-					factor *= (1 - SMR91.Alpha[sub]*dt*nu*k2) / (1 + SMR91.Beta[sub]*dt*nu*k2)
+					factor *= (1 - smr91.Alpha[sub]*dt*nu*k2) / (1 + smr91.Beta[sub]*dt*nu*k2)
 				}
 				factor = math.Pow(factor, steps)
 				for f, field := range [][][]complex128{s.cu, s.cv, s.cw} {

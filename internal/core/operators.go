@@ -140,14 +140,14 @@ func (s *Solver) wallDerivReal(c []float64) (lo, hi float64) {
 func (s *Solver) buildImplicit(o *implicitOps, dt float64, ops []*wnOps) {
 	o.lhs = make([][3]*banded.Compact, len(ops))
 	for sub := 0; sub < 3; sub++ {
-		o.mean[sub] = s.assembleLHS(SMR91.Beta[sub]*dt*o.diff, 0)
+		o.mean[sub] = s.assembleLHS(smr91.Beta[sub]*dt*o.diff, 0)
 	}
 	for w, op := range ops {
 		if op == nil {
 			continue
 		}
 		for sub := 0; sub < 3; sub++ {
-			o.lhs[w][sub] = s.assembleLHS(SMR91.Beta[sub]*dt*o.diff, op.k2)
+			o.lhs[w][sub] = s.assembleLHS(smr91.Beta[sub]*dt*o.diff, op.k2)
 		}
 	}
 }

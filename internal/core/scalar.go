@@ -141,11 +141,11 @@ func (t *ScalarSolver) SetConduction() {
 }
 
 // PerturbScalar adds wall-compatible scalar disturbances to all locally
-// owned modes PerturbMode admits.
+// owned modes perturbMode admits.
 func (t *ScalarSolver) PerturbScalar(amp float64, kxMax, kzMax int, seed int64) {
 	for w := 0; w < t.nw; w++ {
 		ikx, ikz := t.modeOf(w)
-		a, ok := PerturbMode(t.G, ikx, ikz, kxMax, kzMax, amp, seed, 2)
+		a, ok := perturbMode(t.G, ikx, ikz, kxMax, kzMax, amp, seed, 2)
 		if !ok {
 			continue
 		}

@@ -10,7 +10,7 @@ import (
 // process grid, and the divergence form's six products with 4-pass
 // pack/unpack around every transpose.
 func (c Config) timestepParams() schedule.TimestepParams {
-	c.FillDefaults()
+	c.fillDefaults()
 	return schedule.TimestepParams{
 		Nx: c.Nx, Ny: c.Ny, Nz: c.Nz,
 		PA: c.PA, PB: c.PB,

@@ -47,8 +47,8 @@ func (s *Solver) swapNonlinear(hg, hv [][]complex128, mHx, mHz []float64) {
 //
 // which a solve against o.lhs[w][sub] turns into the new coefficients.
 func (o *implicitOps) lineRHS(sub int, dt float64, rhs, vals, lap, h, hPrev []complex128) {
-	al := complex(SMR91.Alpha[sub]*dt*o.diff, 0)
-	ga, ze, cdt := complex(SMR91.Gamma[sub], 0), complex(SMR91.Zeta[sub], 0), complex(dt, 0)
+	al := complex(smr91.Alpha[sub]*dt*o.diff, 0)
+	ga, ze, cdt := complex(smr91.Gamma[sub], 0), complex(smr91.Zeta[sub], 0), complex(dt, 0)
 	for i := range rhs {
 		rhs[i] = vals[i] + al*lap[i] + cdt*(ga*h[i]+ze*hPrev[i])
 	}
@@ -73,8 +73,8 @@ func (s *Solver) advanceRHS(o *implicitOps, w, sub int, dt float64, c, h, hPrev 
 // in place: the same Helmholtz problem at k2 = 0, with a uniform forcing added
 // to the explicit term and the wall values lo, hi imposed.
 func (s *Solver) advanceMeanLine(o *implicitOps, sub int, dt float64, c, h, hPrev []float64, forcing, lo, hi float64) {
-	ga, ze := SMR91.Gamma[sub], SMR91.Zeta[sub]
-	al := SMR91.Alpha[sub] * dt * o.diff
+	ga, ze := smr91.Gamma[sub], smr91.Zeta[sub]
+	al := smr91.Alpha[sub] * dt * o.diff
 	rhs, lap := s.ws.meanS0, s.ws.meanS1
 	s.b0.MulVec(rhs, c)
 	s.b2.MulVec(lap, c)

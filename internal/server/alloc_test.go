@@ -31,7 +31,7 @@ func benchSolver(tb testing.TB) (core.Workload, *telemetry.Registry, func()) {
 			return
 		}
 		wl.InitDefault(0.2, 13)
-		// Warm up: transpose plans, Galerkin caches, operator cache.
+		// Warm up: transpose plans, operator cache.
 		core.Advance(wl, 2)
 	})
 	if wl == nil {

@@ -657,7 +657,8 @@ func TestConstructionFailureFailsJob(t *testing.T) {
 
 // TestHostileSpecsRefused: the three bodies that used to panic dnsserve — a
 // grid below the Fourier minimum and two process grids that leave a rank an
-// empty pencil window — get 400 from POST /v1/jobs, core refuses each
+// empty pencil window — and an isotropic box of negative height, which used
+// to be accepted and run, get 400 from POST /v1/jobs, core refuses each
 // configuration with an error, and the server goes on answering.
 func TestHostileSpecsRefused(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Options{})
@@ -668,6 +669,7 @@ func TestHostileSpecsRefused(t *testing.T) {
 		`{"nx":2,"ny":17,"nz":2,"steps":1}`,
 		`{"nx":4,"ny":17,"nz":4,"steps":1,"pa":4,"pb":4}`,
 		`{"nx":16,"ny":17,"nz":16,"steps":1,"pb":32}`,
+		`{"workload":"isotropic","nx":16,"ny":16,"nz":16,"steps":1,"ly":-1}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
