@@ -1,0 +1,96 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/runs.golden from this build")
+
+// TestMain lets the test binary stand in for dns: with DNS_TEST_ARGS set it
+// runs main on those arguments and exits, so the tests exec the command
+// line path itself, flag parsing and log.Fatal exits included.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("DNS_TEST_ARGS"); ok {
+		os.Args = append([]string{"dns"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runs are the four dns lines of `make bench-smoke` plus one that sets
+// every run flag whose zero or default a front end could resolve
+// differently, at two steps each.
+var runs = []string{
+	"-nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -trace {dir}/dns.trace.json",
+	"-overlap -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -trace {dir}/dns_overlap.trace.json",
+	"-workload isotropic -nx 16 -ny 16 -nz 16 -steps 2 -pa 2 -pb 2",
+	"-workload scalar -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2",
+	"-nx 16 -ny 17 -nz 16 -steps 2 -retau 395 -dt 1e-3 -form skew -threads 2 -perturb 0 -seed 0",
+}
+
+// TestRunsPinned holds each run's status lines and its -report config
+// block to testdata/runs.golden: the trajectory the flags select and the
+// description the report gives of it.
+func TestRunsPinned(t *testing.T) {
+	dir := t.TempDir()
+	var got strings.Builder
+	for i, line := range runs {
+		args := strings.ReplaceAll(line, "{dir}", dir)
+		rep := filepath.Join(dir, fmt.Sprintf("report%d.json", i))
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "DNS_TEST_ARGS="+args+" -report "+rep)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("dns %s: %v\n%s", line, err, stderr.String())
+		}
+		fmt.Fprintf(&got, "dns %s\n", line)
+		for _, l := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(l, "step ") {
+				fmt.Fprintf(&got, "  %s\n", l)
+			}
+		}
+		raw, err := os.ReadFile(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r struct {
+			Config map[string]string `json:"config"`
+		}
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(r.Config))
+		for k := range r.Config {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&got, "  config %s=%s\n", k, r.Config[k])
+		}
+	}
+	golden := filepath.Join("testdata", "runs.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("dns runs differ from %s\n--- got\n%s--- want\n%s", golden, got.String(), want)
+	}
+}
