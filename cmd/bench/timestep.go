@@ -10,6 +10,7 @@ import (
 	"channeldns/internal/par"
 	driver "channeldns/internal/run" // run is this program's entry point
 	"channeldns/internal/schedule"
+	"channeldns/internal/server"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
 )
@@ -77,11 +78,15 @@ func model11(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// config is the core configuration of the -json and -schedule runs.
-func (b *bench) config() core.Config {
-	return core.Config{Workload: b.workload, Nx: b.nx, Ny: b.ny, Nz: b.nz,
-		ReTau: 180, Dt: 1e-3, Forcing: 1, Overlap: b.overlap}
+// spec describes the -json and -schedule runs as dns and dnsserve describe
+// theirs; what it leaves zero takes the job defaults.
+func (b *bench) spec() server.JobSpec {
+	return server.JobSpec{Workload: b.workload, Nx: b.nx, Ny: b.ny, Nz: b.nz, Steps: b.steps,
+		Dt: 1e-3, Overlap: b.overlap}
 }
+
+// config is the core configuration of the -json and -schedule runs.
+func (b *bench) config() core.Config { return b.spec().Config(nil, nil, nil) }
 
 func timestepSchedule(b *bench) error {
 	sched, err := core.WorkloadSchedule(b.config())
@@ -102,7 +107,8 @@ func stepper(cfg core.Config, warm int) cycleBuilder {
 		if err != nil {
 			panic(err)
 		}
-		wl.InitDefault(0.3, 1)
+		def := server.Defaults()
+		wl.InitDefault(def.Perturb, def.Seed)
 		return func(it int) {
 			if it < 0 {
 				core.Advance(wl, warm)
@@ -124,13 +130,13 @@ func timestepLive(b *bench) error {
 		return err
 	}
 	if b.live {
-		fmt.Fprintln(b.out, "Live in-process full RK3 timesteps (32x33x32, ReTau=180):")
+		fmt.Fprintf(b.out, "Live in-process full RK3 timesteps (32x33x32, ReTau=%g):\n", server.Defaults().ReTau)
 		tbl := newTable("", "ranks", "grid", "threads", "sec/step")
 		for _, l := range []struct{ pa, pb, th int }{{1, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
 			const n = 3
 			res := newLive(false)
-			res.time(mpi.Run, l.pa*l.pb, n, stepper(core.Config{Nx: 32, Ny: 33, Nz: 32, ReTau: 180, Dt: 1e-3,
-				Forcing: 1, PA: l.pa, PB: l.pb, Pool: par.NewPool(l.th)}, 1))
+			sp := server.JobSpec{Nx: 32, Ny: 33, Nz: 32, Dt: 1e-3, PA: l.pa, PB: l.pb}
+			res.time(mpi.Run, l.pa*l.pb, n, stepper(sp.Config(par.NewPool(l.th), nil, nil), 1))
 			tbl.Row(l.pa*l.pb, fmt.Sprintf("%dx%d", l.pa, l.pb), l.th, (res.elapsed / n).Seconds())
 		}
 		tbl.Write(b.out)
@@ -142,13 +148,11 @@ func timestepLive(b *bench) error {
 	cfg := b.config()
 	cfg.Telemetry, cfg.Trace = res.reg, res.trc
 	res.time(mpi.Run, 1, b.steps, stepper(cfg, 2))
-	rep := driver.Report("table9", cfg, map[string]string{
-		"workload": b.workload,
-		"nx":       fmt.Sprint(b.nx), "ny": fmt.Sprint(b.ny), "nz": fmt.Sprint(b.nz),
-		"re_tau": "180", "dt": "1e-3", "steps": fmt.Sprint(b.steps),
-		"pa": "1", "pb": "1", "threads": "1", "form": "divergence",
-		"overlap": fmt.Sprint(b.overlap),
-	})
+	// The run is in process, and table 9's reports have never named a
+	// transport.
+	config := b.spec().ConfigMap()
+	delete(config, "transport")
+	rep := driver.Report("table9", cfg, config)
 	rep.AllocsPerStep = float64(res.allocs) / float64(b.steps)
 	if err := b.writeReport(rep, ""); err != nil {
 		return err

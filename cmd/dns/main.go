@@ -2,7 +2,11 @@
 // pick a registered workload (turbulent channel flow by default, isotropic
 // turbulence, passive scalar), configure the grid, Reynolds number and
 // process layout, run time steps, and emit statistics profiles (the
-// Figure 5/6 pipeline, channel-based workloads only).
+// Figure 5/6 pipeline, channel-based workloads only): the Reynolds stresses
+// and the mean velocity in wall units beside the Reichardt law of the wall.
+// The run flags are fields of a server.JobSpec, the job description
+// cmd/dnsserve takes, and share its defaults; -steps and the cadences keep
+// their own.
 //
 // Examples:
 //
@@ -33,34 +37,45 @@ import (
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
 	"channeldns/internal/run"
+	"channeldns/internal/server"
 	"channeldns/internal/stats"
 	"channeldns/internal/telemetry"
 	"channeldns/internal/trace"
 )
 
 func main() {
+	// The run flags bind to a server.JobSpec and take their defaults from
+	// its one default table; Config and ConfigMap resolve what is left zero.
+	// Perturb, Seed, StatusEvery, CkptEvery and CkptKeep go to the run
+	// driver as given: zero means laminar, seed 0, no statistics, the final
+	// checkpoint only and keep every checkpoint, and -steps counts from
+	// wherever the run starts.
+	var sp server.JobSpec
+	def := server.Defaults()
+	flag.IntVar(&sp.Nx, "nx", 32, "Fourier modes in x (even)")
+	flag.IntVar(&sp.Ny, "ny", 65, "B-spline basis size in y")
+	flag.IntVar(&sp.Nz, "nz", 32, "Fourier modes in z (even)")
+	flag.Float64Var(&sp.ReTau, "retau", def.ReTau, "friction Reynolds number")
+	flag.Float64Var(&sp.Dt, "dt", def.Dt, "time step")
+	flag.IntVar(&sp.Steps, "steps", 100, "number of time steps")
+	flag.IntVar(&sp.PA, "pa", def.PA, "process grid CommA size")
+	flag.IntVar(&sp.PB, "pb", def.PB, "process grid CommB size")
+	flag.IntVar(&sp.Threads, "threads", def.Threads, "worker threads per rank")
+	flag.Float64Var(&sp.Perturb, "perturb", def.Perturb, "initial perturbation amplitude")
+	flag.Int64Var(&sp.Seed, "seed", def.Seed, "perturbation seed")
+	flag.StringVar(&sp.Workload, "workload", def.Workload, "workload to run: "+strings.Join(core.WorkloadNames(), " | "))
+	flag.Float64Var(&sp.Ly, "ly", 0, "y extent of the isotropic workload's periodic box (0 = 2*pi)")
+	flag.Float64Var(&sp.Prandtl, "prandtl", 0, "Prandtl number of the scalar workload (0 = 1)")
+	flag.IntVar(&sp.StatusEvery, "stats-every", 10, "accumulate statistics every N steps (0 = off)")
+	flag.IntVar(&sp.CkptEvery, "ckpt-every", 0, "checkpoint into -ckpt-dir every N steps (0 = final checkpoint only)")
+	flag.IntVar(&sp.CkptKeep, "ckpt-keep", def.CkptKeep, "rolling retention: keep the newest K checkpoints (0 = keep all)")
+	flag.StringVar(&sp.Form, "form", def.Form, "nonlinear form: divergence | convective | skew")
+	flag.BoolVar(&sp.Overlap, "overlap", false, "pipeline the nonlinear-path transposes with the FFT stages that consume them (bit-identical; wins at 4+ ranks)")
+	flag.IntVar(&sp.PipelineChunks, "chunks", 0, "pipeline depth of the overlapped exchange (0 = default 4, clamped per direction)")
 	var (
-		nx      = flag.Int("nx", 32, "Fourier modes in x (even)")
-		ny      = flag.Int("ny", 65, "B-spline basis size in y")
-		nz      = flag.Int("nz", 32, "Fourier modes in z (even)")
-		retau   = flag.Float64("retau", 180, "friction Reynolds number")
-		dt      = flag.Float64("dt", 5e-4, "time step")
-		steps   = flag.Int("steps", 100, "number of time steps")
-		pa      = flag.Int("pa", 1, "process grid CommA size")
-		pb      = flag.Int("pb", 1, "process grid CommB size")
-		threads = flag.Int("threads", 1, "worker threads per rank")
-		amp     = flag.Float64("perturb", 0.3, "initial perturbation amplitude")
-		seed    = flag.Int64("seed", 1, "perturbation seed")
-		wlName  = flag.String("workload", core.WorkloadChannel, "workload to run: "+strings.Join(core.WorkloadNames(), " | "))
-		lyF     = flag.Float64("ly", 0, "y extent of the isotropic workload's periodic box (0 = 2*pi)")
-		prandtl = flag.Float64("prandtl", 0, "Prandtl number of the scalar workload (0 = 1)")
-		every   = flag.Int("stats-every", 10, "accumulate statistics every N steps (0 = off)")
 		out     = flag.String("out", "", "write final averaged profiles to this file")
 		ckptDir = flag.String("ckpt-dir", "", "checkpoint store directory: sharded, atomically published restart snapshots (any rank count)")
-		ckptEvr = flag.Int("ckpt-every", 0, "checkpoint into -ckpt-dir every N steps (0 = final checkpoint only)")
-		ckptKp  = flag.Int("ckpt-keep", 3, "rolling retention: keep the newest K checkpoints (0 = keep all)")
 		resume  = flag.Bool("resume", false, "auto-resume from the newest valid checkpoint in -ckpt-dir, falling back past corrupt ones")
-		form    = flag.String("form", "divergence", "nonlinear form: divergence | convective | skew")
 		budget  = flag.Bool("budget", false, "print the TKE budget at the end")
 		spectra = flag.Bool("spectra", false, "print 1-D energy spectra at selected heights")
 		listen  = flag.String("listen", "", "serve live telemetry + pprof on this address (e.g. localhost:6060)")
@@ -68,8 +83,6 @@ func main() {
 		repPath = flag.String("report", "", "write the final telemetry report (BENCH-schema JSON) to this file")
 		trcPath = flag.String("trace", "", "record a flight-recorder trace and write it as Chrome trace-event JSON (open in Perfetto) to this file")
 		trcCap  = flag.Int("trace-cap", 0, "per-rank trace ring capacity in events (0 = default)")
-		overlap = flag.Bool("overlap", false, "pipeline the nonlinear-path transposes with the FFT stages that consume them (bit-identical; wins at 4+ ranks)")
-		chunks  = flag.Int("chunks", 0, "pipeline depth of the overlapped exchange (0 = default 4, clamped per direction)")
 
 		transportF = flag.String("transport", "chan", "rank transport: chan (goroutine ranks in this process) | tcp (this process is one rank of a distributed world; see cmd/dnsrun)")
 		rankF      = flag.Int("rank", 0, "with -transport=tcp: this process's world rank")
@@ -80,42 +93,25 @@ func main() {
 	)
 	flag.Parse()
 
-	nlForm, err := core.ParseForm(*form)
-	if err != nil {
+	if err := sp.Validate(); err != nil {
 		log.Fatalf("dns: %v", err)
-	}
-	cfg := core.Config{
-		Workload: *wlName,
-		Nx:       *nx, Ny: *ny, Nz: *nz,
-		ReTau: *retau, Dt: *dt, Forcing: 1,
-		Ly: *lyF, Prandtl: *prandtl,
-		PA: *pa, PB: *pb, Pool: par.NewPool(*threads),
-		Nonlinear: nlForm,
-		Overlap:   *overlap, PipelineChunks: *chunks,
 	}
 	var reg *telemetry.Registry
 	if *listen != "" || *repPath != "" || *trcPath != "" || *hbEvery > 0 {
 		reg = telemetry.NewRegistry()
-		cfg.Telemetry = reg
 	}
 	var trc *trace.Trace
 	if *trcPath != "" || *listen != "" {
 		trc = trace.New(*trcCap)
-		cfg.Trace = trc
 	}
+	cfg := sp.Config(par.NewPool(sp.Workers()), reg, trc)
 	// wireSum carries the end-of-run wire-counter gather (TCP runs, set on
 	// rank 0) into the report; atomic because the live /telemetry handler
 	// may encode a report while the run loop stores it.
 	var wireSum atomic.Pointer[telemetry.WireSummary]
 	buildReport := func() *telemetry.Report {
-		config := map[string]string{
-			"workload": *wlName,
-			"nx":       fmt.Sprint(*nx), "ny": fmt.Sprint(*ny), "nz": fmt.Sprint(*nz),
-			"re_tau": fmt.Sprint(*retau), "dt": fmt.Sprint(*dt),
-			"steps": fmt.Sprint(*steps), "pa": fmt.Sprint(*pa), "pb": fmt.Sprint(*pb),
-			"threads": fmt.Sprint(*threads), "form": *form,
-			"overlap": fmt.Sprint(*overlap), "transport": *transportF,
-		}
+		config := sp.ConfigMap()
+		config["transport"] = *transportF
 		if *transportF == "tcp" {
 			// One process = one rank of a world; stamp which, so a scraped
 			// /telemetry payload is identifiable.
@@ -131,7 +127,7 @@ func main() {
 	// ranks' dashboards stay empty and their index page says where to look.
 	var tracker *telemetry.WorldTracker
 	if *listen != "" {
-		tracker = telemetry.NewWorldTracker(*pa * *pb)
+		tracker = telemetry.NewWorldTracker(sp.World())
 		mux := http.NewServeMux()
 		mux.Handle("/", telemetry.HandlerWithIdentity(buildReport, telemetry.Identity{
 			Rank: *rankF, World: *worldF, Transport: *transportF,
@@ -150,8 +146,8 @@ func main() {
 	case "chan":
 	case "tcp":
 		isTCP = true
-		if *worldF != *pa**pb {
-			log.Fatalf("dns: -transport=tcp world %d does not match process grid %dx%d", *worldF, *pa, *pb)
+		if *worldF != sp.World() {
+			log.Fatalf("dns: -transport=tcp world %d does not match process grid %dx%d", *worldF, cfg.PA, cfg.PB)
 		}
 		if *coordF == "" {
 			log.Fatal("dns: -transport=tcp needs -coord (cmd/dnsrun supplies it)")
@@ -214,7 +210,7 @@ func main() {
 		}
 		acc := &stats.Accumulator{}
 		d := &run.Driver{
-			WL: wl, TargetCFL: 0.8, CkptEvery: *ckptEvr, StatusEvery: *every,
+			WL: wl, TargetCFL: 0.8, CkptEvery: sp.CkptEvery, StatusEvery: sp.StatusEvery,
 			Checkpointed: func(name string) {
 				if c.Rank() == 0 {
 					fmt.Printf("checkpoint %s written (step %d)\n", name, wl.CurrentStep())
@@ -230,7 +226,7 @@ func main() {
 			},
 		}
 		if *ckptDir != "" {
-			d.Store = wl.NewCheckpointStore(*ckptDir, *ckptKp)
+			d.Store = wl.NewCheckpointStore(*ckptDir, sp.CkptKeep)
 		}
 		if *hbEvery > 0 {
 			d.AfterStep = func() {
@@ -239,7 +235,7 @@ func main() {
 				}
 			}
 		}
-		name, err := d.Start(*resume, *amp, *seed)
+		name, err := d.Start(*resume, sp.Perturb, sp.Seed)
 		if err != nil {
 			fail(err)
 			return
@@ -259,7 +255,7 @@ func main() {
 		}
 		// -steps counts from wherever the run starts: a resumed run takes
 		// that many more steps.
-		if _, err := d.RunTo(wl.CurrentStep() + *steps); err != nil {
+		if _, err := d.RunTo(wl.CurrentStep() + sp.Steps); err != nil {
 			fail(err)
 			return
 		}
@@ -273,7 +269,7 @@ func main() {
 				bud = stats.TKEBudget(s)
 			}
 			if *spectra {
-				stations := []int{*ny / 8, *ny / 4, *ny / 2}
+				stations := []int{sp.Ny / 8, sp.Ny / 4, sp.Ny / 2}
 				spx = stats.SpectraX(s, stations)
 				spz = stats.SpectraZ(s, stations)
 			}
@@ -287,8 +283,12 @@ func main() {
 			}
 			yp, up, uTau := p.WallUnits(s.Nu())
 			fmt.Printf("\nu_tau = %.4f\n", uTau)
-			if k, b, ok := stats.LogLawFit(yp, up, 30, 0.3**retau); ok {
-				fmt.Printf("log-law fit over 30 < y+ < %.0f: kappa = %.3f, B = %.2f\n", 0.3**retau, k, b)
+			fmt.Printf("%-10s %-10s %s\n", "y+", "U+", "Reichardt")
+			for i := range yp {
+				fmt.Printf("%-10.3f %-10.4f %.4f\n", yp[i], up[i], stats.ReichardtProfile(yp[i]))
+			}
+			if k, b, ok := stats.LogLawFit(yp, up, 30, 0.3*cfg.ReTau); ok {
+				fmt.Printf("log-law fit over 30 < y+ < %.0f: kappa = %.3f, B = %.2f\n", 0.3*cfg.ReTau, k, b)
 			}
 			if *budget {
 				fmt.Println("\nTKE budget (spectrally exact terms):")
@@ -370,7 +370,7 @@ func main() {
 		body(c)
 		c.Close()
 	} else {
-		mpi.Run(*pa**pb, body)
+		mpi.Run(sp.World(), body)
 	}
 	if finalErr != nil {
 		log.Fatal(finalErr)

@@ -14,14 +14,16 @@ import (
 	"channeldns/internal/core"
 	"channeldns/internal/mpi"
 	"channeldns/internal/par"
+	"channeldns/internal/server"
 )
 
 func main() {
+	def := server.Defaults()
 	var (
 		nx    = flag.Int("nx", 48, "Fourier modes in x")
 		ny    = flag.Int("ny", 65, "B-spline basis size")
 		nz    = flag.Int("nz", 48, "Fourier modes in z")
-		retau = flag.Float64("retau", 180, "friction Reynolds number")
+		retau = flag.Float64("retau", def.ReTau, "friction Reynolds number")
 		steps = flag.Int("steps", 400, "spin-up steps before rendering")
 		dt    = flag.Float64("dt", 4e-4, "time step")
 		outU  = flag.String("u", "figure7_u.pgm", "output for the u plane (Figure 7)")
@@ -39,7 +41,7 @@ func main() {
 			return
 		}
 		s.SetLaminar()
-		s.Perturb(0.3, 3, 3, 7)
+		s.Perturb(def.Perturb, 3, 3, 7)
 		fmt.Printf("spinning up %d steps...\n", *steps)
 		core.AdvanceAdaptive(s, *steps, 0.8, 5)
 		fmt.Printf("t = %.3f, E = %.4f, u_tau = %.3f\n", s.Time, s.TotalEnergy(), s.FrictionVelocity())

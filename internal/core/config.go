@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"channeldns/internal/par"
 	"channeldns/internal/telemetry"
@@ -132,7 +133,8 @@ func (c Config) Validate() error {
 }
 
 // validate rejects what the workload named by c.Workload cannot run: a
-// non-positive domain extent, a grid the Fourier directions or the pencil
+// non-positive domain extent, a ReTau, Dt or Prandtl that is not positive and
+// finite, a non-finite Forcing, a grid the Fourier directions or the pencil
 // decomposition cannot carry (every rank must own a non-empty window of kx
 // and z over CommA and of kz and y over CommB), and per workload: the
 // channel family needs enough basis functions for its spline degree; the
@@ -158,11 +160,14 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: process grid %dx%d leaves a rank an empty pencil window on the %dx%dx%d grid (need PA <= Nx/2, Nz and PB <= Nz, Ny)",
 			c.PA, c.PB, c.Nx, c.Ny, c.Nz)
 	}
-	if c.ReTau <= 0 {
-		return fmt.Errorf("core: ReTau must be positive, got %g", c.ReTau)
+	if !(c.ReTau > 0) || math.IsInf(c.ReTau, 1) {
+		return fmt.Errorf("core: ReTau must be positive and finite, got %g", c.ReTau)
 	}
-	if c.Dt <= 0 {
-		return fmt.Errorf("core: Dt must be positive, got %g", c.Dt)
+	if !(c.Dt > 0) || math.IsInf(c.Dt, 1) {
+		return fmt.Errorf("core: Dt must be positive and finite, got %g", c.Dt)
+	}
+	if math.IsNaN(c.Forcing) || math.IsInf(c.Forcing, 0) {
+		return fmt.Errorf("core: Forcing must be finite, got %g", c.Forcing)
 	}
 	if c.Overlap && (c.Workload == WorkloadIsotropic || c.Workload == WorkloadScalar) {
 		return fmt.Errorf("core: the %s workload runs the serial exchange only (Overlap unsupported)", c.Workload)
@@ -174,8 +179,8 @@ func (c *Config) validate() error {
 		}
 		return nil // Fourier in y: no spline degree for Ny to carry
 	case WorkloadScalar:
-		if c.Prandtl <= 0 {
-			return fmt.Errorf("core: Prandtl must be positive, got %g", c.Prandtl)
+		if !(c.Prandtl > 0) || math.IsInf(c.Prandtl, 1) {
+			return fmt.Errorf("core: Prandtl must be positive and finite, got %g", c.Prandtl)
 		}
 	}
 	if c.Ny < c.Degree+2 {

@@ -344,6 +344,11 @@ func TestConfigValidation(t *testing.T) {
 		{Nx: 8, Ny: 16, Nz: 8, Lx: -1, ReTau: 100, Dt: 0.1},
 		{Nx: 8, Ny: 16, Nz: 8, Lz: -1, ReTau: 100, Dt: 0.1},
 		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, Ly: -1, ReTau: 100, Dt: 0.1},
+		{Nx: 8, Ny: 16, Nz: 8, ReTau: math.NaN(), Dt: 0.1},
+		{Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: math.NaN()},
+		{Nx: 8, Ny: 16, Nz: 8, ReTau: math.Inf(1), Dt: 0.1},
+		{Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Forcing: math.NaN()},
+		{Workload: WorkloadScalar, Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Prandtl: math.NaN()},
 	}
 	for i, cfg := range bad {
 		mpi.Run(1, func(c *mpi.Comm) {

@@ -259,6 +259,9 @@ func (m *Manager) Recover() error {
 // Submit validates a spec, materializes its run directory and enqueues
 // it. Returns the new job or ErrQueueFull.
 func (m *Manager) Submit(spec JobSpec) (*Job, error) {
+	if spec.Steps <= 0 {
+		return nil, fmt.Errorf("steps %d: must be positive", spec.Steps)
+	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -467,11 +470,7 @@ type runResult struct {
 
 func (m *Manager) runJob(job *Job) {
 	sp := job.Spec
-	threads := sp.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	pool := par.NewPool(threads)
+	pool := par.NewPool(sp.Threads)
 	defer pool.Close()
 	reg := telemetry.NewRegistry()
 	var trc *trace.Trace

@@ -631,6 +631,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestConfigMapThreads: the report config block names the worker count the
+// job runs with, which is one when the spec leaves threads zero.
+func TestConfigMapThreads(t *testing.T) {
+	for _, tc := range []struct {
+		threads int
+		want    string
+	}{{0, "1"}, {1, "1"}, {3, "3"}} {
+		sp := JobSpec{Nx: 8, Ny: 17, Nz: 8, Steps: 1, Threads: tc.threads}
+		if got := sp.ConfigMap()["threads"]; got != tc.want {
+			t.Errorf("threads %d: config block says %q, want %q", tc.threads, got, tc.want)
+		}
+		if got := fmt.Sprint(sp.Workers()); got != tc.want {
+			t.Errorf("threads %d: Workers() = %s, want %s", tc.threads, got, tc.want)
+		}
+	}
+}
+
 // TestConstructionFailureFailsJob: a job whose workload cannot be built
 // fails with a stored error instead of wedging a worker. Submit refuses such
 // a spec at the door, so this one (Ny below the B-spline degree floor) is a
@@ -659,17 +676,21 @@ func TestConstructionFailureFailsJob(t *testing.T) {
 // grid below the Fourier minimum and two process grids that leave a rank an
 // empty pencil window — and an isotropic box of negative height, which used
 // to be accepted and run, get 400 from POST /v1/jobs, core refuses each
-// configuration with an error, and the server goes on answering.
+// configuration with an error, and the server goes on answering. So does a
+// negative worker count, which used to run on one worker; core never sees
+// that field, so only the server refuses it.
 func TestHostileSpecsRefused(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Options{})
 	defer drainManager(t, m)
 	srv := httptest.NewServer(NewAPI(m).Routes())
 	defer srv.Close()
+	serviceOnly := `{"nx":16,"ny":17,"nz":16,"steps":1,"threads":-1}`
 	for _, body := range []string{
 		`{"nx":2,"ny":17,"nz":2,"steps":1}`,
 		`{"nx":4,"ny":17,"nz":4,"steps":1,"pa":4,"pb":4}`,
 		`{"nx":16,"ny":17,"nz":16,"steps":1,"pb":32}`,
 		`{"workload":"isotropic","nx":16,"ny":16,"nz":16,"steps":1,"ly":-1}`,
+		serviceOnly,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -683,11 +704,13 @@ func TestHostileSpecsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mpi.Run(spec.World(), func(c *mpi.Comm) {
-			if _, err := core.NewWorkload(c, spec.Config(nil, nil, nil)); err == nil {
-				t.Errorf("%s: core.NewWorkload built it", body)
-			}
-		})
+		if body != serviceOnly {
+			mpi.Run(spec.World(), func(c *mpi.Comm) {
+				if _, err := core.NewWorkload(c, spec.Config(nil, nil, nil)); err == nil {
+					t.Errorf("%s: core.NewWorkload built it", body)
+				}
+			})
+		}
 		resp, err = http.Get(srv.URL + "/v1/jobs")
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: server stopped answering /v1/jobs: %v", body, err)

@@ -28,8 +28,10 @@ import (
 // workload name plus the core.Config fields a run is reconstructed from.
 // It is the submit payload of POST /v1/jobs and is persisted verbatim as
 // spec.json in the run directory, so a restarted server rebuilds exactly
-// the job that was interrupted. Zero values select the same defaults
-// cmd/dns uses.
+// the job that was interrupted. Zero values select the defaults of
+// withDefaults, the one default table: cmd/dns binds its flags to a JobSpec
+// and reads their defaults from the same table (Defaults), so a job and a
+// dns run given the same values run the same configuration.
 type JobSpec struct {
 	// Workload names a registered scenario ("channel", "isotropic",
 	// "scalar", ...); "" selects "channel".
@@ -51,7 +53,8 @@ type JobSpec struct {
 	// an interrupted job's resumed trajectory bit-identical to an
 	// uninterrupted one.
 	TargetCFL float64 `json:"target_cfl,omitempty"`
-	// Process grid (PA*PB in-process ranks) and per-rank worker threads.
+	// Process grid (PA*PB in-process ranks) and per-rank worker threads
+	// (0 selects 1).
 	PA      int `json:"pa,omitempty"`
 	PB      int `json:"pb,omitempty"`
 	Threads int `json:"threads,omitempty"`
@@ -92,6 +95,11 @@ type JobSpec struct {
 	StepDelayMs int `json:"step_delay_ms,omitempty"`
 }
 
+// Defaults returns the spec whose every field holds its default: the value
+// a zero field resolves to. cmd/dns, cmd/visualize and cmd/bench read
+// their run defaults from it.
+func Defaults() JobSpec { return JobSpec{}.withDefaults() }
+
 // withDefaults returns the spec with zero values resolved, the form the
 // run loop and the persisted spec.json use.
 func (sp JobSpec) withDefaults() JobSpec {
@@ -109,6 +117,9 @@ func (sp JobSpec) withDefaults() JobSpec {
 	}
 	if sp.PB == 0 {
 		sp.PB = 1
+	}
+	if sp.Threads == 0 {
+		sp.Threads = 1
 	}
 	if sp.Perturb == 0 {
 		sp.Perturb = 0.3
@@ -136,16 +147,18 @@ func (sp JobSpec) withDefaults() JobSpec {
 
 // Validate rejects specs that cannot run, so submission fails with 400
 // instead of burning a queue slot on a doomed job — or, for a grid or process
-// grid the solver cannot carry, taking the server down with it. The job
+// grid the solver cannot carry, taking the server down with it. The run
 // fields are checked here; everything that shapes the workload is
-// core.Config's to judge, the same validation the constructors run.
+// core.Config's to judge, the same validation the constructors run. Steps is
+// not: a job's target must be positive (Submit checks it), while cmd/dns
+// counts its steps from wherever a run starts and may take none.
 func (sp JobSpec) Validate() error {
 	d := sp.withDefaults()
-	if d.Steps <= 0 {
-		return fmt.Errorf("steps %d: must be positive", d.Steps)
-	}
 	if _, err := core.ParseForm(d.Form); err != nil {
 		return err
+	}
+	if d.Threads < 0 {
+		return fmt.Errorf("threads %d: must be non-negative", d.Threads)
 	}
 	if d.StepDelayMs < 0 {
 		return fmt.Errorf("step_delay_ms %d: must be non-negative", d.StepDelayMs)
@@ -155,6 +168,9 @@ func (sp JobSpec) Validate() error {
 
 // World returns the rank count of the spec's process grid.
 func (sp JobSpec) World() int { return sp.withDefaults().PA * sp.withDefaults().PB }
+
+// Workers returns the per-rank worker count the spec runs with.
+func (sp JobSpec) Workers() int { return sp.withDefaults().Threads }
 
 // Config builds the core.Config the job runs with. The spec must have
 // passed Validate; reg/trc attach per-run instrumentation (the registry is
