@@ -40,15 +40,15 @@ race:
 # decoder behind POST /v1/jobs (nothing between body and queue panics; an
 # accepted spec survives spec.json), the checkpoint shard parser (no panic;
 # an accepted image re-encodes to the same bytes), the checkpoint manifest
-# reader (no panic; an accepted manifest covers every mode exactly once) and
-# the per-rank trace files trace-merge reads (no panic in the parse or in a
-# Merge of the one file). The seeds alone run with every `go test`.
+# reader (no panic; an accepted manifest covers every mode exactly once). A
+# TCP world's trace dumps ride the same frames as its other collectives,
+# fixed-shape and length-checked, so they need no decoder of their own. The
+# seeds alone run with every `go test`.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 5s channeldns/internal/mpi
 	$(GO) test -run xxx -fuzz FuzzDecodeSpec -fuzztime 5s channeldns/internal/server
 	$(GO) test -run xxx -fuzz FuzzParseShard -fuzztime 5s channeldns/internal/ckpt
 	$(GO) test -run xxx -fuzz FuzzReadManifest -fuzztime 5s channeldns/internal/ckpt
-	$(GO) test -run xxx -fuzz FuzzParseChrome -fuzztime 5s channeldns/internal/trace
 
 # The micro-benchmarks that live beside their package. The paper tables
 # come from cmd/bench and changes are gated by benchmark/
@@ -122,9 +122,10 @@ tcp-smoke:
 	sh scripts/tcp_smoke.sh
 
 # Distributed-observability drill: a four-process world with heartbeats
-# and per-rank tracing; scrape the live /metrics + /status dashboard
-# mid-run, then trace-merge the four rank timelines into one Perfetto
-# file and validate its tracks and flow arrows.
+# and tracing; scrape the live /metrics + /status dashboard mid-run, then
+# validate the one world trace rank 0 writes from every rank's flight
+# recorder (four tracks, flow arrows, no per-rank files) and its report's
+# whole-world trace block.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 
@@ -140,7 +141,8 @@ serve-smoke:
 # per internal/* package, under cmd/ and examples/, and in total outside
 # benchmark/; then the run descriptions: the fields of core.Config and of
 # server.JobSpec (a line `Nx, Ny, Nz int` is three) and the command-line flags
-# defined under cmd/.
+# defined under cmd/; then the binaries under cmd/, the `func Fuzz` targets,
+# and the non-test `panic(` and `recover()` calls, all outside benchmark/.
 FIELDS = awk -v t=$(1) '$$0 ~ "^type " t " struct" {f = 1; next} f && /^}/ {exit} f {sub(/\/\/.*/, ""); sub(/`.*`/, ""); if (NF) n += gsub(/,/, ",") + 1} END {print n}' $(2)
 loc:
 	@for d in internal/*/ cmd/ cmd/bench/ examples/; do printf '%-22s %6d %6d\n' $$d \
@@ -153,6 +155,10 @@ loc:
 	@printf '%-22s %6d\n' 'server.JobSpec fields' $$($(call FIELDS,JobSpec,internal/server/spec.go))
 	@printf '%-22s %6d\n' 'flags under cmd/' \
 		$$(grep -rhoE '\b(flag|fs)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(' --include='*.go' --exclude='*_test.go' cmd | wc -l)
+	@printf '%-22s %6d\n' 'binaries under cmd/' $$(grep -rl --include='*.go' '^package main$$' cmd | xargs -n1 dirname | sort -u | wc -l)
+	@printf '%-22s %6d\n' 'func Fuzz targets' $$(grep -rhE --include='*_test.go' --exclude-dir=benchmark '^func Fuzz' . | wc -l)
+	@printf '%-22s %6d\n' 'non-test panic(' $$(grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '\bpanic\(' . | wc -l)
+	@printf '%-22s %6d\n' 'non-test recover()' $$(grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '\brecover\(\)' . | wc -l)
 
 clean:
 	rm -rf .bench-smoke .ckpt-smoke .tcp-smoke .obs-smoke .serve-smoke

@@ -226,14 +226,20 @@ func transposeSchedule(b *bench) error {
 }
 
 // figure4 reproduces Figure 4: for a 128-task 8x16 cartesian grid, the CommA
-// (column) and CommB (row) membership of every rank.
-func figure4(w io.Writer) {
+// (column) and CommB (row) membership of every rank, as 128 in-process
+// ranks report it.
+func figure4(b *bench) error {
+	w := b.out
 	fmt.Fprintln(w, "Figure 4: communication pattern of 128 MPI tasks (8x16 grid)\n"+
 		"Each cell shows worldRank; ranks sharing a row exchange in CommB(16),\nranks sharing a column exchange in CommA(8).")
+	var err error
 	mpi.Run(128, func(c *mpi.Comm) {
 		co := c.CartCreate([]int{8, 16}).Coords()
-		all := mpi.Gather(c, 0, []int{c.Rank(), co[0], co[1]})
+		all, gerr := mpi.Gather(c, 0, []int{c.Rank(), co[0], co[1]})
 		if c.Rank() != 0 {
+			return
+		}
+		if err = gerr; err != nil {
 			return
 		}
 		var grid [8][16]int
@@ -253,6 +259,7 @@ func figure4(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	})
+	return err
 }
 
 // Table 6: the parallel FFT cycle.

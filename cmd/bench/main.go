@@ -14,7 +14,8 @@
 // machine model beside the paper's numbers and is deterministic. The live
 // sweep measures on this machine with in-process ranks: on -live, -overlap,
 // -json or -transport, and always where there is no model half (Table 1;
-// Tables 2-4, whose measured block sits between title and model). -schedule
+// Tables 2-4, whose measured block sits between title and model; fig4, which
+// asks 128 in-process ranks for their communicators). -schedule
 // prints the declarative op schedule of the program the live sweep times.
 //
 // -overlap A/Bs the serial exchange against the pipelined one, traced on both
@@ -76,7 +77,7 @@ var experiments = map[string]experiment{
 	"10": {model: func(w io.Writer) { timestepTable(w, "Table 10: weak scaling of a timestep", machine.Table10(), true) }},
 	"11": {model: model11},
 
-	"fig4":     {model: figure4},
+	"fig4":     {live: figure4},
 	"campaign": {model: campaign},
 }
 

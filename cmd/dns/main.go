@@ -159,12 +159,19 @@ func main() {
 	var finalErr error
 	body := func(c *mpi.Comm) {
 		// Align this process's clock against rank 0 before any timed work,
-		// so the trace export carries the offset that makes per-rank
-		// timelines mergeable (cmd/trace-merge). In-process ranks share one
-		// clock and need none of this.
+		// so the trace dump carries the offset that places this rank's
+		// events on rank 0's timeline. In-process ranks share one clock and
+		// need none of this.
 		if isTCP && trc != nil && c.Size() > 1 {
 			cs := mpi.SyncClocks(c, 8)
 			trc.SetClockSync(cs.OffsetNs, cs.ErrorNs)
+		}
+		// Failures below are collective (every rank sees the same error) or
+		// the root's alone; rank 0 records the first for the exit path.
+		fail := func(err error) {
+			if err != nil && c.Rank() == 0 && finalErr == nil {
+				finalErr = err
+			}
 		}
 		// heartbeat ships every rank's telemetry (and, on the wire, its
 		// transport counters) to rank 0's world tracker. A collective:
@@ -174,8 +181,10 @@ func main() {
 			if ws, ok := c.WireStats(); ok {
 				payload = append(payload, ws.Dump()...)
 			}
-			world, arrivals := mpi.GatherHeartbeat(c, 0, payload)
-			if c.Rank() == 0 && tracker != nil {
+			world, arrivals, err := mpi.GatherHeartbeat(c, 0, payload)
+			if err != nil {
+				fail(err)
+			} else if c.Rank() == 0 && tracker != nil {
 				n := len(payload)
 				for r := 0; r < c.Size(); r++ {
 					if err := tracker.ObserveDump(r, world[r*n:(r+1)*n], arrivals[r]); err != nil {
@@ -187,13 +196,6 @@ func main() {
 			if isTCP && trc != nil && c.Size() > 1 {
 				cs := mpi.SyncClocks(c, 4)
 				trc.SetClockSync(cs.OffsetNs, cs.ErrorNs)
-			}
-		}
-		// Failures below are collective (every rank sees the same error);
-		// rank 0 records it for the exit path.
-		fail := func(err error) {
-			if c.Rank() == 0 {
-				finalErr = err
 			}
 		}
 		wl, err := core.NewWorkload(c, cfg)
@@ -332,34 +334,43 @@ func main() {
 		// so the report aggregates the whole world, exactly as an
 		// in-process run's would.
 		if reg != nil && isTCP && c.Size() > 1 {
-			dumps := mpi.Gather(c, 0, reg.Rank(c.Rank()).Dump())
+			dumps, err := mpi.Gather(c, 0, reg.Rank(c.Rank()).Dump())
 			if c.Rank() == 0 {
 				n := telemetry.DumpLen()
-				for r := 1; r < c.Size(); r++ {
-					if err := reg.RestoreRank(r, dumps[r*n:(r+1)*n]); err != nil {
-						finalErr = err
-					}
+				for r := 1; r < c.Size() && err == nil; r++ {
+					err = reg.RestoreRank(r, dumps[r*n:(r+1)*n])
 				}
+				fail(err)
 			}
 		}
 		// Likewise the wire counters: gather every rank's transport dump so
 		// the report's wire block covers the world.
 		if ws, ok := c.WireStats(); ok && reg != nil {
-			dumps := mpi.Gather(c, 0, ws.Dump())
-			if c.Rank() == 0 {
-				sum, err := telemetry.WireSummaryFromDumps(c.TransportName(), c.Size(), dumps)
-				if err != nil {
-					finalErr = err
-				} else {
+			dumps, err := mpi.Gather(c, 0, ws.Dump())
+			if c.Rank() == 0 && err == nil {
+				var sum *telemetry.WireSummary
+				if sum, err = telemetry.WireSummaryFromDumps(c.TransportName(), c.Size(), dumps); err == nil {
 					wireSum.Store(sum)
 				}
 			}
+			fail(err)
+		}
+		// And the flight recorders: rank 0 restores every rank's ring onto
+		// its own clock, so its trace file, straggler table and report
+		// cover the world. The observability plane's own traffic, so an
+		// uninstrumented gather: it adds no span to rank 0's last step.
+		if trc != nil && isTCP && c.Size() > 1 {
+			dumps, _, err := mpi.GatherHeartbeat(c, 0, trc.Rank(c.Rank()).Dump())
+			if c.Rank() == 0 && err == nil {
+				n := trc.DumpLen()
+				for r := 1; r < c.Size() && err == nil; r++ {
+					err = trc.Restore(r, dumps[r*n:(r+1)*n])
+				}
+			}
+			fail(err)
 		}
 	}
 	if isTCP {
-		if trc != nil {
-			trc.SetIdentity(*rankF, *worldF)
-		}
 		c, err := mpi.ConnectTCP(mpi.TCPConfig{
 			Rank: *rankF, World: *worldF, Coord: *coordF,
 			Bind: *bindF, Advertise: *advertF,
@@ -375,23 +386,26 @@ func main() {
 	if finalErr != nil {
 		log.Fatal(finalErr)
 	}
+	// Rank 0 holds the world's trace and telemetry; other processes of a
+	// TCP world write nothing.
+	if isTCP && *rankF != 0 {
+		return
+	}
 	if *trcPath != "" {
-		// Distributed runs record one flight recorder per process; every
-		// rank writes its own timeline next to rank 0's.
-		path := *trcPath
-		if isTCP && *rankF != 0 {
-			path += fmt.Sprintf(".rank%d", *rankF)
-		}
-		if err := trc.WriteChromeFile(path); err != nil {
+		if err := trc.WriteChromeFile(*trcPath); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %s (open in ui.perfetto.dev or chrome://tracing)\n", path)
-		if !isTCP || *rankF == 0 {
-			fmt.Println("\nper-step critical path:")
-			trace.WriteStragglerTable(os.Stdout, trace.Analyze(trc.Events()))
+		fmt.Printf("wrote %s (open in ui.perfetto.dev or chrome://tracing)\n", *trcPath)
+		fmt.Println("\nper-step critical path:")
+		trace.WriteStragglerTable(os.Stdout, trace.Analyze(trc.Events()))
+		if isTCP && *worldF > 1 {
+			fmt.Println("clock alignment against rank 0 (cross-rank orderings tighter than the bound are noise):")
+			for r := 1; r < *worldF; r++ {
+				fmt.Printf("  rank %d: error bound %v\n", r, trc.Rank(r).ClockError())
+			}
 		}
 	}
-	if *repPath != "" && (!isTCP || *rankF == 0) {
+	if *repPath != "" {
 		if err := buildReport().WriteFile(*repPath); err != nil {
 			log.Fatal(err)
 		}

@@ -149,10 +149,13 @@ func (s *Store) Write(c *mpi.Comm, st *State, opts ...WriteOption) (string, erro
 
 	meta := s.writeShard(dir, c.Rank(), st, plan)
 	info, _ := json.Marshal(meta.Info) // a struct of strings, ints and a bool: cannot fail
-	entries := mpi.Gather(c, 0, []string{meta.Err, string(info)})
+	entries, err := mpi.Gather(c, 0, []string{meta.Err, string(info)})
 
 	var status string
-	if c.Rank() == 0 {
+	switch {
+	case err != nil:
+		status = err.Error()
+	case c.Rank() == 0:
 		status = s.publish(dir, st, entries, plan)
 	}
 	status = mpi.Bcast(c, 0, []string{status})[0]

@@ -69,17 +69,20 @@ func SyncClocks(c *Comm, rounds int) ClockSync {
 	return best
 }
 
-// GatherHeartbeat is Gather for the live-dashboard heartbeat: every rank
-// contributes a fixed-shape []int64 (telemetry dump, optionally with a
-// wire dump appended) on a reserved tag, and the root returns the
+// GatherHeartbeat is Gather for the observability plane — the
+// live-dashboard heartbeat, and cmd/dns's end-of-run gather of the trace
+// flight recorders: every rank contributes a fixed-shape []int64 (telemetry
+// dump, optionally with a wire dump appended, or a trace.Recorder dump) on
+// a reserved tag, and the root returns the
 // concatenated payloads plus its own receive timestamp per rank — the
 // "last heard" input to staleness detection. Non-root ranks return
-// (nil, nil). All payloads must have equal length, like Gather.
-func GatherHeartbeat(c *Comm, root int, data []int64) (world []int64, arrivalUnixNs []int64) {
+// (nil, nil, nil). All payloads must have equal length, like Gather: a
+// payload of another length is a *CountMismatchError on the root.
+func GatherHeartbeat(c *Comm, root int, data []int64) (world []int64, arrivalUnixNs []int64, err error) {
 	if c.rank != root {
 		cp := append([]int64(nil), data...)
 		c.send(root, tagHeartbeat, cp)
-		return nil, nil
+		return nil, nil, nil
 	}
 	world = make([]int64, len(data)*c.size())
 	arrivalUnixNs = make([]int64, c.size())
@@ -91,7 +94,13 @@ func GatherHeartbeat(c *Comm, root int, data []int64) (world []int64, arrivalUni
 		}
 		in := c.recv(i, tagHeartbeat).([]int64)
 		arrivalUnixNs[i] = time.Now().UnixNano()
+		if err == nil {
+			err = checkCount("GatherHeartbeat", c.rank, i, len(data), len(in))
+		}
 		copy(world[i*len(data):], in)
 	}
-	return world, arrivalUnixNs
+	if err != nil {
+		return nil, nil, err
+	}
+	return world, arrivalUnixNs, nil
 }

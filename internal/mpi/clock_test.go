@@ -58,7 +58,10 @@ func TestSyncClocksSingleRank(t *testing.T) {
 func TestGatherHeartbeat(t *testing.T) {
 	RunTCP(3, func(c *Comm) {
 		data := []int64{int64(c.Rank() * 10), int64(c.Rank()*10 + 1)}
-		world, arrivals := GatherHeartbeat(c, 0, data)
+		world, arrivals, err := GatherHeartbeat(c, 0, data)
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
 		if c.Rank() != 0 {
 			if world != nil || arrivals != nil {
 				t.Errorf("rank %d: non-root got a gather result", c.Rank())

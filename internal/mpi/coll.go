@@ -128,28 +128,37 @@ func Allreduce[T Number](c *Comm, op Op, data []T) []T {
 }
 
 // Gather collects equal-length contributions on the root, concatenated in
-// rank order. Non-root ranks receive nil.
-func Gather[T Elem](c *Comm, root int, data []T) []T {
+// rank order. Non-root ranks receive (nil, nil). A contribution whose
+// length differs from the root's is a *CountMismatchError on the root,
+// which still receives every contribution, so the ranks stay in step.
+func Gather[T Elem](c *Comm, root int, data []T) ([]T, error) {
 	sp := c.tel.Begin(telemetry.PhaseCollective)
 	if c.rank != root {
 		cp := append([]T(nil), data...)
 		c.send(root, tagGather, cp)
 		sp.End()
 		c.tel.AddComm(telemetry.CommCollective, int64(len(data))*sizeofT[T](), 1)
-		return nil
+		return nil, nil
 	}
 	out := make([]T, len(data)*c.size())
 	copy(out[c.rank*len(data):], data)
+	var err error
 	for i := 0; i < c.size(); i++ {
 		if i == root {
 			continue
 		}
 		in := c.recv(i, tagGather).([]T)
+		if err == nil {
+			err = checkCount("Gather", c.rank, i, len(data), len(in))
+		}
 		copy(out[i*len(data):], in)
 	}
 	sp.End()
 	c.tel.AddComm(telemetry.CommCollective, 0, 0)
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Alltoall performs the complete exchange: rank r's block i (of blockLen
@@ -185,6 +194,15 @@ type CountMismatchError struct {
 func (e *CountMismatchError) Error() string {
 	return fmt.Sprintf("mpi: %s rank %d expected %d elements from %d, got %d",
 		e.Op, e.Rank, e.Want, e.Src, e.Got)
+}
+
+// checkCount returns a *CountMismatchError when got elements arrived at
+// rank from src where want were expected, and nil otherwise.
+func checkCount(op string, rank, src, want, got int) error {
+	if got != want {
+		return &CountMismatchError{Op: op, Rank: rank, Src: src, Want: want, Got: got}
+	}
+	return nil
 }
 
 // recvTotal returns the receive-buffer length implied by the count and

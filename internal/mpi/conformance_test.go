@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -96,7 +97,10 @@ func TestConformanceCartSub(t *testing.T) {
 				c.Rank(), commA.Rank(), commB.Rank(), co[0], co[1])
 		}
 		// Column members share coord 1: gather world ranks along commA.
-		ranks := Gather(commA.Comm, 0, []int{c.Rank()})
+		ranks, err := Gather(commA.Comm, 0, []int{c.Rank()})
+		if err != nil {
+			t.Errorf("rank %d: commA gather: %v", c.Rank(), err)
+		}
 		if commA.Rank() == 0 {
 			for i, r := range ranks {
 				if want := i*3 + co[1]; r != want {
@@ -177,7 +181,10 @@ func TestConformanceCollectives(t *testing.T) {
 		if mx != 0 || mn != float64(-(p-1)) {
 			t.Errorf("rank %d: max %v min %v", c.Rank(), mx, mn)
 		}
-		all := Gather(c, 0, []int{c.Rank() * c.Rank()})
+		all, err := Gather(c, 0, []int{c.Rank() * c.Rank()})
+		if err != nil {
+			t.Errorf("rank %d: gather: %v", c.Rank(), err)
+		}
 		if c.Rank() == 0 {
 			for i, v := range all {
 				if v != i*i {
@@ -242,8 +249,53 @@ func carry[T Elem](c *Comm, p []T) []any {
 	}
 	recvd := Recv[T](c, 0, 3)
 	bcast := Bcast[T](c, 0, nil)
-	gathered := Gather(c, 1, p)
+	gathered, err := Gather(c, 1, p)
+	if err != nil {
+		return []any{recvd, bcast, err}
+	}
 	return []any{recvd, bcast, gathered[:len(p)]}
+}
+
+// TestConformanceGatherRefusesUnequalCounts: a contribution longer or
+// shorter than the root's is a *CountMismatchError on the root — it used to
+// overwrite the next rank's slot or leave zeros — from Gather and from
+// GatherHeartbeat alike, and the ranks stay in step for the next
+// collective.
+func TestConformanceGatherRefusesUnequalCounts(t *testing.T) {
+	forEachTransport(t, []int{3}, func(t *testing.T, c *Comm) {
+		for _, odd := range []int{1, 2} {
+			sent := 2*odd - 1 // rank 1 sends 1 element, rank 2 sends 3
+			n := 2
+			if c.Rank() == odd {
+				n = sent
+			}
+			data := make([]int64, n)
+			out, err := Gather(c, 0, data)
+			world, arrivals, hbErr := GatherHeartbeat(c, 0, data)
+			if c.Rank() != 0 {
+				if err != nil || hbErr != nil || out != nil || world != nil || arrivals != nil {
+					t.Errorf("rank %d: non-root got (%v, %v), (%v, %v, %v)", c.Rank(), out, err, world, arrivals, hbErr)
+				}
+				continue
+			}
+			for _, e := range []error{err, hbErr} {
+				var cm *CountMismatchError
+				if !errors.As(e, &cm) {
+					t.Errorf("rank %d sends %d of 2: root err = %v, want *CountMismatchError", odd, sent, e)
+					continue
+				}
+				if cm.Src != odd || cm.Want != 2 || cm.Got != sent {
+					t.Errorf("rank %d sends %d of 2: %+v", odd, sent, cm)
+				}
+			}
+			if out != nil || world != nil || arrivals != nil {
+				t.Errorf("root returned data beside the error: %v, %v, %v", out, world, arrivals)
+			}
+		}
+		if sum := Allreduce(c, OpSum, []int{1})[0]; sum != c.Size() {
+			t.Errorf("rank %d: allreduce after the refused gathers %d, want %d", c.Rank(), sum, c.Size())
+		}
+	})
 }
 
 // TestConformanceTagMatching: messages match on (source, tag, comm) with

@@ -144,7 +144,10 @@ func TestAllreduce(t *testing.T) {
 func TestGather(t *testing.T) {
 	const p = 4
 	Run(p, func(c *Comm) {
-		out := Gather(c, 2, []int{c.Rank() * 10, c.Rank()})
+		out, err := Gather(c, 2, []int{c.Rank() * 10, c.Rank()})
+		if err != nil {
+			t.Errorf("rank %d: %v", c.Rank(), err)
+		}
 		if c.Rank() == 2 {
 			want := []int{0, 0, 10, 1, 20, 2, 30, 3}
 			for i := range want {

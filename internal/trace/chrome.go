@@ -1,13 +1,18 @@
 package trace
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
+
+	"channeldns/internal/telemetry"
 )
 
 // Chrome trace-event export: the flight recorder serialized to the JSON
@@ -15,8 +20,11 @@ import (
 // one named track (pid 0, tid = rank); phase spans, exchange windows,
 // peer exchanges and whole steps are complete ("X") events that nest by
 // containment, so a transpose span visually contains its wire interval,
-// which contains the per-peer waits. ts/dur are microseconds from the
-// Trace epoch, the format's native unit.
+// which contains the per-peer waits. In a trace of two or more ranks, flow
+// arrows ("s"/"t"/"f" events sharing an id) link the matched transpose
+// exchange windows across ranks, so the eye can follow one alltoallv
+// through the world. ts/dur are microseconds from the Trace epoch, the
+// format's native unit.
 
 // chromeEvent is one trace-event object. Field order is fixed by the
 // struct and args keys are sorted by encoding/json, so the same snapshot
@@ -35,9 +43,7 @@ type chromeEvent struct {
 }
 
 // chromeFile is the containing JSON object. OtherData carries file-level
-// metadata as decimal strings: rank/world identity and the clock
-// alignment of a distributed rank (see Trace.SetClockSync), which is what
-// makes per-rank files mergeable onto one timeline.
+// metadata as decimal strings: the trace epoch on the writer's wall clock.
 type chromeFile struct {
 	TraceEvents     []chromeEvent     `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
@@ -47,10 +53,12 @@ type chromeFile struct {
 // micros converts a nanosecond duration to the format's microsecond unit.
 func micros(ns int64) float64 { return float64(ns) / 1e3 }
 
-// chromeEvents flattens a snapshot into trace-event objects: one
-// thread_name metadata record per rank followed by that rank's events in
-// start order.
+// chromeEvents flattens a snapshot into trace-event objects: per rank, the
+// thread_name metadata record, then the rank's events in start order with
+// its flow endpoints interleaved (slices before flow marks on ties, so an
+// arrow lands on the slice it annotates).
 func chromeEvents(perRank [][]Event) []chromeEvent {
+	flows := flowEvents(perRank)
 	var out []chromeEvent
 	for rank, evs := range perRank {
 		if evs == nil {
@@ -60,16 +68,92 @@ func chromeEvents(perRank [][]Event) []chromeEvent {
 			Name: "thread_name", Ph: "M", Pid: 0, Tid: rank,
 			Args: map[string]int64{"rank": int64(rank)},
 		})
+		track := make([]chromeEvent, 0, len(evs)+len(flows[rank]))
 		for _, ev := range evs {
-			out = append(out, chromeEventOf(rank, ev))
+			track = append(track, chromeEventOf(rank, ev))
 		}
+		if len(flows[rank]) > 0 {
+			track = append(track, flows[rank]...)
+			sort.SliceStable(track, func(i, j int) bool {
+				if track[i].Ts != track[j].Ts {
+					return track[i].Ts < track[j].Ts
+				}
+				return track[i].Ph == "X" && track[j].Ph != "X"
+			})
+		}
+		out = append(out, track...)
 	}
 	return out
 }
 
+// flowKey identifies one schedule-level transpose exchange: all ranks
+// execute the same exchange sequence, so the nth exchange of a direction
+// within a (step, stage) is the same alltoallv on every rank. (Which
+// ranks shared a sub-communicator is not recoverable from the trace, so
+// arrows link all ranks that executed the exchange — for CommA/CommB
+// splits that is a superset of each sub-communicator's membership.)
+type flowKey struct {
+	step  int64
+	stage int
+	op    telemetry.CommOp
+	occ   int // occurrence index within the (step, stage, op) triple
+}
+
+// flowEvents links every exchange executed by two or more ranks with one
+// flow arrow — "s" on the earliest start, "t" through the middle, "f" on
+// the latest — and returns each rank's endpoints, indexed like perRank.
+func flowEvents(perRank [][]Event) [][]chromeEvent {
+	type endpoint struct {
+		rank int
+		ts   float64 // exchange start, microseconds
+	}
+	groups := map[flowKey][]endpoint{}
+	for rank, evs := range perRank {
+		occ := map[flowKey]int{}
+		for _, ev := range evs {
+			if ev.Kind != KindExchange {
+				continue
+			}
+			k := flowKey{step: ev.Step, stage: ev.Stage, op: ev.Op}
+			k.occ = occ[k]
+			occ[flowKey{step: ev.Step, stage: ev.Stage, op: ev.Op}]++
+			groups[k] = append(groups[k], endpoint{rank: rank, ts: micros(int64(ev.Start))})
+		}
+	}
+	keys := make([]flowKey, 0, len(groups))
+	for k, eps := range groups {
+		if len(eps) >= 2 { // a single-rank exchange has nothing to link
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b flowKey) int {
+		return cmp.Or(cmp.Compare(a.step, b.step), cmp.Compare(a.stage, b.stage),
+			cmp.Compare(a.op, b.op), cmp.Compare(a.occ, b.occ))
+	})
+	flows := make([][]chromeEvent, len(perRank))
+	for _, k := range keys {
+		eps := groups[k]
+		slices.SortFunc(eps, func(a, b endpoint) int {
+			return cmp.Or(cmp.Compare(a.ts, b.ts), cmp.Compare(a.rank, b.rank))
+		})
+		id := fmt.Sprintf("x-%d-%d-%s-%d", k.step, k.stage, k.op, k.occ)
+		for i, ep := range eps {
+			ce := chromeEvent{Name: "exchange " + k.op.String(), Cat: "flow", Ph: "t", Ts: ep.ts, Tid: ep.rank, ID: id}
+			switch i {
+			case 0:
+				ce.Ph = "s"
+			case len(eps) - 1:
+				ce.Ph, ce.BP = "f", "e"
+			}
+			flows[ep.rank] = append(flows[ep.rank], ce)
+		}
+	}
+	return flows
+}
+
 // chromeEventOf converts one decoded event to its trace-event object on
-// rank's track. The name scheme is the export contract ParseChrome
-// (merge.go) inverts: phase names, "exchange <dir>", "peer wait", "step".
+// rank's track, named by kind: the phase name, "exchange <dir>", "peer
+// wait" or "step".
 func chromeEventOf(rank int, ev Event) chromeEvent {
 	ce := chromeEvent{
 		Ph:  "X",
@@ -114,7 +198,9 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	f := chromeFile{
 		TraceEvents:     chromeEvents(t.Events()),
 		DisplayTimeUnit: "ms",
-		OtherData:       t.otherData(),
+		OtherData: map[string]string{
+			"clock_epoch_unix_ns": strconv.FormatInt(t.epoch.UnixNano(), 10),
+		},
 	}
 	if f.TraceEvents == nil {
 		f.TraceEvents = []chromeEvent{}
@@ -126,26 +212,6 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// otherData assembles the file-level metadata: the trace epoch (wall
-// clock, so files from different processes share a reference), and when
-// the trace was stamped as part of a distributed world, its identity and
-// clock alignment. trace-merge reads these back (merge.go).
-func (t *Trace) otherData() map[string]string {
-	od := map[string]string{
-		"clock_epoch_unix_ns": strconv.FormatInt(t.epoch.UnixNano(), 10),
-	}
-	rank, world := t.Identity()
-	if world > 0 {
-		od["clock_rank"] = strconv.Itoa(rank)
-		od["clock_world"] = strconv.Itoa(world)
-	}
-	if off, errNs := t.ClockSync(); off != 0 || errNs != 0 {
-		od["clock_offset_ns"] = strconv.FormatInt(off, 10)
-		od["clock_error_ns"] = strconv.FormatInt(errNs, 10)
-	}
-	return od
 }
 
 // WriteChromeFile writes the Chrome trace to path, creating parent
@@ -183,8 +249,8 @@ func Handler(t *Trace) http.Handler {
 // and obs-smoke CI targets need: it parses, carries at least one
 // non-metadata event, durations are non-negative, and timestamps are
 // monotone non-decreasing within each (pid, tid) track in file order.
-// Flow events ("s"/"t"/"f", which trace-merge emits to link matched
-// transpose exchanges across ranks) must carry an id, participate in the
+// Flow events ("s"/"t"/"f", which link matched transpose exchanges across
+// ranks) must carry an id, participate in the
 // per-track monotone check, and be referentially intact: every id has
 // exactly one start, at least one finish, and no step/finish earlier than
 // its start. Returns the number of non-metadata events.

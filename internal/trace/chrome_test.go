@@ -40,8 +40,10 @@ func TestWriteChromeValidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace does not validate: %v", err)
 	}
-	if n != 10 {
-		t.Errorf("validated %d events, want 10 (5 per rank)", n)
+	// Five slices a rank, and the ranks' one matched exchange linked by an
+	// arrow: its start on one track, its finish on the other.
+	if n != 12 {
+		t.Errorf("validated %d events, want 12 (5 per rank and one flow arrow's two ends)", n)
 	}
 	// Structural spot checks on the decoded form.
 	var f struct {
@@ -123,5 +125,44 @@ func TestWriteChromeEmptyTrace(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Error("empty trace is not valid JSON")
+	}
+}
+
+// TestValidateChromeFlowIntegrity pins the validator's flow rules on
+// hand-built files: accept a well-formed s→t→f chain, reject missing ids,
+// duplicate starts, missing finishes, and steps before the start.
+func TestValidateChromeFlowIntegrity(t *testing.T) {
+	file := func(events string) []byte {
+		return []byte(`{"traceEvents": [` + events + `], "displayTimeUnit": "ms"}`)
+	}
+	x := `{"name": "step", "ph": "X", "ts": 1, "dur": 5, "pid": 0, "tid": 0}`
+	cases := []struct {
+		name   string
+		events string
+		ok     bool
+	}{
+		{"chain", x + `,
+			{"name": "f1", "ph": "s", "ts": 2, "pid": 0, "tid": 0, "id": "a"},
+			{"name": "f1", "ph": "t", "ts": 3, "pid": 0, "tid": 1, "id": "a"},
+			{"name": "f1", "ph": "f", "bp": "e", "ts": 4, "pid": 0, "tid": 2, "id": "a"}`, true},
+		{"no id", x + `, {"name": "f1", "ph": "s", "ts": 2, "pid": 0, "tid": 0}`, false},
+		{"two starts", x + `,
+			{"name": "f1", "ph": "s", "ts": 2, "pid": 0, "tid": 0, "id": "a"},
+			{"name": "f1", "ph": "s", "ts": 3, "pid": 0, "tid": 1, "id": "a"},
+			{"name": "f1", "ph": "f", "ts": 4, "pid": 0, "tid": 2, "id": "a"}`, false},
+		{"no finish", x + `, {"name": "f1", "ph": "s", "ts": 2, "pid": 0, "tid": 0, "id": "a"}`, false},
+		{"step before start", x + `,
+			{"name": "f1", "ph": "t", "ts": 2, "pid": 0, "tid": 1, "id": "a"},
+			{"name": "f1", "ph": "s", "ts": 3, "pid": 0, "tid": 0, "id": "a"},
+			{"name": "f1", "ph": "f", "ts": 4, "pid": 0, "tid": 2, "id": "a"}`, false},
+	}
+	for _, tc := range cases {
+		_, err := ValidateChrome(file(tc.events))
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -102,14 +102,10 @@ type Trace struct {
 	epoch    time.Time
 	capacity int
 
-	// Identity and clock alignment of a distributed run: which world rank
-	// this process is, the world size, and the estimated offset of this
-	// process's clock against rank 0's (mpi.SyncClocks). Exported into the
-	// Chrome file's otherData so cmd/trace-merge can place per-rank events
-	// on rank 0's timeline. All zero for in-process runs, whose ranks
-	// already share one epoch.
-	worldRank   atomic.Int64
-	worldSize   atomic.Int64
+	// Clock alignment of a distributed run: the estimated offset of this
+	// process's clock against rank 0's (mpi.SyncClocks), carried in every
+	// Dump so rank 0 can place this process's events on its own timeline.
+	// Zero for in-process runs, whose ranks already share one epoch.
 	clockOffset atomic.Int64 // ns to add to local time for rank 0's timeline
 	clockError  atomic.Int64 // error bound, ns
 
@@ -129,19 +125,6 @@ func New(capacity int) *Trace {
 
 // Epoch returns the shared time base of the trace's events.
 func (t *Trace) Epoch() time.Time { return t.epoch }
-
-// SetIdentity stamps the trace with its place in a distributed world:
-// this process's world rank and the world size. Exported file metadata;
-// safe to call any time before export.
-func (t *Trace) SetIdentity(rank, world int) {
-	t.worldRank.Store(int64(rank))
-	t.worldSize.Store(int64(world))
-}
-
-// Identity returns the stamped (rank, world); (0, 0) when never stamped.
-func (t *Trace) Identity() (rank, world int) {
-	return int(t.worldRank.Load()), int(t.worldSize.Load())
-}
 
 // SetClockSync stamps the estimated offset of this process's clock
 // against rank 0's, with its error bound, both in nanoseconds. Periodic
@@ -227,6 +210,8 @@ type Recorder struct {
 	pos   atomic.Uint64 // total events ever reserved
 	step  atomic.Int64  // label stamped on subsequent events
 	stage atomic.Int32  // RK3 substep label, -1 outside
+
+	clockErr atomic.Int64 // alignment error bound of a restored rank, ns
 
 	buf []atomic.Int64 // capacity * slotWords
 }

@@ -78,22 +78,13 @@ func traceEvents(t *testing.T, file []byte) []byte {
 }
 
 // TestWorldTracePinned holds the world timeline of plantedWorld — every
-// rank on rank 0's clock, the matched exchanges linked by flow arrows — to
-// testdata/world.golden, byte for byte.
+// rank restored onto rank 0's clock, the matched exchanges linked by flow
+// arrows — to testdata/world.golden, byte for byte. The golden was written
+// by the per-rank file merge this restore path replaced.
 func TestWorldTracePinned(t *testing.T) {
-	traces := plantedWorld()
-	files := make([]*RankTrace, len(traces))
-	for r, tr := range traces {
-		off, errNs := tr.ClockSync()
-		files[r] = &RankTrace{Rank: r, World: len(traces), EpochUnixNs: tr.Epoch().UnixNano(),
-			OffsetNs: off, ErrorNs: errNs, Events: tr.Rank(r).Events()}
-	}
-	m, err := Merge(files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := restoreWorld(t, plantedWorld())
 	var buf bytes.Buffer
-	if err := m.WriteChrome(&buf); err != nil {
+	if err := w.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateChrome(buf.Bytes()); err != nil {

@@ -1,23 +1,22 @@
 #!/bin/sh
 # obs-smoke: the distributed-observability CI drill. dnsrun launches a
-# four-process 2x2 DNS with per-rank tracing, heartbeats and a live
-# endpoint; while the run is in flight we scrape rank 0's /metrics and
-# /status world dashboard off the wire. After the clean exit, trace-merge
-# joins the four per-rank trace files into one aligned Perfetto timeline,
-# which must self-validate, pass bench-validate -trace (per-track
-# monotonicity plus flow referential integrity), and carry cross-rank
-# flow arrows.
+# four-process 2x2 DNS with tracing, heartbeats and a live endpoint; while
+# the run is in flight we scrape rank 0's /metrics and /status world
+# dashboard off the wire. At the end of the run rank 0 gathers every rank's
+# flight recorder and writes the one world trace, which must carry four rank
+# tracks and cross-rank flow arrows and pass bench-validate -trace (per-track
+# monotonicity plus flow referential integrity); no other rank writes one,
+# and rank 0's report must carry the whole world's trace block.
 set -eu
 . scripts/lib.sh
 smoke_init obs-smoke
 $GO build -o "$dir/dns" ./cmd/dns
 $GO build -o "$dir/dnsrun" ./cmd/dnsrun
-$GO build -o "$dir/trace-merge" ./cmd/trace-merge
 
 # Enough steps that the run is still alive while we scrape mid-flight.
 "$dir/dnsrun" -n 4 -bin "$dir/dns" -- -nx 16 -ny 17 -nz 16 -pa 2 -pb 2 \
     -steps 800 -listen 127.0.0.1:0 -heartbeat-every 2 \
-    -trace "$dir/dns.trace.json" \
+    -trace "$dir/dns.trace.json" -report "$dir/BENCH_obs.json" \
     > "$dir/run.out" 2>&1 &
 pid=$!
 
@@ -46,21 +45,25 @@ grep -q '"heard": true' "$dir/status.out"
 
 wait "$pid"
 
-# Merge the four per-rank timelines (rank 0 wrote dns.trace.json, the
-# rest dns.trace.json.rankN) and validate the world file.
-"$dir/trace-merge" -o "$dir/merged.trace.json" -summary \
-    "$dir/dns.trace.json" \
-    "$dir/dns.trace.json.rank1" \
-    "$dir/dns.trace.json.rank2" \
-    "$dir/dns.trace.json.rank3" \
-    > "$dir/merge.out"
-grep -q 'merged 4 ranks' "$dir/merge.out"
-# At least one cross-rank flow arrow must have been linked.
-if grep -q 'merged 4 ranks, [0-9]* events, 0 flow arrows' "$dir/merge.out"; then
-    echo "obs-smoke: merged trace carries no flow arrows" >&2
-    cat "$dir/merge.out" >&2
+# One world file, written by rank 0 alone.
+if ls "$dir"/dns.trace.json.rank* > /dev/null 2>&1; then
+    echo "obs-smoke: a rank other than 0 wrote its own trace file" >&2
     exit 1
 fi
-grep -q '"ph": "s"' "$dir/merged.trace.json"
-$GO run ./cmd/bench-validate -trace "$dir/merged.trace.json"
+tracks=$(grep -c '"name": "thread_name"' "$dir/dns.trace.json")
+if [ "$tracks" -ne 4 ]; then
+    echo "obs-smoke: world trace has $tracks rank tracks, want 4" >&2
+    exit 1
+fi
+# At least one cross-rank flow arrow must have been linked.
+grep -q '"ph": "s"' "$dir/dns.trace.json"
+$GO run ./cmd/bench-validate -trace "$dir/dns.trace.json"
+
+# The report's trace block covers the world: one slack entry per rank.
+slack=$(sed -n '/"rank_slack_seconds": \[/,/\]/p' "$dir/BENCH_obs.json" | grep -c '^ *[0-9.e+-]*,\{0,1\}$')
+if [ "$slack" -ne 4 ]; then
+    echo "obs-smoke: report trace.rank_slack_seconds has $slack entries, want 4" >&2
+    exit 1
+fi
+$GO run ./cmd/bench-validate "$dir/BENCH_obs.json"
 echo "obs-smoke: ok"
