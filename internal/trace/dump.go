@@ -33,6 +33,10 @@ const (
 	dumpHeader
 )
 
+// MaxWorld bounds the rank Restore places a dump into, so a corrupt rank
+// cannot size the trace's per-rank table out of memory.
+const MaxWorld = 1 << 20
+
 // DumpLen returns the length of every Dump of t's recorders; recorders of
 // different capacity have dumps of different length.
 func (t *Trace) DumpLen() int { return dumpHeader + t.capacity*slotWords }
@@ -61,7 +65,8 @@ func (r *Recorder) Dump() []int64 {
 // Restore places another process's Dump into rank's recorder of t, its
 // starts shifted from the remote epoch onto t's by the dump's clock
 // offset. The recorder must not hold events yet. A dump whose length is
-// not t's DumpLen or whose header is negative is refused with an error.
+// not t's DumpLen or whose header is negative, or a rank outside
+// [0, MaxWorld), is refused with an error.
 func (t *Trace) Restore(rank int, d []int64) error {
 	if len(d) != t.DumpLen() {
 		return fmt.Errorf("trace: dump of %d values, want %d (recorders of different capacity?)", len(d), t.DumpLen())
@@ -69,8 +74,8 @@ func (t *Trace) Restore(rank int, d []int64) error {
 	if d[dumpReserved] < 0 || d[dumpError] < 0 {
 		return fmt.Errorf("trace: dump header counts %d events with error bound %d ns", d[dumpReserved], d[dumpError])
 	}
-	if rank < 0 {
-		return fmt.Errorf("trace: restore into rank %d", rank)
+	if rank < 0 || rank >= MaxWorld {
+		return fmt.Errorf("trace: restore into rank %d outside [0, %d)", rank, MaxWorld)
 	}
 	r := t.Rank(rank)
 	if r.Recorded() != 0 {

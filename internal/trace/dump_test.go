@@ -164,6 +164,49 @@ func TestMergeRejectsConflicts(t *testing.T) {
 	}
 }
 
+// TestParseChromeRejectsUnalignedFile: a rank's events without the clock
+// header that places them on rank 0's timeline are refused, not restored
+// at an unknown offset. (The name is kept from the JSON trace decoder the
+// dump format replaced; the property is the same.)
+func TestParseChromeRejectsUnalignedFile(t *testing.T) {
+	src := New(8)
+	src.Rank(1).Peer(0, 64, src.Epoch(), src.Epoch())
+	slots := src.Rank(1).Dump()[dumpHeader:]
+	w := New(8)
+	err := w.Restore(1, slots)
+	if err == nil || !strings.Contains(err.Error(), "dump of") {
+		t.Errorf("dump without its clock header accepted (err %v)", err)
+	}
+	if n := w.Rank(1).Recorded(); n != 0 {
+		t.Errorf("refused dump left %d events", n)
+	}
+}
+
+// TestParseChromeRefusesHostileIdentity: a rank that would index or size
+// the trace's per-rank table out of range is refused with an error before
+// any table grows — no panic, no allocation of 2^62 slots.
+func TestParseChromeRefusesHostileIdentity(t *testing.T) {
+	src := New(8)
+	src.Rank(3).Peer(0, 64, src.Epoch(), src.Epoch())
+	good := src.Rank(3).Dump()
+	for _, rank := range []int{-1, -3, MaxWorld, 1 << 62} {
+		w := New(8)
+		if err := w.Restore(rank, good); err == nil {
+			t.Errorf("restore into rank %d accepted", rank)
+		}
+		if n := w.Ranks(); n != 0 {
+			t.Errorf("refused rank %d registered %d rank slots", rank, n)
+		}
+	}
+	w := New(8)
+	if err := w.Restore(3, good); err != nil {
+		t.Errorf("rank 3 refused: %v", err)
+	}
+	if n := w.Ranks(); n != 4 {
+		t.Errorf("rank 3 restored into %d rank slots, want 4", n)
+	}
+}
+
 // TestMergedAnalyzeNamesPlantedStraggler: the whole-world critical path
 // over per-process recorders dumped and restored into rank 0's trace must
 // name the same gating rank that was planted — the acceptance criterion
