@@ -122,10 +122,11 @@ tcp-smoke:
 	sh scripts/tcp_smoke.sh
 
 # Distributed-observability drill: a four-process world with heartbeats
-# and tracing; scrape the live /metrics + /status dashboard mid-run, then
-# validate the one world trace rank 0 writes from every rank's flight
-# recorder (four tracks, flow arrows, no per-rank files) and its report's
-# whole-world trace block.
+# and tracing; scrape the live /metrics + /status dashboard and rank 0's
+# /telemetry report (four ranks, a wire block) mid-run, then validate the
+# one world trace rank 0 writes from every rank's flight recorder (four
+# tracks, flow arrows, no per-rank files) and its report's whole-world
+# trace block.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 

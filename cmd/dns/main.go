@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 
 	"channeldns/internal/core"
 	"channeldns/internal/mpi"
@@ -79,7 +78,7 @@ func main() {
 		budget  = flag.Bool("budget", false, "print the TKE budget at the end")
 		spectra = flag.Bool("spectra", false, "print 1-D energy spectra at selected heights")
 		listen  = flag.String("listen", "", "serve live telemetry + pprof on this address (e.g. localhost:6060)")
-		hbEvery = flag.Int("heartbeat-every", 0, "gather per-rank telemetry deltas to rank 0 every N steps for the live /metrics + /status world dashboard (0 = off; a collective, so every rank must run the same value)")
+		hbEvery = flag.Int("heartbeat-every", 0, "fold every rank's telemetry into rank 0 every N steps for its live /telemetry report and /metrics + /status world dashboard (0 = off; a collective, so every rank must run the same value)")
 		repPath = flag.String("report", "", "write the final telemetry report (BENCH-schema JSON) to this file")
 		trcPath = flag.String("trace", "", "record a flight-recorder trace and write it as Chrome trace-event JSON (open in Perfetto) to this file")
 		trcCap  = flag.Int("trace-cap", 0, "per-rank trace ring capacity in events (0 = default)")
@@ -105,10 +104,6 @@ func main() {
 		trc = trace.New(*trcCap)
 	}
 	cfg := sp.Config(par.NewPool(sp.Workers()), reg, trc)
-	// wireSum carries the end-of-run wire-counter gather (TCP runs, set on
-	// rank 0) into the report; atomic because the live /telemetry handler
-	// may encode a report while the run loop stores it.
-	var wireSum atomic.Pointer[telemetry.WireSummary]
 	buildReport := func() *telemetry.Report {
 		config := sp.ConfigMap()
 		config["transport"] = *transportF
@@ -118,23 +113,23 @@ func main() {
 			config["rank"] = fmt.Sprint(*rankF)
 			config["world"] = fmt.Sprint(*worldF)
 		}
-		rep := run.Report("dns", cfg, config)
-		rep.Wire = wireSum.Load()
-		return rep
+		return run.Report("dns", cfg, config)
 	}
-	// The world tracker lives on every rank (so /metrics and /status always
-	// answer) but only rank 0's heartbeat gather ever feeds it; other
-	// ranks' dashboards stay empty and their index page says where to look.
-	var tracker *telemetry.WorldTracker
+	// Rank 0 learns the world through one fold into its own registry and
+	// trace, at heartbeat cadence and after the last step. The world
+	// tracker lives on every rank (so /metrics and /status always answer)
+	// but only rank 0's folds ever feed it; other ranks' dashboards stay
+	// empty and their index page says where to look.
+	fold := run.Fold{Reg: reg, Trace: trc}
 	if *listen != "" {
-		tracker = telemetry.NewWorldTracker(sp.World())
+		fold.Tracker = telemetry.NewWorldTracker(sp.World(), reg)
 		mux := http.NewServeMux()
 		mux.Handle("/", telemetry.HandlerWithIdentity(buildReport, telemetry.Identity{
 			Rank: *rankF, World: *worldF, Transport: *transportF,
 		}))
 		mux.Handle("/trace", trace.Handler(trc))
-		mux.Handle("/metrics", telemetry.MetricsHandler(tracker))
-		mux.Handle("/status", telemetry.StatusHandler(tracker))
+		mux.Handle("/metrics", telemetry.MetricsHandler(fold.Tracker))
+		mux.Handle("/status", telemetry.StatusHandler(fold.Tracker))
 		addr, err := telemetry.ServeHandler(*listen, mux)
 		if err != nil {
 			log.Fatalf("telemetry endpoint: %v", err)
@@ -173,25 +168,10 @@ func main() {
 				finalErr = err
 			}
 		}
-		// heartbeat ships every rank's telemetry (and, on the wire, its
-		// transport counters) to rank 0's world tracker. A collective:
+		// heartbeat folds the world into rank 0 mid-run. A collective:
 		// every rank calls it at the same step.
 		heartbeat := func() {
-			payload := reg.Rank(c.Rank()).Dump()
-			if ws, ok := c.WireStats(); ok {
-				payload = append(payload, ws.Dump()...)
-			}
-			world, arrivals, err := mpi.GatherHeartbeat(c, 0, payload)
-			if err != nil {
-				fail(err)
-			} else if c.Rank() == 0 && tracker != nil {
-				n := len(payload)
-				for r := 0; r < c.Size(); r++ {
-					if err := tracker.ObserveDump(r, world[r*n:(r+1)*n], arrivals[r]); err != nil {
-						fmt.Fprintf(os.Stderr, "heartbeat: %v\n", err)
-					}
-				}
-			}
+			fail(fold.Gather(c, false))
 			// Clocks drift; refresh the trace alignment at heartbeat cadence.
 			if isTCP && trc != nil && c.Size() > 1 {
 				cs := mpi.SyncClocks(c, 4)
@@ -329,46 +309,11 @@ func main() {
 				}
 			}
 		}
-		// On the wire transport each process holds only its own rank's
-		// telemetry; fold the remote collectors into rank 0's registry
-		// so the report aggregates the whole world, exactly as an
-		// in-process run's would.
-		if reg != nil && isTCP && c.Size() > 1 {
-			dumps, err := mpi.Gather(c, 0, reg.Rank(c.Rank()).Dump())
-			if c.Rank() == 0 {
-				n := telemetry.DumpLen()
-				for r := 1; r < c.Size() && err == nil; r++ {
-					err = reg.RestoreRank(r, dumps[r*n:(r+1)*n])
-				}
-				fail(err)
-			}
-		}
-		// Likewise the wire counters: gather every rank's transport dump so
-		// the report's wire block covers the world.
-		if ws, ok := c.WireStats(); ok && reg != nil {
-			dumps, err := mpi.Gather(c, 0, ws.Dump())
-			if c.Rank() == 0 && err == nil {
-				var sum *telemetry.WireSummary
-				if sum, err = telemetry.WireSummaryFromDumps(c.TransportName(), c.Size(), dumps); err == nil {
-					wireSum.Store(sum)
-				}
-			}
-			fail(err)
-		}
-		// And the flight recorders: rank 0 restores every rank's ring onto
-		// its own clock, so its trace file, straggler table and report
-		// cover the world. The observability plane's own traffic, so an
-		// uninstrumented gather: it adds no span to rank 0's last step.
-		if trc != nil && isTCP && c.Size() > 1 {
-			dumps, _, err := mpi.GatherHeartbeat(c, 0, trc.Rank(c.Rank()).Dump())
-			if c.Rank() == 0 && err == nil {
-				n := trc.DumpLen()
-				for r := 1; r < c.Size() && err == nil; r++ {
-					err = trc.Restore(r, dumps[r*n:(r+1)*n])
-				}
-			}
-			fail(err)
-		}
+		// The last fold, after all instrumented work: rank 0's registry,
+		// wire block and trace then cover the world, so its trace file,
+		// straggler table and report do too, exactly as an in-process
+		// run's would.
+		fail(fold.Gather(c, true))
 	}
 	if isTCP {
 		c, err := mpi.ConnectTCP(mpi.TCPConfig{

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -92,5 +94,75 @@ func TestRunsPinned(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("dns runs differ from %s\n--- got\n%s--- want\n%s", golden, got.String(), want)
+	}
+}
+
+// dns starts the test binary as dns on args; wait for it with cmd.Wait.
+func dns(t *testing.T, args string) (*exec.Cmd, *bytes.Buffer) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "DNS_TEST_ARGS="+args)
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return cmd, &out
+}
+
+// reportComm reads the comm table of a -report file.
+func reportComm(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r struct {
+		Comm []map[string]any `json:"comm"`
+	}
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r.Comm
+}
+
+// TestTCPReportCommMatchesInProcess: a two-process TCP world's report,
+// which rank 0 assembles from every rank's folded telemetry, counts the
+// calls, messages and bytes of every channel exactly as the same run on
+// in-process ranks does — the observability plane's own exchanges count
+// nowhere.
+func TestTCPReportCommMatchesInProcess(t *testing.T) {
+	dir := t.TempDir()
+	const run = "-nx 16 -ny 17 -nz 16 -steps 2 -pa 1 -pb 2"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := ln.Addr().String()
+	ln.Close()
+
+	chanRep := filepath.Join(dir, "chan.json")
+	tcpRep := filepath.Join(dir, "tcp.json")
+	var cmds []*exec.Cmd
+	var outs []*bytes.Buffer
+	for _, args := range []string{
+		run + " -report " + chanRep,
+		fmt.Sprintf("%s -transport tcp -rank 0 -world 2 -coord %s -report %s", run, coord, tcpRep),
+		fmt.Sprintf("%s -transport tcp -rank 1 -world 2 -coord %s -report %s", run, coord, tcpRep),
+	} {
+		cmd, out := dns(t, args)
+		cmds, outs = append(cmds, cmd), append(outs, out)
+	}
+	for i, cmd := range cmds {
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("dns %s: %v\n%s", cmd.Env[len(cmd.Env)-1], err, outs[i])
+		}
+	}
+	want, got := reportComm(t, chanRep), reportComm(t, tcpRep)
+	if len(want) == 0 {
+		t.Fatal("in-process report has no comm table")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("TCP comm table differs from the in-process run's\n got %v\nwant %v", got, want)
 	}
 }

@@ -20,11 +20,10 @@ import (
 )
 
 // Config selects the workload, resolution, physics and parallel layout of
-// a solver built through the workload registry (see workload.go).
+// a solver built through NewWorkload (see workload.go).
 type Config struct {
-	// Workload selects the registered simulation scenario: "channel" (the
-	// default), "isotropic", "scalar", or any name added through
-	// RegisterWorkload. NewWorkload dispatches on it; NewIsotropic and
+	// Workload selects the simulation scenario: "channel" (the default),
+	// "isotropic" or "scalar". NewWorkload dispatches on it; NewIsotropic and
 	// NewScalar set it themselves. It selects the validation rules and the
 	// schedule whose flops are credited, and is stamped into checkpoints
 	// and reports.

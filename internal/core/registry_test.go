@@ -9,11 +9,10 @@ import (
 	"channeldns/internal/telemetry"
 )
 
-// Tests of the workload registry: name resolution, registration guards,
-// bit-identity of the channel solver through the registry adapter, and
+// Tests of the workload table: name resolution, bit-identity of the channel solver through the registry adapter, and
 // schedule consistency of every registered workload on a multi-rank run.
 
-func TestWorkloadNamesAndDescriptions(t *testing.T) {
+func TestWorkloadNames(t *testing.T) {
 	names := WorkloadNames()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
@@ -26,14 +25,8 @@ func TestWorkloadNamesAndDescriptions(t *testing.T) {
 			found = found || n == want
 		}
 		if !found {
-			t.Errorf("built-in workload %q not registered (have %v)", want, names)
+			t.Errorf("workload %q missing from %v", want, names)
 		}
-		if WorkloadDescription(want) == "" {
-			t.Errorf("workload %q has no description", want)
-		}
-	}
-	if WorkloadDescription("nope") != "" {
-		t.Error("unknown workload has a description")
 	}
 }
 
@@ -53,23 +46,6 @@ func TestUnknownWorkloadErrorListsRegistry(t *testing.T) {
 	if _, err := WorkloadSchedule(Config{Workload: "nope"}); err == nil {
 		t.Fatal("WorkloadSchedule accepted an unknown workload")
 	}
-}
-
-func TestRegisterWorkloadGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("duplicate registration", func() {
-		RegisterWorkload(WorkloadChannel, "imposter", nil, nil)
-	})
-	mustPanic("empty name", func() {
-		RegisterWorkload("", "nameless", nil, nil)
-	})
 }
 
 // TestChannelBitIdenticalThroughRegistry: the registry adapter must be a

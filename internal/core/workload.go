@@ -1,9 +1,9 @@
-// Workload registry: the channel solver is one simulation scenario of
+// Workload table: the channel solver is one simulation scenario of
 // many sharing the pencil/FFT substrate. A Workload bundles everything a
 // driver needs — construction, default initial conditions, time advance,
 // a status line, checkpointing, and a declarative schedule block — so
 // cmd/dns, the bench tools, telemetry validation and machine-model
-// pricing work identically for every registered entry.
+// pricing work identically for each of the three.
 package core
 
 import (
@@ -26,7 +26,7 @@ const (
 // distributed state (advance, status, checkpointing) are collective: every
 // rank of the workload's world must call them together.
 type Workload interface {
-	// WorkloadName returns the registered name ("channel", ...).
+	// WorkloadName returns the workload's name ("channel", ...).
 	WorkloadName() string
 	// World returns the communicator the workload runs on.
 	World() *mpi.Comm
@@ -111,33 +111,35 @@ type ChannelFlow interface {
 	ChannelSolver() *Solver
 }
 
-// workloadEntry is one registered scenario.
+// workloadEntry is one scenario of the table: build constructs it on a
+// communicator; sched emits its per-step schedule block purely from the
+// configuration (no solver instance needed, so bench tools can price and
+// validate a workload without running it).
 type workloadEntry struct {
-	describe string
-	build    func(world *mpi.Comm, cfg Config) (Workload, error)
-	sched    func(cfg Config) *schedule.Schedule
+	build func(world *mpi.Comm, cfg Config) (Workload, error)
+	sched func(cfg Config) *schedule.Schedule
 }
 
-var workloads = map[string]workloadEntry{}
+// workloads is the fixed table of scenarios, keyed by name. init fills it:
+// the constructors read it back (newBase credits flops from the schedule),
+// a cycle Go refuses in a package-level initializer.
+var workloads map[string]workloadEntry
 
-// RegisterWorkload adds a named workload to the registry. build constructs
-// it on a communicator; sched emits its per-step schedule block purely from
-// the configuration (no solver instance needed, so bench tools can price
-// and validate a workload without running it). Registering a name twice
-// panics: two packages fighting over a name is a programming error.
-func RegisterWorkload(name, describe string,
-	build func(world *mpi.Comm, cfg Config) (Workload, error),
-	sched func(cfg Config) *schedule.Schedule) {
-	if name == "" {
-		panic("core: RegisterWorkload with empty name")
+func init() {
+	workloads = map[string]workloadEntry{
+		WorkloadChannel: {
+			func(world *mpi.Comm, cfg Config) (Workload, error) { return New(world, cfg) },
+			Config.Schedule},
+		WorkloadIsotropic: {
+			func(world *mpi.Comm, cfg Config) (Workload, error) { return NewIsotropic(world, cfg) },
+			Config.IsotropicSchedule},
+		WorkloadScalar: {
+			func(world *mpi.Comm, cfg Config) (Workload, error) { return NewScalar(world, cfg) },
+			Config.ScalarSchedule},
 	}
-	if _, dup := workloads[name]; dup {
-		panic(fmt.Sprintf("core: workload %q registered twice", name))
-	}
-	workloads[name] = workloadEntry{describe: describe, build: build, sched: sched}
 }
 
-// WorkloadNames returns the registered workload names, sorted.
+// WorkloadNames returns the workload names, sorted.
 func WorkloadNames() []string {
 	names := make([]string, 0, len(workloads))
 	for name := range workloads {
@@ -147,15 +149,9 @@ func WorkloadNames() []string {
 	return names
 }
 
-// WorkloadDescription returns the one-line description of a registered
-// workload ("" if unknown).
-func WorkloadDescription(name string) string {
-	return workloads[name].describe
-}
-
 // NewWorkload constructs the workload named by cfg.Workload ("" selects
 // "channel") on the given communicator. Unknown names report the full
-// registry so a typo on the command line is self-diagnosing.
+// table so a typo on the command line is self-diagnosing.
 func NewWorkload(world *mpi.Comm, cfg Config) (Workload, error) {
 	name := cfg.Workload
 	if name == "" {
@@ -183,21 +179,6 @@ func WorkloadSchedule(cfg Config) (*schedule.Schedule, error) {
 		return nil, fmt.Errorf("core: unknown workload %q (registered: %v)", name, WorkloadNames())
 	}
 	return ent.sched(cfg), nil
-}
-
-func init() {
-	RegisterWorkload(WorkloadChannel,
-		"turbulent channel flow (KMM v/omega_y, B-spline wall-normal)",
-		func(world *mpi.Comm, cfg Config) (Workload, error) { return New(world, cfg) },
-		func(cfg Config) *schedule.Schedule { return cfg.Schedule() })
-	RegisterWorkload(WorkloadIsotropic,
-		"triply-periodic isotropic turbulence (pure Fourier, diagonal viscous solve)",
-		func(world *mpi.Comm, cfg Config) (Workload, error) { return NewIsotropic(world, cfg) },
-		func(cfg Config) *schedule.Schedule { return cfg.IsotropicSchedule() })
-	RegisterWorkload(WorkloadScalar,
-		"passive scalar advected by turbulent channel flow (heated walls)",
-		func(world *mpi.Comm, cfg Config) (Workload, error) { return NewScalar(world, cfg) },
-		func(cfg Config) *schedule.Schedule { return cfg.ScalarSchedule() })
 }
 
 // ChannelSolver exposes the solver to channel-specific diagnostics.

@@ -69,13 +69,12 @@ func SyncClocks(c *Comm, rounds int) ClockSync {
 	return best
 }
 
-// GatherHeartbeat is Gather for the observability plane — the
-// live-dashboard heartbeat, and cmd/dns's end-of-run gather of the trace
-// flight recorders: every rank contributes a fixed-shape []int64 (telemetry
-// dump, optionally with a wire dump appended, or a trace.Recorder dump) on
-// a reserved tag, and the root returns the
-// concatenated payloads plus its own receive timestamp per rank — the
-// "last heard" input to staleness detection. Non-root ranks return
+// GatherHeartbeat is Gather for the observability plane — the one
+// exchange by which rank 0 folds its world (internal/run's Fold): every
+// rank contributes a fixed-shape []int64 (its telemetry, wire and trace
+// dumps) on a reserved tag, and the root returns the concatenated
+// payloads plus its own receive timestamp per rank — the "last heard"
+// input to staleness detection. Non-root ranks return
 // (nil, nil, nil). All payloads must have equal length, like Gather: a
 // payload of another length is a *CountMismatchError on the root.
 func GatherHeartbeat(c *Comm, root int, data []int64) (world []int64, arrivalUnixNs []int64, err error) {

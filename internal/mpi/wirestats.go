@@ -5,8 +5,9 @@ import "channeldns/internal/telemetry"
 // Wire-level transport counters. The TCP transport counts every frame it
 // enqueues and decodes per peer link (tcp.go); this file is the read
 // side: a snapshot type for tests and tools, and the fixed-shape dump
-// that rides the end-of-run telemetry gather into the report's wire
-// block. The channel transport has no wire and reports nothing.
+// that rides rank 0's fold of the world (internal/run's Fold) into the
+// report's wire block. The channel transport has no wire and reports
+// nothing.
 
 // WirePeerStats is a snapshot of one peer link's counters.
 type WirePeerStats struct {

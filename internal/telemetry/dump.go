@@ -5,10 +5,10 @@ import "fmt"
 // Cross-process rank merging. On the in-process transports every rank's
 // Collector lives in one Registry, so reports see the whole world for
 // free. On the TCP transport each rank is its own OS process with a
-// single-collector registry; before rank 0 writes the report, every rank
-// Dumps its collector to a fixed-shape []int64 and the dumps ride an
-// ordinary mpi.Gather (fixed shape is what makes the gather legal) so
-// rank 0 can RestoreRank them into its registry. The merged registry is
+// single-collector registry; every rank Dumps its collector to a
+// fixed-shape []int64 (fixed shape is what lets the dumps ride one gather)
+// and rank 0 RestoreRanks them into its registry, at heartbeat cadence and
+// once after the last step (internal/run's Fold). The merged registry is
 // indistinguishable from an in-process run's: the same min/mean/max/
 // imbalance aggregation, the same histogram quantiles, the same
 // schedule-consistency cross-checks in bench-validate.
@@ -52,82 +52,47 @@ func (c *Collector) Dump() []int64 {
 	return out
 }
 
-// addDump merges a dump into the collector by addition, so restoring
-// onto a fresh collector reproduces the remote one exactly.
-func (c *Collector) addDump(d []int64) error {
+// loadDump stores a dump into the collector counter by counter, so the
+// collector becomes a replica of the dumped one. A later dump of the same
+// remote replaces the replica; since the remote's counters only grow, a
+// concurrent reader sees each counter only grow too.
+func (c *Collector) loadDump(d []int64) error {
 	if len(d) != dumpLen {
 		return fmt.Errorf("telemetry: dump of %d values, want %d (schema drift between ranks?)", len(d), dumpLen)
 	}
 	k := 0
 	next := func() int64 { v := d[k]; k++; return v }
+	loadHist := func(h *Histogram) {
+		var total int64
+		for b := 0; b < histBuckets; b++ {
+			n := next()
+			h.counts[b].Store(n)
+			total += n
+		}
+		h.total.Store(total)
+	}
 	for i := range c.phases {
 		rec := &c.phases[i]
-		rec.ns.Add(next())
-		rec.calls.Add(next())
-		for b := 0; b < histBuckets; b++ {
-			if n := next(); n != 0 {
-				rec.hist.counts[b].Add(n)
-				rec.hist.total.Add(n)
-			}
-		}
+		rec.ns.Store(next())
+		rec.calls.Store(next())
+		loadHist(&rec.hist)
 	}
 	for i := range c.comm {
 		rec := &c.comm[i]
-		rec.calls.Add(next())
-		rec.messages.Add(next())
-		rec.bytes.Add(next())
+		rec.calls.Store(next())
+		rec.messages.Store(next())
+		rec.bytes.Store(next())
 	}
-	c.flops.Add(next())
-	c.steps.Add(next())
-	c.stepNs.Add(next())
-	for b := 0; b < histBuckets; b++ {
-		if n := next(); n != 0 {
-			c.stepHist.counts[b].Add(n)
-			c.stepHist.total.Add(n)
-		}
-	}
+	c.flops.Store(next())
+	c.steps.Store(next())
+	c.stepNs.Store(next())
+	loadHist(&c.stepHist)
 	return nil
 }
 
-// RestoreRank merges a remote rank's dump into this registry, creating
-// the rank's collector if needed. Restoring twice double-counts; restore
-// each remote rank exactly once.
+// RestoreRank makes rank's collector in this registry, created if needed,
+// a replica of a remote rank's dump. Restoring a newer dump of the same
+// rank replaces the replica; nothing is counted twice.
 func (r *Registry) RestoreRank(rank int, dump []int64) error {
-	return r.Rank(rank).addDump(dump)
+	return r.Rank(rank).loadDump(dump)
 }
-
-// DumpView is a read-only decoded view over one collector dump, for
-// consumers that want individual counters without restoring into a
-// registry (the world tracker reads step and phase counters out of
-// heartbeat dumps this way). The view aliases the dump slice.
-type DumpView struct{ d []int64 }
-
-// ViewDump wraps a dump for field access; ok is false when the slice is
-// not dump-shaped.
-func ViewDump(d []int64) (DumpView, bool) {
-	if len(d) != dumpLen {
-		return DumpView{}, false
-	}
-	return DumpView{d: d}, true
-}
-
-// PhaseNs returns the accumulated nanoseconds of a phase.
-func (v DumpView) PhaseNs(p Phase) int64 { return v.d[int(p)*phaseDumpLen] }
-
-// PhaseCalls returns the closed-region count of a phase.
-func (v DumpView) PhaseCalls(p Phase) int64 { return v.d[int(p)*phaseDumpLen+1] }
-
-// CommCounts returns the (calls, messages, bytes) counters of a channel.
-func (v DumpView) CommCounts(op CommOp) (calls, messages, bytes int64) {
-	base := commDumpBase + int(op)*3
-	return v.d[base], v.d[base+1], v.d[base+2]
-}
-
-// Steps returns the completed-timestep count.
-func (v DumpView) Steps() int64 { return v.d[stepDumpBase+1] }
-
-// StepNs returns the accumulated timestep nanoseconds.
-func (v DumpView) StepNs() int64 { return v.d[stepDumpBase+2] }
-
-// Flops returns the accumulated floating-point work.
-func (v DumpView) Flops() int64 { return v.d[stepDumpBase] }

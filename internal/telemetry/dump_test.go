@@ -50,7 +50,7 @@ func TestDumpFixedShape(t *testing.T) {
 	if got := len(busy.Dump()); got != DumpLen() {
 		t.Errorf("busy dump len %d, want %d", got, DumpLen())
 	}
-	if err := NewCollector(2).addDump(make([]int64, 5)); err == nil {
+	if err := NewCollector(2).loadDump(make([]int64, 5)); err == nil {
 		t.Error("short dump accepted")
 	}
 }

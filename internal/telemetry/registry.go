@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,6 +13,9 @@ import (
 type Registry struct {
 	mu         sync.Mutex
 	collectors []*Collector // index = rank; nil gaps until first use
+	// wire is the run's wire block, set by whoever gathers the ranks'
+	// transport counters (nil for runs without a wire).
+	wire atomic.Pointer[WireSummary]
 }
 
 // NewRegistry returns an empty registry.
@@ -33,6 +37,12 @@ func (r *Registry) Rank(rank int) *Collector {
 	}
 	return r.collectors[rank]
 }
+
+// SetWire replaces the registry's wire block.
+func (r *Registry) SetWire(w *WireSummary) { r.wire.Store(w) }
+
+// Wire returns the registry's wire block, nil when none was set.
+func (r *Registry) Wire() *WireSummary { return r.wire.Load() }
 
 // Ranks returns the number of rank slots registered so far.
 func (r *Registry) Ranks() int {

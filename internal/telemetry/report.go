@@ -131,12 +131,13 @@ type StragglerStep struct {
 	HiddenWireSeconds float64 `json:"hidden_wire_seconds,omitempty"`
 }
 
-// NewReport assembles a report from a registry snapshot plus the ambient
-// build metadata. config may be nil; it is stored as an empty (non-nil)
+// NewReport assembles a report from a registry snapshot and wire block
+// plus the ambient build metadata. config may be nil; it is stored as an empty (non-nil)
 // map so the artifact always carries the field.
 func NewReport(table string, reg *Registry, config map[string]string) *Report {
-	snap := reg.Snapshot()
-	return NewReportFromSnapshot(table, snap, config)
+	rep := NewReportFromSnapshot(table, reg.Snapshot(), config)
+	rep.Wire = reg.Wire()
+	return rep
 }
 
 // NewReportFromSnapshot is NewReport for an already-taken snapshot.

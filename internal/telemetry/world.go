@@ -5,22 +5,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 )
 
-// Live world dashboard. During a distributed run, every rank's collector
-// dump (optionally with its wire dump appended) rides a heartbeat gather
-// to rank 0 every few steps; rank 0 feeds the payloads into a
-// WorldTracker, which keeps per-rank liveness and rate state and renders
-// it two ways: Prometheus text exposition on /metrics (scrapeable
-// mid-run) and a /status JSON with last-heard staleness, rolling step
-// rate and straggler flags — the world-level rank-health view the
-// wire-hardening roadmap item needs before failure detection can land.
-// The tracker is observation-only: it never touches collectors and costs
-// the hot path nothing.
+// Live world dashboard. During a distributed run, rank 0 folds every
+// rank's telemetry into its own registry every few steps (internal/run's
+// Fold) and stamps each rank's arrival on a WorldTracker, which keeps
+// per-rank liveness and rolling step time and renders the world two ways:
+// Prometheus text exposition on /metrics (scrapeable mid-run), its
+// per-rank phase, comm and wire series read from that registry, and a
+// /status JSON with last-heard staleness, rolling step rate and straggler
+// flags — the world-level rank-health view the wire-hardening roadmap item
+// needs before failure detection can land. The tracker is
+// observation-only: it never writes to collectors and costs the hot path
+// nothing.
 
 // stragglerFactor flags a rank whose rolling step time exceeds the
 // cross-rank mean by this factor.
@@ -33,55 +33,40 @@ type worldRank struct {
 	steps           int64
 	stepNs          int64
 	rollingStepNs   float64 // mean step ns over the last observation delta
-	dump            []int64 // latest collector dump
-	wire            []int64 // latest wire dump, nil when the run has no wire
 }
 
-// WorldTracker accumulates heartbeat observations of a fixed-size world.
-// All methods are safe for concurrent use (HTTP handlers read while the
-// run loop observes).
+// WorldTracker accumulates heartbeat observations of a fixed-size world
+// whose telemetry rank 0 holds in one registry. All methods are safe for
+// concurrent use (HTTP handlers read while the run loop observes).
 type WorldTracker struct {
+	reg   *Registry
 	mu    sync.Mutex
 	ranks []worldRank
 }
 
-// NewWorldTracker returns a tracker for a world of the given size.
-func NewWorldTracker(world int) *WorldTracker {
+// NewWorldTracker returns a tracker for a world of the given size whose
+// ranks' collectors and wire block are (or will be folded into) reg.
+func NewWorldTracker(world int, reg *Registry) *WorldTracker {
 	if world < 1 {
 		world = 1
 	}
-	return &WorldTracker{ranks: make([]worldRank, world)}
+	return &WorldTracker{reg: reg, ranks: make([]worldRank, world)}
 }
-
-func (t *WorldTracker) lock()   { t.mu.Lock() }
-func (t *WorldTracker) unlock() { t.mu.Unlock() }
 
 // World returns the tracked world size.
 func (t *WorldTracker) World() int { return len(t.ranks) }
 
-// ObserveDump records one rank's heartbeat payload — a collector dump,
-// or a collector dump with the rank's wire dump appended (the split is
-// by length; heartbeats are uniform in shape within a run) — heard at
-// the given wall-clock time.
-func (t *WorldTracker) ObserveDump(rank int, payload []int64, heardUnixNs int64) error {
+// Observe records a heartbeat from rank heard at the given wall-clock
+// time, taking the rank's step counters from its collector in the
+// registry (fold it there first).
+func (t *WorldTracker) Observe(rank int, heardUnixNs int64) error {
 	if rank < 0 || rank >= len(t.ranks) {
 		return fmt.Errorf("telemetry: heartbeat from rank %d of world %d", rank, len(t.ranks))
 	}
-	base := DumpLen()
-	var dump, wire []int64
-	switch len(payload) {
-	case base:
-		dump = payload
-	case base + WireDumpLen(len(t.ranks)):
-		dump, wire = payload[:base], payload[base:]
-	default:
-		return fmt.Errorf("telemetry: heartbeat payload of %d values, want %d or %d",
-			len(payload), base, base+WireDumpLen(len(t.ranks)))
-	}
-	v, _ := ViewDump(dump)
-	steps, stepNs := v.Steps(), v.StepNs()
-	t.lock()
-	defer t.unlock()
+	c := t.reg.Rank(rank)
+	steps, stepNs := c.steps.Load(), c.stepNs.Load()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	r := &t.ranks[rank]
 	if d := steps - r.steps; r.seen && d > 0 {
 		r.rollingStepNs = float64(stepNs-r.stepNs) / float64(d)
@@ -90,10 +75,6 @@ func (t *WorldTracker) ObserveDump(rank int, payload []int64, heardUnixNs int64)
 	r.lastHeardUnixNs = heardUnixNs
 	r.steps = steps
 	r.stepNs = stepNs
-	r.dump = append(r.dump[:0], dump...)
-	if wire != nil {
-		r.wire = append(r.wire[:0], wire...)
-	}
 	return nil
 }
 
@@ -125,8 +106,8 @@ type WorldStatus struct {
 
 // Status assembles the world's health view at the given wall-clock time.
 func (t *WorldTracker) Status(nowUnixNs int64) WorldStatus {
-	t.lock()
-	defer t.unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	st := WorldStatus{World: len(t.ranks), Ranks: make([]RankStatus, len(t.ranks)), StragglerFactor: stragglerFactor}
 	mean, n := 0.0, 0
 	for i := range t.ranks {
@@ -192,96 +173,48 @@ func (t *WorldTracker) WriteMetrics(w io.Writer, nowUnixNs int64) {
 		}
 	}
 
-	// Per-phase and per-channel counters straight out of the latest dumps.
-	t.lock()
-	phases := make([][]int64, len(t.ranks)) // [rank][phase] ns
-	comms := make([][][3]int64, len(t.ranks))
-	wires := make([][]int64, len(t.ranks))
-	for i := range t.ranks {
-		r := &t.ranks[i]
-		if !r.seen {
-			continue
-		}
-		if v, ok := ViewDump(r.dump); ok {
-			pns := make([]int64, NumPhases)
-			for p := Phase(0); p < NumPhases; p++ {
-				pns[p] = v.PhaseNs(p)
-			}
-			phases[i] = pns
-			cts := make([][3]int64, NumCommOps)
-			for op := CommOp(0); op < NumCommOps; op++ {
-				calls, msgs, bytes := v.CommCounts(op)
-				cts[op] = [3]int64{calls, msgs, bytes}
-			}
-			comms[i] = cts
-		}
-		if r.wire != nil {
-			wires[i] = append([]int64(nil), r.wire...)
+	// Per-phase and per-channel counters of the heard ranks' collectors.
+	var heard []*Collector
+	for _, r := range st.Ranks {
+		if r.Heard {
+			heard = append(heard, t.reg.Rank(r.Rank))
 		}
 	}
-	t.unlock()
-
 	pw.Family("channeldns_rank_phase_seconds_total", "Accumulated wall clock per phase per rank.", "counter")
-	for rank, pns := range phases {
+	for _, c := range heard {
 		for p := Phase(0); p < NumPhases; p++ {
-			if pns == nil || pns[p] == 0 {
-				continue
+			if ns := c.phases[p].ns.Load(); ns != 0 {
+				pw.Sample(float64(ns)/1e9, "rank", strconv.Itoa(c.Rank()), "phase", p.String())
 			}
-			pw.Sample(float64(pns[p])/1e9, "rank", strconv.Itoa(rank), "phase", p.String())
 		}
 	}
 	pw.Family("channeldns_rank_comm_bytes_total", "Payload bytes per communication channel per rank.", "counter")
-	for rank, cts := range comms {
+	for _, c := range heard {
 		for op := CommOp(0); op < NumCommOps; op++ {
-			if cts == nil || cts[op][2] == 0 {
-				continue
+			if bytes := c.comm[op].bytes.Load(); bytes != 0 {
+				pw.Sample(bytes, "rank", strconv.Itoa(c.Rank()), "op", op.String())
 			}
-			pw.Sample(cts[op][2], "rank", strconv.Itoa(rank), "op", op.String())
 		}
 	}
 
-	anyWire := false
-	for _, wd := range wires {
-		if wd != nil {
-			anyWire = true
+	wire := t.reg.Wire()
+	if wire == nil {
+		return
+	}
+	emit := func(name, help string, field func(WireRankStats) int64) {
+		pw.Family(name, help, "counter")
+		for _, row := range wire.Ranks {
+			pw.Sample(field(row), "rank", strconv.Itoa(row.Rank))
 		}
 	}
-	if anyWire {
-		world := len(t.ranks)
-		sum := func(wd []int64, field int) int64 {
-			var s int64
-			for p := 0; p < world; p++ {
-				s += wd[1+p*WirePeerDumpLen+field]
-			}
-			return s
-		}
-		emit := func(name, help string, field int) {
-			pw.Family(name, help, "counter")
-			for rank, wd := range wires {
-				if wd != nil {
-					pw.Sample(sum(wd, field), "rank", strconv.Itoa(rank))
-				}
-			}
-		}
-		emit("channeldns_rank_wire_frames_out_total", "Wire frames enqueued toward peers.", WireFramesOut)
-		emit("channeldns_rank_wire_bytes_out_total", "Wire bytes (frames incl. headers) enqueued toward peers.", WireBytesOut)
-		emit("channeldns_rank_wire_frames_in_total", "Wire frames decoded from peers.", WireFramesIn)
-		emit("channeldns_rank_wire_bytes_in_total", "Wire bytes decoded from peers.", WireBytesIn)
-	}
-}
-
-// observedRanks returns the ranks heard from so far, ascending (tests).
-func (t *WorldTracker) observedRanks() []int {
-	t.lock()
-	defer t.unlock()
-	var out []int
-	for i := range t.ranks {
-		if t.ranks[i].seen {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
+	emit("channeldns_rank_wire_frames_out_total", "Wire frames enqueued toward peers.",
+		func(w WireRankStats) int64 { return w.FramesOut })
+	emit("channeldns_rank_wire_bytes_out_total", "Wire bytes (frames incl. headers) enqueued toward peers.",
+		func(w WireRankStats) int64 { return w.BytesOut })
+	emit("channeldns_rank_wire_frames_in_total", "Wire frames decoded from peers.",
+		func(w WireRankStats) int64 { return w.FramesIn })
+	emit("channeldns_rank_wire_bytes_in_total", "Wire bytes decoded from peers.",
+		func(w WireRankStats) int64 { return w.BytesIn })
 }
 
 // MetricsHandler serves the tracker in Prometheus text format.

@@ -8,8 +8,8 @@ import (
 )
 
 // heartbeatDump hand-builds a collector dump with the given step totals
-// plus one phase and one comm channel populated, using the same layout
-// arithmetic DumpView reads with.
+// plus one phase and one comm channel populated, using the dump layout
+// arithmetic.
 func heartbeatDump(steps, stepNs int64, phase Phase, phaseNs int64, op CommOp, bytes int64) []int64 {
 	d := make([]int64, DumpLen())
 	d[int(phase)*phaseDumpLen] = phaseNs
@@ -20,15 +20,41 @@ func heartbeatDump(steps, stepNs int64, phase Phase, phaseNs int64, op CommOp, b
 	return d
 }
 
+// observedRanks returns the ranks heard from so far, ascending.
+func (t *WorldTracker) observedRanks() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []int
+	for i := range t.ranks {
+		if t.ranks[i].seen {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// newTracker returns a tracker over a fresh registry of its own.
+func newTracker(world int) *WorldTracker { return NewWorldTracker(world, NewRegistry()) }
+
+// observe folds a rank's dump into the tracker's registry, as rank 0 does
+// with a remote rank's heartbeat frame, and stamps its arrival.
 func observe(t *testing.T, tr *WorldTracker, rank int, steps, stepNs, heard int64) {
 	t.Helper()
-	if err := tr.ObserveDump(rank, heartbeatDump(steps, stepNs, PhaseNonlinear, stepNs/2, CommYtoZ, 1<<20), heard); err != nil {
+	observeDump(t, tr, rank, heartbeatDump(steps, stepNs, PhaseNonlinear, stepNs/2, CommYtoZ, 1<<20), heard)
+}
+
+func observeDump(t *testing.T, tr *WorldTracker, rank int, dump []int64, heard int64) {
+	t.Helper()
+	if err := tr.reg.RestoreRank(rank, dump); err != nil {
+		t.Fatalf("fold rank %d: %v", rank, err)
+	}
+	if err := tr.Observe(rank, heard); err != nil {
 		t.Fatalf("observe rank %d: %v", rank, err)
 	}
 }
 
 func TestWorldTrackerRollingAndStatus(t *testing.T) {
-	tr := NewWorldTracker(3)
+	tr := newTracker(3)
 	now := int64(1e15)
 	observe(t, tr, 0, 10, 1e9, now)
 	observe(t, tr, 0, 20, 2e9, now+5e9) // +10 steps in +1e9 ns → 0.1 s/step
@@ -64,7 +90,7 @@ func TestWorldTrackerRollingAndStatus(t *testing.T) {
 }
 
 func TestWorldTrackerStragglerFlag(t *testing.T) {
-	tr := NewWorldTracker(3)
+	tr := newTracker(3)
 	now := int64(1e15)
 	// Rolling step times 0.1s, 0.1s, 0.3s: mean 0.1667s, threshold 0.2s.
 	for rank, rolling := range []int64{1e8, 1e8, 3e8} {
@@ -80,30 +106,23 @@ func TestWorldTrackerStragglerFlag(t *testing.T) {
 }
 
 func TestWorldTrackerRejectsBadObservations(t *testing.T) {
-	tr := NewWorldTracker(2)
-	if err := tr.ObserveDump(2, heartbeatDump(1, 1, PhaseNonlinear, 0, CommYtoZ, 0), 1); err == nil {
+	tr := newTracker(2)
+	if err := tr.Observe(2, 1); err == nil {
 		t.Error("rank outside the world accepted")
-	}
-	if err := tr.ObserveDump(0, make([]int64, DumpLen()+1), 1); err == nil {
-		t.Error("payload of unexpected shape accepted")
 	}
 }
 
 func TestWorldTrackerMetricsOutput(t *testing.T) {
-	tr := NewWorldTracker(2)
+	tr := newTracker(2)
 	now := int64(1e15)
 	observe(t, tr, 0, 10, 1e9, now)
 	observe(t, tr, 0, 20, 2e9, now+1e9)
 
-	// Rank 1 heartbeats with a wire dump appended, as a TCP run's do.
-	wire := make([]int64, WireDumpLen(2))
-	peer0 := wire[1:]
-	peer0[WireFramesOut], peer0[WireBytesOut], peer0[WirePayloadOut] = 7, 900, 753
-	peer0[WireFramesIn], peer0[WireBytesIn], peer0[WirePayloadIn] = 6, 800, 674
-	payload := append(heartbeatDump(15, 3e9, PhaseNonlinear, 1e9, CommYtoZ, 1<<20), wire...)
-	if err := tr.ObserveDump(1, payload, now+1e9); err != nil {
-		t.Fatal(err)
-	}
+	// Rank 1 heartbeats with wire counters, as a TCP run's ranks do.
+	observeDump(t, tr, 1, heartbeatDump(15, 3e9, PhaseNonlinear, 1e9, CommYtoZ, 1<<20), now+1e9)
+	tr.reg.SetWire(&WireSummary{Transport: "tcp", Ranks: []WireRankStats{{
+		Rank: 1, FramesOut: 7, BytesOut: 900, PayloadOut: 753, FramesIn: 6, BytesIn: 800, PayloadIn: 674,
+	}}})
 
 	var sb strings.Builder
 	tr.WriteMetrics(&sb, now+2e9)
@@ -113,7 +132,7 @@ func TestWorldTrackerMetricsOutput(t *testing.T) {
 }
 
 func TestWorldHandlers(t *testing.T) {
-	tr := NewWorldTracker(2)
+	tr := newTracker(2)
 	observe(t, tr, 0, 4, 4e8, 1)
 
 	rec := httptest.NewRecorder()

@@ -8,10 +8,10 @@ import (
 // Cross-process world timeline. In-process ranks share one Trace, so its
 // export sees the whole world for free. On the TCP transport each rank is
 // its own OS process with its own Trace and epoch; at the end of a run
-// every rank Dumps its recorder to a fixed-shape []int64, the dumps ride an
-// ordinary mpi.Gather (fixed shape is what makes the gather legal), and
-// rank 0 Restores them into its own Trace, each rank's starts shifted onto
-// rank 0's clock:
+// every rank Dumps its recorder to a fixed-shape []int64, the dumps ride
+// rank 0's last fold of the world (internal/run's Fold; fixed shape is
+// what makes the gather legal), and rank 0 Restores them into its own
+// Trace, each rank's starts shifted onto rank 0's clock:
 //
 //	aligned start = start + (remote epoch + offset − rank 0's epoch)
 //

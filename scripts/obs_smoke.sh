@@ -2,11 +2,12 @@
 # obs-smoke: the distributed-observability CI drill. dnsrun launches a
 # four-process 2x2 DNS with tracing, heartbeats and a live endpoint; while
 # the run is in flight we scrape rank 0's /metrics and /status world
-# dashboard off the wire. At the end of the run rank 0 gathers every rank's
-# flight recorder and writes the one world trace, which must carry four rank
-# tracks and cross-rank flow arrows and pass bench-validate -trace (per-track
-# monotonicity plus flow referential integrity); no other rank writes one,
-# and rank 0's report must carry the whole world's trace block.
+# dashboard and its /telemetry report, which must already cover all four
+# ranks and carry a wire block. After the last step rank 0 folds in every
+# rank's flight recorder and writes the one world trace, which must carry
+# four rank tracks and cross-rank flow arrows and pass bench-validate -trace
+# (per-track monotonicity plus flow referential integrity); no other rank
+# writes one, and rank 0's report must carry the whole world's trace block.
 set -eu
 . scripts/lib.sh
 smoke_init obs-smoke
@@ -42,6 +43,12 @@ grep -q 'channeldns_rank_wire_frames_out_total' "$dir/metrics.out"
 curl -sf "http://$addr/status" > "$dir/status.out"
 grep -q '"world": 4' "$dir/status.out"
 grep -q '"heard": true' "$dir/status.out"
+
+# Rank 0's live report covers the world mid-run: each heartbeat folds every
+# rank's collector and wire counters into rank 0's registry.
+curl -sf "http://$addr/telemetry" > "$dir/telemetry.out"
+grep -q '^  "ranks": 4,' "$dir/telemetry.out"
+grep -q '^  "wire": {' "$dir/telemetry.out"
 
 wait "$pid"
 
