@@ -140,11 +140,12 @@ serve-smoke:
 
 # Line counts as the simplicity PRs quote them: non-test and test *.go lines
 # per internal/* package, under cmd/ and examples/, and in total outside
-# benchmark/; then the run descriptions: the fields of core.Config and of
-# server.JobSpec (a line `Nx, Ny, Nz int` is three) and the command-line flags
+# benchmark/; then the run descriptions: the fields of core.Config, of
+# server.JobSpec (a line `Nx, Ny, Nz int` is three, a func-typed field one) and
+# of server.Options (the service's own knobs), and the command-line flags
 # defined under cmd/; then the binaries under cmd/, the `func Fuzz` targets,
 # and the non-test `panic(` and `recover()` calls, all outside benchmark/.
-FIELDS = awk -v t=$(1) '$$0 ~ "^type " t " struct" {f = 1; next} f && /^}/ {exit} f {sub(/\/\/.*/, ""); sub(/`.*`/, ""); if (NF) n += gsub(/,/, ",") + 1} END {print n}' $(2)
+FIELDS = awk -v t=$(1) '$$0 ~ "^type " t " struct" {f = 1; next} f && /^}/ {exit} f {sub(/\/\/.*/, ""); sub(/`.*`/, ""); sub(/\(.*\)/, ""); if (NF) n += gsub(/,/, ",") + 1} END {print n}' $(2)
 loc:
 	@for d in internal/*/ cmd/ cmd/bench/ examples/; do printf '%-22s %6d %6d\n' $$d \
 		$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) \
@@ -154,6 +155,7 @@ loc:
 		$$(find . -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)
 	@printf '%-22s %6d\n' 'core.Config fields' $$($(call FIELDS,Config,internal/core/config.go))
 	@printf '%-22s %6d\n' 'server.JobSpec fields' $$($(call FIELDS,JobSpec,internal/server/spec.go))
+	@printf '%-22s %6d\n' 'server.Options fields' $$($(call FIELDS,Options,internal/server/manager.go))
 	@printf '%-22s %6d\n' 'flags under cmd/' \
 		$$(grep -rhoE '\b(flag|fs)\.(String|Int|Int64|Bool|Float64|Duration)(Var)?\(' --include='*.go' --exclude='*_test.go' cmd | wc -l)
 	@printf '%-22s %6d\n' 'binaries under cmd/' $$(grep -rl --include='*.go' '^package main$$' cmd | xargs -n1 dirname | sort -u | wc -l)

@@ -51,7 +51,7 @@ func (c Config) Fingerprint() uint64 {
 	f(c.Prandtl)
 	f(c.ReTau)
 	u(uint64(c.Degree))
-	f(c.Stretch)
+	f(stretch)
 	b(c.DisableNonlinear)
 	f(c.Forcing)
 	u(uint64(c.Nonlinear))

@@ -19,6 +19,11 @@ import (
 	"channeldns/internal/trace"
 )
 
+// stretch is the wall clustering of every channel grid's breakpoints
+// (bspline.ChannelBreakpoints); Fingerprint hashes it, so old checkpoints
+// match only while it stays 0.85.
+const stretch = 0.85
+
 // Config selects the workload, resolution, physics and parallel layout of
 // a solver built through NewWorkload (see workload.go).
 type Config struct {
@@ -43,8 +48,6 @@ type Config struct {
 	Dt float64
 	// B-spline degree; 0 selects the paper's degree 7.
 	Degree int
-	// Wall-normal grid stretching in [0, 1]; 0 selects 0.85.
-	Stretch float64
 	// Process grid: PA x PB must equal the world size. Zero values select
 	// 1 x 1.
 	PA, PB int
@@ -97,9 +100,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Degree == 0 {
 		c.Degree = 7
-	}
-	if c.Stretch == 0 {
-		c.Stretch = 0.85
 	}
 	if c.PA == 0 {
 		c.PA = 1

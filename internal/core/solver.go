@@ -65,7 +65,7 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	cfg, g := s.Cfg, s.G
 	s.checkpointing.self = s
 	s.imp = []*implicitOps{{diff: s.nu}}
-	s.B = bspline.NewFromBreakpoints(cfg.Degree, bspline.ChannelBreakpoints(cfg.Ny-cfg.Degree, cfg.Stretch))
+	s.B = bspline.NewFromBreakpoints(cfg.Degree, bspline.ChannelBreakpoints(cfg.Ny-cfg.Degree, stretch))
 	if s.B.NumBasis() != cfg.Ny {
 		panic("core: basis size mismatch")
 	}

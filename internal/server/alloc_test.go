@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"testing"
 
 	"channeldns/internal/core"
@@ -42,35 +43,28 @@ func benchSolver(tb testing.TB) (core.Workload, *telemetry.Registry, func()) {
 
 // TestStepAllocsWithWatchers is the tentpole's hot-path isolation bar:
 // the service must observe its runs — registry attached, hub carrying
-// live watchers, status/telemetry/plane events flowing between steps —
+// live readers, status/telemetry/plane events flowing between steps —
 // without adding a single allocation *inside* the step. The warm step
-// with 100 attached watchers must allocate exactly what it allocates with
-// none, and stay within the documented budget.
+// with 100 readers parked in Hub.Wait must allocate exactly what it
+// allocates with none, and stay within the documented budget.
 func TestStepAllocsWithWatchers(t *testing.T) {
 	wl, reg, cleanup := benchSolver(t)
 	defer cleanup()
 
 	base := testing.AllocsPerRun(5, func() { wl.StepOnce() })
 
-	h := NewHub(64, 256)
-	watchers := make([]*Watcher, 100)
-	for i := range watchers {
-		watchers[i], _ = h.Subscribe()
-	}
-	drain := func() {
-		for _, w := range watchers {
-			for {
-				select {
-				case <-w.C:
-					continue
-				default:
-				}
-				break
-			}
-		}
+	h := NewHub()
+	const watchers = 100
+	var readers sync.WaitGroup
+	for range watchers {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			follow(h)
+		}()
 	}
 	// Publish a realistic between-steps burst so the streaming machinery is
-	// warm and the watchers hold live buffers during the measurement.
+	// warm, then measure once every reader has read it and parked again.
 	prev := reg.Snapshot()
 	publish := func() {
 		h.Publish(EventStatus, Status{Step: wl.CurrentStep(), Time: wl.CurrentTime()})
@@ -81,18 +75,19 @@ func TestStepAllocsWithWatchers(t *testing.T) {
 		prev = cur
 	}
 	publish()
+	waitParked(t, watchers, "select", "(*Hub).Wait")
 
 	withWatchers := testing.AllocsPerRun(5, func() { wl.StepOnce() })
 	publish()
-	drain()
 	h.Close()
+	readers.Wait()
 
 	if withWatchers != base {
-		t.Errorf("StepOnce allocates %v with 100 watchers attached vs %v bare: streaming leaked into the hot path",
-			withWatchers, base)
+		t.Errorf("StepOnce allocates %v with %d readers parked vs %v bare: streaming leaked into the hot path",
+			withWatchers, watchers, base)
 	}
 	if withWatchers > stepAllocBudget {
-		t.Errorf("StepOnce with watchers: %v allocs per step, budget %d", withWatchers, stepAllocBudget)
+		t.Errorf("StepOnce with readers: %v allocs per step, budget %d", withWatchers, stepAllocBudget)
 	}
-	t.Logf("StepOnce: %v allocs bare, %v with 100 watchers (budget %d)", base, withWatchers, stepAllocBudget)
+	t.Logf("StepOnce: %v allocs bare, %v with %d readers (budget %d)", base, withWatchers, watchers, stepAllocBudget)
 }

@@ -6,15 +6,19 @@ import (
 	"sync"
 )
 
-// The hub is the fan-out point between one running job and its watchers.
+// The hub is the fan-out point between one running job and its readers.
 // The run loop publishes from between solver steps and must NEVER block
 // on a consumer — a stalled TCP connection on the far side of an SSE
-// stream cannot be allowed to stall the simulation or the other
-// watchers. Publish therefore writes into per-watcher buffered channels
-// and drops any watcher whose buffer is full (the watcher learns it was
-// dropped and can re-attach; events carry sequence numbers so the gap is
-// visible). A bounded ring of recent events backs the long-poll fallback
-// and lets late joiners catch up without a second code path.
+// stream cannot be allowed to stall the simulation or the other readers.
+// Publish therefore only appends to a bounded ring of recent events and
+// wakes whoever waits; every reader, SSE and long-poll alike, pulls from
+// the ring with Wait and its own cursor. A reader that falls more than the
+// ring behind finds its next batch starting past its cursor (events carry
+// sequence numbers, so the gap is visible) and only its own stream is
+// lost. A late joiner catches up by reading the ring from cursor 0.
+
+// ringCap is how many recent events a hub keeps for its readers.
+const ringCap = 256
 
 // Event stream types.
 const (
@@ -25,96 +29,32 @@ const (
 )
 
 // Event is one stream item. Seq increases by 1 per event on a given job;
-// a watcher that sees a jump knows it was dropped or joined late.
+// a reader that sees a jump knows it fell behind or joined late.
 type Event struct {
 	Seq  uint64          `json:"seq"`
 	Type string          `json:"type"`
 	Data json.RawMessage `json:"data"`
 }
 
-// Watcher is one subscription to a hub. Events arrive on C; the channel
-// is closed when the hub closes (job reached a terminal state) or the
-// watcher is dropped for falling behind — Dropped distinguishes the two.
-type Watcher struct {
-	C   <-chan Event
-	c   chan Event
-	hub *Hub
-	// dropped is set under the hub lock before the channel is closed.
-	dropped bool
-}
-
-// Dropped reports whether the hub evicted this watcher for not keeping
-// up. Valid after C is closed.
-func (w *Watcher) Dropped() bool {
-	w.hub.mu.Lock()
-	defer w.hub.mu.Unlock()
-	return w.dropped
-}
-
 // Hub broadcasts one job's event stream.
 type Hub struct {
-	mu       sync.Mutex
-	seq      uint64
-	ring     []Event // last ringCap events, oldest first
-	ringCap  int
-	buf      int // per-watcher channel capacity
-	watchers map[*Watcher]struct{}
-	closed   bool
-	// wake is closed and replaced on every publish; long-pollers wait on
-	// it instead of polling the ring.
+	mu     sync.Mutex
+	seq    uint64
+	ring   []Event // last ringCap events, oldest first, Seq contiguous
+	closed bool
+	// wake is closed and replaced on every publish; readers wait on it
+	// instead of polling the ring.
 	wake chan struct{}
 }
 
-// NewHub creates a hub whose watchers each buffer buf events (<=0
-// selects 64) and whose catch-up ring holds ringCap events (<=0 selects
-// 256).
-func NewHub(buf, ringCap int) *Hub {
-	if buf <= 0 {
-		buf = 64
-	}
-	if ringCap <= 0 {
-		ringCap = 256
-	}
-	return &Hub{
-		ringCap:  ringCap,
-		buf:      buf,
-		watchers: make(map[*Watcher]struct{}),
-		wake:     make(chan struct{}),
-	}
+// NewHub creates an open hub with an empty ring.
+func NewHub() *Hub {
+	return &Hub{wake: make(chan struct{})}
 }
 
-// Subscribe attaches a new watcher and returns it together with the
-// recent events it missed (the ring contents), captured atomically with
-// the subscription so no event falls between the replay and the live
-// stream. Returns nil after Close.
-func (h *Hub) Subscribe() (*Watcher, []Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return nil, nil
-	}
-	w := &Watcher{hub: h, c: make(chan Event, h.buf)}
-	w.C = w.c
-	h.watchers[w] = struct{}{}
-	replay := make([]Event, len(h.ring))
-	copy(replay, h.ring)
-	return w, replay
-}
-
-// Unsubscribe detaches a watcher; its channel is closed. Safe to call
-// for already-dropped watchers.
-func (h *Hub) Unsubscribe(w *Watcher) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.watchers[w]; ok {
-		delete(h.watchers, w)
-		close(w.c)
-	}
-}
-
-// Publish broadcasts an event of the given type. It never blocks: a
-// watcher whose buffer is full is dropped on the spot (removed, marked,
-// channel closed). The data is marshaled once, shared by all watchers.
+// Publish appends an event of the given type to the ring and wakes the
+// readers. It never blocks on a reader, and costs the same however many
+// there are. The data is marshaled once, shared by all readers.
 func (h *Hub) Publish(typ string, data any) {
 	raw, err := json.Marshal(data)
 	if err != nil {
@@ -129,28 +69,17 @@ func (h *Hub) Publish(typ string, data any) {
 		return
 	}
 	h.seq++
-	ev := Event{Seq: h.seq, Type: typ, Data: raw}
-	h.ring = append(h.ring, ev)
-	if len(h.ring) > h.ringCap {
-		h.ring = h.ring[len(h.ring)-h.ringCap:]
-	}
-	for w := range h.watchers {
-		select {
-		case w.c <- ev:
-		default: // drop-on-slow
-			w.dropped = true
-			delete(h.watchers, w)
-			close(w.c)
-		}
+	h.ring = append(h.ring, Event{Seq: h.seq, Type: typ, Data: raw})
+	if len(h.ring) > ringCap {
+		h.ring = h.ring[len(h.ring)-ringCap:]
 	}
 	close(h.wake)
 	h.wake = make(chan struct{})
 }
 
-// Close ends the stream: all watchers' channels are closed (without the
-// dropped mark) and future Subscribe/Publish calls are no-ops. Called
-// only on terminal job states — a paused job keeps its hub open so
-// watchers ride through the resume.
+// Close ends the stream: future Publish calls are no-ops and readers are
+// released. Called only on terminal job states — a paused job keeps its
+// hub open so readers ride through the resume.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -158,47 +87,42 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	for w := range h.watchers {
-		delete(h.watchers, w)
-		close(w.c)
-	}
-	close(h.wake) // release long-pollers
+	close(h.wake)
 }
 
-// Closed reports whether the stream has ended.
-func (h *Hub) Closed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
-// Since returns the buffered events with Seq > after (long-poll catch-up
-// read) and whether the stream is still open.
+// Since returns the buffered events with Seq > after and whether the
+// stream is still open.
 func (h *Hub) Since(after uint64) ([]Event, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []Event
-	for _, ev := range h.ring {
-		if ev.Seq > after {
-			out = append(out, ev)
-		}
+	return h.since(after), !h.closed
+}
+
+// since copies the ring's events with Seq > after; h.mu is held.
+func (h *Hub) since(after uint64) []Event {
+	if len(h.ring) == 0 || after >= h.seq {
+		return nil
 	}
-	return out, !h.closed
+	skip := 0
+	if first := h.ring[0].Seq; after >= first {
+		skip = int(after - first + 1)
+	}
+	return append([]Event(nil), h.ring[skip:]...)
 }
 
 // Wait blocks until an event with Seq > after exists, the stream closes,
-// or ctx expires; it then returns Since(after). The long-poll endpoint
-// is this plus JSON encoding.
+// or ctx expires; it then returns Since(after). Both stream endpoints
+// read through it: long-poll once per request, SSE in a loop.
 func (h *Hub) Wait(ctx context.Context, after uint64) ([]Event, bool) {
 	for {
 		h.mu.Lock()
-		wake := h.wake
-		haveNew := h.seq > after
-		closed := h.closed
-		h.mu.Unlock()
-		if haveNew || closed {
-			return h.Since(after)
+		if h.seq > after || h.closed {
+			events, open := h.since(after), !h.closed
+			h.mu.Unlock()
+			return events, open
 		}
+		wake := h.wake
+		h.mu.Unlock()
 		select {
 		case <-wake:
 		case <-ctx.Done():
@@ -207,9 +131,9 @@ func (h *Hub) Wait(ctx context.Context, after uint64) ([]Event, bool) {
 	}
 }
 
-// Watchers returns the current subscriber count (drops excluded).
-func (h *Hub) Watchers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.watchers)
+// missed reports whether a batch Wait returned for cursor skips events: the
+// ring moved past cursor+1 while the reader was away. Cursor 0 (nothing
+// read yet) misses nothing: its first batch is the ring's replay.
+func missed(cursor uint64, events []Event) bool {
+	return cursor > 0 && len(events) > 0 && events[0].Seq > cursor+1
 }

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -85,10 +87,15 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _ := job.Hub.Subscribe()
-	if w == nil {
-		t.Fatal("could not subscribe to a fresh job")
+	type read struct {
+		events  []Event
+		dropped bool
 	}
+	stream := make(chan read, 1)
+	go func() {
+		events, dropped := follow(job.Hub)
+		stream <- read{events, dropped}
+	}()
 	st := waitState(t, job, StateDone)
 
 	if st.Step != 6 {
@@ -105,8 +112,9 @@ func TestJobLifecycle(t *testing.T) {
 	}
 
 	// The stream closed (terminal state) after carrying all event types.
+	r := <-stream
 	types := map[string]int{}
-	for ev := range w.C {
+	for _, ev := range r.events {
 		types[ev.Type]++
 	}
 	for _, typ := range []string{EventState, EventStatus, EventTelemetry, EventPlane} {
@@ -114,8 +122,8 @@ func TestJobLifecycle(t *testing.T) {
 			t.Errorf("stream carried no %q events (saw %v)", typ, types)
 		}
 	}
-	if w.Dropped() {
-		t.Error("patient watcher marked dropped")
+	if r.dropped {
+		t.Error("patient reader fell behind")
 	}
 
 	// The persisted artifacts: status, final checkpoint, bench-valid report.
@@ -298,12 +306,10 @@ func TestCancelWritesCheckpoint(t *testing.T) {
 		t.Errorf("pre-stop checkpoint %s at step %d, status says %d", name, man.Step, st.Step)
 	}
 	// The hub closes just after the status flips terminal; give it a beat.
-	closedBy := time.Now().Add(5 * time.Second)
-	for !job.Hub.Closed() {
-		if time.Now().After(closedBy) {
-			t.Fatal("hub still open after a terminal state")
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, open := job.Hub.Wait(ctx, math.MaxUint64); open {
+		t.Fatal("hub still open after a terminal state")
 	}
 }
 
@@ -319,11 +325,7 @@ func TestPauseResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _ := job.Hub.Subscribe()
-	go func() {
-		for range w.C {
-		}
-	}()
+	go follow(job.Hub)
 	waitState(t, job, StateRunning)
 	time.Sleep(30 * time.Millisecond)
 	if err := m.Pause(job.ID); err != nil {
@@ -333,7 +335,7 @@ func TestPauseResume(t *testing.T) {
 	if st.Step >= 12 {
 		t.Fatal("pause landed after completion; raise the throttle")
 	}
-	if job.Hub.Closed() {
+	if _, open := job.Hub.Since(0); !open {
 		t.Error("pause closed the hub; watchers must ride through the resume")
 	}
 	pausedAt := st.Step
@@ -503,17 +505,18 @@ func pausedJob(t *testing.T, m *Manager) *Job {
 	return job
 }
 
-// waitParked polls the goroutine dump until n goroutines wait on a
-// sync.Mutex with frame in on their stack and none of notIn. It is how the
-// resume races below hold a Resume at a chosen lock.
-func waitParked(t *testing.T, n int, in string, notIn ...string) {
+// waitParked polls the goroutine dump until n goroutines block in state
+// (the wait reason the dump prints: "sync.Mutex.Lock", "select") with frame
+// in on their stack and none of notIn. It is how the resume races below
+// hold a Resume at a chosen lock.
+func waitParked(t *testing.T, n int, state, in string, notIn ...string) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		got := 0
 	stacks:
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if !strings.Contains(g, "[sync.Mutex.Lock") || !strings.Contains(g, in) {
+			if !strings.Contains(g, "["+state) || !strings.Contains(g, in) {
 				continue
 			}
 			for _, s := range notIn {
@@ -545,11 +548,11 @@ func holdResumes(t *testing.T, m *Manager, job *Job, n int) (errs chan error, re
 	for i := 0; i < n; i++ {
 		go func() { errs <- m.Resume(job.ID) }()
 	}
-	waitParked(t, n, resume, get)
+	waitParked(t, n, "sync.Mutex.Lock", resume, get)
 	readFirst = m.mu.TryLock() // taken: one Resume holds it, parked in its claim
 	job.mu.Unlock()
 	if readFirst {
-		waitParked(t, n, resume, get, "(*Job).Status")
+		waitParked(t, n, "sync.Mutex.Lock", resume, get, "(*Job).Status")
 	}
 	return errs, readFirst
 }
@@ -626,7 +629,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: submitted without error", tc.name)
 		}
 	}
-	if _, total := m.List(0, 0); total != 0 {
+	if _, total, _ := m.List(0, 0); total != 0 {
 		t.Errorf("%d jobs queued from invalid specs", total)
 	}
 }
@@ -717,7 +720,7 @@ func TestHostileSpecsRefused(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if _, total := m.List(0, 0); total != 0 {
+	if _, total, _ := m.List(0, 0); total != 0 {
 		t.Errorf("%d jobs queued from hostile specs", total)
 	}
 }
@@ -788,24 +791,8 @@ func TestAPI(t *testing.T) {
 	}
 
 	// SSE: attach while running, read until the terminal "end" marker.
-	sseDone := make(chan map[string]int, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
-		if err != nil {
-			sseDone <- nil
-			return
-		}
-		defer resp.Body.Close()
-		types := map[string]int{}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if name, ok := strings.CutPrefix(line, "event: "); ok {
-				types[name]++
-			}
-		}
-		sseDone <- types
-	}()
+	sseDone := make(chan sseRead, 1)
+	go func() { sseDone <- readSSE(ts.URL + "/v1/jobs/" + st.ID + "/stream") }()
 
 	// Long-poll until done, following the seq cursor.
 	var after uint64
@@ -838,19 +825,44 @@ func TestAPI(t *testing.T) {
 	}
 
 	// The SSE side saw the same stream end.
+	var live sseRead
 	select {
-	case types := <-sseDone:
-		if types == nil {
+	case live = <-sseDone:
+		if live.types == nil {
 			t.Fatal("SSE request failed")
 		}
-		if types["end"] == 0 {
-			t.Errorf("SSE stream missing end marker: %v", types)
+		if live.types["end"] == 0 || live.last != "end" {
+			t.Errorf("SSE stream missing end marker: %v, last %q", live.types, live.last)
 		}
-		if types[EventStatus] == 0 {
-			t.Errorf("SSE stream carried no status events: %v", types)
+		if live.types[EventStatus] == 0 {
+			t.Errorf("SSE stream carried no status events: %v", live.types)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("SSE stream did not terminate with the job")
+	}
+
+	// Long-poll from the start returns the sequence numbers SSE delivered,
+	// and a stream opened on the finished job replays them and ends.
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream?after=0&wait=0s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all struct {
+		Events []Event `json:"events"`
+		Open   bool    `json:"open"`
+	}
+	json.NewDecoder(resp.Body).Decode(&all)
+	resp.Body.Close()
+	var polled []uint64
+	for _, ev := range all.Events {
+		polled = append(polled, ev.Seq)
+	}
+	if all.Open || fmt.Sprint(polled) != fmt.Sprint(live.seqs) {
+		t.Errorf("long-poll from 0: seqs %v open %v; SSE delivered %v", polled, all.Open, live.seqs)
+	}
+	if late := readSSE(ts.URL + "/v1/jobs/" + st.ID + "/stream"); late.last != "end" ||
+		fmt.Sprint(late.seqs) != fmt.Sprint(live.seqs) {
+		t.Errorf("SSE on the finished job: seqs %v, last %q; want %v then end", late.seqs, late.last, live.seqs)
 	}
 
 	// GET status, report, plane, list, metrics.
@@ -902,6 +914,27 @@ func TestAPI(t *testing.T) {
 	if list.Total != 1 || len(list.Jobs) != 1 {
 		t.Errorf("list: total %d with %d jobs, want 1/1", list.Total, len(list.Jobs))
 	}
+	// The page reports the offset it used, clamped to [0, total].
+	for query, want := range map[string]int{"offset=-3": 0, "offset=5": 1, "offset=1&limit=1": 1} {
+		resp, err = http.Get(ts.URL + "/v1/jobs?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var page struct {
+			Jobs   []Status `json:"jobs"`
+			Offset int      `json:"offset"`
+		}
+		json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if page.Offset != want || len(page.Jobs) != 1-want {
+			t.Errorf("list?%s: offset %d with %d jobs, want %d with %d", query, page.Offset, len(page.Jobs), want, 1-want)
+		}
+	}
+
+	// A finished job is not resumable: 409.
+	if code := post(t, ts.URL+"/v1/jobs/"+st.ID+"/resume", ""); code != http.StatusConflict {
+		t.Errorf("resume of a finished job: status %d, want 409", code)
+	}
 
 	// A paused record beside the finished job, so the scrape carries a
 	// per-job step sample; the body is held byte for byte.
@@ -940,6 +973,79 @@ func TestAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
+
+	// A busy server answers 503 to submit and resume alike: first with its
+	// one queue slot taken behind a running job, then while draining.
+	full := newTestManager(t, t.TempDir(), Options{Queue: 1})
+	defer drainManager(t, full)
+	fs := httptest.NewServer(NewAPI(full).Routes())
+	defer fs.Close()
+	slow := smallSpec(1000)
+	slow.StepDelayMs = 10
+	blocker, err := full.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, blocker, StateRunning)
+	if _, err := full.Submit(smallSpec(2)); err != nil {
+		t.Fatal(err)
+	}
+	paused := pausedJob(t, full)
+	body := string(spec)
+	for _, phase := range []string{"full queue", "draining"} {
+		if phase == "draining" {
+			drainManager(t, full)
+		}
+		if code := post(t, fs.URL+"/v1/jobs", body); code != http.StatusServiceUnavailable {
+			t.Errorf("submit on a %s: status %d, want 503", phase, code)
+		}
+		if code := post(t, fs.URL+"/v1/jobs/"+RunID(paused.ID)+"/resume", ""); code != http.StatusServiceUnavailable {
+			t.Errorf("resume on a %s: status %d, want 503", phase, code)
+		}
+	}
+}
+
+// post sends body to url and returns the response status.
+func post(t *testing.T, url, body string) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// sseRead is what one SSE client read: the count of each event type, the
+// sequence numbers in order, and the last event's type.
+type sseRead struct {
+	types map[string]int
+	seqs  []uint64
+	last  string
+}
+
+// readSSE reads an SSE stream to its end (nil types if the request failed).
+func readSSE(url string) sseRead {
+	var r sseRead
+	resp, err := http.Get(url)
+	if err != nil {
+		return r
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	r.types = map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "event: "); ok {
+			r.types[name]++
+			r.last = name
+		}
+		if id, ok := strings.CutPrefix(line, "id: "); ok {
+			seq, _ := strconv.ParseUint(id, 10, 64)
+			r.seqs = append(r.seqs, seq)
+		}
+	}
+	return r
 }
 
 // TestIsotropicJob: the registry integration is workload-agnostic — an

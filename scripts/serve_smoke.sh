@@ -6,7 +6,9 @@
 # store must rediscover the interrupted job from its on-disk record,
 # auto-resume it from the checkpoint, and run every job to completion; the
 # stored BENCH reports must pass bench-validate, the stream watchers must
-# have seen live status events, and a final SIGTERM must drain cleanly.
+# have seen live status events, the long-poll fallback must read the
+# recovered job's status events, a finished job's SSE stream must replay and
+# end with the end marker, and a final SIGTERM must drain cleanly.
 set -eu
 . scripts/lib.sh
 smoke_init serve-smoke
@@ -82,6 +84,16 @@ wait_for "job $iso done" 600 "$dir/status.json" job_done "$iso"
 curl -s "http://$addr/v1/jobs/$chan" > "$dir/final_channel.json"
 grep -q '"resumes": *[1-9]' "$dir/final_channel.json"
 grep -q '"step": *30' "$dir/final_channel.json"
+
+# Both stream endpoints read the hub's ring, which the restarted server
+# filled while finishing the channel job: long-poll from its start carries
+# status events, and an SSE stream opened now replays them and ends with the
+# end marker.
+curl -s "http://$addr/v1/jobs/$chan/stream?after=0&wait=5s" > "$dir/poll.json"
+grep -q '"type": *"status"' "$dir/poll.json"
+curl -s -N "http://$addr/v1/jobs/$chan/stream" > "$dir/finished.out"
+grep -q "^event: status" "$dir/finished.out"
+[ "$(grep '^event: ' "$dir/finished.out" | tail -n 1)" = "event: end" ]
 
 # Stored artifacts: every completed run's BENCH report must validate.
 $GO run ./cmd/bench-validate "$data/$chan/report.json" "$data/$iso/report.json"
