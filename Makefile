@@ -32,7 +32,7 @@ test:
 
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned' channeldns/internal/core
+	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared' channeldns/internal/core
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
 # not write: the TCP transport's frame reader against whatever a peer might
@@ -62,12 +62,14 @@ fuzz:
 # has BenchmarkExcursionTransposes, the four transposes of one substep at the
 # channel-48 shapes, at 1x1 on one and two workers and at 1x2, 2x1 and 2x2; parfft has
 # BenchmarkExcursionPass, one whole SixProducts excursion at the same shapes
-# and grids.
+# and grids; core has BenchmarkEnsureOps, one rebuild of a serial 48x49x48
+# channel's operator caches after a change of dt.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 	$(GO) test -run xxx -bench Batch -benchtime 20x channeldns/internal/fft
 	$(GO) test -run xxx -bench ExcursionTransposes -benchtime 100x channeldns/internal/pencil
 	$(GO) test -run xxx -bench ExcursionPass -benchtime 50x channeldns/internal/parfft
+	$(GO) test -run xxx -bench EnsureOps -benchtime 20x channeldns/internal/core
 	$(GO) test -run xxx -bench . -benchtime 200ms channeldns/internal/banded channeldns/internal/bspline channeldns/internal/mpi channeldns/internal/server
 
 # Tiny end-to-end run of every experiment of cmd/bench that writes a report,

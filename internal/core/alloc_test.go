@@ -129,25 +129,25 @@ func TestStepOnceSteadyStateAllocsTelemetry(t *testing.T) {
 }
 
 // forEachOperator visits every factored wall-normal operator a channel-family
-// solver holds after ensureOps: B0, and per advanced mode the v-recovery
-// operator and the three left-hand sides of every transported diffusivity,
-// plus the mean's.
+// solver holds after ensureOps, each once: B0, and per operator set the
+// v-recovery operator and the three left-hand sides of every distinct
+// transported diffusivity, plus the mean's.
 func forEachOperator(s *Solver, visit func(name string, m *banded.Compact)) {
 	visit("b0fac", s.b0fac)
-	for w, op := range s.ops {
-		if op != nil {
-			visit(fmt.Sprintf("helm[%d]", w), op.helm)
+	seen := map[*wnOps]bool{}
+	for _, op := range s.ops {
+		if op != nil && !seen[op] {
+			seen[op] = true
+			visit(fmt.Sprintf("helm[%d]", op.set), op.helm)
 		}
 	}
 	for d, o := range s.imp {
 		for sub, m := range o.mean {
 			visit(fmt.Sprintf("imp[%d].mean[%d]", d, sub), m)
 		}
-		for w, lhs := range o.lhs {
+		for i, lhs := range o.lhs {
 			for sub, m := range lhs {
-				if m != nil {
-					visit(fmt.Sprintf("imp[%d].lhs[%d][%d]", d, w, sub), m)
-				}
+				visit(fmt.Sprintf("imp[%d].lhs[%d][%d]", d, i, sub), m)
 			}
 		}
 	}
@@ -158,6 +158,8 @@ func forEachOperator(s *Solver, visit func(name string, m *banded.Compact)) {
 // floats at ny = 49, degree 7). The rows are declared at the degree+1 = 8
 // splines of a collocation point, 49*8 = 392 floats, and Factor trims the
 // seven splines that are exactly zero at a wall from each wall value row.
+// The 8x49x8 grid holds 14 distinct k2 = i^2 + 4j^2 (0 <= i, |j| <= 3; 4 twice),
+// so b0fac, the three mean operators and four per set: 60 operators.
 func TestOperatorsAtNonzeroExtent(t *testing.T) {
 	s := serialSolver(t, Config{Nx: 8, Ny: 49, Nz: 8, ReTau: 180, Dt: 2e-4, Forcing: 1})
 	s.ensureOps(s.Cfg.Dt)
@@ -168,16 +170,16 @@ func TestOperatorsAtNonzeroExtent(t *testing.T) {
 			t.Errorf("%s stores %d floats, want %d", name, got, want)
 		}
 	})
-	if count < 4*20 {
-		t.Fatalf("only %d operators visited", count)
+	if want := 1 + 3 + 4*14; count != want {
+		t.Fatalf("%d operators visited, want %d", count, want)
 	}
 }
 
 // TestEnsureOpsAllocs: rebuilding the operator caches after a change of dt
-// costs a fixed few allocations per factored operator (the matrix, its row
-// table, its slab) and one slab for all the influence solutions — not one
-// allocation per matrix row or per homogeneous solve, as it used to (about
-// 52 per operator).
+// costs a fixed few allocations per distinct factored operator (the matrix,
+// its row table, its slab), one slab for all the influence solutions and the
+// few of grouping the modes into operator sets — not one allocation per
+// matrix row or per homogeneous solve, as it used to (about 52 per operator).
 func TestEnsureOpsAllocs(t *testing.T) {
 	for _, workload := range []string{WorkloadChannel, WorkloadScalar} {
 		var wl Workload

@@ -131,14 +131,14 @@ func (c Config) Validate() error {
 	return c.validate()
 }
 
-// validate rejects what the workload named by c.Workload cannot run: a
-// non-positive domain extent, a ReTau, Dt or Prandtl that is not positive and
-// finite, a non-finite Forcing, a grid the Fourier directions or the pencil
-// decomposition cannot carry (every rank must own a non-empty window of kx
-// and z over CommA and of kz and y over CommB), and per workload: the
-// channel family needs enough basis functions for its spline degree; the
-// scalar and isotropic workloads run the serial exchange only, and the
-// isotropic one the divergence form only.
+// validate rejects what the workload named by c.Workload cannot run: a domain
+// extent, ReTau, Dt or Prandtl that is not positive and finite, a non-finite
+// Forcing, a grid the Fourier directions or the pencil decomposition cannot
+// carry (every rank must own a non-empty window of kx and z over CommA and of
+// kz and y over CommB), and per workload: the channel family needs a spline
+// degree of at least 1 and enough basis functions for it; the scalar and
+// isotropic workloads run the serial exchange only, and the isotropic one the
+// divergence form only.
 func (c *Config) validate() error {
 	if _, ok := workloads[c.Workload]; !ok {
 		return fmt.Errorf("core: unknown workload %q (registered: %v)", c.Workload, WorkloadNames())
@@ -149,8 +149,8 @@ func (c *Config) validate() error {
 	if c.Ny < 4 {
 		return fmt.Errorf("core: Ny=%d must be >= 4", c.Ny)
 	}
-	if !(c.Lx > 0 && c.Lz > 0 && c.Ly > 0) {
-		return fmt.Errorf("core: domain extents Lx=%g Lz=%g Ly=%g must be positive", c.Lx, c.Lz, c.Ly)
+	if !(c.Lx > 0 && c.Lz > 0 && c.Ly > 0) || math.IsInf(c.Lx, 1) || math.IsInf(c.Lz, 1) || math.IsInf(c.Ly, 1) {
+		return fmt.Errorf("core: domain extents Lx=%g Lz=%g Ly=%g must be positive and finite", c.Lx, c.Lz, c.Ly)
 	}
 	if c.PA < 1 || c.PB < 1 {
 		return fmt.Errorf("core: process grid %dx%d must be at least 1x1", c.PA, c.PB)
@@ -181,6 +181,9 @@ func (c *Config) validate() error {
 		if !(c.Prandtl > 0) || math.IsInf(c.Prandtl, 1) {
 			return fmt.Errorf("core: Prandtl must be positive and finite, got %g", c.Prandtl)
 		}
+	}
+	if c.Degree < 1 {
+		return fmt.Errorf("core: spline degree %d must be at least 1", c.Degree)
 	}
 	if c.Ny < c.Degree+2 {
 		return fmt.Errorf("core: Ny=%d too small for degree %d", c.Ny, c.Degree)

@@ -133,6 +133,7 @@ func TestConvectiveFormSerialMatchesParallel(t *testing.T) {
 // wall-normal aliasing during transition, the skew-symmetric form must
 // keep the energy budget bounded. Long; skipped with -short.
 func TestSkewFormSurvivesMarginalResolution(t *testing.T) {
+	t.Parallel() // held until the serial tests, the AllocsPerRun ones among them, finish
 	if testing.Short() {
 		t.Skip("transition run is slow")
 	}

@@ -2,27 +2,34 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"channeldns/internal/banded"
 )
 
 // implicitOps caches the factored Helmholtz left-hand sides of one
-// transported diffusivity d at one time step size: per advanced mode and
-// substep, lhs[w][s] = B0 - beta_s*dt*d*(B2 - k2*B0) with value rows at the
-// walls — the three solves of paper Eq. (3) sharing a single matrix structure
-// — and the same at k2 = 0 for the mean profile. The cache of nu serves
-// omega_y, phi, U and W; the scalar workload adds kappa's for theta and Theta.
+// transported diffusivity d at one time step size: per operator set (one per
+// distinct k2 of the advanced modes, see wnOps) and substep,
+// lhs[set][sub] = B0 - beta_s*dt*d*(B2 - k2*B0) with value rows at the walls —
+// the three solves of paper Eq. (3) sharing a single matrix structure — and
+// the same at k2 = 0 for the mean profile. The cache of nu serves omega_y,
+// phi, U and W; the scalar workload adds kappa's for theta and Theta unless
+// kappa equals nu, when theta and Theta solve against nu's.
 type implicitOps struct {
 	diff float64
-	lhs  [][3]*banded.Compact // unset in the mean and Nyquist slots
+	lhs  [][3]*banded.Compact // indexed by wnOps.set
 	mean [3]*banded.Compact
 }
 
-// wnOps caches what the v recovery of one wavenumber needs beside nu's
-// left-hand sides: the operator of Eq. (4) and the influence-matrix data that
-// enforces v = v' = 0 at the walls.
+// wnOps is the operator set of one wavenumber magnitude k2: what the v
+// recovery needs beside nu's left-hand sides, the operator of Eq. (4) and the
+// influence-matrix data that enforces v = v' = 0 at the walls. Every operator
+// of a mode depends on its (kx, kz) only through k2, so every advanced mode
+// whose k2 has the same bits points at one set: the +-kz twins always do, and
+// on the default 2pi x pi box so do all modes with equal i^2 + 4j^2.
 type wnOps struct {
-	k2 float64
+	k2  float64
+	set int // this set's slot in every implicitOps.lhs
 	// helm = B2 - k2*B0 with value rows at the walls (only for k2 > 0).
 	helm *banded.Compact
 	// Influence data per substep: homogeneous v solutions and the inverse
@@ -136,53 +143,64 @@ func (s *Solver) wallDerivReal(c []float64) (lo, hi float64) {
 }
 
 // buildImplicit factors the left-hand sides of diffusivity o.diff at time
-// step dt for the modes ops marks as advanced, and for the mean.
-func (s *Solver) buildImplicit(o *implicitOps, dt float64, ops []*wnOps) {
-	o.lhs = make([][3]*banded.Compact, len(ops))
+// step dt for every operator set, and for the mean.
+func (s *Solver) buildImplicit(o *implicitOps, dt float64, sets []wnOps) {
+	o.lhs = make([][3]*banded.Compact, len(sets))
 	for sub := 0; sub < 3; sub++ {
-		o.mean[sub] = s.assembleLHS(smr91.Beta[sub]*dt*o.diff, 0)
-	}
-	for w, op := range ops {
-		if op == nil {
-			continue
-		}
-		for sub := 0; sub < 3; sub++ {
-			o.lhs[w][sub] = s.assembleLHS(smr91.Beta[sub]*dt*o.diff, op.k2)
+		c := smr91.Beta[sub] * dt * o.diff
+		o.mean[sub] = s.assembleLHS(c, 0)
+		for i := range sets {
+			o.lhs[i][sub] = s.assembleLHS(c, sets[i].k2)
 		}
 	}
 }
 
-// ensureOps rebuilds every operator cache when the time step changes: the
-// left-hand sides of each transported diffusivity, then per advanced mode the
-// v-recovery operator and the influence data of nu's left-hand sides.
+// ensureOps rebuilds every operator cache when the time step changes. It
+// groups the advanced local modes by the bits of their k2 into operator sets,
+// factors the left-hand sides of each transported diffusivity once per set,
+// then per set the v-recovery operator and the influence data of nu's
+// left-hand sides, and points every advanced mode at its set.
 func (s *Solver) ensureOps(dt float64) {
 	if s.ops != nil && s.opsDt == dt {
 		return
 	}
-	ops := make([]*wnOps, s.nw)
-	for w := range ops {
+	k2 := func(w int) (float64, bool) {
 		ikx, ikz := s.modeOf(w)
 		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
-			continue // Nyquist never advanced; mean handled separately
+			return 0, false // Nyquist never advanced; mean handled separately
 		}
-		ops[w] = &wnOps{k2: s.G.K2(ikx, ikz)}
+		return s.G.K2(ikx, ikz), true
+	}
+	slot := make(map[uint64]int, s.nw) // k2 bits -> set
+	for w := 0; w < s.nw; w++ {
+		if k, ok := k2(w); ok {
+			if _, seen := slot[math.Float64bits(k)]; !seen {
+				slot[math.Float64bits(k)] = len(slot)
+			}
+		}
+	}
+	sets, ops := make([]wnOps, len(slot)), make([]*wnOps, s.nw)
+	for w := range ops {
+		if k, ok := k2(w); ok {
+			i := slot[math.Float64bits(k)]
+			sets[i].k2, sets[i].set = k, i
+			ops[w] = &sets[i]
+		}
 	}
 	for _, o := range s.imp {
-		s.buildImplicit(o, dt, ops)
+		s.buildImplicit(o, dt, sets)
 	}
-	// One slab holds the homogeneous solutions cv1, cv2 of every mode and
-	// substep (the few slots of modes that are not advanced stay unused).
+	// One slab holds the homogeneous solutions cv1, cv2 of every set and
+	// substep.
 	ny := s.Cfg.Ny
-	hom := make([]float64, len(ops)*3*2*ny)
-	for w, op := range ops {
-		if op == nil {
-			continue
-		}
+	hom := make([]float64, len(sets)*3*2*ny)
+	for i := range sets {
+		op := &sets[i]
 		op.helm = s.assembleHelm(op.k2)
 		for sub := 0; sub < 3; sub++ {
-			at := (3*w + sub) * 2 * ny
+			at := (3*i + sub) * 2 * ny
 			op.cv1[sub], op.cv2[sub] = hom[at:at+ny], hom[at+ny:at+2*ny]
-			s.buildInfluence(op, s.imp[0].lhs[w][sub], sub)
+			s.buildInfluence(op, s.imp[0].lhs[i][sub], sub)
 		}
 	}
 	s.ops, s.opsDt = ops, dt

@@ -53,7 +53,7 @@ type ScalarSolver struct {
 	meanHthPrev, meanHthCur []float64
 
 	// kappa's Helmholtz left-hand sides, rebuilt with the channel solver's
-	// operator caches (see Solver.ensureOps).
+	// operator caches (see Solver.ensureOps): nu's own when kappa == nu.
 	diffusive *implicitOps
 
 	// theta rides carrier, one of the momentum passes: Solver.pass runs
@@ -93,8 +93,11 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		return nil, err
 	}
 	t := &ScalarSolver{Solver: inner, kappa: inner.nu / inner.Cfg.Prandtl}
-	t.diffusive = &implicitOps{diff: t.kappa}
-	inner.imp = append(inner.imp, t.diffusive)
+	t.diffusive = inner.imp[0] // Pr = 1: theta and Theta solve against nu's
+	if t.kappa != inner.nu {
+		t.diffusive = &implicitOps{diff: t.kappa}
+		inner.imp = append(inner.imp, t.diffusive)
+	}
 	inner.checkpointing.self = t
 	ny := inner.Cfg.Ny
 	t.cth = allocCoef(inner.nw, ny)
@@ -231,9 +234,9 @@ func (t *ScalarSolver) advanceScalar(sub int, dt float64, hth [][]complex128, mH
 	sp := s.tel.Begin(telemetry.PhaseViscousSolve)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
-			if s.ops[w] != nil { // neither mean nor Nyquist
+			if op := s.ops[w]; op != nil { // neither mean nor Nyquist
 				s.advanceRHS(t.diffusive, w, sub, dt, t.cth[w], hth[w], t.hthPrev[w], &s.ws.workers[blk])
-				t.diffusive.lhs[w][sub].SolveComplex(t.cth[w])
+				t.diffusive.lhs[op.set][sub].SolveComplex(t.cth[w])
 			}
 		}
 	})

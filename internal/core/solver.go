@@ -36,9 +36,11 @@ type Solver struct {
 	meanHxPrev, meanHzPrev []float64
 
 	// Factored implicit operators, built lazily for the current Dt (see
-	// operators.go): the Helmholtz left-hand sides of every transported
-	// diffusivity (imp[0] is nu's; the scalar workload appends kappa's), and
-	// per wavenumber the v-recovery operator with its influence data.
+	// operators.go): the Helmholtz left-hand sides of every distinct
+	// transported diffusivity (imp[0] is nu's; the scalar workload appends
+	// kappa's when it differs), and per local wavenumber its operator set —
+	// the v-recovery operator with its influence data — shared by every mode
+	// of equal k2, nil for the mean and Nyquist modes.
 	imp   []*implicitOps
 	ops   []*wnOps
 	opsDt float64

@@ -45,7 +45,8 @@ func (s *Solver) swapNonlinear(hg, hv [][]complex128, mHx, mHz []float64) {
 //
 //	rhs = vals + alpha*dt*d*lap + dt*(gamma*h + zeta*hPrev)
 //
-// which a solve against o.lhs[w][sub] turns into the new coefficients.
+// which a solve against o.lhs[s.ops[w].set][sub] turns into the new
+// coefficients.
 func (o *implicitOps) lineRHS(sub int, dt float64, rhs, vals, lap, h, hPrev []complex128) {
 	al := complex(smr91.Alpha[sub]*dt*o.diff, 0)
 	ga, ze, cdt := complex(smr91.Gamma[sub], 0), complex(smr91.Zeta[sub], 0), complex(dt, 0)
@@ -118,7 +119,7 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 			// omega_y and phi solve against the same left-hand side: one pass
 			// over its factors leaves c_omega in place and c_phi, with
 			// provisional phi(+-1) = 0, in rhs.
-			visc.lhs[w][sub].SolveComplex2(s.cw[w], rhs)
+			visc.lhs[op.set][sub].SolveComplex2(s.cw[w], rhs)
 
 			// --- v from phi (Eq. 4) with v(+-1) = 0 ---
 			s.b0.MulVecComplex(vals, rhs) // phi values

@@ -68,6 +68,7 @@ func TestSmallPerturbationGrowthBounded(t *testing.T) {
 // wall-normal aliasing blowup observed at under-resolved Ny. Long; skipped
 // with -short.
 func TestTransitionEnergyBudget(t *testing.T) {
+	t.Parallel() // held until the serial tests, the AllocsPerRun ones among them, finish
 	if testing.Short() {
 		t.Skip("transition run is slow")
 	}
