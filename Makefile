@@ -141,7 +141,7 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Line counts as the simplicity PRs quote them: non-test and test *.go lines
-# per internal/* package, under cmd/ and examples/, and in total outside
+# per internal/* package, under cmd/ and cmd/bench/, and in total outside
 # benchmark/; then the run descriptions: the fields of core.Config, of
 # server.JobSpec (a line `Nx, Ny, Nz int` is three, a func-typed field one) and
 # of server.Options (the service's own knobs), and the command-line flags
@@ -149,7 +149,7 @@ serve-smoke:
 # and the non-test `panic(` and `recover()` calls, all outside benchmark/.
 FIELDS = awk -v t=$(1) '$$0 ~ "^type " t " struct" {f = 1; next} f && /^}/ {exit} f {sub(/\/\/.*/, ""); sub(/`.*`/, ""); sub(/\(.*\)/, ""); if (NF) n += gsub(/,/, ",") + 1} END {print n}' $(2)
 loc:
-	@for d in internal/*/ cmd/ cmd/bench/ examples/; do printf '%-22s %6d %6d\n' $$d \
+	@for d in internal/*/ cmd/ cmd/bench/; do printf '%-22s %6d %6d\n' $$d \
 		$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) \
 		$$(find $$d -name '*_test.go' | xargs cat /dev/null | wc -l); done
 	@printf '%-22s %6d %6d\n' 'total (no benchmark/)' \

@@ -30,6 +30,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"channeldns/internal/core"
@@ -73,6 +74,7 @@ func main() {
 	flag.IntVar(&sp.PipelineChunks, "chunks", 0, "pipeline depth of the overlapped exchange (0 = default 4, clamped per direction)")
 	var (
 		out     = flag.String("out", "", "write final averaged profiles to this file")
+		planes  = flag.String("plane", "", "after the last step, write figure7_u.png (u at mid-height) and figure8_omegaz.png (omega_z nearest y+ = 10) to this directory (one rank, channel-based workloads)")
 		ckptDir = flag.String("ckpt-dir", "", "checkpoint store directory: sharded, atomically published restart snapshots (any rank count)")
 		resume  = flag.Bool("resume", false, "auto-resume from the newest valid checkpoint in -ckpt-dir, falling back past corrupt ones")
 		budget  = flag.Bool("budget", false, "print the TKE budget at the end")
@@ -94,6 +96,9 @@ func main() {
 
 	if err := sp.Validate(); err != nil {
 		log.Fatalf("dns: %v", err)
+	}
+	if *planes != "" && sp.World() > 1 {
+		log.Fatalf("dns: -plane renders on one rank; the process grid is %dx%d", sp.PA, sp.PB)
 	}
 	var reg *telemetry.Registry
 	if *listen != "" || *repPath != "" || *trcPath != "" || *hbEvery > 0 {
@@ -190,6 +195,10 @@ func main() {
 		if cs, ok := wl.(core.ChannelFlow); ok {
 			s = cs.ChannelSolver()
 		}
+		if *planes != "" && s == nil {
+			fail(fmt.Errorf("dns: -plane needs a channel-based workload, not %s", sp.Workload))
+			return
+		}
 		acc := &stats.Accumulator{}
 		d := &run.Driver{
 			WL: wl, TargetCFL: 0.8, CkptEvery: sp.CkptEvery, StatusEvery: sp.StatusEvery,
@@ -240,6 +249,29 @@ func main() {
 		if _, err := d.RunTo(wl.CurrentStep() + sp.Steps); err != nil {
 			fail(err)
 			return
+		}
+		if *planes != "" {
+			// Figures 7 and 8 of the paper: u at mid-height, omega_z nearest
+			// y+ = 10, from the last step's state.
+			for _, f := range []struct {
+				name string
+				comp core.PhysicalComponent
+				yi   int
+			}{
+				{"figure7_u.png", core.CompU, sp.Ny / 2},
+				{"figure8_omegaz.png", core.CompOmegaZ, server.NearWallIndex(s.CollocationPoints(), cfg.ReTau)},
+			} {
+				path := filepath.Join(*planes, f.name)
+				png, frame, err := server.RenderPlane(s, f.comp, f.yi, wl.CurrentStep())
+				if err == nil {
+					err = os.WriteFile(path, png, 0o644)
+				}
+				if err != nil {
+					fail(fmt.Errorf("dns: -plane: %w", err))
+					return
+				}
+				fmt.Printf("wrote %s (%s at y = %.4f, step %d)\n", path, frame.Comp, s.CollocationPoints()[f.yi], frame.Step)
+			}
 		}
 		var bud stats.Budget
 		var spx, spz stats.Spectra1D

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"image/png"
 	"net"
 	"os"
 	"os/exec"
@@ -164,5 +165,43 @@ func TestTCPReportCommMatchesInProcess(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("TCP comm table differs from the in-process run's\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestPlaneFigures: -plane writes Figures 7 and 8 as PNGs of the dealiased
+// physical grid (3/2 of 16 modes a side), and is refused, before any step,
+// on a world of more than one rank and on a workload without a channel
+// solver.
+func TestPlaneFigures(t *testing.T) {
+	dir := t.TempDir()
+	cmd, out := dns(t, "-nx 16 -ny 17 -nz 16 -steps 3 -plane "+dir)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("dns -plane: %v\n%s", err, out)
+	}
+	for _, name := range []string{"figure7_u.png", "figure8_omegaz.png"} {
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := png.Decode(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b := img.Bounds(); b.Dx() != 24 || b.Dy() != 24 {
+			t.Errorf("%s is %dx%d, want 24x24", name, b.Dx(), b.Dy())
+		}
+	}
+	for _, args := range []string{
+		"-nx 16 -ny 17 -nz 16 -steps 3 -pa 2 -plane " + dir,
+		"-workload isotropic -nx 16 -ny 16 -nz 16 -steps 3 -plane " + dir,
+	} {
+		cmd, out := dns(t, args)
+		if err := cmd.Wait(); err == nil {
+			t.Errorf("dns %s: exit 0, want a refusal\n%s", args, out)
+		}
+		if strings.Contains(out.String(), "step ") || !strings.Contains(out.String(), "-plane") {
+			t.Errorf("dns %s: want a -plane refusal before any step, got\n%s", args, out)
+		}
 	}
 }

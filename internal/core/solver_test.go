@@ -59,6 +59,51 @@ func TestPoiseuilleSteadyState(t *testing.T) {
 	}
 }
 
+// analyticStartup is the exact laminar startup from rest under a unit
+// pressure gradient, du/dt = 1 + nu*d2u/dy2 with u(+-1) = 0, u(y, 0) = 0:
+//
+//	u(y,t) = (1-y^2)/(2 nu) - sum_k a_k cos(l_k y) exp(-nu l_k^2 t),
+//	l_k = (2k+1) pi/2,  a_k = 2 (-1)^k / (nu l_k^3).
+func analyticStartup(y, t, nu float64) float64 {
+	u := (1 - y*y) / (2 * nu)
+	for k := 0; k < 200; k++ {
+		lk := (2*float64(k) + 1) * math.Pi / 2
+		ak := 2 * math.Pow(-1, float64(k)) / (nu * lk * lk * lk)
+		u -= ak * math.Cos(lk*y) * math.Exp(-nu*lk*lk*t)
+	}
+	return u
+}
+
+// TestPoiseuilleStartupOrder is the temporal-order rung of the IMEX RK3:
+// the mean flow's startup from rest, against the exact series, to t = 0.4
+// at dt = 0.04, 0.02, 0.01. Halving dt must divide the worst error over
+// the collocation points by 4 (order 2; measured 2.00 and 2.00, errors
+// 1.74e-5, 4.35e-6, 1.09e-6): a first-order mean-flow advance, such as
+// backward Euler on each substep's viscous term, shows here as order 1.
+func TestPoiseuilleStartupOrder(t *testing.T) {
+	const tEnd = 0.4
+	dts := []float64{0.04, 0.02, 0.01}
+	bound := []float64{2e-5, 5e-6, 1.25e-6}
+	errs := make([]float64, len(dts))
+	for i, dt := range dts {
+		s := serialSolver(t, Config{Nx: 8, Ny: 33, Nz: 8, ReTau: 10, Dt: dt, Forcing: 1})
+		Advance(s, int(math.Round(tEnd/dt)))
+		u := s.MeanProfile()
+		for j, y := range s.CollocationPoints() {
+			errs[i] = math.Max(errs[i], math.Abs(u[j]-analyticStartup(y, s.Time, s.Nu())))
+		}
+		if errs[i] > bound[i] {
+			t.Errorf("dt = %g: max |U - exact| = %.3e, want < %.3e", dt, errs[i], bound[i])
+		}
+	}
+	for i := 1; i < len(dts); i++ {
+		if p := math.Log2(errs[i-1] / errs[i]); math.Abs(p-2) > 0.1 {
+			t.Errorf("dt %g -> %g: observed order %.3f (errors %.3e, %.3e), want 2 +- 0.1",
+				dts[i-1], dts[i], p, errs[i-1], errs[i])
+		}
+	}
+}
+
 // TestStokesDecayOmega: with the nonlinear terms frozen, an omega_y
 // eigenmode sin(n*pi*(y+1)/2) at wavenumber k decays at exactly
 // nu*(k^2 + (n*pi/2)^2).

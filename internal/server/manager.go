@@ -581,9 +581,12 @@ func (m *Manager) runRanks(c *mpi.Comm, job *Job, pool *par.Pool, reg *telemetry
 		},
 		AfterStep: func() {
 			if n := wl.CurrentStep(); solver != nil && sp.PlaneEvery > 0 && n%sp.PlaneEvery == 0 {
-				png, frame := renderPlane(solver, n)
-				job.plane.Store(&planeData{png: png, frame: frame})
-				job.Hub.Publish(EventPlane, frame)
+				// A non-finite plane has no picture: the last finite frame
+				// stays served and no event announces this step.
+				if png, frame, err := RenderPlane(solver, core.CompU, solver.Cfg.Ny/2, n); err == nil {
+					job.plane.Store(&planeData{png: png, frame: frame})
+					job.Hub.Publish(EventPlane, frame)
+				}
 			}
 			if sp.StepDelayMs > 0 {
 				time.Sleep(time.Duration(sp.StepDelayMs) * time.Millisecond)

@@ -96,8 +96,8 @@ type JobSpec struct {
 }
 
 // Defaults returns the spec whose every field holds its default: the value
-// a zero field resolves to. cmd/dns, cmd/visualize and cmd/bench read
-// their run defaults from it.
+// a zero field resolves to. cmd/dns and cmd/bench read their run defaults
+// from it.
 func Defaults() JobSpec { return JobSpec{}.withDefaults() }
 
 // withDefaults returns the spec with zero values resolved, the form the
