@@ -751,7 +751,8 @@ dnsserve_job_step{job="job-000007"} 3
 func TestAPI(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), Options{})
 	defer drainManager(t, m)
-	ts := httptest.NewServer(NewAPI(m).Routes())
+	api := NewAPI(m)
+	ts := httptest.NewServer(api.Routes())
 	defer ts.Close()
 
 	// Bad spec → 400 with a JSON error.
@@ -941,6 +942,11 @@ func TestAPI(t *testing.T) {
 	m.mu.Lock()
 	m.jobs[7] = m.newJob(7, smallSpec(6), Status{ID: RunID(7), State: StatePaused, Step: 3})
 	m.mu.Unlock()
+	// A stream handler counts its client out only after the client has read
+	// the stream's end: wait for the SSE clients above to be counted out.
+	for deadline := time.Now().Add(10 * time.Second); api.watcherConns.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
