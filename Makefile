@@ -22,6 +22,8 @@ vet:
 	$(GO) -C benchmark vet .
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . lists:"; gofmt -l .; exit 1; }
 	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"encoding/gob"' . || { echo "these import encoding/gob, an unbounded decoder of peer bytes"; exit 1; }
+	@elf=$$(git ls-files -z | xargs -0 -r sh -c 'for f; do [ -f "$$f" ] && [ "$$(head -c 4 "$$f" | od -An -tx1 | tr -d " \n")" = 7f454c46 ] && echo "$$f"; done' sh); \
+	test -z "$$elf" || { echo "these tracked files are ELF binaries:"; echo "$$elf"; exit 1; }
 
 build:
 	$(GO) build ./...
