@@ -34,7 +34,7 @@ test:
 
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Overlap|Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared' channeldns/internal/core
+	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared' channeldns/internal/core
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
 # not write: the TCP transport's frame reader against whatever a peer might
@@ -79,20 +79,18 @@ bench:
 # channeldns/bench/v1 schema (including each report's declarative schedule
 # block, cross-checked against its own comm table). Keeps the telemetry report
 # path from bit-rotting without burning CI minutes. The last line is the
-# model-vs-measured pass over the two timestep reports: measured phase seconds
-# against the machine model of each report's schedule block, advisory only
-# (drift warns, never fails).
+# model-vs-measured pass over the timestep report: measured phase seconds
+# against the machine model of its schedule block, advisory only (drift
+# warns, never fails).
 SMALL = -nx 16 -ny 17 -nz 16
 bench-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
 	$(GO) run ./cmd/bench -table 1 -n 128 -reps 1 -json .bench-smoke/BENCH_table1.json > /dev/null
 	$(GO) run ./cmd/bench -table 2 -json .bench-smoke/BENCH_table2_3_4.json > /dev/null
-	$(GO) run ./cmd/bench -table 5 -overlap -json .bench-smoke/BENCH_table5.json > /dev/null
-	$(GO) run ./cmd/bench -table 6 -overlap -json .bench-smoke/BENCH_table6.json > /dev/null
+	$(GO) run ./cmd/bench -table 5 -json .bench-smoke/BENCH_table5.json > /dev/null
+	$(GO) run ./cmd/bench -table 6 -json .bench-smoke/BENCH_table6.json > /dev/null
 	$(GO) run ./cmd/bench -table 9 $(SMALL) -steps 2 -json .bench-smoke/BENCH_table9.json -trace .bench-smoke/table9.trace.json > /dev/null
-	$(GO) run ./cmd/bench -table 9 -overlap $(SMALL) -steps 2 -json .bench-smoke/BENCH_table9_overlap.json -trace .bench-smoke/table9_overlap.trace.json > /dev/null
 	$(GO) run ./cmd/dns $(SMALL) -steps 2 -pa 2 -pb 2 -trace .bench-smoke/dns.trace.json -report .bench-smoke/BENCH_dns.json > /dev/null
-	$(GO) run ./cmd/dns -overlap $(SMALL) -steps 2 -pa 2 -pb 2 -trace .bench-smoke/dns_overlap.trace.json -report .bench-smoke/BENCH_dns_overlap.json > /dev/null
 	$(GO) run ./cmd/dns -workload isotropic -nx 16 -ny 16 -nz 16 -steps 2 -pa 2 -pb 2 -report .bench-smoke/BENCH_dns_isotropic.json > /dev/null
 	$(GO) run ./cmd/dns -workload scalar $(SMALL) -steps 2 -pa 2 -pb 2 -report .bench-smoke/BENCH_dns_scalar.json > /dev/null
 	$(GO) run ./cmd/bench -table 9 $(SMALL) -schedule > /dev/null
@@ -102,7 +100,7 @@ bench-smoke:
 	$(GO) run ./cmd/bench -table 6 -schedule > /dev/null
 	$(GO) run ./cmd/bench-validate .bench-smoke/BENCH_*.json
 	$(GO) run ./cmd/bench-validate -trace .bench-smoke/*.trace.json
-	$(GO) run ./cmd/bench-validate -q -model .bench-smoke/BENCH_table9.json .bench-smoke/BENCH_table9_overlap.json
+	$(GO) run ./cmd/bench-validate -q -model .bench-smoke/BENCH_table9.json
 
 # Crash-restart drill: checkpoint a tiny multi-rank run every 2 steps,
 # flip a bit in the newest checkpoint's shard (manifest left intact — the

@@ -39,7 +39,6 @@ var goldens = []struct {
 	{"table5.schedule.golden", []string{"-table", "5", "-schedule"}},
 	{"table6.schedule.golden", []string{"-table", "6", "-schedule"}},
 	{"table9.schedule.golden", []string{"-table", "9", "-schedule", "-nx", "16", "-ny", "17", "-nz", "16"}},
-	{"table9.schedule.overlap.golden", []string{"-table", "9", "-schedule", "-overlap", "-nx", "16", "-ny", "17", "-nz", "16"}},
 	{"table9.schedule.isotropic.golden", []string{"-table", "9", "-schedule", "-workload", "isotropic", "-nx", "16", "-ny", "16", "-nz", "16"}},
 	{"table9.schedule.scalar.golden", []string{"-table", "9", "-schedule", "-workload", "scalar", "-nx", "16", "-ny", "17", "-nz", "16"}},
 }
@@ -88,11 +87,10 @@ func TestReportShapes(t *testing.T) {
 	small := []string{"-nx", "16", "-ny", "17", "-nz", "16", "-steps", "2"}
 	runTool(t, "-table", "1", "-n", "128", "-reps", "1", "-json", at("BENCH_table1.json"))
 	runTool(t, "-table", "2", "-json", at("BENCH_table2_3_4.json"))
-	runTool(t, "-table", "5", "-overlap", "-json", at("BENCH_table5.json"))
+	runTool(t, "-table", "5", "-json", at("BENCH_table5.json"))
 	runTool(t, "-table", "5", "-transport", "both", "-json", at("BENCH_table5_ab.json"))
-	runTool(t, "-table", "6", "-overlap", "-json", at("BENCH_table6.json"))
+	runTool(t, "-table", "6", "-json", at("BENCH_table6.json"))
 	runTool(t, append([]string{"-table", "9", "-json", at("BENCH_table9.json"), "-trace", at("table9.trace.json")}, small...)...)
-	runTool(t, append([]string{"-table", "9", "-overlap", "-json", at("BENCH_table9_overlap.json")}, small...)...)
 
 	paths, err := filepath.Glob(at("BENCH_*.json"))
 	if err != nil {

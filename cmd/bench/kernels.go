@@ -101,7 +101,7 @@ func solverTable(b *bench) error {
 	}
 	tbl.Write(b.out)
 	fmt.Fprintln(b.out, "\nPaper reference columns are Lonestar values; see EXPERIMENTS.md for the shape criteria.")
-	return b.writeSweep("table1", "", map[string]string{"n": fmt.Sprint(b.n), "reps": fmt.Sprint(b.reps)}, metrics, nil, nil)
+	return b.writeSweep("table1", "", map[string]string{"n": fmt.Sprint(b.n), "reps": fmt.Sprint(b.reps)}, metrics, nil)
 }
 
 // nodeTables prints the table asked for out of 2, 3 and 4 — all three when a
@@ -117,7 +117,7 @@ func nodeTables(b *bench) error {
 	}
 	return b.writeSweep("table2_3_4", "", map[string]string{
 		"ns_kernel": "nw=1024 ny=256 h=7", "fft_kernel": "512 lines of n=1024", "reorder": "64x96x64 x8 reps",
-	}, metrics, nil, nil)
+	}, metrics, nil)
 }
 
 // nsKernel runs the time-advance linear algebra, one compact system factored

@@ -12,25 +12,22 @@
 //
 // An experiment has up to three parts. The model half prints the calibrated
 // machine model beside the paper's numbers and is deterministic. The live
-// sweep measures on this machine with in-process ranks: on -live, -overlap,
-// -json or -transport, and always where there is no model half (Table 1;
+// sweep measures on this machine with in-process ranks: on -live, -json or
+// -transport, and always where there is no model half (Table 1;
 // Tables 2-4, whose measured block sits between title and model; fig4, which
 // asks 128 in-process ranks for their communicators). -schedule
 // prints the declarative op schedule of the program the live sweep times.
 //
-// -overlap A/Bs the serial exchange against the pipelined one, traced on both
-// sides so the pipeline's wire time splits into exposed and hidden.
 // -transport runs Table 5's cycles over chan (in-process mailboxes), tcp
 // (loopback sockets, the full serialize/frame path) or both in turn. -json
-// writes the BENCH report of the sweep's reference configuration; an A/B adds
-// the paired .overlap.json or .tcp.json sibling.
+// writes the BENCH report of the sweep's reference configuration; the
+// transport A/B adds the paired .tcp.json sibling.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"maps"
 	"os"
 	"strings"
 
@@ -43,7 +40,7 @@ import (
 // bench is one invocation: the parsed flags and where the tables go.
 type bench struct {
 	table, jsonPath, tracePath, transport, workload string
-	live, overlap, schedule                         bool
+	live, schedule                                  bool
 	n, reps, nx, ny, nz, steps                      int
 	out                                             io.Writer
 }
@@ -60,7 +57,7 @@ type experiment struct {
 
 const (
 	tables     = "1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 11 | fig4 | campaign"
-	sweepFlags = "live overlap json schedule"
+	sweepFlags = "live json schedule"
 )
 
 var experiments = map[string]experiment{
@@ -93,9 +90,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	fs.StringVar(&b.table, "table", "", "experiment: "+tables)
 	fs.BoolVar(&b.live, "live", false, "also measure on this machine with in-process ranks")
-	fs.BoolVar(&b.overlap, "overlap", false, "tables 5, 6: A/B the serial exchange against the pipelined overlap (implies -live); table 9: pipeline the -json/-schedule steps")
 	fs.BoolVar(&b.schedule, "schedule", false, "print the declarative op schedule of the live program instead")
-	fs.StringVar(&b.jsonPath, "json", "", "write the BENCH report of the live measurement here (implies -live on tables 5, 6; an A/B adds a paired .overlap.json or .tcp.json)")
+	fs.StringVar(&b.jsonPath, "json", "", "write the BENCH report of the live measurement here (implies -live on tables 5, 6; -transport=both adds a paired .tcp.json)")
 	fs.StringVar(&b.transport, "transport", "chan", "table 5: live transport, chan, tcp, or both in turn (implies -live)")
 	fs.StringVar(&b.tracePath, "trace", "", "table 9: also write the -json run's flight recorder as Chrome trace-event JSON here")
 	fs.IntVar(&b.n, "n", 1024, "table 1: system size")
@@ -128,9 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if _, ok := runners[b.transport]; !ok && b.transport != "both" {
 		return usage("unknown -transport %q (want chan, tcp, or both)", b.transport)
 	}
-	if b.transport == "both" && b.overlap {
-		return usage("-overlap and -transport=both are separate A/Bs; run one at a time")
-	}
 
 	var err error
 	if b.schedule {
@@ -139,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if e.model != nil {
 			e.model(stdout)
 		}
-		if e.model == nil || b.live || b.overlap || b.jsonPath != "" || b.transport != "chan" {
+		if e.model == nil || b.live || b.jsonPath != "" || b.transport != "chan" {
 			err = e.live(b)
 		}
 	}
@@ -150,8 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeReport writes rep to the -json path and says so. suffix (".overlap",
-// ".tcp") goes before the extension: the paired sibling of an A/B.
+// writeReport writes rep to the -json path and says so. suffix (".tcp") goes
+// before the extension: the paired sibling of the transport A/B.
 func (b *bench) writeReport(rep *telemetry.Report, suffix string) error {
 	path := b.jsonPath
 	if suffix != "" {
@@ -166,21 +159,13 @@ func (b *bench) writeReport(rep *telemetry.Report, suffix string) error {
 
 // writeSweep writes the report of a live sweep's reference configuration
 // (nil where kernels were timed whole and the metrics are all there is) with
-// the whole sweep's metrics, and after an -overlap A/B the paired report of
-// its pipelined twin ov, which carries the trace digest.
-func (b *bench) writeSweep(table, suffix string, config map[string]string, metrics map[string]float64, ref, ov *liveResult) error {
+// the whole sweep's metrics.
+func (b *bench) writeSweep(table, suffix string, config map[string]string, metrics map[string]float64, ref *liveResult) error {
 	if b.jsonPath == "" {
 		return nil
 	}
 	if ref == nil {
-		ref = newLive(false)
+		ref = newLive()
 	}
-	if err := b.writeReport(ref.report(table, config, metrics), suffix); err != nil || ov == nil {
-		return err
-	}
-	config = maps.Clone(config)
-	config["overlap"] = "true"
-	rep := ov.report(table+"-overlap", config, nil)
-	rep.Trace = ov.traceSum
-	return b.writeReport(rep, suffix+".overlap")
+	return b.writeReport(ref.report(table, config, metrics), suffix)
 }

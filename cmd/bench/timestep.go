@@ -82,7 +82,7 @@ func model11(w io.Writer) {
 // theirs; what it leaves zero takes the job defaults.
 func (b *bench) spec() server.JobSpec {
 	return server.JobSpec{Workload: b.workload, Nx: b.nx, Ny: b.ny, Nz: b.nz, Steps: b.steps,
-		Dt: 1e-3, Overlap: b.overlap}
+		Dt: 1e-3}
 }
 
 // config is the core configuration of the -json and -schedule runs.
@@ -102,7 +102,7 @@ func timestepSchedule(b *bench) error {
 // condition, warm steps before the clock starts to fill the operator cache
 // and workspace arena, then one step a call.
 func stepper(cfg core.Config, warm int) cycleBuilder {
-	return func(c *mpi.Comm, _ *telemetry.Collector, _ *trace.Recorder) (func(int), *schedule.Schedule) {
+	return func(c *mpi.Comm, _ *telemetry.Collector) (func(int), *schedule.Schedule) {
 		wl, err := core.NewWorkload(c, cfg)
 		if err != nil {
 			panic(err)
@@ -134,7 +134,7 @@ func timestepLive(b *bench) error {
 		tbl := newTable("", "ranks", "grid", "threads", "sec/step")
 		for _, l := range []struct{ pa, pb, th int }{{1, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
 			const n = 3
-			res := newLive(false)
+			res := newLive()
 			sp := server.JobSpec{Nx: 32, Ny: 33, Nz: 32, Dt: 1e-3, PA: l.pa, PB: l.pb}
 			res.time(mpi.Run, l.pa*l.pb, n, stepper(sp.Config(par.NewPool(l.th), nil, nil), 1))
 			tbl.Row(l.pa*l.pb, fmt.Sprintf("%dx%d", l.pa, l.pb), l.th, (res.elapsed / n).Seconds())
@@ -144,9 +144,13 @@ func timestepLive(b *bench) error {
 	if b.jsonPath == "" {
 		return nil
 	}
-	res := newLive(b.tracePath != "")
+	res := newLive()
+	var trc *trace.Trace
+	if b.tracePath != "" {
+		trc = trace.New(0)
+	}
 	cfg := b.config()
-	cfg.Telemetry, cfg.Trace = res.reg, res.trc
+	cfg.Telemetry, cfg.Trace = res.reg, trc
 	res.time(mpi.Run, 1, b.steps, stepper(cfg, 2))
 	// The run is in process, and table 9's reports have never named a
 	// transport.
@@ -159,8 +163,8 @@ func timestepLive(b *bench) error {
 	}
 	fmt.Fprintf(b.out, "  %d steps, %.4fs/step, phase sum %.4fs\n",
 		b.steps, rep.WallSeconds/float64(b.steps), rep.PhaseSecondsSum/float64(b.steps))
-	if res.trc != nil {
-		if err := res.trc.WriteChromeFile(b.tracePath); err != nil {
+	if trc != nil {
+		if err := trc.WriteChromeFile(b.tracePath); err != nil {
 			return err
 		}
 		fmt.Fprintf(b.out, "wrote %s\n", b.tracePath)

@@ -70,8 +70,6 @@ func main() {
 	flag.IntVar(&sp.CkptEvery, "ckpt-every", 0, "checkpoint into -ckpt-dir every N steps (0 = final checkpoint only)")
 	flag.IntVar(&sp.CkptKeep, "ckpt-keep", def.CkptKeep, "rolling retention: keep the newest K checkpoints (0 = keep all)")
 	flag.StringVar(&sp.Form, "form", def.Form, "nonlinear form: divergence | convective | skew")
-	flag.BoolVar(&sp.Overlap, "overlap", false, "pipeline the nonlinear-path transposes with the FFT stages that consume them (bit-identical; wins at 4+ ranks)")
-	flag.IntVar(&sp.PipelineChunks, "chunks", 0, "pipeline depth of the overlapped exchange (0 = default 4, clamped per direction)")
 	var (
 		out     = flag.String("out", "", "write final averaged profiles to this file")
 		planes  = flag.String("plane", "", "after the last step, write figure7_u.png (u at mid-height) and figure8_omegaz.png (omega_z nearest y+ = 10) to this directory (one rank, channel-based workloads)")

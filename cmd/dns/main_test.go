@@ -35,7 +35,6 @@ func TestMain(m *testing.M) {
 // differently, at two steps each.
 var runs = []string{
 	"-nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -trace {dir}/dns.trace.json",
-	"-overlap -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2 -trace {dir}/dns_overlap.trace.json",
 	"-workload isotropic -nx 16 -ny 16 -nz 16 -steps 2 -pa 2 -pb 2",
 	"-workload scalar -nx 16 -ny 17 -nz 16 -steps 2 -pa 2 -pb 2",
 	"-nx 16 -ny 17 -nz 16 -steps 2 -retau 395 -dt 1e-3 -form skew -threads 2 -perturb 0 -seed 0",
@@ -202,6 +201,25 @@ func TestPlaneFigures(t *testing.T) {
 		}
 		if strings.Contains(out.String(), "step ") || !strings.Contains(out.String(), "-plane") {
 			t.Errorf("dns %s: want a -plane refusal before any step, got\n%s", args, out)
+		}
+	}
+}
+
+// TestRetiredFlagsRefused: the transposes have one exchange, so the flags
+// that chose the chunked one are unknown: dns names the flag and exits 2
+// before any step.
+func TestRetiredFlagsRefused(t *testing.T) {
+	for _, tc := range []struct{ flag, args string }{
+		{"-overlap", "-overlap -nx 16 -ny 17 -nz 16 -steps 1"},
+		{"-chunks", "-chunks 2 -nx 16 -ny 17 -nz 16 -steps 1"},
+	} {
+		cmd, out := dns(t, tc.args)
+		err := cmd.Wait()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("dns %s: %v, want exit status 2", tc.args, err)
+		}
+		if msg := out.String(); !strings.Contains(msg, "flag provided but not defined: "+tc.flag) || strings.Contains(msg, "E=") {
+			t.Errorf("dns %s: want the flag named and no step, got\n%.300s", tc.args, msg)
 		}
 	}
 }

@@ -85,8 +85,6 @@ func (b *base) init(world *mpi.Comm, cfg Config) error {
 	b.D = pencil.New(world, cfg.PA, cfg.PB, g.NKx(), g.Nz, g.Ny, cfg.Pool)
 	b.D.Telemetry = b.tel
 	b.D.Trace = b.trc
-	b.D.Overlap = cfg.Overlap
-	b.D.PipelineChunks = cfg.PipelineChunks
 	b.kxlo, b.kxhi = b.D.KxRange()
 	b.kzlo, b.kzhi = b.D.KzRangeY()
 	b.nw = (b.kxhi - b.kxlo) * (b.kzhi - b.kzlo)

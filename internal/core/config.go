@@ -76,16 +76,6 @@ type Config struct {
 	// Tracing implies telemetry: when Telemetry is nil a private registry
 	// is created, since the phase events piggyback on the telemetry spans.
 	Trace *trace.Trace
-	// Overlap pipelines the nonlinear path's global transposes with the FFT
-	// stages that consume them: each exchange moves in chunked per-peer
-	// messages and the transform work for completed chunks runs while later
-	// chunks are still on the wire (pencil.TransposePlan.RunPipelined).
-	// Results are bit-identical to the serial exchange; the win appears at
-	// 4+ ranks where wire time is worth hiding.
-	Overlap bool
-	// PipelineChunks overrides the overlapped exchange's pipeline depth
-	// (0 = the default 4; clamped per direction to the chunk-axis extent).
-	PipelineChunks int
 	// Prandtl is the Prandtl number nu/kappa of the passive-scalar
 	// workload (0 selects 1). Ignored by the other workloads.
 	Prandtl float64
@@ -167,9 +157,6 @@ func (c *Config) validate() error {
 	}
 	if math.IsNaN(c.Forcing) || math.IsInf(c.Forcing, 0) {
 		return fmt.Errorf("core: Forcing must be finite, got %g", c.Forcing)
-	}
-	if c.Overlap && (c.Workload == WorkloadIsotropic || c.Workload == WorkloadScalar) {
-		return fmt.Errorf("core: the %s workload runs the serial exchange only (Overlap unsupported)", c.Workload)
 	}
 	switch c.Workload {
 	case WorkloadIsotropic:

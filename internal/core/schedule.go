@@ -2,7 +2,6 @@ package core
 
 import (
 	"channeldns/internal/parfft"
-	"channeldns/internal/pencil"
 	"channeldns/internal/schedule"
 )
 
@@ -26,23 +25,15 @@ func (c Config) timestepParams() schedule.TimestepParams {
 // one-sided x modes, and 4-pass pack/unpack around every transpose. The
 // convective and skew-symmetric forms move different forward-path traffic
 // and are not described; the bench tools and the solver's flop accounting
-// use the default divergence form. With Overlap set, the forward-path
-// transposes are emitted as chunked Overlap ops fused with the FFT stages
-// they hide under, with the same per-direction pipeline depths the live
-// decomposition uses.
+// use the default divergence form.
 func (c Config) Schedule() *schedule.Schedule {
-	p := c.timestepParams()
-	if c.Overlap {
-		p.ChunksA, p.ChunksB = pencil.OverlapChunksFor(p.Nx/2, p.Ny, p.PA, p.PB, c.PipelineChunks)
-	}
-	return schedule.Timestep(p)
+	return schedule.Timestep(c.timestepParams())
 }
 
 // IsotropicSchedule returns the declarative op list of one RK3 timestep of
 // the isotropic-turbulence workload: the channel's transpose/FFT pipeline
 // bracketed by y-direction FFTs, with a diagonal per-mode projection +
-// advance in place of the banded wall-normal solve. The workload runs the
-// serial exchange only (no overlap form).
+// advance in place of the banded wall-normal solve.
 func (c Config) IsotropicSchedule() *schedule.Schedule {
 	return schedule.IsotropicTimestep(c.timestepParams())
 }
@@ -50,7 +41,7 @@ func (c Config) IsotropicSchedule() *schedule.Schedule {
 // ScalarSchedule returns the declarative op list of one RK3 timestep of
 // the passive-scalar workload: the channel timestep with the scalar riding
 // its excursion (4 fields out, the six products and 3 flux products back)
-// and the scalar's banded implicit solve per substep. Serial exchange only.
+// and the scalar's banded implicit solve per substep.
 func (c Config) ScalarSchedule() *schedule.Schedule {
 	return schedule.ScalarTimestep(c.timestepParams())
 }

@@ -378,9 +378,7 @@ func TestConfigValidation(t *testing.T) {
 		{Workload: "nonesuch", Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1},
 		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 0, Dt: 0.1},
 		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 100, Dt: 0},
-		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 100, Dt: 0.1, Overlap: true},
 		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, ReTau: 100, Dt: 0.1, Nonlinear: FormSkewSymmetric},
-		{Workload: WorkloadScalar, Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Overlap: true},
 		{Workload: WorkloadScalar, Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Prandtl: -1},
 		{Nx: 7, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1}, // odd Nx
 		{Nx: 8, Ny: 16, Nz: 7, ReTau: 100, Dt: 0.1}, // odd Nz

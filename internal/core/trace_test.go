@@ -164,3 +164,42 @@ func TestMultiRankTraceMatchesTelemetry(t *testing.T) {
 		t.Errorf("report with trace digest fails Validate: %v", err)
 	}
 }
+
+// TestExposedWireWithinTranspose: every exchange window lies inside its
+// transpose's phase span, so a traced 2x1 step can expose no more wire time
+// than it spends in the transpose phase, summed over ranks.
+func TestExposedWireWithinTranspose(t *testing.T) {
+	const steps = 3
+	trc := trace.New(0)
+	cfg := Config{Nx: 32, Ny: 33, Nz: 32, ReTau: 180, Dt: 1e-3, Forcing: 1,
+		PA: 2, PB: 1, Pool: par.NewPool(1), Telemetry: telemetry.NewRegistry(), Trace: trc}
+	mpi.Run(2, func(c *mpi.Comm) {
+		s, err := New(c, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s.SetLaminar()
+		s.Perturb(0.3, 2, 2, 7)
+		Advance(s, steps)
+	})
+	perRank := trc.Events()
+	transpose := map[int64]float64{}
+	for _, evs := range perRank {
+		for _, ev := range evs {
+			if ev.Kind == trace.KindPhase && ev.Phase == telemetry.PhaseTransposeAB {
+				transpose[ev.Step] += ev.Dur.Seconds()
+			}
+		}
+	}
+	reports := trace.Analyze(perRank)
+	if len(reports) != steps {
+		t.Fatalf("analyzer produced %d step reports, want %d", len(reports), steps)
+	}
+	for _, rep := range reports {
+		if rep.ExposedWireSeconds <= 0 || rep.ExposedWireSeconds > transpose[rep.Step] {
+			t.Errorf("step %d: exposed wire %.6f s against %.6f s of transpose phase",
+				rep.Step, rep.ExposedWireSeconds, transpose[rep.Step])
+		}
+	}
+}

@@ -74,39 +74,6 @@ func Interpret(env Env, s *schedule.Schedule) Breakdown {
 				t = op.Passes * float64(env.RPNNode) * op.BytesPerRank / m.MemBWNode
 			}
 			b.Transpose += t
-		case schedule.OpOverlap:
-			// Pipelined transpose fused with the FFT stage it hides: wire and
-			// compute proceed concurrently, so the op costs the longer of the
-			// two plus the exposed tail — the first chunk's wire time, which
-			// nothing precedes to hide it under. The compute share lands on the
-			// op's FFTPhase (and the FFT table column); the rest stays on the
-			// transpose phase, so model and measurement split the same way.
-			var wire float64
-			if op.CommSize > 1 {
-				rpnGroup := env.RPNGroupB
-				if op.Comm == "A" {
-					rpnGroup = env.RPNGroupA
-				}
-				wire = m.alltoall(a2aParams{
-					p: op.CommSize, rpnGroup: rpnGroup, rpnNode: env.RPNNode,
-					bytesPerRank: op.BytesPerRank, totalNodes: env.Nodes,
-				})
-			}
-			flops := op.Flops
-			if op.Axis == "x" && op.Padded {
-				flops /= xCacheEff(op.Points)
-			}
-			compute := flops / float64(env.Nodes) / (m.FFTRate * env.CoresEff)
-			t = compute
-			if wire > t {
-				t = wire
-			}
-			t += wire / float64(max(1, op.Chunks))
-			b.Transpose += t - compute
-			b.FFT += compute
-			b.Phases[op.Phase] += t - compute
-			b.Phases[op.FFTPhase] += compute
-			continue
 		case schedule.OpFFT:
 			flops := op.Flops
 			if op.Axis == "x" && op.Padded {

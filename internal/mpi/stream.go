@@ -5,10 +5,12 @@ import "fmt"
 // Stream is a per-peer-progress exchange: a batch of posted receives whose
 // completions are delivered one at a time, in arrival order, so a consumer
 // can process peer p's block the moment it lands instead of waiting for the
-// whole collective to drain. It is the communication half of the pipelined
-// transpose (pencil.TransposePlan.RunPipelined): the caller posts every
-// receive of an exchange up front, fires sends as their data is packed, and
-// interleaves Next with useful work on whatever has already arrived.
+// whole collective to drain. It is the communication half of internal/pencil's
+// chunked transpose: the caller posts every receive of an exchange up front,
+// fires sends as their data is packed, and interleaves Next with useful work
+// on whatever has already arrived. That transpose's only caller is the
+// benchmark module's pencil.ytoz_pipelined_us; Stream goes with it (ROADMAP
+// item 3b).
 //
 // A Stream owns preallocated request storage and a buffered completion
 // channel sized to its capacity, so the steady state performs no per-message

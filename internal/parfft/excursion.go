@@ -85,15 +85,11 @@ func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 // fold is chosen per communicator from the process grid: with PB == 1 the z
 // inverse reads the y-pencil inputs and the z forward writes the y-pencil
 // outputs, so there is no zpIn or zspec; with PA == 1 the x line is read from
-// and written to the z-pencils, so there is no xp or prodX. Each consume hook
-// has one body over a lines view bound at construction, folded or not.
+// and written to the z-pencils, so there is no xp or prodX. Each stage has
+// one body over a lines view bound at construction, folded or not.
 //
-// The other forward-path transposes run through the pipelined entry points:
-// with Decomp.Overlap each exchange moves in chunks and the consume hooks
-// run the following transform stage on every completed chunk-axis line range
-// while later chunks are still on the wire; with overlap off the same hooks
-// run once over the full range after the one-shot exchange, so there is one
-// code path and the results are bit-identical either way. The hooks and their
+// Elsewhere every transpose completes before the stage that follows it runs
+// over all of its lines: the blocking exchange of the paper. The stages'
 // pool-block bodies are method values bound at construction.
 type Excursion struct {
 	d        *pencil.Decomp
@@ -128,13 +124,8 @@ type Excursion struct {
 	maxAbs [3][]float64
 	maxMu  sync.Mutex
 
-	// The pass in flight and the line window of the current consume range,
-	// read by the pool-block bodies.
-	spec       *Spec
-	lineOff    int
-	yLo, ySpan int
-
-	zInvFn, xFn, zFwdFn    func(lo, hi int)
+	// The pass in flight, read by the pool-block bodies.
+	spec                   *Spec
 	zInvBlk, xBlk, zFwdBlk func(blk, lo, hi int)
 }
 
@@ -171,8 +162,8 @@ type excursionWorker struct {
 	maxAbs      [3][]float64
 }
 
-// NewExcursion builds the pipeline on d (whose Pool, Overlap setting and
-// instrumentation it uses) for the padded transform pair, sized for specs.
+// NewExcursion builds the pipeline on d (whose Pool and instrumentation it
+// uses) for the padded transform pair, sized for specs.
 // ikz and ikx are the i*kz (per wrapped z mode) and i*kx (per one-sided x
 // mode) multiplier lines; only Specs with Grad > 0 read them. tel may be nil.
 func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedReal,
@@ -197,7 +188,6 @@ func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedRea
 		e.xIn = lines{&e.zphys, 1, 1, 0, e.nyLoc * mz}
 		e.xOut = lines{&e.zpOut, 1, 1, 0, e.nyLoc * mz}
 	}
-	e.zInvFn, e.xFn, e.zFwdFn = e.consumeZInv, e.consumeX, e.consumeZFwd
 	e.zInvBlk, e.xBlk, e.zFwdBlk = e.zInvBlock, e.xBlock, e.zFwdBlock
 	for c := range e.maxAbs {
 		e.maxAbs[c] = make([]float64, d.NY)
@@ -269,50 +259,43 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 	nd := sp.In + sp.Grad
 	e.spec = sp
 
-	// (a)-(c) y-pencils -> z-pencils, the padded inverse z transform
-	// consuming each completed chunk of local-kx lines.
-	e.transpose(e.foldB, pencil.DirYtoZ, d.NZ, sp.In, e.zpIn, e.inY, e.zInvFn)
+	// (a)-(c) y-pencils -> z-pencils, the padded inverse z transform.
+	e.transpose(e.foldB, pencil.DirYtoZ, d.NZ, sp.In, e.zpIn, e.inY)
+	e.zInverse()
 
-	// (d)-(g) z-pencils -> x-pencils, the fused x excursion consuming each
-	// chunk of local-y lines.
+	// (d)-(g) z-pencils -> x-pencils, the fused x excursion.
 	if sp.Harvest {
 		for c := range e.maxAbs {
 			clear(e.maxAbs[c])
 		}
 	}
-	e.transpose(e.foldA, pencil.DirZtoX, mz, nd, e.xp, e.zphys, e.xFn)
+	e.transpose(e.foldA, pencil.DirZtoX, mz, nd, e.xp, e.zphys)
+	e.xExcursion()
 
-	// (h) reverse path: x-pencils -> z-pencils with the truncated forward z
-	// transform consuming each chunk of local-y lines, then back to
-	// y-pencils (one-shot: nothing follows to hide the return leg under).
-	e.transpose(e.foldA, pencil.DirXtoZ, mz, sp.Out, e.zpOut, e.prodX, e.zFwdFn)
-	e.transpose(e.foldB, pencil.DirZtoY, d.NZ, sp.Out, e.outY, e.zspec, nil)
+	// (h) reverse path: x-pencils -> z-pencils, the truncated forward z
+	// transform, then back to y-pencils.
+	e.transpose(e.foldA, pencil.DirXtoZ, mz, sp.Out, e.zpOut, e.prodX)
+	e.zForward()
+	e.transpose(e.foldB, pencil.DirZtoY, d.NZ, sp.Out, e.outY, e.zspec)
 	return e.outY[:sp.Out]
 }
 
-// transpose moves the first nf fields of src to dst in direction dir and
-// runs consume over the moved lines: pipelined, or one-shot when consume is
-// nil. Where fold says the communicator has one rank, the consume hooks
-// address the pencils in place, so the plan only books the call.
-func (e *Excursion) transpose(fold bool, dir pencil.TransposeDir, zLen, nf int, dst, src [][]complex128, consume func(lo, hi int)) {
+// transpose moves the first nf fields of src to dst in direction dir. Where
+// fold says the communicator has one rank, the stages address the pencils in
+// place, so the plan only books the call.
+func (e *Excursion) transpose(fold bool, dir pencil.TransposeDir, zLen, nf int, dst, src [][]complex128) {
 	p := e.d.Plan(dir, zLen, nf)
-	switch {
-	case fold:
-		p.Book(consume)
-	case consume == nil:
-		p.Run(dst[:nf], src[:nf])
-	default:
-		p.RunPipelined(dst[:nf], src[:nf], consume)
+	if fold {
+		p.Book()
+		return
 	}
+	p.Run(dst[:nf], src[:nf])
 }
 
-// consumeZInv is the YtoZ consume hook: pad and inverse transform in z the
-// lines of local-kx range [lo, hi) — z-pencil lines are kx-major, so the
-// range maps to the contiguous line window [lo, hi) * nyLoc.
-func (e *Excursion) consumeZInv(lo, hi int) {
-	e.lineOff = lo * e.nyLoc
+// zInverse pads and inverse transforms in z every z-pencil line, kx-major.
+func (e *Excursion) zInverse() {
 	sp := e.tel.Begin(telemetry.PhaseFFTInverse)
-	e.d.Pool.ForBlocksIndexed((hi-lo)*e.nyLoc, e.zInvBlk)
+	e.d.Pool.ForBlocksIndexed(e.kxLoc*e.nyLoc, e.zInvBlk)
 	sp.End()
 }
 
@@ -321,8 +304,6 @@ func (e *Excursion) zInvBlock(blk, lo, hi int) {
 	w := &e.workers[blk]
 	in := &e.zIn
 	phys := fft.Layout{Elem: 1, Line: mz}
-	lo += e.lineOff
-	hi += e.lineOff
 	for f := 0; f < e.spec.In; f++ {
 		for l := lo; l < hi; {
 			spec, sl, nb := in.run(f, l, min(hi-l, e.nbz))
@@ -350,13 +331,10 @@ func derivative(dst, ik, spec []complex128, sl fft.Layout, nb int) []complex128 
 	return dst
 }
 
-// consumeX is the ZtoX consume hook: the fused x excursion for the local-y
-// range [lo, hi) — x-pencil lines are y-major, so the range maps to the
-// contiguous line window [lo, hi) * nzLoc.
-func (e *Excursion) consumeX(lo, hi int) {
-	e.lineOff = lo * e.nzLoc
+// xExcursion runs the fused x excursion over every x-pencil line, y-major.
+func (e *Excursion) xExcursion() {
 	sp := e.tel.Begin(telemetry.PhaseNonlinear)
-	e.d.Pool.ForBlocksIndexed((hi-lo)*e.nzLoc, e.xBlk)
+	e.d.Pool.ForBlocksIndexed(e.nyLoc*e.nzLoc, e.xBlk)
 	sp.End()
 }
 
@@ -371,8 +349,6 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 			clear(w.maxAbs[c])
 		}
 	}
-	lo += e.lineOff
-	hi += e.lineOff
 	for l := lo; l < hi; {
 		// x lines are all one stride apart (div == 1): any nb form a run.
 		nb := min(hi-l, e.nbx)
@@ -435,32 +411,24 @@ func (e *Excursion) harvest(w *excursionWorker, l, nb int, fields [][]float64) {
 	}
 }
 
-// consumeZFwd is the XtoZ consume hook: truncated forward z transform for
-// the local-y range [lo, hi). Unlike the inverse leg the destination lines
-// are strided — line kx*nyLoc + y for every local kx and y in range — so the
-// pool iterates a dense (kx, y-in-range) index.
-func (e *Excursion) consumeZFwd(lo, hi int) {
-	e.yLo, e.ySpan = lo, hi-lo
+// zForward truncates and forward transforms in z every z-pencil line,
+// kx-major.
+func (e *Excursion) zForward() {
 	sp := e.tel.Begin(telemetry.PhaseFFTForward)
-	e.d.Pool.ForBlocksIndexed(e.kxLoc*(hi-lo), e.zFwdBlk)
+	e.d.Pool.ForBlocksIndexed(e.kxLoc*e.nyLoc, e.zFwdBlk)
 	sp.End()
 }
 
 func (e *Excursion) zFwdBlock(blk, lo, hi int) {
 	mz := e.padZ.PhysicalLen()
 	zscr := e.workers[blk].zscr
-	span := e.ySpan
 	out := &e.zOut
 	phys := fft.Layout{Elem: 1, Line: mz}
 	for f := 0; f < e.spec.Out; f++ {
 		src := e.zpOut[f]
 		for l := lo; l < hi; {
-			// A run stays inside one kx: its lines li are adjacent.
-			kx := l / span
-			y := l - kx*span
-			li := kx*e.nyLoc + e.yLo + y
-			spec, sl, nb := out.run(f, li, min(hi-l, span-y, e.nbz))
-			e.padZ.ForwardTruncatedBatch(spec, sl, src[li*mz:], phys, nb, zscr)
+			spec, sl, nb := out.run(f, l, min(hi-l, e.nbz))
+			e.padZ.ForwardTruncatedBatch(spec, sl, src[l*mz:], phys, nb, zscr)
 			l += nb
 		}
 	}

@@ -60,17 +60,10 @@ type Kernel struct {
 	trc    *trace.Recorder
 	cycles int64
 
-	// Pipelined-cycle bindings: the stage fields and line ranges read by
-	// the consume closures handed to the *Pipelined transposes, plus the
-	// closures themselves, bound once at construction so steady-state
-	// overlapped Cycles create no per-call closures. consumeDur
-	// accumulates in-consume time per leg for the Timings split.
-	cur        [][]complex128
-	lineOff    int
-	yLo, ySpan int
-	consumeDur time.Duration
-
-	zInvConsume, xConsume, zFwdConsume func(lo, hi int)
+	// cur is the fields the stage in flight transforms, read by the pool
+	// block bodies, which are bound once at construction so steady-state
+	// Cycles create no per-call closures.
+	cur                                [][]complex128
 	zInvBlockFn, xBlockFn, zFwdBlockFn func(blk, lo, hi int)
 }
 
@@ -146,9 +139,6 @@ func newKernel(world *mpi.Comm, pa, pb, nx, ny, nz int, drop bool, pool *par.Poo
 		planX:       fft.NewRealPlan(nx),
 		bufs:        map[int]*cycleBufs{},
 	}
-	k.zInvConsume = k.consumeZInv
-	k.xConsume = k.consumeX
-	k.zFwdConsume = k.consumeZFwd
 	k.zInvBlockFn = k.zInvBlock
 	k.xBlockFn = k.xBlock
 	k.zFwdBlockFn = k.zFwdBlock
@@ -214,13 +204,8 @@ func allocFields(nf, n int) [][]complex128 {
 // The returned fields are workspace buffers reused by the next Cycle call
 // with the same field count.
 //
-// Each transpose feeding an FFT stage runs through the pipelined entry
-// point: with Decomp.Overlap set the exchange is chunked and the FFT stage
-// transforms each completed line range while later chunks are still on the
-// wire; otherwise the transpose completes first and the stage runs once
-// over the full range. Results are bit-identical either way. The Timings
-// split charges in-consume transform time to FFT and the remainder of each
-// leg (pack, wire, unpack) to Transpose.
+// Each transpose completes before the stage that follows it runs over all
+// of its lines: the blocking exchange of the paper.
 func (k *Kernel) Cycle(fields [][]complex128) ([][]complex128, Timings) {
 	var tm Timings
 	d := k.D
@@ -229,94 +214,83 @@ func (k *Kernel) Cycle(fields [][]complex128) ([][]complex128, Timings) {
 
 	cyc0 := time.Now()
 	k.trc.BeginStep(k.cycles)
+	t0 := cyc0
+	// lap charges the time since the previous lap to *to.
+	lap := func(to *time.Duration) {
+		t := time.Now()
+		*to += t.Sub(t0)
+		t0 = t
+	}
 
-	// y->z transpose with the inverse z FFT riding on completed kx ranges.
-	t0 := time.Now()
-	k.cur = b.zp
-	k.consumeDur = 0
-	zp := d.YtoZPipelined(b.zp, fields, k.zInvConsume)
-	tm.FFT += k.consumeDur
-	tm.Transpose += time.Since(t0) - k.consumeDur
+	// y->z transpose, inverse z FFT.
+	k.cur = d.YtoZ(b.zp, fields)
+	lap(&tm.Transpose)
+	k.zInverse()
+	lap(&tm.FFT)
 
-	// z->x transpose with the fused inverse+forward x transform (physical
-	// excursion) riding on completed y ranges.
-	t0 = time.Now()
-	k.cur = b.xp
-	k.consumeDur = 0
-	xp := d.ZtoXPipelined(b.xp, zp, nz, k.xConsume)
-	tm.FFT += k.consumeDur
-	tm.Transpose += time.Since(t0) - k.consumeDur
+	// z->x transpose, the fused inverse+forward x transform (physical
+	// excursion).
+	k.cur = d.ZtoX(b.xp, k.cur, nz)
+	lap(&tm.Transpose)
+	k.xExcursion()
+	lap(&tm.FFT)
 
-	// x->z transpose with the normalized forward z FFT riding on completed
-	// y ranges.
-	t0 = time.Now()
-	k.cur = b.zp2
-	k.consumeDur = 0
-	zp2 := d.XtoZPipelined(b.zp2, xp, nz, k.zFwdConsume)
-	tm.FFT += k.consumeDur
-	tm.Transpose += time.Since(t0) - k.consumeDur
+	// x->z transpose, normalized forward z FFT.
+	k.cur = d.XtoZ(b.zp2, k.cur, nz)
+	lap(&tm.Transpose)
+	k.zForward()
+	lap(&tm.FFT)
+
+	// z->y transpose.
+	out := d.ZtoY(b.out, k.cur)
 	k.cur = nil
-
-	// Final z->y transpose: nothing follows it in the cycle, so there is no
-	// compute to hide under and it runs on the plain exchange.
-	t0 = time.Now()
-	out := d.ZtoY(b.out, zp2)
-	tm.Transpose += time.Since(t0)
-	k.trc.EndStep(cyc0, time.Now())
+	lap(&tm.Transpose)
+	k.trc.EndStep(cyc0, t0)
 	k.cycles++
 	return out, tm
 }
 
-// consumeZInv transforms the inverse z FFT lines of the completed local-kx
-// range [lo, hi): z-pencil lines [lo*nyLoc, hi*nyLoc), contiguous lines of
-// length nz, out-of-place through the worker's line scratch (in-place
-// would make the complex plan allocate a temporary per line).
-func (k *Kernel) consumeZInv(lo, hi int) {
-	t0 := time.Now()
+// zInverse runs the inverse z FFT over every z-pencil line of cur, lines of
+// length nz, out-of-place through the worker's line scratch (in-place would
+// make the complex plan allocate a temporary per line).
+func (k *Kernel) zInverse() {
+	kl, kh := k.D.KxRange()
 	yl, yh := k.D.YRange()
-	nyLoc := yh - yl
-	k.lineOff = lo * nyLoc
 	sp := k.tel.Begin(telemetry.PhaseFFTInverse)
-	k.Pool.ForBlocksIndexed((hi-lo)*nyLoc, k.zInvBlockFn)
+	k.Pool.ForBlocksIndexed((kh-kl)*(yh-yl), k.zInvBlockFn)
 	sp.End()
-	k.consumeDur += time.Since(t0)
 }
 
 func (k *Kernel) zInvBlock(blk, lo, hi int) {
 	nz := k.D.NZ
 	zline := k.workers[blk].zline
-	off := k.lineOff
 	for _, fd := range k.cur {
 		for l := lo; l < hi; l++ {
-			line := fd[(off+l)*nz : (off+l+1)*nz]
+			line := fd[l*nz : (l+1)*nz]
 			k.planZ.Inverse(zline, line)
 			copy(line, zline)
 		}
 	}
 }
 
-// consumeX runs the fused inverse+forward x transform over the completed
-// local-y range [lo, hi): x-pencil lines [lo*nzLoc, hi*nzLoc).
-func (k *Kernel) consumeX(lo, hi int) {
-	t0 := time.Now()
+// xExcursion runs the fused inverse+forward x transform over every x-pencil
+// line of cur.
+func (k *Kernel) xExcursion() {
+	yl, yh := k.D.YRange()
 	zl, zh := k.D.ZRangeX(k.D.NZ)
-	nzLoc := zh - zl
-	k.lineOff = lo * nzLoc
 	sp := k.tel.Begin(telemetry.PhaseFFTForward)
-	k.Pool.ForBlocksIndexed((hi-lo)*nzLoc, k.xBlockFn)
+	k.Pool.ForBlocksIndexed((yh-yl)*(zh-zl), k.xBlockFn)
 	sp.End()
-	k.consumeDur += time.Since(t0)
 }
 
 func (k *Kernel) xBlock(blk, lo, hi int) {
 	nkx := k.D.NKx
 	w := &k.workers[blk]
 	phys, spec, xscr := w.phys, w.spec, w.xscr
-	off := k.lineOff
 	s := complex(1/float64(k.Nx), 0)
 	for _, fd := range k.cur {
 		for l := lo; l < hi; l++ {
-			line := fd[(off+l)*nkx : (off+l+1)*nkx]
+			line := fd[l*nkx : (l+1)*nkx]
 			copy(spec, line)
 			for i := nkx; i < len(spec); i++ {
 				spec[i] = 0 // Nyquist (if dropped) enters as zero
@@ -330,32 +304,22 @@ func (k *Kernel) xBlock(blk, lo, hi int) {
 	}
 }
 
-// consumeZFwd runs the normalized forward z FFT over the completed local-y
-// range [lo, hi). After x->z the completed lines are strided — (kx*nyLoc+y)
-// for every local kx with y in [lo, hi) — so the pool iterates a dense
-// (kx, y-in-range) index and maps it back to the z-pencil line.
-func (k *Kernel) consumeZFwd(lo, hi int) {
-	t0 := time.Now()
+// zForward runs the normalized forward z FFT over every z-pencil line of
+// cur.
+func (k *Kernel) zForward() {
 	kl, kh := k.D.KxRange()
-	k.yLo, k.ySpan = lo, hi-lo
+	yl, yh := k.D.YRange()
 	sp := k.tel.Begin(telemetry.PhaseFFTForward)
-	k.Pool.ForBlocksIndexed((kh-kl)*(hi-lo), k.zFwdBlockFn)
+	k.Pool.ForBlocksIndexed((kh-kl)*(yh-yl), k.zFwdBlockFn)
 	sp.End()
-	k.consumeDur += time.Since(t0)
 }
 
 func (k *Kernel) zFwdBlock(blk, lo, hi int) {
-	d := k.D
-	nz := d.NZ
-	yl, yh := d.YRange()
-	nyLoc := yh - yl
+	nz := k.D.NZ
 	zline := k.workers[blk].zline
-	span := k.ySpan
 	for _, fd := range k.cur {
 		for l := lo; l < hi; l++ {
-			kx := l / span
-			li := kx*nyLoc + k.yLo + l - kx*span
-			line := fd[li*nz : (li+1)*nz]
+			line := fd[l*nz : (l+1)*nz]
 			k.planZ.Forward(zline, line)
 			fft.Scale(zline, 1/float64(nz))
 			copy(line, zline)

@@ -7,21 +7,15 @@ import "channeldns/internal/schedule"
 // stages, no 3/2 padding, y untouched. The kind follows the kernel's
 // construction — Custom (Nyquist dropped) or the P3DFFT-style baseline
 // (Nyquist carried, heavier reordering, 3x scratch).
-// With the decomposition's Overlap on, Cycle pipelines legs 1-3 (each
-// transpose fused with the FFT stage consuming its chunks) and leaves the
-// final ZtoY one-shot; the emitted program declares exactly that shape,
-// with the pipeline depths the executing plans use.
 func (k *Kernel) Schedule(nf int) *schedule.Schedule {
 	kind := schedule.FFTP3DFFT
 	if k.DropNyquist {
 		kind = schedule.FFTCustom
 	}
-	ca, cb := k.D.OverlapChunks()
 	return schedule.FFTCycle(schedule.FFTCycleParams{
 		Nx: k.Nx, Ny: k.D.NY, Nz: k.D.NZ,
 		PA: k.D.PA, PB: k.D.PB,
-		Fields:  nf,
-		Kind:    kind,
-		ChunksA: ca, ChunksB: cb,
+		Fields: nf,
+		Kind:   kind,
 	})
 }

@@ -112,22 +112,20 @@ type Decomp struct {
 	ca, cb int // this rank's coordinates in the process grid
 	Pool   *par.Pool
 
-	// Overlap enables communication/compute pipelining for the global
-	// transposes. Plain Run calls always use the pairwise blocking
-	// exchange; the pipelined entry points (RunPipelined and the
-	// *Pipelined methods) chunk each transpose along the line axis the
-	// exchange does not redistribute, unpack every peer message the
-	// moment it arrives, and hand completed line ranges to the caller's
-	// consume hook so FFT work proceeds while later chunks are still on
-	// the wire. Results are bit-identical either way; wins appear once a
-	// communicator spans 4+ ranks and wire time is worth hiding.
+	// Overlap makes RunPipelined (and YtoZPipelined) the chunked exchange:
+	// each transpose moves in pieces along the line axis the exchange does
+	// not redistribute, every peer message is unpacked the moment it
+	// arrives, and completed line ranges go to the caller's consume hook.
+	// Results are bit-identical to Run's. The solver, the FFT kernels and
+	// the tools all run the blocking Run, as the paper does; the chunked
+	// form stays only because the benchmark module's layers.go times
+	// YtoZPipelined (pencil.ytoz_pipelined_us), and goes with that caller
+	// (ROADMAP item 3b).
 	Overlap bool
 
-	// PipelineChunks is the pipeline depth of the chunked transposes:
-	// how many pieces RunPipelined splits the chunk axis into. 0 selects
-	// the default (4); the effective depth is clamped to the chunk-axis
-	// extent. Deeper pipelines shrink the exposed wire tail at the cost
-	// of more, smaller messages.
+	// PipelineChunks is the pipeline depth of the chunked exchange: how
+	// many pieces RunPipelined splits the chunk axis into. 0 selects the
+	// default (4); the effective depth is clamped to the chunk-axis extent.
 	PipelineChunks int
 
 	// Telemetry, when non-nil, receives a PhaseTransposeAB timing sample
@@ -229,34 +227,14 @@ func (d *Decomp) XtoZ(dst, src [][]complex128, zLen int) [][]complex128 {
 	return d.Plan(DirXtoZ, zLen, len(src)).Run(dst, src)
 }
 
-// YtoZPipelined is YtoZ through the chunked pipeline: consume(lo, hi) is
-// called with ascending, disjoint local-kx ranges as their z-pencil lines
-// complete, covering [0, nkxLoc) in total — z-FFT lines [lo*nyLoc, hi*nyLoc)
-// in the z-pencil layout. With Overlap off (or PB == 1) the transpose runs
-// serially and consume fires once over the full range.
+// YtoZPipelined is YtoZ through RunPipelined: consume(lo, hi) is called
+// with ascending, disjoint local-kx ranges as their z-pencil lines complete,
+// covering [0, nkxLoc) in total. With Overlap off (or PB == 1) the transpose
+// runs serially and consume fires once over the full range. Its one caller
+// is the benchmark module's layers.go; it goes with that caller (ROADMAP
+// item 3b).
 func (d *Decomp) YtoZPipelined(dst, src [][]complex128, consume func(lo, hi int)) [][]complex128 {
 	return d.Plan(DirYtoZ, d.NZ, len(src)).RunPipelined(dst, src, consume)
-}
-
-// ZtoYPipelined is ZtoY through the chunked pipeline; consume ranges are
-// local-kx ranges of the completed y-pencil destination.
-func (d *Decomp) ZtoYPipelined(dst, src [][]complex128, consume func(lo, hi int)) [][]complex128 {
-	return d.Plan(DirZtoY, d.NZ, len(src)).RunPipelined(dst, src, consume)
-}
-
-// ZtoXPipelined is ZtoX through the chunked pipeline: consume(lo, hi) is
-// called with ascending local-y ranges as their x-pencil lines complete —
-// x-FFT lines [lo*nzLoc, hi*nzLoc) in the x-pencil layout.
-func (d *Decomp) ZtoXPipelined(dst, src [][]complex128, zLen int, consume func(lo, hi int)) [][]complex128 {
-	return d.Plan(DirZtoX, zLen, len(src)).RunPipelined(dst, src, consume)
-}
-
-// XtoZPipelined is XtoZ through the chunked pipeline: consume(lo, hi) is
-// called with ascending local-y ranges as their z-pencil lines complete.
-// In the z-pencil layout the completed lines are (kx*nyLoc + y) for every
-// local kx and y in [lo, hi) — strided, one sub-range per kx.
-func (d *Decomp) XtoZPipelined(dst, src [][]complex128, zLen int, consume func(lo, hi int)) [][]complex128 {
-	return d.Plan(DirXtoZ, zLen, len(src)).RunPipelined(dst, src, consume)
 }
 
 // AllocFields allocates nf zeroed fields of n complex elements each, the

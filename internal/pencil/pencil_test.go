@@ -93,8 +93,8 @@ func sameFields(got, want [][]complex128) error {
 // TestTransposePath checks every direction against the global layout, each
 // from its exact input: even and uneven grids, a serial and a two-worker
 // pool, the spectral and (at pa ∈ {1, 3}) a padded z extent for the CommA
-// pair, and with Overlap on through the four *Pipelined entry points, whose
-// consume ranges must tile [0, lineN) in ascending order.
+// pair, and with Overlap on through RunPipelined, whose consume ranges must
+// tile [0, lineN) in ascending order.
 func TestTransposePath(t *testing.T) {
 	cases := []struct{ pa, pb, nkx, nz, ny int }{
 		{1, 1, 4, 6, 5},
@@ -166,9 +166,9 @@ func transposePath(t *testing.T, d *Decomp, zLen int) {
 		return
 	}
 	check("YtoZ", d.YtoZPipelined(nil, y, consume), z, kh-kl)
-	check("ZtoX", d.ZtoXPipelined(nil, zpad, zLen, consume), x, yh-yl)
-	check("XtoZ", d.XtoZPipelined(nil, x, zLen, consume), zpad, yh-yl)
-	check("ZtoY", d.ZtoYPipelined(nil, z, consume), y, kh-kl)
+	check("ZtoX", d.Plan(DirZtoX, zLen, nf).RunPipelined(nil, zpad, consume), x, yh-yl)
+	check("XtoZ", d.Plan(DirXtoZ, zLen, nf).RunPipelined(nil, x, consume), zpad, yh-yl)
+	check("ZtoY", d.Plan(DirZtoY, d.NZ, nf).RunPipelined(nil, z, consume), y, kh-kl)
 }
 
 func TestTransposeWithPaddedZ(t *testing.T) {

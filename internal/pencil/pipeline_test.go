@@ -93,17 +93,17 @@ func TestRunPipelinedBitwise(t *testing.T) {
 							compare(it, "YtoZ", zpS, zpP)
 
 							ds.ZtoX(xpS, zpS, ds.NZ)
-							dp.ZtoXPipelined(xpP, zpP, ds.NZ, record)
+							dp.Plan(DirZtoX, ds.NZ, nf).RunPipelined(xpP, zpP, record)
 							checkRanges("ZtoX", yh-yl)
 							compare(it, "ZtoX", xpS, xpP)
 
 							ds.XtoZ(zbS, xpS, ds.NZ)
-							dp.XtoZPipelined(zbP, xpP, ds.NZ, record)
+							dp.Plan(DirXtoZ, ds.NZ, nf).RunPipelined(zbP, xpP, record)
 							checkRanges("XtoZ", yh-yl)
 							compare(it, "XtoZ", zbS, zbP)
 
 							ds.ZtoY(ybS, zbS)
-							dp.ZtoYPipelined(ybP, zbP, record)
+							dp.Plan(DirZtoY, ds.NZ, nf).RunPipelined(ybP, zbP, record)
 							checkRanges("ZtoY", kh-kl)
 							compare(it, "ZtoY", ybS, ybP)
 							compare(it, "roundtrip", src, ybP)

@@ -43,7 +43,8 @@ const defaultPipelineChunks = 4
 // redistributed by the exchange (local kx for the CommB directions, local y
 // for the CommA directions) — so RunPipelined can move the transpose
 // through the wire in chunks and hand each completed line range to a
-// consumer while later chunks are still in flight.
+// consumer while later chunks are still in flight. Only the benchmark
+// module's pencil.ytoz_pipelined_us runs that form (see Decomp.Overlap).
 type TransposePlan struct {
 	d    *Decomp
 	dir  TransposeDir
@@ -245,27 +246,6 @@ func (d *Decomp) chunksFor(minLine int) int {
 	return c
 }
 
-// OverlapChunks returns the pipeline depths the pipelined exchange uses on
-// this decomposition — ca for the CommA directions (chunk axis: local y),
-// cb for CommB (chunk axis: local kx) — or (0, 0) when overlap is off.
-// Schedule emission uses this so the declared chunked shape is derived from
-// the same clamping the executing plans apply.
-func (d *Decomp) OverlapChunks() (ca, cb int) {
-	if !d.Overlap {
-		return 0, 0
-	}
-	return OverlapChunksFor(d.NKx, d.NY, d.PA, d.PB, d.PipelineChunks)
-}
-
-// OverlapChunksFor computes the same per-direction pipeline depths as
-// Decomp.OverlapChunks from bare decomposition parameters (requested = 0
-// selects the default depth). It lets schedule emitters describe an
-// overlapped program without constructing a live decomposition.
-func OverlapChunksFor(nkx, ny, pa, pb, requested int) (ca, cb int) {
-	d := Decomp{NKx: nkx, NY: ny, PA: pa, PB: pb, PipelineChunks: requested}
-	return d.chunksFor(ny / pb), d.chunksFor(nkx / pa)
-}
-
 // ensurePipeline builds the chunk-major tables, the stream, and the posted
 // index maps on the plan's first pipelined run.
 func (p *TransposePlan) ensurePipeline() {
@@ -400,14 +380,13 @@ func (p *TransposePlan) Run(dst, src [][]complex128) [][]complex128 {
 }
 
 // Book records one call of a transpose on a one-rank communicator without
-// running it, then runs consume (if non-nil) over the whole line range, as
-// RunPipelined does after its Run there. It is for a caller whose consumer
-// addresses the source pencil in place, since such a transpose moves only the
-// own block, by a fixed index map. What it records is what Run records: a
-// PhaseTransposeAB span, one (empty) Exchange trace event, and commBytes()
-// with np-1 = 0 messages, so the counters, the trace and the schedule IR
-// cannot tell the two apart.
-func (p *TransposePlan) Book(consume func(lo, hi int)) {
+// running it. It is for a caller whose next stage addresses the source
+// pencil in place, since such a transpose moves only the own block, by a
+// fixed index map. What it records is what Run records: a PhaseTransposeAB
+// span, one (empty) Exchange trace event, and commBytes() with np-1 = 0
+// messages, so the counters, the trace and the schedule IR cannot tell the
+// two apart.
+func (p *TransposePlan) Book() {
 	if p.np != 1 {
 		panic(fmt.Sprintf("pencil: %v booked on a %d-rank communicator", p.dir, p.np))
 	}
@@ -419,9 +398,6 @@ func (p *TransposePlan) Book(consume func(lo, hi int)) {
 	}
 	sp.End()
 	d.Telemetry.AddComm(commOp(p.dir), p.commBytes(), 0)
-	if consume != nil {
-		consume(0, p.lineN)
-	}
 }
 
 // RunPipelined executes the transpose as a chunked pipeline: the chunk axis
@@ -501,7 +477,7 @@ func (p *TransposePlan) RunPipelined(dst, src [][]complex128, consume func(lo, h
 			}
 			if tracing {
 				// The wait for this arrival: ~zero when the block was already
-				// in — hidden wire time — and the real exposed wait otherwise.
+				// in, the real wait otherwise.
 				xt1 = time.Now()
 				d.Trace.Peer(b, int64(16*len(blk)), t0, xt1)
 			}
@@ -521,7 +497,7 @@ func (p *TransposePlan) RunPipelined(dst, src [][]complex128, consume func(lo, h
 		if xt1.IsZero() {
 			xt1 = time.Now()
 		}
-		d.Trace.ExchangePipelined(commOp(p.dir), C, p.commBytes(), xt0, xt1)
+		d.Trace.Exchange(commOp(p.dir), p.commBytes(), xt0, xt1)
 	}
 	p.src, p.dst = nil, nil
 	sp.End()

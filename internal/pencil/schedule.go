@@ -11,16 +11,11 @@ import "channeldns/internal/schedule"
 // plans differ for the block a rank keeps, which is one copy, 2 passes (read
 // src, write dst) — all of the field at P = 1; the IR keeps the paper's
 // count so digests and the paper tables stand.
-// With Overlap on the cycle runs the chunked pipelined exchange, so the
-// emitted transposes carry the same per-direction pipeline depths the plans
-// use.
 func (d *Decomp) CycleSchedule(nf int) *schedule.Schedule {
-	ca, cb := d.OverlapChunks()
 	return schedule.TransposeCycle(schedule.TransposeCycleParams{
 		Nx: 2 * d.NKx, NKx: d.NKx, Ny: d.NY, Nz: d.NZ,
 		PA: d.PA, PB: d.PB,
 		Fields:     nf,
 		PackPasses: 4,
-		ChunksA:    ca, ChunksB: cb,
 	})
 }

@@ -25,14 +25,6 @@ type TimestepParams struct {
 	// around each transpose (4: pack read+write, unpack read+write).
 	// Zero suppresses the Reorder ops entirely.
 	PackPasses float64
-	// ChunksA, ChunksB are the pipeline depths of the overlapped (chunked)
-	// exchange on the CommA and CommB directions — pencil.Decomp
-	// OverlapChunks() when the live run pipelines, 0 when it runs the
-	// one-shot serial exchange. Both > 0 switches the program to its
-	// overlapped form: the YtoZ, ZtoX and XtoZ transposes fuse with the FFT
-	// stage each hides (OpOverlap), the final ZtoY stays a one-shot
-	// transpose (nothing follows to hide it under).
-	ChunksA, ChunksB int
 }
 
 // Timestep builds one full RK3 timestep: three substeps, each running the
@@ -40,9 +32,8 @@ type TimestepParams struct {
 // Products fields back, then the implicit banded advance.
 func Timestep(p TimestepParams) *Schedule {
 	s := p.header("timestep")
-	overlapped := p.ChunksA > 0 && p.ChunksB > 0
 	for sub := 1; sub <= 3; sub++ {
-		s.excursion(sub, p, 3, p.Products, overlapped)
+		s.excursion(sub, p, 3, p.Products)
 		s.solve(sub, p, solveBandwidth, NSFlopsPerPoint)
 	}
 	return s
@@ -72,13 +63,7 @@ func (p TimestepParams) header(name string) *Schedule {
 // FFT onto the 3/2 grid, z->x transpose, the fused x excursion (inverse
 // transform of the in fields, pointwise products, forward transform of the
 // out fields), x->z transpose, forward z FFT, z->y transpose.
-//
-// The overlapped form fuses each forward-path transpose with the FFT stage
-// consuming its chunks (OpOverlap). The x excursion runs entirely inside the
-// ZtoX consumer, so its two stages' flops ride one overlap op. The return
-// leg has no following transform to hide under: it stays a one-shot exchange
-// in both forms.
-func (s *Schedule) excursion(sub int, p TimestepParams, in, out int, overlapped bool) {
+func (s *Schedule) excursion(sub int, p TimestepParams, in, out int) {
 	mx, mz := 3*p.Nx/2, 3*p.Nz/2
 	fieldBytes := 16 * float64(s.NKx) * float64(p.Nz) * float64(p.Ny) / float64(s.Ranks)
 	padBytes := fieldBytes * 1.5
@@ -93,24 +78,13 @@ func (s *Schedule) excursion(sub int, p TimestepParams, in, out int, overlapped 
 			Flops: float64(fields) * float64(lines) * FFTFlops(points, isReal),
 		}
 	}
-	zInv := stage(PhaseFFTInverse, "z", true, in, linesZ, mz)
-	xInv := stage(PhaseNonlinear, "x", true, in, linesX, mx)
-	xFwd := stage(PhaseNonlinear, "x", false, out, linesX, mx)
-	zFwd := stage(PhaseFFTForward, "z", false, out, linesZ, mz)
-	if overlapped {
-		xInv.Flops = float64(in+out) * float64(linesX) * FFTFlops(mx, true)
-		s.overlap(sub, DirYtoZ, "B", p.PB, in, fieldBytes*float64(in), p.PackPasses, p.ChunksB, zInv)
-		s.overlap(sub, DirZtoX, "A", p.PA, in, padBytes*float64(in), p.PackPasses, p.ChunksA, xInv)
-		s.overlap(sub, DirXtoZ, "A", p.PA, out, padBytes*float64(out), p.PackPasses, p.ChunksA, zFwd)
-	} else {
-		s.transpose(sub, DirYtoZ, "B", p.PB, in, fieldBytes*float64(in), p.PackPasses, 0)
-		s.Ops = append(s.Ops, zInv)
-		s.transpose(sub, DirZtoX, "A", p.PA, in, padBytes*float64(in), p.PackPasses, 0)
-		s.Ops = append(s.Ops, xInv, xFwd)
-		s.transpose(sub, DirXtoZ, "A", p.PA, out, padBytes*float64(out), p.PackPasses, 0)
-		s.Ops = append(s.Ops, zFwd)
-	}
-	s.transpose(sub, DirZtoY, "B", p.PB, out, fieldBytes*float64(out), p.PackPasses, 0)
+	s.transpose(sub, DirYtoZ, "B", p.PB, in, fieldBytes*float64(in), p.PackPasses)
+	s.Ops = append(s.Ops, stage(PhaseFFTInverse, "z", true, in, linesZ, mz))
+	s.transpose(sub, DirZtoX, "A", p.PA, in, padBytes*float64(in), p.PackPasses)
+	s.Ops = append(s.Ops, stage(PhaseNonlinear, "x", true, in, linesX, mx), stage(PhaseNonlinear, "x", false, out, linesX, mx))
+	s.transpose(sub, DirXtoZ, "A", p.PA, out, padBytes*float64(out), p.PackPasses)
+	s.Ops = append(s.Ops, stage(PhaseFFTForward, "z", false, out, linesZ, mz))
+	s.transpose(sub, DirZtoY, "B", p.PB, out, fieldBytes*float64(out), p.PackPasses)
 }
 
 // IsoSolveFlopsPerPoint prices the isotropic workload's per-point spectral
@@ -146,7 +120,7 @@ func IsotropicTimestep(p TimestepParams) *Schedule {
 	}
 	for sub := 1; sub <= 3; sub++ {
 		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTInverse, true, 3))
-		s.excursion(sub, p, 3, p.Products, false)
+		s.excursion(sub, p, 3, p.Products)
 		s.Ops = append(s.Ops, yFFT(sub, PhaseFFTForward, false, p.Products))
 		s.solve(sub, p, 0, IsoSolveFlopsPerPoint)
 	}
@@ -162,7 +136,7 @@ func IsotropicTimestep(p TimestepParams) *Schedule {
 func ScalarTimestep(p TimestepParams) *Schedule {
 	s := p.header("scalar_timestep")
 	for sub := 1; sub <= 3; sub++ {
-		s.excursion(sub, p, 4, p.Products+3, false)
+		s.excursion(sub, p, 4, p.Products+3)
 		s.solve(sub, p, solveBandwidth, NSFlopsPerPoint)
 		s.solve(sub, p, solveBandwidth, ScalarSolveFlopsPerPoint)
 	}
@@ -181,10 +155,6 @@ type TransposeCycleParams struct {
 	// PackPasses as in TimestepParams. Table 5 times the wire exchange
 	// only, so the paper rows use 0; the live cycle packs and unpacks.
 	PackPasses float64
-	// ChunksA, ChunksB as in TimestepParams. The cycle has no FFT stage to
-	// hide under, so overlap here means chunked transposes (the pipelined
-	// exchange with a nil consumer), not fused overlap ops.
-	ChunksA, ChunksB int
 }
 
 // TransposeCycle builds the Table 5 benchmark: four global transposes on
@@ -201,10 +171,10 @@ func TransposeCycle(p TransposeCycleParams) *Schedule {
 		Nx:   p.Nx, Ny: p.Ny, Nz: p.Nz, NKx: nkx,
 		PA: p.PA, PB: p.PB, Ranks: ranks,
 	}
-	s.transpose(0, DirYtoZ, "B", p.PB, p.Fields, bytes, p.PackPasses, p.ChunksB)
-	s.transpose(0, DirZtoX, "A", p.PA, p.Fields, bytes, p.PackPasses, p.ChunksA)
-	s.transpose(0, DirXtoZ, "A", p.PA, p.Fields, bytes, p.PackPasses, p.ChunksA)
-	s.transpose(0, DirZtoY, "B", p.PB, p.Fields, bytes, p.PackPasses, p.ChunksB)
+	s.transpose(0, DirYtoZ, "B", p.PB, p.Fields, bytes, p.PackPasses)
+	s.transpose(0, DirZtoX, "A", p.PA, p.Fields, bytes, p.PackPasses)
+	s.transpose(0, DirXtoZ, "A", p.PA, p.Fields, bytes, p.PackPasses)
+	s.transpose(0, DirZtoY, "B", p.PB, p.Fields, bytes, p.PackPasses)
 	return s
 }
 
@@ -253,9 +223,6 @@ type FFTCycleParams struct {
 	PA, PB     int
 	Fields     int
 	Kind       FFTKind
-	// ChunksA, ChunksB as in TimestepParams: both > 0 emits the overlapped
-	// program (legs 1-3 fused with their FFT stages, final ZtoY one-shot).
-	ChunksA, ChunksB int
 }
 
 // FFTCycle builds the Table 6 benchmark for one kernel kind.
@@ -273,38 +240,14 @@ func FFTCycle(p FFTCycleParams) *Schedule {
 		PA: p.PA, PB: p.PB, Ranks: ranks,
 		ResidentBytesPerRank: bytes * p.Kind.ResidentFactor(),
 	}
-	if p.ChunksA > 0 && p.ChunksB > 0 {
-		s.overlap(0, DirYtoZ, "B", p.PB, p.Fields, bytes, passes, p.ChunksB, Op{
-			Phase: PhaseFFTInverse.String(),
-			Axis:  "z", Inverse: true,
-			Lines: linesZ, Points: p.Nz,
-			Flops: float64(p.Fields) * float64(linesZ) * FFTFlops(p.Nz, false),
-		})
-		// The fused x excursion (inverse then forward, one block in the live
-		// kernel, timed under the forward-FFT phase) rides the ZtoX overlap.
-		s.overlap(0, DirZtoX, "A", p.PA, p.Fields, bytes, passes, p.ChunksA, Op{
-			Phase: PhaseFFTForward.String(),
-			Axis:  "x", Inverse: true, Real: true,
-			Lines: linesX, Points: p.Nx,
-			Flops: 2 * float64(p.Fields) * float64(linesX) * FFTFlops(p.Nx, true),
-		})
-		s.overlap(0, DirXtoZ, "A", p.PA, p.Fields, bytes, passes, p.ChunksA, Op{
-			Phase: PhaseFFTForward.String(),
-			Axis:  "z",
-			Lines: linesZ, Points: p.Nz,
-			Flops: float64(p.Fields) * float64(linesZ) * FFTFlops(p.Nz, false),
-		})
-		s.transpose(0, DirZtoY, "B", p.PB, p.Fields, bytes, passes, 0)
-		return s
-	}
-	s.transpose(0, DirYtoZ, "B", p.PB, p.Fields, bytes, passes, 0)
+	s.transpose(0, DirYtoZ, "B", p.PB, p.Fields, bytes, passes)
 	s.Ops = append(s.Ops, Op{
 		Kind: OpFFT, Phase: PhaseFFTInverse.String(),
 		Axis: "z", Inverse: true,
 		Fields: p.Fields, Lines: linesZ, Points: p.Nz,
 		Flops: float64(p.Fields) * float64(linesZ) * FFTFlops(p.Nz, false),
 	})
-	s.transpose(0, DirZtoX, "A", p.PA, p.Fields, bytes, passes, 0)
+	s.transpose(0, DirZtoX, "A", p.PA, p.Fields, bytes, passes)
 	// The x excursion (inverse then forward, one fused block in the live
 	// kernel) is timed under the forward-FFT phase by parfft.
 	s.Ops = append(s.Ops, Op{
@@ -319,55 +262,24 @@ func FFTCycle(p FFTCycleParams) *Schedule {
 		Fields: p.Fields, Lines: linesX, Points: p.Nx,
 		Flops: float64(p.Fields) * float64(linesX) * FFTFlops(p.Nx, true),
 	})
-	s.transpose(0, DirXtoZ, "A", p.PA, p.Fields, bytes, passes, 0)
+	s.transpose(0, DirXtoZ, "A", p.PA, p.Fields, bytes, passes)
 	s.Ops = append(s.Ops, Op{
 		Kind: OpFFT, Phase: PhaseFFTForward.String(),
 		Axis:   "z",
 		Fields: p.Fields, Lines: linesZ, Points: p.Nz,
 		Flops: float64(p.Fields) * float64(linesZ) * FFTFlops(p.Nz, false),
 	})
-	s.transpose(0, DirZtoY, "B", p.PB, p.Fields, bytes, passes, 0)
+	s.transpose(0, DirZtoY, "B", p.PB, p.Fields, bytes, passes)
 	return s
 }
 
 // transpose appends one wire transpose (and, when passes > 0, its on-node
-// pack/unpack reorder) to the schedule. chunks > 0 makes it a chunked
-// pipelined exchange: Chunks per-peer messages instead of one.
-func (s *Schedule) transpose(sub int, dir, comm string, commSize, fields int, bytesPerRank, passes float64, chunks int) {
-	messages := commSize - 1
-	if chunks > 0 {
-		messages = chunks * (commSize - 1)
-	}
+// pack/unpack reorder) to the schedule.
+func (s *Schedule) transpose(sub int, dir, comm string, commSize, fields int, bytesPerRank, passes float64) {
 	s.Ops = append(s.Ops, Op{
 		Kind: OpTranspose, Phase: PhaseTransposeAB.String(), Sub: sub,
 		Dir: dir, Comm: comm, CommSize: commSize, Fields: fields,
-		BytesPerRank: bytesPerRank, Messages: messages, Chunks: chunks,
-	})
-	if passes > 0 {
-		s.Ops = append(s.Ops, Op{
-			Kind: OpReorder, Phase: PhaseTransposeAB.String(), Sub: sub,
-			Dir: dir, CommSize: commSize, Fields: fields,
-			BytesPerRank: bytesPerRank, Passes: passes,
-		})
-	}
-}
-
-// overlap appends one pipelined transpose fused with the FFT stage it hides
-// (plus, when passes > 0, its reorder). fft supplies the hidden stage's
-// Axis/Inverse/Real/Padded/Lines/Points/Flops and — through its Phase field
-// — the FFTPhase the compute is attributed to; the transpose's exposed part
-// stays on the transpose phase.
-func (s *Schedule) overlap(sub int, dir, comm string, commSize, fields int, bytesPerRank, passes float64, chunks int, fft Op) {
-	s.Ops = append(s.Ops, Op{
-		Kind: OpOverlap, Phase: PhaseTransposeAB.String(), Sub: sub,
-		Dir: dir, Comm: comm, CommSize: commSize, Fields: fields,
-		BytesPerRank: bytesPerRank,
-		Messages:     chunks * (commSize - 1),
-		Chunks:       chunks,
-		FFTPhase:     fft.Phase,
-		Axis:         fft.Axis, Inverse: fft.Inverse, Real: fft.Real, Padded: fft.Padded,
-		Lines: fft.Lines, Points: fft.Points,
-		Flops: fft.Flops,
+		BytesPerRank: bytesPerRank, Messages: commSize - 1,
 	})
 	if passes > 0 {
 		s.Ops = append(s.Ops, Op{

@@ -105,18 +105,14 @@ const (
 	OpFFT        = "fft"        // one batched 1-D FFT stage
 	OpSolve      = "solve"      // per-wavenumber banded N-S advance
 	OpCollective = "collective" // reduction/broadcast outside the transposes
-	// OpOverlap is a pipelined transpose fused with the FFT stage it hides:
-	// the exchange moves in Chunks per-peer pieces and the consumer's
-	// transform runs on each completed chunk while later chunks are in
-	// flight. The op carries BOTH the transpose fields (Dir, Comm, CommSize,
-	// BytesPerRank, Messages, Chunks) and the hidden FFT stage's fields
-	// (Axis, Lines, Points, Flops, FFTPhase); schedules using it emit no
-	// separate OpFFT for the fused stage, so flop totals count once. The
-	// machine model prices it as max(wire, compute) plus the exposed
-	// first-chunk tail, attributing the exposed part to Phase and the
-	// compute to FFTPhase.
-	OpOverlap = "overlap"
 )
+
+// OpOverlap named the pipelined transpose fused with the FFT stage it hid.
+// No builder emits it, no report validates with it and the machine model
+// does not price it: the transposes are blocking, as in the paper. It stays
+// only because the benchmark module's assemble.go still names it when it
+// sums a schedule's wire bytes; it goes with that caller (ROADMAP item 3b).
+const OpOverlap = "overlap"
 
 // Op is one typed operation of a schedule. Fields not meaningful for a kind
 // are zero and omitted from JSON. Sizes are global (whole problem) per
@@ -137,21 +133,11 @@ type Op struct {
 	// BytesPerRank is the payload each rank contributes: one packed local
 	// image of the transported fields (16 bytes per complex mode).
 	BytesPerRank float64 `json:"bytes_per_rank,omitempty"`
-	// Messages is the point-to-point message count per rank: CommSize-1 for
-	// a one-shot transpose, Chunks*(CommSize-1) for a chunked one.
+	// Messages is the point-to-point message count per rank: CommSize-1,
+	// one per remote peer.
 	Messages int `json:"messages,omitempty"`
 	// Passes counts pack/unpack memory passes over the payload (reorder).
 	Passes float64 `json:"passes,omitempty"`
-	// Chunks is the pipeline depth of a chunked transpose: the chunk axis is
-	// split into this many pieces, each exchanged as its own per-peer
-	// message. 0 on one-shot transposes; >= 1 on chunked transposes and
-	// every overlap op. Uniform across ranks (pencil.TransposePlan.Chunks
-	// clamps to the communicator-global minimum line extent).
-	Chunks int `json:"chunks,omitempty"`
-	// FFTPhase is the phase the hidden FFT compute of an overlap op is
-	// attributed to (Phase carries the exposed transpose part). Overlap ops
-	// only.
-	FFTPhase string `json:"fft_phase,omitempty"`
 
 	// FFT fields.
 	Axis    string `json:"axis,omitempty"` // "x" or "z"
@@ -206,7 +192,7 @@ func (s *Schedule) TotalFlops() float64 {
 func (s *Schedule) CommBytesPerRank() map[string]float64 {
 	out := map[string]float64{}
 	for _, op := range s.Ops {
-		if op.Kind == OpTranspose || op.Kind == OpOverlap {
+		if op.Kind == OpTranspose {
 			out[op.Dir] += op.BytesPerRank
 		}
 	}
@@ -214,11 +200,11 @@ func (s *Schedule) CommBytesPerRank() map[string]float64 {
 }
 
 // CommCallsByDir returns the number of wire-transpose executions per
-// direction (overlap ops included: each fuses exactly one wire transpose).
+// direction.
 func (s *Schedule) CommCallsByDir() map[string]int {
 	out := map[string]int{}
 	for _, op := range s.Ops {
-		if op.Kind == OpTranspose || op.Kind == OpOverlap {
+		if op.Kind == OpTranspose {
 			out[op.Dir]++
 		}
 	}

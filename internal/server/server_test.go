@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -688,20 +689,30 @@ func TestHostileSpecsRefused(t *testing.T) {
 	srv := httptest.NewServer(NewAPI(m).Routes())
 	defer srv.Close()
 	serviceOnly := `{"nx":16,"ny":17,"nz":16,"steps":1,"threads":-1}`
+	// The chunked exchange is gone, so its knob is an unknown field.
+	retired := `{"nx":16,"ny":17,"nz":16,"steps":1,"pa":2,"pb":2,"overlap":true}`
 	for _, body := range []string{
 		`{"nx":2,"ny":17,"nz":2,"steps":1}`,
 		`{"nx":4,"ny":17,"nz":4,"steps":1,"pa":4,"pb":4}`,
 		`{"nx":16,"ny":17,"nz":16,"steps":1,"pb":32}`,
 		`{"workload":"isotropic","nx":16,"ny":16,"nz":16,"steps":1,"ly":-1}`,
 		serviceOnly,
+		retired,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
+		answer, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		if body == retired {
+			if !strings.Contains(string(answer), `unknown field \"overlap\"`) {
+				t.Errorf("%s: answer %s does not name the field", body, answer)
+			}
+			continue
 		}
 		spec, err := decodeSpec([]byte(body))
 		if err != nil {
@@ -1125,5 +1136,43 @@ func TestDiscoverRunsAndPrune(t *testing.T) {
 	runs, _ = DiscoverRuns(dir)
 	if len(runs) != 1 || runs[0].ID != 2 {
 		t.Errorf("after prune: %d runs (first id %d), want newest survivor only", len(runs), runs[0].ID)
+	}
+}
+
+// TestDiscoverRunsSkipsRetiredKeys: a run directory persisted with the
+// chunked exchange's knobs no longer decodes, so discovery skips it rather
+// than resume it under a spec that means something else.
+func TestDiscoverRunsSkipsRetiredKeys(t *testing.T) {
+	for key, val := range map[string]any{"overlap": true, "pipeline_chunks": 2} {
+		t.Run(key, func(t *testing.T) {
+			dir := t.TempDir()
+			m := newTestManager(t, dir, Options{})
+			job, err := m.Submit(smallSpec(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, job, StateDone)
+			drainManager(t, m)
+			rs, _ := NewRunStore(dir)
+			path := filepath.Join(rs.Dir(job.ID), "spec.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec map[string]any
+			if err := json.Unmarshal(raw, &spec); err != nil {
+				t.Fatal(err)
+			}
+			spec[key] = val
+			if raw, err = json.Marshal(spec); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if runs, err := DiscoverRuns(dir); err != nil || len(runs) != 0 {
+				t.Errorf("discovered %d runs (err %v) from a spec with %q, want none", len(runs), err, key)
+			}
+		})
 	}
 }

@@ -68,10 +68,6 @@ type JobSpec struct {
 	// Form is the convective-term form: "divergence" (default),
 	// "convective" or "skew".
 	Form string `json:"form,omitempty"`
-	// Overlap pipelines the nonlinear-path transposes (bit-identical;
-	// wins at 4+ ranks); PipelineChunks overrides the pipeline depth.
-	Overlap        bool `json:"overlap,omitempty"`
-	PipelineChunks int  `json:"pipeline_chunks,omitempty"`
 	// CkptEvery is the rolling-checkpoint cadence in steps (0 selects
 	// every 10 steps — a service job is always crash-resumable). A final
 	// checkpoint is written unconditionally, as is one before any
@@ -185,7 +181,6 @@ func (sp JobSpec) Config(pool *par.Pool, reg *telemetry.Registry, trc *trace.Tra
 		Ly: d.Ly, Prandtl: d.Prandtl,
 		PA: d.PA, PB: d.PB, Pool: pool,
 		Nonlinear: form,
-		Overlap:   d.Overlap, PipelineChunks: d.PipelineChunks,
 		Telemetry: reg, Trace: trc,
 	}
 }
@@ -199,7 +194,7 @@ func (sp JobSpec) ConfigMap() map[string]string {
 		"re_tau": fmt.Sprint(d.ReTau), "dt": fmt.Sprint(d.Dt),
 		"steps": fmt.Sprint(d.Steps), "pa": fmt.Sprint(d.PA), "pb": fmt.Sprint(d.PB),
 		"threads": fmt.Sprint(d.Threads), "form": d.Form,
-		"overlap": fmt.Sprint(d.Overlap), "transport": "chan",
+		"transport": "chan",
 	}
 }
 

@@ -121,14 +121,9 @@ type StragglerStep struct {
 	// busy minus the least-busy rank's) — 0 for a perfectly balanced step.
 	MaxSlackSeconds float64 `json:"max_slack_seconds"`
 	// ExposedWireSeconds is the transpose wire time the step's ranks
-	// actually waited on, summed across ranks: per-peer receive waits inside
-	// pipelined exchanges plus the whole window of serial one-shot
-	// exchanges.
+	// waited on, summed across ranks: the exchange windows between pack and
+	// unpack.
 	ExposedWireSeconds float64 `json:"exposed_wire_seconds,omitempty"`
-	// HiddenWireSeconds is the remainder of the pipelined exchange windows:
-	// wire time overlapped with pack/unpack and interleaved FFT work rather
-	// than waited on. Zero for serial runs by construction.
-	HiddenWireSeconds float64 `json:"hidden_wire_seconds,omitempty"`
 }
 
 // NewReport assembles a report from a registry snapshot and wire block
@@ -258,7 +253,7 @@ func (r *Report) Validate() error {
 			if s.GatingSeconds < 0 || s.MaxSlackSeconds < 0 {
 				return fmt.Errorf("trace: step %d: negative seconds", s.Step)
 			}
-			if s.ExposedWireSeconds < 0 || s.HiddenWireSeconds < 0 {
+			if s.ExposedWireSeconds < 0 {
 				return fmt.Errorf("trace: step %d: negative wire attribution", s.Step)
 			}
 			if s.MaxSlackSeconds > s.GatingSeconds {
@@ -284,7 +279,7 @@ func (r *Report) Validate() error {
 // scheduleOpKinds is the closed op vocabulary a schedule block may use.
 var scheduleOpKinds = map[string]bool{
 	schedule.OpTranspose: true, schedule.OpReorder: true, schedule.OpFFT: true,
-	schedule.OpSolve: true, schedule.OpCollective: true, schedule.OpOverlap: true,
+	schedule.OpSolve: true, schedule.OpCollective: true,
 }
 
 var scheduleDirs = map[string]bool{
@@ -323,7 +318,7 @@ func (r *Report) validateSchedule() error {
 			return fmt.Errorf("schedule: op %d (%s): NaN size", i, op.Kind)
 		}
 		switch op.Kind {
-		case schedule.OpTranspose, schedule.OpReorder, schedule.OpOverlap:
+		case schedule.OpTranspose, schedule.OpReorder:
 			if !scheduleDirs[op.Dir] {
 				return fmt.Errorf("schedule: op %d (%s): unknown direction %q", i, op.Kind, op.Dir)
 			}
@@ -331,22 +326,10 @@ func (r *Report) validateSchedule() error {
 				return fmt.Errorf("schedule: op %d (%s %s): comm size %d", i, op.Kind, op.Dir, op.CommSize)
 			}
 		}
-		switch op.Kind {
-		case schedule.OpTranspose, schedule.OpOverlap:
-			// One message per remote peer per chunk; a one-shot transpose is
-			// the single-chunk case (Chunks omitted as 0).
-			if want := max(1, op.Chunks) * (op.CommSize - 1); op.Messages != want {
-				return fmt.Errorf("schedule: op %d (%s %s): %d messages for comm size %d with %d chunks",
-					i, op.Kind, op.Dir, op.Messages, op.CommSize, op.Chunks)
-			}
-		}
-		if op.Kind == schedule.OpOverlap {
-			if op.Chunks < 1 {
-				return fmt.Errorf("schedule: op %d (overlap %s): pipeline depth %d", i, op.Dir, op.Chunks)
-			}
-			if _, ok := PhaseFromString(op.FFTPhase); !ok {
-				return fmt.Errorf("schedule: op %d (overlap %s): unknown fft phase %q", i, op.Dir, op.FFTPhase)
-			}
+		// One message per remote peer.
+		if op.Kind == schedule.OpTranspose && op.Messages != op.CommSize-1 {
+			return fmt.Errorf("schedule: op %d (%s %s): %d messages for comm size %d",
+				i, op.Kind, op.Dir, op.Messages, op.CommSize)
 		}
 	}
 	return nil
@@ -368,10 +351,7 @@ func (r *Report) validateSchedule() error {
 // independent of how many times the program ran. This covers programs
 // whose executions of one direction vary in size (a substep that runs two
 // passes of different shapes); for uniform programs it reduces to the
-// per-call invariant.
-// Overlap ops count like transposes with messages = chunks *
-// (comm_size - 1): the pipelined exchange sends one message per remote
-// peer per chunk but moves the same images. When the report carries
+// per-call invariant. When the report carries
 // flop accounting driven by the same schedule (timestep runs), the total is
 // checked against steps * schedule.TotalFlops to per-rank integer-truncation
 // slack. A nil schedule passes: the check gates consistency, not presence.
@@ -387,7 +367,7 @@ func (r *Report) CheckScheduleConsistency() error {
 	}
 	shapes := map[string]dirShape{}
 	for _, op := range s.Ops {
-		if op.Kind != schedule.OpTranspose && op.Kind != schedule.OpOverlap {
+		if op.Kind != schedule.OpTranspose {
 			continue
 		}
 		sh := shapes[op.Dir]

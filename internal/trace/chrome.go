@@ -174,11 +174,6 @@ func chromeEventOf(rank int, ev Event) chromeEvent {
 	case KindExchange:
 		ce.Name = "exchange " + ev.Op.String()
 		args["bytes"] = ev.Bytes
-		if ev.Peer > 0 {
-			// Pipelined exchange window: the Peer word carries the
-			// pipeline depth (see Recorder.ExchangePipelined).
-			args["chunks"] = int64(ev.Peer)
-		}
 	case KindPeer:
 		ce.Name = "peer wait"
 		args["peer"] = int64(ev.Peer)

@@ -34,17 +34,11 @@ type StepReport struct {
 	GatingPhase telemetry.Phase
 	// GatingSeconds is the gating rank's busy time.
 	GatingSeconds float64
-	// ExposedWireSeconds is the wire time the step's ranks actually waited
-	// on, summed across ranks: per-peer receive waits inside pipelined
-	// exchanges (KindPeer events) plus the whole window of serial one-shot
-	// exchanges (KindExchange with no pipeline depth).
+	// ExposedWireSeconds is the wire time the step's ranks waited on,
+	// summed across ranks: the transposes' exchange windows (KindExchange).
+	// The per-peer waits (KindPeer) lie inside those windows and are not
+	// counted again.
 	ExposedWireSeconds float64
-	// HiddenWireSeconds is the remainder of the pipelined exchange windows —
-	// wire time overlapped with pack/unpack and the consumer's FFT work
-	// rather than waited on. Serial exchanges contribute nothing here: their
-	// wire time is exposed by construction. ExposedWireSeconds +
-	// HiddenWireSeconds recovers the total wire window of the step.
-	HiddenWireSeconds float64
 }
 
 // Analyze computes per-step critical paths from a per-rank event snapshot
@@ -61,11 +55,7 @@ func Analyze(perRank [][]Event) []StepReport {
 	type acc struct {
 		busy  []int64
 		phase [][telemetry.NumPhases]int64
-		// Wire attribution, summed across ranks: peer-arrival waits and
-		// serial exchange windows are exposed; pipelined exchange windows
-		// (KindExchange with Peer > 0, the pipeline depth) minus their
-		// recorded waits are hidden.
-		peerWait, pipeWindow, serialWire int64
+		wire  int64 // exchange windows, summed across ranks
 	}
 	steps := map[int64]*acc{}
 	get := func(step int64) *acc {
@@ -89,15 +79,8 @@ func Analyze(perRank [][]Event) []StepReport {
 				a := get(ev.Step)
 				a.busy[rank] += int64(ev.Dur)
 				a.phase[rank][ev.Phase] += int64(ev.Dur)
-			case KindPeer:
-				get(ev.Step).peerWait += int64(ev.Dur)
 			case KindExchange:
-				a := get(ev.Step)
-				if ev.Peer > 0 {
-					a.pipeWindow += int64(ev.Dur)
-				} else {
-					a.serialWire += int64(ev.Dur)
-				}
+				get(ev.Step).wire += int64(ev.Dur)
 			}
 		}
 	}
@@ -116,20 +99,13 @@ func Analyze(perRank [][]Event) []StepReport {
 				gating = r
 			}
 		}
-		hidden := a.pipeWindow - a.peerWait
-		if hidden < 0 {
-			// Clock skew between the window endpoints and the per-arrival
-			// stamps; clamp rather than report negative hidden time.
-			hidden = 0
-		}
 		rep := StepReport{
 			Step:               s,
 			BusySeconds:        make([]float64, ranks),
 			SlackSeconds:       make([]float64, ranks),
 			GatingRank:         gating,
 			GatingSeconds:      time.Duration(a.busy[gating]).Seconds(),
-			ExposedWireSeconds: time.Duration(a.peerWait + a.serialWire).Seconds(),
-			HiddenWireSeconds:  time.Duration(hidden).Seconds(),
+			ExposedWireSeconds: time.Duration(a.wire).Seconds(),
 		}
 		for r := 0; r < ranks; r++ {
 			rep.BusySeconds[r] = time.Duration(a.busy[r]).Seconds()
@@ -196,7 +172,6 @@ func Summarize(t *Trace) *telemetry.TraceSummary {
 			GatingSeconds:      rep.GatingSeconds,
 			MaxSlackSeconds:    maxSlack,
 			ExposedWireSeconds: rep.ExposedWireSeconds,
-			HiddenWireSeconds:  rep.HiddenWireSeconds,
 		})
 	}
 	return sum
@@ -209,9 +184,9 @@ func WriteStragglerTable(w io.Writer, reports []StepReport) {
 		fmt.Fprintln(w, "trace: no steps recorded")
 		return
 	}
-	fmt.Fprintf(w, "%6s  %5s  %-14s  %12s  %14s  %12s  %12s\n",
+	fmt.Fprintf(w, "%6s  %5s  %-14s  %12s  %14s  %12s\n",
 		"step", "rank", "gating phase", "busy [ms]", "max slack [ms]",
-		"exposed [ms]", "hidden [ms]")
+		"exposed [ms]")
 	for _, rep := range reports {
 		maxSlack := 0.0
 		for _, sl := range rep.SlackSeconds {
@@ -219,9 +194,9 @@ func WriteStragglerTable(w io.Writer, reports []StepReport) {
 				maxSlack = sl
 			}
 		}
-		fmt.Fprintf(w, "%6d  %5d  %-14s  %12.3f  %14.3f  %12.3f  %12.3f\n",
+		fmt.Fprintf(w, "%6d  %5d  %-14s  %12.3f  %14.3f  %12.3f\n",
 			rep.Step, rep.GatingRank, rep.GatingPhase.String(),
 			rep.GatingSeconds*1e3, maxSlack*1e3,
-			rep.ExposedWireSeconds*1e3, rep.HiddenWireSeconds*1e3)
+			rep.ExposedWireSeconds*1e3)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -149,5 +150,27 @@ func TestWriteStragglerTable(t *testing.T) {
 	WriteStragglerTable(&sb, nil)
 	if !strings.Contains(sb.String(), "no steps") {
 		t.Errorf("empty table output %q", sb.String())
+	}
+}
+
+// TestAnalyzeExposedWireIsExchangeWindow: the per-peer waits an alltoallv
+// records lie inside the exchange window its transpose records, so a step
+// with one 10 ms exchange holding a 6 ms peer wait exposes 10 ms of wire,
+// not 16.
+func TestAnalyzeExposedWireIsExchangeWindow(t *testing.T) {
+	tr := New(64)
+	rec := tr.Rank(0)
+	t0 := tr.Epoch()
+	rec.BeginStep(0)
+	rec.TraceSpan(telemetry.PhaseTransposeAB, t0, t0.Add(12*time.Millisecond))
+	rec.Exchange(telemetry.CommYtoZ, 1024, t0.Add(time.Millisecond), t0.Add(11*time.Millisecond))
+	rec.Peer(1, 512, t0.Add(3*time.Millisecond), t0.Add(9*time.Millisecond))
+	rec.EndStep(t0, t0.Add(12*time.Millisecond))
+	reports := Analyze(tr.Events())
+	if len(reports) != 1 {
+		t.Fatalf("%d step reports, want 1", len(reports))
+	}
+	if got, want := reports[0].ExposedWireSeconds, 0.010; math.Abs(got-want) > 1e-12 {
+		t.Errorf("exposed wire %g s, want %g s (the exchange window alone)", got, want)
 	}
 }

@@ -39,7 +39,7 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 	rec.SetStage(1)
 	rec.TraceSpan(telemetry.PhaseNonlinear, ep.Add(10*time.Microsecond), ep.Add(30*time.Microsecond))
 	rec.Exchange(telemetry.CommYtoZ, 4096, ep.Add(30*time.Microsecond), ep.Add(40*time.Microsecond))
-	rec.ExchangePipelined(telemetry.CommZtoX, 3, 512, ep.Add(31*time.Microsecond), ep.Add(39*time.Microsecond))
+	rec.Exchange(telemetry.CommZtoX, 512, ep.Add(31*time.Microsecond), ep.Add(39*time.Microsecond))
 	rec.Peer(3, 1024, ep.Add(32*time.Microsecond), ep.Add(38*time.Microsecond))
 	rec.SetStage(-1)
 	rec.EndStep(ep.Add(10*time.Microsecond), ep.Add(50*time.Microsecond))

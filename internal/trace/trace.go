@@ -260,19 +260,6 @@ func (r *Recorder) Exchange(op telemetry.CommOp, bytes int64, t0, t1 time.Time) 
 	r.record(KindExchange, uint8(op), -1, bytes, t0, t1)
 }
 
-// ExchangePipelined records the wire window of one chunked pipelined
-// transpose: first chunk send to last chunk arrival. The Peer word of a
-// KindExchange event carries the pipeline depth — chunks >= 1 marks a
-// pipelined window whose per-arrival waits were recorded as KindPeer
-// events, while serial one-shot exchanges keep Peer = -1 — so analyzers
-// can attribute exposed versus hidden wire time (critpath.go).
-func (r *Recorder) ExchangePipelined(op telemetry.CommOp, chunks int, bytes int64, t0, t1 time.Time) {
-	if r == nil {
-		return
-	}
-	r.record(KindExchange, uint8(op), chunks, bytes, t0, t1)
-}
-
 // Peer records one pairwise peer exchange inside an alltoallv: the wait
 // for peer's block (comm-local rank) carrying the given received bytes.
 func (r *Recorder) Peer(peer int, bytes int64, t0, t1 time.Time) {

@@ -25,8 +25,8 @@ var worldClocks = []struct{ epoch, offset, errNs int64 }{
 
 // plantedWorld records a three-process world, one Trace a process as a
 // -transport=tcp run has them, on fixed epochs: two steps of every phase
-// with a transpose exchange and its peer waits, a pipelined exchange in the
-// second stage, and rank 2 planted as the straggler of every transpose.
+// with a transpose exchange and its peer waits, a second exchange in the
+// forward-FFT phase, and rank 2 planted as the straggler of every transpose.
 func plantedWorld() []*Trace {
 	const world, steps, straggler = 3, 2, 2
 	base := 100 * time.Microsecond
@@ -52,7 +52,7 @@ func plantedWorld() []*Trace {
 					rec.Exchange(telemetry.CommYtoZ, 512, ep.Add(cursor+d/4), ep.Add(cursor+d/2))
 					rec.Peer((r+1)%world, 256, ep.Add(cursor+d/4), ep.Add(cursor+d/3))
 				case telemetry.PhaseFFTForward:
-					rec.ExchangePipelined(telemetry.CommZtoX, 4, 1024, ep.Add(cursor+d/5), ep.Add(cursor+d/2))
+					rec.Exchange(telemetry.CommZtoX, 1024, ep.Add(cursor+d/5), ep.Add(cursor+d/2))
 				}
 				rec.TraceSpan(p, ep.Add(cursor), ep.Add(cursor+d))
 				cursor += d
