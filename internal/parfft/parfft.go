@@ -27,7 +27,6 @@ import (
 	"channeldns/internal/par"
 	"channeldns/internal/pencil"
 	"channeldns/internal/telemetry"
-	"channeldns/internal/trace"
 )
 
 // Kernel is a distributed parallel-FFT pipeline instance; construct with
@@ -53,13 +52,6 @@ type Kernel struct {
 	// SetTelemetry.
 	tel *telemetry.Collector
 
-	// trc, when non-nil, marks each Cycle as one flight-recorder step so
-	// the straggler analysis applies to the FFT benchmark the same way it
-	// does to DNS timesteps. Set with SetTrace; cycles counts completed
-	// cycles for the step labels.
-	trc    *trace.Recorder
-	cycles int64
-
 	// cur is the fields the stage in flight transforms, read by the pool
 	// block bodies, which are bound once at construction so steady-state
 	// Cycles create no per-call closures.
@@ -74,19 +66,6 @@ type Kernel struct {
 func (k *Kernel) SetTelemetry(t *telemetry.Collector) {
 	k.tel = t
 	k.D.Telemetry = t
-}
-
-// SetTrace attaches a per-rank flight recorder to the kernel, its
-// decomposition (transpose exchange windows) and the decomposition's
-// communicators (per-peer exchange waits). Phase events additionally
-// require the recorder to be attached to the collector passed to
-// SetTelemetry (telemetry.Collector.SetTracer).
-func (k *Kernel) SetTrace(r *trace.Recorder) {
-	k.trc = r
-	k.D.Trace = r
-	k.D.Cart.SetTracer(r)
-	k.D.A.SetTracer(r)
-	k.D.B.SetTracer(r)
 }
 
 // kernelWorker holds one worker's transform scratch.
@@ -212,9 +191,7 @@ func (k *Kernel) Cycle(fields [][]complex128) ([][]complex128, Timings) {
 	nz := d.NZ
 	b := k.cycleBufsFor(len(fields))
 
-	cyc0 := time.Now()
-	k.trc.BeginStep(k.cycles)
-	t0 := cyc0
+	t0 := time.Now()
 	// lap charges the time since the previous lap to *to.
 	lap := func(to *time.Duration) {
 		t := time.Now()
@@ -245,8 +222,6 @@ func (k *Kernel) Cycle(fields [][]complex128) ([][]complex128, Timings) {
 	out := d.ZtoY(b.out, k.cur)
 	k.cur = nil
 	lap(&tm.Transpose)
-	k.trc.EndStep(cyc0, t0)
-	k.cycles++
 	return out, tm
 }
 

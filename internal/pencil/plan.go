@@ -418,6 +418,10 @@ func (p *TransposePlan) Book() {
 // The transpose phase span is segmented around each consume call: the
 // consumer's own phase instrumentation runs outside PhaseTransposeAB, so
 // phases still tile the step even though transpose and FFT work interleave.
+//
+// Outside this package's tests, only the benchmark module's layers.go
+// (pencil.ytoz_pipelined_us, through YtoZPipelined) runs it; it goes with
+// that caller (ROADMAP item 3b).
 func (p *TransposePlan) RunPipelined(dst, src [][]complex128, consume func(lo, hi int)) [][]complex128 {
 	d := p.d
 	if !d.Overlap || p.np == 1 {
