@@ -4,7 +4,10 @@
 # shared by every pool worker, worker pool, in-process MPI runtime, pencil
 # transposes, and the dealiased excursion whose pool workers each write
 # their own runs of lines). vet runs twice, the second time for arm64: a
-# cross-build's type check of every package and test at its cheapest. vet
+# cross-build's type check of every package and test at its cheapest. It
+# also reads the arm64 assembly of internal/banded and fails if a method of
+# the collocation operator (banded.Colloc) holds a fused multiply-add, which
+# would round its products unlike amd64, where gc never fuses. vet
 # and test also cover benchmark/, the regression ruler: it is its own module
 # (its only requirement is replaced by ../, so no network), which `./...`
 # skips, and an API break there would otherwise surface only in the
@@ -24,6 +27,10 @@ vet:
 	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"encoding/gob"' . || { echo "these import encoding/gob, an unbounded decoder of peer bytes"; exit 1; }
 	@elf=$$(git ls-files -z | xargs -0 -r sh -c 'for f; do [ -f "$$f" ] && [ "$$(head -c 4 "$$f" | od -An -tx1 | tr -d " \n")" = 7f454c46 ] && echo "$$f"; done' sh); \
 	test -z "$$elf" || { echo "these tracked files are ELF binaries:"; echo "$$elf"; exit 1; }
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/banded 2>&1) || { echo "$$asm"; exit 1; }; \
+	echo "$$asm" | grep -q '(\*Colloc)\.Mul.* STEXT' || { echo "no (*banded.Colloc).Mul* in the arm64 listing"; exit 1; }; \
+	fused=$$(echo "$$asm" | awk '/ STEXT/ { fn = $$1 } /FN?M(ADD|SUB)D/ && fn ~ /\(\*Colloc\)\./ { print fn }' | sort -u); \
+	test -z "$$fused" || { echo "fused multiply-adds on arm64, so these collocation kernels would round unlike amd64:"; echo "$$fused"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -338,22 +338,32 @@ func TestSingularDetection(t *testing.T) {
 	}
 }
 
-func TestRealMulVec(t *testing.T) {
+// TestCollocMulMatchesDense: each order of a random collocation operator,
+// in the unrolled width 8 and in the plain loop's 6, against the dense
+// product of its entries.
+func TestCollocMulMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m, dense := randBandReal(rng, 20, 2, 3)
-	x := make([]float64, 20)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := make([]float64, 20)
-	m.MulVec(y, x)
-	for i := 0; i < 20; i++ {
-		want := 0.0
-		for j := 0; j < 20; j++ {
-			want += real(dense[i][j]) * x[j]
+	for _, w := range []int{6, 8} {
+		const n = 20
+		c, ms := randColloc(rng, n, w)
+		x := randComplexVec(rng, n)
+		xr := make([]float64, n)
+		for i := range xr {
+			xr[i] = real(x[i])
 		}
-		if math.Abs(y[i]-want) > 1e-10 {
-			t.Fatalf("MulVec row %d: %g want %g", i, y[i], want)
+		y, yr := make([]complex128, n), make([]float64, n)
+		for d, m := range ms {
+			c.Mul(d, y, x)
+			c.MulReal(d, yr, xr)
+			for i := 0; i < n; i++ {
+				var want complex128
+				for j := 0; j < n; j++ {
+					want += complex(m.At(i, j), 0) * x[j]
+				}
+				if cmplx.Abs(y[i]-want) > 1e-10 || math.Abs(yr[i]-real(want)) > 1e-10 {
+					t.Fatalf("w=%d order %d row %d: Mul %v, MulReal %g, want %v", w, d, i, y[i], yr[i], want)
+				}
+			}
 		}
 	}
 }
@@ -473,18 +483,21 @@ func TestCompactMutationAfterFactorPanics(t *testing.T) {
 }
 
 // TestSharedOperatorsConcurrentUse: operators are shared read-only state —
-// every pool worker of a threaded step multiplies by the same b0, b1, b2 and
-// solves against the same b0fac. Two goroutines doing so must agree with a
-// serial run (and, under -race, touch nothing either of them writes).
+// every pool worker of a threaded step multiplies by the same collocation
+// operator and solves against the same b0fac. Two goroutines doing so must
+// agree with a serial run (and, under -race, touch nothing either of them
+// writes).
 func TestSharedOperatorsConcurrentUse(t *testing.T) {
 	const n, h = 49, 7
-	c, r, _, _ := benchSystem(n, h)
+	c, _, _, _ := benchSystem(n, h)
 	if err := c.Factor(); err != nil {
 		t.Fatal(err)
 	}
-	x := randComplexVec(rand.New(rand.NewSource(2)), n)
+	rng := rand.New(rand.NewSource(2))
+	r, _ := randColloc(rng, n, h+1)
+	x := randComplexVec(rng, n)
 	wantMul, wantSol := make([]complex128, n), append([]complex128(nil), x...)
-	r.MulVecComplex(wantMul, x)
+	r.Mul(2, wantMul, x)
 	c.SolveComplex(wantSol)
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -493,7 +506,7 @@ func TestSharedOperatorsConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			mul, sol := make([]complex128, n), make([]complex128, n)
 			for rep := 0; rep < 200; rep++ {
-				r.MulVecComplex(mul, x)
+				r.Mul(2, mul, x)
 				copy(sol, x)
 				c.SolveComplex(sol)
 				if maxDiff(mul, wantMul) != 0 || maxDiff(sol, wantSol) != 0 {

@@ -87,14 +87,21 @@ func TestDNSOperatorsBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestCollocationMatVecBitIdenticalToReference: the B0, B1, B2 collocation
-// matrices every matvec of a substep runs on.
+// TestCollocationMatVecBitIdenticalToReference: the collocation operator
+// every matvec of a substep runs on, against the frozen full-band loops over
+// CollocationMatrix of each order, at the DNS's degree 7 (the unrolled
+// kernel) and at degrees 3 and 5 (the plain loop).
 func TestCollocationMatVecBitIdenticalToReference(t *testing.T) {
 	for _, ny := range []int{17, 33, 49} {
-		b, grev := dnsBasis(ny)
-		rng := rand.New(rand.NewSource(int64(ny)))
-		for d := 0; d <= 2; d++ {
-			banded.CheckMulVecAgainstReference(t, fmt.Sprintf("ny=%d B%d", ny, d), b.CollocationMatrix(grev, d), rng)
+		for _, deg := range []int{3, 5, dnsDegree} {
+			b := bspline.NewFromBreakpoints(deg, bspline.ChannelBreakpoints(ny-deg, 0.85))
+			grev := b.Greville()
+			var ms [3]*banded.Real
+			for d := range ms {
+				ms[d] = b.CollocationMatrix(grev, d)
+			}
+			rng := rand.New(rand.NewSource(int64(100*ny + deg)))
+			banded.CheckCollocAgainstReference(t, fmt.Sprintf("ny=%d degree=%d", ny, deg), b.Colloc(grev), ms, rng)
 		}
 	}
 }
@@ -115,11 +122,23 @@ func benchLine(ny int) []complex128 {
 
 func BenchmarkCollocationMatVec(b *testing.B) {
 	basis, grev := dnsBasis(49)
-	m := basis.CollocationMatrix(grev, 2)
+	c := basis.Colloc(grev)
 	x, y := benchLine(49), make([]complex128, 49)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.MulVecComplex(y, x)
+		c.Mul(2, y, x)
+	}
+}
+
+// BenchmarkCollocationMatVecPair: B0*c and B2*c of one line in one pass, as
+// the advance forms them; compare with twice the above.
+func BenchmarkCollocationMatVecPair(b *testing.B) {
+	basis, grev := dnsBasis(49)
+	c := basis.Colloc(grev)
+	x, y0, y2 := benchLine(49), make([]complex128, 49), make([]complex128, 49)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Mul2(0, 2, y0, y2, x)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // row-wise Compact (one separately allocated slice per row at the declared
 // band extent, elimination and substitution behind per-element zero tests)
 // and the full-band MulVec/MulVecComplex loops of Real — as the reference
-// the slab layout and the nonzero-window matvecs are compared against. The
+// the slab layout and the fixed-window collocation matvecs (Colloc) are
+// compared against. The
 // Ref* bodies are verbatim copies; do not tune them. Names are exported so
 // the external test package, which can import bspline, builds the DNS's own
 // operators against them (reference_dns_test.go).
@@ -294,28 +295,61 @@ func CheckCompactAgainstReference(t *testing.T, name string, n, h int, rng *rand
 	}
 }
 
-// CheckMulVecAgainstReference requires m's matvecs to reproduce the frozen
-// full-band loops bit for bit on random real and complex vectors.
-func CheckMulVecAgainstReference(t *testing.T, name string, m *Real, rng *rand.Rand) {
+// CheckCollocAgainstReference requires c's matvecs of each order d to
+// reproduce the frozen full-band loops over ms[d], a general band holding the
+// same entries, bit for bit: Mul and MulReal, and Mul2 with d in either
+// position beside every order. The inputs are a random line with a -0 in it
+// and a line of zeros whose imaginary parts (and every other real entry) are
+// -0, whose products are all -0 in a row of nonnegative entries: only a sum
+// started at +0 turns them into the reference's +0.
+func CheckCollocAgainstReference(t *testing.T, name string, c *Colloc, ms [3]*Real, rng *rand.Rand) {
 	t.Helper()
-	n := m.N
+	n := c.N()
+	negZero := math.Copysign(0, -1)
 	xc, xr := randComplexVec(rng, n), make([]float64, n)
 	for i := range xr {
 		xr[i] = rng.NormFloat64()
 	}
-	xc[n/2], xr[n/2] = complex(0, math.Copysign(0, -1)), 0
-	yc, wc := make([]complex128, n), make([]complex128, n)
-	yr, wr := make([]float64, n), make([]float64, n)
-	m.MulVecComplex(yc, xc)
-	RefMulVecComplex(m, wc, xc)
-	m.MulVec(yr, xr)
-	RefMulVec(m, wr, xr)
-	for i := range yc {
-		if !sameBitsComplex(yc[i], wc[i]) {
-			t.Fatalf("%s: MulVecComplex[%d] = %v, reference %v", name, i, yc[i], wc[i])
+	xc[n/2], xr[n/2] = complex(0, negZero), negZero
+	zc, zr := make([]complex128, n), make([]float64, n)
+	for i := range zc {
+		zc[i] = complex(0, negZero)
+		if i%2 == 0 {
+			zr[i] = negZero
 		}
-		if math.Float64bits(yr[i]) != math.Float64bits(wr[i]) {
-			t.Fatalf("%s: MulVec[%d] = %v, reference %v", name, i, yr[i], wr[i])
+	}
+	ya, yb, wa, wb := make([]complex128, n), make([]complex128, n), make([]complex128, n), make([]complex128, n)
+	yr, wr := make([]float64, n), make([]float64, n)
+	sameLine := func(call string, got, want []complex128) {
+		t.Helper()
+		for i := range got {
+			if !sameBitsComplex(got[i], want[i]) {
+				t.Fatalf("%s: %s[%d] = %v, reference %v", name, call, i, got[i], want[i])
+			}
+		}
+	}
+	for li, x := range [][]complex128{xc, zc} {
+		for d := 0; d < 3; d++ {
+			RefMulVecComplex(ms[d], wa, x)
+			c.Mul(d, ya, x)
+			sameLine(fmt.Sprintf("line %d Mul(%d)", li, d), ya, wa)
+			for e := 0; e < 3; e++ {
+				RefMulVecComplex(ms[e], wb, x)
+				c.Mul2(d, e, ya, yb, x)
+				sameLine(fmt.Sprintf("line %d Mul2(%d, %d) first", li, d, e), ya, wa)
+				sameLine(fmt.Sprintf("line %d Mul2(%d, %d) second", li, d, e), yb, wb)
+			}
+		}
+	}
+	for li, x := range [][]float64{xr, zr} {
+		for d := 0; d < 3; d++ {
+			c.MulReal(d, yr, x)
+			RefMulVec(ms[d], wr, x)
+			for i := range yr {
+				if math.Float64bits(yr[i]) != math.Float64bits(wr[i]) {
+					t.Fatalf("%s: line %d MulReal(%d)[%d] = %v, reference %v", name, li, d, i, yr[i], wr[i])
+				}
+			}
 		}
 	}
 }
@@ -432,36 +466,56 @@ func TestCompactWidenDeclaredBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// TestMulVecBitIdenticalToReference: band matrices whose rows hold exact
-// zeros at either end of the declared band, rows set only in part, an empty
-// row, and entries accumulated through Add.
-func TestMulVecBitIdenticalToReference(t *testing.T) {
-	for _, n := range []int{5, 17, 49, 1024} {
-		for h := 1; h <= 8; h++ {
-			rng := rand.New(rand.NewSource(int64(3000*n + h)))
-			m := NewReal(n, h, h)
-			for i := 0; i < n; i++ {
-				if i == n/3 {
-					continue // a row that is never set
-				}
-				lead, trail := rng.Intn(h+1), rng.Intn(h+1)
-				for j := max(0, i-h); j <= min(n-1, i+h); j++ {
-					switch {
-					case j < i-h+lead || j > i+h-trail:
-						if rng.Intn(2) == 0 {
-							m.Set(i, j, 0)
-						}
-					case rng.Intn(6) == 0:
-						m.Set(i, j, 0)
-					case rng.Intn(3) == 0:
-						m.Add(i, j, rng.NormFloat64())
-						m.Add(i, j, rng.NormFloat64())
-					default:
-						m.Set(i, j, rng.NormFloat64())
-					}
+// randColloc fills an n-row Colloc of window width w with random rows — exact
+// zeros at either end of a window and inside it, -0 entries, a row that is
+// never set — and the three general bands (kl = ku = w-1) holding the same
+// entries of each order. Each window starts within w-1 columns of its row and
+// inside the matrix, so the bands hold it.
+func randColloc(rng *rand.Rand, n, w int) (*Colloc, [3]*Real) {
+	c := NewColloc(n, w)
+	var ms [3]*Real
+	for d := range ms {
+		ms[d] = NewReal(n, w-1, w-1)
+	}
+	ders := [][]float64{make([]float64, w), make([]float64, w), make([]float64, w)}
+	for i := 0; i < n; i++ {
+		if i == n/3 {
+			continue // a row that is never set
+		}
+		lo, hi := max(0, i-w+1), min(i, n-w)
+		start := lo + rng.Intn(hi-lo+1)
+		for _, row := range ders {
+			lead, trail := rng.Intn(w), rng.Intn(w)
+			for k := range row {
+				switch {
+				case k < lead/2 || k >= w-trail/2:
+					row[k] = 0
+				case rng.Intn(6) == 0:
+					row[k] = math.Copysign(0, -1)
+				default:
+					row[k] = rng.NormFloat64()
 				}
 			}
-			CheckMulVecAgainstReference(t, fmt.Sprintf("n=%d h=%d", n, h), m, rng)
+		}
+		c.SetRow(i, start, ders)
+		for d, row := range ders {
+			for k, v := range row {
+				ms[d].Set(i, start+k, v)
+			}
+		}
+	}
+	return c, ms
+}
+
+// TestMulVecBitIdenticalToReference: collocation operators of every window
+// width up to the unrolled 8 whose rows hold exact zeros at either end of the
+// window and inside it, -0 entries and an empty row.
+func TestMulVecBitIdenticalToReference(t *testing.T) {
+	for _, n := range []int{5, 17, 49, 1024} {
+		for w := 1; w <= min(n, 9); w++ {
+			rng := rand.New(rand.NewSource(int64(3000*n + w)))
+			c, ms := randColloc(rng, n, w)
+			CheckCollocAgainstReference(t, fmt.Sprintf("n=%d w=%d", n, w), c, ms, rng)
 		}
 	}
 }

@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+
+	"channeldns/internal/banded"
 )
 
 // Basis is a B-spline basis of a fixed degree on a clamped knot vector.
@@ -19,6 +22,13 @@ type Basis struct {
 	degree int
 	knots  []float64 // clamped: degree+1 repeats at each end
 	nb     int       // number of basis functions
+
+	// interp is the factored collocation matrix at the Greville points,
+	// built by the first Interpolate.
+	interp struct {
+		once sync.Once
+		m    *banded.Real
+	}
 }
 
 // NewFromBreakpoints constructs a clamped basis of the given degree over the

@@ -118,14 +118,19 @@ func TestCollocationMatrixMatchesEval(t *testing.T) {
 	for i := range coef {
 		coef[i] = rng.NormFloat64()
 	}
+	c := b.Colloc(grev)
 	for d := 0; d <= 2; d++ {
 		m := b.CollocationMatrix(grev, d)
 		y := make([]float64, len(grev))
-		m.MulVec(y, coef)
+		c.MulReal(d, y, coef)
 		for i, u := range grev {
 			want := b.EvalDeriv(coef, u, d)
-			if math.Abs(y[i]-want) > 1e-9 {
-				t.Errorf("d=%d row %d: %g want %g", d, i, y[i], want)
+			band := 0.0
+			for j := range coef {
+				band += m.At(i, j) * coef[j]
+			}
+			if math.Abs(y[i]-want) > 1e-9 || math.Abs(band-want) > 1e-9 {
+				t.Errorf("d=%d row %d: Colloc %g, CollocationMatrix %g, want %g", d, i, y[i], band, want)
 			}
 		}
 	}

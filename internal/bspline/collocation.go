@@ -6,6 +6,21 @@ import (
 	"channeldns/internal/banded"
 )
 
+// Colloc returns the collocation operator of derivative orders 0..2 at
+// points, one row per point, each over the degree+1 basis functions that can
+// be nonzero there. Its entries of order d are CollocationMatrix(points, d)'s
+// bit for bit: both come from EvalDerivs, whose order-d derivatives do not
+// depend on how many orders it is asked for. points must number NumBasis.
+func (b *Basis) Colloc(points []float64) *banded.Colloc {
+	c := banded.NewColloc(len(points), b.degree+1)
+	ders := workDers(2, b.degree)
+	for i, u := range points {
+		span := b.EvalDerivs(u, 2, ders)
+		c.SetRow(i, span-b.degree, ders)
+	}
+	return c
+}
+
 // CollocationMatrix returns the banded matrix C with C[i][j] = d-th
 // derivative of basis function j evaluated at points[i]. With Greville
 // points the matrix is banded with half-bandwidth degree; kl = ku = degree
@@ -43,14 +58,19 @@ func workDers(nd, degree int) [][]float64 {
 
 // Interpolate computes spline coefficients that reproduce the values vals at
 // the Greville points (vals[i] = s(greville[i])). This is how physical
-// collocation data is lifted to B-spline coefficient space.
+// collocation data is lifted to B-spline coefficient space. The factored
+// interpolation matrix is built on the first call and kept, so a call costs
+// one solve and its result.
 func (b *Basis) Interpolate(vals []float64) []float64 {
-	m := b.CollocationMatrix(b.Greville(), 0)
-	if err := m.Factor(); err != nil {
-		panic("bspline: singular collocation matrix: " + err.Error())
-	}
+	b.interp.once.Do(func() {
+		m := b.CollocationMatrix(b.Greville(), 0)
+		if err := m.Factor(); err != nil {
+			panic("bspline: singular collocation matrix: " + err.Error())
+		}
+		b.interp.m = m
+	})
 	c := append([]float64(nil), vals...)
-	m.Solve(c)
+	b.interp.m.Solve(c)
 	return c
 }
 

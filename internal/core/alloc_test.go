@@ -205,3 +205,29 @@ func TestEnsureOpsAllocs(t *testing.T) {
 		t.Logf("%s: ensureOps rebuild: %v allocs for %d operators", workload, allocs, operators)
 	}
 }
+
+// TestStatusLineAllocsIndependentOfGrid: a status line (energy, friction and
+// bulk velocity, boundary residual) evaluates every local mode's velocity
+// into reused scratch lines and interpolates against a basis factored once,
+// so what it allocates does not grow with the grid. It used to allocate
+// fresh lines for every mode: 5 172 objects at 48x49x48.
+func TestStatusLineAllocsIndependentOfGrid(t *testing.T) {
+	var allocs [2]float64
+	for i, n := range []int{16, 48} {
+		var s *Solver
+		var err error
+		mpi.Run(1, func(c *mpi.Comm) {
+			s, err = New(c, Config{Nx: n, Ny: n + 1, Nz: n, ReTau: 180, Dt: 1e-3, Forcing: 1})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.InitDefault(0.2, 13)
+		s.StatusLine() // the first call factors the interpolation matrix
+		allocs[i] = testing.AllocsPerRun(3, func() { s.StatusLine() })
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("StatusLine allocates %v objects at 16x17x16 but %v at 48x49x48", allocs[0], allocs[1])
+	}
+	t.Logf("StatusLine: %v allocs at 16x17x16 and %v at 48x49x48", allocs[0], allocs[1])
+}

@@ -112,7 +112,7 @@ func (s *Solver) convectiveTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 				hgw[i] = ikzC*h[0][base+i] - ikxC*h[2][base+i]
 				p[i] = ikxC*h[0][base+i] + ikzC*h[2][base+i]
 			}
-			s.ddy(tmp, s.b1, p, sol)
+			s.ddy(tmp, 1, p, sol)
 			ck2 := complex(k2, 0)
 			for i := 0; i < ny; i++ {
 				hvw[i] = -ck2*h[1][base+i] - tmp[i]

@@ -57,17 +57,13 @@ func (s *Solver) evalWall(c []complex128, upper bool) complex128 {
 func (s *Solver) EnergyProfile() []float64 {
 	ny := s.Cfg.Ny
 	prof := make([]float64, ny)
-	for w := 0; w < s.nw; w++ {
-		ikx, ikz := s.modeOf(w)
-		if s.G.IsNyquistZ(ikz) {
-			continue
-		}
-		u, v, wv := s.ModeVelocityValues(ikx, ikz)
+	s.eachModeVelocity(func(ikx int, vel [][]complex128) {
+		u, v, wv := vel[0], vel[1], vel[2]
 		wt := oneSided(ikx)
 		for i := 0; i < ny; i++ {
 			prof[i] += wt * (sq(u[i]) + sq(v[i]) + sq(wv[i]))
 		}
-	}
+	})
 	return mpi.Allreduce(s.World(), mpi.OpSum, prof)
 }
 
@@ -93,7 +89,7 @@ func (s *Solver) MeanProfile() []float64 {
 	vals := make([]float64, ny)
 	root := 0 // owner of kx=kz=0 is cart rank (0,0) == world slot 0 of the grid
 	if s.ownsMean {
-		s.b0.MulVec(vals, s.meanU)
+		s.colloc.MulReal(0, vals, s.meanU)
 	}
 	return mpi.Bcast(s.World(), root, vals)
 }
@@ -130,18 +126,14 @@ func (s *Solver) CFLEstimate() float64 {
 		// No nonlinear evaluation yet (or frozen convection): fall back to
 		// the triangle-inequality bound from spectral amplitudes.
 		op = mpi.OpSum
-		for w := 0; w < s.nw; w++ {
-			ikx, ikz := s.modeOf(w)
-			if s.G.IsNyquistZ(ikz) {
-				continue
-			}
+		s.eachModeVelocity(func(ikx int, vel [][]complex128) {
 			wt := oneSided(ikx)
-			for c, vals := range s.modeLines(ikx, ikz, 3) {
+			for c, vals := range vel {
 				for i, v := range vals {
 					m[c][i] += wt * cmplx.Abs(v)
 				}
 			}
-		}
+		})
 	}
 	maxU := mpi.Allreduce(s.World(), op, m[0])
 	maxV := mpi.Allreduce(s.World(), op, m[1])

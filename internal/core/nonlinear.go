@@ -14,7 +14,6 @@ package core
 // the paper's five.
 
 import (
-	"channeldns/internal/banded"
 	"channeldns/internal/parfft"
 	"channeldns/internal/telemetry"
 )
@@ -42,12 +41,12 @@ func (s *Solver) pass(sp *parfft.Spec) [][]complex128 {
 }
 
 // ddy maps the collocation values vals of a mode line to those of a
-// wall-normal derivative of their spline interpolant, dst = d*B0^{-1}*vals
-// with d = b1 or b2; sol is scratch.
-func (s *Solver) ddy(dst []complex128, d *banded.Real, vals, sol []complex128) {
+// wall-normal derivative of order d of their spline interpolant,
+// dst = B_d*B0^{-1}*vals; sol is scratch.
+func (s *Solver) ddy(dst []complex128, d int, vals, sol []complex128) {
 	copy(sol, vals)
 	s.b0fac.SolveComplex(sol)
-	d.MulVecComplex(dst, sol)
+	s.colloc.Mul(d, dst, sol)
 }
 
 // meanFluxTerm writes the mean-mode right-hand side -d<flux>/dy from the
@@ -59,7 +58,7 @@ func (s *Solver) meanFluxTerm(dst []float64, flux []complex128) {
 		c[i] = real(flux[i])
 	}
 	s.b0fac.SolveReal(c)
-	s.b1.MulVec(dst, c)
+	s.colloc.MulReal(1, dst, c)
 	for i := range dst {
 		dst[i] = -dst[i]
 	}
@@ -151,7 +150,7 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 			// h_g = kx*kz*(uu-ww) - (kx^2-kz^2)*uw - d/dy(Sg)
 			copy(sol, sv)
 			s.b0fac.SolveComplex2(sg, sol)
-			s.b1.MulVecComplex(tmp, sg)
+			s.colloc.Mul(1, tmp, sg)
 			hgw := hg[w]
 			for i := 0; i < ny; i++ {
 				hgw[i] = complex(kx*kz, 0)*(prods[parfft.UU][base+i]-prods[parfft.WW][base+i]) -
@@ -160,17 +159,17 @@ func (s *Solver) divergenceTerms(hg, hv [][]complex128, meanHx, meanHz []float64
 			// h_v = k2*S + k2*d/dy(vv) - d/dy(T) + d2/dy2(S)
 			hvw := hv[w]
 			ck2 := complex(k2, 0)
-			s.b2.MulVecComplex(tmp, sol)
+			s.colloc.Mul(2, tmp, sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] = ck2*sv[i] + tmp[i]
 			}
 			copy(sol, prods[parfft.VV][base:base+ny])
 			s.b0fac.SolveComplex2(sol, tv)
-			s.b1.MulVecComplex(tmp, sol)
+			s.colloc.Mul(1, tmp, sol)
 			for i := 0; i < ny; i++ {
 				hvw[i] += ck2 * tmp[i]
 			}
-			s.b1.MulVecComplex(tmp, tv)
+			s.colloc.Mul(1, tmp, tv)
 			for i := 0; i < ny; i++ {
 				hvw[i] -= tmp[i]
 			}

@@ -38,40 +38,20 @@ type wnOps struct {
 	minv     [3][2][2]float64
 }
 
-// opRow is one collocation row evaluated once at construction: the value (d0)
-// and second-derivative (d2) entries of the deg+1 splines that are nonzero at
-// the row's Greville point, the first of them at column start. Every implicit
-// operator of every wavenumber is a combination of these same rows. The first
-// and last rows hold only start: they are the wall value rows of s.wall.
-type opRow struct {
-	start  int
-	d0, d2 []float64
-}
-
-// collocationRows evaluates the interior rows 1..ny-2 and records where the
-// two wall value rows start.
-func (s *Solver) collocationRows() []opRow {
-	ny := s.Cfg.Ny
-	rows := make([]opRow, ny)
-	for i := 1; i < ny-1; i++ {
-		start, ders := s.B.RowAt(s.grev[i], 2)
-		rows[i] = opRow{start: start, d0: ders[0], d2: ders[2]}
-	}
-	rows[0].start, rows[ny-1].start = s.wall.LowerValStart, s.wall.UpperValStart
-	return rows
-}
-
 // fillOperator writes the rows of an implicit operator into m: interior
-// rows combine the value/second-derivative collocation rows as
-// a0*B0 - a2*B2, and the first and last rows are the wall value rows. m is
+// rows combine the value/second-derivative rows of the collocation operator
+// as a0*B0 - a2*B2, so every implicit operator of every wavenumber is a
+// combination of the same rows, and the first and last rows are the wall
+// value rows. m is
 // an interface, not a func(i, j, v): handing over a matrix then allocates
 // nothing, where its bound Set method would, once per operator.
 func (s *Solver) fillOperator(m interface{ Set(i, j int, v float64) }, a0, a2 float64) {
 	ny := s.Cfg.Ny
 	for i := 1; i < ny-1; i++ {
-		row := &s.opRows[i]
-		for j, d0 := range row.d0 {
-			m.Set(i, row.start+j, a0*d0-a2*row.d2[j])
+		start, r0 := s.colloc.Row(0, i)
+		_, r2 := s.colloc.Row(2, i)
+		for j, d0 := range r0 {
+			m.Set(i, start+j, a0*d0-a2*r2[j])
 		}
 	}
 	for j := 0; j <= s.B.Degree(); j++ {
@@ -82,13 +62,16 @@ func (s *Solver) fillOperator(m interface{ Set(i, j int, v float64) }, a0, a2 fl
 
 // factorOperator materializes a0*B0 - a2*B2 (with wall value rows) in the
 // compact format and factors it. Each row is declared at the deg+1 columns
-// its splines occupy, so the operator is assembled, eliminated and solved
-// against in the same storage. B-spline collocation operators of a Helmholtz
-// problem are never singular; one that is means a broken basis.
+// its splines occupy (the wall value rows are the collocation rows at the
+// walls' Greville points, so they start where those do), so the operator is
+// assembled, eliminated and solved against in the same storage. B-spline
+// collocation operators of a Helmholtz problem are never singular; one that
+// is means a broken basis.
 func (s *Solver) factorOperator(a0, a2 float64) *banded.Compact {
 	m, deg := banded.NewCompact(s.Cfg.Ny, 0), s.B.Degree()
-	for i, row := range s.opRows {
-		m.Widen(i, row.start, row.start+deg)
+	for i := 0; i < s.Cfg.Ny; i++ {
+		start, _ := s.colloc.Row(0, i)
+		m.Widen(i, start, start+deg)
 	}
 	s.fillOperator(m, a0, a2)
 	if err := m.Factor(); err != nil {
@@ -220,7 +203,7 @@ func (s *Solver) buildInfluence(op *wnOps, lhs *banded.Compact, sub int) {
 		rhs[wallRow] = 1
 		lhs.SolveReal(rhs) // rhs now holds phi coefficients
 		// v from phi: interior rows get B0*phi values; wall rows 0.
-		s.b0.MulVec(vals, rhs)
+		s.colloc.MulReal(0, vals, rhs)
 		vals[0], vals[ny-1] = 0, 0
 		op.helm.SolveReal(vals)
 	}
@@ -243,8 +226,7 @@ func (s *Solver) buildInfluence(op *wnOps, lhs *banded.Compact, sub int) {
 // (length >= len(c)) as scratch so the per-substep hot path allocates
 // nothing.
 func (s *Solver) applyHelmValues(dst, c []complex128, k2 float64, tmp []complex128) {
-	s.b2.MulVecComplex(dst, c)
-	s.b0.MulVecComplex(tmp, c)
+	s.colloc.Mul2(2, 0, dst, tmp, c)
 	ck2 := complex(k2, 0)
 	for i := range dst {
 		dst[i] -= ck2 * tmp[i]

@@ -173,9 +173,9 @@ func (t *ScalarSolver) modeTheta(line []complex128, w int, wk *wsWorker) {
 	switch {
 	case t.G.IsNyquistZ(ikz):
 	case ikx != 0 || ikz != 0:
-		t.b0.MulVecComplex(line, t.cth[w])
+		t.colloc.Mul(0, line, t.cth[w])
 	case t.ownsMean:
-		meanLine(line, t.b0, t.meanTh, wk.rl)
+		t.meanLine(line, 0, t.meanTh, wk.rl)
 	}
 }
 
@@ -209,7 +209,7 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 			base := w * ny
 			ikxC := complex(0, kx)
 			ikzC := complex(0, kz)
-			s.ddy(tmp, s.b1, prods[1][base:base+ny], wk.ln[1])
+			s.ddy(tmp, 1, prods[1][base:base+ny], wk.ln[1])
 			hw := hth[w]
 			for i := 0; i < ny; i++ {
 				hw[i] = -(ikxC*prods[0][base+i] + ikzC*prods[2][base+i] + tmp[i])
@@ -279,7 +279,7 @@ func (t *ScalarSolver) ScalarVariance() float64 {
 			continue
 		}
 		wt := oneSided(ikx)
-		s.b0.MulVecComplex(vals, t.cth[w])
+		s.colloc.Mul(0, vals, t.cth[w])
 		for i := 0; i < ny; i++ {
 			prof[i] += wt * sq(vals[i])
 		}
@@ -300,7 +300,7 @@ func (t *ScalarSolver) MeanScalarProfile() []float64 {
 	s := t.Solver
 	vals := make([]float64, s.Cfg.Ny)
 	if s.ownsMean {
-		s.b0.MulVec(vals, t.meanTh)
+		s.colloc.MulReal(0, vals, t.meanTh)
 	}
 	return mpi.Bcast(s.World(), 0, vals)
 }

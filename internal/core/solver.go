@@ -18,12 +18,13 @@ type Solver struct {
 	B    *bspline.Basis
 	grev []float64
 
-	// Collocation operators (unfactored, used as matvecs) and the factored
+	// The collocation operator B0/B1/B2 (values and first and second y
+	// derivatives at the Greville points, as matvecs; every implicit
+	// operator is assembled from its rows, see fillOperator) and the factored
 	// interpolation matrix shared by every wavenumber.
-	b0, b1, b2 *banded.Real
-	b0fac      *banded.Compact
-	wall       bspline.WallRows
-	opRows     []opRow // collocation rows, see fillOperator
+	colloc *banded.Colloc
+	b0fac  *banded.Compact
+	wall   bspline.WallRows
 
 	// State: spline coefficients per local wavenumber.
 	cv, cw [][]complex128
@@ -72,11 +73,8 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 		panic("core: basis size mismatch")
 	}
 	s.grev = s.B.Greville()
-	s.b0 = s.B.CollocationMatrix(s.grev, 0)
-	s.b1 = s.B.CollocationMatrix(s.grev, 1)
-	s.b2 = s.B.CollocationMatrix(s.grev, 2)
+	s.colloc = s.B.Colloc(s.grev)
 	s.wall = s.B.WallRows()
-	s.opRows = s.collocationRows()
 	s.b0fac = s.factorOperator(1, 0) // B0 with the wall value rows it has anyway
 
 	s.cv = allocCoef(s.nw, cfg.Ny)

@@ -198,8 +198,8 @@ func TestDivergenceFreeRecovery(t *testing.T) {
 		kx, kz := s.G.Kx(ikx), s.G.Kz(ikz)
 		vy := make([]complex128, ny)
 		om := make([]complex128, ny)
-		s.b1.MulVecComplex(vy, s.VCoef(ikx, ikz))
-		s.b0.MulVecComplex(om, s.OmegaCoef(ikx, ikz))
+		s.colloc.Mul(1, vy, s.VCoef(ikx, ikz))
+		s.colloc.Mul(0, om, s.OmegaCoef(ikx, ikz))
 		for i := 0; i < ny; i++ {
 			div := complex(0, kx)*u[i] + vy[i] + complex(0, kz)*w[i]
 			if cmplx.Abs(div) > 1e-11 {

@@ -61,8 +61,7 @@ func (o *implicitOps) lineRHS(sub int, dt float64, rhs, vals, lap, h, hPrev []co
 // worker's second and third scratch lines.
 func (s *Solver) advanceRHS(o *implicitOps, w, sub int, dt float64, c, h, hPrev []complex128, wk *wsWorker) {
 	vals, lap := wk.ln[1], wk.ln[2]
-	s.b0.MulVecComplex(vals, c) // B0*c = values of the line
-	s.b2.MulVecComplex(lap, c)
+	s.colloc.Mul2(0, 2, vals, lap, c) // B0*c = values of the line, B2*c
 	ck2 := complex(s.ops[w].k2, 0)
 	for i := range lap {
 		lap[i] -= ck2 * vals[i] // (B2 - k2*B0)*c
@@ -77,8 +76,8 @@ func (s *Solver) advanceMeanLine(o *implicitOps, sub int, dt float64, c, h, hPre
 	ga, ze := smr91.Gamma[sub], smr91.Zeta[sub]
 	al := smr91.Alpha[sub] * dt * o.diff
 	rhs, lap := s.ws.meanS0, s.ws.meanS1
-	s.b0.MulVec(rhs, c)
-	s.b2.MulVec(lap, c)
+	s.colloc.MulReal(0, rhs, c)
+	s.colloc.MulReal(2, lap, c)
 	for i := range rhs {
 		rhs[i] += al*lap[i] + dt*(ga*(h[i]+forcing)+ze*(hPrev[i]+forcing))
 	}
@@ -122,7 +121,7 @@ func (s *Solver) advanceSubstep(sub int, dt float64, hg, hv [][]complex128, mHx,
 			visc.lhs[op.set][sub].SolveComplex2(s.cw[w], rhs)
 
 			// --- v from phi (Eq. 4) with v(+-1) = 0 ---
-			s.b0.MulVecComplex(vals, rhs) // phi values
+			s.colloc.Mul(0, vals, rhs) // phi values
 			vals[0], vals[ny-1] = 0, 0
 			op.helm.SolveComplex(vals) // vals = c_v (provisional)
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"channeldns/internal/banded"
 	"channeldns/internal/mpi"
 	"channeldns/internal/telemetry"
 )
@@ -26,10 +25,10 @@ func horizontal(u, w, vy, om []complex128, ikxC, ikzC complex128) {
 	}
 }
 
-// meanLine writes the collocation values m*c of a real mean profile as a
+// meanLine writes the collocation values B_d*c of a real mean profile as a
 // complex line.
-func meanLine(dst []complex128, m *banded.Real, c, tmp []float64) {
-	m.MulVec(tmp, c)
+func (s *Solver) meanLine(dst []complex128, d int, c, tmp []float64) {
+	s.colloc.MulReal(d, tmp, c)
 	for i := range dst {
 		dst[i] = complex(tmp[i], 0)
 	}
@@ -48,11 +47,11 @@ func (s *Solver) modeVelocity(dst [][]complex128, w int, wk *wsWorker) {
 	grad := len(dst) == 6
 	if ikx == 0 && ikz == 0 {
 		if s.ownsMean {
-			meanLine(dst[0], s.b0, s.meanU, wk.rl)
-			meanLine(dst[2], s.b0, s.meanW, wk.rl)
+			s.meanLine(dst[0], 0, s.meanU, wk.rl)
+			s.meanLine(dst[2], 0, s.meanW, wk.rl)
 			if grad {
-				meanLine(dst[3], s.b1, s.meanU, wk.rl)
-				meanLine(dst[5], s.b1, s.meanW, wk.rl)
+				s.meanLine(dst[3], 1, s.meanU, wk.rl)
+				s.meanLine(dst[5], 1, s.meanW, wk.rl)
 			}
 		}
 		return
@@ -64,14 +63,13 @@ func (s *Solver) modeVelocity(dst [][]complex128, w int, wk *wsWorker) {
 	if grad {
 		vy = dst[4]
 	}
-	s.b1.MulVecComplex(vy, s.cv[w])
-	s.b0.MulVecComplex(om, s.cw[w])
-	s.b0.MulVecComplex(dst[1], s.cv[w])
+	s.colloc.Mul2(1, 0, vy, dst[1], s.cv[w])
+	s.colloc.Mul(0, om, s.cw[w])
 	horizontal(dst[0], dst[2], vy, om, ikxC, ikzC)
 	if grad {
 		vyy, omy := wk.ln[2], wk.ln[3]
-		s.b2.MulVecComplex(vyy, s.cv[w])
-		s.b1.MulVecComplex(omy, s.cw[w])
+		s.colloc.Mul(2, vyy, s.cv[w])
+		s.colloc.Mul(1, omy, s.cw[w])
 		horizontal(dst[3], dst[5], vyy, omy, ikxC, ikzC)
 	}
 }
@@ -99,6 +97,26 @@ func (s *Solver) velocityValues(n int, theta []complex128) {
 		}
 	})
 	sp.End()
+}
+
+// eachModeVelocity calls f with the u, v, w lines of every local mode but
+// the z Nyquist ones, in local order, and the mode's kx index. The lines are
+// worker 0's scratch, reused from mode to mode, so f must not keep them:
+// diagnostics run between steps, never beside one.
+func (s *Solver) eachModeVelocity(f func(ikx int, vel [][]complex128)) {
+	wk := &s.ws.workers[0]
+	vel := wk.ln[2:5] // modeVelocity of three lines works in ln[0] and ln[1]
+	for w := 0; w < s.nw; w++ {
+		ikx, ikz := s.modeOf(w)
+		if s.G.IsNyquistZ(ikz) {
+			continue
+		}
+		for _, l := range vel {
+			clear(l) // the lines a mode does not define read zero
+		}
+		s.modeVelocity(vel, w, wk)
+		f(ikx, vel)
+	}
 }
 
 // modeLines returns n fresh modeVelocity lines of one mode, nil ones if this
@@ -135,7 +153,7 @@ func (s *Solver) MeanShear() []float64 {
 	ny := s.Cfg.Ny
 	vals := make([]float64, ny)
 	if s.ownsMean {
-		s.b1.MulVec(vals, s.meanU)
+		s.colloc.MulReal(1, vals, s.meanU)
 	}
 	return mpi.Bcast(s.World(), 0, vals)
 }
@@ -145,6 +163,6 @@ func (s *Solver) MeanShear() []float64 {
 func (s *Solver) SecondDerivativeValues(vals []float64) []float64 {
 	c := s.B.Interpolate(vals)
 	out := make([]float64, len(vals))
-	s.b2.MulVec(out, c)
+	s.colloc.MulReal(2, out, c)
 	return out
 }
