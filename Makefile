@@ -64,8 +64,11 @@ fuzz:
 # (BENCHMARK.json), not by these. fft has BenchmarkLines, ns/line of the
 # per-line entries at the workload line lengths, and BenchmarkBatch, the
 # per-line entries against the batched ones at the channel-48 shapes; banded has the full-band N = 1024 systems
-# of Table 1 and, as BenchmarkCollocationMatVec and BenchmarkHelmholtzSolve,
-# the DNS's own rows at ny = 49, whose zeros inside the band the former lack;
+# of Table 1 and the DNS's own rows at ny = 49, whose zeros inside the band the
+# former lack: BenchmarkCollocationMatVec (one B2*c of the collocation
+# operator), BenchmarkCollocationMatVecPair (B0*c and B2*c of one line in one
+# pass, as the time advance takes them), BenchmarkHelmholtzSolve and
+# BenchmarkHelmholtzSolvePair;
 # mpi has BenchmarkAlltoallvTCP, the wire path's ns/op, B/op and allocs/op at
 # the two message sizes of the scalar step at 32x33x32 on 1x2 ranks; pencil
 # has BenchmarkExcursionTransposes, the four transposes of one substep at the

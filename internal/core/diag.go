@@ -57,7 +57,8 @@ func (s *Solver) evalWall(c []complex128, upper bool) complex128 {
 func (s *Solver) EnergyProfile() []float64 {
 	ny := s.Cfg.Ny
 	prof := make([]float64, ny)
-	s.eachModeVelocity(func(ikx int, vel [][]complex128) {
+	vel := s.diagLines()
+	s.eachModeVelocity(vel, func(ikx, _ int) {
 		u, v, wv := vel[0], vel[1], vel[2]
 		wt := oneSided(ikx)
 		for i := 0; i < ny; i++ {
@@ -126,7 +127,8 @@ func (s *Solver) CFLEstimate() float64 {
 		// No nonlinear evaluation yet (or frozen convection): fall back to
 		// the triangle-inequality bound from spectral amplitudes.
 		op = mpi.OpSum
-		s.eachModeVelocity(func(ikx int, vel [][]complex128) {
+		vel := s.diagLines()
+		s.eachModeVelocity(vel, func(ikx, _ int) {
 			wt := oneSided(ikx)
 			for c, vals := range vel {
 				for i, v := range vals {

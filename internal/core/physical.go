@@ -40,22 +40,14 @@ func (s *Solver) PhysicalPlane(comp PhysicalComponent, yi int) [][]float64 {
 	// Spectral plane spec[kx][kz] of the component at yi.
 	spec := make([]complex128, nkx*nz)
 	lines := allocCoef(6, ny) // u v w and their y derivatives
-	for w := 0; w < s.nw; w++ {
-		ikx, ikz := s.modeOf(w)
-		if g.IsNyquistZ(ikz) {
-			continue
-		}
-		for _, l := range lines {
-			clear(l) // the mean leaves v and dv/dy alone
-		}
-		s.modeVelocity(lines, w, &s.ws.workers[0])
+	s.eachModeVelocity(lines, func(ikx, ikz int) {
 		if comp == CompOmegaZ {
 			// omega_z = i*kx*v - du/dy (just -dU/dy for the mean).
 			spec[ikx*nz+ikz] = complex(0, g.Kx(ikx))*lines[1][yi] - lines[3][yi]
 		} else {
 			spec[ikx*nz+ikz] = lines[comp][yi] // CompU, CompV, CompW index u, v, w
 		}
-	}
+	})
 
 	// Inverse transform, each stage one batched call over the plane: z
 	// along the nkx lines spec[kx][.], then x along the mz columns

@@ -99,13 +99,11 @@ func (s *Solver) velocityValues(n int, theta []complex128) {
 	sp.End()
 }
 
-// eachModeVelocity calls f with the u, v, w lines of every local mode but
-// the z Nyquist ones, in local order, and the mode's kx index. The lines are
-// worker 0's scratch, reused from mode to mode, so f must not keep them:
-// diagnostics run between steps, never beside one.
-func (s *Solver) eachModeVelocity(f func(ikx int, vel [][]complex128)) {
-	wk := &s.ws.workers[0]
-	vel := wk.ln[2:5] // modeVelocity of three lines works in ln[0] and ln[1]
+// eachModeVelocity evaluates modeVelocity into vel (three or six lines) for
+// every local mode but the z Nyquist ones, in local order, and calls f with
+// the mode's indices after each. vel is reused from mode to mode. It borrows
+// worker 0's scratch: diagnostics run between steps, never beside one.
+func (s *Solver) eachModeVelocity(vel [][]complex128, f func(ikx, ikz int)) {
 	for w := 0; w < s.nw; w++ {
 		ikx, ikz := s.modeOf(w)
 		if s.G.IsNyquistZ(ikz) {
@@ -114,10 +112,15 @@ func (s *Solver) eachModeVelocity(f func(ikx int, vel [][]complex128)) {
 		for _, l := range vel {
 			clear(l) // the lines a mode does not define read zero
 		}
-		s.modeVelocity(vel, w, wk)
-		f(ikx, vel)
+		s.modeVelocity(vel, w, &s.ws.workers[0])
+		f(ikx, ikz)
 	}
 }
+
+// diagLines returns three of worker 0's scratch lines that modeVelocity of
+// three lines, which works in ln[0] and ln[1], leaves alone: eachModeVelocity
+// of u, v, w needs no lines of its own.
+func (s *Solver) diagLines() [][]complex128 { return s.ws.workers[0].ln[2:5] }
 
 // modeLines returns n fresh modeVelocity lines of one mode, nil ones if this
 // rank does not own it. It borrows worker 0's line scratch: diagnostics run
