@@ -41,7 +41,7 @@ test:
 
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared' channeldns/internal/core
+	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared|ExcursionInputsWritten' channeldns/internal/core
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
 # not write: the TCP transport's frame reader against whatever a peer might
@@ -73,9 +73,11 @@ fuzz:
 # the two message sizes of the scalar step at 32x33x32 on 1x2 ranks; pencil
 # has BenchmarkExcursionTransposes, the four transposes of one substep at the
 # channel-48 shapes, at 1x1 on one and two workers and at 1x2, 2x1 and 2x2; parfft has
-# BenchmarkExcursionPass, one whole SixProducts excursion at the same shapes
-# and grids; core has BenchmarkEnsureOps, one rebuild of a serial 48x49x48
-# channel's operator caches after a change of dt.
+# BenchmarkExcursionPass, one whole SixProducts excursion at the channel-48
+# shapes on 1x1 (one and two workers) and 1x2, its inputs refilled untimed (a
+# pass leaves its products there), and MB-held, the bytes of its field pools;
+# core has BenchmarkEnsureOps, one rebuild of a serial 48x49x48 channel's
+# operator caches after a change of dt.
 bench:
 	$(GO) test -run xxx -bench Lines -benchtime 200x channeldns/internal/fft
 	$(GO) test -run xxx -bench Batch -benchtime 20x channeldns/internal/fft

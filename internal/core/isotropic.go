@@ -168,42 +168,46 @@ func isoPhase(seed int64, ikx, kyIdx, kzIdx, comp int) complex128 {
 	return complex(cs, sn)
 }
 
-// isoNonlinear returns the fully spectral dealiased product fields uu, uv,
-// uw, vv, vw, ww of the current state, in the excursion's output buffers.
-func (s *IsoSolver) isoNonlinear() [][]complex128 {
-	g := s.G
-	ny := s.Cfg.Ny
-
-	// Inverse y FFT: spectral columns -> y-physical lines, per component.
-	vel := s.exc.In(3)
+// velocityValues writes u, v, w of every local mode, inverse y transformed,
+// into the excursion's inputs: y-physical lines, +0 in the z Nyquist slot.
+func (s *IsoSolver) velocityValues() {
+	ny, vel := s.Cfg.Ny, s.exc.In(3)
 	sp := s.tel.Begin(telemetry.PhaseFFTInverse)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
 			_, ikz := s.modeOf(w)
-			if g.IsNyquistZ(ikz) {
-				continue // stays zero
+			for c, col := range [3][][]complex128{s.cu, s.cv, s.cw} {
+				line := vel[c][w*ny : (w+1)*ny]
+				if s.G.IsNyquistZ(ikz) {
+					clear(line)
+					continue
+				}
+				s.planY.Inverse(line, col[w])
 			}
-			base := w * ny
-			s.planY.Inverse(vel[0][base:base+ny], s.cu[w])
-			s.planY.Inverse(vel[1][base:base+ny], s.cv[w])
-			s.planY.Inverse(vel[2][base:base+ny], s.cw[w])
 		}
 	})
 	sp.End()
+}
+
+// isoNonlinear returns the fully spectral dealiased product fields uu, uv,
+// uw, vv, vw, ww of the current state, in the excursion's field pool.
+func (s *IsoSolver) isoNonlinear() [][]complex128 {
+	ny := s.Cfg.Ny
 
 	// Out to the padded physical grid, six products, and back.
+	s.velocityValues()
 	prods := s.exc.Run(&parfft.SixProducts)
 	s.harvest(s.exc)
 
 	// Forward y FFT with the 2/3-rule truncation, folding in the 1/Ny
 	// normalization of the round trip.
 	inv := 1 / float64(ny)
-	sp = s.tel.Begin(telemetry.PhaseFFTForward)
+	sp := s.tel.Begin(telemetry.PhaseFFTForward)
 	s.pool().ForBlocksIndexed(s.nw, func(blk, wlo, whi int) {
 		yline := s.yline[blk]
 		for w := wlo; w < whi; w++ {
 			_, ikz := s.modeOf(w)
-			if g.IsNyquistZ(ikz) {
+			if s.G.IsNyquistZ(ikz) {
 				continue
 			}
 			base := w * ny

@@ -166,15 +166,16 @@ func (t *ScalarSolver) InitDefault(amp float64, seed int64) {
 	t.PerturbScalar(amp, 2, 2, seed)
 }
 
-// modeTheta evaluates theta of local mode w at the collocation points; like
-// modeVelocity it leaves a line the mode does not define at zero.
+// modeTheta evaluates theta of local mode w at the collocation points, +0 in
+// the z Nyquist slot, like modeVelocity.
 func (t *ScalarSolver) modeTheta(line []complex128, w int, wk *wsWorker) {
 	ikx, ikz := t.modeOf(w)
 	switch {
 	case t.G.IsNyquistZ(ikz):
+		clear(line)
 	case ikx != 0 || ikz != 0:
 		t.colloc.Mul(0, line, t.cth[w])
-	case t.ownsMean:
+	default: // the mean, local only where t.ownsMean
 		t.meanLine(line, 0, t.meanTh, wk.rl)
 	}
 }

@@ -36,23 +36,25 @@ func (s *Solver) meanLine(dst []complex128, d int, c, tmp []float64) {
 
 // modeVelocity evaluates the velocity of local mode w at the collocation
 // points: u, v, w into dst[0..2] and, when dst has six lines, du/dy, dv/dy,
-// dw/dy into dst[3..5]. Lines the mode does not define — all of them in the z
-// Nyquist slot and for the mean on ranks that do not own it, v and dv/dy of
-// the mean — are left as they are: callers hold them at zero.
+// dw/dy into dst[3..5]. It writes every element: +0 where the mode defines no
+// value (every line in the z Nyquist slot, v and dv/dy of the mean).
 func (s *Solver) modeVelocity(dst [][]complex128, w int, wk *wsWorker) {
 	ikx, ikz := s.modeOf(w)
 	if s.G.IsNyquistZ(ikz) {
+		for _, l := range dst {
+			clear(l)
+		}
 		return
 	}
 	grad := len(dst) == 6
-	if ikx == 0 && ikz == 0 {
-		if s.ownsMean {
-			s.meanLine(dst[0], 0, s.meanU, wk.rl)
-			s.meanLine(dst[2], 0, s.meanW, wk.rl)
-			if grad {
-				s.meanLine(dst[3], 1, s.meanU, wk.rl)
-				s.meanLine(dst[5], 1, s.meanW, wk.rl)
-			}
+	if ikx == 0 && ikz == 0 { // local only where s.ownsMean
+		s.meanLine(dst[0], 0, s.meanU, wk.rl)
+		clear(dst[1])
+		s.meanLine(dst[2], 0, s.meanW, wk.rl)
+		if grad {
+			s.meanLine(dst[3], 1, s.meanU, wk.rl)
+			clear(dst[4])
+			s.meanLine(dst[5], 1, s.meanW, wk.rl)
 		}
 		return
 	}
@@ -108,9 +110,6 @@ func (s *Solver) eachModeVelocity(vel [][]complex128, f func(ikx, ikz int)) {
 		ikx, ikz := s.modeOf(w)
 		if s.G.IsNyquistZ(ikz) {
 			continue
-		}
-		for _, l := range vel {
-			clear(l) // the lines a mode does not define read zero
 		}
 		s.modeVelocity(vel, w, &s.ws.workers[0])
 		f(ikx, ikz)

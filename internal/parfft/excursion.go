@@ -68,9 +68,15 @@ func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 // pipeline field buffers and the per-worker line scratch, sized once for the
 // largest registered Spec — the allocation-discipline analog of the paper's
 // 1x communication buffers (§4.3) — so a pass allocates nothing beyond the
-// pool's closure headers. Every stage fully overwrites the elements it later
-// reads, so passes of different Specs share the buffers; elements no pass
-// writes (the z Nyquist column, the mean mode of v) keep their initial zeros.
+// pool's closure headers.
+//
+// The field buffers are one pool per pencil shape, and output f of a pass
+// takes input f's array: no transpose reads and writes one pool, the z
+// inverse is done with zs (or y) before the z forward writes it, and an x
+// block reads all of its input lines into scratch before it writes an output
+// line. Every stage fully overwrites the elements it later reads, so passes
+// of different Specs share the pools, and In, which holds the last pass's
+// products, must be written whole by its caller.
 //
 // Each hook hands the transforms runs of adjacent lines, at most the padded
 // transform's Batch() at a time, through the batched entries: a run goes
@@ -83,10 +89,10 @@ func sixProducts(out []float64, c int, phys, _, _ [][]float64) {
 // write the pencils where they sit, through the batched entries' strided
 // layouts, and the plan only books the call (pencil.TransposePlan.Book). The
 // fold is chosen per communicator from the process grid: with PB == 1 the z
-// inverse reads the y-pencil inputs and the z forward writes the y-pencil
-// outputs, so there is no zpIn or zspec; with PA == 1 the x line is read from
-// and written to the z-pencils, so there is no xp or prodX. Each stage has
-// one body over a lines view bound at construction, folded or not.
+// stages read and write the y-pencils, so there is no zs pool; with PA == 1
+// the x line is read from and written to the padded z-pencils, so there is
+// no xp pool. Each stage has one body over a lines view bound at
+// construction, folded or not.
 //
 // Elsewhere every transpose completes before the stage that follows it runs
 // over all of its lines: the blocking exchange of the paper. The stages'
@@ -105,19 +111,17 @@ type Excursion struct {
 	// plane of the x-pencils, and the first global y index.
 	kxLoc, nyLoc, nzLoc, yLo0 int
 
-	// Field buffers in pipeline order: y-pencil inputs, the same after YtoZ,
-	// padded physical-z lines (+ z derivatives), the same after ZtoX, products
-	// in x-pencils, the same after XtoZ, truncated spectral-z lines, products
-	// back in y-pencils. zpIn and zspec stay empty when foldB, xp and prodX
-	// when foldA.
-	inY, zpIn, zphys, xp, prodX, zpOut, zspec, outY [][]complex128
-	workers                                         []excursionWorker
+	// Field pools: y-pencils, z-pencils at nz, padded z-pencils at mz and
+	// x-pencils at mz. Over the registered Specs, y and zs hold the most
+	// max(In, Out) fields, zp and xp the most max(In+Grad, Out). zs is empty
+	// when foldB, xp when foldA.
+	y, zs, zp, xp [][]complex128
+	workers       []excursionWorker
 
-	// foldA and foldB say CommA and CommB have one rank. The lines the z
-	// inverse reads, the x inverse reads, the x forward writes and the z
-	// forward writes are zIn, xIn, xOut and zOut.
-	foldA, foldB         bool
-	zIn, xIn, xOut, zOut lines
+	// foldA and foldB say CommA and CommB have one rank. The z stages read
+	// and write the lines zl, the x stage the lines xl.
+	foldA, foldB bool
+	zl, xl       lines
 
 	// Per-y maxima of the last harvesting pass, merged from the workers'
 	// block maxima under maxMu.
@@ -131,7 +135,7 @@ type Excursion struct {
 
 // lines addresses the spectral lines of a set of fields: line l of field f
 // starts at (l/div)*outer + (l%div)*inner of (*bufs)[f], and its elements
-// lie stride apart. bufs points at an Excursion field, which Register grows.
+// lie stride apart. bufs points at an Excursion pool, which Register grows.
 type lines struct {
 	bufs                      *[][]complex128
 	div, outer, inner, stride int
@@ -176,17 +180,14 @@ func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedRea
 	e.nbz, e.nbx = padZ.Batch(), padX.Batch()
 	nz, nkx, mz := padZ.SpectralLen(), padX.SpectralLen(), padZ.PhysicalLen()
 	e.foldA, e.foldB = d.PA == 1, d.PB == 1
-	e.zIn, e.zOut = lines{&e.zpIn, 1, nz, 0, 1}, lines{&e.zspec, 1, nz, 0, 1}
+	e.zl, e.xl = lines{&e.zs, 1, nz, 0, 1}, lines{&e.xp, 1, nkx, 0, 1}
 	if e.foldB {
 		// z line kx*nyLoc + y is the y-pencil column (kx, ., y): nyLoc == NY.
-		e.zIn = lines{&e.inY, e.nyLoc, nz * d.NY, 1, d.NY}
-		e.zOut = lines{&e.outY, e.nyLoc, nz * d.NY, 1, d.NY}
+		e.zl = lines{&e.y, e.nyLoc, nz * d.NY, 1, d.NY}
 	}
-	e.xIn, e.xOut = lines{&e.xp, 1, nkx, 0, 1}, lines{&e.prodX, 1, nkx, 0, 1}
 	if e.foldA {
 		// x line y*nzLoc + z is the z-pencil column (., y, z): nzLoc == mz.
-		e.xIn = lines{&e.zphys, 1, 1, 0, e.nyLoc * mz}
-		e.xOut = lines{&e.zpOut, 1, 1, 0, e.nyLoc * mz}
+		e.xl = lines{&e.zp, 1, 1, 0, e.nyLoc * mz}
 	}
 	e.zInvBlk, e.xBlk, e.zFwdBlk = e.zInvBlock, e.xBlock, e.zFwdBlock
 	for c := range e.maxAbs {
@@ -211,7 +212,7 @@ func NewExcursion(d *pencil.Decomp, padZ *fft.PaddedComplex, padX *fft.PaddedRea
 	return e
 }
 
-// Register grows the buffers to hold a pass of sp. Call it before the first
+// Register grows the pools to hold a pass of sp. Call it before the first
 // Run of a Spec that NewExcursion was not given.
 func (e *Excursion) Register(sp *Spec) {
 	d := e.d
@@ -221,17 +222,14 @@ func (e *Excursion) Register(sp *Spec) {
 			*fields = append(*fields, make([]complex128, n))
 		}
 	}
-	grow(&e.inY, sp.In, d.YPencilLen())
-	grow(&e.zphys, sp.In+sp.Grad, d.ZPencilLen(mz))
-	grow(&e.zpOut, sp.Out, d.ZPencilLen(mz))
-	grow(&e.outY, sp.Out, d.YPencilLen())
+	nSpec, nPhys := max(sp.In, sp.Out), max(sp.In+sp.Grad, sp.Out)
+	grow(&e.y, nSpec, d.YPencilLen())
+	grow(&e.zp, nPhys, d.ZPencilLen(mz))
 	if !e.foldB {
-		grow(&e.zpIn, sp.In, d.ZPencilLen(nz))
-		grow(&e.zspec, sp.Out, d.ZPencilLen(nz))
+		grow(&e.zs, nSpec, d.ZPencilLen(nz))
 	}
 	if !e.foldA {
-		grow(&e.xp, sp.In+sp.Grad, d.XPencilLen(mz))
-		grow(&e.prodX, sp.Out, d.XPencilLen(mz))
+		grow(&e.xp, nPhys, d.XPencilLen(mz))
 	}
 	for i := range e.workers {
 		w := &e.workers[i]
@@ -243,16 +241,16 @@ func (e *Excursion) Register(sp *Spec) {
 }
 
 // In returns the first n y-pencil input fields, layout [kxLoc][kzLoc][NY],
-// for the caller to fill before Run.
-func (e *Excursion) In(n int) [][]complex128 { return e.inY[:n] }
+// for the caller to fill, every element, before Run: they hold its products.
+func (e *Excursion) In(n int) [][]complex128 { return e.y[:n] }
 
 // MaxAbs returns the per-y maxima of |phys[0..2]| from the last harvesting
 // pass, indexed by global y (this rank's y range; zero elsewhere).
 func (e *Excursion) MaxAbs() [3][]float64 { return e.maxAbs }
 
 // Run carries In(sp.In) through one pass of sp and returns the sp.Out
-// product fields in the y-pencil layout. The result aliases the excursion's
-// buffers and is valid until the next Run.
+// product fields in the y-pencil layout. Product f takes input f's array, so
+// the result is valid until the caller next writes In or calls Run.
 func (e *Excursion) Run(sp *Spec) [][]complex128 {
 	d := e.d
 	mz := e.padZ.PhysicalLen()
@@ -260,7 +258,7 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 	e.spec = sp
 
 	// (a)-(c) y-pencils -> z-pencils, the padded inverse z transform.
-	e.transpose(e.foldB, pencil.DirYtoZ, d.NZ, sp.In, e.zpIn, e.inY)
+	e.transpose(e.foldB, pencil.DirYtoZ, d.NZ, sp.In, e.zs, e.y)
 	e.zInverse()
 
 	// (d)-(g) z-pencils -> x-pencils, the fused x excursion.
@@ -269,15 +267,15 @@ func (e *Excursion) Run(sp *Spec) [][]complex128 {
 			clear(e.maxAbs[c])
 		}
 	}
-	e.transpose(e.foldA, pencil.DirZtoX, mz, nd, e.xp, e.zphys)
+	e.transpose(e.foldA, pencil.DirZtoX, mz, nd, e.xp, e.zp)
 	e.xExcursion()
 
 	// (h) reverse path: x-pencils -> z-pencils, the truncated forward z
 	// transform, then back to y-pencils.
-	e.transpose(e.foldA, pencil.DirXtoZ, mz, sp.Out, e.zpOut, e.prodX)
+	e.transpose(e.foldA, pencil.DirXtoZ, mz, sp.Out, e.zp, e.xp)
 	e.zForward()
-	e.transpose(e.foldB, pencil.DirZtoY, d.NZ, sp.Out, e.outY, e.zspec)
-	return e.outY[:sp.Out]
+	e.transpose(e.foldB, pencil.DirZtoY, d.NZ, sp.Out, e.y, e.zs)
+	return e.y[:sp.Out]
 }
 
 // transpose moves the first nf fields of src to dst in direction dir. Where
@@ -302,14 +300,13 @@ func (e *Excursion) zInverse() {
 func (e *Excursion) zInvBlock(blk, lo, hi int) {
 	mz := e.padZ.PhysicalLen()
 	w := &e.workers[blk]
-	in := &e.zIn
 	phys := fft.Layout{Elem: 1, Line: mz}
 	for f := 0; f < e.spec.In; f++ {
 		for l := lo; l < hi; {
-			spec, sl, nb := in.run(f, l, min(hi-l, e.nbz))
-			e.padZ.InversePaddedBatch(e.zphys[f][l*mz:], phys, spec, sl, nb, w.zscr)
+			spec, sl, nb := e.zl.run(f, l, min(hi-l, e.nbz))
+			e.padZ.InversePaddedBatch(e.zp[f][l*mz:], phys, spec, sl, nb, w.zscr)
 			if f < e.spec.Grad {
-				e.padZ.InversePaddedBatch(e.zphys[e.spec.In+f][l*mz:], phys,
+				e.padZ.InversePaddedBatch(e.zp[e.spec.In+f][l*mz:], phys,
 					derivative(w.zline, e.ikz, spec, sl, nb), fft.Layout{Elem: nb, Line: 1}, nb, w.zscr)
 			}
 			l += nb
@@ -342,7 +339,6 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 	sp := e.spec
 	nd := sp.In + sp.Grad
 	w := &e.workers[blk]
-	in, out := &e.xIn, &e.xOut
 	mx := e.padX.PhysicalLen()
 	if sp.Harvest {
 		for c := range w.maxAbs {
@@ -359,7 +355,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 		}
 		fields, dz, dx := view[:sp.In], view[sp.In:nd], view[nd:]
 		for f := 0; f < nd; f++ {
-			spec, sl, _ := in.run(f, l, nb)
+			spec, sl, _ := e.xl.run(f, l, nb)
 			e.padX.InversePaddedBatch(view[f], phys, spec, sl, nb, w.xscr)
 			if f < sp.Grad {
 				e.padX.InversePaddedBatch(dx[f], phys,
@@ -372,7 +368,7 @@ func (e *Excursion) xBlock(blk, lo, hi int) {
 		prod := w.prod[:mx*nb]
 		for c := 0; c < sp.Out; c++ {
 			sp.Kernel(prod, c, fields, dz, dx)
-			spec, sl, _ := out.run(c, l, nb)
+			spec, sl, _ := e.xl.run(c, l, nb)
 			e.padX.ForwardTruncatedBatch(spec, sl, prod, phys, nb, w.xscr)
 		}
 		l += nb
@@ -422,12 +418,11 @@ func (e *Excursion) zForward() {
 func (e *Excursion) zFwdBlock(blk, lo, hi int) {
 	mz := e.padZ.PhysicalLen()
 	zscr := e.workers[blk].zscr
-	out := &e.zOut
 	phys := fft.Layout{Elem: 1, Line: mz}
 	for f := 0; f < e.spec.Out; f++ {
-		src := e.zpOut[f]
+		src := e.zp[f]
 		for l := lo; l < hi; {
-			spec, sl, nb := out.run(f, l, min(hi-l, e.nbz))
+			spec, sl, nb := e.zl.run(f, l, min(hi-l, e.nbz))
 			e.padZ.ForwardTruncatedBatch(spec, sl, src[l*mz:], phys, nb, zscr)
 			l += nb
 		}

@@ -188,9 +188,22 @@ func TestExcursionPinned(t *testing.T) {
 	}
 }
 
+// heldBytes is the bytes of the excursion's field pools.
+func heldBytes(e *Excursion) int {
+	n := 0
+	for _, pool := range [][][]complex128{e.y, e.zs, e.zp, e.xp} {
+		for _, f := range pool {
+			n += 16 * len(f)
+		}
+	}
+	return n
+}
+
 // BenchmarkExcursionPass times one SixProducts pass at the channel-48 shapes
 // (24 one-sided x modes and 48 z modes, both on 72-point grids, 49 y points):
-// at 1x1 on one and two workers, and at 1x2 over mpi.Run.
+// at 1x1 on one and two workers, and at 1x2 over mpi.Run. A pass leaves its
+// products in its inputs, so each is refilled from a saved image with the
+// timer stopped; MB-held is rank 0's field pools.
 func BenchmarkExcursionPass(b *testing.B) {
 	sh := excursionShape{48, 49, 48}
 	for _, bc := range []struct{ pb, workers int }{{1, 1}, {1, 2}, {2, 1}} {
@@ -201,17 +214,32 @@ func BenchmarkExcursionPass(b *testing.B) {
 				d := pencil.New(c, 1, bc.pb, sh.nx/2, sh.nz, sh.ny, pool)
 				e := newTestExcursion(d, sh, &SixProducts)
 				rng := rand.New(rand.NewSource(int64(c.Rank() + 1)))
-				for _, f := range e.In(SixProducts.In) {
+				image := pencil.AllocFields(SixProducts.In, d.YPencilLen())
+				for _, f := range image {
 					for i := range f {
 						f[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 					}
 				}
+				refill := func() {
+					for f, dst := range e.In(SixProducts.In) {
+						copy(dst, image[f])
+					}
+				}
+				refill()
 				e.Run(&SixProducts)
 				c.Barrier()
 				if c.Rank() == 0 {
-					b.ResetTimer()
+					b.ResetTimer() // which drops reported metrics
+					b.ReportMetric(float64(heldBytes(e))/1e6, "MB-held")
 				}
 				for i := 0; i < b.N; i++ {
+					if c.Rank() == 0 {
+						b.StopTimer()
+					}
+					refill()
+					if c.Rank() == 0 {
+						b.StartTimer()
+					}
 					e.Run(&SixProducts)
 				}
 			})
@@ -220,8 +248,8 @@ func BenchmarkExcursionPass(b *testing.B) {
 }
 
 // TestExcursionOneRankBuffers: a communicator of one rank costs the
-// excursion no transpose buffers — zpIn and zspec are empty when PB == 1, xp
-// and prodX when PA == 1 — while every transpose is still booked as the
+// excursion no transpose buffers — the zs pool is empty when PB == 1, the xp
+// pool when PA == 1 — while every transpose is still booked as the
 // parent recorded it: per direction one call, 16·nf·(srcLen + dstLen) bytes
 // and one message per remote peer, one PhaseTransposeAB span and one
 // Exchange trace event.
@@ -242,9 +270,8 @@ func TestExcursionOneRankBuffers(t *testing.T) {
 					bufs  [][]complex128
 					empty bool
 				}{
-					{"zpIn", e.zpIn, pb == 1}, {"zspec", e.zspec, pb == 1},
-					{"xp", e.xp, pa == 1}, {"prodX", e.prodX, pa == 1},
-					{"zphys", e.zphys, false}, {"zpOut", e.zpOut, false},
+					{"zs", e.zs, pb == 1}, {"xp", e.xp, pa == 1},
+					{"y", e.y, false}, {"zp", e.zp, false},
 				} {
 					if (len(b.bufs) == 0) != b.empty {
 						t.Errorf("rank %d: %s holds %d fields, want empty = %v", c.Rank(), b.name, len(b.bufs), b.empty)
@@ -279,6 +306,77 @@ func TestExcursionOneRankBuffers(t *testing.T) {
 				}
 				if exchanges != 4 {
 					t.Errorf("rank %d: %d Exchange events, want 4", c.Rank(), exchanges)
+				}
+			})
+		})
+	}
+}
+
+// TestExcursionSharesBuffers: with SixProducts and gradSpec registered, each
+// pencil shape's pool holds as many distinct arrays as the widest pass needs
+// at that shape — max(In, Out) = 6 y and spectral z pencils, max(In+Grad,
+// Out) = 6 padded z and x pencils — not one set for inputs and another for
+// outputs; product f comes back in input f's array, and the bytes held are
+// those counts times the pencil lengths.
+func TestExcursionSharesBuffers(t *testing.T) {
+	sh := excursionShape{12, 9, 10}
+	nz, mz := sh.nz, 3*sh.nz/2
+	for _, g := range [][2]int{{1, 1}, {1, 2}, {2, 1}, {2, 2}} {
+		pa, pb := g[0], g[1]
+		t.Run(fmt.Sprintf("%dx%d", pa, pb), func(t *testing.T) {
+			mpi.Run(pa*pb, func(c *mpi.Comm) {
+				pool := par.NewPool(2)
+				defer pool.Close()
+				d := pencil.New(c, pa, pb, sh.nx/2, sh.nz, sh.ny, pool)
+				e := newTestExcursion(d, sh, &SixProducts, &gradSpec)
+				// max(In, Out) and max(In+Grad, Out) over SixProducts (3 -> 6)
+				// and gradSpec (3 + 2 -> 4).
+				const spec, phys = 6, 6
+				zs, xp := spec, phys // the transpose targets, none on one rank
+				if pb == 1 {
+					zs = 0
+				}
+				if pa == 1 {
+					xp = 0
+				}
+				want := 0
+				for _, s := range []struct {
+					name     string
+					pool     [][]complex128
+					nf, flen int
+				}{
+					{"y", e.y, spec, d.YPencilLen()},
+					{"zs", e.zs, zs, d.ZPencilLen(nz)},
+					{"zp", e.zp, phys, d.ZPencilLen(mz)},
+					{"xp", e.xp, xp, d.XPencilLen(mz)},
+				} {
+					arrays := map[*complex128]bool{}
+					for _, f := range s.pool {
+						if len(f) != s.flen {
+							t.Errorf("rank %d: a %s field of %d elements, want %d", c.Rank(), s.name, len(f), s.flen)
+						}
+						arrays[&f[0]] = true
+					}
+					if len(s.pool) != s.nf || len(arrays) != s.nf {
+						t.Errorf("rank %d: %s holds %d fields in %d arrays, want %d", c.Rank(), s.name, len(s.pool), len(arrays), s.nf)
+					}
+					want += 16 * s.nf * s.flen
+				}
+				if got := heldBytes(e); got != want {
+					t.Errorf("rank %d: %d bytes held, want %d", c.Rank(), got, want)
+				}
+				for _, sp := range []*Spec{&SixProducts, &gradSpec} {
+					in := e.In(sp.In)
+					for _, f := range in {
+						for i := range f {
+							f[i] = complex(float64(i%7), 1)
+						}
+					}
+					for f, out := range e.Run(sp)[:min(sp.In, sp.Out)] {
+						if &out[0] != &in[f][0] {
+							t.Errorf("rank %d: product %d of the %d-in pass is not in input %d's array", c.Rank(), f, sp.In, f)
+						}
+					}
 				}
 			})
 		})
