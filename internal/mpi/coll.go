@@ -88,33 +88,32 @@ type Number interface {
 	int | int64 | float64
 }
 
+// reduceInto folds in into acc. The builtin max and min carry a NaN on
+// either side through, where a comparison would drop it.
 func reduceInto[T Number](op Op, acc, in []T) {
 	for i := range acc {
 		switch op {
 		case OpSum:
 			acc[i] += in[i]
 		case OpMax:
-			if in[i] > acc[i] {
-				acc[i] = in[i]
-			}
+			acc[i] = max(acc[i], in[i])
 		case OpMin:
-			if in[i] < acc[i] {
-				acc[i] = in[i]
-			}
+			acc[i] = min(acc[i], in[i])
 		}
 	}
 }
 
 // Allreduce combines data element-wise across all ranks and returns the
-// result on every rank (reduce-to-zero then broadcast).
+// result on every rank (reduce-to-zero then broadcast). Rank 0 folds the
+// contributions in rank order, whatever order they arrive in, so a float
+// sum has the same bits on every run.
 func Allreduce[T Number](c *Comm, op Op, data []T) []T {
 	sp := c.tel.Begin(telemetry.PhaseCollective)
 	sends := int64(0)
 	acc := append([]T(nil), data...)
 	if c.rank == 0 {
 		for i := 1; i < c.size(); i++ {
-			in := c.recv(AnySource, tagReduce).([]T)
-			reduceInto(op, acc, in)
+			reduceInto(op, acc, c.recv(i, tagReduce).([]T))
 		}
 	} else {
 		c.send(0, tagReduce, acc)

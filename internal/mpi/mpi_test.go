@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestSendRecvBasic(t *testing.T) {
@@ -139,6 +141,36 @@ func TestAllreduce(t *testing.T) {
 			t.Errorf("min got %v", mn)
 		}
 	})
+}
+
+// TestAllreduceRankOrder: rank 1 contributes last, yet the sum is folded in
+// rank order, so it has the bits of the serial left-to-right sum, and a NaN
+// one non-root rank holds survives OpMax and OpMin on every rank.
+func TestAllreduceRankOrder(t *testing.T) {
+	vals := []float64{1, -1, 1e-20, 1e-20} // (1 + 1e-20) - 1 is 0, (1 - 1) + 1e-20 is not
+	for _, p := range []int{3, 4} {
+		want := 0.0
+		for _, v := range vals[:p] {
+			want += v
+		}
+		Run(p, func(c *Comm) {
+			if c.Rank() == 1 {
+				time.Sleep(20 * time.Millisecond)
+			}
+			if got := Allreduce(c, OpSum, []float64{vals[c.Rank()]})[0]; got != want {
+				t.Errorf("P=%d rank %d: sum %g, want the rank-ordered %g", p, c.Rank(), got, want)
+			}
+			x := float64(c.Rank())
+			if c.Rank() == p-1 {
+				x = math.NaN()
+			}
+			for _, op := range []Op{OpMax, OpMin} {
+				if got := Allreduce(c, op, []float64{x})[0]; !math.IsNaN(got) {
+					t.Errorf("P=%d rank %d: op %d gives %g, want NaN", p, c.Rank(), op, got)
+				}
+			}
+		})
+	}
 }
 
 func TestGather(t *testing.T) {
