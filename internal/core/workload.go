@@ -73,7 +73,9 @@ func Advance(wl Workload, n int) {
 // this call's loop index) makes the trajectory independent of how a caller
 // chunks its steps: 3+7 steps equal 10. The adjustment is collective and
 // deterministic across ranks; changing dt rebuilds the operator caches.
-// Returns the final dt.
+// Returns the final dt. A non-finite state reads CFL NaN, which fails the
+// cfl > 0 test, so the loop keeps stepping at the old dt: stopping it needs
+// a step that can return an error.
 func AdvanceAdaptive(wl Workload, n int, targetCFL float64, checkEvery int) float64 {
 	if targetCFL <= 0 {
 		panic("core: targetCFL must be positive")
