@@ -2,8 +2,9 @@
 # checks, a full build, the whole test suite, and the race detector over
 # the concurrency-bearing packages (wall-normal operators and FFT plans
 # shared by every pool worker, worker pool, in-process MPI runtime, pencil
-# transposes, and the dealiased excursion whose pool workers each write
-# their own runs of lines). vet runs twice, the second time for arm64: a
+# transposes, the dealiased excursion whose pool workers each write their
+# own runs of lines, and the statistics, whose walk over the local modes
+# borrows each in-process rank's worker-0 scratch). vet runs twice, the second time for arm64: a
 # cross-build's type check of every package and test at its cheapest. It
 # also reads the arm64 assembly of internal/banded and fails if a method of
 # the collocation operator (banded.Colloc) holds a fused multiply-add, which
@@ -42,6 +43,7 @@ test:
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
 	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared|ExcursionInputsWritten' channeldns/internal/core
+	$(GO) test -race -run 'AcrossRanks|Distributed' channeldns/internal/stats
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
 # not write: the TCP transport's frame reader against whatever a peer might
@@ -158,7 +160,17 @@ serve-smoke:
 # server.JobSpec (a line `Nx, Ny, Nz int` is three, a func-typed field one) and
 # of server.Options (the service's own knobs), and the command-line flags
 # defined under cmd/; then the binaries under cmd/, the `func Fuzz` targets,
-# and the non-test `panic(` and `recover()` calls, all outside benchmark/.
+# and the non-test `panic(` and `recover()` calls, all outside benchmark/; last
+# the exported funcs and methods declared outside benchmark/ and tests whose
+# name no other line of a non-test file names, benchmark/ included and
+# comment lines not (grep-level: a method that only satisfies an interface
+# counts too). That last count only goes down.
+UNCALLED = find . -name '*.go' ! -name '*_test.go' | xargs awk ' \
+	/^[ \t]*\/\// { next } \
+	FILENAME !~ /^\.\/benchmark\// && match($$0, /^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*/) { \
+		s = substr($$0, RSTART, RLENGTH); sub(/.*[ )]/, "", s); decl[s]++ } \
+	{ n = split($$0, tok, /[^A-Za-z0-9_]+/); for (i = 1; i <= n; i++) cnt[tok[i]]++ } \
+	END { for (s in decl) if (cnt[s] <= decl[s]) print s }'
 FIELDS = awk -v t=$(1) '$$0 ~ "^type " t " struct" {f = 1; next} f && /^}/ {exit} f {sub(/\/\/.*/, ""); sub(/`.*`/, ""); sub(/\(.*\)/, ""); if (NF) n += gsub(/,/, ",") + 1} END {print n}' $(2)
 loc:
 	@for d in internal/*/ cmd/ cmd/bench/; do printf '%-22s %6d %6d\n' $$d \
@@ -176,6 +188,7 @@ loc:
 	@printf '%-22s %6d\n' 'func Fuzz targets' $$(grep -rhE --include='*_test.go' --exclude-dir=benchmark '^func Fuzz' . | wc -l)
 	@printf '%-22s %6d\n' 'non-test panic(' $$(grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '\bpanic\(' . | wc -l)
 	@printf '%-22s %6d\n' 'non-test recover()' $$(grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '\brecover\(\)' . | wc -l)
+	@printf '%-22s %6d\n' 'uncalled exports' $$($(UNCALLED) | wc -l)
 
 clean:
 	rm -rf .bench-smoke .ckpt-smoke .tcp-smoke .obs-smoke .serve-smoke

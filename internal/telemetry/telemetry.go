@@ -90,16 +90,6 @@ func (op CommOp) String() string {
 	return "unknown"
 }
 
-// CommOpFromString inverts CommOp.String; ok is false for unknown names.
-func CommOpFromString(s string) (CommOp, bool) {
-	for op := CommOp(0); op < NumCommOps; op++ {
-		if commOpNames[op] == s {
-			return op, true
-		}
-	}
-	return 0, false
-}
-
 // Tracer receives every completed phase span when attached to a Collector
 // with SetTracer. It is the one-way bridge to the event layer
 // (internal/trace implements it): telemetry keeps aggregates, the tracer
