@@ -108,13 +108,22 @@ func (b *base) modeOf(w int) (int, int) {
 	return b.kxlo + w/nkz, b.kzlo + w%nkz
 }
 
-// oneSided is the Parseval weight of a one-sided kx mode: the kx > 0 modes
-// stand for their conjugate partners too.
-func oneSided(ikx int) float64 {
-	if ikx == 0 {
-		return 1
+// eachMode calls f for every local slot but the z Nyquist ones, in slot
+// order, with the slot, its global (ikx, ikz) and its Parseval weight: 2 for
+// kx > 0, whose modes stand for their conjugate partners too, else 1. Every
+// serial diagnostic reads the local modes through it.
+func (b *base) eachMode(f func(w, ikx, ikz int, wt float64)) {
+	for w := 0; w < b.nw; w++ {
+		ikx, ikz := b.modeOf(w)
+		if b.G.IsNyquistZ(ikz) {
+			continue
+		}
+		wt := 2.0
+		if ikx == 0 {
+			wt = 1
+		}
+		f(w, ikx, ikz, wt)
 	}
-	return 2
 }
 
 // pool returns the worker pool; a nil *par.Pool runs serially.

@@ -40,7 +40,7 @@ func (s *Solver) PhysicalPlane(comp PhysicalComponent, yi int) [][]float64 {
 	// Spectral plane spec[kx][kz] of the component at yi.
 	spec := make([]complex128, nkx*nz)
 	lines := allocCoef(6, ny) // u v w and their y derivatives
-	s.eachModeVelocity(lines, func(ikx, ikz int) {
+	s.EachModeVelocity(lines, func(ikx, ikz int, _ float64) {
 		if comp == CompOmegaZ {
 			// omega_z = i*kx*v - du/dy (just -dU/dy for the mean).
 			spec[ikx*nz+ikz] = complex(0, g.Kx(ikx))*lines[1][yi] - lines[3][yi]

@@ -274,17 +274,15 @@ func (t *ScalarSolver) ScalarVariance() float64 {
 	ny := s.Cfg.Ny
 	prof := make([]float64, ny)
 	vals := make([]complex128, ny)
-	for w := 0; w < s.nw; w++ {
-		ikx, ikz := s.modeOf(w)
-		if s.G.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
-			continue
+	s.eachMode(func(w, ikx, ikz int, wt float64) {
+		if ikx == 0 && ikz == 0 {
+			return
 		}
-		wt := oneSided(ikx)
 		s.colloc.Mul(0, vals, t.cth[w])
 		for i := 0; i < ny; i++ {
 			prof[i] += wt * sq(vals[i])
 		}
-	}
+	})
 	prof = mpi.Allreduce(s.World(), mpi.OpSum, prof)
 	c := s.B.Interpolate(prof)
 	wts := s.B.IntegrationWeights()

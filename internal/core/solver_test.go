@@ -186,15 +186,18 @@ func TestDivergenceFreeRecovery(t *testing.T) {
 	s := serialSolver(t, cfg)
 	s.Perturb(0.7, 3, 3, 42)
 	ny := cfg.Ny
+	vel := allocCoef(3, ny)
 	for _, mode := range [][2]int{{1, 0}, {0, 1}, {2, 3}, {3, 14}, {1, 15}} {
 		ikx, ikz := mode[0], mode[1]
-		u, v, w := s.ModeVelocityValues(ikx, ikz)
-		if u == nil {
+		slot := s.widx(ikx, ikz)
+		if slot < 0 {
 			t.Fatalf("mode (%d,%d) not local in serial run", ikx, ikz)
 		}
 		if s.G.IsNyquistZ(ikz) {
 			continue
 		}
+		s.modeVelocity(vel, slot, &s.ws.workers[0])
+		u, v, w := vel[0], vel[1], vel[2]
 		kx, kz := s.G.Kx(ikx), s.G.Kz(ikz)
 		vy := make([]complex128, ny)
 		om := make([]complex128, ny)

@@ -101,54 +101,25 @@ func (s *Solver) velocityValues(n int, theta []complex128) {
 	sp.End()
 }
 
-// eachModeVelocity evaluates modeVelocity into vel (three or six lines) for
-// every local mode but the z Nyquist ones, in local order, and calls f with
-// the mode's indices after each. vel is reused from mode to mode. It borrows
-// worker 0's scratch: diagnostics run between steps, never beside one.
-func (s *Solver) eachModeVelocity(vel [][]complex128, f func(ikx, ikz int)) {
-	for w := 0; w < s.nw; w++ {
-		ikx, ikz := s.modeOf(w)
-		if s.G.IsNyquistZ(ikz) {
-			continue
-		}
-		s.modeVelocity(vel, w, &s.ws.workers[0])
-		f(ikx, ikz)
-	}
+// EachModeVelocity evaluates the velocity of every local mode but the z
+// Nyquist ones into vel, in slot order, and calls f after each with the
+// mode's (ikx, ikz) and Parseval weight (see eachMode). vel is three lines of
+// Ny, u, v, w, or six, with du/dy, dv/dy, dw/dy; the caller owns them and
+// they are overwritten from mode to mode. The mean (0, 0) is visited too, as
+// (U, 0, W). It borrows worker 0's scratch: diagnostics run between steps,
+// never beside one.
+func (s *Solver) EachModeVelocity(vel [][]complex128, f func(ikx, ikz int, wt float64)) {
+	wk := &s.ws.workers[0]
+	s.eachMode(func(w, ikx, ikz int, wt float64) {
+		s.modeVelocity(vel, w, wk)
+		f(ikx, ikz, wt)
+	})
 }
 
 // diagLines returns three of worker 0's scratch lines that modeVelocity of
-// three lines, which works in ln[0] and ln[1], leaves alone: eachModeVelocity
-// of u, v, w needs no lines of its own.
+// three lines, which works in ln[0] and ln[1], leaves alone: EachModeVelocity
+// of u, v, w needs no lines of its own inside core.
 func (s *Solver) diagLines() [][]complex128 { return s.ws.workers[0].ln[2:5] }
-
-// modeLines returns n fresh modeVelocity lines of one mode, nil ones if this
-// rank does not own it. It borrows worker 0's line scratch: diagnostics run
-// between steps, never beside one.
-func (s *Solver) modeLines(ikx, ikz, n int) [][]complex128 {
-	wi := s.widx(ikx, ikz)
-	if wi < 0 {
-		return make([][]complex128, n)
-	}
-	lines := allocCoef(n, s.Cfg.Ny)
-	s.modeVelocity(lines, wi, &s.ws.workers[0])
-	return lines
-}
-
-// ModeVelocityValues returns the velocity component values at the
-// collocation points for one locally owned mode (nil if not owned). Used by
-// statistics and tests.
-func (s *Solver) ModeVelocityValues(ikx, ikz int) (u, v, w []complex128) {
-	l := s.modeLines(ikx, ikz, 3)
-	return l[0], l[1], l[2]
-}
-
-// ModeVelocityGradValues returns the wall-normal derivatives of the
-// velocity components at the collocation points for one locally owned mode
-// (nil if not owned): du/dy, dv/dy, dw/dy. Used by the TKE budget.
-func (s *Solver) ModeVelocityGradValues(ikx, ikz int) (uy, vy, wy []complex128) {
-	l := s.modeLines(ikx, ikz, 6)
-	return l[3], l[4], l[5]
-}
 
 // MeanShear returns dU/dy at the collocation points, broadcast to all ranks.
 func (s *Solver) MeanShear() []float64 {

@@ -43,32 +43,24 @@ func TKEBudget(s *core.Solver) Budget {
 		ViscousDiffusion: make([]float64, ny),
 	}
 	uv := make([]float64, ny)
-	kxlo, kxhi := s.D.KxRange()
-	kzlo, kzhi := s.D.KzRangeY()
-	for ikx := kxlo; ikx < kxhi; ikx++ {
-		for ikz := kzlo; ikz < kzhi; ikz++ {
-			if g.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
-				continue
-			}
-			u, v, w := s.ModeVelocityValues(ikx, ikz)
-			uy, vy, wy := s.ModeVelocityGradValues(ikx, ikz)
-			wt := 2.0
-			if ikx == 0 {
-				wt = 1.0
-			}
-			kx, kz := g.Kx(ikx), g.Kz(ikz)
-			kh2 := kx*kx + kz*kz
-			for i := 0; i < ny; i++ {
-				e := absSq(u[i]) + absSq(v[i]) + absSq(w[i])
-				b.TKE[i] += wt * e / 2
-				uv[i] += wt * (real(u[i])*real(v[i]) + imag(u[i])*imag(v[i]))
-				// |grad q|^2 per mode: kh2*|q|^2 + |dq/dy|^2 for each
-				// component (x and z derivatives are i*k multiples).
-				b.Dissipation[i] += wt * nu * (kh2*e +
-					absSq(uy[i]) + absSq(vy[i]) + absSq(wy[i]))
-			}
+	vel := velLines(6, ny)
+	s.EachModeVelocity(vel, func(ikx, ikz int, wt float64) {
+		if ikx == 0 && ikz == 0 {
+			return
 		}
-	}
+		u, v, w, uy, vy, wy := vel[0], vel[1], vel[2], vel[3], vel[4], vel[5]
+		kx, kz := g.Kx(ikx), g.Kz(ikz)
+		kh2 := kx*kx + kz*kz
+		for i := 0; i < ny; i++ {
+			e := absSq(u[i]) + absSq(v[i]) + absSq(w[i])
+			b.TKE[i] += wt * e / 2
+			uv[i] += wt * (real(u[i])*real(v[i]) + imag(u[i])*imag(v[i]))
+			// |grad q|^2 per mode: kh2*|q|^2 + |dq/dy|^2 for each
+			// component (x and z derivatives are i*k multiples).
+			b.Dissipation[i] += wt * nu * (kh2*e +
+				absSq(uy[i]) + absSq(vy[i]) + absSq(wy[i]))
+		}
+	})
 	world := s.World()
 	b.TKE = mpi.Allreduce(world, mpi.OpSum, b.TKE)
 	b.Dissipation = mpi.Allreduce(world, mpi.OpSum, b.Dissipation)

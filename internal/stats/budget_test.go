@@ -37,16 +37,26 @@ func TestBudgetSingleModeDissipation(t *testing.T) {
 			return complex(0.3*q*q, 0)
 		})
 		b := TKEBudget(s)
-		u, v, w := s.ModeVelocityValues(ikx, ikz)
-		uy, vy, wy := s.ModeVelocityGradValues(ikx, ikz)
-		kh2 := s.G.K2(ikx, ikz)
-		nu := s.Nu()
-		for i, y := range s.CollocationPoints() {
-			want := 2 * nu * (kh2*(absSq(u[i])+absSq(v[i])+absSq(w[i])) +
-				absSq(uy[i]) + absSq(vy[i]) + absSq(wy[i]))
-			if math.Abs(b.Dissipation[i]-want) > 1e-12*(1+want) {
-				t.Fatalf("dissipation at y=%g: %g want %g", y, b.Dissipation[i], want)
+		vel := velLines(6, cfg.Ny)
+		seen := false
+		s.EachModeVelocity(vel, func(jx, jz int, _ float64) {
+			if jx != ikx || jz != ikz {
+				return
 			}
+			seen = true
+			u, v, w, uy, vy, wy := vel[0], vel[1], vel[2], vel[3], vel[4], vel[5]
+			kh2 := s.G.K2(ikx, ikz)
+			nu := s.Nu()
+			for i, y := range s.CollocationPoints() {
+				want := 2 * nu * (kh2*(absSq(u[i])+absSq(v[i])+absSq(w[i])) +
+					absSq(uy[i]) + absSq(vy[i]) + absSq(wy[i]))
+				if math.Abs(b.Dissipation[i]-want) > 1e-12*(1+want) {
+					t.Fatalf("dissipation at y=%g: %g want %g", y, b.Dissipation[i], want)
+				}
+			}
+		})
+		if !seen {
+			t.Fatalf("mode (%d,%d) not visited in a serial run", ikx, ikz)
 		}
 	})
 }

@@ -74,30 +74,18 @@ func newSpectra(nb int, yIdx []int) Spectra1D {
 }
 
 func accumulate(s *core.Solver, yIdx []int, sp *Spectra1D, bin func(ikx, ikz int) int) {
-	g := s.G
-	kxlo, kxhi := s.D.KxRange()
-	kzlo, kzhi := s.D.KzRangeY()
-	for ikx := kxlo; ikx < kxhi; ikx++ {
-		for ikz := kzlo; ikz < kzhi; ikz++ {
-			if g.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
-				continue
-			}
-			u, v, w := s.ModeVelocityValues(ikx, ikz)
-			wt := 2.0
-			if ikx == 0 {
-				wt = 1.0
-			}
-			b := bin(ikx, ikz)
-			if b >= len(sp.K) {
-				continue
-			}
-			for si, yi := range yIdx {
-				sp.Euu[si][b] += wt * absSq(u[yi])
-				sp.Evv[si][b] += wt * absSq(v[yi])
-				sp.Eww[si][b] += wt * absSq(w[yi])
-			}
+	vel := velLines(3, s.Cfg.Ny)
+	s.EachModeVelocity(vel, func(ikx, ikz int, wt float64) {
+		b := bin(ikx, ikz)
+		if (ikx == 0 && ikz == 0) || b >= len(sp.K) {
+			return
 		}
-	}
+		for si, yi := range yIdx {
+			sp.Euu[si][b] += wt * absSq(vel[0][yi])
+			sp.Evv[si][b] += wt * absSq(vel[1][yi])
+			sp.Eww[si][b] += wt * absSq(vel[2][yi])
+		}
+	})
 }
 
 func reduceSpectra(world *mpi.Comm, sp Spectra1D) Spectra1D {

@@ -31,7 +31,6 @@ type Profiles struct {
 // sums of squared mode amplitudes (one-sided kx modes weighted by two).
 // Every rank receives the complete, globally reduced profiles.
 func Snapshot(s *core.Solver) Profiles {
-	g := s.G
 	ny := s.Cfg.Ny
 	p := Profiles{
 		Y:  append([]float64(nil), s.CollocationPoints()...),
@@ -41,26 +40,19 @@ func Snapshot(s *core.Solver) Profiles {
 		WW: make([]float64, ny),
 		UV: make([]float64, ny),
 	}
-	kxlo, kxhi := s.D.KxRange()
-	kzlo, kzhi := s.D.KzRangeY()
-	for ikx := kxlo; ikx < kxhi; ikx++ {
-		for ikz := kzlo; ikz < kzhi; ikz++ {
-			if g.IsNyquistZ(ikz) || (ikx == 0 && ikz == 0) {
-				continue
-			}
-			u, v, w := s.ModeVelocityValues(ikx, ikz)
-			wt := 2.0
-			if ikx == 0 {
-				wt = 1.0
-			}
-			for i := 0; i < ny; i++ {
-				p.UU[i] += wt * absSq(u[i])
-				p.VV[i] += wt * absSq(v[i])
-				p.WW[i] += wt * absSq(w[i])
-				p.UV[i] += wt * (real(u[i])*real(v[i]) + imag(u[i])*imag(v[i]))
-			}
+	vel := velLines(3, ny)
+	s.EachModeVelocity(vel, func(ikx, ikz int, wt float64) {
+		if ikx == 0 && ikz == 0 {
+			return // the mean, which U carries
 		}
-	}
+		u, v, w := vel[0], vel[1], vel[2]
+		for i := 0; i < ny; i++ {
+			p.UU[i] += wt * absSq(u[i])
+			p.VV[i] += wt * absSq(v[i])
+			p.WW[i] += wt * absSq(w[i])
+			p.UV[i] += wt * (real(u[i])*real(v[i]) + imag(u[i])*imag(v[i]))
+		}
+	})
 	world := s.World()
 	p.UU = mpi.Allreduce(world, mpi.OpSum, p.UU)
 	p.VV = mpi.Allreduce(world, mpi.OpSum, p.VV)
@@ -70,6 +62,15 @@ func Snapshot(s *core.Solver) Profiles {
 }
 
 func absSq(c complex128) float64 { return real(c)*real(c) + imag(c)*imag(c) }
+
+// velLines returns n lines of Ny for Solver.EachModeVelocity to fill.
+func velLines(n, ny int) [][]complex128 {
+	l := make([][]complex128, n)
+	for i := range l {
+		l[i] = make([]complex128, ny)
+	}
+	return l
+}
 
 // Accumulator forms running time averages of profiles.
 type Accumulator struct {

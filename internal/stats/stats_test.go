@@ -149,3 +149,36 @@ func TestWriteFormat(t *testing.T) {
 		t.Errorf("expected header + 2 rows")
 	}
 }
+
+// TestStatsAllocsIndependentOfGrid: the statistics read the state through
+// one walk over the local modes into lines they own, so what they allocate
+// does not grow with the number of modes.
+func TestStatsAllocsIndependentOfGrid(t *testing.T) {
+	var allocs [2][3]float64
+	for i, n := range []int{16, 48} {
+		var s *core.Solver
+		var err error
+		mpi.Run(1, func(c *mpi.Comm) {
+			s, err = core.New(c, core.Config{Nx: n, Ny: n + 1, Nz: n, ReTau: 180, Dt: 1e-3, Forcing: 1})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.InitDefault(0.2, 13)
+		yIdx := []int{0, n / 4, n / 2}
+		for j, f := range []func(){
+			func() { Snapshot(s) },
+			func() { TKEBudget(s) },
+			func() { SpectraX(s, yIdx) },
+		} {
+			f() // the first call factors the interpolation matrix
+			allocs[i][j] = testing.AllocsPerRun(2, f)
+		}
+	}
+	for j, name := range []string{"Snapshot", "TKEBudget", "SpectraX"} {
+		if allocs[0][j] != allocs[1][j] {
+			t.Errorf("%s allocates %v objects at 16x17x16 but %v at 48x49x48", name, allocs[0][j], allocs[1][j])
+		}
+		t.Logf("%s: %v allocs at 16x17x16 and %v at 48x49x48", name, allocs[0][j], allocs[1][j])
+	}
+}
