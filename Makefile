@@ -42,7 +42,7 @@ test:
 
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared|ExcursionInputsWritten' channeldns/internal/core
+	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared|ExcursionInputsWritten|TelemetryPhaseCoverage' channeldns/internal/core
 	$(GO) test -race -run 'AcrossRanks|Distributed' channeldns/internal/stats
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did
@@ -77,7 +77,8 @@ fuzz:
 # channel-48 shapes, at 1x1 on one and two workers and at 1x2, 2x1 and 2x2; parfft has
 # BenchmarkExcursionPass, one whole SixProducts excursion at the channel-48
 # shapes on 1x1 (one and two workers) and 1x2, its inputs refilled untimed (a
-# pass leaves its products there), and MB-held, the bytes of its field pools;
+# pass leaves its products there), and MB-held, the bytes of its field pools
+# and, on a one-rank CommA, of its workers' slab buffers;
 # core has BenchmarkEnsureOps, one rebuild of a serial 48x49x48 channel's
 # operator caches after a change of dt.
 bench:

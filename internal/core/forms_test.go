@@ -22,10 +22,10 @@ func TestFormsAgreeWhenResolved(t *testing.T) {
 	ny := cfg.Ny
 	hgD, hvD := allocCoef(s.nw, ny), allocCoef(s.nw, ny)
 	mxD, mzD := make([]float64, ny), make([]float64, ny)
-	s.divergenceTerms(hgD, hvD, mxD, mzD)
+	s.divergenceTerms(hgD, hvD, mxD, mzD, false)
 	hgC, hvC := allocCoef(s.nw, ny), allocCoef(s.nw, ny)
 	mxC, mzC := make([]float64, ny), make([]float64, ny)
-	s.convectiveTerms(hgC, hvC, mxC, mzC)
+	s.convectiveTerms(hgC, hvC, mxC, mzC, false)
 	_, _ = mzD, mzC
 	maxHg, maxHv, scale := 0.0, 0.0, 0.0
 	for w := 0; w < s.nw; w++ {

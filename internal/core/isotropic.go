@@ -190,14 +190,18 @@ func (s *IsoSolver) velocityValues() {
 }
 
 // isoNonlinear returns the fully spectral dealiased product fields uu, uv,
-// uw, vv, vw, ww of the current state, in the excursion's field pool.
-func (s *IsoSolver) isoNonlinear() [][]complex128 {
+// uw, vv, vw, ww of the current state, in the excursion's field pool; with
+// harvest set (the last substep) the pass publishes its physical maxima for
+// CFLEstimate.
+func (s *IsoSolver) isoNonlinear(harvest bool) [][]complex128 {
 	ny := s.Cfg.Ny
 
 	// Out to the padded physical grid, six products, and back.
 	s.velocityValues()
-	prods := s.exc.Run(&parfft.SixProducts)
-	s.harvest(s.exc)
+	prods := s.exc.Run(&parfft.SixProducts, harvest)
+	if harvest {
+		s.harvest(s.exc)
+	}
 
 	// Forward y FFT with the 2/3-rule truncation, folding in the 1/Ny
 	// normalization of the round trip.
@@ -300,7 +304,7 @@ func (s *IsoSolver) StepOnce() {
 		s.trc.SetStage(sub)
 		var prods [][]complex128
 		if !s.Cfg.DisableNonlinear {
-			prods = s.isoNonlinear()
+			prods = s.isoNonlinear(sub == 2)
 		}
 		s.isoAdvance(sub, dt, prods)
 		s.hPrev, s.hCur = s.hCur, s.hPrev

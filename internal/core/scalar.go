@@ -192,7 +192,7 @@ func (t *ScalarSolver) scalarTerms() (hth [][]complex128, meanHth []float64) {
 	hth = t.hthCur
 	meanHth = t.meanHthCur
 	if s.Cfg.DisableNonlinear {
-		s.pass(t.carrier)
+		s.pass(t.carrier, false) // the frozen carrier has no velocities to harvest
 	}
 	prods := t.fluxes
 
@@ -256,7 +256,7 @@ func (t *ScalarSolver) StepOnce() {
 	s.ensureOps(dt)
 	for sub := 0; sub < 3; sub++ {
 		s.trc.SetStage(sub)
-		hg, hv, mHx, mHz := s.nonlinearTerms()
+		hg, hv, mHx, mHz := s.nonlinearTerms(sub == 2)
 		hth, mHth := t.scalarTerms()
 		s.advanceSubstep(sub, dt, hg, hv, mHx, mHz)
 		t.advanceScalar(sub, dt, hth, mHth)

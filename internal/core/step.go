@@ -20,7 +20,7 @@ func (s *Solver) StepOnce() {
 	s.ensureOps(dt)
 	for sub := 0; sub < 3; sub++ {
 		s.trc.SetStage(sub)
-		hg, hv, mHx, mHz := s.nonlinearTerms()
+		hg, hv, mHx, mHz := s.nonlinearTerms(sub == 2)
 		s.advanceSubstep(sub, dt, hg, hv, mHx, mHz)
 		s.swapNonlinear(hg, hv, mHx, mHz)
 	}
