@@ -183,8 +183,8 @@ func (h *shardHeader) headerLen() int64 {
 
 // parseShard validates magic, version, size and the CRC32C trailer of a
 // complete in-memory shard image and returns its header. Every corruption
-// mode the fault-injection layer produces (truncation, bit flip, garbage)
-// lands here as an error.
+// mode the drills produce (truncation, bit flip, garbage) lands here as an
+// error.
 func parseShard(b []byte) (shardHeader, error) {
 	var h shardHeader
 	if len(b) < headerSize+4 {

@@ -126,8 +126,7 @@ func syncDir(dir string) {
 // landed. Returns the checkpoint name (identical on every rank). On any
 // failure no manifest is written and the previous checkpoint remains the
 // latest — a checkpoint is never partially visible.
-func (s *Store) Write(c *mpi.Comm, st *State, opts ...WriteOption) (string, error) {
-	plan := newWritePlan(opts)
+func (s *Store) Write(c *mpi.Comm, st *State) (string, error) {
 	name := checkpointName(st.Step)
 	dir := filepath.Join(s.dir, name)
 
@@ -147,7 +146,7 @@ func (s *Store) Write(c *mpi.Comm, st *State, opts ...WriteOption) (string, erro
 		return "", fmt.Errorf("ckpt: preparing %s: %s", name, prep)
 	}
 
-	meta := s.writeShard(dir, c.Rank(), st, plan)
+	meta := s.writeShard(dir, c.Rank(), st)
 	info, _ := json.Marshal(meta.Info) // a struct of strings, ints and a bool: cannot fail
 	entries, err := mpi.Gather(c, 0, []string{meta.Err, string(info)})
 
@@ -156,40 +155,24 @@ func (s *Store) Write(c *mpi.Comm, st *State, opts ...WriteOption) (string, erro
 	case err != nil:
 		status = err.Error()
 	case c.Rank() == 0:
-		status = s.publish(dir, st, entries, plan)
+		status = s.publish(dir, st, entries)
 	}
 	status = mpi.Bcast(c, 0, []string{status})[0]
 	if status != "" {
 		return "", fmt.Errorf("ckpt: %s: %s", name, status)
-	}
-
-	// Post-publication corruption injection: models silent disk damage
-	// that happens after a successful write (the recovery tests' subject).
-	if err := plan.corruptPublished(dir, c.Rank()); err != nil {
-		return "", err
 	}
 	return name, nil
 }
 
 // writeShard writes this rank's shard (temp, fsync, rename) and returns
 // its manifest entry, or an error wrapped in the meta.
-func (s *Store) writeShard(dir string, rank int, st *State, plan *writePlan) shardMeta {
+func (s *Store) writeShard(dir string, rank int, st *State) shardMeta {
 	meta := shardMeta{Info: ShardInfo{
 		File: shardFileName(rank),
 		Kxlo: st.Kxlo, Kxhi: st.Kxhi, Kzlo: st.Kzlo, Kzhi: st.Kzhi,
 		HasMean: st.HasMean,
 	}}
 	path := filepath.Join(dir, meta.Info.File)
-
-	if plan.crashRank == rank {
-		// Simulated crash mid-write: a truncated temp file, never renamed.
-		if err := plan.crashShard(path, st); err != nil {
-			meta.Err = err.Error()
-		} else {
-			meta.Err = "injected crash during shard write"
-		}
-		return meta
-	}
 
 	sp := s.tel.Begin(telemetry.PhaseCheckpoint)
 	var n int64
@@ -213,7 +196,7 @@ func (s *Store) writeShard(dir string, rank int, st *State, plan *writePlan) sha
 // Info) has been gathered: decodes and checks them, writes the manifest
 // atomically, and applies retention. Returns "" on success or the error text
 // to broadcast.
-func (s *Store) publish(dir string, st *State, entries []string, plan *writePlan) string {
+func (s *Store) publish(dir string, st *State, entries []string) string {
 	shards := make([]ShardInfo, len(entries)/2)
 	for i := range shards {
 		if err := json.Unmarshal([]byte(entries[2*i+1]), &shards[i]); err != nil {
@@ -222,9 +205,6 @@ func (s *Store) publish(dir string, st *State, entries []string, plan *writePlan
 		if e := entries[2*i]; e != "" {
 			return fmt.Sprintf("shard %s: %s (manifest not written)", shards[i].File, e)
 		}
-	}
-	if plan.dropManifest {
-		return "injected manifest loss (shards landed, checkpoint unpublished)"
 	}
 	man := &Manifest{
 		Format:      FormatVersion,

@@ -31,17 +31,32 @@ func blankRankState(p, r int) *State {
 }
 
 // writeCheckpoint runs one collective Write at size p.
-func writeCheckpoint(t *testing.T, s *Store, p int, step int64, opts ...WriteOption) (string, error) {
+func writeCheckpoint(t *testing.T, s *Store, p int, step int64) (string, error) {
 	t.Helper()
 	var name string
 	var werr error
 	mpi.Run(p, func(c *mpi.Comm) {
-		n, err := s.Write(c, rankState(p, c.Rank(), step), opts...)
+		n, err := s.Write(c, rankState(p, c.Rank(), step))
 		if c.Rank() == 0 {
 			name, werr = n, err
 		}
 	})
 	return name, werr
+}
+
+// writeMustFail runs one collective Write at size p after blocking the temp
+// path of file in the step's directory with a directory, so writeAtomic's
+// os.Create fails there for real, and requires Write to fail on every rank.
+func writeMustFail(t *testing.T, s *Store, p int, step int64, file string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(s.Dir(), checkpointName(step), file+tmpSuffix), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mpi.Run(p, func(c *mpi.Comm) {
+		if _, err := s.Write(c, rankState(p, c.Rank(), step)); err == nil {
+			t.Errorf("rank %d: write with %s blocked reported success", c.Rank(), file)
+		}
+	})
 }
 
 func TestStoreWriteRestoreReShard(t *testing.T) {
@@ -107,12 +122,14 @@ func TestStoreRetention(t *testing.T) {
 
 func TestStoreCorruptionFallback(t *testing.T) {
 	cases := []struct {
-		name string
-		opts []WriteOption
+		name    string
+		corrupt func(s *Store, name string) error
 	}{
-		{"torn write", []WriteOption{TornWrite(1, 100)}},
-		{"torn to zero bytes", []WriteOption{TornWrite(0, 0)}},
-		{"bit flip", []WriteOption{BitFlip(1, 500)}},
+		{"torn write", func(s *Store, name string) error { return s.CorruptShard(name, 1, 100) }},
+		{"torn to zero bytes", func(s *Store, name string) error { return s.CorruptShard(name, 0, 0) }},
+		{"bit flip", func(s *Store, name string) error {
+			return FlipBit(filepath.Join(s.Dir(), name, shardFileName(1)), 500)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,8 +138,12 @@ func TestStoreCorruptionFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The newest checkpoint publishes, then its shard rots on disk.
-			if _, err := writeCheckpoint(t, s, 2, 20, tc.opts...); err != nil {
-				t.Fatalf("post-publication corruption must not fail the write: %v", err)
+			newest, err := writeCheckpoint(t, s, 2, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.corrupt(s, newest); err != nil {
+				t.Fatal(err)
 			}
 			name, m, err := s.Latest()
 			if err != nil {
@@ -154,12 +175,16 @@ func TestStoreAtomicity(t *testing.T) {
 		if _, err := writeCheckpoint(t, s, 2, 10); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := writeCheckpoint(t, s, 2, 20, DropManifest()); err == nil {
-			t.Fatal("injected manifest loss reported success")
-		}
+		writeMustFail(t, s, 2, 20, ManifestName)
 		// Shards landed but without a manifest the checkpoint must not exist.
-		if _, err := os.Stat(filepath.Join(s.Dir(), checkpointName(20), shardFileName(0))); err != nil {
-			t.Fatalf("shard should have landed: %v", err)
+		dir := filepath.Join(s.Dir(), checkpointName(20))
+		for r := 0; r < 2; r++ {
+			if _, err := os.Stat(filepath.Join(dir, shardFileName(r))); err != nil {
+				t.Fatalf("shard should have landed: %v", err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
+			t.Fatalf("failed attempt has a manifest (err=%v)", err)
 		}
 		name, _, err := s.Latest()
 		if err != nil || name != checkpointName(10) {
@@ -171,15 +196,13 @@ func TestStoreAtomicity(t *testing.T) {
 		if _, err := writeCheckpoint(t, s, 2, 10); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := writeCheckpoint(t, s, 2, 20, CrashDuringShard(1, 64)); err == nil {
-			t.Fatal("injected crash reported success")
-		}
+		writeMustFail(t, s, 2, 20, shardFileName(1))
 		dir := filepath.Join(s.Dir(), checkpointName(20))
 		if _, err := os.Stat(filepath.Join(dir, ManifestName)); !os.IsNotExist(err) {
 			t.Fatalf("crashed attempt has a manifest (err=%v)", err)
 		}
 		if _, err := os.Stat(filepath.Join(dir, shardFileName(1))); !os.IsNotExist(err) {
-			t.Fatalf("crashed rank's temp file was renamed into place (err=%v)", err)
+			t.Fatalf("failed rank's shard is in place (err=%v)", err)
 		}
 		name, _, err := s.Latest()
 		if err != nil || name != checkpointName(10) {
@@ -197,7 +220,11 @@ func TestStoreAtomicity(t *testing.T) {
 
 func TestStoreEverythingCorruptIsErrNoCheckpoint(t *testing.T) {
 	s := NewStore(t.TempDir())
-	if _, err := writeCheckpoint(t, s, 2, 10, BitFlip(0, 200)); err != nil {
+	name, err := writeCheckpoint(t, s, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := FlipBit(filepath.Join(s.Dir(), name, shardFileName(0)), 200); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Latest(); !errors.Is(err, ErrNoCheckpoint) {

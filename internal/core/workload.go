@@ -54,7 +54,7 @@ type Workload interface {
 	// checkpoint.go). The store is workload-agnostic; states carry the
 	// workload name so cross-workload resumes fail with both names.
 	NewCheckpointStore(dir string, keep int) *ckpt.Store
-	WriteCheckpoint(store *ckpt.Store, opts ...ckpt.WriteOption) (string, error)
+	WriteCheckpoint(store *ckpt.Store) (string, error)
 	ResumeLatest(store *ckpt.Store) (string, error)
 }
 
