@@ -143,9 +143,6 @@ func compileStages(n int, factors []int, tw []complex128) []stage {
 	return stages
 }
 
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
-
 // factorize splits n into radix-5/3/2 stages, outermost first. If n contains
 // any other prime factor the whole transform is delegated to Bluestein's
 // algorithm and the returned factor list is nil.
@@ -165,11 +162,11 @@ func factorize(n int) ([]int, *bluestein) {
 }
 
 // Forward computes the unnormalized forward DFT of src into dst.
-// dst and src must both have length Len() and may be the same slice.
+// dst and src must both have the plan's length and may be the same slice.
 func (p *Plan) Forward(dst, src []complex128) { p.transform(dst, src, forward) }
 
 // Inverse computes the unnormalized inverse DFT of src into dst.
-// dst and src must both have length Len() and may be the same slice.
+// dst and src must both have the plan's length and may be the same slice.
 func (p *Plan) Inverse(dst, src []complex128) { p.transform(dst, src, inverse) }
 
 // transform runs the program of direction dir.

@@ -46,16 +46,13 @@ func (p *RealPlan) ScratchLen() int {
 	return p.n // n/2 packed input + n/2 transform output
 }
 
-// Len returns the physical (real) length.
-func (p *RealPlan) Len() int { return p.n }
-
 // NumModes returns the number of stored half-complex coefficients, N/2+1.
 func (p *RealPlan) NumModes() int { return p.nc }
 
 // Forward computes the half-complex spectrum of the real sequence src.
-// dst must have length >= NumModes(); src must have length >= Len().
-// It uses the plan's owned scratch, so concurrent calls on one plan must
-// go through ForwardScratch with distinct scratch instead.
+// dst must have length >= NumModes() and src length >= N, the physical
+// length. It uses the plan's owned scratch, so concurrent calls on one plan
+// must go through ForwardScratch with distinct scratch instead.
 func (p *RealPlan) Forward(dst []complex128, src []float64) {
 	p.ForwardScratch(dst, src, p.scratch)
 }
@@ -136,7 +133,7 @@ func untangle(zk, zr, w complex128, s float64) complex128 {
 }
 
 // Inverse computes the unnormalized inverse of a half-complex spectrum,
-// writing a real sequence of length Len(). The imaginary parts of src[0]
+// writing a real sequence of length N. The imaginary parts of src[0]
 // and, for even N, src[N/2] are ignored (they must be zero for a valid
 // Hermitian spectrum). Inverse(Forward(x)) == N*x. It uses the plan's
 // owned scratch; concurrent callers must use InverseScratch.
