@@ -67,7 +67,7 @@ func (f Form) String() string {
 // convectiveForm is the excursion pass of the convective form: u, v, w and
 // their y derivatives go out, the z and x derivatives of u, v, w are formed
 // on the way, and H_i = -u_j du_i/dx_j for i = x, y, z comes back.
-var convectiveForm = parfft.Spec{In: 6, Grad: 3, Out: 3, Harvest: true, Kernel: convectiveH}
+var convectiveForm = parfft.Spec{In: 6, Grad: 3, Out: 3, Kernel: convectiveH}
 
 // convectiveH forms H_c on a block of physical x lines from phys = u v w,
 // uy vy wy and the z and x derivatives of u v w.

@@ -118,12 +118,14 @@ func (s *Solver) CFLEstimate() float64 {
 	ny := s.Cfg.Ny
 	// Exact physical maxima harvested during the last nonlinear evaluation:
 	// each rank holds its own y range, merged by max.
-	m, current := s.harvested()
-	op := mpi.OpMax
-	if !current {
+	m, op := s.exc.MaxAbs(), mpi.OpMax
+	if !s.maxCurrent {
 		// No nonlinear evaluation yet (or frozen convection): fall back to
 		// the triangle-inequality bound from spectral amplitudes.
 		op = mpi.OpSum
+		for c := range m {
+			m[c] = make([]float64, ny) // m is a copy: exc's lines stay as they are
+		}
 		vel := s.diagLines()
 		s.EachModeVelocity(vel, func(_, _ int, wt float64) {
 			for c, vals := range vel {

@@ -49,7 +49,6 @@ type IsoSolver struct {
 	// nonlinear terms swapped with hPrev, and one y line of scratch per
 	// worker.
 	planY *fft.Plan
-	exc   *parfft.Excursion
 	hCur  [3][][]complex128
 	yline [][]complex128
 }
@@ -199,9 +198,7 @@ func (s *IsoSolver) isoNonlinear(harvest bool) [][]complex128 {
 	// Out to the padded physical grid, six products, and back.
 	s.velocityValues()
 	prods := s.exc.Run(&parfft.SixProducts, harvest)
-	if harvest {
-		s.harvest(s.exc)
-	}
+	s.maxCurrent = s.maxCurrent || harvest
 
 	// Forward y FFT with the 2/3-rule truncation, folding in the 1/Ny
 	// normalization of the round trip.
@@ -317,10 +314,9 @@ func (s *IsoSolver) StepOnce() {
 // triangle-inequality bound from spectral amplitudes. Collective.
 func (s *IsoSolver) CFLEstimate() float64 {
 	var m [3]float64
-	perY, current := s.harvested()
-	if current {
-		for c := range m {
-			for _, v := range perY[c] {
+	if s.maxCurrent {
+		for c, perY := range s.exc.MaxAbs() {
+			for _, v := range perY {
 				m[c] = math.Max(m[c], v)
 			}
 		}

@@ -20,10 +20,10 @@ import (
 
 // pass evaluates the velocity lines sp takes out, runs it and returns its
 // y-pencil collocation values, layout [kxLoc][kzLoc][Ny] per field; with
-// harvest set, what a harvesting pass found is published for CFLEstimate.
-// In the scalar workload
-// theta joins the pass chosen to carry it (ScalarSolver.carrier) as one more
-// input, and the fluxes it brings back behind sp's outputs are kept.
+// harvest set, the pass's velocity maxima become current for CFLEstimate.
+// In the scalar workload theta joins the pass chosen to carry it
+// (ScalarSolver.carrier) as one more input, and the fluxes it brings back
+// behind sp's outputs are kept.
 func (s *Solver) pass(sp *parfft.Spec, harvest bool) [][]complex128 {
 	run, theta := sp, []complex128(nil)
 	if t := s.scalar; t != nil && sp == t.carrier {
@@ -32,9 +32,7 @@ func (s *Solver) pass(sp *parfft.Spec, harvest bool) [][]complex128 {
 	}
 	s.velocityValues(sp.In, theta)
 	out := s.exc.Run(run, harvest)
-	if harvest && run.Harvest {
-		s.harvest(s.exc)
-	}
+	s.maxCurrent = s.maxCurrent || harvest
 	if run != sp {
 		s.scalar.fluxes = out[sp.Out:]
 	}

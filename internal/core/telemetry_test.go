@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"channeldns/internal/mpi"
+	"channeldns/internal/par"
 	"channeldns/internal/telemetry"
 )
 
@@ -13,13 +14,14 @@ import (
 // (anything looser means a hot region escaped instrumentation). Runs the
 // same serial configuration cmd/bench -table 9 -json reports on, for every
 // workload: the step bracket that records the wall clock and credits the
-// schedule's flops is written once, under all three.
+// schedule's flops is written once, under all three. Each workload runs
+// serially and on a pool of two workers, where the excursion's slab loop
+// hands its spans across the pool. Under the race detector only the timing
+// band is skipped: the race instrumentation skews the in-span/out-of-span
+// split, but the steps still run the span handoff.
 func TestTelemetryPhaseCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-ratio test, skipped in -short")
-	}
-	if telemetry.RaceEnabled {
-		t.Skip("race instrumentation skews the in-span/out-of-span time split")
 	}
 	// Every phase of the divergence-form step must have fired; the isotropic
 	// step has no velocity recovery, so no pressure phase.
@@ -35,49 +37,67 @@ func TestTelemetryPhaseCoverage(t *testing.T) {
 		{WorkloadScalar, 17, walled},
 		{WorkloadIsotropic, 16, periodic},
 	} {
-		t.Run(tc.workload, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			cfg := Config{Workload: tc.workload, Nx: 16, Ny: tc.ny, Nz: 16, ReTau: 180, Dt: 1e-3,
-				Forcing: 1, Telemetry: reg}
-			mpi.Run(1, func(c *mpi.Comm) {
-				wl, err := NewWorkload(c, cfg)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				wl.InitDefault(0.3, 1)
-				Advance(wl, 2) // warm caches so compile/plan time is not in the sample
-				reg.Reset()
-				Advance(wl, 3)
+		for _, workers := range []int{1, 2} {
+			name := tc.workload
+			if workers > 1 {
+				name += "_2_workers"
+			}
+			t.Run(name, func(t *testing.T) {
+				checkPhaseCoverage(t, tc.workload, tc.ny, workers, tc.want)
 			})
-			snap := reg.Snapshot()
-			if snap.Steps != 3 {
-				t.Fatalf("Steps = %d, want 3", snap.Steps)
-			}
-			sched, _ := WorkloadSchedule(cfg)
-			if want := 3 * int64(sched.TotalFlops()); snap.Flops != want {
-				t.Errorf("Flops = %d, want 3 steps of the %s schedule = %d", snap.Flops, tc.workload, want)
-			}
-			wall := snap.MeanStepSeconds
-			sum := snap.PhaseSecondsSum()
-			if wall <= 0 || sum <= 0 {
-				t.Fatalf("degenerate timings: wall=%g sum=%g", wall, sum)
-			}
-			ratio := sum / wall
-			t.Logf("phase sum %.4fs / wall %.4fs = %.3f over %d steps", sum, wall, ratio, snap.Steps)
-			if ratio < 0.90 || ratio > 1.10 {
-				t.Errorf("phase-seconds sum is %.1f%% of step wall clock, want within 10%%",
-					100*ratio)
-			}
-			have := map[string]bool{}
-			for _, p := range snap.Phases {
-				have[p.Phase] = true
-			}
-			for _, p := range tc.want {
-				if !have[p.String()] {
-					t.Errorf("phase %s missing from snapshot", p)
-				}
-			}
-		})
+		}
+	}
+}
+
+// checkPhaseCoverage runs three warm steps of a 1x1 workload on a pool of
+// the given workers (serially for one) and checks the steps, the flops, the
+// phases present and, unless under the race detector, the phase sum against
+// the step wall clock.
+func checkPhaseCoverage(t *testing.T, workload string, ny, workers int, want []telemetry.Phase) {
+	reg := telemetry.NewRegistry()
+	cfg := Config{Workload: workload, Nx: 16, Ny: ny, Nz: 16, ReTau: 180, Dt: 1e-3,
+		Forcing: 1, Telemetry: reg}
+	if workers > 1 {
+		cfg.Pool = par.NewPool(workers)
+		defer cfg.Pool.Close()
+	}
+	mpi.Run(1, func(c *mpi.Comm) {
+		wl, err := NewWorkload(c, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wl.InitDefault(0.3, 1)
+		Advance(wl, 2) // warm caches so compile/plan time is not in the sample
+		reg.Reset()
+		Advance(wl, 3)
+	})
+	snap := reg.Snapshot()
+	if snap.Steps != 3 {
+		t.Fatalf("Steps = %d, want 3", snap.Steps)
+	}
+	sched, _ := WorkloadSchedule(cfg)
+	if flops := 3 * int64(sched.TotalFlops()); snap.Flops != flops {
+		t.Errorf("Flops = %d, want 3 steps of the %s schedule = %d", snap.Flops, workload, flops)
+	}
+	wall := snap.MeanStepSeconds
+	sum := snap.PhaseSecondsSum()
+	if wall <= 0 || sum <= 0 {
+		t.Fatalf("degenerate timings: wall=%g sum=%g", wall, sum)
+	}
+	ratio := sum / wall
+	t.Logf("phase sum %.4fs / wall %.4fs = %.3f over %d steps", sum, wall, ratio, snap.Steps)
+	if !telemetry.RaceEnabled && (ratio < 0.90 || ratio > 1.10) {
+		t.Errorf("phase-seconds sum is %.1f%% of step wall clock, want within 10%%",
+			100*ratio)
+	}
+	have := map[string]bool{}
+	for _, p := range snap.Phases {
+		have[p.Phase] = true
+	}
+	for _, p := range want {
+		if !have[p.String()] {
+			t.Errorf("phase %s missing from snapshot", p)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package parfft
 
 import (
 	"math"
-	"sync"
 
 	"channeldns/internal/fft"
 	"channeldns/internal/pencil"
@@ -24,9 +23,6 @@ type Spec struct {
 	// from the z stage on and an i*kx derivative on the x line; Out fields
 	// come back.
 	In, Grad, Out int
-	// Harvest records the per-y maxima of |phys[0]|, |phys[1]|, |phys[2]|
-	// (the velocities) for the CFL diagnostic; see MaxAbs.
-	Harvest bool
 	// Kernel fills out with product c (0 <= c < Out) on a block of physical
 	// x lines: phys holds the In fields, dz and dx the z and x derivatives of
 	// the first Grad of them, so a kernel reads the same lines whatever fields
@@ -53,7 +49,7 @@ const (
 // SixProducts is the divergence-form pass: u, v, w out, the six quadratic
 // products back. The paper folds them into five; DESIGN.md has the
 // accounting difference, which the machine model normalizes.
-var SixProducts = Spec{In: 3, Out: NumProducts, Harvest: true, Kernel: sixProducts}
+var SixProducts = Spec{In: 3, Out: NumProducts, Kernel: sixProducts}
 
 var productPairs = [NumProducts][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 
@@ -128,15 +124,17 @@ type Excursion struct {
 	foldA, foldB bool
 	zl, zpl, xl  lines
 
-	// Per-y maxima of the last harvesting pass, merged from the workers'
-	// block maxima under maxMu.
+	// Per-y maxima of the last harvesting pass, folded from the workers'
+	// maxima once the pass's pool loops have returned.
 	maxAbs [3][]float64
-	maxMu  sync.Mutex
 
 	// The pass in flight, read by the pool-block bodies; harvest says it
-	// records MaxAbs.
+	// records MaxAbs. slabSpan hands block 0 of a slab loop the fft_inverse
+	// span Run opened before the loop, and hands Run back the fft_forward
+	// span block 0 leaves open, so the loop's whole wall time is booked.
 	spec                            *Spec
 	harvest                         bool
+	slabSpan                        telemetry.Span
 	zInvBlk, xBlk, zFwdBlk, slabBlk func(blk, lo, hi int)
 }
 
@@ -280,16 +278,19 @@ func (e *Excursion) MaxAbs() [3][]float64 { return e.maxAbs }
 // Run carries In(sp.In) through one pass of sp and returns the sp.Out
 // product fields in the y-pencil layout. Product f takes input f's array, so
 // the result is valid until the caller next writes In or calls Run. With
-// harvest set, a pass of a Spec with Harvest refreshes MaxAbs; otherwise
-// MaxAbs keeps the last harvesting pass's maxima.
+// harvest set, the pass refreshes MaxAbs from its first three inputs, which
+// must be the velocities; otherwise MaxAbs keeps the last harvesting pass's
+// maxima.
 func (e *Excursion) Run(sp *Spec, harvest bool) [][]complex128 {
 	d := e.d
 	mz := e.padZ.PhysicalLen()
 	nd := sp.In + sp.Grad
-	e.spec, e.harvest = sp, harvest && sp.Harvest
-	if e.harvest {
-		for c := range e.maxAbs {
-			clear(e.maxAbs[c])
+	e.spec, e.harvest = sp, harvest
+	if harvest {
+		for i := range e.workers {
+			for _, m := range e.workers[i].maxAbs {
+				clear(m)
+			}
 		}
 	}
 
@@ -299,7 +300,9 @@ func (e *Excursion) Run(sp *Spec, harvest bool) [][]complex128 {
 		// (c)-(h) the padded z and x stages of one y-slab after another; the
 		// z-pencils are the x-pencils, so both transposes are booked only.
 		e.transpose(true, pencil.DirZtoX, mz, nd, nil, nil)
+		e.slabSpan = e.tel.Begin(telemetry.PhaseFFTInverse)
 		d.Pool.ForBlocksIndexed(e.nyLoc, e.slabBlk)
+		e.slabSpan.End()
 		e.transpose(true, pencil.DirXtoZ, mz, sp.Out, nil, nil)
 	} else {
 		e.stage(telemetry.PhaseFFTInverse, e.kxLoc*e.nyLoc, e.zInvBlk)
@@ -315,6 +318,16 @@ func (e *Excursion) Run(sp *Spec, harvest bool) [][]complex128 {
 	}
 	// (h) z-pencils -> y-pencils.
 	e.transpose(e.foldB, pencil.DirZtoY, d.NZ, sp.Out, e.y, e.zs)
+	if harvest {
+		for c, m := range e.maxAbs {
+			clear(m)
+			for i := range e.workers {
+				for y, v := range e.workers[i].maxAbs[c] {
+					m[y] = max(m[y], v)
+				}
+			}
+		}
+	}
 	return e.y[:sp.Out]
 }
 
@@ -340,12 +353,7 @@ func (e *Excursion) stage(p telemetry.Phase, n int, body func(blk, lo, hi int)) 
 
 func (e *Excursion) zInvBlock(blk, lo, hi int) { e.zInverse(&e.workers[blk], &e.zl, &e.zpl, lo, hi) }
 
-func (e *Excursion) xBlock(blk, lo, hi int) {
-	w := &e.workers[blk]
-	e.clearMax(w)
-	e.xLines(w, &e.xl, e.yLo0, lo, hi)
-	e.mergeMax(w)
-}
+func (e *Excursion) xBlock(blk, lo, hi int) { e.xLines(&e.workers[blk], &e.xl, e.yLo0, lo, hi) }
 
 func (e *Excursion) zFwdBlock(blk, lo, hi int) { e.zForward(&e.workers[blk], &e.zpl, &e.zl, lo, hi) }
 
@@ -354,15 +362,17 @@ func (e *Excursion) zFwdBlock(blk, lo, hi int) { e.zForward(&e.workers[blk], &e.
 // inverse from the spectral lines into the worker's slab buffer, the x lines
 // of its planes in place, and the z forward back into the spectral lines.
 // Only block 0 books the three phases' spans, so they tile the pass's wall
-// time once.
+// time once: its first fft_inverse span is the one Run opened before the
+// pool loop, and its last fft_forward span Run closes after the loop, so the
+// dispatch and the wait for the other blocks are booked too.
 func (e *Excursion) slabBlock(blk, lo, hi int) {
 	w := &e.workers[blk]
 	mz := e.padZ.PhysicalLen()
-	tel := e.tel
-	if blk != 0 {
-		tel = nil
+	var tel *telemetry.Collector
+	var sp telemetry.Span
+	if blk == 0 {
+		tel, sp = e.tel, e.slabSpan
 	}
-	e.clearMax(w)
 	// Padded z line kx*s + y of a slab of s planes starts at (kx*s + y)*mz
 	// of w.slab, so its x line y*mz + z is the column (., y, z), s*mz apart.
 	pad := lines{&w.slab, 0, 1, mz, 0, 1}
@@ -372,7 +382,9 @@ func (e *Excursion) slabBlock(blk, lo, hi int) {
 		s := lo + (k+1)*(hi-lo)/ns - y0
 		spec := e.zLines(y0, s)
 		x := lines{&w.slab, 0, 1, 1, 0, s * mz}
-		sp := tel.Begin(telemetry.PhaseFFTInverse)
+		if k > 0 {
+			sp = tel.Begin(telemetry.PhaseFFTInverse)
+		}
 		e.zInverse(w, &spec, &pad, 0, e.kxLoc*s)
 		sp.End()
 		sp = tel.Begin(telemetry.PhaseNonlinear)
@@ -380,9 +392,13 @@ func (e *Excursion) slabBlock(blk, lo, hi int) {
 		sp.End()
 		sp = tel.Begin(telemetry.PhaseFFTForward)
 		e.zForward(w, &pad, &spec, 0, e.kxLoc*s)
-		sp.End()
+		if k < ns-1 {
+			sp.End()
+		}
 	}
-	e.mergeMax(w)
+	if blk == 0 {
+		e.slabSpan = sp
+	}
 }
 
 // zInverse pads and inverse transforms in z the lines [lo, hi) of the In
@@ -453,31 +469,6 @@ func (e *Excursion) xLines(w *excursionWorker, xl *lines, yLo, lo, hi int) {
 		}
 		l += nb
 	}
-}
-
-// clearMax zeroes the worker's block maxima before a harvesting block.
-func (e *Excursion) clearMax(w *excursionWorker) {
-	if !e.harvest {
-		return
-	}
-	for c := range w.maxAbs {
-		clear(w.maxAbs[c])
-	}
-}
-
-// mergeMax folds the worker's block maxima into MaxAbs after a harvesting
-// block.
-func (e *Excursion) mergeMax(w *excursionWorker) {
-	if !e.harvest {
-		return
-	}
-	e.maxMu.Lock()
-	for c, m := range e.maxAbs {
-		for y, v := range w.maxAbs[c] {
-			m[y] = max(m[y], v)
-		}
-	}
-	e.maxMu.Unlock()
 }
 
 // harvestLines folds |fields[0..2]| of the nb point-interleaved x lines from

@@ -19,7 +19,7 @@ import (
 
 // gradSpec is a Grad > 0 pass that reads every kernel argument: each product
 // mixes a field with an x derivative and another field with a z derivative.
-var gradSpec = Spec{In: 3, Grad: 2, Out: 4, Harvest: true,
+var gradSpec = Spec{In: 3, Grad: 2, Out: 4,
 	Kernel: func(out []float64, c int, phys, dz, dx [][]float64) {
 		a, b, ax, bz := phys[c%3], phys[(c+1)%3], dx[c%2], dz[(c+1)%2]
 		for i := range out {

@@ -151,8 +151,9 @@ func (c *Collector) Rank() int {
 }
 
 // Span is an open region returned by Begin. It is a value type: starting
-// and ending a region performs no heap allocation. End must be called on
-// the goroutine's own copy; spans must not be shared.
+// and ending a region performs no heap allocation. A span is ended exactly
+// once; it may be handed to another goroutine across a happens-before edge
+// (a channel operation, a pool loop's dispatch or return) and ended there.
 type Span struct {
 	c     *Collector
 	phase Phase
