@@ -124,7 +124,6 @@ func TestConfigFingerprint(t *testing.T) {
 		"Nx":      func(c *Config) { c.Nx = 32 },
 		"ReTau":   func(c *Config) { c.ReTau = 550 },
 		"Forcing": func(c *Config) { c.Forcing = 0 },
-		"Degree":  func(c *Config) { c.Degree = 5 },
 		"Form":    func(c *Config) { c.Nonlinear = FormSkewSymmetric },
 	} {
 		diff := base
@@ -132,13 +131,6 @@ func TestConfigFingerprint(t *testing.T) {
 		if diff.Fingerprint() == fp {
 			t.Errorf("changing %s did not change the fingerprint", name)
 		}
-	}
-	// The explicit default must fingerprint identically to the zero value
-	// it fills in (a checkpoint from a defaulted run restores either way).
-	expl := base
-	expl.Degree = 7
-	if expl.Fingerprint() != fp {
-		t.Error("explicit default Degree fingerprints differently from the implicit one")
 	}
 }
 

@@ -398,7 +398,6 @@ func TestConfigValidation(t *testing.T) {
 		{Nx: 8, Ny: 16, Nz: 8, Lx: math.Inf(1), ReTau: 100, Dt: 0.1},
 		{Nx: 8, Ny: 16, Nz: 8, Lz: math.Inf(1), ReTau: 100, Dt: 0.1},
 		{Workload: WorkloadIsotropic, Nx: 8, Ny: 8, Nz: 8, Ly: math.Inf(1), ReTau: 100, Dt: 0.1},
-		{Nx: 8, Ny: 16, Nz: 8, ReTau: 100, Dt: 0.1, Degree: -1},
 	}
 	for i, cfg := range bad {
 		mpi.Run(1, func(c *mpi.Comm) {
