@@ -83,18 +83,14 @@ func checkExtras(t *testing.T, st *State) {
 func TestExtendedShardRoundTrip(t *testing.T) {
 	src := makeState(5, 0, 8, 0, 6, true)
 	addExtras(src, 2, 2)
-	var buf bytes.Buffer
-	n, _, err := EncodeShard(&buf, src)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if want := shardSize(src.NW(), src.Ny, true, 2, 2); n != want {
-		t.Fatalf("encoded %d bytes, want %d", n, want)
-	}
 	dst := emptyLike(src, 0, 8, 0, 6, true)
 	emptyExtras(dst, 2, 2)
-	if err := DecodeShard(&buf, dst); err != nil {
-		t.Fatalf("decode: %v", err)
+	m, err := roundTrip(t, src, dst)
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	if n, want := m.Shards[0].Bytes, shardSize(src.NW(), src.Ny, true, 2, 2); n != want {
+		t.Fatalf("encoded %d bytes, want %d", n, want)
 	}
 	checkWindow(t, dst)
 	checkExtras(t, dst)
@@ -116,7 +112,7 @@ func TestExtendedShardWithoutExtrasIsV1(t *testing.T) {
 	if b[76]&flagExtended != 0 {
 		t.Fatal("extras-free shard carries the extended flag")
 	}
-	h, err := parseShard(b)
+	h, err := decodeImage(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +137,9 @@ func TestExtendedReshardCopyOverlap(t *testing.T) {
 	dst := emptyLike(makeState(5, 0, 8, 0, 6, true), 0, 8, 0, 6, true)
 	emptyExtras(dst, 2, 1)
 	for _, sb := range shards {
-		h, err := parseShard(sb)
-		if err != nil {
+		if _, err := decodeImage(sb, func(shardHeader) *State { return dst }); err != nil {
 			t.Fatal(err)
 		}
-		copyOverlap(sb, h, dst)
 	}
 	checkWindow(t, dst)
 	checkExtras(t, dst)
@@ -154,13 +148,9 @@ func TestExtendedReshardCopyOverlap(t *testing.T) {
 func TestDecodeShardExtraCountMismatch(t *testing.T) {
 	src := makeState(5, 0, 8, 0, 6, true)
 	addExtras(src, 2, 2)
-	var buf bytes.Buffer
-	if _, _, err := EncodeShard(&buf, src); err != nil {
-		t.Fatal(err)
-	}
 	dst := emptyLike(src, 0, 8, 0, 6, true)
 	emptyExtras(dst, 1, 1)
-	err := DecodeShard(&buf, dst)
+	_, err := roundTrip(t, src, dst)
 	if err == nil || !strings.Contains(err.Error(), "extra") {
 		t.Fatalf("extra-count mismatch accepted: %v", err)
 	}

@@ -16,20 +16,22 @@ func withCRC(b []byte) []byte {
 	return b
 }
 
-// reencode checks one shard image: parseShard must not panic, and an image
-// it accepts must describe a state the writer could have written — restoring
-// the image into a state of the header's shape and encoding that gives the
-// same bytes back.
+// reencode checks one shard image: the store's reader must not panic on
+// it, and an image it accepts must describe a state the writer could have
+// written — decoding the image into a state of the header's shape and
+// encoding that gives the same bytes back.
 func reencode(t *testing.T, b []byte) {
-	h, err := parseShard(b)
+	var st *State
+	h, err := decodeImage(b, func(h shardHeader) *State {
+		grid := &State{Nx: h.Nx, Ny: h.Ny, Nz: h.Nz, NKx: h.NKx, Fingerprint: h.Fingerprint}
+		st = emptyLike(grid, h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, h.HasMean)
+		emptyExtras(st, h.NExtra, h.NExtraMean)
+		st.Step, st.Time, st.Dt = h.Step, h.Time, h.Dt
+		return st
+	})
 	if err != nil {
 		return
 	}
-	grid := &State{Nx: h.Nx, Ny: h.Ny, Nz: h.Nz, NKx: h.NKx, Fingerprint: h.Fingerprint}
-	st := emptyLike(grid, h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, h.HasMean)
-	emptyExtras(st, h.NExtra, h.NExtraMean)
-	st.Step, st.Time, st.Dt = h.Step, h.Time, h.Dt
-	copyOverlap(b, h, st)
 	var out bytes.Buffer
 	if _, _, err := EncodeShard(&out, st); err != nil {
 		t.Fatalf("accepted image does not re-encode: %v (header %+v)", err, h)
@@ -39,9 +41,11 @@ func reencode(t *testing.T, b []byte) {
 	}
 }
 
-// FuzzParseShard feeds parseShard whatever bytes a shard file might hold.
-// Each input is also tried with its CRC trailer recomputed, which is what
-// lets the fuzzer reach the header checks behind the CRC gate.
+// FuzzParseShard feeds the store's shard reader (header parse, streaming
+// decode, CRC32C check) whatever bytes a shard file might hold, through an
+// io.ReaderAt over them. Each input is also tried with its CRC trailer
+// recomputed, which is what lets the fuzzer reach the decode of accepted
+// headers and the checks behind the CRC gate.
 func FuzzParseShard(f *testing.F) {
 	image := func(st *State) []byte {
 		var buf bytes.Buffer

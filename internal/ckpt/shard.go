@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -59,6 +60,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // on-disk order: cv, cw, hgPrev, hvPrev.
 const nComplexFields = 4
 
+// window is the size of the one buffer a shard streams through, written or
+// read: a shard never exists as a second image of the state in memory.
+const window = 64 << 10
+
 // shardSize returns the on-disk size of a shard with the given shape.
 func shardSize(nw, ny int, hasMean bool, nExtra, nExtraMean int) int64 {
 	n := int64(headerSize)
@@ -72,91 +77,111 @@ func shardSize(nw, ny int, hasMean bool, nExtra, nExtraMean int) int64 {
 	return n + 4 // CRC trailer
 }
 
+// shardWriter streams a shard through one window-sized chunk, folding each
+// chunk into the CRC32C as it goes out. After the first write error it
+// drops everything and keeps the error.
+type shardWriter struct {
+	w   io.Writer
+	buf []byte
+	crc uint32
+	n   int64
+	err error
+}
+
+// flush sends the chunk on and empties it.
+func (sw *shardWriter) flush() {
+	if len(sw.buf) > 0 && sw.err == nil {
+		sw.crc = crc32.Update(sw.crc, castagnoli, sw.buf)
+		var k int
+		k, sw.err = sw.w.Write(sw.buf)
+		sw.n += int64(k)
+	}
+	sw.buf = sw.buf[:0]
+}
+
+// room flushes the chunk unless it has size bytes free, and returns how
+// many values of that size fit.
+func (sw *shardWriter) room(size int) int {
+	if cap(sw.buf)-len(sw.buf) < size {
+		sw.flush()
+	}
+	return (cap(sw.buf) - len(sw.buf)) / size
+}
+
+func (sw *shardWriter) complexLine(line []complex128) {
+	le := binary.LittleEndian
+	for len(line) > 0 {
+		k := min(len(line), sw.room(16))
+		for _, c := range line[:k] {
+			sw.buf = le.AppendUint64(sw.buf, math.Float64bits(real(c)))
+			sw.buf = le.AppendUint64(sw.buf, math.Float64bits(imag(c)))
+		}
+		line = line[k:]
+	}
+}
+
+func (sw *shardWriter) realLine(line []float64) {
+	le := binary.LittleEndian
+	for len(line) > 0 {
+		k := min(len(line), sw.room(8))
+		for _, v := range line[:k] {
+			sw.buf = le.AppendUint64(sw.buf, math.Float64bits(v))
+		}
+		line = line[k:]
+	}
+}
+
 // EncodeShard writes st as one shard and returns the byte count and the
 // CRC32C recorded in the trailer. The encoding is deterministic: the same
-// state always produces the same bytes.
+// state always produces the same bytes. The shard goes out in window-sized
+// chunks, so the writer holds one window, not the shard.
 func EncodeShard(w io.Writer, st *State) (int64, uint32, error) {
 	if err := st.validate(); err != nil {
 		return 0, 0, err
 	}
-	nw, ny := st.NW(), st.Ny
 	nExtra, nExtraMean := len(st.Extra), len(st.ExtraMean)
-	b := make([]byte, shardSize(nw, ny, st.HasMean, nExtra, nExtraMean))
-	copy(b[0:8], shardMagic)
+	sw := &shardWriter{w: w, buf: make([]byte, 0, window)}
 	le := binary.LittleEndian
-	le.PutUint32(b[8:], FormatVersion)
-	le.PutUint64(b[12:], st.Fingerprint)
-	le.PutUint32(b[20:], uint32(st.Nx))
-	le.PutUint32(b[24:], uint32(st.Ny))
-	le.PutUint32(b[28:], uint32(st.Nz))
-	le.PutUint32(b[32:], uint32(st.NKx))
-	le.PutUint32(b[36:], uint32(st.Kxlo))
-	le.PutUint32(b[40:], uint32(st.Kxhi))
-	le.PutUint32(b[44:], uint32(st.Kzlo))
-	le.PutUint32(b[48:], uint32(st.Kzhi))
-	le.PutUint64(b[52:], uint64(st.Step))
-	le.PutUint64(b[60:], math.Float64bits(st.Time))
-	le.PutUint64(b[68:], math.Float64bits(st.Dt))
+	b := append(sw.buf, shardMagic...)
+	b = le.AppendUint32(b, FormatVersion)
+	b = le.AppendUint64(b, st.Fingerprint)
+	for _, v := range []int{st.Nx, st.Ny, st.Nz, st.NKx, st.Kxlo, st.Kxhi, st.Kzlo, st.Kzhi} {
+		b = le.AppendUint32(b, uint32(v))
+	}
+	b = le.AppendUint64(b, uint64(st.Step))
+	b = le.AppendUint64(b, math.Float64bits(st.Time))
+	b = le.AppendUint64(b, math.Float64bits(st.Dt))
 	var flags uint32
 	if st.HasMean {
 		flags |= flagHasMean
 	}
-	off := int64(headerSize)
-	if nExtra > 0 || nExtraMean > 0 {
+	extended := nExtra > 0 || nExtraMean > 0
+	if extended {
 		flags |= flagExtended
-		le.PutUint32(b[80:], uint32(nExtra))
-		le.PutUint32(b[84:], uint32(nExtraMean))
-		off = extHeaderSize
 	}
-	le.PutUint32(b[76:], flags)
+	b = le.AppendUint32(b, flags)
+	if extended {
+		b = le.AppendUint32(b, uint32(nExtra))
+		b = le.AppendUint32(b, uint32(nExtraMean))
+	}
+	sw.buf = b
 
 	for _, f := range append([][][]complex128{st.CV, st.CW, st.HgPrev, st.HvPrev}, st.Extra...) {
 		for _, line := range f {
-			putComplexLine(b[off:], line)
-			off += int64(ny) * 16
+			sw.complexLine(line)
 		}
 	}
 	if st.HasMean {
 		for _, m := range append([][]float64{st.MeanU, st.MeanW, st.MeanHxPrev, st.MeanHzPrev}, st.ExtraMean...) {
-			putRealLine(b[off:], m)
-			off += int64(ny) * 8
+			sw.realLine(m)
 		}
 	}
-	crc := crc32.Checksum(b[:off], castagnoli)
-	le.PutUint32(b[off:], crc)
-	n, err := w.Write(b)
-	return int64(n), crc, err
-}
-
-func putComplexLine(b []byte, line []complex128) {
-	le := binary.LittleEndian
-	for i, c := range line {
-		le.PutUint64(b[i*16:], math.Float64bits(real(c)))
-		le.PutUint64(b[i*16+8:], math.Float64bits(imag(c)))
+	sw.flush()
+	if sw.err != nil {
+		return sw.n, sw.crc, sw.err
 	}
-}
-
-func putRealLine(b []byte, line []float64) {
-	le := binary.LittleEndian
-	for i, v := range line {
-		le.PutUint64(b[i*8:], math.Float64bits(v))
-	}
-}
-
-func getComplexLine(b []byte, dst []complex128) {
-	le := binary.LittleEndian
-	for i := range dst {
-		dst[i] = complex(
-			math.Float64frombits(le.Uint64(b[i*16:])),
-			math.Float64frombits(le.Uint64(b[i*16+8:])))
-	}
-}
-
-func getRealLine(b []byte, dst []float64) {
-	le := binary.LittleEndian
-	for i := range dst {
-		dst[i] = math.Float64frombits(le.Uint64(b[i*8:]))
-	}
+	k, err := w.Write(le.AppendUint32(sw.buf, sw.crc))
+	return sw.n + int64(k), sw.crc, err
 }
 
 // shardHeader is the decoded fixed header of a shard.
@@ -181,14 +206,17 @@ func (h *shardHeader) headerLen() int64 {
 	return headerSize
 }
 
-// parseShard validates magic, version, size and the CRC32C trailer of a
-// complete in-memory shard image and returns its header. Every corruption
-// mode the drills produce (truncation, bit flip, garbage) lands here as an
+// parseHeader validates magic, version and flags of a shard whose file
+// holds size bytes, and holds the header's shape to that size. b carries
+// the file's first min(extHeaderSize, size-4) bytes. The CRC32C is not
+// checked here: the header's bytes are trusted only once the whole shard
+// has streamed through it (shardReader.decode). Every corruption mode the
+// drills produce (truncation, bit flip, garbage) lands here or there as an
 // error.
-func parseShard(b []byte) (shardHeader, error) {
+func parseHeader(b []byte, size int64) (shardHeader, error) {
 	var h shardHeader
-	if len(b) < headerSize+4 {
-		return h, fmt.Errorf("ckpt: shard truncated to %d bytes (header is %d)", len(b), headerSize)
+	if size < headerSize+4 {
+		return h, fmt.Errorf("ckpt: shard truncated to %d bytes (header is %d)", size, headerSize)
 	}
 	if string(b[0:8]) != shardMagic {
 		return h, fmt.Errorf("ckpt: bad shard magic %q", b[0:8])
@@ -216,8 +244,8 @@ func parseShard(b []byte) (shardHeader, error) {
 	h.HasMean = flags&flagHasMean != 0
 	h.Extended = flags&flagExtended != 0
 	if h.Extended {
-		if len(b) < extHeaderSize+4 {
-			return h, fmt.Errorf("ckpt: extended shard truncated to %d bytes (header is %d)", len(b), extHeaderSize)
+		if size < extHeaderSize+4 {
+			return h, fmt.Errorf("ckpt: extended shard truncated to %d bytes (header is %d)", size, extHeaderSize)
 		}
 		h.NExtra = int(le.Uint32(b[80:]))
 		h.NExtraMean = int(le.Uint32(b[84:]))
@@ -226,99 +254,149 @@ func parseShard(b []byte) (shardHeader, error) {
 		}
 	}
 	// Hold the header to what State.validate lets the writer emit, and to the
-	// image's own length one factor at a time: the extents arrive as uint32s,
-	// so a window of 2^31 x 2^31 modes would otherwise wrap the size below to
-	// whatever the image happens to measure and index far outside it later.
-	dkx, dkz, n := h.Kxhi-h.Kxlo, h.Kzhi-h.Kzlo, len(b)
+	// file's length one factor at a time: the extents arrive as uint32s, so a
+	// window of 2^31 x 2^31 modes would otherwise wrap the size below to
+	// whatever the file happens to measure and run the reader far past it.
+	dkx, dkz, n := h.Kxhi-h.Kxlo, h.Kzhi-h.Kzlo, int(size)
 	if h.Nx <= 0 || h.Ny <= 0 || h.Nz <= 0 || h.NKx <= 0 || dkx < 0 || h.Kxhi > h.NKx || dkz < 0 || h.Kzhi > h.Nz ||
 		h.Ny > n || (dkz > 0 && dkx > n/dkz) || (h.nw() > 0 && h.Ny > n/h.nw()) || (!h.HasMean && h.NExtraMean > 0) {
 		return h, fmt.Errorf("ckpt: shard header carries degenerate window kx[%d,%d) kz[%d,%d) of ny %d on a %dx%dx%d grid (nkx %d)",
 			h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, h.Ny, h.Nx, h.Ny, h.Nz, h.NKx)
 	}
-	if want := shardSize(h.nw(), h.Ny, h.HasMean, h.NExtra, h.NExtraMean); int64(len(b)) != want || h.Extended != (h.NExtra > 0 || h.NExtraMean > 0) {
-		return h, fmt.Errorf("ckpt: shard is %d bytes, header implies %d", len(b), want)
-	}
-	if got, want := crc32.Checksum(b[:len(b)-4], castagnoli), le.Uint32(b[len(b)-4:]); got != want {
-		return h, fmt.Errorf("ckpt: shard CRC32C mismatch (stored %08x, computed %08x)", want, got)
+	if want := shardSize(h.nw(), h.Ny, h.HasMean, h.NExtra, h.NExtraMean); size != want || h.Extended != (h.NExtra > 0 || h.NExtraMean > 0) {
+		return h, fmt.Errorf("ckpt: shard is %d bytes, header implies %d", size, want)
 	}
 	return h, nil
 }
 
-// copyOverlap copies every mode line in the intersection of the shard's
-// window and dst's window (and the mean block when both sides carry it)
-// from the verified shard image into dst's slices. Returns the number of
-// mode lines copied per field.
-func copyOverlap(b []byte, h shardHeader, dst *State) int {
-	kxlo := max(h.Kxlo, dst.Kxlo)
-	kxhi := min(h.Kxhi, dst.Kxhi)
-	kzlo := max(h.Kzlo, dst.Kzlo)
-	kzhi := min(h.Kzhi, dst.Kzhi)
-	ny := h.Ny
-	srcNkz := h.Kzhi - h.Kzlo
-	dstNkz := dst.Kzhi - dst.Kzlo
-	fields := append([][][]complex128{dst.CV, dst.CW, dst.HgPrev, dst.HvPrev}, dst.Extra...)
-	lines := 0
-	for f := range fields {
-		fieldOff := h.headerLen() + int64(f)*int64(h.nw())*int64(ny)*16
-		for ikx := kxlo; ikx < kxhi; ikx++ {
-			for ikz := kzlo; ikz < kzhi; ikz++ {
-				srcW := (ikx-h.Kxlo)*srcNkz + (ikz - h.Kzlo)
-				dstW := (ikx-dst.Kxlo)*dstNkz + (ikz - dst.Kzlo)
-				off := fieldOff + int64(srcW)*int64(ny)*16
-				getComplexLine(b[off:], fields[f][dstW])
-				if f == 0 {
-					lines++
+// shardReader streams one shard of known size through a window-sized
+// buffer, folding every byte before the trailer into the CRC32C as it is
+// consumed.
+type shardReader struct {
+	ra   io.ReaderAt
+	size int64
+	br   *bufio.Reader
+	crc  uint32
+	h    shardHeader
+}
+
+// newShardReader reads and checks the header of the size-byte shard in ra.
+func newShardReader(ra io.ReaderAt, size int64) (*shardReader, error) {
+	body := max(size-4, 0) // every byte before the trailer
+	sr := &shardReader{ra: ra, size: size, br: bufio.NewReaderSize(io.NewSectionReader(ra, 0, body), window)}
+	b, err := sr.br.Peek(int(min(extHeaderSize, body)))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: reading shard header: %w", err)
+	}
+	if sr.h, err = parseHeader(b, size); err != nil {
+		return nil, err
+	}
+	if _, err := sr.next(int(sr.h.headerLen())); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// next consumes the next n <= window bytes through the CRC32C and returns
+// them; they stay valid until the following call.
+func (sr *shardReader) next(n int) ([]byte, error) {
+	b, err := sr.br.Peek(n)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: shard ends early: %w", err)
+	}
+	sr.crc = crc32.Update(sr.crc, castagnoli, b)
+	sr.br.Discard(n)
+	return b, nil
+}
+
+// complexLine decodes the next len(dst) complex values into dst, or passes
+// n of them through the CRC when dst is nil.
+func (sr *shardReader) complexLine(dst []complex128, n int) error {
+	le := binary.LittleEndian
+	for i := 0; i < n; {
+		k := min(n-i, window/16)
+		b, err := sr.next(16 * k)
+		if err != nil {
+			return err
+		}
+		if dst != nil {
+			for j := range dst[i : i+k] {
+				dst[i+j] = complex(
+					math.Float64frombits(le.Uint64(b[16*j:])),
+					math.Float64frombits(le.Uint64(b[16*j+8:])))
+			}
+		}
+		i += k
+	}
+	return nil
+}
+
+// realLine is complexLine for a real profile.
+func (sr *shardReader) realLine(dst []float64, n int) error {
+	le := binary.LittleEndian
+	for i := 0; i < n; {
+		k := min(n-i, window/8)
+		b, err := sr.next(8 * k)
+		if err != nil {
+			return err
+		}
+		if dst != nil {
+			for j := range dst[i : i+k] {
+				dst[i+j] = math.Float64frombits(le.Uint64(b[8*j:]))
+			}
+		}
+		i += k
+	}
+	return nil
+}
+
+// decode streams the shard's payload in file order and checks the trailer.
+// Every mode line in the intersection of the shard's window and dst's (and
+// the mean block when both sides carry it) is decoded straight into dst's
+// slices; every other line only passes through the CRC32C, and a nil dst
+// takes nothing. The caller has matched dst's Ny and extra counts to the
+// header. A CRC mismatch is an error, and then dst holds bytes that were
+// never trusted: a failed decode leaves dst's contents unspecified.
+func (sr *shardReader) decode(dst *State) error {
+	h := &sr.h
+	var fields [][][]complex128
+	var means [][]float64
+	if dst != nil {
+		fields = append([][][]complex128{dst.CV, dst.CW, dst.HgPrev, dst.HvPrev}, dst.Extra...)
+		if dst.HasMean {
+			means = append([][]float64{dst.MeanU, dst.MeanW, dst.MeanHxPrev, dst.MeanHzPrev}, dst.ExtraMean...)
+		}
+	}
+	for f := 0; f < nComplexFields+h.NExtra; f++ {
+		for ikx := h.Kxlo; ikx < h.Kxhi; ikx++ {
+			for ikz := h.Kzlo; ikz < h.Kzhi; ikz++ {
+				var line []complex128
+				if fields != nil && dst.Kxlo <= ikx && ikx < dst.Kxhi && dst.Kzlo <= ikz && ikz < dst.Kzhi {
+					line = fields[f][(ikx-dst.Kxlo)*(dst.Kzhi-dst.Kzlo)+(ikz-dst.Kzlo)]
+				}
+				if err := sr.complexLine(line, h.Ny); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	if h.HasMean && dst.HasMean {
-		off := h.headerLen() + int64(nComplexFields+h.NExtra)*int64(h.nw())*int64(ny)*16
-		for _, m := range append([][]float64{dst.MeanU, dst.MeanW, dst.MeanHxPrev, dst.MeanHzPrev}, dst.ExtraMean...) {
-			getRealLine(b[off:], m)
-			off += int64(ny) * 8
+	if h.HasMean {
+		for m := 0; m < 4+h.NExtraMean; m++ {
+			var line []float64
+			if means != nil {
+				line = means[m]
+			}
+			if err := sr.realLine(line, h.Ny); err != nil {
+				return err
+			}
 		}
 	}
-	return lines
-}
-
-// DecodeShard reads one complete shard from r and restores it into dst,
-// whose window, grid and fingerprint must match the shard exactly (the
-// single-rank save/load path; re-sharded restores go through Store). The
-// decoded values are copied into dst's existing slices.
-func DecodeShard(r io.Reader, dst *State) error {
-	if err := dst.validate(); err != nil {
-		return err
+	var t [4]byte
+	if n, err := sr.ra.ReadAt(t[:], sr.size-4); n < len(t) {
+		return fmt.Errorf("ckpt: reading shard trailer: %w", err)
 	}
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("ckpt: reading shard: %w", err)
+	if want := binary.LittleEndian.Uint32(t[:]); sr.crc != want {
+		return fmt.Errorf("ckpt: shard CRC32C mismatch (stored %08x, computed %08x)", want, sr.crc)
 	}
-	h, err := parseShard(b)
-	if err != nil {
-		return err
-	}
-	if h.Fingerprint != dst.Fingerprint {
-		return fmt.Errorf("ckpt: shard fingerprint %016x does not match configuration %016x",
-			h.Fingerprint, dst.Fingerprint)
-	}
-	if h.Nx != dst.Nx || h.Ny != dst.Ny || h.Nz != dst.Nz || h.NKx != dst.NKx {
-		return fmt.Errorf("ckpt: shard grid %dx%dx%d does not match solver %dx%dx%d",
-			h.Nx, h.Ny, h.Nz, dst.Nx, dst.Ny, dst.Nz)
-	}
-	if h.Kxlo != dst.Kxlo || h.Kxhi != dst.Kxhi || h.Kzlo != dst.Kzlo || h.Kzhi != dst.Kzhi {
-		return fmt.Errorf("ckpt: shard window kx[%d,%d) kz[%d,%d) does not match rank window kx[%d,%d) kz[%d,%d)",
-			h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, dst.Kxlo, dst.Kxhi, dst.Kzlo, dst.Kzhi)
-	}
-	if h.HasMean != dst.HasMean {
-		return fmt.Errorf("ckpt: shard mean-profile presence (%v) does not match rank (%v)",
-			h.HasMean, dst.HasMean)
-	}
-	if h.NExtra != len(dst.Extra) || (dst.HasMean && h.NExtraMean != len(dst.ExtraMean)) {
-		return fmt.Errorf("ckpt: shard carries %d extra fields / %d extra means, solver expects %d / %d",
-			h.NExtra, h.NExtraMean, len(dst.Extra), len(dst.ExtraMean))
-	}
-	copyOverlap(b, h, dst)
-	dst.Step, dst.Time, dst.Dt = h.Step, h.Time, h.Dt
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"channeldns/internal/mpi"
@@ -308,4 +309,68 @@ func TestStoreCorruptShardHelper(t *testing.T) {
 	if _, err := s.Verify(name); err == nil {
 		t.Fatal("bit-flipped checkpoint passes verify")
 	}
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestStoreStreamsShards holds a write and a resume of a 4.3 MB state to
+// a fixed window: neither may build or read the shard as one image (a
+// write did, and a resume read every shard twice, once to verify it and
+// once to restore it).
+func TestStoreStreamsShards(t *testing.T) {
+	const budget = 512 << 10
+	src := makeState(1400, 0, 8, 0, 6, true)
+	dst := emptyLike(src, 0, 8, 0, 6, true)
+	size := shardSize(src.NW(), src.Ny, true, 0, 0)
+	if size < 4<<20 {
+		t.Fatalf("state of %d bytes is too small to tell a window from an image", size)
+	}
+	s := NewStore(t.TempDir())
+	mpi.Run(1, func(c *mpi.Comm) {
+		var err error
+		for _, op := range []struct {
+			name string
+			run  func()
+		}{
+			{"write", func() { _, err = s.Write(c, src) }},
+			{"resume", func() { _, err = s.Resume(c, dst) }},
+		} {
+			n := allocated(op.run)
+			t.Logf("%s of a %d-byte shard allocated %d bytes", op.name, size, n)
+			if err != nil || n >= budget {
+				t.Errorf("%s of a %d-byte shard allocated %d bytes (budget %d): %v", op.name, size, n, budget, err)
+			}
+		}
+	})
+	checkWindow(t, dst)
+}
+
+// TestStoreRestoreRefusesShardChangedAfterVerify damages a shard between
+// Verify and Restore: the restoring ranks decode it while its CRC32C is
+// recomputed, so Restore must fail on every rank, the one whose shard is
+// intact included.
+func TestStoreRestoreRefusesShardChangedAfterVerify(t *testing.T) {
+	s := NewStore(t.TempDir())
+	name, err := writeCheckpoint(t, s, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Verify(name); err != nil {
+		t.Fatalf("fresh checkpoint fails verify: %v", err)
+	}
+	if err := FlipBit(filepath.Join(s.Dir(), name, shardFileName(1)), 500); err != nil {
+		t.Fatal(err)
+	}
+	mpi.Run(2, func(c *mpi.Comm) {
+		if err := s.Restore(c, name, blankRankState(2, c.Rank())); err == nil {
+			t.Errorf("rank %d: restore of a shard changed after Verify succeeded", c.Rank())
+		}
+	})
 }

@@ -37,7 +37,8 @@ type IsoSolver struct {
 
 	// Spectral velocity, [w][j] over wrapped y modes.
 	cu, cv, cw [][]complex128
-	// Previous-substep projected nonlinear terms, one set per component.
+	// Previous-substep projected nonlinear terms, one set per component,
+	// overwritten in place by each substep's terms once they are used.
 	hPrev [3][][]complex128
 
 	// Wrapped y wavenumbers and the 2/3-rule dealiasing mask.
@@ -45,11 +46,9 @@ type IsoSolver struct {
 	kyKeep []bool
 
 	// The y transform bracketing the excursion (which carries the y-physical
-	// lines through the padded z/x transforms and back), the current-substep
-	// nonlinear terms swapped with hPrev, and one y line of scratch per
-	// worker.
+	// lines through the padded z/x transforms and back) and one y line of
+	// scratch per worker.
 	planY *fft.Plan
-	hCur  [3][][]complex128
 	yline [][]complex128
 }
 
@@ -88,9 +87,6 @@ func NewIsotropic(world *mpi.Comm, cfg Config) (*IsoSolver, error) {
 	s.planY = fft.NewPlan(ny)
 	s.exc = parfft.NewExcursion(s.D, fft.NewPaddedComplex(g.Nz, g.MZ()), fft.NewPaddedReal(g.NKx(), g.MX()),
 		nil, nil, s.tel, &parfft.SixProducts)
-	for c := range s.hCur {
-		s.hCur[c] = allocCoef(s.nw, ny)
-	}
 	s.yline = make([][]complex128, s.pool().Workers())
 	for i := range s.yline {
 		s.yline[i] = make([]complex128, ny)
@@ -231,11 +227,11 @@ func (s *IsoSolver) isoNonlinear(harvest bool) [][]complex128 {
 }
 
 // isoAdvance assembles the divergence-form nonlinear term from the product
-// spectra, projects it divergence-free, stores it for the next substep's
-// explicit combination, and performs the diagonal IMEX advance
+// spectra, projects it divergence-free, performs the diagonal IMEX advance
 //
-//	u_new = (u*(1 - alpha*dt*nu*k2) + dt*(gamma*N + zeta*N_prev)) / (1 + beta*dt*nu*k2).
+//	u_new = (u*(1 - alpha*dt*nu*k2) + dt*(gamma*N + zeta*N_prev)) / (1 + beta*dt*nu*k2),
 //
+// and then stores N over N_prev for the next substep's explicit combination.
 // The k = 0 mode (no mean flow) and all dealiased slots stay pinned at zero.
 // prods is isoNonlinear's result, nil with DisableNonlinear.
 func (s *IsoSolver) isoAdvance(sub int, dt float64, prods [][]complex128) {
@@ -258,7 +254,6 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64, prods [][]complex128) {
 			kx, kz := g.Kx(ikx), g.Kz(ikz)
 			base := w * ny
 			cuw, cvw, cww := s.cu[w], s.cv[w], s.cw[w]
-			hu, hv, hw := s.hCur[0][w], s.hCur[1][w], s.hCur[2][w]
 			pu, pv, pw := s.hPrev[0][w], s.hPrev[1][w], s.hPrev[2][w]
 			for j := 0; j < ny; j++ {
 				if !s.kyKeep[j] {
@@ -282,12 +277,12 @@ func (s *IsoSolver) isoAdvance(sub int, dt float64, prods [][]complex128) {
 					nv -= cky * div
 					nw -= ckz * div
 				}
-				hu[j], hv[j], hw[j] = nu, nv, nw
 				expl := complex(1-al*k2, 0)
 				den := complex(1+be*k2, 0)
 				cuw[j] = (cuw[j]*expl + cdt*(ga*nu+ze*pu[j])) / den
 				cvw[j] = (cvw[j]*expl + cdt*(ga*nv+ze*pv[j])) / den
 				cww[j] = (cww[j]*expl + cdt*(ga*nw+ze*pw[j])) / den
+				pu[j], pv[j], pw[j] = nu, nv, nw
 			}
 		}
 	})
@@ -304,7 +299,6 @@ func (s *IsoSolver) StepOnce() {
 			prods = s.isoNonlinear(sub == 2)
 		}
 		s.isoAdvance(sub, dt, prods)
-		s.hPrev, s.hCur = s.hCur, s.hPrev
 	}
 	s.endStep(dt)
 }

@@ -16,9 +16,13 @@ import (
 // workload: the step bracket that records the wall clock and credits the
 // schedule's flops is written once, under all three. Each workload runs
 // serially and on a pool of two workers, where the excursion's slab loop
-// hands its spans across the pool. Under the race detector only the timing
-// band is skipped: the race instrumentation skews the in-span/out-of-span
-// split, but the steps still run the span handoff.
+// hands its spans across the pool. The two-worker rows run Ny = 9, whose
+// nine y planes the pool splits 4 + 5, for 12 steps: a pass that booked
+// only block 0's own work would miss the wait for the larger block, and
+// there each row alone reads 0.6-0.9, not the 0.99 of full booking. Under
+// the race detector only the timing band is skipped: the race
+// instrumentation skews the in-span/out-of-span split, but the steps still
+// run the span handoff.
 func TestTelemetryPhaseCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-ratio test, skipped in -short")
@@ -37,23 +41,20 @@ func TestTelemetryPhaseCoverage(t *testing.T) {
 		{WorkloadScalar, 17, walled},
 		{WorkloadIsotropic, 16, periodic},
 	} {
-		for _, workers := range []int{1, 2} {
-			name := tc.workload
-			if workers > 1 {
-				name += "_2_workers"
-			}
-			t.Run(name, func(t *testing.T) {
-				checkPhaseCoverage(t, tc.workload, tc.ny, workers, tc.want)
-			})
-		}
+		t.Run(tc.workload, func(t *testing.T) {
+			checkPhaseCoverage(t, tc.workload, tc.ny, 1, 3, tc.want)
+		})
+		t.Run(tc.workload+"_2_workers", func(t *testing.T) {
+			checkPhaseCoverage(t, tc.workload, 9, 2, 12, tc.want)
+		})
 	}
 }
 
-// checkPhaseCoverage runs three warm steps of a 1x1 workload on a pool of
-// the given workers (serially for one) and checks the steps, the flops, the
-// phases present and, unless under the race detector, the phase sum against
-// the step wall clock.
-func checkPhaseCoverage(t *testing.T, workload string, ny, workers int, want []telemetry.Phase) {
+// checkPhaseCoverage runs the given warm steps of a 1x1 workload on a pool
+// of the given workers (serially for one) and checks the steps, the flops,
+// the phases present and, unless under the race detector, the phase sum
+// against the step wall clock.
+func checkPhaseCoverage(t *testing.T, workload string, ny, workers, steps int, want []telemetry.Phase) {
 	reg := telemetry.NewRegistry()
 	cfg := Config{Workload: workload, Nx: 16, Ny: ny, Nz: 16, ReTau: 180, Dt: 1e-3,
 		Forcing: 1, Telemetry: reg}
@@ -70,15 +71,15 @@ func checkPhaseCoverage(t *testing.T, workload string, ny, workers int, want []t
 		wl.InitDefault(0.3, 1)
 		Advance(wl, 2) // warm caches so compile/plan time is not in the sample
 		reg.Reset()
-		Advance(wl, 3)
+		Advance(wl, steps)
 	})
 	snap := reg.Snapshot()
-	if snap.Steps != 3 {
-		t.Fatalf("Steps = %d, want 3", snap.Steps)
+	if snap.Steps != int64(steps) {
+		t.Fatalf("Steps = %d, want %d", snap.Steps, steps)
 	}
 	sched, _ := WorkloadSchedule(cfg)
-	if flops := 3 * int64(sched.TotalFlops()); snap.Flops != flops {
-		t.Errorf("Flops = %d, want 3 steps of the %s schedule = %d", snap.Flops, workload, flops)
+	if flops := int64(steps) * int64(sched.TotalFlops()); snap.Flops != flops {
+		t.Errorf("Flops = %d, want %d steps of the %s schedule = %d", snap.Flops, steps, workload, flops)
 	}
 	wall := snap.MeanStepSeconds
 	sum := snap.PhaseSecondsSum()
