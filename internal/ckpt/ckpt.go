@@ -16,9 +16,16 @@
 //     leaves the previous checkpoint untouched and the torn attempt
 //     invisible to discovery.
 //   - Resume maps each restoring rank's owned wavenumber ranges onto the
-//     manifest's shard ranges and reads exactly the overlapping slices, so
+//     manifest's shard ranges and decodes exactly the overlapping slices, so
 //     a run checkpointed on P ranks restores bit-identically on any other
 //     rank count.
+//   - A shard streams through one fixed 64 KiB window whether it is
+//     written, verified or restored: EncodeShard folds each chunk into the
+//     CRC32C as it goes out, Verify passes the body through the CRC, and
+//     Restore decodes each line in file order straight into the solver's
+//     slices while the CRC is recomputed. No second image of the state is
+//     ever held. A shard whose CRC fails at restore (it changed after
+//     Verify) fails Restore on every rank, and Resume falls back.
 //   - A Store owns a directory of checkpoints with rolling retention and
 //     corruption-aware discovery: Latest skips manifests whose shards are
 //     missing, truncated or fail their CRC, falling back to the newest
