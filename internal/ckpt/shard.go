@@ -21,23 +21,23 @@ import (
 //	52      8     step (u64)
 //	60      8     time (f64)      68  8  dt (f64)
 //	76      4     flags (u32; bit 0 = mean block present, bit 1 = extended)
-//	80      -     payload: 4 complex fields (cv, cw, hgPrev, hvPrev), each
+//	80      -     payload: 4 complex fields (State.Fields in order), each
 //	              nw mode lines of ny complex128 (re, im as f64), followed
-//	              by the mean block when flagged: 4 real profiles (meanU,
-//	              meanW, meanHxPrev, meanHzPrev) of ny f64 each
+//	              by the mean block when flagged: 4 real mean profiles
+//	              (State.Means in order) of ny f64 each
 //	end-4   4     CRC32C (Castagnoli) over every preceding byte
 //
-// When the extended flag (bit 1) is set — the shard carries workload-
-// specific fields beyond the channel's four — the header grows by two
-// counters and the payload shifts accordingly:
+// When the extended flag (bit 1) is set — the shard carries more than four
+// fields or mean profiles — the header grows by two counters and the
+// payload shifts accordingly:
 //
-//	80      4     nExtra (u32): extra complex fields after hvPrev
-//	84      4     nExtraMean (u32): extra mean profiles after meanHzPrev
+//	80      4     nExtra (u32): fields beyond the fourth
+//	84      4     nExtraMean (u32): mean profiles beyond the fourth
 //	88      -     payload as above, with 4+nExtra complex fields and, when
 //	              the mean flag is set, 4+nExtraMean mean profiles
 //
-// A state without extras encodes byte-identically to the original v1
-// layout (the extended flag stays clear), so channel checkpoints written
+// A state with four fields and no or four mean profiles keeps the original
+// v1 layout (the extended flag stays clear), so channel checkpoints written
 // before and after the extension are interchangeable.
 //
 // The header is self-describing: a reader can locate any (field, ikx, ikz)
@@ -56,24 +56,25 @@ const (
 // accelerates and iSCSI/ext4 use for integrity trailers).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// nComplexFields is the number of complex spectral fields in a shard, in
-// on-disk order: cv, cw, hgPrev, hvPrev.
-const nComplexFields = 4
+// v1Lists is the field count, and the mean-profile count of a mean block,
+// that the v1 header implies; the extended header counts the rest.
+const v1Lists = 4
+
+// extended reports whether a shard of nFields fields and nMeans mean
+// profiles needs the extended header.
+func extended(nFields, nMeans int) bool { return nFields > v1Lists || nMeans > v1Lists }
 
 // window is the size of the one buffer a shard streams through, written or
 // read: a shard never exists as a second image of the state in memory.
 const window = 64 << 10
 
 // shardSize returns the on-disk size of a shard with the given shape.
-func shardSize(nw, ny int, hasMean bool, nExtra, nExtraMean int) int64 {
+func shardSize(nw, ny, nFields, nMeans int) int64 {
 	n := int64(headerSize)
-	if nExtra > 0 || nExtraMean > 0 {
+	if extended(nFields, nMeans) {
 		n = extHeaderSize
 	}
-	n += int64(nComplexFields+nExtra) * int64(nw) * int64(ny) * 16
-	if hasMean {
-		n += int64(4+nExtraMean) * int64(ny) * 8
-	}
+	n += int64(nFields)*int64(nw)*int64(ny)*16 + int64(nMeans)*int64(ny)*8
 	return n + 4 // CRC trailer
 }
 
@@ -139,7 +140,7 @@ func EncodeShard(w io.Writer, st *State) (int64, uint32, error) {
 	if err := st.validate(); err != nil {
 		return 0, 0, err
 	}
-	nExtra, nExtraMean := len(st.Extra), len(st.ExtraMean)
+	nf, nm := len(st.Fields), len(st.Means)
 	sw := &shardWriter{w: w, buf: make([]byte, 0, window)}
 	le := binary.LittleEndian
 	b := append(sw.buf, shardMagic...)
@@ -152,29 +153,27 @@ func EncodeShard(w io.Writer, st *State) (int64, uint32, error) {
 	b = le.AppendUint64(b, math.Float64bits(st.Time))
 	b = le.AppendUint64(b, math.Float64bits(st.Dt))
 	var flags uint32
-	if st.HasMean {
+	if nm > 0 {
 		flags |= flagHasMean
 	}
-	extended := nExtra > 0 || nExtraMean > 0
-	if extended {
+	ext := extended(nf, nm)
+	if ext {
 		flags |= flagExtended
 	}
 	b = le.AppendUint32(b, flags)
-	if extended {
-		b = le.AppendUint32(b, uint32(nExtra))
-		b = le.AppendUint32(b, uint32(nExtraMean))
+	if ext {
+		b = le.AppendUint32(b, uint32(nf-v1Lists))
+		b = le.AppendUint32(b, uint32(max(nm-v1Lists, 0)))
 	}
 	sw.buf = b
 
-	for _, f := range append([][][]complex128{st.CV, st.CW, st.HgPrev, st.HvPrev}, st.Extra...) {
+	for _, f := range st.Fields {
 		for _, line := range f {
 			sw.complexLine(line)
 		}
 	}
-	if st.HasMean {
-		for _, m := range append([][]float64{st.MeanU, st.MeanW, st.MeanHxPrev, st.MeanHzPrev}, st.ExtraMean...) {
-			sw.realLine(m)
-		}
+	for _, m := range st.Means {
+		sw.realLine(m)
 	}
 	sw.flush()
 	if sw.err != nil {
@@ -191,16 +190,14 @@ type shardHeader struct {
 	Kxlo, Kxhi, Kzlo, Kzhi int
 	Step                   int64
 	Time, Dt               float64
-	HasMean                bool
-	Extended               bool
-	NExtra, NExtraMean     int
+	NFields, NMeans        int // NMeans is 0 without the mean block
 }
 
 func (h *shardHeader) nw() int { return (h.Kxhi - h.Kxlo) * (h.Kzhi - h.Kzlo) }
 
 // headerLen returns the on-disk header length this shard was written with.
 func (h *shardHeader) headerLen() int64 {
-	if h.Extended {
+	if extended(h.NFields, h.NMeans) {
 		return extHeaderSize
 	}
 	return headerSize
@@ -241,17 +238,21 @@ func parseHeader(b []byte, size int64) (shardHeader, error) {
 	if flags&^(flagHasMean|flagExtended) != 0 {
 		return h, fmt.Errorf("ckpt: shard flags %#x carry bits this reader does not know", flags)
 	}
-	h.HasMean = flags&flagHasMean != 0
-	h.Extended = flags&flagExtended != 0
-	if h.Extended {
+	hasMean, ext := flags&flagHasMean != 0, flags&flagExtended != 0
+	nExtra, nExtraMean := 0, 0
+	if ext {
 		if size < extHeaderSize+4 {
 			return h, fmt.Errorf("ckpt: extended shard truncated to %d bytes (header is %d)", size, extHeaderSize)
 		}
-		h.NExtra = int(le.Uint32(b[80:]))
-		h.NExtraMean = int(le.Uint32(b[84:]))
-		if h.NExtra > 1024 || h.NExtraMean > 1024 {
-			return h, fmt.Errorf("ckpt: shard header claims %d extra fields, %d extra means", h.NExtra, h.NExtraMean)
+		nExtra, nExtraMean = int(le.Uint32(b[80:])), int(le.Uint32(b[84:]))
+		if nExtra > 1024 || nExtraMean > 1024 || (!hasMean && nExtraMean > 0) {
+			return h, fmt.Errorf("ckpt: shard header claims %d extra fields, %d extra means (mean block %v)",
+				nExtra, nExtraMean, hasMean)
 		}
+	}
+	h.NFields = v1Lists + nExtra
+	if hasMean {
+		h.NMeans = v1Lists + nExtraMean
 	}
 	// Hold the header to what State.validate lets the writer emit, and to the
 	// file's length one factor at a time: the extents arrive as uint32s, so a
@@ -259,11 +260,11 @@ func parseHeader(b []byte, size int64) (shardHeader, error) {
 	// whatever the file happens to measure and run the reader far past it.
 	dkx, dkz, n := h.Kxhi-h.Kxlo, h.Kzhi-h.Kzlo, int(size)
 	if h.Nx <= 0 || h.Ny <= 0 || h.Nz <= 0 || h.NKx <= 0 || dkx < 0 || h.Kxhi > h.NKx || dkz < 0 || h.Kzhi > h.Nz ||
-		h.Ny > n || (dkz > 0 && dkx > n/dkz) || (h.nw() > 0 && h.Ny > n/h.nw()) || (!h.HasMean && h.NExtraMean > 0) {
+		h.Ny > n || (dkz > 0 && dkx > n/dkz) || (h.nw() > 0 && h.Ny > n/h.nw()) {
 		return h, fmt.Errorf("ckpt: shard header carries degenerate window kx[%d,%d) kz[%d,%d) of ny %d on a %dx%dx%d grid (nkx %d)",
 			h.Kxlo, h.Kxhi, h.Kzlo, h.Kzhi, h.Ny, h.Nx, h.Ny, h.Nz, h.NKx)
 	}
-	if want := shardSize(h.nw(), h.Ny, h.HasMean, h.NExtra, h.NExtraMean); size != want || h.Extended != (h.NExtra > 0 || h.NExtraMean > 0) {
+	if want := shardSize(h.nw(), h.Ny, h.NFields, h.NMeans); size != want || ext != extended(h.NFields, h.NMeans) {
 		return h, fmt.Errorf("ckpt: shard is %d bytes, header implies %d", size, want)
 	}
 	return h, nil
@@ -354,25 +355,17 @@ func (sr *shardReader) realLine(dst []float64, n int) error {
 // Every mode line in the intersection of the shard's window and dst's (and
 // the mean block when both sides carry it) is decoded straight into dst's
 // slices; every other line only passes through the CRC32C, and a nil dst
-// takes nothing. The caller has matched dst's Ny and extra counts to the
+// takes nothing. The caller has matched dst's Ny and list lengths to the
 // header. A CRC mismatch is an error, and then dst holds bytes that were
 // never trusted: a failed decode leaves dst's contents unspecified.
 func (sr *shardReader) decode(dst *State) error {
 	h := &sr.h
-	var fields [][][]complex128
-	var means [][]float64
-	if dst != nil {
-		fields = append([][][]complex128{dst.CV, dst.CW, dst.HgPrev, dst.HvPrev}, dst.Extra...)
-		if dst.HasMean {
-			means = append([][]float64{dst.MeanU, dst.MeanW, dst.MeanHxPrev, dst.MeanHzPrev}, dst.ExtraMean...)
-		}
-	}
-	for f := 0; f < nComplexFields+h.NExtra; f++ {
+	for f := 0; f < h.NFields; f++ {
 		for ikx := h.Kxlo; ikx < h.Kxhi; ikx++ {
 			for ikz := h.Kzlo; ikz < h.Kzhi; ikz++ {
 				var line []complex128
-				if fields != nil && dst.Kxlo <= ikx && ikx < dst.Kxhi && dst.Kzlo <= ikz && ikz < dst.Kzhi {
-					line = fields[f][(ikx-dst.Kxlo)*(dst.Kzhi-dst.Kzlo)+(ikz-dst.Kzlo)]
+				if dst != nil && dst.Kxlo <= ikx && ikx < dst.Kxhi && dst.Kzlo <= ikz && ikz < dst.Kzhi {
+					line = dst.Fields[f][(ikx-dst.Kxlo)*(dst.Kzhi-dst.Kzlo)+(ikz-dst.Kzlo)]
 				}
 				if err := sr.complexLine(line, h.Ny); err != nil {
 					return err
@@ -380,15 +373,13 @@ func (sr *shardReader) decode(dst *State) error {
 			}
 		}
 	}
-	if h.HasMean {
-		for m := 0; m < 4+h.NExtraMean; m++ {
-			var line []float64
-			if means != nil {
-				line = means[m]
-			}
-			if err := sr.realLine(line, h.Ny); err != nil {
-				return err
-			}
+	for m := 0; m < h.NMeans; m++ {
+		var line []float64
+		if dst != nil && len(dst.Means) > 0 {
+			line = dst.Means[m]
+		}
+		if err := sr.realLine(line, h.Ny); err != nil {
+			return err
 		}
 	}
 	var t [4]byte

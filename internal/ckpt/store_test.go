@@ -18,7 +18,7 @@ func chunk(n, p, r int) (lo, hi int) { return r * n / p, (r + 1) * n / p }
 // (grid 16x5x6, NKx=8) with the mean profiles on rank 0.
 func rankState(p, r int, step int64) *State {
 	lo, hi := chunk(8, p, r)
-	st := makeState(5, lo, hi, 0, 6, r == 0)
+	st := makeState(5, lo, hi, 0, 6, 4, meanIf(r == 0, 4))
 	st.Step = step
 	st.Time = float64(step) * 0.003
 	return st
@@ -26,9 +26,9 @@ func rankState(p, r int, step int64) *State {
 
 // blankRankState is rankState with zeroed buffers, ready to restore into.
 func blankRankState(p, r int) *State {
-	full := makeState(5, 0, 8, 0, 6, true)
+	full := makeState(5, 0, 8, 0, 6, 4, 4)
 	lo, hi := chunk(8, p, r)
-	return emptyLike(full, lo, hi, 0, 6, r == 0)
+	return emptyLike(full, lo, hi, 0, 6, 4, meanIf(r == 0, 4))
 }
 
 // writeCheckpoint runs one collective Write at size p.
@@ -326,9 +326,9 @@ func allocated(f func()) uint64 {
 // once to restore it).
 func TestStoreStreamsShards(t *testing.T) {
 	const budget = 512 << 10
-	src := makeState(1400, 0, 8, 0, 6, true)
-	dst := emptyLike(src, 0, 8, 0, 6, true)
-	size := shardSize(src.NW(), src.Ny, true, 0, 0)
+	src := makeState(1400, 0, 8, 0, 6, 4, 4)
+	dst := emptyLike(src, 0, 8, 0, 6, 4, 4)
+	size := shardSize(src.NW(), src.Ny, 4, 4)
 	if size < 4<<20 {
 		t.Fatalf("state of %d bytes is too small to tell a window from an image", size)
 	}

@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"channeldns/internal/ckpt"
 	"channeldns/internal/fft"
 	"channeldns/internal/mpi"
 	"channeldns/internal/parfft"
@@ -61,7 +60,6 @@ func NewIsotropic(world *mpi.Comm, cfg Config) (*IsoSolver, error) {
 		return nil, err
 	}
 	cfg, g := s.Cfg, s.G
-	s.checkpointing.self = s
 
 	ny := cfg.Ny
 	s.cu = allocCoef(s.nw, ny)
@@ -70,6 +68,7 @@ func NewIsotropic(world *mpi.Comm, cfg Config) (*IsoSolver, error) {
 	for c := range s.hPrev {
 		s.hPrev[c] = allocCoef(s.nw, ny)
 	}
+	s.fields = []*[][]complex128{&s.cu, &s.cv, &s.cw, &s.hPrev[0], &s.hPrev[1], &s.hPrev[2]}
 
 	s.ky = make([]float64, ny)
 	s.kyKeep = make([]bool, ny)
@@ -365,15 +364,4 @@ func (s *IsoSolver) StatusLine() string {
 	e := s.TotalEnergy()
 	div := s.DivergenceResidual()
 	return fmt.Sprintf("step %6d  t=%8.4f  E=%10.6f  div=%.2e", s.Step, s.Time, e, div)
-}
-
-// CheckpointState returns this rank's state as a ckpt.State aliasing the
-// solver's buffers. The base four complex fields carry u, v, w and the
-// first previous-substep nonlinear component; the remaining two components
-// ride the extended-field block. No mean profiles: the k = 0 mode is zero.
-func (s *IsoSolver) CheckpointState() *ckpt.State {
-	st := s.stateHeader()
-	st.CV, st.CW, st.HgPrev, st.HvPrev = s.cu, s.cv, s.cw, s.hPrev[0]
-	st.Extra = [][][]complex128{s.hPrev[1], s.hPrev[2]}
-	return st
 }

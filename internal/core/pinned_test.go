@@ -38,7 +38,7 @@ func stateDigest(st *ckpt.State) uint64 {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
-	for _, field := range append([][][]complex128{st.CV, st.CW, st.HgPrev, st.HvPrev}, st.Extra...) {
+	for _, field := range st.Fields {
 		for _, col := range field {
 			for _, c := range col {
 				put(real(c))
@@ -46,7 +46,7 @@ func stateDigest(st *ckpt.State) uint64 {
 			}
 		}
 	}
-	for _, prof := range append([][]float64{st.MeanU, st.MeanW, st.MeanHxPrev, st.MeanHzPrev}, st.ExtraMean...) {
+	for _, prof := range st.Means {
 		for _, v := range prof {
 			put(v)
 		}
@@ -104,7 +104,7 @@ func (tc pinnedCase) run(t *testing.T, runner func(int, func(*mpi.Comm)), frozen
 		f := wl.CFLEstimate()
 		if c.Rank() == 0 {
 			energy, variance, cfl = e, v, f
-			state = stateDigest(wl.(checkpointable).CheckpointState())
+			state = stateDigest(wl.(interface{ CheckpointState() *ckpt.State }).CheckpointState())
 		}
 	})
 	return energy, variance, cfl, state

@@ -27,7 +27,6 @@ package core
 import (
 	"fmt"
 
-	"channeldns/internal/ckpt"
 	"channeldns/internal/mpi"
 	"channeldns/internal/parfft"
 	"channeldns/internal/telemetry"
@@ -35,9 +34,9 @@ import (
 
 // ScalarSolver embeds the full channel solver and carries the scalar state
 // alongside it. Go embedding has no virtual dispatch, so every method whose
-// behavior must include the scalar (StepOnce, InitDefault, StatusLine,
-// CheckpointState) is overridden explicitly here; the shared checkpoint
-// methods reach the overrides through checkpointing.self.
+// behavior must include the scalar (StepOnce, InitDefault, StatusLine) is
+// overridden explicitly here; checkpoints carry the scalar because NewScalar
+// appends its slices to the channel's lists.
 type ScalarSolver struct {
 	*Solver
 	kappa float64
@@ -98,15 +97,16 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 		t.diffusive = &implicitOps{diff: t.kappa}
 		inner.imp = append(inner.imp, t.diffusive)
 	}
-	inner.checkpointing.self = t
 	ny := inner.Cfg.Ny
 	t.cth = allocCoef(inner.nw, ny)
 	t.hthPrev = allocCoef(inner.nw, ny)
 	t.hthCur = allocCoef(inner.nw, ny)
+	inner.fields = append(inner.fields, &t.cth, &t.hthPrev)
 	if inner.ownsMean {
 		t.meanTh = make([]float64, ny)
 		t.meanHthPrev = make([]float64, ny)
 		t.meanHthCur = make([]float64, ny)
+		inner.means = append(inner.means, &t.meanTh, &t.meanHthPrev)
 	}
 	t.carrier = &parfft.SixProducts // also under the skew form
 	if inner.Cfg.DisableNonlinear {
@@ -324,16 +324,4 @@ func (t *ScalarSolver) WallScalarFlux() float64 {
 // flux. Collective.
 func (t *ScalarSolver) StatusLine() string {
 	return t.Solver.StatusLine() + fmt.Sprintf("  th2=%9.2e  q_w=%6.4f", t.ScalarVariance(), t.WallScalarFlux())
-}
-
-// CheckpointState extends the channel state with the scalar fields: cth
-// and hthPrev as extended complex fields, the mean scalar profile and its
-// previous-substep term as extended mean profiles.
-func (t *ScalarSolver) CheckpointState() *ckpt.State {
-	st := t.Solver.CheckpointState()
-	st.Extra = [][][]complex128{t.cth, t.hthPrev}
-	if t.ownsMean {
-		st.ExtraMean = [][]float64{t.meanTh, t.meanHthPrev}
-	}
-	return st
 }

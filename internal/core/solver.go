@@ -65,7 +65,6 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	cfg, g := s.Cfg, s.G
-	s.checkpointing.self = s
 	s.imp = []*implicitOps{{diff: s.nu}}
 	s.B = bspline.NewFromBreakpoints(degree, bspline.ChannelBreakpoints(cfg.Ny-degree, stretch))
 	if s.B.NumBasis() != cfg.Ny {
@@ -80,6 +79,7 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 	s.cw = allocCoef(s.nw, cfg.Ny)
 	s.hgPrev = allocCoef(s.nw, cfg.Ny)
 	s.hvPrev = allocCoef(s.nw, cfg.Ny)
+	s.fields = []*[][]complex128{&s.cv, &s.cw, &s.hgPrev, &s.hvPrev}
 
 	s.ownsMean = s.kxlo == 0 && s.kzlo == 0
 	if s.ownsMean {
@@ -87,6 +87,7 @@ func New(world *mpi.Comm, cfg Config) (*Solver, error) {
 		s.meanW = make([]float64, cfg.Ny)
 		s.meanHxPrev = make([]float64, cfg.Ny)
 		s.meanHzPrev = make([]float64, cfg.Ny)
+		s.means = []*[]float64{&s.meanU, &s.meanW, &s.meanHxPrev, &s.meanHzPrev}
 	}
 
 	s.padZ = fft.NewPaddedComplex(g.Nz, g.MZ())
