@@ -42,7 +42,7 @@ test:
 
 race:
 	$(GO) test -race -short channeldns/internal/banded channeldns/internal/fft channeldns/internal/par channeldns/internal/mpi channeldns/internal/pencil channeldns/internal/parfft channeldns/internal/telemetry channeldns/internal/trace channeldns/internal/ckpt channeldns/internal/run channeldns/internal/server
-	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared|ExcursionInputsWritten|TelemetryPhaseCoverage' channeldns/internal/core
+	$(GO) test -race -run 'Workload|Registry|Isotropic|Scalar|CheckpointMultiRank|Forms|Convective|TrajectoryPinned|OperatorSetsShared|ExcursionInputsWritten|TelemetryPhaseCoverage|ResumeMatchesStraightRun' channeldns/internal/core
 	$(GO) test -race -run 'AcrossRanks|Distributed' channeldns/internal/stats
 
 # A few seconds of each fuzz target, one per decoder of bytes the process did

@@ -223,3 +223,33 @@ func TestRetiredFlagsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestResumedIsotropicRunIsStraight: dns steps adaptively, so a resumed run
+// continues the straight one only if the restore brings back what the dt
+// controller reads. An isotropic run checkpointed every 5 steps for 10 and
+// resumed for 20 more prints the straight 30-step run's step-30 line.
+func TestResumedIsotropicRunIsStraight(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "run.ckpt")
+	step30 := func(args string) string {
+		t.Helper()
+		cmd, out := dns(t, "-workload isotropic -nx 16 -ny 16 -nz 16 "+args)
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("dns %s: %v\n%s", args, err, out)
+		}
+		for _, l := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(l); len(f) > 1 && f[0] == "step" && f[1] == "30" {
+				return l
+			}
+		}
+		t.Fatalf("dns %s printed no step-30 line:\n%s", args, out)
+		return ""
+	}
+	straight := step30("-steps 30")
+	cmd, out := dns(t, "-workload isotropic -nx 16 -ny 16 -nz 16 -steps 10 -ckpt-every 5 -ckpt-dir "+store)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("first leg: %v\n%s", err, out)
+	}
+	if resumed := step30("-steps 20 -resume -ckpt-dir " + store); resumed != straight {
+		t.Errorf("resumed run's step 30:\n  %s\nstraight run's:\n  %s", resumed, straight)
+	}
+}

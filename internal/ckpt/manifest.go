@@ -43,6 +43,7 @@ type Manifest struct {
 	Step        int64       `json:"step"`
 	Time        float64     `json:"time"`
 	Dt          float64     `json:"dt"`
+	MaxAbs      []uint64    `json:"max_abs,omitempty"` // bits of State.MaxAbs, so NaN round-trips
 	Ranks       int         `json:"ranks"`
 	Shards      []ShardInfo `json:"shards"`
 }
@@ -52,8 +53,9 @@ func fingerprintString(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
 // Validate checks the manifest's internal shape: format generation, sane
 // grid, one shard per rank, windows inside the grid that tile it exactly
-// (every (kx, kz) mode covered once), and at most one mean-carrying shard
-// (workloads without mean profiles, like isotropic turbulence, have none).
+// (every (kx, kz) mode covered once), at most one mean-carrying shard
+// (workloads without mean profiles, like isotropic turbulence, have none),
+// and no or 3 x Ny velocity maxima.
 func (m *Manifest) Validate() error {
 	if m.Format != FormatVersion {
 		return fmt.Errorf("ckpt: manifest format %d, reader supports %d", m.Format, FormatVersion)
@@ -65,6 +67,9 @@ func (m *Manifest) Validate() error {
 	// fit an int: a wrapped product could match a wrapped coverage.
 	if m.NKx > math.MaxInt32 || m.Nz > math.MaxInt32 {
 		return fmt.Errorf("ckpt: manifest grid nkx %d x nz %d is too large", m.NKx, m.Nz)
+	}
+	if len(m.MaxAbs) != 0 && len(m.MaxAbs) != 3*m.Ny {
+		return fmt.Errorf("ckpt: manifest carries %d velocity maxima, want 0 or 3 x ny = %d", len(m.MaxAbs), 3*m.Ny)
 	}
 	if m.Ranks != len(m.Shards) || m.Ranks == 0 {
 		return fmt.Errorf("ckpt: manifest lists %d shards for %d ranks", len(m.Shards), m.Ranks)

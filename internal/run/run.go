@@ -50,7 +50,8 @@ type Driver struct {
 	// runs without checkpointing.
 	Store *ckpt.Store
 	// TargetCFL > 0 steps adaptively toward that CFL number; 0 keeps dt
-	// fixed (and the trajectory bit-identical across interruptions).
+	// fixed. Either way a resumed run is bit-identical to an uninterrupted
+	// one: checkpoints carry dt and the maxima the CFL estimate reads.
 	TargetCFL float64
 	// CkptEvery and StatusEvery are cadences in absolute steps; 0 is off.
 	// With a store, a checkpoint is also written at the target step and

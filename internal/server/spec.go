@@ -49,8 +49,8 @@ type JobSpec struct {
 	// Dt is the time step (0 selects 5e-4).
 	Dt float64 `json:"dt,omitempty"`
 	// TargetCFL > 0 enables adaptive stepping toward that CFL number
-	// (cmd/dns's -steps loop uses 0.8); 0 keeps Dt fixed, which also makes
-	// an interrupted job's resumed trajectory bit-identical to an
+	// (cmd/dns's -steps loop uses 0.8); 0 keeps Dt fixed. Either way an
+	// interrupted job's resumed trajectory is bit-identical to an
 	// uninterrupted one.
 	TargetCFL float64 `json:"target_cfl,omitempty"`
 	// Process grid (PA*PB in-process ranks) and per-rank worker threads
