@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -1174,5 +1175,43 @@ func TestDiscoverRunsSkipsRetiredKeys(t *testing.T) {
 				t.Errorf("discovered %d runs (err %v) from a spec with %q, want none", len(runs), err, key)
 			}
 		})
+	}
+}
+
+// TestJobRecordWritesLeaveNoTemp: a status write replaces status.json whole
+// and leaves no temp file; one whose rename fails (a directory holds the
+// name) is an error and leaves no temp file either.
+func TestJobRecordWritesLeaveNoTemp(t *testing.T) {
+	rs, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Create(0, smallSpec(2), Status{State: StateQueued}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.WriteStatus(0, Status{State: StateRunning, Step: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := rs.LoadStatus(0); err != nil || st.State != StateRunning || st.Step != 3 {
+		t.Fatalf("status after rewrite: %+v, %v", st, err)
+	}
+	if err := os.MkdirAll(filepath.Join(rs.Dir(1), "status.json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.WriteStatus(1, Status{State: StateRunning}); err == nil {
+		t.Error("status write over a directory succeeded")
+	}
+	for id, want := range [][]string{{"spec.json", "status.json"}, {"status.json"}} {
+		ents, err := os.ReadDir(rs.Dir(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("run %d holds %v, want %v", id, got, want)
+		}
 	}
 }

@@ -146,8 +146,8 @@ func (rs *RunStore) Create(id int, spec JobSpec, st Status) error {
 	return rs.WriteStatus(id, st)
 }
 
-// WriteStatus atomically replaces status.json (temp file + rename, the
-// same publication discipline the checkpoint store uses), so a reader —
+// WriteStatus atomically replaces status.json (temp file + fsync + rename,
+// the same publication discipline the checkpoint store uses), so a reader —
 // including a future server instance recovering from our crash — never
 // sees a torn status.
 func (rs *RunStore) WriteStatus(id int, st Status) error {
@@ -273,7 +273,11 @@ func DiscoverRuns(root string) ([]RunInfo, error) {
 // means the previous server died mid-flight.
 func (ri RunInfo) Resumable() bool { return !terminalState(ri.Status.State) }
 
-// writeJSONAtomic publishes v at path via temp file + rename.
+// writeJSONAtomic publishes v at path the way ckpt publishes a shard: a
+// uniquely named temp file in the same directory, fsynced before the rename,
+// then the directory fsynced best-effort so the rename itself is durable. A
+// reader, even after a power cut, sees the old record or the whole new one,
+// never an empty file that DiscoverRuns would skip.
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -283,14 +287,23 @@ func writeJSONAtomic(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(append(data, '\n'))
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		d.Sync() // not every platform syncs a directory; the rename is atomic anyway
+		d.Close()
 	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
