@@ -123,7 +123,7 @@ func TestStepOnceSteadyStateAllocsTCP(t *testing.T) {
 // atomics, so instrumentation itself contributes zero heap objects.
 func TestStepOnceSteadyStateAllocsTelemetry(t *testing.T) {
 	wl := warmStepAllocs(t, Config{Telemetry: telemetry.NewRegistry()}, stepAllocBudget)
-	if got := wl.(*Solver).Telemetry().PhaseCalls(telemetry.PhaseNonlinear); got == 0 {
+	if got := wl.(*Solver).tel.PhaseCalls(telemetry.PhaseNonlinear); got == 0 {
 		t.Error("telemetry attached but no nonlinear spans recorded")
 	}
 }
