@@ -90,7 +90,8 @@ type shardMeta struct {
 // writeAtomic writes path through a same-directory temp file: write fills
 // it, then it is fsynced, closed and renamed into place, and the directory
 // is fsynced best-effort so the rename itself is durable. A reader sees the
-// old file or the whole new one, never a torn one.
+// old file or the whole new one, never a torn one. On failure the temp file
+// is removed.
 func writeAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
@@ -104,10 +105,11 @@ func writeAtomic(path string, write func(io.Writer) error) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	syncDir(filepath.Dir(path))

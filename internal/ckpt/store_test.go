@@ -219,6 +219,27 @@ func TestStoreAtomicity(t *testing.T) {
 	})
 }
 
+// TestStoreFailedWriteLeavesNoTemp: a shard whose rename fails (a
+// non-empty directory squats on its final path) fails Write on every rank,
+// and its temp file goes with the failure: on a full disk no later write
+// would succeed to prune it.
+func TestStoreFailedWriteLeavesNoTemp(t *testing.T) {
+	s := NewStore(t.TempDir())
+	dir := filepath.Join(s.Dir(), checkpointName(20))
+	if err := os.MkdirAll(filepath.Join(dir, shardFileName(1), "squat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mpi.Run(2, func(c *mpi.Comm) {
+		if _, err := s.Write(c, rankState(2, c.Rank(), 20)); err == nil {
+			t.Errorf("rank %d: write with shard 1's rename blocked reported success", c.Rank())
+		}
+	})
+	tmps, err := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix))
+	if err != nil || len(tmps) != 0 {
+		t.Errorf("failed write left %v (err %v)", tmps, err)
+	}
+}
+
 func TestStoreEverythingCorruptIsErrNoCheckpoint(t *testing.T) {
 	s := NewStore(t.TempDir())
 	name, err := writeCheckpoint(t, s, 2, 10)
