@@ -28,20 +28,6 @@ import (
 // is refreshed whenever the absolute step count is a multiple of it.
 const cflCheckEvery = 5
 
-// Stop is the answer of a ShouldStop hook.
-type Stop int
-
-const (
-	// Continue takes the next step.
-	Continue Stop = iota
-	// Park leaves the loop resumably: the current step is checkpointed
-	// (when a store is set) before RunTo returns.
-	Park
-	// Abort leaves the loop at once, writing nothing — the on-disk record
-	// stays exactly as an abrupt process death would leave it.
-	Abort
-)
-
 // Driver runs one workload. The exported fields are set before Start and
 // not changed afterwards; nil hooks are skipped.
 type Driver struct {
@@ -55,7 +41,7 @@ type Driver struct {
 	TargetCFL float64
 	// CkptEvery and StatusEvery are cadences in absolute steps; 0 is off.
 	// With a store, a checkpoint is also written at the target step and
-	// before a Park whatever CkptEvery says; with StatusEvery on, a status
+	// before a stop whatever CkptEvery says; with StatusEvery on, a status
 	// line is also emitted at the target step.
 	CkptEvery, StatusEvery int
 
@@ -68,8 +54,10 @@ type Driver struct {
 	// work is done.
 	AfterStep func()
 	// ShouldStop is polled on rank 0 before every step; its answer is
-	// broadcast. Nil never stops (and costs no collective).
-	ShouldStop func() Stop
+	// broadcast, and true leaves the loop resumably: the current step is
+	// checkpointed (when a store is set) before RunTo returns. Nil never
+	// stops (and costs no collective).
+	ShouldStop func() bool
 
 	// lastCkpt is the step the store's newest checkpoint holds (-1: none
 	// known), so one step is never written twice.
@@ -97,19 +85,18 @@ func (d *Driver) Start(resume bool, amp float64, seed int64) (string, error) {
 }
 
 // RunTo steps the workload until its absolute step count reaches target or
-// a stop is requested, and returns the stop decision (Continue when the
-// target was reached). Call it after Start.
-func (d *Driver) RunTo(target int) (Stop, error) {
+// a stop is requested, and reports whether it stopped short. Call it after
+// Start.
+func (d *Driver) RunTo(target int) (stopped bool, err error) {
 	wl := d.WL
 	c := wl.World()
-	stop := Continue
 	for wl.CurrentStep() < target {
 		if d.ShouldStop != nil {
-			if c.Rank() == 0 {
-				stop = d.ShouldStop()
+			var stop int
+			if c.Rank() == 0 && d.ShouldStop() {
+				stop = 1
 			}
-			stop = Stop(mpi.Bcast(c, 0, []int{int(stop)})[0])
-			if stop != Continue {
+			if stopped = mpi.Bcast(c, 0, []int{stop})[0] == 1; stopped {
 				break
 			}
 		}
@@ -122,7 +109,7 @@ func (d *Driver) RunTo(target int) (Stop, error) {
 		final := n >= target
 		if (d.CkptEvery > 0 && n%d.CkptEvery == 0) || final {
 			if err := d.checkpoint(); err != nil {
-				return stop, err
+				return stopped, err
 			}
 		}
 		if d.StatusEvery > 0 && (n%d.StatusEvery == 0 || final) {
@@ -132,12 +119,9 @@ func (d *Driver) RunTo(target int) (Stop, error) {
 			d.AfterStep()
 		}
 	}
-	if stop == Abort {
-		return stop, nil
-	}
-	// A parked run must be resumable from where it stopped, and a run that
+	// A stopped run must be resumable from where it stopped, and a run that
 	// was already at its target still publishes its state.
-	return stop, d.checkpoint()
+	return stopped, d.checkpoint()
 }
 
 // checkpoint publishes the current step unless the store already holds it.

@@ -49,14 +49,9 @@ func image(t *testing.T, wl core.Workload) []byte {
 	return buf.Bytes()
 }
 
-// stopAt answers kind when the run reaches step n.
-func stopAt(wl core.Workload, n int, kind Stop) func() Stop {
-	return func() Stop {
-		if wl.CurrentStep() == n {
-			return kind
-		}
-		return Continue
-	}
+// stopAt asks the run to stop when it reaches step n.
+func stopAt(wl core.Workload, n int) func() bool {
+	return func() bool { return wl.CurrentStep() == n }
 }
 
 // TestStopResumeBitIdentical: a fixed-dt run parked through the stop hook
@@ -74,18 +69,18 @@ func TestStopResumeBitIdentical(t *testing.T) {
 				if _, err := d.Start(true, amp, seed); err != nil {
 					t.Error(err)
 				}
-				if stop, err := d.RunTo(target); err != nil || stop != Continue {
-					t.Errorf("straight run: stop %v, err %v", stop, err)
+				if stopped, err := d.RunTo(target); err != nil || stopped {
+					t.Errorf("straight run: stopped %v, err %v", stopped, err)
 				}
 				want[c.Rank()] = image(t, wl)
 			})
 			onRanks(t, cfg, func(c *mpi.Comm, wl core.Workload) {
-				d := &Driver{WL: wl, Store: wl.NewCheckpointStore(dir, 0), CkptEvery: 2, ShouldStop: stopAt(wl, stopStep, Park)}
+				d := &Driver{WL: wl, Store: wl.NewCheckpointStore(dir, 0), CkptEvery: 2, ShouldStop: stopAt(wl, stopStep)}
 				if name, err := d.Start(true, amp, seed); err != nil || name != "" {
 					t.Errorf("fresh store: resumed %q, err %v", name, err)
 				}
-				if stop, err := d.RunTo(target); err != nil || stop != Park || wl.CurrentStep() != stopStep {
-					t.Errorf("parked run: stop %v at step %d, err %v", stop, wl.CurrentStep(), err)
+				if stopped, err := d.RunTo(target); err != nil || !stopped || wl.CurrentStep() != stopStep {
+					t.Errorf("parked run: stopped %v at step %d, err %v", stopped, wl.CurrentStep(), err)
 				}
 			})
 			onRanks(t, cfg, func(c *mpi.Comm, wl core.Workload) {
@@ -106,22 +101,19 @@ func TestStopResumeBitIdentical(t *testing.T) {
 }
 
 // TestCheckpointCadence: checkpoints land on absolute multiples of
-// CkptEvery, at the target step and before a park — each step once — and
-// an abort writes nothing.
+// CkptEvery, at the target step and before a park — each step once.
 func TestCheckpointCadence(t *testing.T) {
 	cfg := workloads[0]
 	cases := []struct {
 		name     string
 		target   int
 		stopStep int // 0: run to the target
-		stop     Stop
 		want     string
 	}{
-		{"target off cadence", 7, 0, Continue, "[3 6 7]"},
-		{"target on cadence", 6, 0, Continue, "[3 6]"},
-		{"park off cadence", 9, 4, Park, "[3 4]"},
-		{"park on cadence", 9, 3, Park, "[3]"},
-		{"abort", 9, 4, Abort, "[3]"},
+		{"target off cadence", 7, 0, "[3 6 7]"},
+		{"target on cadence", 6, 0, "[3 6]"},
+		{"park off cadence", 9, 4, "[3 4]"},
+		{"park on cadence", 9, 3, "[3]"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -132,7 +124,7 @@ func TestCheckpointCadence(t *testing.T) {
 				d := &Driver{WL: wl, Store: wl.NewCheckpointStore(dir, 0), CkptEvery: 3,
 					Checkpointed: func(string) { steps = append(steps, wl.CurrentStep()) }}
 				if tc.stopStep > 0 {
-					d.ShouldStop = stopAt(wl, tc.stopStep, tc.stop)
+					d.ShouldStop = stopAt(wl, tc.stopStep)
 				}
 				if _, err := d.Start(true, amp, seed); err != nil {
 					t.Error(err)

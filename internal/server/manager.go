@@ -37,11 +37,6 @@ const (
 	stopCancel
 	stopPause
 	stopDrain
-	// stopCrash aborts the run attempt writing NOTHING — no checkpoint, no
-	// status, no report — leaving the on-disk record exactly as a SIGKILL
-	// would. Test-only: it is how the recovery test simulates the crash
-	// half of kill -9 without leaving the process.
-	stopCrash
 )
 
 // Job is one submitted run: its identity, spec, latest status, and the
@@ -491,11 +486,6 @@ func (m *Manager) runJob(job *Job) {
 		m.runRanks(c, job, pool, reg, trc, &res)
 	})
 
-	if res.stopped == stopCrash {
-		// Simulated SIGKILL: the on-disk record must look exactly as an
-		// abrupt process death would leave it, so touch nothing.
-		return
-	}
 	switch {
 	case res.err != nil:
 		m.finalize(job, StateFailed, res.err)
@@ -592,16 +582,9 @@ func (m *Manager) runRanks(c *mpi.Comm, job *Job, pool *par.Pool, reg *telemetry
 				time.Sleep(time.Duration(sp.StepDelayMs) * time.Millisecond)
 			}
 		},
-		ShouldStop: func() run.Stop {
-			kind := job.stop.Load()
-			res.stopped = kind
-			switch kind {
-			case stopNone:
-				return run.Continue
-			case stopCrash:
-				return run.Abort
-			}
-			return run.Park
+		ShouldStop: func() bool {
+			res.stopped = job.stop.Load()
+			return res.stopped != stopNone
 		},
 	}
 

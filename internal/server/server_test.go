@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -168,14 +169,29 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// crashVictimEnv, set to a run-store directory, makes the test binary the
+// victim server of TestCrashRecoveryBitIdentical instead of the test.
+const crashVictimEnv = "CHANNELDNS_CRASH_VICTIM_DIR"
+
 // TestCrashRecoveryBitIdentical is the acceptance test for crash-safe
-// resume: a job checkpointed mid-flight, its server killed (simulated
-// kill -9: the run aborts writing nothing, leaving status.json claiming
-// "running"), a new server on the same store auto-resumes it — and the
-// completed trajectory is bit-identical to an uninterrupted run of the
-// same spec: same manifest position, same shard checksums, same shard
-// bytes.
+// resume: a job checkpointed mid-flight, its server SIGKILLed (the test
+// binary re-executed as a child that serves the job; the kill can land in
+// the middle of any write, leaving status.json claiming "running"), a new
+// server on the same store auto-resumes it — and the completed trajectory
+// is bit-identical to an uninterrupted run of the same spec: same manifest
+// position, same shard checksums, same shard bytes.
 func TestCrashRecoveryBitIdentical(t *testing.T) {
+	if dir := os.Getenv(crashVictimEnv); dir != "" {
+		// The reference physics, throttled so the kill lands mid-flight.
+		spec := smallSpec(10)
+		spec.StepDelayMs = 50
+		if _, err := newTestManager(t, dir, Options{}).Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Minute)
+		t.Fatal("victim server was not killed")
+	}
+
 	// Reference: the uninterrupted run.
 	refDir := t.TempDir()
 	mRef := newTestManager(t, refDir, Options{})
@@ -186,38 +202,53 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	waitState(t, refJob, StateDone)
 	drainManager(t, mRef)
 
-	// The victim: same physics, throttled so the crash lands mid-flight.
+	// The victim: a child server on a fresh store, whose first job takes
+	// the store's next id.
 	crashDir := t.TempDir()
-	m1 := newTestManager(t, crashDir, Options{})
-	spec := smallSpec(10)
-	spec.StepDelayMs = 50
-	job, err := m1.Submit(spec)
+	rs, err := NewRunStore(crashDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the first published checkpoint manifest, then pull the plug.
-	ckptDir := m1.Store().CkptDir(job.ID)
+	id, err := rs.NextID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	victim := exec.Command(os.Args[0], "-test.run=^TestCrashRecoveryBitIdentical$")
+	victim.Env = append(os.Environ(), crashVictimEnv+"="+crashDir)
+	victim.Stdout, victim.Stderr = &out, &out
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the first published checkpoint manifest, then SIGKILL.
+	ckptDir := rs.CkptDir(id)
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		if _, _, err := ckpt.LatestManifest(ckptDir); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint manifest appeared")
+			victim.Process.Kill()
+			victim.Wait()
+			t.Fatalf("no checkpoint manifest appeared; victim output:\n%s", out.String())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	job.requestStop(stopCrash)
-	drainManager(t, m1)
+	if err := victim.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Wait(); err == nil {
+		t.Fatalf("victim exited cleanly before the kill; output:\n%s", out.String())
+	}
 
-	// The on-disk record must look exactly like an abrupt death: status
-	// still claims "running", mid-flight.
-	diskSt, err := m1.Store().LoadStatus(job.ID)
+	// The on-disk record is what the death left: status still claims
+	// "running", mid-flight.
+	diskSt, err := rs.LoadStatus(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diskSt.State != StateRunning {
-		t.Fatalf("crashed run persisted state %q, want %q (crash must not finalize)", diskSt.State, StateRunning)
+		t.Fatalf("killed run persisted state %q, want %q", diskSt.State, StateRunning)
 	}
 	if diskSt.Step >= 10 {
 		t.Fatalf("crash landed after completion (step %d); raise the throttle", diskSt.Step)
@@ -229,7 +260,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 	if err := m2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	job2, ok := m2.Get(job.ID)
+	job2, ok := m2.Get(id)
 	if !ok {
 		t.Fatal("recovered manager does not know the crashed job")
 	}
