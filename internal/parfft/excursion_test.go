@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"channeldns/internal/fft"
 	"channeldns/internal/mpi"
@@ -477,7 +478,11 @@ func TestHarvestCarriesNaN(t *testing.T) {
 // fft_forward is booked once per slab of block 0's y range, and in the trace
 // those spans follow one another slab by slab — inverse, nonlinear, forward
 // — none starting before the last one ended: they are block 0's real times,
-// so they tile its share of the pass once.
+// so they tile its share of the pass once. And they tile the whole pool
+// loop, not only block 0's work: the first starts before any block is
+// entered (it is opened before the dispatch) and the last ends after every
+// block has returned (it is closed after the join), whichever block
+// finishes last.
 func TestExcursionSlabSpans(t *testing.T) {
 	sh := excursionShape{16, 49, 16}
 	phases := []telemetry.Phase{telemetry.PhaseFFTInverse, telemetry.PhaseNonlinear, telemetry.PhaseFFTForward}
@@ -492,6 +497,14 @@ func TestExcursionSlabSpans(t *testing.T) {
 				d.Trace = tr.Rank(0)
 				d.Telemetry.SetTracer(d.Trace)
 				e := newTestExcursion(d, sh, &SixProducts)
+				enter := make([]time.Duration, workers)
+				leave := make([]time.Duration, workers)
+				slab := e.slabBlk
+				e.slabBlk = func(blk, lo, hi int) {
+					enter[blk] = time.Since(tr.Epoch())
+					slab(blk, lo, hi)
+					leave[blk] = time.Since(tr.Epoch())
+				}
 				e.Run(&SixProducts, true)
 				plane0 := sh.ny / min(workers, sh.ny) // block 0's y planes
 				slabs := (plane0 + slabPlanes - 1) / slabPlanes
@@ -515,6 +528,15 @@ func TestExcursionSlabSpans(t *testing.T) {
 					}
 					if i > 0 && ev.Start < spans[i-1].Start+spans[i-1].Dur {
 						t.Errorf("span %d starts at %v, before span %d ended at %v", i, ev.Start, i-1, spans[i-1].Start+spans[i-1].Dur)
+					}
+				}
+				first, last := spans[0], spans[len(spans)-1]
+				for blk := range enter {
+					if first.Start > enter[blk] {
+						t.Errorf("first span starts at %v, after block %d was entered at %v: the dispatch is unbooked", first.Start, blk, enter[blk])
+					}
+					if end := last.Start + last.Dur; end < leave[blk] {
+						t.Errorf("last span ends at %v, before block %d returned at %v: the join is unbooked", end, blk, leave[blk])
 					}
 				}
 			})
