@@ -91,7 +91,7 @@ bench:
 
 # Tiny end-to-end run of every experiment of cmd/bench that writes a report,
 # validating the emitted BENCH_*.json artifacts against the
-# channeldns/bench/v1 schema (including each report's declarative schedule
+# channeldns/bench/v2 schema (including each report's declarative schedule
 # block, cross-checked against its own comm table). Keeps the telemetry report
 # path from bit-rotting without burning CI minutes. The last line is the
 # model-vs-measured pass over the timestep report: measured phase seconds

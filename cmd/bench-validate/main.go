@@ -1,6 +1,7 @@
 // Command bench-validate checks BENCH_*.json telemetry reports against the
-// channeldns/bench/v1 schema: strict field parsing, phase-name and ordering
-// invariants, and sane comm/metric accounting. With -trace it instead
+// channeldns/bench/v2 schema: strict field parsing, phase-name and ordering
+// invariants, and sane comm/metric accounting. Reports carry per-phase
+// totals and their imbalance; per-span latencies are in the trace files. With -trace it instead
 // validates Chrome trace-event files (valid JSON, >0 events, monotone
 // timestamps per track). The bench-smoke CI target runs it over every
 // artifact cmd/bench and cmd/dns emit.

@@ -10,18 +10,18 @@ import "fmt"
 // and rank 0 RestoreRanks them into its registry, at heartbeat cadence and
 // once after the last step (internal/run's Fold). The merged registry is
 // indistinguishable from an in-process run's: the same min/mean/max/
-// imbalance aggregation, the same histogram quantiles, the same
-// schedule-consistency cross-checks in bench-validate.
+// imbalance aggregation, the same schedule-consistency cross-checks in
+// bench-validate.
 
-// A collector dump has a fixed layout: per phase the time and call
-// counters plus the latency histogram buckets (phaseDumpLen values); from
-// commDumpBase on, per comm channel its three counters; from stepDumpBase
-// on, flops, steps, step time, and the step-latency histogram.
+// A collector dump has a fixed layout of counters only: per phase its time
+// and call counters (phaseDumpLen values); from commDumpBase on, per comm
+// channel its three counters; from stepDumpBase on, flops, steps and step
+// time.
 const (
-	phaseDumpLen = 2 + histBuckets
+	phaseDumpLen = 2
 	commDumpBase = int(NumPhases) * phaseDumpLen
 	stepDumpBase = commDumpBase + int(NumCommOps)*3
-	dumpLen      = stepDumpBase + 3 + histBuckets
+	dumpLen      = stepDumpBase + 3
 )
 
 // DumpLen returns the length of every Collector.Dump result.
@@ -37,19 +37,12 @@ func (c *Collector) Dump() []int64 {
 	for i := range c.phases {
 		rec := &c.phases[i]
 		out = append(out, rec.ns.Load(), rec.calls.Load())
-		for b := 0; b < histBuckets; b++ {
-			out = append(out, rec.hist.counts[b].Load())
-		}
 	}
 	for i := range c.comm {
 		rec := &c.comm[i]
 		out = append(out, rec.calls.Load(), rec.messages.Load(), rec.bytes.Load())
 	}
-	out = append(out, c.flops.Load(), c.steps.Load(), c.stepNs.Load())
-	for b := 0; b < histBuckets; b++ {
-		out = append(out, c.stepHist.counts[b].Load())
-	}
-	return out
+	return append(out, c.flops.Load(), c.steps.Load(), c.stepNs.Load())
 }
 
 // loadDump stores a dump into the collector counter by counter, so the
@@ -62,20 +55,10 @@ func (c *Collector) loadDump(d []int64) error {
 	}
 	k := 0
 	next := func() int64 { v := d[k]; k++; return v }
-	loadHist := func(h *Histogram) {
-		var total int64
-		for b := 0; b < histBuckets; b++ {
-			n := next()
-			h.counts[b].Store(n)
-			total += n
-		}
-		h.total.Store(total)
-	}
 	for i := range c.phases {
 		rec := &c.phases[i]
 		rec.ns.Store(next())
 		rec.calls.Store(next())
-		loadHist(&rec.hist)
 	}
 	for i := range c.comm {
 		rec := &c.comm[i]
@@ -86,7 +69,6 @@ func (c *Collector) loadDump(d []int64) error {
 	c.flops.Store(next())
 	c.steps.Store(next())
 	c.stepNs.Store(next())
-	loadHist(&c.stepHist)
 	return nil
 }
 

@@ -37,8 +37,12 @@ func TestDumpRestoreRoundTrip(t *testing.T) {
 }
 
 // TestDumpFixedShape: every dump has the same documented length, the
-// fixed-shape property that lets dumps ride mpi.Gather.
+// fixed-shape property that lets dumps ride mpi.Gather, and that length is
+// the collector's counters alone, so a heartbeat frame carries no more.
 func TestDumpFixedShape(t *testing.T) {
+	if want := 2*int(NumPhases) + 3*int(NumCommOps) + 3; DumpLen() != want {
+		t.Errorf("DumpLen() = %d, want %d: 2 per phase, 3 per comm channel, flops, steps, step time", DumpLen(), want)
+	}
 	empty := NewCollector(0)
 	busy := NewCollector(1)
 	sp := busy.Begin(PhasePressure)

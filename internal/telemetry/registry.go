@@ -62,8 +62,8 @@ func (r *Registry) Reset() {
 }
 
 // PhaseStats summarizes one phase across ranks, the shape of a paper-table
-// row: per-rank totals reduced to min/mean/max, the load imbalance ratio,
-// and latency quantiles of the merged per-region histogram.
+// row: per-rank totals reduced to min/mean/max and the load imbalance
+// ratio. Per-span latencies are the flight recorder's (internal/trace).
 type PhaseStats struct {
 	Phase string `json:"phase"`
 	Calls int64  `json:"calls"`
@@ -76,10 +76,6 @@ type PhaseStats struct {
 	// Imbalance is max/mean of the per-rank totals (1.0 = perfectly
 	// balanced, like the paper's wait-time discussion; 0 when unsampled).
 	Imbalance float64 `json:"imbalance"`
-	// P50/P99Seconds are quantile bounds over individual region latencies,
-	// merged across ranks.
-	P50Seconds float64 `json:"p50_seconds"`
-	P99Seconds float64 `json:"p99_seconds"`
 }
 
 // CommStats summarizes one communication channel across ranks.
@@ -98,11 +94,10 @@ type Snapshot struct {
 	Ranks  int          `json:"ranks"`
 	Phases []PhaseStats `json:"phases"`
 	Comm   []CommStats  `json:"comm"`
-	// Steps and StepSeconds describe recorded whole timesteps; MeanStep*
-	// reduce per-rank step-time totals the same way PhaseStats does.
+	// Steps counts recorded whole timesteps; MeanStepSeconds is the mean
+	// of the per-rank step-time totals over the ranks that recorded steps.
 	Steps           int64   `json:"steps,omitempty"`
 	MeanStepSeconds float64 `json:"mean_step_seconds,omitempty"`
-	MaxStepSeconds  float64 `json:"max_step_seconds,omitempty"`
 	Flops           int64   `json:"flops,omitempty"`
 }
 
@@ -129,7 +124,6 @@ func aggregate(cs []*Collector) Snapshot {
 		var st PhaseStats
 		st.Phase = p.String()
 		var minS, maxS float64
-		merged := &Histogram{}
 		for i, c := range cs {
 			s := time.Duration(c.phases[p].ns.Load()).Seconds()
 			st.Calls += c.phases[p].calls.Load()
@@ -140,7 +134,6 @@ func aggregate(cs []*Collector) Snapshot {
 			if i == 0 || s > maxS {
 				maxS = s
 			}
-			merged.Merge(&c.phases[p].hist)
 		}
 		if st.Calls == 0 {
 			continue
@@ -151,8 +144,6 @@ func aggregate(cs []*Collector) Snapshot {
 		if st.MeanRankSeconds > 0 {
 			st.Imbalance = st.MaxRankSeconds / st.MeanRankSeconds
 		}
-		st.P50Seconds = time.Duration(merged.Quantile(0.50)).Seconds()
-		st.P99Seconds = time.Duration(merged.Quantile(0.99)).Seconds()
 		snap.Phases = append(snap.Phases, st)
 	}
 	for op := CommOp(0); op < NumCommOps; op++ {
@@ -169,7 +160,7 @@ func aggregate(cs []*Collector) Snapshot {
 		}
 		snap.Comm = append(snap.Comm, cst)
 	}
-	var stepTot, stepMax float64
+	var stepTot float64
 	var stepRanks int
 	for _, c := range cs {
 		snap.Steps += c.Steps()
@@ -177,14 +168,10 @@ func aggregate(cs []*Collector) Snapshot {
 		if s := c.StepSeconds(); c.Steps() > 0 {
 			stepTot += s
 			stepRanks++
-			if s > stepMax {
-				stepMax = s
-			}
 		}
 	}
 	if stepRanks > 0 {
 		snap.MeanStepSeconds = stepTot / float64(stepRanks)
-		snap.MaxStepSeconds = stepMax
 	}
 	return snap
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // SchemaVersion identifies the BENCH_*.json layout. Bump it when a field
-// changes meaning; additive changes keep the version.
-const SchemaVersion = "channeldns/bench/v1"
+// changes meaning or goes; additive changes keep the version.
+const SchemaVersion = "channeldns/bench/v2"
 
 // Host describes the machine a report was produced on.
 type Host struct {
@@ -130,13 +130,7 @@ type StragglerStep struct {
 // plus the ambient build metadata. config may be nil; it is stored as an empty (non-nil)
 // map so the artifact always carries the field.
 func NewReport(table string, reg *Registry, config map[string]string) *Report {
-	rep := NewReportFromSnapshot(table, reg.Snapshot(), config)
-	rep.Wire = reg.Wire()
-	return rep
-}
-
-// NewReportFromSnapshot is NewReport for an already-taken snapshot.
-func NewReportFromSnapshot(table string, snap Snapshot, config map[string]string) *Report {
+	snap := reg.Snapshot()
 	if config == nil {
 		config = map[string]string{}
 	}
@@ -154,6 +148,7 @@ func NewReportFromSnapshot(table string, snap Snapshot, config map[string]string
 		Phases:          snap.Phases,
 		Comm:            snap.Comm,
 		Flops:           snap.Flops,
+		Wire:            reg.Wire(),
 	}
 	if r.WallSeconds > 0 && r.Flops > 0 {
 		// Flops is summed across ranks and steps; rate over the mean rank
@@ -209,10 +204,6 @@ func (r *Report) Validate() error {
 		}
 		if p.Imbalance < 0 {
 			return fmt.Errorf("phase %q: negative imbalance", p.Phase)
-		}
-		if p.P50Seconds < 0 || p.P99Seconds < p.P50Seconds {
-			return fmt.Errorf("phase %q: quantiles out of order (p50=%g p99=%g)",
-				p.Phase, p.P50Seconds, p.P99Seconds)
 		}
 	}
 	seenOp := map[string]bool{}

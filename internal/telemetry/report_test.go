@@ -26,7 +26,6 @@ func feedRegistry(reg *Registry, ranks, workers int, perm int) {
 					c.AddFlops(int64(10 * j))
 					c.phases[PhaseTransposeAB].ns.Add(int64(j+1) * 1000)
 					c.phases[PhaseTransposeAB].calls.Add(1)
-					c.phases[PhaseTransposeAB].hist.Record(int64(j+1) * 1000)
 				}
 			}(r, w)
 		}
@@ -119,7 +118,7 @@ func TestReportValidateRejects(t *testing.T) {
 			t.Errorf("%s: validation passed, want error", tc.name)
 		}
 	}
-	if _, err := ValidateJSON([]byte(`{"schema":"channeldns/bench/v1","unknown_field":1}`)); err == nil {
+	if _, err := ValidateJSON([]byte(`{"schema":"channeldns/bench/v2","unknown_field":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 	if _, err := ValidateJSON([]byte(`not json`)); err == nil {
@@ -134,10 +133,8 @@ func TestSnapshotImbalance(t *testing.T) {
 	fast, slow := reg.Rank(0), reg.Rank(1)
 	fast.phases[PhaseViscousSolve].ns.Store(int64(time.Millisecond))
 	fast.phases[PhaseViscousSolve].calls.Store(1)
-	fast.phases[PhaseViscousSolve].hist.Record(int64(time.Millisecond))
 	slow.phases[PhaseViscousSolve].ns.Store(int64(3 * time.Millisecond))
 	slow.phases[PhaseViscousSolve].calls.Store(1)
-	slow.phases[PhaseViscousSolve].hist.Record(int64(3 * time.Millisecond))
 
 	snap := reg.Snapshot()
 	if len(snap.Phases) != 1 {

@@ -48,7 +48,7 @@ func handlerFor(reg *Registry) (h *httptest.Server, close func()) {
 }
 
 // TestTelemetryEndpointCanonical: /telemetry must return canonical JSON
-// that parses and validates as a channeldns/bench/v1 report.
+// that parses and validates as a channeldns/bench/v2 report.
 func TestTelemetryEndpointCanonical(t *testing.T) {
 	srv, done := handlerFor(sampleRegistry(1e6))
 	defer done()

@@ -10,13 +10,15 @@
 // and dnsserve emit.
 //
 // The steady-state recording path allocates nothing: spans are value
-// types, histograms are fixed arrays bumped with atomic adds, and a nil
-// *Collector is a valid no-op sink, so instrumented kernels pay two calls
-// to time.Now and a few atomic operations per region when telemetry is
-// enabled and almost nothing when it is not. All Collector methods are
-// safe for concurrent use; region totals and histogram counts are order-
-// independent, which is what makes aggregated reports deterministic for a
-// given set of samples regardless of worker interleaving.
+// types, every accumulator is an atomic counter, and a nil *Collector is a
+// valid no-op sink, so instrumented kernels pay two calls to time.Now and a
+// few atomic operations per region when telemetry is enabled and almost
+// nothing when it is not. All Collector methods are safe for concurrent
+// use; the counters are order-independent sums, which is what makes
+// aggregated reports deterministic for a given set of samples regardless of
+// worker interleaving. A region's own start and end are kept only by an
+// attached Tracer (the flight recorder), which is where per-span latency
+// lives.
 package telemetry
 
 import (
@@ -108,7 +110,6 @@ type tracerBox struct{ t Tracer }
 type phaseRec struct {
 	ns    atomic.Int64 // total time inside the phase
 	calls atomic.Int64
-	hist  Histogram // per-region latency
 }
 
 // commRec is the per-channel communication accumulator.
@@ -127,10 +128,9 @@ type Collector struct {
 	phases [NumPhases]phaseRec
 	comm   [NumCommOps]commRec
 
-	flops    atomic.Int64
-	steps    atomic.Int64
-	stepNs   atomic.Int64
-	stepHist Histogram
+	flops  atomic.Int64
+	steps  atomic.Int64
+	stepNs atomic.Int64
 
 	// tracer, when attached, receives every completed span; nil pointer =
 	// tracing off, one atomic load per Span.End either way.
@@ -178,7 +178,6 @@ func (sp Span) End() {
 	rec := &c.phases[sp.phase]
 	rec.ns.Add(int64(d))
 	rec.calls.Add(1)
-	rec.hist.Record(int64(d))
 	if box := c.tracer.Load(); box != nil {
 		box.t.TraceSpan(sp.phase, sp.t0, sp.t0.Add(d))
 	}
@@ -227,7 +226,6 @@ func (c *Collector) StepDone(d time.Duration) {
 	}
 	c.steps.Add(1)
 	c.stepNs.Add(int64(d))
-	c.stepHist.Record(int64(d))
 }
 
 // PhaseSeconds returns the accumulated wall clock inside a phase.
@@ -280,7 +278,7 @@ func (c *Collector) Flops() int64 {
 	return c.flops.Load()
 }
 
-// Reset zeroes every accumulator (counters, histograms, step records),
+// Reset zeroes every accumulator (phase, comm and step counters),
 // keeping the rank label. Benchmark harnesses call it after warmup.
 func (c *Collector) Reset() {
 	if c == nil {
@@ -290,7 +288,6 @@ func (c *Collector) Reset() {
 		rec := &c.phases[i]
 		rec.ns.Store(0)
 		rec.calls.Store(0)
-		rec.hist.Reset()
 	}
 	for i := range c.comm {
 		rec := &c.comm[i]
@@ -301,5 +298,4 @@ func (c *Collector) Reset() {
 	c.flops.Store(0)
 	c.steps.Store(0)
 	c.stepNs.Store(0)
-	c.stepHist.Reset()
 }

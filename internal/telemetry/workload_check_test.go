@@ -24,7 +24,7 @@ func fixtureReport() *Report {
 			Phase: "transpose", Calls: 36,
 			TotalSeconds:   0.010,
 			MinRankSeconds: 0.010, MeanRankSeconds: 0.010, MaxRankSeconds: 0.010,
-			Imbalance: 1, P50Seconds: 0.001, P99Seconds: 0.002,
+			Imbalance: 1,
 		}},
 		Comm:            []CommStats{{Op: "YtoZ", Calls: 12, Messages: 12, Bytes: 1 << 20}},
 		Flops:           1e9,
