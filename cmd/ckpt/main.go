@@ -1,17 +1,10 @@
-// Command ckpt inspects and drills checkpoint stores written by the dns
-// command (internal/ckpt format):
+// Command ckpt inspects checkpoint stores written by the dns command
+// (internal/ckpt format):
 //
 //	ckpt ls -dir DIR              list checkpoints with their status
 //	ckpt ls -runs DIR             list a dnsserve run store: every run with
 //	                              its state, workload and latest checkpoint
 //	ckpt verify -dir DIR [NAME]   fully verify one or all checkpoints
-//	ckpt corrupt -dir DIR [NAME]  flip a bit in a shard (recovery drill)
-//
-// corrupt damages the newest published checkpoint by default and leaves
-// the manifest intact — exactly the silent-corruption scenario the store's
-// fallback recovery is built for. It is used by the `make smoke` crash-
-// restart drill and is safe to point at a scratch store; do not point it
-// at the only copy of data you care about.
 package main
 
 import (
@@ -24,7 +17,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ckpt {ls|verify|corrupt} {-dir DIR | -runs DIR} [options] [NAME]\n")
+	fmt.Fprintf(os.Stderr, "usage: ckpt {ls|verify} {-dir DIR | -runs DIR} [options] [NAME]\n")
 	os.Exit(2)
 }
 
@@ -36,8 +29,6 @@ func main() {
 	fs := flag.NewFlagSet("ckpt "+cmd, flag.ExitOnError)
 	dir := fs.String("dir", "", "checkpoint store directory")
 	runs := fs.String("runs", "", "ls: treat DIR as a dnsserve run-store root and list every run")
-	shard := fs.Int("shard", 0, "corrupt: shard index to damage")
-	trunc := fs.Int64("truncate", -1, "corrupt: truncate the shard to this many bytes instead of flipping a bit")
 	fs.Parse(os.Args[2:])
 	if *runs != "" && cmd == "ls" {
 		if err := lsRuns(*runs); err != nil {
@@ -57,8 +48,6 @@ func main() {
 		err = ls(store)
 	case "verify":
 		err = verify(store, fs.Arg(0))
-	case "corrupt":
-		err = corrupt(store, fs.Arg(0), *shard, *trunc)
 	default:
 		usage()
 	}
@@ -141,20 +130,5 @@ func verify(store *ckpt.Store, name string) error {
 	if bad > 0 {
 		return fmt.Errorf("%d of %d checkpoints invalid", bad, len(names))
 	}
-	return nil
-}
-
-func corrupt(store *ckpt.Store, name string, shard int, trunc int64) error {
-	if name == "" {
-		latest, _, err := store.Latest()
-		if err != nil {
-			return err
-		}
-		name = latest
-	}
-	if err := store.CorruptShard(name, shard, trunc); err != nil {
-		return err
-	}
-	fmt.Printf("corrupted %s shard %d (manifest left intact)\n", name, shard)
 	return nil
 }

@@ -31,9 +31,6 @@
 //     corruption-aware discovery: Latest skips manifests whose shards are
 //     missing, truncated or fail their CRC, falling back to the newest
 //     good checkpoint, and Resume re-verifies at read time.
-//   - Store.CorruptShard and FlipBit damage a published checkpoint in
-//     place (truncation, bit flip) for the `cmd/ckpt corrupt` drill tool
-//     and the recovery tests.
 //
 // The package sits below internal/core (which adapts solver state into a
 // State and back) and above internal/mpi (shard writes are collective over

@@ -6,10 +6,11 @@
 package ckpt_test
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
-	"channeldns/internal/ckpt"
 	"channeldns/internal/core"
 	"channeldns/internal/mpi"
 )
@@ -33,21 +34,25 @@ func newSnapshot() *snapshot {
 	return &snapshot{cv: map[[2]int][]complex128{}, cw: map[[2]int][]complex128{}}
 }
 
+// collect copies the rank's window out of the solver's checkpoint view:
+// fields 0 and 1 are v-hat and omega_y-hat, mean 0 the streamwise profile
+// (on the rank that owns the mean).
 func (sn *snapshot) collect(s *core.Solver) {
-	kxlo, kxhi := s.D.KxRange()
-	kzlo, kzhi := s.D.KzRangeY()
+	st := s.CheckpointState()
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
-	for ikx := kxlo; ikx < kxhi; ikx++ {
-		for ikz := kzlo; ikz < kzhi; ikz++ {
+	w := 0
+	for ikx := st.Kxlo; ikx < st.Kxhi; ikx++ {
+		for ikz := st.Kzlo; ikz < st.Kzhi; ikz++ {
 			k := [2]int{ikx, ikz}
-			sn.cv[k] = append([]complex128(nil), s.VCoef(ikx, ikz)...)
-			sn.cw[k] = append([]complex128(nil), s.OmegaCoef(ikx, ikz)...)
+			sn.cv[k] = append([]complex128(nil), st.Fields[0][w]...)
+			sn.cw[k] = append([]complex128(nil), st.Fields[1][w]...)
+			w++
 		}
 	}
-	if s.OwnsMean() {
-		sn.meanU = append([]float64(nil), s.MeanUCoef()...)
-		sn.step, sn.time, sn.dt = s.Step, s.Time, s.Cfg.Dt
+	if len(st.Means) > 0 {
+		sn.meanU = append([]float64(nil), st.Means[0]...)
+		sn.step, sn.time, sn.dt = int(st.Step), st.Time, st.Dt
 	}
 }
 
@@ -198,9 +203,14 @@ func TestResumeFallbackAfterCorruption(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Silent bit rot lands in the newest checkpoint's second shard.
-	store := ckpt.NewStore(dir)
-	if err := store.CorruptShard(newest, 1, -1); err != nil {
+	// Silent bit rot lands mid-file in the newest checkpoint's second shard.
+	path := filepath.Join(dir, newest, "shard-0001.ckpt")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
