@@ -518,3 +518,25 @@ func TestSharedOperatorsConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// MulVecComplex computes y = A*x for a complex vector using the unfactored
+// entries (for residual checks). Must be called before Factor.
+func (c *Compact) MulVecComplex(y, x []complex128) {
+	if c.factored {
+		panic("banded: MulVecComplex after Factor")
+	}
+	if c.a == nil {
+		clear(y[:c.n])
+		return
+	}
+	for i := 0; i < c.n; i++ {
+		row, lo := c.row(i)
+		var sr, si float64
+		for k, a := range row {
+			xv := x[lo+k]
+			sr += a * real(xv)
+			si += a * imag(xv)
+		}
+		y[i] = complex(sr, si)
+	}
+}

@@ -148,28 +148,6 @@ func (c *Compact) row(i int) (row []float64, lo int) {
 	return c.a[e.off-(int32(i)-e.lo) : e.off+(e.hi-int32(i))+1], int(e.lo)
 }
 
-// MulVecComplex computes y = A*x for a complex vector using the unfactored
-// entries (for residual checks). Must be called before Factor.
-func (c *Compact) MulVecComplex(y, x []complex128) {
-	if c.factored {
-		panic("banded: MulVecComplex after Factor")
-	}
-	if c.a == nil {
-		clear(y[:c.n])
-		return
-	}
-	for i := 0; i < c.n; i++ {
-		row, lo := c.row(i)
-		var sr, si float64
-		for k, a := range row {
-			xv := x[lo+k]
-			sr += a * real(xv)
-			si += a * imag(xv)
-		}
-		y[i] = complex(sr, si)
-	}
-}
-
 // trim narrows every row to its first and last stored nonzero (keeping the
 // diagonal), resolves the fill of the narrowed extents and closes the rows
 // up inside the slab. A trimmed row lies within its old extent and rows only

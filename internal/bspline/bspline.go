@@ -2,10 +2,9 @@
 // DNS: B-spline bases of arbitrary degree built from the recurrence of
 // DeBoor, clamped knot vectors over arbitrary breakpoint distributions,
 // Greville collocation points, banded collocation matrices for function
-// values and derivatives, Gauss-Legendre quadrature, and exact integration
-// weights. The paper uses 7th-order (degree 7) B-splines selected for their
-// resolution properties (Kwok, Moser & Jimenez 2001); the degree is a
-// parameter here.
+// values and derivatives, and exact integration weights. The paper uses
+// 7th-order (degree 7) B-splines selected for their resolution properties
+// (Kwok, Moser & Jimenez 2001); the degree is a parameter here.
 package bspline
 
 import (
@@ -56,21 +55,6 @@ func NewFromBreakpoints(degree int, breaks []float64) *Basis {
 		knots = append(knots, breaks[m])
 	}
 	return &Basis{degree: degree, knots: knots, nb: m + degree}
-}
-
-// NewUniform constructs a clamped basis of the given degree with nb basis
-// functions on [a, b] using uniformly spaced interior breakpoints.
-// nb must be at least degree+1.
-func NewUniform(degree, nb int, a, b float64) *Basis {
-	if nb < degree+1 {
-		panic(fmt.Sprintf("bspline: nb=%d < degree+1=%d", nb, degree+1))
-	}
-	m := nb - degree // number of intervals
-	breaks := make([]float64, m+1)
-	for i := 0; i <= m; i++ {
-		breaks[i] = a + (b-a)*float64(i)/float64(m)
-	}
-	return NewFromBreakpoints(degree, breaks)
 }
 
 // ChannelBreakpoints returns m+1 breakpoints on [-1, 1] clustered toward the
@@ -254,21 +238,6 @@ func (b *Basis) Eval(coef []float64, u float64) float64 {
 	s := 0.0
 	for j := 0; j <= b.degree; j++ {
 		s += coef[i-b.degree+j] * vals[j]
-	}
-	return s
-}
-
-// EvalDeriv evaluates the k-th derivative of the spline with coefficients
-// coef at u.
-func (b *Basis) EvalDeriv(coef []float64, u float64, k int) float64 {
-	ders := make([][]float64, k+1)
-	for j := range ders {
-		ders[j] = make([]float64, b.degree+1)
-	}
-	i := b.EvalDerivs(u, k, ders)
-	s := 0.0
-	for j := 0; j <= b.degree; j++ {
-		s += coef[i-b.degree+j] * ders[k][j]
 	}
 	return s
 }

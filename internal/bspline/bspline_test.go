@@ -1,6 +1,7 @@
 package bspline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -162,26 +163,6 @@ func TestIntegrationWeightsExact(t *testing.T) {
 	}
 }
 
-func TestGaussLegendre(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 16} {
-		x, w := GaussLegendre(n)
-		// Exact for polynomials up to degree 2n-1.
-		for k := 0; k <= 2*n-1; k++ {
-			s := 0.0
-			for i := range x {
-				s += w[i] * math.Pow(x[i], float64(k))
-			}
-			want := 0.0
-			if k%2 == 0 {
-				want = 2 / float64(k+1)
-			}
-			if math.Abs(s-want) > 1e-12 {
-				t.Errorf("n=%d: integral x^%d = %g, want %g", n, k, s, want)
-			}
-		}
-	}
-}
-
 func TestChannelBreakpoints(t *testing.T) {
 	for _, s := range []float64{0, 0.5, 1} {
 		br := ChannelBreakpoints(16, s)
@@ -278,4 +259,34 @@ func BenchmarkEvalDerivsDegree7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bs.EvalDerivs(0.3, 2, ders)
 	}
+}
+
+// NewUniform constructs a clamped basis of the given degree with nb basis
+// functions on [a, b] using uniformly spaced interior breakpoints.
+// nb must be at least degree+1.
+func NewUniform(degree, nb int, a, b float64) *Basis {
+	if nb < degree+1 {
+		panic(fmt.Sprintf("bspline: nb=%d < degree+1=%d", nb, degree+1))
+	}
+	m := nb - degree // number of intervals
+	breaks := make([]float64, m+1)
+	for i := 0; i <= m; i++ {
+		breaks[i] = a + (b-a)*float64(i)/float64(m)
+	}
+	return NewFromBreakpoints(degree, breaks)
+}
+
+// EvalDeriv evaluates the k-th derivative of the spline with coefficients
+// coef at u.
+func (b *Basis) EvalDeriv(coef []float64, u float64, k int) float64 {
+	ders := make([][]float64, k+1)
+	for j := range ders {
+		ders[j] = make([]float64, b.degree+1)
+	}
+	i := b.EvalDerivs(u, k, ders)
+	s := 0.0
+	for j := 0; j <= b.degree; j++ {
+		s += coef[i-b.degree+j] * ders[k][j]
+	}
+	return s
 }

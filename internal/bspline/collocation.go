@@ -1,10 +1,6 @@
 package bspline
 
-import (
-	"math"
-
-	"channeldns/internal/banded"
-)
+import "channeldns/internal/banded"
 
 // Colloc returns the collocation operator of derivative orders 0..2 at
 // points, one row per point, each over the degree+1 basis functions that can
@@ -84,40 +80,6 @@ func (b *Basis) IntegrationWeights() []float64 {
 		w[i] = (b.knots[i+p+1] - b.knots[i]) / float64(p+1)
 	}
 	return w
-}
-
-// GaussLegendre returns the n-point Gauss-Legendre nodes and weights on
-// [-1, 1], computed by Newton iteration on the Legendre polynomial with the
-// standard Chebyshev initial guess.
-func GaussLegendre(n int) (x, w []float64) {
-	if n < 1 {
-		panic("bspline: GaussLegendre needs n >= 1")
-	}
-	x = make([]float64, n)
-	w = make([]float64, n)
-	for i := 0; i < (n+1)/2; i++ {
-		z := math.Cos(math.Pi * (float64(i) + 0.75) / (float64(n) + 0.5))
-		var pp float64
-		for iter := 0; iter < 100; iter++ {
-			p1, p2 := 1.0, 0.0
-			for j := 0; j < n; j++ {
-				p3 := p2
-				p2 = p1
-				p1 = ((2*float64(j)+1)*z*p2 - float64(j)*p3) / float64(j+1)
-			}
-			pp = float64(n) * (z*p1 - p2) / (z*z - 1)
-			dz := p1 / pp
-			z -= dz
-			if math.Abs(dz) < 1e-15 {
-				break
-			}
-		}
-		x[i] = -z
-		x[n-1-i] = z
-		w[i] = 2 / ((1 - z*z) * pp * pp)
-		w[n-1-i] = w[i]
-	}
-	return x, w
 }
 
 // SecondDerivWallRows returns the operator rows used for boundary

@@ -137,9 +137,6 @@ func (b *base) World() *mpi.Comm { return b.D.Cart.Comm }
 // Nu returns the kinematic viscosity 1/ReTau.
 func (b *base) Nu() float64 { return b.nu }
 
-// WorkloadName returns the workload stamped into the configuration.
-func (b *base) WorkloadName() string { return b.Cfg.Workload }
-
 // CurrentStep returns the number of completed RK3 steps.
 func (b *base) CurrentStep() int { return b.Step }
 

@@ -68,16 +68,3 @@ func (g Grid) K2(i, j int) float64 {
 
 // IsNyquistZ reports whether wrap slot j is the (uncarried) z Nyquist mode.
 func (g Grid) IsNyquistZ(j int) bool { return j == g.Nz/2 }
-
-// DOF returns the number of real degrees of freedom of one field:
-// three velocity components are DOF()*3 as the paper counts them.
-func (g Grid) DOF() int { return g.Nx * g.Ny * g.Nz }
-
-// ConjIndexZ returns the wrap slot holding the conjugate partner of slot j
-// on the kx = 0 plane: slot of -kz'.
-func (g Grid) ConjIndexZ(j int) int {
-	if j == 0 || j == g.Nz/2 {
-		return j
-	}
-	return g.Nz - j
-}

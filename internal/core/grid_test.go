@@ -17,9 +17,6 @@ func TestGridBasics(t *testing.T) {
 	if g.Kx(3) != 3 {
 		t.Errorf("Kx(3)=%g", g.Kx(3))
 	}
-	if g.DOF() != 16*24*8 {
-		t.Errorf("DOF=%d", g.DOF())
-	}
 }
 
 func TestKzWrapOrder(t *testing.T) {
@@ -87,4 +84,13 @@ func TestGridShapeValidation(t *testing.T) {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+}
+
+// ConjIndexZ returns the wrap slot holding the conjugate partner of slot j
+// on the kx = 0 plane: slot of -kz'.
+func (g Grid) ConjIndexZ(j int) int {
+	if j == 0 || j == g.Nz/2 {
+		return j
+	}
+	return g.Nz - j
 }

@@ -45,16 +45,6 @@ func (s *Solver) SetModeV(ikx, ikz int, f func(y float64) complex128) {
 	s.interpolateComplex(s.cv[w], f)
 }
 
-// SetModeOmega sets omega_y-hat for a locally owned mode from a value
-// function. The caller is responsible for f(+-1) = 0.
-func (s *Solver) SetModeOmega(ikx, ikz int, f func(y float64) complex128) {
-	w := s.widx(ikx, ikz)
-	if w < 0 {
-		return
-	}
-	s.interpolateComplex(s.cw[w], f)
-}
-
 func (s *Solver) interpolateComplex(dst []complex128, f func(y float64) complex128) {
 	ny := s.Cfg.Ny
 	re := make([]float64, ny)

@@ -69,16 +69,16 @@ func TestChannelBitIdenticalThroughRegistry(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if wl.WorkloadName() != WorkloadChannel {
-			t.Errorf("default workload resolved to %q", wl.WorkloadName())
-			return
-		}
 		cf, ok := wl.(ChannelFlow)
 		if !ok {
 			t.Error("channel workload does not expose ChannelSolver")
 			return
 		}
 		reg := cf.ChannelSolver()
+		if reg.Cfg.Workload != WorkloadChannel {
+			t.Errorf("default workload resolved to %q", reg.Cfg.Workload)
+			return
+		}
 		wl.InitDefault(0.3, 7)
 		Advance(wl, 3)
 

@@ -120,9 +120,6 @@ func NewScalar(world *mpi.Comm, cfg Config) (*ScalarSolver, error) {
 	return t, nil
 }
 
-// Kappa returns the scalar diffusivity nu/Prandtl.
-func (t *ScalarSolver) Kappa() float64 { return t.kappa }
-
 // SetMeanScalarProfile sets the mean scalar profile Theta(y) on the owner
 // rank (no-op elsewhere). The profile should satisfy Theta(-1) = +1,
 // Theta(+1) = -1 to be compatible with the wall conditions.
@@ -291,17 +288,6 @@ func (t *ScalarSolver) ScalarVariance() float64 {
 		v += wts[i] * c[i]
 	}
 	return v / 2
-}
-
-// MeanScalarProfile returns the mean scalar at the collocation points,
-// broadcast from the owner rank to all ranks.
-func (t *ScalarSolver) MeanScalarProfile() []float64 {
-	s := t.Solver
-	vals := make([]float64, s.Cfg.Ny)
-	if s.ownsMean {
-		s.colloc.MulReal(0, vals, t.meanTh)
-	}
-	return mpi.Bcast(s.World(), 0, vals)
 }
 
 // WallScalarFlux returns |dTheta/dy| at the lower wall, the conductive

@@ -136,3 +136,17 @@ func TestScalarCheckpointRoundTrip(t *testing.T) {
 		}
 	})
 }
+
+// Kappa returns the scalar diffusivity nu/Prandtl.
+func (t *ScalarSolver) Kappa() float64 { return t.kappa }
+
+// MeanScalarProfile returns the mean scalar at the collocation points,
+// broadcast from the owner rank to all ranks.
+func (t *ScalarSolver) MeanScalarProfile() []float64 {
+	s := t.Solver
+	vals := make([]float64, s.Cfg.Ny)
+	if s.ownsMean {
+		s.colloc.MulReal(0, vals, t.meanTh)
+	}
+	return mpi.Bcast(s.World(), 0, vals)
+}

@@ -115,33 +115,8 @@ func allocCoef(nw, ny int) [][]complex128 {
 	return out
 }
 
-// OwnsMean reports whether this rank holds the kx=kz=0 mean-flow state.
-func (s *Solver) OwnsMean() bool { return s.ownsMean }
-
 // Basis returns the wall-normal B-spline basis.
 func (s *Solver) Basis() *bspline.Basis { return s.B }
 
 // CollocationPoints returns the Greville collocation points in y.
 func (s *Solver) CollocationPoints() []float64 { return s.grev }
-
-// VCoef returns the spline coefficients of v-hat for a locally owned mode,
-// or nil. The slice aliases solver state.
-func (s *Solver) VCoef(ikx, ikz int) []complex128 {
-	if w := s.widx(ikx, ikz); w >= 0 {
-		return s.cv[w]
-	}
-	return nil
-}
-
-// OmegaCoef returns the spline coefficients of omega_y-hat for a locally
-// owned mode, or nil. The slice aliases solver state.
-func (s *Solver) OmegaCoef(ikx, ikz int) []complex128 {
-	if w := s.widx(ikx, ikz); w >= 0 {
-		return s.cw[w]
-	}
-	return nil
-}
-
-// MeanUCoef returns the spline coefficients of the mean streamwise profile
-// (owner rank only; nil elsewhere). The slice aliases solver state.
-func (s *Solver) MeanUCoef() []float64 { return s.meanU }

@@ -407,3 +407,31 @@ func TestConfigValidation(t *testing.T) {
 		})
 	}
 }
+
+// SetModeOmega sets omega_y-hat for a locally owned mode from a value
+// function. The caller is responsible for f(+-1) = 0.
+func (s *Solver) SetModeOmega(ikx, ikz int, f func(y float64) complex128) {
+	w := s.widx(ikx, ikz)
+	if w < 0 {
+		return
+	}
+	s.interpolateComplex(s.cw[w], f)
+}
+
+// VCoef returns the spline coefficients of v-hat for a locally owned mode,
+// or nil. The slice aliases solver state.
+func (s *Solver) VCoef(ikx, ikz int) []complex128 {
+	if w := s.widx(ikx, ikz); w >= 0 {
+		return s.cv[w]
+	}
+	return nil
+}
+
+// OmegaCoef returns the spline coefficients of omega_y-hat for a locally
+// owned mode, or nil. The slice aliases solver state.
+func (s *Solver) OmegaCoef(ikx, ikz int) []complex128 {
+	if w := s.widx(ikx, ikz); w >= 0 {
+		return s.cw[w]
+	}
+	return nil
+}

@@ -26,8 +26,6 @@ const (
 // distributed state (advance, status, checkpointing) are collective: every
 // rank of the workload's world must call them together.
 type Workload interface {
-	// WorkloadName returns the workload's name ("channel", ...).
-	WorkloadName() string
 	// World returns the communicator the workload runs on.
 	World() *mpi.Comm
 	// CurrentStep, CurrentTime and CurrentDt expose the time-advance

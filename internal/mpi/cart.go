@@ -46,15 +46,6 @@ func (cc *CartComm) RankToCoords(rank int) []int {
 	return co
 }
 
-// CoordsToRank converts grid coordinates to a communicator rank.
-func (cc *CartComm) CoordsToRank(co []int) int {
-	r := 0
-	for i := 0; i < len(cc.dims); i++ {
-		r = r*cc.dims[i] + co[i]
-	}
-	return r
-}
-
 // CartSub builds sub-communicators as MPI_cart_sub does: dimensions with
 // keep[i] == true remain in the subgrid; ranks sharing all dropped
 // coordinates form one sub-communicator, ordered by the kept coordinates.

@@ -2,16 +2,16 @@
 // channel DNS. Messages carry MPI matching semantics (source, tag,
 // communicator, non-overtaking order) through per-rank mailboxes; the
 // subset implemented is exactly what the DNS and its parallel FFT need:
-// point-to-point Send/Recv/Sendrecv, Barrier, Bcast, Allreduce, Gather,
-// Alltoall(v), communicator splitting, and the cartesian topology helpers
-// (CartCreate/CartSub) the paper uses to build its CommA and CommB
-// sub-communicators.
+// Barrier, Bcast, Allreduce, Gather, the preplanned exchange AlltoallvInto
+// and the posted-receive Stream, communicator splitting, and the cartesian
+// topology helpers (CartCreate/CartSub) the paper uses to build its CommA
+// and CommB sub-communicators.
 //
 // Delivery is pluggable behind the Transport interface (transport.go).
 // The default channel transport runs every rank as a goroutine in one
 // process (Run); the TCP transport runs one OS process per rank over
 // persistent peer connections (ConnectTCP, cmd/dnsrun), with the same
-// matching semantics, so CartCreate/CartSub/Alltoallv/Stream callers
+// matching semantics, so CartCreate/CartSub/AlltoallvInto/Stream callers
 // cannot tell the transports apart except by the clock.
 //
 // A message is a slice of one Elem type (wire.go): complex128, float64,
@@ -20,7 +20,7 @@
 // compile.
 //
 // Sends are eager: the payload is copied (or, on the wire, serialized)
-// before Send returns, so the usual MPI buffer-reuse rules hold and
+// before a send returns, so the usual MPI buffer-reuse rules hold and
 // exchange patterns that would deadlock with rendezvous semantics do not.
 package mpi
 
@@ -34,10 +34,10 @@ import (
 	"channeldns/internal/trace"
 )
 
-// AnyTag matches any tag in Recv.
+// AnyTag matches any tag in a receive.
 const AnyTag = -1
 
-// AnySource matches any source rank in Recv.
+// AnySource matches any source rank in a receive.
 const AnySource = -1
 
 // reserved tag space for collectives, out of reach of user tags (>= 0).
@@ -205,31 +205,6 @@ func (c *Comm) recv(src, tag int) any {
 	}
 	m := c.myBox().take(worldSrc, c.id, tag)
 	return m.payload
-}
-
-// Send copies data and delivers it to rank dst with the given tag (>= 0).
-func Send[T Elem](c *Comm, dst, tag int, data []T) {
-	if tag < 0 {
-		panic("mpi: user tags must be >= 0")
-	}
-	cp := append([]T(nil), data...)
-	c.send(dst, tag, cp)
-}
-
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. src may be AnySource and tag may be AnyTag.
-func Recv[T Elem](c *Comm, src, tag int) []T {
-	if tag < 0 && tag != AnyTag {
-		panic("mpi: user tags must be >= 0")
-	}
-	return c.recv(src, tag).([]T)
-}
-
-// Sendrecv exchanges data with the given partners in one operation, the
-// pattern FFTW's transpose planner uses as an alternative to alltoall.
-func Sendrecv[T Elem](c *Comm, dst, sendTag int, data []T, src, recvTag int) []T {
-	Send(c, dst, sendTag, data)
-	return Recv[T](c, src, recvTag)
 }
 
 // Split partitions the communicator: ranks passing the same color form a new

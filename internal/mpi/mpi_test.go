@@ -294,9 +294,6 @@ func TestCartCreateAndSub(t *testing.T) {
 	Run(128, func(c *Comm) {
 		cart := c.CartCreate([]int{8, 16})
 		co := cart.Coords()
-		if got := cart.CoordsToRank(co); got != c.Rank() {
-			t.Errorf("coords roundtrip: %d != %d", got, c.Rank())
-		}
 		commA := cart.CartSub([]bool{false, true})
 		commB := cart.CartSub([]bool{true, false})
 		if commA.Size() != 16 || commB.Size() != 8 {

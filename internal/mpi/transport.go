@@ -60,7 +60,7 @@ type world struct {
 
 // chanTransport is the default in-process transport: Deliver is a direct
 // mailbox put, exactly the seed runtime's semantics (payloads cross rank
-// boundaries by reference; generic Send copies first, prepacked stream
+// boundaries by reference; generic sends copy first, prepacked stream
 // sends share the caller's buffer under the documented parity contract).
 type chanTransport struct {
 	w    *world

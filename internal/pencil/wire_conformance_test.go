@@ -135,7 +135,13 @@ func wireCountersMatchSchedule(t *testing.T, nout, nback int) {
 		// cumulative snapshot for the cross-rank conservation check: link
 		// frames arrive in order, so once the token from a peer is in,
 		// everything that peer ever enqueued for this rank is counted.
-		mpi.Alltoall(c, make([]int64, world), 1)
+		ones, displs := make([]int, world), make([]int, world)
+		for r := range ones {
+			ones[r], displs[r] = 1, r
+		}
+		if _, err := mpi.AlltoallvInto(c, nil, make([]int64, world), ones, displs, ones, displs); err != nil {
+			t.Error(err)
+		}
 		finals[c.Rank()], _ = c.WireStats()
 	})
 	// Conservation across the world: every byte rank a enqueued for rank b

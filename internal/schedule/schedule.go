@@ -186,31 +186,6 @@ func (s *Schedule) TotalFlops() float64 {
 	return f
 }
 
-// CommBytesPerRank returns, per transpose direction, the payload one rank
-// contributes over the whole schedule (wire ops only; reorders move the
-// same bytes on-node and are excluded).
-func (s *Schedule) CommBytesPerRank() map[string]float64 {
-	out := map[string]float64{}
-	for _, op := range s.Ops {
-		if op.Kind == OpTranspose {
-			out[op.Dir] += op.BytesPerRank
-		}
-	}
-	return out
-}
-
-// CommCallsByDir returns the number of wire-transpose executions per
-// direction.
-func (s *Schedule) CommCallsByDir() map[string]int {
-	out := map[string]int{}
-	for _, op := range s.Ops {
-		if op.Kind == OpTranspose {
-			out[op.Dir]++
-		}
-	}
-	return out
-}
-
 // FFTFlops returns the flop count of one complex FFT of length n
 // (5 n log2 n) or half that for a real transform — the accounting every
 // flop figure in this repo (machine model, telemetry, §5.3 aggregate rates)

@@ -192,3 +192,28 @@ func TestBuilderDigestsPinned(t *testing.T) {
 		}
 	}
 }
+
+// CommBytesPerRank returns, per transpose direction, the payload one rank
+// contributes over the whole schedule (wire ops only; reorders move the
+// same bytes on-node and are excluded).
+func (s *Schedule) CommBytesPerRank() map[string]float64 {
+	out := map[string]float64{}
+	for _, op := range s.Ops {
+		if op.Kind == OpTranspose {
+			out[op.Dir] += op.BytesPerRank
+		}
+	}
+	return out
+}
+
+// CommCallsByDir returns the number of wire-transpose executions per
+// direction.
+func (s *Schedule) CommCallsByDir() map[string]int {
+	out := map[string]int{}
+	for _, op := range s.Ops {
+		if op.Kind == OpTranspose {
+			out[op.Dir]++
+		}
+	}
+	return out
+}

@@ -11,7 +11,7 @@
 // (atomic word stores, publication last), so writers never block each other
 // and a snapshot taken mid-run sees every fully published event and drops
 // the rare slot caught mid-write. When the ring wraps, the oldest events
-// are overwritten — flight-recorder semantics: the last Capacity events per
+// are overwritten — flight-recorder semantics: the last capacity events per
 // rank are always available, however long the run.
 //
 // A nil *Recorder is a valid no-op sink, mirroring telemetry.Collector, so
@@ -138,9 +138,6 @@ func (t *Trace) SetClockSync(offsetNs, errorNs int64) {
 func (t *Trace) ClockSync() (offsetNs, errorNs int64) {
 	return t.clockOffset.Load(), t.clockError.Load()
 }
-
-// Capacity returns the per-rank ring capacity in events.
-func (t *Trace) Capacity() int { return t.capacity }
 
 // Rank returns rank r's recorder, creating it (and its ring) on first use.
 // Safe for concurrent use; call once per rank at setup time.

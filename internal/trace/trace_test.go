@@ -99,8 +99,8 @@ func TestRingWrapKeepsNewestAndCountsDropped(t *testing.T) {
 
 func TestDefaultCapacityAndRankReuse(t *testing.T) {
 	tr := New(0)
-	if tr.Capacity() != DefaultCapacity {
-		t.Fatalf("capacity %d", tr.Capacity())
+	if tr.capacity != DefaultCapacity {
+		t.Fatalf("capacity %d", tr.capacity)
 	}
 	if tr.Rank(3) != tr.Rank(3) {
 		t.Error("Rank must return the same recorder per rank")
