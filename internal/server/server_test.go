@@ -24,6 +24,7 @@ import (
 	"channeldns/internal/core"
 	"channeldns/internal/mpi"
 	"channeldns/internal/telemetry"
+	"channeldns/internal/trace"
 )
 
 // smallSpec is the test workhorse: a tiny fixed-dt channel job that
@@ -1168,6 +1169,46 @@ func TestDiscoverRunsAndPrune(t *testing.T) {
 	runs, _ = DiscoverRuns(dir)
 	if len(runs) != 1 || runs[0].ID != 2 {
 		t.Errorf("after prune: %d runs (first id %d), want newest survivor only", len(runs), runs[0].ID)
+	}
+}
+
+// TestTraceServedAfterRestart: a traced job's Chrome trace outlives the
+// server that ran it. A fresh manager on the same store has no flight
+// recorder for the finished job, so GET /trace must serve the stored
+// trace.json, as GET /report serves report.json.
+func TestTraceServedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, dir, Options{})
+	spec := smallSpec(2)
+	spec.Trace = true
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, StateDone)
+	drainManager(t, m)
+
+	m2 := newTestManager(t, dir, Options{})
+	defer drainManager(t, m2)
+	if err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewAPI(m2).Routes())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + RunID(job.ID) + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace after restart: status %d (%s), want 200", resp.StatusCode, body)
+	}
+	if _, err := trace.ValidateChrome(body); err != nil {
+		t.Errorf("trace after restart: %v", err)
 	}
 }
 
