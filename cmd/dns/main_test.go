@@ -224,6 +224,22 @@ func TestRetiredFlagsRefused(t *testing.T) {
 	}
 }
 
+// TestCheckpointFlagsNeedDir: without -ckpt-dir there is no store, so
+// -resume, -ckpt-every and an explicitly set -ckpt-keep would do nothing;
+// dns refuses each, naming -ckpt-dir, before any step.
+func TestCheckpointFlagsNeedDir(t *testing.T) {
+	for _, flag := range []string{"-resume", "-ckpt-every 1", "-ckpt-keep 2"} {
+		args := "-nx 16 -ny 17 -nz 16 -steps 1 " + flag
+		cmd, out := dns(t, args)
+		if err := cmd.Wait(); err == nil {
+			t.Errorf("dns %s: exit 0, want a refusal\n%s", args, out)
+		}
+		if msg := out.String(); !strings.Contains(msg, "needs -ckpt-dir") || strings.Contains(msg, "step ") {
+			t.Errorf("dns %s: want a -ckpt-dir refusal before any step, got\n%.300s", args, msg)
+		}
+	}
+}
+
 // TestResumedIsotropicRunIsStraight: dns steps adaptively, so a resumed run
 // continues the straight one only if the restore brings back what the dt
 // controller reads. An isotropic run checkpointed every 5 steps for 10 and

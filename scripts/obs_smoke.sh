@@ -1,9 +1,10 @@
 #!/bin/sh
 # obs-smoke: the distributed-observability CI drill. dnsrun launches a
-# four-process 2x2 DNS with tracing, heartbeats and a live endpoint; while
-# the run is in flight we scrape rank 0's /metrics and /status world
-# dashboard and its /telemetry report, which must already cover all four
-# ranks and carry a wire block. After the last step rank 0 folds in every
+# four-process 2x2 DNS with tracing, a live endpoint and a status line, and
+# so a fold of the world into rank 0, every two steps; while the run is in
+# flight we scrape rank 0's /metrics and /status world dashboard and its
+# /telemetry report, which must already cover all four ranks and carry a
+# wire block. After the last step rank 0 folds in every
 # rank's flight recorder and writes the one world trace, which must carry
 # four rank tracks and cross-rank flow arrows and pass bench-validate -trace
 # (per-track monotonicity plus flow referential integrity); no other rank
@@ -16,7 +17,7 @@ $GO build -o "$dir/dnsrun" ./cmd/dnsrun
 
 # Enough steps that the run is still alive while we scrape mid-flight.
 "$dir/dnsrun" -n 4 -bin "$dir/dns" -- -nx 16 -ny 17 -nz 16 -pa 2 -pb 2 \
-    -steps 800 -listen 127.0.0.1:0 -heartbeat-every 2 \
+    -steps 800 -listen 127.0.0.1:0 -stats-every 2 \
     -trace "$dir/dns.trace.json" -report "$dir/BENCH_obs.json" \
     > "$dir/run.out" 2>&1 &
 pid=$!
@@ -28,10 +29,10 @@ endpoint_announced() {
 }
 wait_for "telemetry endpoint" 300 "$dir/run.out" endpoint_announced
 
-# Scrape the world dashboard mid-run: the first heartbeat gather lands
-# after a couple of steps, so retry until per-rank step counters appear.
+# Scrape the world dashboard mid-run: the first fold lands at the first
+# status line, two steps in, so retry until per-rank step counters appear.
 # Match an actual series sample ("{rank=...}"), not the # HELP line the
-# endpoint serves before any heartbeat has been heard.
+# endpoint serves before any rank has been heard.
 rank_steps_scraped() {
     curl -sf "http://$addr/metrics" > "$dir/metrics.out" 2> /dev/null \
         && grep -q 'channeldns_rank_steps_total{' "$dir/metrics.out"
@@ -44,7 +45,7 @@ curl -sf "http://$addr/status" > "$dir/status.out"
 grep -q '"world": 4' "$dir/status.out"
 grep -q '"heard": true' "$dir/status.out"
 
-# Rank 0's live report covers the world mid-run: each heartbeat folds every
+# Rank 0's live report covers the world mid-run: each fold carries every
 # rank's collector and wire counters into rank 0's registry.
 curl -sf "http://$addr/telemetry" > "$dir/telemetry.out"
 grep -q '^  "ranks": 4,' "$dir/telemetry.out"
